@@ -75,6 +75,12 @@ class Deserializer {
   Status GetStringView(std::string_view* out);
   Status GetValue(Value* out);
   Status GetRow(Row* out);
+  // Advances past `n` bytes without reading them.
+  Status Skip(size_t n) {
+    if (n > size_ - pos_) return Status::Corruption("serializer underflow");
+    pos_ += n;
+    return Status::Ok();
+  }
 
   bool AtEnd() const { return pos_ == size_; }
   size_t remaining() const { return size_ - pos_; }

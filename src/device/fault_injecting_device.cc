@@ -212,6 +212,7 @@ IoResult FaultInjectingDevice::WriteFile(const std::string& name,
 IoResult FaultInjectingDevice::AppendFile(const std::string& name,
                                           const std::vector<uint8_t>& bytes) {
   Status fault;
+  bool torn = false;
   {
     std::lock_guard<std::mutex> g(mu_);
     const uint64_t opno = ++counters_.appends;
@@ -224,17 +225,32 @@ IoResult FaultInjectingDevice::AppendFile(const std::string& name,
             std::to_string(spec_.enospc_bytes) + " bytes): append " + name);
       }
     }
-    if (!fault.ok()) counters_.faults_injected++;
-  }
-  if (!fault.ok()) return IoResult{fault, inner_->WriteSeconds(bytes.size())};
-  IoResult r = inner_->AppendFile(name, bytes);
-  if (r.ok()) {
-    CountBytesWritten(bytes.size());
-    if (journal_ != nullptr) {
-      journal_->Append({OpJournalEntry::Kind::kAppend, index_, name, bytes});
+    if (!fault.ok()) {
+      counters_.faults_injected++;
+      // As for writes: only the scheduled fail_append fault tears.
+      torn = !killed_ && spec_.torn_bytes != FaultSpec::kNoTear &&
+             spec_.fail_append != 0 && opno >= spec_.fail_append;
     }
   }
-  return r;
+  if (fault.ok()) {
+    IoResult r = inner_->AppendFile(name, bytes);
+    if (r.ok()) {
+      CountBytesWritten(bytes.size());
+      if (journal_ != nullptr) {
+        journal_->Append({OpJournalEntry::Kind::kAppend, index_, name, bytes});
+      }
+    }
+    return r;
+  }
+  if (torn) {
+    // The file keeps its earlier content plus a prefix of this append.
+    const size_t kept = std::min<uint64_t>(spec_.torn_bytes, bytes.size());
+    const std::vector<uint8_t> prefix(
+        bytes.begin(), bytes.begin() + static_cast<ptrdiff_t>(kept));
+    IoResult r = inner_->AppendFile(name, prefix);
+    (void)r;  // The op still reports failure; the tear is the point.
+  }
+  return IoResult{fault, inner_->WriteSeconds(bytes.size())};
 }
 
 Status FaultInjectingDevice::ReadFile(const std::string& name,

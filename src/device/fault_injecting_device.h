@@ -3,8 +3,8 @@
 //
 // FaultInjectingDevice decorates any StorageDevice with a scriptable
 // failure schedule: fail the N-th write/append/fsync/read (transiently or
-// permanently), tear a write at byte k, run out of space after a byte
-// budget, or fail ops probabilistically from a seeded generator. Every
+// permanently), tear a write or append at byte k, run out of space after a
+// byte budget, or fail ops probabilistically from a seeded generator. Every
 // operation is counted, and (optionally) every successful mutation is
 // recorded into a shared OpJournal so a test can rebuild the device state
 // as of *any* operation boundary — the substrate for the ALICE-style
@@ -15,6 +15,7 @@
 //   --device faulty:file,fail_write=40         # 40th WriteFile onward fails
 //   --device faulty:sim,persist=1,fail_fsync=3,heal=2   # 2 transient misses
 //   --device faulty:file,torn=128,fail_write=7 # 7th write torn at 128 bytes
+//   --device faulty:file,torn=16,fail_append=9 # 9th append keeps 16 bytes
 //   --device faulty:sim,enospc=1048576         # device full after 1 MiB
 //   --device faulty:file,rate=5,seed=42        # 5% of mutations fail
 #ifndef PACMAN_DEVICE_FAULT_INJECTING_DEVICE_H_
@@ -47,7 +48,9 @@ struct FaultSpec {
   uint64_t heal_after = 0;   // 0 = permanent; else transient failure count.
   // On a WriteFile failed by `fail_write`: persist only the first
   // `torn_bytes` bytes to the inner device before reporting the error —
-  // models a medium without atomic replace tearing mid-write.
+  // models a medium without atomic replace tearing mid-write. On an
+  // AppendFile failed by `fail_append`: append only the first
+  // `torn_bytes` bytes — a crash mid-append.
   uint64_t torn_bytes = kNoTear;
   uint64_t enospc_bytes = 0;  // 0 = unlimited; else total write-byte budget.
   // Probabilistic mode: each mutating op independently fails with

@@ -17,7 +17,7 @@ IoResult SimulatedSsd::WriteFile(const std::string& name,
                                  std::vector<uint8_t> bytes) {
   const double cost = WriteSeconds(bytes.size());
   CountBytesWritten(bytes.size());
-  auto buf = std::make_shared<const std::vector<uint8_t>>(std::move(bytes));
+  auto buf = std::make_shared<std::vector<uint8_t>>(std::move(bytes));
   std::lock_guard<std::mutex> g(mu_);
   files_[name] = std::move(buf);  // Readers of the old buffer keep it.
   return IoResult::Ok(cost);
@@ -29,11 +29,16 @@ IoResult SimulatedSsd::AppendFile(const std::string& name,
   CountBytesWritten(bytes.size());
   std::lock_guard<std::mutex> g(mu_);
   auto& slot = files_[name];
-  // Copy-on-write: the stored buffer may be shared with readers.
-  auto next = slot == nullptr ? std::make_shared<std::vector<uint8_t>>()
-                              : std::make_shared<std::vector<uint8_t>>(*slot);
-  next->insert(next->end(), bytes.begin(), bytes.end());
-  slot = std::move(next);
+  if (slot == nullptr) {
+    slot = std::make_shared<std::vector<uint8_t>>();
+  } else if (slot.use_count() > 1) {
+    // Copy-on-write: a reader shares the stored buffer and keeps its
+    // snapshot. Handles are only handed out under mu_, so a count of one
+    // here means no reader exists or can appear while we append in place
+    // (a group-committing logger then never copies its growing batch).
+    slot = std::make_shared<std::vector<uint8_t>>(*slot);
+  }
+  slot->insert(slot->end(), bytes.begin(), bytes.end());
   return IoResult::Ok(cost);
 }
 

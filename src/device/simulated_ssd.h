@@ -46,9 +46,9 @@ class SimulatedSsd final : public StorageDevice {
                       const std::vector<uint8_t>& bytes) override;
   Status ReadFile(const std::string& name,
                   std::vector<uint8_t>* out) const override;
-  // Zero-copy: hands out the stored buffer itself. WriteFile/AppendFile
-  // replace the stored handle, so concurrent readers keep a stable
-  // snapshot (copy-on-write at file granularity).
+  // Zero-copy: hands out the stored buffer itself. WriteFile replaces the
+  // stored handle and AppendFile copies a buffer a reader still holds, so
+  // readers keep a stable snapshot (copy-on-write at file granularity).
   Status ReadFileShared(
       const std::string& name,
       std::shared_ptr<const std::vector<uint8_t>>* out) const override;
@@ -58,8 +58,8 @@ class SimulatedSsd final : public StorageDevice {
   IoResult RemoveFile(const std::string& name) override;
   size_t FileSize(const std::string& name) const override;
   IoResult SyncBarrier() override;
-  // Nothing actually survives the process; the loggers keep their
-  // buffer-until-batch-close behavior and purely modeled flush costs.
+  // Nothing actually survives the process; crashes are injected with
+  // Database::Crash().
   bool IsPersistent() const override { return false; }
 
   // --- Virtual-time cost model ----------------------------------------
@@ -75,9 +75,9 @@ class SimulatedSsd final : public StorageDevice {
  private:
   SsdConfig config_;
   mutable std::mutex mu_;
-  // Values are immutable once stored: every mutation installs a fresh
-  // buffer (see ReadFileShared).
-  std::unordered_map<std::string, std::shared_ptr<const std::vector<uint8_t>>>
+  // A stored buffer is mutated in place only while no reader shares it
+  // (see AppendFile); otherwise every mutation installs a fresh one.
+  std::unordered_map<std::string, std::shared_ptr<std::vector<uint8_t>>>
       files_;
 };
 

@@ -105,10 +105,11 @@ class StorageDevice {
   // OK, every preceding write on this device is durable. Counts one fsync.
   virtual IoResult SyncBarrier() = 0;
 
-  // True when the backend is a real durable medium: the loggers must then
-  // persist the in-progress batch image at every group commit instead of
-  // buffering it until the batch closes, so a killed process loses nothing
-  // past the last flush.
+  // True when the backend is a real durable medium whose contents outlive
+  // the process. Recovery then treats a missing pepoch watermark as "no
+  // flush ever completed" and erases beyond-watermark and torn records
+  // from the files (Database::Recover, LogStore::TruncateBeyondWatermark).
+  // The write path is the same on every backend.
   virtual bool IsPersistent() const = 0;
 
   // --- Cost surface ----------------------------------------------------

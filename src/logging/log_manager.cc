@@ -30,22 +30,16 @@ Logger::Logger(uint32_t id, LogScheme scheme, device::StorageDevice* device,
 
 void Logger::Append(LogRecord record) {
   std::lock_guard<std::mutex> g(mu_);
-  if (current_.records.empty()) current_.first_epoch = record.epoch;
-  current_.last_epoch = record.epoch;
   unflushed_records_++;
   // The real serialized size of this record, for flush accounting —
   // computed arithmetically (SerializedRecordBytes) rather than by
   // serializing into a scratch buffer on every append.
   unflushed_bytes_ += SerializedRecordBytes(scheme_, record);
   current_.records.push_back(std::move(record));
-  image_dirty_ = true;
 }
 
 FlushCost Logger::FlushEpoch(Epoch epoch) {
   std::lock_guard<std::mutex> g(mu_);
-  FlushCost cost;
-  cost.bytes = unflushed_bytes_;
-  current_.last_epoch = epoch;
   // Group-commit membership defines the durable epoch: the records this
   // flush persists are stamped with the flushing epoch, so on-device
   // "record.epoch <= pepoch" means exactly "persisted by a completed
@@ -58,91 +52,71 @@ FlushCost Logger::FlushEpoch(Epoch epoch) {
        i < current_.records.size(); ++i) {
     current_.records[i].epoch = epoch;
   }
-  if (device_->IsPersistent()) {
-    // Group commit against a real medium: atomically rewrite the
-    // in-progress batch image and barrier, so a process killed after this
-    // flush loses nothing. The cost is the measured wall time. A failure
-    // at either step leaves the unflushed counters intact: the records
-    // stay owed to the next flush (which re-stamps them), and the caller
-    // must not acknowledge this epoch.
-    double seconds = 0.0;
-    if (unflushed_bytes_ > 0) {
-      device::IoResult w = device::RetryIo(kLogRetryPolicy, io_retries_, [&] {
-        return device_->WriteFile(
-            LogStore::BatchFileName(id_, current_.seq),
-            LogStore::SerializeBatch(scheme_, current_));
-      });
-      seconds += w.seconds;
-      if (!w.ok()) {
-        cost.bytes = 0;
-        cost.seconds = seconds;
-        cost.status = std::move(w.status);
-        return cost;
-      }
-    }
-    device::IoResult b = device::RetryIo(kLogRetryPolicy, io_retries_,
-                                         [&] { return device_->SyncBarrier(); });
-    seconds += b.seconds;
-    if (!b.ok()) {
-      // The image write may have landed but is not provably durable;
-      // leave image_dirty_ set so the next flush/close rewrites it.
-      cost.bytes = 0;
-      cost.seconds = seconds;
-      cost.status = std::move(b.status);
-      return cost;
-    }
-    if (unflushed_bytes_ > 0) image_dirty_ = false;
-    cost.seconds = seconds;
-  } else {
-    // Simulated medium: the batch stays buffered until it closes; the
-    // group-commit cost is the modeled write + fsync virtual time.
-    cost.seconds =
-        device_->WriteSeconds(unflushed_bytes_) + device_->FsyncSeconds();
-    device::IoResult b = device::RetryIo(kLogRetryPolicy, io_retries_,
-                                         [&] { return device_->SyncBarrier(); });
-    if (!b.ok()) {
-      cost.bytes = 0;
-      cost.status = std::move(b.status);
-      return cost;
-    }
+  // A failure leaves the unflushed counters intact: the records stay owed
+  // to the next flush (which re-stamps them), and the caller must not
+  // acknowledge this epoch.
+  device::IoResult r = PersistOwed();
+  FlushCost cost;
+  cost.seconds = r.seconds;
+  if (!r.ok()) {
+    cost.status = std::move(r.status);
+    return cost;
   }
-  bytes_logged_ += unflushed_bytes_;
+  cost.bytes = unflushed_bytes_;
+  bytes_logged_.fetch_add(unflushed_bytes_, std::memory_order_relaxed);
   unflushed_bytes_ = 0;
   unflushed_records_ = 0;
-  if (++epochs_in_batch_ >= epochs_per_batch_) {
-    cost.status = CloseBatch();
-  }
+  if (++epochs_in_batch_ >= epochs_per_batch_) CloseBatch();
   return cost;
 }
 
-Status Logger::CloseBatch() {
-  // Called with mu_ held.
-  if (!current_.records.empty()) {
-    // A persistent device whose image is clean already holds exactly these
-    // bytes from the flush that triggered the close — skip the redundant
-    // atomic rewrite (and its fsync). Simulated devices only ever write
-    // here.
-    if (!device_->IsPersistent() || image_dirty_) {
-      device::IoResult w = device::RetryIo(kLogRetryPolicy, io_retries_, [&] {
-        return device_->WriteFile(LogStore::BatchFileName(id_, current_.seq),
-                                  LogStore::SerializeBatch(scheme_, current_));
-      });
-      if (!w.ok()) {
-        // The batch stays open (and its records retained) so a later
-        // close can retry; dropping it here would lose the only copy on
-        // a non-persistent device.
-        return w.status;
+device::IoResult Logger::PersistOwed() {
+  double seconds = 0.0;
+  if (unflushed_records_ > 0) {
+    const std::string name = LogStore::BatchFileName(id_, current_.seq);
+    device::IoResult w = device::RetryIo(kLogRetryPolicy, io_retries_, [&] {
+      if (rewrite_) {
+        std::vector<uint8_t> image =
+            LogStore::SerializeBatch(scheme_, current_);
+        const size_t size = image.size();
+        device::IoResult r = device_->WriteFile(name, std::move(image));
+        if (r.ok()) file_bytes_ = size;
+        return r;
       }
-      image_dirty_ = false;
-    }
+      const size_t first = current_.records.size() - unflushed_records_;
+      const std::vector<uint8_t> block = LogStore::SerializeBlock(
+          scheme_, id_, current_.seq, /*file_header=*/file_bytes_ == 0,
+          current_.records.data() + first, unflushed_records_);
+      device::IoResult r = device_->AppendFile(name, block);
+      if (r.ok()) {
+        file_bytes_ += block.size();
+      } else {
+        // Part of the block may have landed: a retry must rewrite.
+        rewrite_ = true;
+      }
+      return r;
+    });
+    seconds += w.seconds;
+    if (!w.ok()) return device::IoResult{std::move(w.status), seconds};
+  }
+  device::IoResult b = device::RetryIo(kLogRetryPolicy, io_retries_,
+                                       [&] { return device_->SyncBarrier(); });
+  seconds += b.seconds;
+  // Whatever this flush wrote is not provably durable until a barrier
+  // succeeds; the owed records go out as a full rewrite next time.
+  rewrite_ = !b.ok();
+  return device::IoResult{std::move(b.status), seconds};
+}
+
+void Logger::CloseBatch() {
+  // Called with mu_ held, with nothing owed.
+  if (!current_.records.empty()) {
     if (on_close_ != nullptr) {
       Timestamp max_cts = 0;
       for (const LogRecord& r : current_.records) {
         max_cts = std::max(max_cts, r.commit_ts);
       }
-      on_close_(BatchCoverage{
-          id_, current_.seq, max_cts,
-          LogStore::SerializedBatchBytes(scheme_, current_)});
+      on_close_(BatchCoverage{id_, current_.seq, max_cts, file_bytes_});
     }
     batch_seq_++;
     batches_written_++;
@@ -151,16 +125,24 @@ Status Logger::CloseBatch() {
   current_.logger_id = id_;
   current_.seq = batch_seq_;
   epochs_in_batch_ = 0;
-  image_dirty_ = false;
-  return Status::Ok();
+  file_bytes_ = 0;
+  rewrite_ = false;
 }
 
 Status Logger::Finalize() {
   std::lock_guard<std::mutex> g(mu_);
-  bytes_logged_ += unflushed_bytes_;
-  unflushed_bytes_ = 0;
-  unflushed_records_ = 0;
-  return CloseBatch();
+  // Records drained after the last successful flush (a failed flush, or
+  // a crash boundary with stragglers) keep their stamps; recovery's
+  // pepoch cut decides whether they replay.
+  if (unflushed_records_ > 0) {
+    device::IoResult r = PersistOwed();
+    if (!r.ok()) return r.status;
+    bytes_logged_.fetch_add(unflushed_bytes_, std::memory_order_relaxed);
+    unflushed_bytes_ = 0;
+    unflushed_records_ = 0;
+  }
+  CloseBatch();
+  return Status::Ok();
 }
 
 LogManager::LogManager(LogScheme scheme,

@@ -3,15 +3,17 @@
 //
 // Committed transactions are routed to one of N loggers; each logger packs
 // the records of an epoch together and flushes them with one write+fsync
-// per epoch (group commit). A logger closes its current batch file every
-// `epochs_per_batch` epochs. The pepoch watermark advances once every
-// logger has persisted an epoch.
+// per epoch (group commit): the flush appends one framed block to the
+// logger's current batch file and barriers (format: log_store.h). A logger
+// closes its current batch file every `epochs_per_batch` epochs. The
+// pepoch watermark advances once every logger has persisted an epoch.
 //
-// The host has one core, so loggers are passive objects driven at epoch
-// boundaries by the database runtime; the virtual-time cost of each flush
-// (bytes/bandwidth + fsync latency) is returned to the caller, which feeds
-// the logging-performance simulations (Figs. 11-12, Tables 1-3). The bytes
-// are real serialized bytes.
+// Loggers are passive objects driven at epoch boundaries by the database
+// runtime. Every device takes the same append + barrier path; the cost of
+// each flush is what the device reports for it — virtual seconds
+// (bytes/bandwidth + fsync latency) on a simulated SSD, feeding the
+// logging-performance simulations (Figs. 11-12, Tables 1-3), measured
+// wall-clock on a real one. The bytes are real serialized bytes.
 //
 // Concurrent forward processing (§4.5 per-core logging): each worker owns
 // a local staging buffer (EnsureWorkerBuffers). Commits tagged with a
@@ -64,7 +66,7 @@ struct BatchCoverage {
   uint32_t logger_id = 0;
   uint64_t seq = 0;
   Timestamp max_cts = 0;
-  uint64_t bytes = 0;  // Serialized size of the closed batch file.
+  uint64_t bytes = 0;  // Size of the closed batch file.
 };
 
 class Logger {
@@ -86,23 +88,28 @@ class Logger {
   // Appends one record to the current epoch buffer (thread-safe).
   void Append(LogRecord record);
 
-  // Group commit: flushes the current epoch buffer to the batch file and
-  // fsyncs. On a persistent device the in-progress batch image is
-  // atomically rewritten and synced, so everything flushed survives a
-  // process kill; on a simulated device the batch stays buffered until it
-  // closes and the cost is purely modeled. Closes the batch file every
+  // Group commit: appends the records owed since the last successful
+  // flush to the batch file as one block and barriers, so everything
+  // flushed survives a process kill. Closes the batch file every
   // epochs_per_batch epochs. Transient device errors are retried with
   // backoff; on exhausted retries the returned status is non-OK and the
   // unflushed records stay owed to the next flush (they re-stamp into
-  // whatever epoch finally persists them).
+  // whatever epoch finally persists them). After a failed append or
+  // barrier the file may end in a partial or non-durable block, so the
+  // next attempt atomically rewrites the whole batch image instead of
+  // appending — re-appending would duplicate or garble records.
   FlushCost FlushEpoch(Epoch epoch);
 
-  // Closes the in-progress batch (on shutdown / crash boundary). Non-OK
-  // when the final batch image could not be persisted; the batch then
-  // stays open so a later close can retry.
+  // Closes the in-progress batch (on shutdown / crash boundary), first
+  // persisting any records still owed. Non-OK when they could not be
+  // persisted; the batch then stays open so a later close can retry.
   Status Finalize();
 
-  uint64_t bytes_logged() const { return bytes_logged_; }
+  // Record bytes made durable so far. Read by the checkpoint trigger
+  // while flushes run, hence atomic.
+  uint64_t bytes_logged() const {
+    return bytes_logged_.load(std::memory_order_relaxed);
+  }
   uint64_t batches_written() const { return batches_written_; }
   uint32_t id() const { return id_; }
   // Sequence number of the in-progress batch: the file at this seq (and
@@ -114,7 +121,13 @@ class Logger {
   }
 
  private:
-  Status CloseBatch();
+  // Writes the owed records (the last unflushed_records_ of current_) —
+  // one appended block, or the whole image when rewrite_ is set — then
+  // barriers. Called with mu_ held.
+  device::IoResult PersistOwed();
+  // Reports the batch's coverage and moves the stream to the next seq.
+  // The file already holds every record, so nothing is written.
+  void CloseBatch();
 
   const uint32_t id_;
   const LogScheme scheme_;
@@ -128,12 +141,14 @@ class Logger {
   uint64_t batch_seq_ = 0;
   uint64_t batches_written_ = 0;
   uint32_t epochs_in_batch_ = 0;
-  uint64_t bytes_logged_ = 0;
+  std::atomic<uint64_t> bytes_logged_{0};
   size_t unflushed_records_ = 0;
   size_t unflushed_bytes_ = 0;
-  // Records appended since the batch image was last persisted; lets batch
-  // close skip rewriting an identical image on persistent devices.
-  bool image_dirty_ = false;
+  // Size of the current batch file as written (0 until its first flush).
+  uint64_t file_bytes_ = 0;
+  // Set by a failed append or barrier: the file may end in a partial or
+  // non-durable block, so the next write replaces the whole image.
+  bool rewrite_ = false;
 };
 
 class LogManager {
@@ -229,12 +244,12 @@ class LogManager {
   // an entry must not be handed out twice. Entries that are not yet
   // covered stay for a later pass. Batch files inherited from an earlier
   // process predate the registry; callers read their coverage from the
-  // file header (LogStore::ReadBatchCoverage).
+  // batch headers (LogStore::ReadBatchCoverage).
   std::vector<BatchCoverage> TakeTruncatable(Timestamp ts);
   // Smallest in-progress batch seq across loggers: files at or past it
-  // may still be appended to (or only exist as a flushed prefix image)
-  // and are never truncation candidates. kOff or zero loggers → 0, which
-  // holds back everything — there is nothing to truncate anyway.
+  // may still be appended to and are never truncation candidates. kOff
+  // or zero loggers → 0, which holds back everything — there is nothing
+  // to truncate anyway.
   uint64_t MinOpenSeq();
 
   // Upper bound on worker log-buffer slots (sessions + executor workers

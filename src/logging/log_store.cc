@@ -13,10 +13,13 @@ namespace pacman::logging {
 namespace {
 // v1 header: magic, logger_id, seq, first_epoch, last_epoch, count.
 constexpr uint32_t kBatchMagicV1 = 0x50414342;  // "PACB"
-// v2 adds min_cts/max_cts before the count, so garbage collection can
-// read a batch's commit-timestamp coverage without parsing records.
-// Writers always emit v2; readers accept both.
+// v2 adds min_cts/max_cts before the count.
 constexpr uint32_t kBatchMagicV2 = 0x50414332;  // "PAC2"
+// v3: file header + one block per flush (see log_store.h). The only
+// format written; readers accept all three.
+constexpr uint32_t kBatchMagicV3 = 0x50414333;  // "PAC3"
+// Smallest possible record: cts + epoch + count.
+constexpr size_t kMinRecordBytes = 8 + 8 + 4;
 
 // Parses a decimal run starting at `pos`; advances `pos` past it.
 bool ParseDigits(const std::string& s, size_t* pos, uint64_t* out) {
@@ -60,40 +63,45 @@ bool LogStore::ParseBatchFileName(const std::string& name,
   return true;
 }
 
-size_t LogStore::SerializedBatchBytes(LogScheme scheme,
-                                      const LogBatch& batch) {
-  size_t n = 4 + 4 + 8 + 8 + 8 + 8 + 8 + 4;  // v2 header + record count.
-  for (const LogRecord& r : batch.records) {
-    n += SerializedRecordBytes(scheme, r);
+std::vector<uint8_t> LogStore::SerializeBlock(LogScheme scheme,
+                                              uint32_t logger_id,
+                                              uint64_t seq, bool file_header,
+                                              const LogRecord* records,
+                                              size_t n) {
+  size_t payload = 0;
+  Timestamp min_cts = kMaxTimestamp;
+  Timestamp max_cts = 0;
+  for (size_t i = 0; i < n; ++i) {
+    payload += SerializedRecordBytes(scheme, records[i]);
+    min_cts = std::min(min_cts, records[i].commit_ts);
+    max_cts = std::max(max_cts, records[i].commit_ts);
   }
-  return n;
+  const size_t total =
+      (file_header ? kFileHeaderBytes : 0) + kBlockHeaderBytes + payload;
+  Serializer out(total);
+  if (file_header) {
+    out.PutU32(kBatchMagicV3);
+    out.PutU32(logger_id);
+    out.PutU64(seq);
+  }
+  out.PutU32(static_cast<uint32_t>(n));
+  out.PutU64(payload);
+  out.PutU64(min_cts);
+  out.PutU64(max_cts);
+  for (size_t i = 0; i < n; ++i) SerializeRecord(scheme, records[i], &out);
+  PACMAN_DCHECK(out.size() == total);
+  return out.Release();
 }
 
 std::vector<uint8_t> LogStore::SerializeBatch(LogScheme scheme,
                                               const LogBatch& batch) {
-  // The cts interval is recomputed from the records, not taken from the
-  // struct fields: rewrites (TruncateBeyondWatermark) drop records, and a
-  // stale interval would let garbage collection delete uncovered commits.
-  Timestamp min_cts = kMaxTimestamp;
-  Timestamp max_cts = 0;
-  for (const LogRecord& r : batch.records) {
-    min_cts = std::min(min_cts, r.commit_ts);
-    max_cts = std::max(max_cts, r.commit_ts);
-  }
-  Serializer out(SerializedBatchBytes(scheme, batch));
-  out.PutU32(kBatchMagicV2);
-  out.PutU32(batch.logger_id);
-  out.PutU64(batch.seq);
-  out.PutU64(batch.first_epoch);
-  out.PutU64(batch.last_epoch);
-  out.PutU64(min_cts);
-  out.PutU64(max_cts);
-  out.PutU32(static_cast<uint32_t>(batch.records.size()));
-  for (const LogRecord& r : batch.records) {
-    SerializeRecord(scheme, r, &out);
-  }
-  PACMAN_DCHECK(out.size() == SerializedBatchBytes(scheme, batch));
-  return out.Release();
+  // The block's cts interval is computed from the records, never taken
+  // from the struct fields: rewrites (TruncateBeyondWatermark) drop
+  // records, and a stale interval would let garbage collection delete
+  // uncovered commits.
+  return SerializeBlock(scheme, batch.logger_id, batch.seq,
+                        /*file_header=*/true, batch.records.data(),
+                        batch.records.size());
 }
 
 namespace {
@@ -102,7 +110,7 @@ namespace {
 // corrupt or truncated file is reported as the exact file and position
 // that broke instead of a bare "underflow".
 Status AnnotateParseError(const Status& s, const BatchParseOptions& opts,
-                          size_t offset, const char* what) {
+                          size_t offset, const std::string& what) {
   const std::string& name =
       opts.file_name.empty() ? std::string("<unnamed batch>")
                              : opts.file_name;
@@ -111,107 +119,161 @@ Status AnnotateParseError(const Status& s, const BatchParseOptions& opts,
                             s.message());
 }
 
+// A parse that ran out of bytes: a torn tail (keeping the records parsed
+// so far) in tolerate mode, loud corruption otherwise.
+Status Truncated(const Status& s, const BatchParseOptions& opts,
+                 size_t offset, const std::string& what, LogBatch* out) {
+  if (opts.tolerate_torn_tail) {
+    out->torn_tail = true;
+    return Status::Ok();
+  }
+  return AnnotateParseError(s, opts, offset, what);
+}
+
+// The body parsers below fill out->logger_id/seq/records from `in`
+// (positioned just past the magic) and return either OK — setting
+// out->torn_tail when they stopped at a tolerated truncation — or the
+// annotated corruption.
+
+Status ParseSingleBlockBody(LogScheme scheme, uint32_t magic,
+                            const BatchParseOptions& opts, Deserializer* in,
+                            LogBatch* out) {
+  Status s = in->GetU32(&out->logger_id);
+  if (s.ok()) s = in->GetU64(&out->seq);
+  // first/last epoch (v1, v2) and the cts interval (v2): no reader needs
+  // them; the interval is derived from the records.
+  if (s.ok()) s = in->Skip(magic == kBatchMagicV2 ? 32 : 16);
+  if (!s.ok()) return Truncated(s, opts, in->position(), "header", out);
+  uint32_t n = 0;
+  s = in->GetU32(&n);
+  if (!s.ok()) return Truncated(s, opts, in->position(), "record count", out);
+  // Bound the count by the bytes actually present before allocating: a
+  // garbage count field must be loud corruption, not a hundred-GB resize.
+  // Under tolerance a larger count is the signature of a truncated record
+  // region; reserve only what can possibly be present.
+  const size_t fit = in->remaining() / kMinRecordBytes;
+  if (n > fit && !opts.tolerate_torn_tail) {
+    return AnnotateParseError(
+        Status::Corruption("record count " + std::to_string(n) +
+                           " exceeds file size"),
+        opts, in->position(), "record count");
+  }
+  out->records.reserve(std::min<size_t>(n, fit));
+  for (uint32_t i = 0; i < n; ++i) {
+    LogRecord rec;
+    s = DeserializeRecord(scheme, in, &rec);
+    if (!s.ok()) {
+      return Truncated(
+          s, opts, in->position(),
+          "record " + std::to_string(i) + " of " + std::to_string(n), out);
+    }
+    out->records.push_back(std::move(rec));
+  }
+  return Status::Ok();
+}
+
+Status ParseBlocksBody(LogScheme scheme, const std::vector<uint8_t>& bytes,
+                       const BatchParseOptions& opts, Deserializer* in,
+                       LogBatch* out) {
+  Status s = in->GetU32(&out->logger_id);
+  if (s.ok()) s = in->GetU64(&out->seq);
+  if (!s.ok()) return Truncated(s, opts, in->position(), "header", out);
+  for (uint64_t b = 0; !in->AtEnd(); ++b) {
+    const std::string block = "block " + std::to_string(b);
+    const size_t block_offset = in->position();
+    uint32_t n = 0;
+    uint64_t payload = 0;
+    s = in->GetU32(&n);
+    if (s.ok()) s = in->GetU64(&payload);
+    // The block's cts interval serves ReadBatchCoverage; a full parse
+    // derives it from the records.
+    if (s.ok()) s = in->Skip(16);
+    if (!s.ok()) {
+      return Truncated(s, opts, block_offset, block + " header", out);
+    }
+    // A complete block header is never a truncation artifact: a count
+    // its own payload cannot hold is corruption even under tolerance.
+    if (n > payload / kMinRecordBytes) {
+      return AnnotateParseError(
+          Status::Corruption("record count " + std::to_string(n) +
+                             " exceeds the block payload of " +
+                             std::to_string(payload) + " bytes"),
+          opts, block_offset, block + " record count");
+    }
+    const bool short_block = payload > in->remaining();
+    if (short_block && !opts.tolerate_torn_tail) {
+      return AnnotateParseError(
+          Status::Corruption("record payload of " + std::to_string(payload) +
+                             " bytes exceeds the " +
+                             std::to_string(in->remaining()) +
+                             " bytes remaining"),
+          opts, in->position(), block);
+    }
+    const size_t avail =
+        short_block ? in->remaining() : static_cast<size_t>(payload);
+    Deserializer records(bytes.data() + in->position(), avail);
+    records.set_borrow_strings(in->borrow_strings());
+    out->records.reserve(out->records.size() +
+                         std::min<size_t>(n, avail / kMinRecordBytes));
+    for (uint32_t i = 0; i < n; ++i) {
+      LogRecord rec;
+      s = DeserializeRecord(scheme, &records, &rec);
+      if (!s.ok()) {
+        if (short_block) {  // The tear cut this record; keep the prefix.
+          out->torn_tail = true;
+          return Status::Ok();
+        }
+        return AnnotateParseError(
+            s, opts, in->position() + records.position(),
+            "record " + std::to_string(i) + " of " + std::to_string(n) +
+                " in " + block);
+      }
+      out->records.push_back(std::move(rec));
+    }
+    if (records.position() != payload) {
+      return AnnotateParseError(
+          Status::Corruption("records end " +
+                             std::to_string(payload - records.position()) +
+                             " bytes before the block payload does"),
+          opts, in->position() + records.position(), block);
+    }
+    s = in->Skip(avail);
+    PACMAN_DCHECK(s.ok());
+  }
+  return Status::Ok();
+}
+
 }  // namespace
 
 Status LogStore::DeserializeBatch(
     LogScheme scheme, std::shared_ptr<const std::vector<uint8_t>> bytes,
     const BatchParseOptions& opts, LogBatch* out) {
   out->torn_tail = false;
+  out->records.clear();
   Deserializer in(*bytes);
   in.set_borrow_strings(opts.borrow);
-  // Finishes a tolerated torn-tail parse: keep whatever records parsed in
-  // full, recompute the cts interval from them (the header's interval may
-  // cover records the tear cut off), and report success.
-  auto torn = [&]() -> Status {
-    out->torn_tail = true;
-    out->min_cts = kMaxTimestamp;
-    out->max_cts = 0;
-    for (const LogRecord& r : out->records) {
-      out->min_cts = std::min(out->min_cts, r.commit_ts);
-      out->max_cts = std::max(out->max_cts, r.commit_ts);
-    }
-    out->file_bytes = bytes->size();
-    if (opts.borrow) {
-      out->backing = std::move(bytes);
-    } else {
-      out->backing.reset();
-    }
-    return Status::Ok();
-  };
-  uint32_t magic;
+  uint32_t magic = 0;
   Status s = in.GetU32(&magic);
   if (!s.ok()) {
-    if (opts.tolerate_torn_tail) {
-      out->records.clear();
-      return torn();
-    }
-    return AnnotateParseError(s, opts, in.position(), "magic");
-  }
-  if (magic != kBatchMagicV1 && magic != kBatchMagicV2) {
+    s = Truncated(s, opts, in.position(), "magic", out);
+  } else if (magic == kBatchMagicV3) {
+    s = ParseBlocksBody(scheme, *bytes, opts, &in, out);
+  } else if (magic == kBatchMagicV1 || magic == kBatchMagicV2) {
+    s = ParseSingleBlockBody(scheme, magic, opts, &in, out);
+  } else {
     // A present-but-wrong magic is never a truncation artifact; it stays
     // loud even under torn-tail tolerance.
     return AnnotateParseError(Status::Corruption("bad batch magic"), opts, 0,
                               "magic");
   }
-  s = in.GetU32(&out->logger_id);
-  if (s.ok()) s = in.GetU64(&out->seq);
-  if (s.ok()) s = in.GetU64(&out->first_epoch);
-  if (s.ok()) s = in.GetU64(&out->last_epoch);
+  if (!s.ok()) return s;
+  // Derived from what parsed, so every reloaded batch (any version, torn
+  // or not) answers coverage questions from exactly its records.
   out->min_cts = kMaxTimestamp;
   out->max_cts = 0;
-  if (s.ok() && magic == kBatchMagicV2) {
-    s = in.GetU64(&out->min_cts);
-    if (s.ok()) s = in.GetU64(&out->max_cts);
-  }
-  if (!s.ok()) {
-    if (opts.tolerate_torn_tail) {
-      out->records.clear();
-      return torn();
-    }
-    return AnnotateParseError(s, opts, in.position(), "header");
-  }
-  uint32_t n = 0;
-  s = in.GetU32(&n);
-  if (!s.ok()) {
-    if (opts.tolerate_torn_tail) {
-      out->records.clear();
-      return torn();
-    }
-    return AnnotateParseError(s, opts, in.position(), "record count");
-  }
-  // Bound the count by the bytes actually present (every record needs at
-  // least its fixed header) before allocating: a garbage count field must
-  // be loud corruption, not a hundred-GB resize.
-  constexpr size_t kMinRecordBytes = 8 + 8 + 4;  // cts + epoch + count.
-  const size_t fit = in.remaining() / kMinRecordBytes;
-  if (n > fit && !opts.tolerate_torn_tail) {
-    return AnnotateParseError(
-        Status::Corruption("record count " + std::to_string(n) +
-                           " exceeds file size"),
-        opts, in.position(), "record count");
-  }
-  // Under tolerance a count larger than the remaining bytes is the
-  // expected signature of a truncated record region; allocate only what
-  // can possibly be present and parse the persisted prefix.
-  out->records.clear();
-  out->records.reserve(std::min<size_t>(n, fit));
-  for (uint32_t i = 0; i < n; ++i) {
-    LogRecord rec;
-    s = DeserializeRecord(scheme, &in, &rec);
-    if (!s.ok()) {
-      if (opts.tolerate_torn_tail) return torn();
-      return AnnotateParseError(
-          s, opts, in.position(),
-          ("record " + std::to_string(i) + " of " + std::to_string(n))
-              .c_str());
-    }
-    out->records.push_back(std::move(rec));
-    if (magic == kBatchMagicV1) {
-      // v1 headers carry no cts interval; derive it so every reloaded
-      // batch answers coverage questions uniformly.
-      out->min_cts = std::min(out->min_cts, out->records.back().commit_ts);
-      out->max_cts = std::max(out->max_cts, out->records.back().commit_ts);
-    }
+  for (const LogRecord& r : out->records) {
+    out->min_cts = std::min(out->min_cts, r.commit_ts);
+    out->max_cts = std::max(out->max_cts, r.commit_ts);
   }
   out->file_bytes = bytes->size();
   if (opts.borrow) {
@@ -233,31 +295,48 @@ Status LogStore::ReadBatchCoverage(LogScheme scheme,
   Deserializer in(bytes);
   uint32_t magic = 0;
   s = in.GetU32(&magic);
-  if (!s.ok()) return Status::Corruption("batch file " + name + ": " +
-                                         s.message());
-  if (magic == kBatchMagicV2) {
-    // Header-only parse; records stay unread.
-    s = in.GetU32(&out->logger_id);
-    if (s.ok()) s = in.GetU64(&out->seq);
-    if (s.ok()) s = in.GetU64(&out->first_epoch);
-    if (s.ok()) s = in.GetU64(&out->last_epoch);
-    if (s.ok()) s = in.GetU64(&out->min_cts);
-    if (s.ok()) s = in.GetU64(&out->max_cts);
-    if (!s.ok()) {
-      return Status::Corruption("batch file " + name + ": " + s.message());
-    }
-    out->records.clear();
-    out->backing.reset();
-    out->file_bytes = bytes.size();
+  if (s.ok() && magic != kBatchMagicV3 && magic != kBatchMagicV2) {
+    // v1 (or anything else DeserializeBatch will reject loudly): full parse.
+    LogBatch full;
+    s = DeserializeBatch(scheme, std::move(bytes), {false, name}, &full);
+    if (!s.ok()) return s;
+    full.records.clear();
+    full.backing.reset();
+    *out = std::move(full);
     return Status::Ok();
   }
-  // v1 (or anything else DeserializeBatch will reject loudly): full parse.
-  LogBatch full;
-  s = DeserializeBatch(scheme, std::move(bytes), {false, name}, &full);
-  if (!s.ok()) return s;
-  full.records.clear();
-  full.backing.reset();
-  *out = std::move(full);
+  // Header-only parse: v2 carries the interval in its file header, v3 in
+  // every block header, whose payload is skipped by its length.
+  out->min_cts = kMaxTimestamp;
+  out->max_cts = 0;
+  if (s.ok()) s = in.GetU32(&out->logger_id);
+  if (s.ok()) s = in.GetU64(&out->seq);
+  if (s.ok() && magic == kBatchMagicV2) {
+    s = in.Skip(16);  // first/last epoch.
+    if (s.ok()) s = in.GetU64(&out->min_cts);
+    if (s.ok()) s = in.GetU64(&out->max_cts);
+  }
+  while (s.ok() && magic == kBatchMagicV3 && !in.AtEnd()) {
+    uint32_t n = 0;
+    uint64_t payload = 0;
+    Timestamp lo = 0;
+    Timestamp hi = 0;
+    s = in.GetU32(&n);
+    if (s.ok()) s = in.GetU64(&payload);
+    if (s.ok()) s = in.GetU64(&lo);
+    if (s.ok()) s = in.GetU64(&hi);
+    if (s.ok()) s = in.Skip(payload);
+    if (s.ok() && n > 0) {
+      out->min_cts = std::min(out->min_cts, lo);
+      out->max_cts = std::max(out->max_cts, hi);
+    }
+  }
+  if (!s.ok()) {
+    return Status::Corruption("batch file " + name + ": " + s.message());
+  }
+  out->records.clear();
+  out->backing.reset();
+  out->file_bytes = bytes.size();
   return Status::Ok();
 }
 
@@ -266,8 +345,8 @@ Status LogStore::LoadAllBatches(
     std::vector<LogBatch>* out) {
   out->clear();
   // Newest batch per logger stream across all devices: the only file a
-  // crash mid-(re)write can leave torn — closed batches are immutable —
-  // so only it is parsed with torn-tail tolerance.
+  // crash mid-append can leave torn — closed batches are immutable — so
+  // only it is parsed with torn-tail tolerance.
   std::map<uint32_t, uint64_t> newest_seq;
   for (device::StorageDevice* device : devices) {
     for (const std::string& name : device->ListFiles("log_")) {

@@ -4,6 +4,19 @@
 // Each logger truncates its log stream into finite-size batches, one file
 // per batch, holding the records of a fixed number of epochs. Batches are
 // the unit of reloading and of PACMAN's inter-batch pipelining.
+//
+// Batch file format v3 ("PAC3", the one written) is append-only:
+//
+//   file header   magic u32, logger_id u32, seq u64
+//   block*        count u32, payload_bytes u64, min_cts u64, max_cts u64,
+//                 then `count` records filling exactly `payload_bytes`
+//
+// Each group-commit flush appends one block holding the records it made
+// durable (the first flush of a batch also writes the file header), so
+// every logged byte reaches the device once. A short last block is what a
+// crash mid-append leaves behind. Readers still accept the historical
+// single-block formats v1 ("PACB") and v2 ("PAC2", which added a cts
+// interval to the header), whose epoch-range header fields are skipped.
 #ifndef PACMAN_LOGGING_LOG_STORE_H_
 #define PACMAN_LOGGING_LOG_STORE_H_
 
@@ -21,13 +34,11 @@ namespace pacman::logging {
 struct LogBatch {
   uint32_t logger_id = 0;
   uint64_t seq = 0;  // Batch sequence number within the logger's stream.
-  Epoch first_epoch = 0;
-  Epoch last_epoch = 0;
   // Commit-timestamp interval of the records ([kMaxTimestamp, 0] when
-  // empty). Carried in the v2 file header so log garbage collection can
-  // decide "wholly covered by a checkpoint at ts?" without parsing
-  // records; derived by scanning the records when reloading a
-  // historical v1 file.
+  // empty). Carried in the v3 block headers (and the v2 file header) so
+  // log garbage collection can decide "wholly covered by a checkpoint at
+  // ts?" without parsing records (ReadBatchCoverage); a full parse
+  // derives it from the records.
   Timestamp min_cts = kMaxTimestamp;
   Timestamp max_cts = 0;
   size_t file_bytes = 0;  // Size of the batch file on its device.
@@ -40,7 +51,7 @@ struct LogBatch {
   // its own buffer and a reload never duplicates the log; moving the
   // LogBatch moves the handle and views stay valid.
   std::shared_ptr<const std::vector<uint8_t>> backing;
-  // True when the file ended mid-record and the parse ran in
+  // True when the file ended mid-header or mid-block and the parse ran in
   // tolerate_torn_tail mode: `records` holds only the fully persisted
   // prefix. See BatchParseOptions::tolerate_torn_tail.
   bool torn_tail = false;
@@ -56,15 +67,17 @@ struct BatchParseOptions {
   // so a corrupt batch names the exact file and position that broke.
   std::string file_name;
   // Torn-write tolerance, for the *newest* batch file of a logger stream
-  // only: on a device without atomic replace, a crash mid-rewrite leaves
-  // a prefix of the new image. A clean truncation (header or records cut
-  // short) then keeps the fully parsed record prefix and reports success
-  // with LogBatch::torn_tail set, instead of failing the reload. Safe
-  // because the lost suffix records postdate the pepoch watermark (the
-  // watermark is only written after a *completed* flush), so recovery
-  // would have excluded them anyway. Garbage that is not a truncation —
-  // a wrong magic value — stays loud. Interior (closed, immutable) batch
-  // files must never be parsed with this set.
+  // only: a crash mid-append leaves a short last block (and a device
+  // without atomic replace can tear a rewrite). A clean truncation (a
+  // header, block or record cut short) then keeps the fully parsed record
+  // prefix and reports success with LogBatch::torn_tail set, instead of
+  // failing the reload. Safe because the lost suffix records postdate the
+  // pepoch watermark (the watermark is only written after a *completed*
+  // flush), so recovery would have excluded them anyway. Garbage that is
+  // not a truncation — a wrong magic value, a block header whose count
+  // cannot fit its payload, records that do not fill a complete block —
+  // stays loud. Interior (closed, immutable) batch files must never be
+  // parsed with this set.
   bool tolerate_torn_tail = false;
 };
 
@@ -83,14 +96,24 @@ class LogStore {
                                  uint64_t* seq);
   static std::string PepochFileName() { return "pepoch.log"; }
 
-  // Exact serialized size of a batch file (header + records), used to
-  // pre-size the serialization buffer so a multi-MB batch is one
-  // allocation instead of doubling growth. SerializeBatch DCHECKs the
-  // prediction against the bytes actually produced, so the two cannot
-  // drift silently.
-  static size_t SerializedBatchBytes(LogScheme scheme, const LogBatch& batch);
+  // v3 framing overhead: one file header per batch file, one block header
+  // per group-commit flush that carried records.
+  static constexpr size_t kFileHeaderBytes = 4 + 4 + 8;
+  static constexpr size_t kBlockHeaderBytes = 4 + 8 + 8 + 8;
 
-  // Serializes a full batch file (header + records).
+  // Serializes records [records, records + n) as one v3 block, preceded
+  // by the file header of (logger_id, seq) when `file_header` is set (the
+  // first flush of a batch). The buffer is pre-sized exactly from
+  // SerializedRecordBytes, so a multi-MB block is one allocation.
+  static std::vector<uint8_t> SerializeBlock(LogScheme scheme,
+                                             uint32_t logger_id, uint64_t seq,
+                                             bool file_header,
+                                             const LogRecord* records,
+                                             size_t n);
+
+  // Serializes a whole batch file: the file header plus one block holding
+  // every record. The atomic-rewrite image (a flush retrying after a
+  // failed append, log truncation).
   static std::vector<uint8_t> SerializeBatch(LogScheme scheme,
                                              const LogBatch& batch);
 
@@ -116,9 +139,12 @@ class LogStore {
 
   // Answers "what commit-timestamp interval does this batch file cover?"
   // for log garbage collection: fills the header fields of `*out`
-  // (logger_id, seq, epochs, min_cts/max_cts, file_bytes) and leaves
-  // `out->records` empty. v2 files answer from the header alone;
-  // historical v1 files fall back to a full record parse.
+  // (logger_id, seq, min_cts/max_cts, file_bytes) and leaves
+  // `out->records` empty. v3 files sum their block headers, skipping
+  // every payload by its length (a short block is corruption here: a
+  // file being judged for deletion must be complete); v2 files answer
+  // from the header alone; historical v1 files fall back to a full
+  // record parse.
   static Status ReadBatchCoverage(LogScheme scheme,
                                   device::StorageDevice* device,
                                   const std::string& name, LogBatch* out);

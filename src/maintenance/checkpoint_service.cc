@@ -169,8 +169,8 @@ void CheckpointService::TruncateLog(const logging::CheckpointMeta& meta,
       if (!logging::LogStore::ParseBatchFileName(name, &logger_id, &seq)) {
         continue;
       }
-      // Never touch a live logger's in-progress batch: on a persistent
-      // device its file is a flushed prefix image that is still growing.
+      // Never touch a live logger's in-progress batch: its file is still
+      // being appended to.
       if (logger_id < num_loggers && seq >= min_open) continue;
       Timestamp max_cts = 0;
       bool known = false;
@@ -184,8 +184,8 @@ void CheckpointService::TruncateLog(const logging::CheckpointMeta& meta,
       }
       if (!known) {
         // Inherited from an earlier process (or closed before this
-        // service existed): read the coverage interval from the file
-        // header, once, and cache it.
+        // service existed): read the coverage interval from the batch
+        // headers, once, and cache it.
         logging::LogBatch b;
         if (!logging::LogStore::ReadBatchCoverage(lm->scheme(), dev, name, &b)
                  .ok()) {

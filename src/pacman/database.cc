@@ -816,21 +816,24 @@ FullRecoveryResult Database::Recover(recovery::Scheme scheme,
   Epoch epoch_floor = 0;
   const bool have_floor = pepoch != kMaxTimestamp;
   if (have_floor) epoch_floor = pepoch;
-  bool zombies = false;
+  bool needs_truncation = false;
   bool any_batches = false;
   if (pipelined) {
     for (const auto& loader : loaders) {
       if (!have_floor) {
         epoch_floor = std::max(epoch_floor, loader->max_record_epoch());
       }
-      zombies = zombies || loader->zombie_records() > 0;
+      needs_truncation = needs_truncation || loader->zombie_records() > 0 ||
+                         loader->torn_files() > 0;
       any_batches = any_batches || loader->num_batches() > 0;
     }
   } else {
     for (const auto& b : raw_batches) {
+      needs_truncation = needs_truncation || b.torn_tail;
       for (const auto& r : b.records) {
         if (!have_floor) epoch_floor = std::max(epoch_floor, r.epoch);
-        zombies = zombies || (have_floor && r.epoch > epoch_floor);
+        needs_truncation =
+            needs_truncation || (have_floor && r.epoch > epoch_floor);
       }
     }
     any_batches = !raw_batches.empty();
@@ -838,12 +841,14 @@ FullRecoveryResult Database::Recover(recovery::Scheme scheme,
   if (have_floor || any_batches) {
     epochs_.ResetAfterRecovery(epoch_floor);
   }
-  if (zombies) {
+  if (needs_truncation) {
     // Erase beyond-watermark "zombie" records (a kill mid-FlushAll can
-    // persist some loggers' images without the watermark) from persistent
+    // persist some loggers' blocks without the watermark) from persistent
     // devices: excluded from this replay, they must not become replayable
-    // once the new epoch counter catches up with their stamps. Gated on
-    // the in-memory scan above so the common zombie-free recovery never
+    // once the new epoch counter catches up with their stamps. Torn files
+    // (a kill mid-append) are rewritten clean too: the next batch makes
+    // them interior, where a short block is loud corruption. Gated on
+    // the in-memory scan above so the common clean recovery never
     // re-reads the log directory.
     PACMAN_CHECK(logging::LogStore::TruncateBeyondWatermark(
                      options_.scheme, devices, epoch_floor)

@@ -222,6 +222,7 @@ void PipelinedLogLoader::DrainReadySeqs(std::unique_lock<std::mutex>& lk) {
     MergeBatchGroup(frags.data(), frags.size(), options_.num_ssds,
                     options_.checkpoint_ts, options_.pepoch, &merged);
     for (const logging::LogBatch* fb : frags) {
+      if (fb->torn_tail) torn_files_++;
       for (const logging::LogRecord& r : fb->records) {
         total_records_++;
         max_record_epoch_ = std::max(max_record_epoch_, r.epoch);

@@ -147,6 +147,8 @@ class PipelinedLogLoader {
   // Records stamped beyond the pepoch watermark ("zombies", Appendix A).
   uint64_t zombie_records() const { return zombie_records_; }
   uint64_t total_records() const { return total_records_; }
+  // Files that ended in a torn tail (a crash mid-append).
+  uint64_t torn_files() const { return torn_files_; }
 
  private:
   void ReadDeviceStream(uint32_t device_index,
@@ -185,6 +187,7 @@ class PipelinedLogLoader {
   Epoch max_record_epoch_ = 0;
   uint64_t zombie_records_ = 0;
   uint64_t total_records_ = 0;
+  uint64_t torn_files_ = 0;
 };
 
 // Adds one zero-cost gate task per global batch to `graph`, chained

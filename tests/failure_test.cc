@@ -139,7 +139,6 @@ TEST_F(FailureTest, RecordsBeyondPepochAreNotReplayed) {
   rec.proc = kAdhocProcId;
   rec.writes.push_back(
       {db->catalog()->GetTableId("Current"), 0, {Value(-1e9)}, false});
-  rogue.first_epoch = rogue.last_epoch = rec.epoch;
   rogue.records.push_back(rec);
   ASSERT_TRUE(
       db->ssd(0)

@@ -27,12 +27,14 @@
 
 #include <atomic>
 #include <memory>
+#include <set>
 #include <string>
 #include <tuple>
 #include <vector>
 
 #include "device/io_retry.h"
 #include "device/simulated_ssd.h"
+#include "logging/log_manager.h"
 #include "logging/log_store.h"
 #include "maintenance/checkpoint_service.h"
 #include "net/protocol.h"
@@ -79,6 +81,14 @@ TEST(FaultSpecTest, ParsesFullSpec) {
   EXPECT_EQ(spec.seed, 9u);
   EXPECT_EQ(spec.only_device, 1);
   EXPECT_TRUE(spec.persist);
+
+  // The header's torn-append example: `torn` pairs with fail_append too.
+  ASSERT_TRUE(
+      device::ParseFaultSpec("file,torn=16,fail_append=9", &spec, &inner)
+          .ok());
+  EXPECT_EQ(spec.fail_append, 9u);
+  EXPECT_EQ(spec.torn_bytes, 16u);
+  EXPECT_EQ(spec.fail_write, 0u);
 }
 
 TEST(FaultSpecTest, RejectsMalformedSpecs) {
@@ -158,6 +168,24 @@ TEST(FaultInjectorTest, TornWritePersistsOnlyThePrefix) {
   std::vector<uint8_t> bytes;
   ASSERT_TRUE(dev.inner()->ReadFile("t", &bytes).ok());
   EXPECT_EQ(bytes, (std::vector<uint8_t>{0, 1, 2, 3}));
+}
+
+TEST(FaultInjectorTest, TornAppendKeepsEarlierContentPlusThePrefix) {
+  FaultSpec spec;
+  spec.fail_append = 2;
+  spec.heal_after = 1;
+  spec.torn_bytes = 3;
+  FaultInjectingDevice dev(Ssd(), spec);
+  ASSERT_TRUE(dev.AppendFile("t", {0, 1}).ok());
+  IoResult r = dev.AppendFile("t", {2, 3, 4, 5, 6});
+  EXPECT_FALSE(r.ok());
+  // The append reported failure, but the medium kept the earlier content
+  // plus a 3-byte prefix of the new bytes — a crash mid-append.
+  std::vector<uint8_t> bytes;
+  ASSERT_TRUE(dev.inner()->ReadFile("t", &bytes).ok());
+  EXPECT_EQ(bytes, (std::vector<uint8_t>{0, 1, 2, 3, 4}));
+  EXPECT_TRUE(dev.AppendFile("t", {7}).ok());  // Healed.
+  EXPECT_EQ(dev.counters().faults_injected, 1u);
 }
 
 TEST(FaultInjectorTest, EnospcBudgetExhausts) {
@@ -339,6 +367,145 @@ TEST(FaultEngineTest, TransientFlushFaultIsRetriedAndAbsorbed) {
   uint64_t faults = 0;
   for (FaultInjectingDevice* d : e.devs) faults += d->counters().faults_injected;
   EXPECT_GE(faults, 1u);
+}
+
+// Every record of a strictly parsed batch file, checking that no commit
+// appears twice.
+std::vector<logging::LogRecord> StrictRecords(device::StorageDevice* dev,
+                                              const std::string& name) {
+  std::vector<uint8_t> bytes;
+  EXPECT_TRUE(dev->ReadFile(name, &bytes).ok());
+  logging::LogBatch batch;
+  logging::BatchParseOptions strict;
+  strict.file_name = name;
+  const Status s = logging::LogStore::DeserializeBatch(
+      logging::LogScheme::kCommand, std::move(bytes), strict, &batch);
+  EXPECT_TRUE(s.ok()) << s.ToString();
+  std::set<Timestamp> seen;
+  for (const logging::LogRecord& r : batch.records) {
+    EXPECT_TRUE(seen.insert(r.commit_ts).second)
+        << "commit " << r.commit_ts << " persisted twice";
+  }
+  return batch.records;
+}
+
+TEST(FaultEngineTest, TornAppendFailsAFlushAndTheNextFlushRewrites) {
+  // One logger over one device, so the op numbers are exact:
+  //   flush 1: append #1 (file header + block), fsync #1
+  //   flush 2: append #2 is torn after 10 bytes; the retry rewrites the
+  //            image atomically, but fsyncs #2-#5 fail: the flush fails
+  //   flush 3: rewrites the image again (the owed records included),
+  //            fsync #6 succeeds
+  //   flush 4: append #3 is torn too; the retry's rewrite succeeds.
+  FaultSpec spec;
+  spec.fail_append = 2;
+  spec.fail_fsync = 2;
+  spec.heal_after = 4;  // The log path's whole retry budget.
+  spec.torn_bytes = 10;
+  FaultInjectingDevice dev(Ssd(), spec);
+  logging::Logger logger(0, logging::LogScheme::kCommand, &dev,
+                         /*epochs_per_batch=*/10);
+  Timestamp cts = 100;
+  auto append = [&](int n) {
+    for (int i = 0; i < n; ++i) {
+      logging::LogRecord r;
+      r.commit_ts = cts++;
+      r.proc = 1;
+      r.params = {Value(static_cast<int64_t>(r.commit_ts))};
+      logger.Append(std::move(r));
+    }
+  };
+  const std::string name = logging::LogStore::BatchFileName(0, 0);
+
+  append(3);
+  ASSERT_TRUE(logger.FlushEpoch(1).status.ok());
+  append(3);
+  EXPECT_FALSE(logger.FlushEpoch(2).status.ok());
+  EXPECT_EQ(dev.counters().appends, 2u);
+  EXPECT_EQ(dev.counters().writes, 1u);  // The retry rewrote, not appended.
+  append(2);
+  const logging::FlushCost third = logger.FlushEpoch(3);
+  ASSERT_TRUE(third.status.ok()) << third.status.ToString();
+  EXPECT_EQ(dev.counters().appends, 2u);
+  EXPECT_EQ(dev.counters().writes, 2u);
+  // Flush 1's records keep their epoch; the owed ones re-stamped into the
+  // flush that finally persisted them.
+  std::vector<logging::LogRecord> records = StrictRecords(&dev, name);
+  ASSERT_EQ(records.size(), 8u);
+  for (size_t i = 0; i < records.size(); ++i) {
+    EXPECT_EQ(records[i].commit_ts, 100 + i);
+    EXPECT_EQ(records[i].epoch, i < 3 ? 1u : 3u);
+  }
+
+  append(1);
+  ASSERT_TRUE(logger.FlushEpoch(4).status.ok());
+  EXPECT_EQ(dev.counters().appends, 3u);
+  EXPECT_EQ(StrictRecords(&dev, name).size(), 9u);
+  EXPECT_EQ(logger.bytes_logged(),
+            dev.FileSize(name) - logging::LogStore::kFileHeaderBytes -
+                logging::LogStore::kBlockHeaderBytes);
+}
+
+TEST(FaultEngineTest, TornAppendRecoveryReturnsTheAckedState) {
+  // The same torn append inside a database: the failed flush degrades it
+  // to read-only, the crash's final close rewrites the image atomically,
+  // and recovery lands on the last acked epoch with a strictly parseable
+  // log holding each commit once.
+  FaultSpec spec;
+  spec.fail_append = 2;
+  spec.fail_fsync = 3;  // Fsync #1 is the setup checkpoint's barrier.
+  spec.heal_after = 4;
+  spec.torn_bytes = 10;
+  DatabaseOptions opts;
+  opts.scheme = logging::LogScheme::kCommand;
+  opts.num_ssds = 1;
+  opts.num_loggers = 1;
+  opts.commits_per_epoch = 0;
+  opts.epochs_per_batch = 5;
+  opts.ckpt_files_per_ssd = 2;
+  FaultInjectingDevice* dev = nullptr;
+  opts.device_factory =
+      [&dev, spec](uint32_t i) -> std::unique_ptr<device::StorageDevice> {
+    auto d = std::make_unique<FaultInjectingDevice>(Ssd(), spec, i);
+    dev = d.get();
+    return d;
+  };
+  Database db(opts);
+  workload::Bank bank{workload::BankConfig{
+      .num_users = 100, .num_nations = 4, .single_fraction = 0.0}};
+  bank.Install(&db);
+  db.FinalizeSchema();
+  db.TakeCheckpoint();
+  ASSERT_EQ(dev->counters().fsyncs, 1u);
+
+  Rng rng(7);
+  std::vector<Value> params;
+  auto run = [&](int n) {
+    for (int i = 0; i < n; ++i) {
+      const ProcId proc = bank.NextTransaction(&rng, &params);
+      ASSERT_TRUE(db.ExecuteProcedure(proc, params).ok());
+    }
+  };
+  run(20);
+  ASSERT_TRUE(db.AdvanceEpoch().status.ok());
+  const uint64_t h_acked = db.ContentHash();
+  run(10);
+  EXPECT_FALSE(db.AdvanceEpoch().status.ok());
+  EXPECT_TRUE(db.read_only());
+
+  db.Crash();
+  const std::vector<logging::LogRecord> records =
+      StrictRecords(dev, logging::LogStore::BatchFileName(0, 0));
+  size_t acked = 0;
+  for (const logging::LogRecord& r : records) acked += r.epoch <= 1 ? 1 : 0;
+  EXPECT_GT(acked, 0u);
+  EXPECT_GT(records.size(), acked);  // The unacked tail is there, past pepoch.
+
+  recovery::RecoveryOptions ropts;
+  ropts.num_threads = 2;
+  db.Recover(recovery::Scheme::kClrP, ropts);
+  EXPECT_FALSE(db.read_only());
+  EXPECT_EQ(db.ContentHash(), h_acked);
 }
 
 TEST(FaultEngineTest, PermanentLogFailureDegradesToReadOnly) {
@@ -629,9 +796,10 @@ DatabaseOptions SweepOptions(recovery::Scheme scheme, uint32_t shards) {
   opts.num_ssds = kSweepDevices;
   opts.num_shards = shards;
   opts.commits_per_epoch = 0;
-  // One epoch per batch file: a torn batch tail can only ever cut records
-  // beyond the pepoch watermark, never already-acked epochs.
-  opts.epochs_per_batch = 1;
+  // Several epochs per batch file, so the final file takes several
+  // appends: a torn append still only ever cuts records beyond the pepoch
+  // watermark, never already-acked epochs in front of it.
+  opts.epochs_per_batch = 3;
   opts.ckpt_files_per_ssd = 2;
   opts.compiled_procedures = false;  // Analysis speed; parity pinned elsewhere.
   return opts;
@@ -691,12 +859,13 @@ SweepRun ForwardRun(recovery::Scheme scheme, uint32_t shards) {
   return run;
 }
 
-// An extra raw write applied after the journal prefix — the torn image of
-// the final batch file.
+// An extra raw write or append applied after the journal prefix — the
+// torn image of the final batch file.
 struct ExtraWrite {
   uint32_t device = 0;
   std::string name;
   std::vector<uint8_t> bytes;
+  bool append = false;
 };
 
 // Rebuilds the device state of a crash at `upto` (plus the optional torn
@@ -727,7 +896,9 @@ LegalState RecoverAtBoundary(recovery::Scheme scheme, uint32_t shards,
       }
     }
     if (extra != nullptr && extra->device == i) {
-      PACMAN_CHECK(dev->WriteFile(extra->name, extra->bytes).ok());
+      PACMAN_CHECK((extra->append ? dev->AppendFile(extra->name, extra->bytes)
+                                  : dev->WriteFile(extra->name, extra->bytes))
+                       .ok());
     }
     return dev;
   };
@@ -790,24 +961,28 @@ TEST_P(AliceSweepTest, ToleratesTornFinalBatchAtEveryByteOffset) {
   const uint32_t shards = std::get<1>(GetParam());
   const SweepRun run = ForwardRun(scheme, shards);
 
-  // The last batch-image write of the run: tear it at byte k for every k.
+  // The last batch-file op of the run — an append of one block, or a
+  // whole-image write: tear it at byte k for every k. A torn append leaves
+  // the file's earlier blocks plus a prefix of the new one.
   size_t idx = run.entries.size();
   while (idx > 0) {
     --idx;
-    if (run.entries[idx].kind == OpJournalEntry::Kind::kWrite &&
+    if (run.entries[idx].kind != OpJournalEntry::Kind::kRemove &&
         run.entries[idx].name.rfind("log_", 0) == 0) {
       break;
     }
   }
   const OpJournalEntry& last_batch = run.entries[idx];
   ASSERT_EQ(last_batch.name.rfind("log_", 0), 0u);
+  // Several epochs per batch: the final op appends to an existing file.
+  ASSERT_EQ(last_batch.kind, OpJournalEntry::Kind::kAppend);
   const size_t len = last_batch.bytes.size();
   ASSERT_GT(len, 0u);
 
-  // The batch's records postdate the pepoch watermark (its pepoch write
-  // follows it in the flush order), so every tear — including the empty
-  // file and the complete image — must recover the state of the crash
-  // just before the write.
+  // The block's records postdate the pepoch watermark (its pepoch write
+  // follows it in the flush order), so every tear — including nothing and
+  // the complete block — must recover the state of the crash just before
+  // the op.
   const LegalState want =
       RecoverAtBoundary(scheme, shards, run.entries, idx, nullptr);
   ASSERT_GE(LegalIndex(run.legal, want), 0);
@@ -819,6 +994,7 @@ TEST_P(AliceSweepTest, ToleratesTornFinalBatchAtEveryByteOffset) {
     ExtraWrite torn;
     torn.device = last_batch.device;
     torn.name = last_batch.name;
+    torn.append = last_batch.kind == OpJournalEntry::Kind::kAppend;
     torn.bytes.assign(last_batch.bytes.begin(),
                       last_batch.bytes.begin() + static_cast<ptrdiff_t>(k));
     const LegalState got =

@@ -130,8 +130,6 @@ TEST_F(MaintenanceTest, ReadBatchCoverageAnswersFromHeader) {
   logging::LogBatch batch;
   batch.logger_id = 1;
   batch.seq = 4;
-  batch.first_epoch = 2;
-  batch.last_epoch = 3;
   for (uint64_t cts : {70u, 30u, 50u}) {
     logging::LogRecord r;
     r.commit_ts = cts;

@@ -317,10 +317,10 @@ TEST(CorruptBatchTest, TruncatedBatchFileOnPersistentDeviceIsLoud) {
   EXPECT_NE(s.message().find(name), std::string::npos) << s.message();
 
   // A valid header with a garbage record count must be rejected by the
-  // bytes-remaining bound, not attempted as a giant allocation.
+  // block's payload bound, not attempted as a giant allocation.
   std::vector<uint8_t> bad_count = bytes;
-  // After magic + header (logger, seq, epochs, min_cts/max_cts interval).
-  const size_t count_off = 4 + 4 + 8 + 8 + 8 + 8 + 8;
+  // The first block's count follows the file header.
+  const size_t count_off = logging::LogStore::kFileHeaderBytes;
   for (int i = 0; i < 4; ++i) bad_count[count_off + i] = 0xff;
   ASSERT_TRUE(dev.WriteFile(name, bad_count).ok());
   s = logging::LogStore::LoadAllBatches(LogScheme::kCommand, {&dev}, &out);
@@ -338,8 +338,6 @@ logging::LogBatch MixedBatch(LogScheme scheme) {
   logging::LogBatch batch;
   batch.logger_id = 1;
   batch.seq = 12;
-  batch.first_epoch = 2;
-  batch.last_epoch = 4;
   for (int i = 0; i < 4; ++i) {
     logging::LogRecord rec;
     rec.commit_ts = 50 + i;
@@ -369,9 +367,12 @@ TEST(BatchSerializationTest, PredictedSizeIsExact) {
     }
     std::vector<uint8_t> bytes =
         logging::LogStore::SerializeBatch(scheme, batch);
-    EXPECT_EQ(bytes.size(),
-              logging::LogStore::SerializedBatchBytes(scheme, batch))
-        << logging::LogSchemeName(scheme);
+    size_t predicted = logging::LogStore::kFileHeaderBytes +
+                       logging::LogStore::kBlockHeaderBytes;
+    for (const auto& rec : batch.records) {
+      predicted += logging::SerializedRecordBytes(scheme, rec);
+    }
+    EXPECT_EQ(bytes.size(), predicted) << logging::LogSchemeName(scheme);
   }
 }
 
