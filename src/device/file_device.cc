@@ -82,6 +82,13 @@ std::string FileDevice::PathFor(const std::string& name) const {
   return config_.dir + "/" + name;
 }
 
+void FileDevice::ForgetAppends(const std::string& name) {
+  std::lock_guard<std::mutex> g(dirty_mu_);
+  for (std::vector<std::string>* list : {&dirty_appends_, &lost_appends_}) {
+    list->erase(std::remove(list->begin(), list->end(), name), list->end());
+  }
+}
+
 IoResult FileDevice::WriteFile(const std::string& name,
                                std::vector<uint8_t> bytes) {
   const double t0 = Now();
@@ -117,6 +124,8 @@ IoResult FileDevice::WriteFile(const std::string& name,
   if (Status s = FsyncDir(config_.dir); !s.ok()) {
     return IoResult{std::move(s), Now() - t0};
   }
+  // The durable replacement supersedes every earlier append, owed or lost.
+  ForgetAppends(name);
   const double secs = Now() - t0;
   CountBytesWritten(bytes.size());
   CountFsync();  // The embedded fsync; its wall time counts as write time.
@@ -227,13 +236,9 @@ IoResult FileDevice::RemoveFile(const std::string& name) {
     if (errno == ENOENT) return IoResult::Ok(0.0);
     return IoResult{IoError("unlink failed", path), Now() - t0};
   }
-  {
-    // Drop any pending-fsync record; the barrier tolerates missing files
-    // but there is no point fsyncing a deleted object.
-    std::lock_guard<std::mutex> g(dirty_mu_);
-    auto it = std::find(dirty_appends_.begin(), dirty_appends_.end(), name);
-    if (it != dirty_appends_.end()) dirty_appends_.erase(it);
-  }
+  // The barrier tolerates missing files, but there is no point fsyncing a
+  // deleted object, and a deleted one has no appends left to lose.
+  ForgetAppends(name);
   if (Status s = FsyncDir(config_.dir); !s.ok()) {
     return IoResult{std::move(s), Now() - t0};
   }
@@ -250,24 +255,41 @@ size_t FileDevice::FileSize(const std::string& name) const {
 
 IoResult FileDevice::SyncBarrier() {
   const double t0 = Now();
+  // One barrier at a time. A barrier swaps the whole append set off the
+  // list, so a concurrent caller would otherwise find it empty and return
+  // OK while the first is still fsyncing appends made before its call.
+  // Waiting here, it runs after that fsync finishes (or fails and leaves
+  // its files owed or lost).
+  std::lock_guard<std::mutex> barrier(barrier_mu_);
   // Appended data is only durable once its file is fsynced; WriteFile
   // already fsyncs inline, so the barrier owes exactly the append set.
   std::vector<std::string> dirty;
   {
     std::lock_guard<std::mutex> g(dirty_mu_);
+    if (!lost_appends_.empty()) {
+      return IoResult{
+          Status::Internal("FileDevice: an earlier fsync failed, appends to " +
+                           PathFor(lost_appends_.front()) +
+                           " are not durable until the file is rewritten"),
+          Now() - t0};
+    }
     dirty.swap(dirty_appends_);
   }
   for (size_t i = 0; i < dirty.size(); ++i) {
     const std::string path = PathFor(dirty[i]);
     const int fd = ::open(path.c_str(), O_RDONLY);
     if (fd < 0) continue;  // Removed/renamed since the append.
-    if (::fsync(fd) != 0) {
+    const int rc = config_.fsync_file ? config_.fsync_file(fd) : ::fsync(fd);
+    if (rc != 0) {
       const Status s = IoError("fsync failed", path);
       ::close(fd);
-      // The un-fsynced remainder (this file included) stays owed to the
-      // next barrier; a retry must not skip it.
+      // The kernel may have dropped the failed file's dirty pages, and a
+      // second fsync would then report success for bytes that are gone:
+      // the file stays lost until WriteFile replaces it. The un-fsynced
+      // remainder stays owed to the next barrier.
       std::lock_guard<std::mutex> g(dirty_mu_);
-      dirty_appends_.insert(dirty_appends_.end(), dirty.begin() + i,
+      lost_appends_.push_back(dirty[i]);
+      dirty_appends_.insert(dirty_appends_.end(), dirty.begin() + i + 1,
                             dirty.end());
       return IoResult{s, Now() - t0};
     }

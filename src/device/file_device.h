@@ -2,11 +2,15 @@
 //
 // File-backed durable device: a real directory on the local filesystem.
 // Objects are plain files written with POSIX I/O; WriteFile is atomic
-// (temporary file + fsync + rename) and the SyncBarrier fsyncs the
-// directory, so a process killed after a group-commit flush leaves a
-// consistent, recoverable log behind. This is the backend that turns the
-// paper's headline claim — fast recovery from a *real* failure — into
-// something the repo can demonstrate by killing and restarting a process.
+// (temporary file + fsync + rename) and the SyncBarrier fsyncs every file
+// appended to since the last barrier plus the directory, so a process
+// killed after a group-commit flush leaves a consistent, recoverable log
+// behind. Barriers run one at a time, and after a failed fsync every
+// barrier fails until the file is rewritten: a retried fsync can report
+// success for appended bytes the kernel already dropped. This is the
+// backend that turns the paper's headline claim — fast recovery from a
+// *real* failure — into something the repo can demonstrate by killing and
+// restarting a process.
 //
 // The cost surface reports measured wall-clock seconds: each operation is
 // timed, and WriteSeconds/ReadSeconds/FsyncSeconds answer from running
@@ -17,6 +21,7 @@
 #define PACMAN_DEVICE_FILE_DEVICE_H_
 
 #include <cstdint>
+#include <functional>
 #include <mutex>
 #include <string>
 #include <vector>
@@ -36,6 +41,10 @@ struct FileDeviceConfig {
   double nominal_read_mbps = 550.0;
   double nominal_write_mbps = 520.0;
   double nominal_fsync_s = 5e-4;
+  // Called instead of fsync(2) on each appended file a SyncBarrier
+  // flushes, when set. Tests use it to hold a barrier mid-fsync or to fail
+  // one.
+  std::function<int(int fd)> fsync_file = nullptr;
 };
 
 class FileDevice final : public StorageDevice {
@@ -66,16 +75,25 @@ class FileDevice final : public StorageDevice {
 
  private:
   std::string PathFor(const std::string& name) const;
+  // Drops `name` from the owed and lost append sets (it was replaced or
+  // removed durably).
+  void ForgetAppends(const std::string& name);
   void RecordWrite(uint64_t bytes, double seconds);
   void RecordRead(uint64_t bytes, double seconds) const;
   void RecordFsync(double seconds);
 
   FileDeviceConfig config_;
 
+  // Held for a whole SyncBarrier, so a barrier returns only after every
+  // barrier already running has finished its fsyncs.
+  std::mutex barrier_mu_;
   // Files appended to since the last barrier; SyncBarrier fsyncs each of
-  // them (plus the directory) to honor the durability contract.
+  // them (plus the directory) to honor the durability contract. A file
+  // whose fsync failed moves to lost_appends_, and every barrier fails
+  // until WriteFile replaces it or RemoveFile deletes it.
   std::mutex dirty_mu_;
   std::vector<std::string> dirty_appends_;
+  std::vector<std::string> lost_appends_;
 
   // Measured-bandwidth accumulators behind one latch; reads are rare
   // (graph building / reporting), so contention is negligible.

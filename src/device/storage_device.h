@@ -102,7 +102,9 @@ class StorageDevice {
   virtual size_t FileSize(const std::string& name) const = 0;
 
   // Durability barrier (the group-commit fsync point): when it returns
-  // OK, every preceding write on this device is durable. Counts one fsync.
+  // OK, every preceding write on this device is durable — also when
+  // another thread's barrier is already flushing some of them. Counts one
+  // fsync.
   virtual IoResult SyncBarrier() = 0;
 
   // True when the backend is a real durable medium whose contents outlive

@@ -71,41 +71,41 @@ FlushCost Logger::FlushEpoch(Epoch epoch) {
 }
 
 device::IoResult Logger::PersistOwed() {
-  double seconds = 0.0;
-  if (unflushed_records_ > 0) {
-    const std::string name = LogStore::BatchFileName(id_, current_.seq);
-    device::IoResult w = device::RetryIo(kLogRetryPolicy, io_retries_, [&] {
-      if (rewrite_) {
-        std::vector<uint8_t> image =
-            LogStore::SerializeBatch(scheme_, current_);
-        const size_t size = image.size();
-        device::IoResult r = device_->WriteFile(name, std::move(image));
-        if (r.ok()) file_bytes_ = size;
-        return r;
-      }
-      const size_t first = current_.records.size() - unflushed_records_;
-      const std::vector<uint8_t> block = LogStore::SerializeBlock(
-          scheme_, id_, current_.seq, /*file_header=*/file_bytes_ == 0,
-          current_.records.data() + first, unflushed_records_);
-      device::IoResult r = device_->AppendFile(name, block);
-      if (r.ok()) {
-        file_bytes_ += block.size();
-      } else {
-        // Part of the block may have landed: a retry must rewrite.
-        rewrite_ = true;
-      }
-      return r;
-    });
-    seconds += w.seconds;
-    if (!w.ok()) return device::IoResult{std::move(w.status), seconds};
+  const std::string name = LogStore::BatchFileName(id_, current_.seq);
+  // Each attempt writes, then barriers. After a failure of either, the
+  // next attempt rewrites the whole image: part of a block may have
+  // landed, and a failed fsync may have dropped appended bytes that a
+  // second barrier alone would report durable (FileDevice fails every
+  // barrier until the file is rewritten).
+  return device::RetryIo(kLogRetryPolicy, io_retries_, [&] {
+    device::IoResult w = WriteOwed(name);
+    if (!w.ok()) {
+      rewrite_ = true;
+      return w;
+    }
+    device::IoResult b = device_->SyncBarrier();
+    b.seconds += w.seconds;
+    rewrite_ = !b.ok();
+    return b;
+  });
+}
+
+device::IoResult Logger::WriteOwed(const std::string& name) {
+  if (rewrite_ && !current_.records.empty()) {
+    std::vector<uint8_t> image = LogStore::SerializeBatch(scheme_, current_);
+    const size_t size = image.size();
+    device::IoResult r = device_->WriteFile(name, std::move(image));
+    if (r.ok()) file_bytes_ = size;
+    return r;
   }
-  device::IoResult b = device::RetryIo(kLogRetryPolicy, io_retries_,
-                                       [&] { return device_->SyncBarrier(); });
-  seconds += b.seconds;
-  // Whatever this flush wrote is not provably durable until a barrier
-  // succeeds; the owed records go out as a full rewrite next time.
-  rewrite_ = !b.ok();
-  return device::IoResult{std::move(b.status), seconds};
+  if (unflushed_records_ == 0) return device::IoResult::Ok(0.0);
+  const size_t first = current_.records.size() - unflushed_records_;
+  const std::vector<uint8_t> block = LogStore::SerializeBlock(
+      scheme_, id_, current_.seq, /*file_header=*/file_bytes_ == 0,
+      current_.records.data() + first, unflushed_records_);
+  device::IoResult r = device_->AppendFile(name, block);
+  if (r.ok()) file_bytes_ += block.size();
+  return r;
 }
 
 void Logger::CloseBatch() {

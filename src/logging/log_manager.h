@@ -121,10 +121,12 @@ class Logger {
   }
 
  private:
-  // Writes the owed records (the last unflushed_records_ of current_) —
-  // one appended block, or the whole image when rewrite_ is set — then
-  // barriers. Called with mu_ held.
+  // Writes the owed records, then barriers, retrying both together.
+  // Called with mu_ held.
   device::IoResult PersistOwed();
+  // Writes the owed records (the last unflushed_records_ of current_) as
+  // one appended block, or the whole image when rewrite_ is set.
+  device::IoResult WriteOwed(const std::string& name);
   // Reports the batch's coverage and moves the stream to the next seq.
   // The file already holds every record, so nothing is written.
   void CloseBatch();
@@ -146,7 +148,7 @@ class Logger {
   size_t unflushed_bytes_ = 0;
   // Size of the current batch file as written (0 until its first flush).
   uint64_t file_bytes_ = 0;
-  // Set by a failed append or barrier: the file may end in a partial or
+  // Set by a failed write or barrier: the file may end in a partial or
   // non-durable block, so the next write replaces the whole image.
   bool rewrite_ = false;
 };

@@ -224,6 +224,12 @@ analysis::GlobalDependencyGraph Database::BuildChoppingGdg() const {
 
 namespace {
 
+// Aborts after which an attempt runs with the commit gate closed. A
+// transaction that keeps losing validation — a long one against a stream
+// of short conflicting commits, or one whose thread the host deschedules
+// mid-execution — would otherwise burn its whole retry budget and fail.
+constexpr int kExclusiveAfterAborts = 10;
+
 // Backoff between OCC retry attempts: exponential in the attempt number
 // with multiplicative jitter, so under high contention the conflicting
 // retriers spread out instead of re-colliding in lockstep (immediate
@@ -272,9 +278,9 @@ TxnResult Database::Execute(ProcId proc, const std::vector<Value>& params,
   thread_local proc::ExecArena arena;
   TxnResult result;
   result.status = Status::Internal("not attempted");
-  for (int attempt = 0; attempt < opts.max_retries; ++attempt) {
-    if (attempt > 0) BackoffAfterAbort(attempt - 1);
-    result.attempts++;
+  // One attempt. True when it is final: committed, or failed for a
+  // reason a retry cannot fix.
+  auto attempt_once = [&]() -> bool {
     txn::Transaction t = txn_manager_.Begin();
     proc::TxnAccess access(&catalog_, &t);
     proc::VmState vm;
@@ -294,7 +300,7 @@ TxnResult Database::Execute(ProcId proc, const std::vector<Value>& params,
     }
     if (!s.ok()) {
       result.status = s;
-      return result;
+      return true;
     }
     if (!t.write_set().empty() && read_only()) {
       // Degraded mode: this commit could never be made durable, so it is
@@ -303,31 +309,44 @@ TxnResult Database::Execute(ProcId proc, const std::vector<Value>& params,
       result.status =
           Status::ReadOnly("database is read-only (degraded): " +
                            read_only_reason());
-      return result;
+      return true;
     }
     t.SetLogContext(proc, &params, opts.adhoc);
     t.set_worker_id(opts.worker_id);
     txn::CommitInfo info;
-    s = txn_manager_.Commit(&t, &info);
-    if (s.ok()) {
-      result.status = s;
-      result.commit_ts = info.commit_ts;
-      // The Emit() outputs of the committed attempt: evaluated from the
-      // attempt's validated snapshot reads, so they are exactly the values
-      // the committed serial order produced.
-      if (!def.results.empty()) {
-        result.values = prog != nullptr ? proc::VmEvalResults(&vm)
-                                        : proc::EvalResults(state);
-      }
+    result.status = txn_manager_.Commit(&t, &info);
+    if (!result.status.ok()) return false;
+    result.commit_ts = info.commit_ts;
+    // The Emit() outputs of the committed attempt: evaluated from the
+    // attempt's validated snapshot reads, so they are exactly the values
+    // the committed serial order produced.
+    if (!def.results.empty()) {
+      result.values = prog != nullptr ? proc::VmEvalResults(&vm)
+                                      : proc::EvalResults(state);
+    }
+    return true;
+  };
+  for (int attempt = 0; attempt < opts.max_retries; ++attempt) {
+    if (attempt > 0) BackoffAfterAbort(attempt - 1);
+    result.attempts++;
+    bool done = false;
+    if (attempt < kExclusiveAfterAborts) {
+      done = attempt_once();
+    } else {
+      // Starving: run the attempt with every other commit held at the
+      // gate, so nothing can invalidate its reads.
+      txn_manager_.QuiesceCommits([&] { done = attempt_once(); });
+    }
+    if (!done) continue;
+    if (result.status.ok()) {
       const uint64_t commits =
           num_commits_.fetch_add(1, std::memory_order_relaxed) + 1;
       if (options_.commits_per_epoch != 0 &&
           commits % options_.commits_per_epoch == 0) {
         AdvanceEpoch();
       }
-      return result;
     }
-    result.status = s;
+    return result;
   }
   return result;
 }

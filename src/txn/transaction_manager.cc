@@ -79,7 +79,17 @@ class CommitSectionGuard {
   TransactionManager* tm_;
 };
 
+namespace {
+// The manager whose gate this thread closed (inside QuiesceCommits).
+thread_local const TransactionManager* t_quiescing = nullptr;
+}  // namespace
+
 void TransactionManager::EnterCommitSection() {
+  if (t_quiescing == this) {
+    // The quiescer's own commit: it is alone in the section.
+    in_flight_.fetch_add(1, std::memory_order_seq_cst);
+    return;
+  }
   for (;;) {
     in_flight_.fetch_add(1, std::memory_order_seq_cst);
     if (!gate_closed_.load(std::memory_order_seq_cst)) return;
@@ -98,7 +108,9 @@ void TransactionManager::QuiesceCommits(const std::function<void()>& fn) {
   while (in_flight_.load(std::memory_order_seq_cst) != 0) {
     std::this_thread::yield();
   }
+  t_quiescing = this;
   fn();
+  t_quiescing = nullptr;
   gate_closed_.store(false, std::memory_order_release);
 }
 

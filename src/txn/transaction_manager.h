@@ -223,6 +223,10 @@ class TransactionManager {
   // one ordering that per-slot staging alone would not close over.
   // Serialized against concurrent quiescers; the commit stall is the
   // duration of `fn` plus the tail of in-flight commits (microseconds).
+  // Commits the calling thread makes inside `fn` pass the gate: with no
+  // other commit possible, a transaction run start to finish inside `fn`
+  // cannot fail validation (Database::Execute's escape from OCC
+  // starvation). `fn` must not quiesce again.
   void QuiesceCommits(const std::function<void()>& fn);
 
   // Advances the timestamp/commit-order sources after recovery so that new

@@ -5,6 +5,9 @@
 // balance-sum conservation under a transfers-only mix.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
+#include <thread>
 #include <vector>
 
 #include "pacman/database.h"
@@ -12,6 +15,7 @@
 #include "test_util.h"
 #include "workload/bank.h"
 #include "workload/smallbank.h"
+#include "workload/tpcc.h"
 
 namespace pacman {
 namespace {
@@ -267,6 +271,49 @@ TEST(ConcurrentSmallbankTest, StressRecoversExactState) {
   ropts.num_threads = 4;
   db.Recover(recovery::Scheme::kClrP, ropts);
   EXPECT_EQ(db.ContentHash(), hash);
+}
+
+TEST(OccStarvationTest, LongTransactionCommitsDespiteAStreamOfConflicts) {
+  // One TPC-C warehouse. NewOrder (about 35 reads and writes) reads the
+  // warehouse row that a second thread's short Payments keep rewriting,
+  // so most of its attempts lose validation. Past the starvation
+  // threshold (10 aborts) an attempt runs with the commit gate closed and
+  // must commit: no call needs more than 11 attempts.
+  DatabaseOptions opts;
+  opts.scheme = logging::LogScheme::kCommand;
+  opts.commits_per_epoch = 100;
+  Database db(opts);
+  workload::Tpcc tpcc(workload::TpccConfig{.num_warehouses = 1,
+                                           .districts_per_warehouse = 1,
+                                           .customers_per_district = 30,
+                                           .num_items = 100});
+  tpcc.Install(&db);
+  db.FinalizeSchema();
+
+  std::atomic<bool> stop{false};
+  std::thread payments([&] {
+    Rng rng(2);
+    std::vector<Value> params;
+    while (!stop.load()) {
+      if (tpcc.NextTransaction(&rng, &params) != tpcc.payment_id()) continue;
+      const TxnResult r = db.Execute(tpcc.payment_id(), params);
+      EXPECT_TRUE(r.ok()) << r.status.ToString();
+      EXPECT_LE(r.attempts, 11);
+    }
+  });
+  Rng rng(1);
+  std::vector<Value> params;
+  int max_attempts = 0;
+  for (int orders = 0; orders < 200;) {
+    if (tpcc.NextTransaction(&rng, &params) != tpcc.new_order_id()) continue;
+    const TxnResult r = db.Execute(tpcc.new_order_id(), params);
+    EXPECT_TRUE(r.ok()) << r.status.ToString();
+    max_attempts = std::max(max_attempts, r.attempts);
+    ++orders;
+  }
+  stop.store(true);
+  payments.join();
+  EXPECT_LE(max_attempts, 11);
 }
 
 }  // namespace

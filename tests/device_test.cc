@@ -7,14 +7,23 @@
 // validation.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
+#include <atomic>
+#include <cerrno>
+#include <chrono>
+#include <condition_variable>
 #include <cstdlib>
 #include <filesystem>
 #include <memory>
+#include <mutex>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "device/file_device.h"
 #include "device/simulated_ssd.h"
+#include "logging/log_manager.h"
 #include "logging/log_store.h"
 #include "pacman/database.h"
 #include "test_util.h"
@@ -144,6 +153,125 @@ TEST_F(DeviceTest, FileDeviceCostSurfaceReportsMeasuredWallClock) {
   // After samples the estimates scale linearly in the byte count.
   EXPECT_GT(dev.WriteSeconds(1 << 20), 0.0);
   EXPECT_NEAR(dev.ReadSeconds(2 << 20) / dev.ReadSeconds(1 << 20), 2.0, 1e-9);
+}
+
+TEST_F(DeviceTest, FileDeviceBarrierWaitsForAConcurrentBarriersFsync) {
+  // A checkpoint's barrier and a logger's barrier on one device. The
+  // append lands before the first barrier takes it off the owed list, so
+  // the second barrier has nothing of its own to fsync; it still must not
+  // return OK before the first one's fsync of that append has finished.
+  std::mutex mu;
+  std::condition_variable cv;
+  bool entered = false;
+  bool release = false;
+  std::atomic<bool> fsynced{false};
+  device::FileDeviceConfig config{.dir = dir_ + "/dev"};
+  config.fsync_file = [&](int fd) {
+    std::unique_lock<std::mutex> l(mu);
+    entered = true;
+    cv.notify_all();
+    cv.wait(l, [&] { return release; });
+    const int rc = ::fsync(fd);
+    fsynced.store(true);
+    return rc;
+  };
+  device::FileDevice dev(config);
+  ASSERT_TRUE(dev.AppendFile("log", {1, 2, 3}).ok());
+
+  std::thread first([&] { EXPECT_TRUE(dev.SyncBarrier().ok()); });
+  {
+    std::unique_lock<std::mutex> l(mu);
+    cv.wait(l, [&] { return entered; });
+  }
+  bool second_after_fsync = false;
+  std::thread second([&] {
+    EXPECT_TRUE(dev.SyncBarrier().ok());
+    second_after_fsync = fsynced.load();
+  });
+  // Give the second barrier time to reach the device before the first
+  // one's fsync is let go.
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  {
+    std::lock_guard<std::mutex> l(mu);
+    release = true;
+  }
+  cv.notify_all();
+  first.join();
+  second.join();
+  EXPECT_TRUE(second_after_fsync);
+}
+
+TEST_F(DeviceTest, FileDeviceBarrierFailsAfterAFailedFsyncUntilRewrite) {
+  // After a failed fsync the kernel may have dropped the appended bytes,
+  // and a second fsync would succeed: every later barrier must fail until
+  // the file is replaced. Other owed files stay owed.
+  int calls = 0;
+  device::FileDeviceConfig config{.dir = dir_ + "/dev"};
+  config.fsync_file = [&](int fd) {
+    if (++calls == 1) {
+      errno = EIO;
+      return -1;
+    }
+    return ::fsync(fd);
+  };
+  device::FileDevice dev(config);
+  ASSERT_TRUE(dev.AppendFile("log", {1, 2, 3}).ok());
+  ASSERT_TRUE(dev.AppendFile("other", {4}).ok());
+  EXPECT_FALSE(dev.SyncBarrier().ok());
+  EXPECT_FALSE(dev.SyncBarrier().ok());
+  EXPECT_EQ(calls, 1);
+  ASSERT_TRUE(dev.WriteFile("log", {1, 2, 3}).ok());
+  EXPECT_TRUE(dev.SyncBarrier().ok());
+  EXPECT_EQ(calls, 2);  // "other" was fsynced by the barrier that passed.
+  ASSERT_TRUE(dev.AppendFile("log", {4}).ok());
+  EXPECT_TRUE(dev.SyncBarrier().ok());
+  EXPECT_EQ(calls, 3);
+}
+
+TEST_F(DeviceTest, LoggerRewritesTheBatchAfterAFailedFsync) {
+  // The logger retries a failed barrier by rewriting the whole batch
+  // image, which is what clears the device's failed-fsync state: the
+  // flush succeeds and each record is in the file once.
+  int calls = 0;
+  device::FileDeviceConfig config{.dir = dir_ + "/dev"};
+  config.fsync_file = [&](int fd) {
+    if (++calls == 2) {
+      errno = EIO;
+      return -1;
+    }
+    return ::fsync(fd);
+  };
+  device::FileDevice dev(config);
+  logging::Logger logger(0, logging::LogScheme::kCommand, &dev,
+                         /*epochs_per_batch=*/10);
+  Timestamp cts = 100;
+  for (Epoch epoch = 1; epoch <= 3; ++epoch) {
+    for (int i = 0; i < 3; ++i) {
+      logging::LogRecord r;
+      r.commit_ts = cts++;
+      r.proc = 1;
+      r.params = {Value(static_cast<int64_t>(r.commit_ts))};
+      logger.Append(std::move(r));
+    }
+    const logging::FlushCost c = logger.FlushEpoch(epoch);
+    ASSERT_TRUE(c.status.ok()) << c.status.ToString();
+  }
+  EXPECT_EQ(calls, 3);  // Flush 2's retry rewrote instead of appending.
+
+  const std::string name = logging::LogStore::BatchFileName(0, 0);
+  std::vector<uint8_t> bytes;
+  ASSERT_TRUE(dev.ReadFile(name, &bytes).ok());
+  logging::LogBatch batch;
+  logging::BatchParseOptions strict;
+  strict.file_name = name;
+  ASSERT_TRUE(logging::LogStore::DeserializeBatch(
+                  logging::LogScheme::kCommand, std::move(bytes), strict,
+                  &batch)
+                  .ok());
+  ASSERT_EQ(batch.records.size(), 9u);
+  for (size_t i = 0; i < batch.records.size(); ++i) {
+    EXPECT_EQ(batch.records[i].commit_ts, 100 + i);
+  }
 }
 
 // --- Config validation (satellite: named constructor-time errors) -------

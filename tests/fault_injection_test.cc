@@ -392,10 +392,11 @@ std::vector<logging::LogRecord> StrictRecords(device::StorageDevice* dev,
 TEST(FaultEngineTest, TornAppendFailsAFlushAndTheNextFlushRewrites) {
   // One logger over one device, so the op numbers are exact:
   //   flush 1: append #1 (file header + block), fsync #1
-  //   flush 2: append #2 is torn after 10 bytes; the retry rewrites the
-  //            image atomically, but fsyncs #2-#5 fail: the flush fails
-  //   flush 3: rewrites the image again (the owed records included),
-  //            fsync #6 succeeds
+  //   flush 2: append #2 is torn after 10 bytes; each of the three retries
+  //            rewrites the image atomically, but fsyncs #2-#4 fail: the
+  //            flush fails
+  //   flush 3: rewrites the image (the owed records included), fsync #5
+  //            fails; the retry rewrites again and fsync #6 succeeds
   //   flush 4: append #3 is torn too; the retry's rewrite succeeds.
   FaultSpec spec;
   spec.fail_append = 2;
@@ -422,12 +423,12 @@ TEST(FaultEngineTest, TornAppendFailsAFlushAndTheNextFlushRewrites) {
   append(3);
   EXPECT_FALSE(logger.FlushEpoch(2).status.ok());
   EXPECT_EQ(dev.counters().appends, 2u);
-  EXPECT_EQ(dev.counters().writes, 1u);  // The retry rewrote, not appended.
+  EXPECT_EQ(dev.counters().writes, 3u);  // The retries rewrote, not appended.
   append(2);
   const logging::FlushCost third = logger.FlushEpoch(3);
   ASSERT_TRUE(third.status.ok()) << third.status.ToString();
   EXPECT_EQ(dev.counters().appends, 2u);
-  EXPECT_EQ(dev.counters().writes, 2u);
+  EXPECT_EQ(dev.counters().writes, 5u);
   // Flush 1's records keep their epoch; the owed ones re-stamped into the
   // flush that finally persisted them.
   std::vector<logging::LogRecord> records = StrictRecords(&dev, name);
