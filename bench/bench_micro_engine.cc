@@ -82,7 +82,8 @@ void BM_SerializeLogicalRecord(benchmark::State& state) {
   }
   for (auto _ : state) {
     Serializer s(1024);
-    logging::SerializeRecord(logging::LogScheme::kLogical, rec, &s);
+    logging::SerializeRecord(logging::LogScheme::kLogical, rec,
+                             logging::RecordBases{}, &s);
     benchmark::DoNotOptimize(s.size());
   }
   state.SetItemsProcessed(state.iterations());

@@ -54,9 +54,9 @@ inline DatabaseOptions DefaultDbOptions(logging::LogScheme scheme) {
   return opts;
 }
 
-// Bench-scale TPC-C (see DESIGN.md §2 on scaling): the paper used 200
-// warehouses / 20 GB; we run a reduced load and rely on the calibrated
-// cost model for virtual-time magnitudes.
+// Bench-scale TPC-C: the paper used 200 warehouses / 20 GB; we run a
+// reduced load and rely on the calibrated cost model
+// (recovery/cost_model.h) for virtual-time magnitudes.
 inline workload::TpccConfig BenchTpccConfig() {
   workload::TpccConfig c;
   c.num_warehouses = 4;

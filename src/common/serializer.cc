@@ -1,6 +1,49 @@
 #include "common/serializer.h"
 
+#include <cmath>
+#include <limits>
+
 namespace pacman {
+
+namespace {
+
+// Doubles with |d| <= 2^53 that hold an integer convert to int64 and back
+// exactly.
+constexpr int64_t kMaxExactInt = int64_t{1} << 53;
+constexpr double kMaxExactInteger = static_cast<double>(kMaxExactInt);
+
+bool IsIntegralDouble(double d) {
+  return d >= -kMaxExactInteger && d <= kMaxExactInteger &&
+         static_cast<double>(static_cast<int64_t>(d)) == d &&
+         !(d == 0.0 && std::signbit(d));
+}
+
+}  // namespace
+
+size_t CompactValueBytes(const Value& v) {
+  switch (v.type()) {
+    case ValueType::kNull:
+      return 1;
+    case ValueType::kInt64:
+      return 1 + VarintBytes(ZigzagEncode(v.AsInt64()));
+    case ValueType::kDouble:
+      return IsIntegralDouble(v.AsDouble())
+                 ? 1 + VarintBytes(ZigzagEncode(
+                           static_cast<int64_t>(v.AsDouble())))
+                 : 1 + sizeof(double);
+    case ValueType::kString: {
+      const size_t n = v.AsStringView().size();
+      return 1 + VarintBytes(n) + n;
+    }
+  }
+  return 1;
+}
+
+size_t CompactRowBytes(const Row& row) {
+  size_t n = VarintBytes(row.size());
+  for (const Value& v : row) n += CompactValueBytes(v);
+  return n;
+}
 
 void Serializer::PutValue(const Value& v) {
   PutU8(static_cast<uint8_t>(v.type()));
@@ -24,6 +67,39 @@ void Serializer::PutRow(const Row& row) {
   for (const Value& v : row) PutValue(v);
 }
 
+void Serializer::PutCompactValue(const Value& v) {
+  switch (v.type()) {
+    case ValueType::kNull:
+      PutU8(static_cast<uint8_t>(ValueType::kNull));
+      break;
+    case ValueType::kInt64:
+      PutU8(static_cast<uint8_t>(ValueType::kInt64));
+      PutSignedVarint(v.AsInt64());
+      break;
+    case ValueType::kDouble:
+      if (IsIntegralDouble(v.AsDouble())) {
+        PutU8(kCompactIntegralDouble);
+        PutSignedVarint(static_cast<int64_t>(v.AsDouble()));
+      } else {
+        PutU8(static_cast<uint8_t>(ValueType::kDouble));
+        PutDouble(v.AsDouble());
+      }
+      break;
+    case ValueType::kString: {
+      const std::string_view sv = v.AsStringView();
+      PutU8(static_cast<uint8_t>(ValueType::kString));
+      PutVarint(sv.size());
+      PutRaw(sv.data(), sv.size());
+      break;
+    }
+  }
+}
+
+void Serializer::PutCompactRow(const Row& row) {
+  PutVarint(row.size());
+  for (const Value& v : row) PutCompactValue(v);
+}
+
 Status Deserializer::GetString(std::string* out) {
   std::string_view sv;
   Status s = GetStringView(&sv);
@@ -36,9 +112,43 @@ Status Deserializer::GetStringView(std::string_view* out) {
   uint32_t n = 0;
   Status s = GetU32(&n);
   if (!s.ok()) return s;
-  if (pos_ + n > size_) return Status::Corruption("string underflow");
+  return GetStringBytes(n, out);
+}
+
+Status Deserializer::GetStringBytes(size_t n, std::string_view* out) {
+  if (n > size_ - pos_) return Status::Corruption("string underflow");
   *out = std::string_view(reinterpret_cast<const char*>(data_ + pos_), n);
   pos_ += n;
+  return Status::Ok();
+}
+
+Status Deserializer::GetVarintSlow(uint64_t* out) {
+  uint64_t v = 0;
+  for (int shift = 0; shift < 64; shift += 7) {
+    if (pos_ == size_) return Status::Corruption("unterminated varint");
+    const uint8_t b = data_[pos_++];
+    // The tenth byte holds only bit 63.
+    if (shift == 63 && b > 1) return Status::Corruption("overlong varint");
+    v |= static_cast<uint64_t>(b & 0x7f) << shift;
+    if ((b & 0x80) == 0) {
+      // A zero final group after the first byte encodes nothing: the
+      // value had a shorter encoding.
+      if (b == 0 && shift > 0) return Status::Corruption("overlong varint");
+      *out = v;
+      return Status::Ok();
+    }
+  }
+  return Status::Corruption("overlong varint");
+}
+
+Status Deserializer::GetVarint32(uint32_t* out) {
+  uint64_t v = 0;
+  Status s = GetVarint(&v);
+  if (!s.ok()) return s;
+  if (v > std::numeric_limits<uint32_t>::max()) {
+    return Status::Corruption("varint exceeds 32 bits");
+  }
+  *out = static_cast<uint32_t>(v);
   return Status::Ok();
 }
 
@@ -74,6 +184,70 @@ Status Deserializer::GetValue(Value* out) {
     }
   }
   return Status::Corruption("bad value tag");
+}
+
+Status Deserializer::GetCompactValue(Value* out) {
+  uint8_t tag = 0;
+  Status s = GetU8(&tag);
+  if (!s.ok()) return s;
+  switch (tag) {
+    case static_cast<uint8_t>(ValueType::kNull):
+      *out = Value::Null();
+      return Status::Ok();
+    case static_cast<uint8_t>(ValueType::kInt64): {
+      int64_t v = 0;
+      s = GetSignedVarint(&v);
+      if (!s.ok()) return s;
+      *out = Value(v);
+      return Status::Ok();
+    }
+    case static_cast<uint8_t>(ValueType::kDouble): {
+      double v = 0;
+      s = GetDouble(&v);
+      if (!s.ok()) return s;
+      *out = Value(v);
+      return Status::Ok();
+    }
+    case kCompactIntegralDouble: {
+      int64_t v = 0;
+      s = GetSignedVarint(&v);
+      if (!s.ok()) return s;
+      if (v < -kMaxExactInt || v > kMaxExactInt) {
+        return Status::Corruption("integral double out of range");
+      }
+      *out = Value(static_cast<double>(v));
+      return Status::Ok();
+    }
+    case static_cast<uint8_t>(ValueType::kString): {
+      uint64_t n = 0;
+      s = GetVarint(&n);
+      if (!s.ok()) return s;
+      std::string_view sv;
+      s = GetStringBytes(n, &sv);
+      if (!s.ok()) return s;
+      *out = borrow_strings_ ? Value::BorrowedString(sv)
+                             : Value(std::string(sv));
+      return Status::Ok();
+    }
+  }
+  return Status::Corruption("bad value tag");
+}
+
+Status Deserializer::GetCompactRow(Row* out) {
+  uint64_t n = 0;
+  Status s = GetVarint(&n);
+  if (!s.ok()) return s;
+  // Every compact value takes at least its tag byte.
+  if (n > remaining()) return Status::Corruption("row length too large");
+  out->clear();
+  out->reserve(n);
+  for (uint64_t i = 0; i < n; ++i) {
+    Value v;
+    s = GetCompactValue(&v);
+    if (!s.ok()) return s;
+    out->push_back(std::move(v));
+  }
+  return Status::Ok();
 }
 
 Status Deserializer::GetRow(Row* out) {

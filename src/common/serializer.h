@@ -1,9 +1,22 @@
 // Copyright (c) 2026 The PACMAN reproduction authors.
-// Byte-oriented serialization used by the log record formats and the
-// checkpointer. Little-endian, length-prefixed strings.
+// Byte-oriented serialization used by the log record formats, the
+// checkpointer and the wire protocol. Two encodings share this file:
+//
+//  - Fixed width (PutU32/PutU64/PutValue/PutRow...): little-endian
+//    integers, u32 length-prefixed strings. The wire protocol
+//    (docs/PROTOCOL.md), checkpoint stripes and the v1-v3 log batch
+//    formats use it.
+//  - Compact (PutVarint/PutCompactValue/PutCompactRow): LEB128 varints,
+//    zigzag for signed values. Log batch format v4 uses it. A compact
+//    value is a ValueType tag, then: nothing (null); a zigzag varint
+//    (int64); a varint length and the bytes (string); 8 raw bytes
+//    (double), or, for a double holding an exact integer within +-2^53
+//    that is not -0.0, a zigzag varint under kCompactIntegralDouble.
+//    Readers accept only minimal varints.
 #ifndef PACMAN_COMMON_SERIALIZER_H_
 #define PACMAN_COMMON_SERIALIZER_H_
 
+#include <bit>
 #include <cstdint>
 #include <cstring>
 #include <string>
@@ -14,6 +27,23 @@
 #include "common/value.h"
 
 namespace pacman {
+
+// The compact-value tag of a double stored as a zigzag varint.
+inline constexpr uint8_t kCompactIntegralDouble = 4;
+
+// Zigzag maps small magnitudes of either sign to small unsigned values.
+inline uint64_t ZigzagEncode(int64_t v) {
+  return (static_cast<uint64_t>(v) << 1) ^ static_cast<uint64_t>(v >> 63);
+}
+
+// The bytes Serializer::PutVarint / PutCompactValue / PutCompactRow
+// append, computed without writing, so log blocks are sized exactly
+// before they are built.
+inline size_t VarintBytes(uint64_t v) {
+  return (static_cast<size_t>(std::bit_width(v | 1)) + 6) / 7;
+}
+size_t CompactValueBytes(const Value& v);
+size_t CompactRowBytes(const Row& row);
 
 // Appends primitive values to a growable byte buffer.
 class Serializer {
@@ -32,6 +62,18 @@ class Serializer {
   }
   void PutValue(const Value& v);
   void PutRow(const Row& row);
+
+  // LEB128: seven bits per byte, low group first, high bit = "more".
+  void PutVarint(uint64_t v) {
+    while (v >= 0x80) {
+      buf_.push_back(static_cast<uint8_t>(v | 0x80));
+      v >>= 7;
+    }
+    buf_.push_back(static_cast<uint8_t>(v));
+  }
+  void PutSignedVarint(int64_t v) { PutVarint(ZigzagEncode(v)); }
+  void PutCompactValue(const Value& v);
+  void PutCompactRow(const Row& row);
 
   void PutRaw(const void* data, size_t n) {
     const auto* p = static_cast<const uint8_t*>(data);
@@ -75,6 +117,29 @@ class Deserializer {
   Status GetStringView(std::string_view* out);
   Status GetValue(Value* out);
   Status GetRow(Row* out);
+
+  // Compact-encoding readers. A varint that runs past the span is
+  // unterminated, one longer than its minimal encoding (or than 64 bits)
+  // is overlong; both are kCorruption.
+  Status GetVarint(uint64_t* out) {
+    if (pos_ < size_ && data_[pos_] < 0x80) {  // One-byte fast path.
+      *out = data_[pos_++];
+      return Status::Ok();
+    }
+    return GetVarintSlow(out);
+  }
+  // A varint that must fit 32 bits (table and proc ids).
+  Status GetVarint32(uint32_t* out);
+  Status GetSignedVarint(int64_t* out) {
+    uint64_t u = 0;
+    Status s = GetVarint(&u);
+    if (!s.ok()) return s;
+    *out = static_cast<int64_t>((u >> 1) ^ (0 - (u & 1)));
+    return Status::Ok();
+  }
+  Status GetCompactValue(Value* out);
+  Status GetCompactRow(Row* out);
+
   // Advances past `n` bytes without reading them.
   Status Skip(size_t n) {
     if (n > size_ - pos_) return Status::Corruption("serializer underflow");
@@ -87,6 +152,9 @@ class Deserializer {
   size_t position() const { return pos_; }
 
  private:
+  Status GetVarintSlow(uint64_t* out);
+  // Reads a `n`-byte string payload as a view over the span.
+  Status GetStringBytes(size_t n, std::string_view* out);
   Status GetRaw(void* out, size_t n) {
     if (pos_ + n > size_) {
       return Status::Corruption("serializer underflow");

@@ -5,10 +5,7 @@
 
 namespace pacman {
 
-namespace {
-
-// FNV-1a over raw bytes; stable across runs (unlike std::hash<std::string>).
-uint64_t Fnv1a(const void* data, size_t n, uint64_t seed = 1469598103934665603ull) {
+uint64_t Fnv1a(const void* data, size_t n, uint64_t seed) {
   const auto* p = static_cast<const unsigned char*>(data);
   uint64_t h = seed;
   for (size_t i = 0; i < n; ++i) {
@@ -17,8 +14,6 @@ uint64_t Fnv1a(const void* data, size_t n, uint64_t seed = 1469598103934665603ul
   }
   return h;
 }
-
-}  // namespace
 
 Value Value::Add(const Value& other) const {
   if (type_ == ValueType::kInt64 && other.type_ == ValueType::kInt64) {

@@ -18,15 +18,6 @@ namespace {
 // from a torn leftover.
 constexpr uint32_t kMetaMagic = 0x50434B4D;  // "PCKM"
 
-uint64_t Fnv1a(const uint8_t* data, size_t n) {
-  uint64_t h = 1469598103934665603ull;
-  for (size_t i = 0; i < n; ++i) {
-    h ^= data[i];
-    h *= 1099511628211ull;
-  }
-  return h;
-}
-
 // Parses a decimal run starting at `pos`; advances `pos` past it.
 bool ParseDigits(const std::string& s, size_t* pos, uint64_t* out) {
   if (*pos >= s.size() || !std::isdigit(static_cast<unsigned char>(s[*pos]))) {

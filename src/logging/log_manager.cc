@@ -31,10 +31,6 @@ Logger::Logger(uint32_t id, LogScheme scheme, device::StorageDevice* device,
 void Logger::Append(LogRecord record) {
   std::lock_guard<std::mutex> g(mu_);
   unflushed_records_++;
-  // The real serialized size of this record, for flush accounting —
-  // computed arithmetically (SerializedRecordBytes) rather than by
-  // serializing into a scratch buffer on every append.
-  unflushed_bytes_ += SerializedRecordBytes(scheme_, record);
   current_.records.push_back(std::move(record));
 }
 
@@ -62,12 +58,20 @@ FlushCost Logger::FlushEpoch(Epoch epoch) {
     cost.status = std::move(r.status);
     return cost;
   }
-  cost.bytes = unflushed_bytes_;
-  bytes_logged_.fetch_add(unflushed_bytes_, std::memory_order_relaxed);
-  unflushed_bytes_ = 0;
-  unflushed_records_ = 0;
+  cost.bytes = MarkPersisted();
   if (++epochs_in_batch_ >= epochs_per_batch_) CloseBatch();
   return cost;
+}
+
+uint64_t Logger::MarkPersisted() {
+  // A rewrite re-encodes earlier records against the whole batch's bases,
+  // which never shrinks them, so the file's record bytes only grow.
+  PACMAN_DCHECK(payload_bytes_ >= counted_bytes_);
+  const uint64_t bytes = payload_bytes_ - counted_bytes_;
+  counted_bytes_ = payload_bytes_;
+  bytes_logged_.fetch_add(bytes, std::memory_order_relaxed);
+  unflushed_records_ = 0;
+  return bytes;
 }
 
 device::IoResult Logger::PersistOwed() {
@@ -91,20 +95,28 @@ device::IoResult Logger::PersistOwed() {
 }
 
 device::IoResult Logger::WriteOwed(const std::string& name) {
+  size_t payload = 0;
   if (rewrite_ && !current_.records.empty()) {
-    std::vector<uint8_t> image = LogStore::SerializeBatch(scheme_, current_);
+    std::vector<uint8_t> image =
+        LogStore::SerializeBatch(scheme_, current_, &payload);
     const size_t size = image.size();
     device::IoResult r = device_->WriteFile(name, std::move(image));
-    if (r.ok()) file_bytes_ = size;
+    if (r.ok()) {
+      file_bytes_ = size;
+      payload_bytes_ = payload;
+    }
     return r;
   }
   if (unflushed_records_ == 0) return device::IoResult::Ok(0.0);
   const size_t first = current_.records.size() - unflushed_records_;
   const std::vector<uint8_t> block = LogStore::SerializeBlock(
       scheme_, id_, current_.seq, /*file_header=*/file_bytes_ == 0,
-      current_.records.data() + first, unflushed_records_);
+      current_.records.data() + first, unflushed_records_, &payload);
   device::IoResult r = device_->AppendFile(name, block);
-  if (r.ok()) file_bytes_ += block.size();
+  if (r.ok()) {
+    file_bytes_ += block.size();
+    payload_bytes_ += payload;
+  }
   return r;
 }
 
@@ -121,12 +133,25 @@ void Logger::CloseBatch() {
     batch_seq_++;
     batches_written_++;
   }
+  OpenBatch();
+}
+
+void Logger::OpenBatch() {
   current_ = LogBatch{};
   current_.logger_id = id_;
   current_.seq = batch_seq_;
   epochs_in_batch_ = 0;
   file_bytes_ = 0;
+  payload_bytes_ = 0;
+  counted_bytes_ = 0;
   rewrite_ = false;
+}
+
+void Logger::Reset(uint64_t seq) {
+  std::lock_guard<std::mutex> g(mu_);
+  unflushed_records_ = 0;
+  batch_seq_ = seq;
+  OpenBatch();
 }
 
 Status Logger::Finalize() {
@@ -137,9 +162,7 @@ Status Logger::Finalize() {
   if (unflushed_records_ > 0) {
     device::IoResult r = PersistOwed();
     if (!r.ok()) return r.status;
-    bytes_logged_.fetch_add(unflushed_bytes_, std::memory_order_relaxed);
-    unflushed_bytes_ = 0;
-    unflushed_records_ = 0;
+    MarkPersisted();
   }
   CloseBatch();
   return Status::Ok();
@@ -164,23 +187,7 @@ LogManager::LogManager(LogScheme scheme,
           num_loggers == num_shards_,
       "sharded logging requires num_loggers == num_shards");
   if (scheme != LogScheme::kOff) {
-    // Resume every logger at one common sequence number past the largest
-    // batch any previous process persisted, on any device and from any
-    // logger. Global reload order is (seq, logger) and the loggers flush
-    // in lockstep, so the streams must stay seq-aligned: resuming
-    // per-logger could slot one logger's new batches into a smaller seq
-    // than another's old ones and interleave replay out of commit order.
-    // Fresh devices yield start_seq 0.
-    uint64_t start_seq = 0;
-    for (device::StorageDevice* d : devices_) {
-      for (const std::string& name : d->ListFiles("log_")) {
-        uint32_t logger = 0;
-        uint64_t seq = 0;
-        if (LogStore::ParseBatchFileName(name, &logger, &seq)) {
-          start_seq = std::max(start_seq, seq + 1);
-        }
-      }
-    }
+    const uint64_t start_seq = NextSeqOnDevices();
     for (uint32_t i = 0; i < num_loggers; ++i) {
       loggers_.push_back(std::make_unique<Logger>(
           i, scheme, devices_[i % devices_.size()], epochs_per_batch,
@@ -192,6 +199,33 @@ LogManager::LogManager(LogScheme scheme,
           &io_retries_));
     }
   }
+}
+
+uint64_t LogManager::NextSeqOnDevices() const {
+  // One common sequence number past the largest batch any process
+  // persisted, on any device and from any logger. Global reload order is
+  // (seq, logger) and the loggers flush in lockstep, so the streams must
+  // stay seq-aligned: resuming per-logger could slot one logger's new
+  // batches into a smaller seq than another's old ones and interleave
+  // replay out of commit order. Fresh devices yield 0.
+  uint64_t next = 0;
+  for (device::StorageDevice* d : devices_) {
+    for (const std::string& name : d->ListFiles("log_")) {
+      uint32_t logger = 0;
+      uint64_t seq = 0;
+      if (LogStore::ParseBatchFileName(name, &logger, &seq)) {
+        next = std::max(next, seq + 1);
+      }
+    }
+  }
+  return next;
+}
+
+void LogManager::ResumeAfterRecovery() {
+  if (loggers_.empty()) return;
+  std::lock_guard<std::mutex> flush_guard(flush_mu_);
+  const uint64_t seq = NextSeqOnDevices();
+  for (auto& logger : loggers_) logger->Reset(seq);
 }
 
 LogManager::~LogManager() {

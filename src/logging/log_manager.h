@@ -105,7 +105,15 @@ class Logger {
   // persisted; the batch then stays open so a later close can retry.
   Status Finalize();
 
-  // Record bytes made durable so far. Read by the checkpoint trigger
+  // Drops the in-progress batch and every record still owed, and resumes
+  // the stream at a new batch `seq`. Recovery calls this once it has
+  // decided what the device holds: records a failed flush left in memory
+  // were never acked, and persisting them later would make a later
+  // recovery replay what this one excluded.
+  void Reset(uint64_t seq);
+
+  // Record bytes made durable so far: the payloads of the blocks this
+  // logger persisted, framing excluded. Read by the checkpoint trigger
   // while flushes run, hence atomic.
   uint64_t bytes_logged() const {
     return bytes_logged_.load(std::memory_order_relaxed);
@@ -127,9 +135,14 @@ class Logger {
   // Writes the owed records (the last unflushed_records_ of current_) as
   // one appended block, or the whole image when rewrite_ is set.
   device::IoResult WriteOwed(const std::string& name);
+  // After a successful PersistOwed: counts the record bytes it made
+  // durable into bytes_logged_, clears what is owed, and returns them.
+  uint64_t MarkPersisted();
   // Reports the batch's coverage and moves the stream to the next seq.
   // The file already holds every record, so nothing is written.
   void CloseBatch();
+  // Starts an empty batch at batch_seq_.
+  void OpenBatch();
 
   const uint32_t id_;
   const LogScheme scheme_;
@@ -145,9 +158,12 @@ class Logger {
   uint32_t epochs_in_batch_ = 0;
   std::atomic<uint64_t> bytes_logged_{0};
   size_t unflushed_records_ = 0;
-  size_t unflushed_bytes_ = 0;
-  // Size of the current batch file as written (0 until its first flush).
+  // Size of the current batch file as written (0 until its first flush),
+  // the record bytes among them, and how many of those are counted in
+  // bytes_logged_ (the durable ones).
   uint64_t file_bytes_ = 0;
+  uint64_t payload_bytes_ = 0;
+  uint64_t counted_bytes_ = 0;
   // Set by a failed write or barrier: the file may end in a partial or
   // non-durable block, so the next write replaces the whole image.
   bool rewrite_ = false;
@@ -208,6 +224,11 @@ class LogManager {
   // paper recovers only committed/persisted transactions). Returns the
   // first close failure (remaining loggers are still finalized).
   Status FinalizeAll();
+
+  // Called by recovery once the devices hold exactly what it recovered
+  // (after log truncation): resets every logger (Logger::Reset) and
+  // resumes all of them at one seq past the batches on the devices.
+  void ResumeAfterRecovery();
 
   LogScheme scheme() const { return scheme_; }
   uint64_t total_bytes() const;
@@ -295,6 +316,9 @@ class LogManager {
   // (directly when no transaction manager is attached).
   void DrainUnderBarrier();
   void RouteToLogger(LogRecord record);
+  // The seq every logger stream starts at: one past the largest batch on
+  // any device.
+  uint64_t NextSeqOnDevices() const;
   // Sharded OnCommit body: classifies `txn` against its actual read/write
   // sets, stages either one home-tagged record or per-shard sub-records.
   void StageSharded(const txn::Transaction& txn, const txn::CommitInfo& info,

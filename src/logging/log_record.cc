@@ -1,5 +1,7 @@
 #include "logging/log_record.h"
 
+#include <limits>
+
 #include "common/macros.h"
 
 namespace pacman::logging {
@@ -20,208 +22,194 @@ const char* LogSchemeName(LogScheme scheme) {
 
 namespace {
 
-void SerializeWriteLogical(const WriteImage& w, Serializer* out) {
-  out->PutU32(w.table);
-  out->PutU64(w.key);
-  out->PutU8(w.deleted ? 1 : 0);
-  out->PutRow(w.after);
-}
+// Physical logging must additionally record the locations of the old and
+// new versions of the tuple (§6.1.1); in a main-memory engine those are
+// two 8-byte pointers.
+constexpr size_t kVersionLocationBytes = 16;
 
-void SerializeWritePhysical(const WriteImage& w, Serializer* out) {
-  // Physical logging must additionally record the locations of the old and
-  // new versions of the tuple (§6.1.1); in a main-memory engine those are
-  // two 8-byte pointers.
-  out->PutU64(reinterpret_cast<uint64_t>(&w));  // New version address.
-  out->PutU64(reinterpret_cast<uint64_t>(&w) ^ 0x5bd1e995);  // Old version.
-  SerializeWriteLogical(w, out);
-}
+// Smallest write image: table, key, deleted flag and an empty row, at
+// fixed width and as one-byte varints (physical images add the version
+// locations).
+constexpr size_t kMinFixedWidthImageBytes = 4 + 8 + 1 + 4;
+constexpr size_t kMinCompactImageBytes = 1 + 1 + 1 + 1;
 
-size_t ValueBytes(const Value& v) {
-  switch (v.type()) {
-    case ValueType::kNull:
-      return 1;
-    case ValueType::kInt64:
-    case ValueType::kDouble:
-      return 1 + 8;
-    case ValueType::kString:
-      return 1 + 4 + v.AsStringView().size();
-  }
-  return 1;
-}
-
-size_t RowBytes(const Row& row) {
-  size_t n = 4;
-  for (const Value& v : row) n += ValueBytes(v);
-  return n;
-}
-
-size_t WriteImageBytes(LogScheme scheme, const WriteImage& w) {
-  // table u32 + key u64 + deleted u8 + row; physical adds the two
-  // version-location words.
-  size_t n = 4 + 8 + 1 + RowBytes(w.after);
-  if (scheme == LogScheme::kPhysical) n += 16;
-  return n;
-}
-
-Status DeserializeWrite(LogScheme scheme, Deserializer* in, WriteImage* w) {
+void SerializeWrite(LogScheme scheme, const WriteImage& w, Serializer* out) {
   if (scheme == LogScheme::kPhysical) {
-    uint64_t addr;
-    Status s = in->GetU64(&addr);
-    if (!s.ok()) return s;
-    s = in->GetU64(&addr);
-    if (!s.ok()) return s;
+    out->PutU64(reinterpret_cast<uint64_t>(&w));  // New version address.
+    out->PutU64(reinterpret_cast<uint64_t>(&w) ^ 0x5bd1e995);  // Old version.
   }
-  Status s = in->GetU32(&w->table);
-  if (!s.ok()) return s;
-  s = in->GetU64(&w->key);
-  if (!s.ok()) return s;
-  uint8_t deleted;
-  s = in->GetU8(&deleted);
-  if (!s.ok()) return s;
-  w->deleted = deleted != 0;
-  return in->GetRow(&w->after);
+  out->PutVarint(w.table);
+  out->PutVarint(w.key);
+  out->PutU8(w.deleted ? 1 : 0);
+  out->PutCompactRow(w.after);
 }
+
+size_t WriteBytes(LogScheme scheme, const WriteImage& w) {
+  return (scheme == LogScheme::kPhysical ? kVersionLocationBytes : 0) +
+         VarintBytes(w.table) + VarintBytes(w.key) + 1 +
+         CompactRowBytes(w.after);
+}
+
+// Reads the fields every format shares, each in the compact (v4) or the
+// fixed-width (v1-v3) encoding.
+class FieldReader {
+ public:
+  FieldReader(bool compact, Deserializer* in) : compact_(compact), in_(in) {}
+
+  Status ReadU32(uint32_t* out) {
+    return compact_ ? in_->GetVarint32(out) : in_->GetU32(out);
+  }
+  Status ReadU64(uint64_t* out) {
+    return compact_ ? in_->GetVarint(out) : in_->GetU64(out);
+  }
+  // A count of elements at least `min_bytes` long each (fixed width: u32),
+  // validated against the bytes left in the stream so a corrupt count
+  // fails loudly instead of driving a giant resize.
+  Status ReadCount(size_t min_bytes, const char* what, uint64_t* n) {
+    Status s;
+    if (compact_) {
+      s = in_->GetVarint(n);
+    } else {
+      uint32_t n32 = 0;
+      s = in_->GetU32(&n32);
+      *n = n32;
+    }
+    if (s.ok() && *n > in_->remaining() / min_bytes) {
+      return Status::Corruption(std::string(what) + " count " +
+                                std::to_string(*n) +
+                                " exceeds the bytes remaining");
+    }
+    return s;
+  }
+  Status ReadValue(Value* out) {
+    return compact_ ? in_->GetCompactValue(out) : in_->GetValue(out);
+  }
+  Status ReadRow(Row* out) {
+    return compact_ ? in_->GetCompactRow(out) : in_->GetRow(out);
+  }
+
+  Status ReadWrite(LogScheme scheme, WriteImage* w) {
+    Status s;
+    if (scheme == LogScheme::kPhysical) s = in_->Skip(kVersionLocationBytes);
+    if (s.ok()) s = ReadU32(&w->table);
+    if (s.ok()) s = ReadU64(&w->key);
+    uint8_t deleted = 0;
+    if (s.ok()) s = in_->GetU8(&deleted);
+    if (!s.ok()) return s;
+    w->deleted = deleted != 0;
+    return ReadRow(&w->after);
+  }
+
+  Status ReadWrites(LogScheme scheme, LogRecord* record) {
+    uint64_t n = 0;
+    Status s = ReadCount(
+        compact_ ? kMinCompactImageBytes : kMinFixedWidthImageBytes,
+        "write image", &n);
+    if (!s.ok()) return s;
+    record->writes.resize(n);
+    for (WriteImage& w : record->writes) {
+      s = ReadWrite(scheme, &w);
+      if (!s.ok()) return s;
+    }
+    return Status::Ok();
+  }
+
+  // A commit_ts or epoch: a varint delta above `base` (compact; a sum
+  // that wraps is corruption) or a plain u64.
+  Status ReadStamp(uint64_t base, const char* what, uint64_t* out) {
+    if (!compact_) return in_->GetU64(out);
+    uint64_t delta = 0;
+    Status s = in_->GetVarint(&delta);
+    if (!s.ok()) return s;
+    if (delta > std::numeric_limits<uint64_t>::max() - base) {
+      return Status::Corruption(std::string(what) + " delta overflows");
+    }
+    *out = base + delta;
+    return Status::Ok();
+  }
+
+  Status ReadRecord(LogScheme scheme, const RecordBases& bases,
+                LogRecord* record) {
+    if (scheme == LogScheme::kOff) {
+      return Status::InvalidArgument("cannot deserialize with scheme OFF");
+    }
+    record->params.clear();
+    record->writes.clear();
+    record->proc = kAdhocProcId;
+    Status s = ReadStamp(bases.cts, "commit_ts", &record->commit_ts);
+    if (s.ok()) s = ReadStamp(bases.epoch, "epoch", &record->epoch);
+    if (!s.ok()) return s;
+    if (scheme != LogScheme::kCommand) return ReadWrites(scheme, record);
+    s = ReadU32(&record->proc);
+    if (!s.ok()) return s;
+    if (record->is_adhoc()) return ReadWrites(LogScheme::kLogical, record);
+    uint64_t n = 0;
+    s = ReadCount(1, "parameter", &n);  // Tag byte minimum.
+    if (!s.ok()) return s;
+    record->params.resize(n);
+    for (Value& v : record->params) {
+      s = ReadValue(&v);
+      if (!s.ok()) return s;
+    }
+    return Status::Ok();
+  }
+
+ private:
+  const bool compact_;
+  Deserializer* const in_;
+};
 
 }  // namespace
 
 void SerializeRecord(LogScheme scheme, const LogRecord& record,
-                     Serializer* out) {
+                     const RecordBases& bases, Serializer* out) {
   PACMAN_CHECK(scheme != LogScheme::kOff);
-  out->PutU64(record.commit_ts);
-  out->PutU64(record.epoch);
-  switch (scheme) {
-    case LogScheme::kPhysical:
-    case LogScheme::kLogical: {
-      out->PutU32(static_cast<uint32_t>(record.writes.size()));
-      for (const WriteImage& w : record.writes) {
-        if (scheme == LogScheme::kPhysical) {
-          SerializeWritePhysical(w, out);
-        } else {
-          SerializeWriteLogical(w, out);
-        }
-      }
-      break;
+  PACMAN_DCHECK(record.commit_ts >= bases.cts && record.epoch >= bases.epoch);
+  out->PutVarint(record.commit_ts - bases.cts);
+  out->PutVarint(record.epoch - bases.epoch);
+  LogScheme images = scheme;
+  if (scheme == LogScheme::kCommand) {
+    out->PutVarint(record.proc);
+    if (!record.is_adhoc()) {
+      out->PutVarint(record.params.size());
+      for (const Value& v : record.params) out->PutCompactValue(v);
+      return;
     }
-    case LogScheme::kCommand: {
-      out->PutU32(record.proc);
-      if (record.is_adhoc()) {
-        // Ad-hoc transaction: row-level logical images (§4.5).
-        out->PutU32(static_cast<uint32_t>(record.writes.size()));
-        for (const WriteImage& w : record.writes) {
-          SerializeWriteLogical(w, out);
-        }
-      } else {
-        out->PutU32(static_cast<uint32_t>(record.params.size()));
-        for (const Value& v : record.params) out->PutValue(v);
-      }
-      break;
-    }
-    case LogScheme::kOff:
-      break;
+    // Ad-hoc transaction: row-level logical images (§4.5).
+    images = LogScheme::kLogical;
   }
+  out->PutVarint(record.writes.size());
+  for (const WriteImage& w : record.writes) SerializeWrite(images, w, out);
 }
 
-size_t SerializedRecordBytes(LogScheme scheme, const LogRecord& record) {
+size_t SerializedRecordBytes(LogScheme scheme, const LogRecord& record,
+                             const RecordBases& bases) {
   PACMAN_CHECK(scheme != LogScheme::kOff);
-  size_t n = 8 + 8;  // commit_ts + epoch.
-  switch (scheme) {
-    case LogScheme::kPhysical:
-    case LogScheme::kLogical: {
-      n += 4;
-      for (const WriteImage& w : record.writes) {
-        n += WriteImageBytes(scheme, w);
-      }
-      break;
+  size_t n = VarintBytes(record.commit_ts - bases.cts) +
+             VarintBytes(record.epoch - bases.epoch);
+  LogScheme images = scheme;
+  if (scheme == LogScheme::kCommand) {
+    n += VarintBytes(record.proc);
+    if (!record.is_adhoc()) {
+      n += VarintBytes(record.params.size());
+      for (const Value& v : record.params) n += CompactValueBytes(v);
+      return n;
     }
-    case LogScheme::kCommand: {
-      n += 4 + 4;  // proc + count.
-      if (record.is_adhoc()) {
-        for (const WriteImage& w : record.writes) {
-          n += WriteImageBytes(LogScheme::kLogical, w);
-        }
-      } else {
-        for (const Value& v : record.params) n += ValueBytes(v);
-      }
-      break;
-    }
-    case LogScheme::kOff:
-      break;
+    images = LogScheme::kLogical;
   }
+  n += VarintBytes(record.writes.size());
+  for (const WriteImage& w : record.writes) n += WriteBytes(images, w);
   return n;
 }
 
-namespace {
-
-// Validates an element count read off the wire against the bytes left in
-// the stream (`min_bytes` = the smallest possible wire size of one
-// element), so a corrupt count fails loudly instead of driving a giant
-// resize.
-Status CheckWireCount(uint32_t n, const Deserializer& in, size_t min_bytes,
-                      const char* what) {
-  if (n > in.remaining() / min_bytes) {
-    return Status::Corruption(std::string(what) + " count " +
-                              std::to_string(n) +
-                              " exceeds the bytes remaining");
-  }
-  return Status::Ok();
+Status DeserializeRecord(LogScheme scheme, const RecordBases& bases,
+                         Deserializer* in, LogRecord* record) {
+  return FieldReader(/*compact=*/true, in).ReadRecord(scheme, bases, record);
 }
 
-}  // namespace
-
-Status DeserializeRecord(LogScheme scheme, Deserializer* in,
-                         LogRecord* record) {
-  record->params.clear();
-  record->writes.clear();
-  Status s = in->GetU64(&record->commit_ts);
-  if (!s.ok()) return s;
-  s = in->GetU64(&record->epoch);
-  if (!s.ok()) return s;
-  switch (scheme) {
-    case LogScheme::kPhysical:
-    case LogScheme::kLogical: {
-      record->proc = kAdhocProcId;
-      uint32_t n;
-      s = in->GetU32(&n);
-      if (!s.ok()) return s;
-      // table + key + deleted + empty row (physical adds more).
-      s = CheckWireCount(n, *in, 4 + 8 + 1 + 4, "write image");
-      if (!s.ok()) return s;
-      record->writes.resize(n);
-      for (uint32_t i = 0; i < n; ++i) {
-        s = DeserializeWrite(scheme, in, &record->writes[i]);
-        if (!s.ok()) return s;
-      }
-      return Status::Ok();
-    }
-    case LogScheme::kCommand: {
-      s = in->GetU32(&record->proc);
-      if (!s.ok()) return s;
-      uint32_t n;
-      s = in->GetU32(&n);
-      if (!s.ok()) return s;
-      if (record->is_adhoc()) {
-        s = CheckWireCount(n, *in, 4 + 8 + 1 + 4, "write image");
-        if (!s.ok()) return s;
-        record->writes.resize(n);
-        for (uint32_t i = 0; i < n; ++i) {
-          s = DeserializeWrite(LogScheme::kLogical, in, &record->writes[i]);
-          if (!s.ok()) return s;
-        }
-      } else {
-        s = CheckWireCount(n, *in, 1, "parameter");  // Tag byte minimum.
-        if (!s.ok()) return s;
-        record->params.resize(n);
-        for (uint32_t i = 0; i < n; ++i) {
-          s = in->GetValue(&record->params[i]);
-          if (!s.ok()) return s;
-        }
-      }
-      return Status::Ok();
-    }
-    case LogScheme::kOff:
-      return Status::InvalidArgument("cannot deserialize with scheme OFF");
-  }
-  return Status::Internal("unreachable");
+Status DeserializeFixedWidthRecord(LogScheme scheme, Deserializer* in,
+                                   LogRecord* record) {
+  return FieldReader(/*compact=*/false, in).ReadRecord(scheme, {}, record);
 }
 
 }  // namespace pacman::logging

@@ -67,20 +67,47 @@ struct LogRecord {
   bool is_adhoc() const { return proc == kAdhocProcId; }
 };
 
-// Serializes `record` in the format of `scheme`, appending to `out`.
+// Per-block bases of the v4 record encoding: a record stores its
+// commit_ts and epoch as varint deltas above these. They are the block's
+// minima and travel in its header (log_store.h).
+struct RecordBases {
+  Timestamp cts = 0;
+  Epoch epoch = 0;
+};
+
+// Serializes `record` in batch format v4 under `scheme`, appending to
+// `out`. Requires record.commit_ts >= bases.cts and
+// record.epoch >= bases.epoch. Layout (varints are LEB128, values use the
+// compact encoding of common/serializer.h):
+//
+//   record   cts - bases.cts, epoch - bases.epoch (varints),
+//            then PL/LL: count (varint), `count` write images
+//                 CL:    proc (varint), count (varint), then `count`
+//                        compact parameter values, or for an ad-hoc proc
+//                        `count` logical write images
+//   image    PL only: the 16 version-location bytes, raw;
+//            table (varint), key (varint), deleted (u8),
+//            row: value count (varint) + compact values
 void SerializeRecord(LogScheme scheme, const LogRecord& record,
-                     Serializer* out);
+                     const RecordBases& bases, Serializer* out);
 
-// Exact number of bytes SerializeRecord would append for `record` —
-// computed without serializing, so batch buffers can be pre-sized to
-// their final size (one allocation per batch file instead of doubling
-// growth). Kept next to SerializeRecord; the two must agree byte for
-// byte (LogStore::SerializeBatch DCHECKs it).
-size_t SerializedRecordBytes(LogScheme scheme, const LogRecord& record);
+// Exact number of bytes SerializeRecord appends for `record` against
+// `bases`, computed without serializing, so a block is built in one
+// exactly sized buffer. The two must agree byte for byte
+// (LogStore::SerializeBlock DCHECKs it).
+size_t SerializedRecordBytes(LogScheme scheme, const LogRecord& record,
+                             const RecordBases& bases);
 
-// Deserializes one record written by SerializeRecord with the same scheme.
-Status DeserializeRecord(LogScheme scheme, Deserializer* in,
-                         LogRecord* record);
+// Deserializes one v4 record written by SerializeRecord with the same
+// scheme and bases.
+Status DeserializeRecord(LogScheme scheme, const RecordBases& bases,
+                         Deserializer* in, LogRecord* record);
+
+// Deserializes one record of the fixed-width formats v1-v3 (no longer
+// written): u64 cts, u64 epoch, u32 counts/ids/tables, u64 keys, and
+// values as Serializer::PutValue writes them.
+Status DeserializeFixedWidthRecord(LogScheme scheme, Deserializer* in,
+                                   LogRecord* record);
 
 }  // namespace pacman::logging
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <limits>
 #include <map>
 
 #include "common/macros.h"
@@ -15,11 +16,15 @@ namespace {
 constexpr uint32_t kBatchMagicV1 = 0x50414342;  // "PACB"
 // v2 adds min_cts/max_cts before the count.
 constexpr uint32_t kBatchMagicV2 = 0x50414332;  // "PAC2"
-// v3: file header + one block per flush (see log_store.h). The only
-// format written; readers accept all three.
+// v3: file header + one fixed-width block per flush.
 constexpr uint32_t kBatchMagicV3 = 0x50414333;  // "PAC3"
-// Smallest possible record: cts + epoch + count.
-constexpr size_t kMinRecordBytes = 8 + 8 + 4;
+// v4: v3's framing with varint block headers and compact records (see
+// log_store.h). The only format written; readers accept all four.
+constexpr uint32_t kBatchMagicV4 = 0x50414334;  // "PAC4"
+// Smallest possible record: cts + epoch + count, fixed width (v1-v3) and
+// as one-byte varints (v4).
+constexpr size_t kMinFixedWidthRecordBytes = 8 + 8 + 4;
+constexpr size_t kMinRecordBytes = 1 + 1 + 1;
 
 // Parses a decimal run starting at `pos`; advances `pos` past it.
 bool ParseDigits(const std::string& s, size_t* pos, uint64_t* out) {
@@ -67,41 +72,57 @@ std::vector<uint8_t> LogStore::SerializeBlock(LogScheme scheme,
                                               uint32_t logger_id,
                                               uint64_t seq, bool file_header,
                                               const LogRecord* records,
-                                              size_t n) {
-  size_t payload = 0;
-  Timestamp min_cts = kMaxTimestamp;
+                                              size_t n,
+                                              size_t* payload_bytes) {
+  RecordBases bases;
   Timestamp max_cts = 0;
-  for (size_t i = 0; i < n; ++i) {
-    payload += SerializedRecordBytes(scheme, records[i]);
-    min_cts = std::min(min_cts, records[i].commit_ts);
-    max_cts = std::max(max_cts, records[i].commit_ts);
+  if (n > 0) {
+    bases = {kMaxTimestamp, std::numeric_limits<Epoch>::max()};
+    for (size_t i = 0; i < n; ++i) {
+      bases.cts = std::min(bases.cts, records[i].commit_ts);
+      max_cts = std::max(max_cts, records[i].commit_ts);
+      bases.epoch = std::min(bases.epoch, records[i].epoch);
+    }
   }
-  const size_t total =
-      (file_header ? kFileHeaderBytes : 0) + kBlockHeaderBytes + payload;
+  // Sized exactly first, so a multi-MB block is one allocation.
+  size_t payload = 0;
+  for (size_t i = 0; i < n; ++i) {
+    payload += SerializedRecordBytes(scheme, records[i], bases);
+  }
+  const size_t total = (file_header ? kFileHeaderBytes : 0) +
+                       VarintBytes(n) + VarintBytes(payload) +
+                       VarintBytes(bases.cts) +
+                       VarintBytes(max_cts - bases.cts) +
+                       VarintBytes(bases.epoch) + payload;
   Serializer out(total);
   if (file_header) {
-    out.PutU32(kBatchMagicV3);
+    out.PutU32(kBatchMagicV4);
     out.PutU32(logger_id);
     out.PutU64(seq);
   }
-  out.PutU32(static_cast<uint32_t>(n));
-  out.PutU64(payload);
-  out.PutU64(min_cts);
-  out.PutU64(max_cts);
-  for (size_t i = 0; i < n; ++i) SerializeRecord(scheme, records[i], &out);
+  out.PutVarint(n);
+  out.PutVarint(payload);
+  out.PutVarint(bases.cts);
+  out.PutVarint(max_cts - bases.cts);
+  out.PutVarint(bases.epoch);
+  for (size_t i = 0; i < n; ++i) {
+    SerializeRecord(scheme, records[i], bases, &out);
+  }
   PACMAN_DCHECK(out.size() == total);
+  if (payload_bytes != nullptr) *payload_bytes = payload;
   return out.Release();
 }
 
 std::vector<uint8_t> LogStore::SerializeBatch(LogScheme scheme,
-                                              const LogBatch& batch) {
+                                              const LogBatch& batch,
+                                              size_t* payload_bytes) {
   // The block's cts interval is computed from the records, never taken
   // from the struct fields: rewrites (TruncateBeyondWatermark) drop
   // records, and a stale interval would let garbage collection delete
   // uncovered commits.
   return SerializeBlock(scheme, batch.logger_id, batch.seq,
                         /*file_header=*/true, batch.records.data(),
-                        batch.records.size());
+                        batch.records.size(), payload_bytes);
 }
 
 namespace {
@@ -151,7 +172,7 @@ Status ParseSingleBlockBody(LogScheme scheme, uint32_t magic,
   // garbage count field must be loud corruption, not a hundred-GB resize.
   // Under tolerance a larger count is the signature of a truncated record
   // region; reserve only what can possibly be present.
-  const size_t fit = in->remaining() / kMinRecordBytes;
+  const size_t fit = in->remaining() / kMinFixedWidthRecordBytes;
   if (n > fit && !opts.tolerate_torn_tail) {
     return AnnotateParseError(
         Status::Corruption("record count " + std::to_string(n) +
@@ -161,7 +182,7 @@ Status ParseSingleBlockBody(LogScheme scheme, uint32_t magic,
   out->records.reserve(std::min<size_t>(n, fit));
   for (uint32_t i = 0; i < n; ++i) {
     LogRecord rec;
-    s = DeserializeRecord(scheme, in, &rec);
+    s = DeserializeFixedWidthRecord(scheme, in, &rec);
     if (!s.ok()) {
       return Truncated(
           s, opts, in->position(),
@@ -172,68 +193,111 @@ Status ParseSingleBlockBody(LogScheme scheme, uint32_t magic,
   return Status::Ok();
 }
 
-Status ParseBlocksBody(LogScheme scheme, const std::vector<uint8_t>& bytes,
+// One block header of the append-only formats.
+struct BlockHeader {
+  uint64_t count = 0;
+  uint64_t payload = 0;
+  Timestamp min_cts = 0;
+  Timestamp max_cts = 0;
+  Epoch base_epoch = 0;  // v4 only.
+};
+
+// Reads a v3 (fixed-width) or v4 (varint) block header.
+Status ReadBlockHeader(bool v4, Deserializer* in, BlockHeader* h) {
+  if (!v4) {
+    uint32_t n = 0;
+    Status s = in->GetU32(&n);
+    if (s.ok()) s = in->GetU64(&h->payload);
+    if (s.ok()) s = in->GetU64(&h->min_cts);
+    if (s.ok()) s = in->GetU64(&h->max_cts);
+    h->count = n;
+    return s;
+  }
+  uint64_t span = 0;
+  Status s = in->GetVarint(&h->count);
+  if (s.ok()) s = in->GetVarint(&h->payload);
+  if (s.ok()) s = in->GetVarint(&h->min_cts);
+  if (s.ok()) s = in->GetVarint(&span);
+  if (s.ok()) s = in->GetVarint(&h->base_epoch);
+  if (!s.ok()) return s;
+  if (span > kMaxTimestamp - h->min_cts) {
+    return Status::Corruption("commit-timestamp interval overflows");
+  }
+  h->max_cts = h->min_cts + span;
+  return Status::Ok();
+}
+
+Status ParseBlocksBody(LogScheme scheme, bool v4,
+                       const std::vector<uint8_t>& bytes,
                        const BatchParseOptions& opts, Deserializer* in,
                        LogBatch* out) {
   Status s = in->GetU32(&out->logger_id);
   if (s.ok()) s = in->GetU64(&out->seq);
   if (!s.ok()) return Truncated(s, opts, in->position(), "header", out);
+  const size_t min_record_bytes =
+      v4 ? kMinRecordBytes : kMinFixedWidthRecordBytes;
   for (uint64_t b = 0; !in->AtEnd(); ++b) {
     const std::string block = "block " + std::to_string(b);
     const size_t block_offset = in->position();
-    uint32_t n = 0;
-    uint64_t payload = 0;
-    s = in->GetU32(&n);
-    if (s.ok()) s = in->GetU64(&payload);
-    // The block's cts interval serves ReadBatchCoverage; a full parse
-    // derives it from the records.
-    if (s.ok()) s = in->Skip(16);
+    BlockHeader h;
+    s = ReadBlockHeader(v4, in, &h);
     if (!s.ok()) {
       return Truncated(s, opts, block_offset, block + " header", out);
     }
     // A complete block header is never a truncation artifact: a count
     // its own payload cannot hold is corruption even under tolerance.
-    if (n > payload / kMinRecordBytes) {
+    if (h.count > h.payload / min_record_bytes) {
       return AnnotateParseError(
-          Status::Corruption("record count " + std::to_string(n) +
+          Status::Corruption("record count " + std::to_string(h.count) +
                              " exceeds the block payload of " +
-                             std::to_string(payload) + " bytes"),
+                             std::to_string(h.payload) + " bytes"),
           opts, block_offset, block + " record count");
     }
-    const bool short_block = payload > in->remaining();
+    const bool short_block = h.payload > in->remaining();
     if (short_block && !opts.tolerate_torn_tail) {
       return AnnotateParseError(
-          Status::Corruption("record payload of " + std::to_string(payload) +
+          Status::Corruption("record payload of " +
+                             std::to_string(h.payload) +
                              " bytes exceeds the " +
                              std::to_string(in->remaining()) +
                              " bytes remaining"),
           opts, in->position(), block);
     }
     const size_t avail =
-        short_block ? in->remaining() : static_cast<size_t>(payload);
+        short_block ? in->remaining() : static_cast<size_t>(h.payload);
     Deserializer records(bytes.data() + in->position(), avail);
     records.set_borrow_strings(in->borrow_strings());
-    out->records.reserve(out->records.size() +
-                         std::min<size_t>(n, avail / kMinRecordBytes));
-    for (uint32_t i = 0; i < n; ++i) {
+    out->records.reserve(
+        out->records.size() +
+        std::min<size_t>(h.count, avail / min_record_bytes));
+    const RecordBases bases{h.min_cts, h.base_epoch};
+    for (uint64_t i = 0; i < h.count; ++i) {
       LogRecord rec;
-      s = DeserializeRecord(scheme, &records, &rec);
+      s = v4 ? DeserializeRecord(scheme, bases, &records, &rec)
+             : DeserializeFixedWidthRecord(scheme, &records, &rec);
+      if (!s.ok() && short_block) {
+        // The tear cut this record; keep the prefix.
+        out->torn_tail = true;
+        return Status::Ok();
+      }
+      // Garbage collection trusts the header's interval: a record outside
+      // it is corruption, never a tear.
+      if (s.ok() && (rec.commit_ts < h.min_cts || rec.commit_ts > h.max_cts)) {
+        s = Status::Corruption("commit_ts " + std::to_string(rec.commit_ts) +
+                               " lies outside the block's interval");
+      }
       if (!s.ok()) {
-        if (short_block) {  // The tear cut this record; keep the prefix.
-          out->torn_tail = true;
-          return Status::Ok();
-        }
         return AnnotateParseError(
             s, opts, in->position() + records.position(),
-            "record " + std::to_string(i) + " of " + std::to_string(n) +
-                " in " + block);
+            "record " + std::to_string(i) + " of " +
+                std::to_string(h.count) + " in " + block);
       }
       out->records.push_back(std::move(rec));
     }
-    if (records.position() != payload) {
+    if (records.position() != h.payload) {
       return AnnotateParseError(
           Status::Corruption("records end " +
-                             std::to_string(payload - records.position()) +
+                             std::to_string(h.payload - records.position()) +
                              " bytes before the block payload does"),
           opts, in->position() + records.position(), block);
     }
@@ -256,8 +320,9 @@ Status LogStore::DeserializeBatch(
   Status s = in.GetU32(&magic);
   if (!s.ok()) {
     s = Truncated(s, opts, in.position(), "magic", out);
-  } else if (magic == kBatchMagicV3) {
-    s = ParseBlocksBody(scheme, *bytes, opts, &in, out);
+  } else if (magic == kBatchMagicV4 || magic == kBatchMagicV3) {
+    s = ParseBlocksBody(scheme, magic == kBatchMagicV4, *bytes, opts, &in,
+                        out);
   } else if (magic == kBatchMagicV1 || magic == kBatchMagicV2) {
     s = ParseSingleBlockBody(scheme, magic, opts, &in, out);
   } else {
@@ -295,7 +360,8 @@ Status LogStore::ReadBatchCoverage(LogScheme scheme,
   Deserializer in(bytes);
   uint32_t magic = 0;
   s = in.GetU32(&magic);
-  if (s.ok() && magic != kBatchMagicV3 && magic != kBatchMagicV2) {
+  const bool blocks = magic == kBatchMagicV4 || magic == kBatchMagicV3;
+  if (s.ok() && !blocks && magic != kBatchMagicV2) {
     // v1 (or anything else DeserializeBatch will reject loudly): full parse.
     LogBatch full;
     s = DeserializeBatch(scheme, std::move(bytes), {false, name}, &full);
@@ -305,8 +371,8 @@ Status LogStore::ReadBatchCoverage(LogScheme scheme,
     *out = std::move(full);
     return Status::Ok();
   }
-  // Header-only parse: v2 carries the interval in its file header, v3 in
-  // every block header, whose payload is skipped by its length.
+  // Header-only parse: v2 carries the interval in its file header, v3 and
+  // v4 in every block header, whose payload is skipped by its length.
   out->min_cts = kMaxTimestamp;
   out->max_cts = 0;
   if (s.ok()) s = in.GetU32(&out->logger_id);
@@ -316,19 +382,13 @@ Status LogStore::ReadBatchCoverage(LogScheme scheme,
     if (s.ok()) s = in.GetU64(&out->min_cts);
     if (s.ok()) s = in.GetU64(&out->max_cts);
   }
-  while (s.ok() && magic == kBatchMagicV3 && !in.AtEnd()) {
-    uint32_t n = 0;
-    uint64_t payload = 0;
-    Timestamp lo = 0;
-    Timestamp hi = 0;
-    s = in.GetU32(&n);
-    if (s.ok()) s = in.GetU64(&payload);
-    if (s.ok()) s = in.GetU64(&lo);
-    if (s.ok()) s = in.GetU64(&hi);
-    if (s.ok()) s = in.Skip(payload);
-    if (s.ok() && n > 0) {
-      out->min_cts = std::min(out->min_cts, lo);
-      out->max_cts = std::max(out->max_cts, hi);
+  while (s.ok() && blocks && !in.AtEnd()) {
+    BlockHeader h;
+    s = ReadBlockHeader(magic == kBatchMagicV4, &in, &h);
+    if (s.ok()) s = in.Skip(h.payload);
+    if (s.ok() && h.count > 0) {
+      out->min_cts = std::min(out->min_cts, h.min_cts);
+      out->max_cts = std::max(out->max_cts, h.max_cts);
     }
   }
   if (!s.ok()) {

@@ -5,18 +5,27 @@
 // per batch, holding the records of a fixed number of epochs. Batches are
 // the unit of reloading and of PACMAN's inter-batch pipelining.
 //
-// Batch file format v3 ("PAC3", the one written) is append-only:
+// Batch file format v4 ("PAC4", the one written) is append-only:
 //
 //   file header   magic u32, logger_id u32, seq u64
-//   block*        count u32, payload_bytes u64, min_cts u64, max_cts u64,
-//                 then `count` records filling exactly `payload_bytes`
+//   block*        count, payload_bytes, min_cts, max_cts - min_cts,
+//                 base_epoch (five LEB128 varints), then `count` records
+//                 filling exactly `payload_bytes`
+//
+// Records are compact (log_record.h): commit_ts and epoch are varint
+// deltas above the block's min_cts and base_epoch (its smallest epoch),
+// and counts, ids, keys and values are varints. One flush stamps one
+// epoch over a narrow TID range, so the two fields take about two bytes
+// instead of sixteen.
 //
 // Each group-commit flush appends one block holding the records it made
 // durable (the first flush of a batch also writes the file header), so
 // every logged byte reaches the device once. A short last block is what a
-// crash mid-append leaves behind. Readers still accept the historical
-// single-block formats v1 ("PACB") and v2 ("PAC2", which added a cts
-// interval to the header), whose epoch-range header fields are skipped.
+// crash mid-append leaves behind. Readers still accept the fixed-width
+// formats: v3 ("PAC3", the same framing with a u32 count and u64
+// payload_bytes, min_cts and max_cts), and the single-block v1 ("PACB")
+// and v2 ("PAC2", which added a cts interval to the header), whose
+// epoch-range header fields are skipped.
 #ifndef PACMAN_LOGGING_LOG_STORE_H_
 #define PACMAN_LOGGING_LOG_STORE_H_
 
@@ -35,7 +44,7 @@ struct LogBatch {
   uint32_t logger_id = 0;
   uint64_t seq = 0;  // Batch sequence number within the logger's stream.
   // Commit-timestamp interval of the records ([kMaxTimestamp, 0] when
-  // empty). Carried in the v3 block headers (and the v2 file header) so
+  // empty). Carried in the v3/v4 block headers (and the v2 file header) so
   // log garbage collection can decide "wholly covered by a checkpoint at
   // ts?" without parsing records (ReadBatchCoverage); a full parse
   // derives it from the records.
@@ -96,26 +105,30 @@ class LogStore {
                                  uint64_t* seq);
   static std::string PepochFileName() { return "pepoch.log"; }
 
-  // v3 framing overhead: one file header per batch file, one block header
-  // per group-commit flush that carried records.
+  // v4 framing overhead: one file header per batch file, one block header
+  // (five varints, at most ten bytes each) per group-commit flush that
+  // carried records.
   static constexpr size_t kFileHeaderBytes = 4 + 4 + 8;
-  static constexpr size_t kBlockHeaderBytes = 4 + 8 + 8 + 8;
+  static constexpr size_t kMaxBlockHeaderBytes = 5 * 10;
 
-  // Serializes records [records, records + n) as one v3 block, preceded
+  // Serializes records [records, records + n) as one v4 block, preceded
   // by the file header of (logger_id, seq) when `file_header` is set (the
-  // first flush of a batch). The buffer is pre-sized exactly from
-  // SerializedRecordBytes, so a multi-MB block is one allocation.
+  // first flush of a batch). A record's size depends on its block's
+  // bases, so this is where record bytes are known: `payload_bytes`, when
+  // given, receives the block's record bytes.
   static std::vector<uint8_t> SerializeBlock(LogScheme scheme,
                                              uint32_t logger_id, uint64_t seq,
                                              bool file_header,
                                              const LogRecord* records,
-                                             size_t n);
+                                             size_t n,
+                                             size_t* payload_bytes = nullptr);
 
   // Serializes a whole batch file: the file header plus one block holding
   // every record. The atomic-rewrite image (a flush retrying after a
   // failed append, log truncation).
   static std::vector<uint8_t> SerializeBatch(LogScheme scheme,
-                                             const LogBatch& batch);
+                                             const LogBatch& batch,
+                                             size_t* payload_bytes = nullptr);
 
   // Parses a batch file. Errors name the file and byte offset (see
   // BatchParseOptions). With opts.borrow the handle is retained as
@@ -140,10 +153,10 @@ class LogStore {
   // Answers "what commit-timestamp interval does this batch file cover?"
   // for log garbage collection: fills the header fields of `*out`
   // (logger_id, seq, min_cts/max_cts, file_bytes) and leaves
-  // `out->records` empty. v3 files sum their block headers, skipping
-  // every payload by its length (a short block is corruption here: a
-  // file being judged for deletion must be complete); v2 files answer
-  // from the header alone; historical v1 files fall back to a full
+  // `out->records` empty. v3 and v4 files sum their block headers,
+  // skipping every payload by its length (a short block is corruption
+  // here: a file being judged for deletion must be complete); v2 files
+  // answer from the header alone; historical v1 files fall back to a full
   // record parse.
   static Status ReadBatchCoverage(LogScheme scheme,
                                   device::StorageDevice* device,

@@ -873,6 +873,10 @@ FullRecoveryResult Database::Recover(recovery::Scheme scheme,
                      options_.scheme, devices, epoch_floor)
                      .ok());
   }
+  // The devices now hold exactly what was recovered. Records a failed
+  // flush left in the loggers were never acked: drop them, and start
+  // every stream past the files on the devices.
+  log_manager_->ResumeAfterRecovery();
   {
     std::lock_guard<std::mutex> g(ckpt_mu_);
     next_ckpt_id_ = std::max(next_ckpt_id_, meta.id + 1);

@@ -3,11 +3,12 @@
 //
 // The paper's numbers come from a 40-core Xeon with two SATA SSDs; this
 // host has one core, so experiment magnitudes are produced by a calibrated
-// cost model executed on the discrete-event machine (DESIGN.md §2). The
-// constants below are set so that single-thread command-log replay costs
-// ~150us per TPC-C transaction (the paper's CLR replays a 5-minute,
-// ~93 Ktps run in ~4200 s single-threaded, §6.2.2) and so that per-tuple
-// latch costs drive the PLR/LLR collapse beyond ~20 threads (Figs. 14-15).
+// cost model executed on the discrete-event machine (README, "Layered
+// architecture"). The constants below are set so that single-thread
+// command-log replay costs ~150us per TPC-C transaction (the paper's CLR
+// replays a 5-minute, ~93 Ktps run in ~4200 s single-threaded, §6.2.2)
+// and so that per-tuple latch costs drive the PLR/LLR collapse beyond ~20
+// threads (Figs. 14-15).
 //
 // Latch cost grows superlinearly with the number of contending cores
 // (cache-coherence ping-pong on hot latch words plus queueing past

@@ -7,7 +7,8 @@
 // into tasks with calibrated virtual costs. The *side effects* of every
 // task (actual index lookups, version installs, deserialization) run for
 // real when the simulator dispatches the task, so correctness is fully
-// exercised; only the clock is virtual. See DESIGN.md §2.
+// exercised; only the clock is virtual. See README, "Layered
+// architecture".
 #ifndef PACMAN_SIM_TASK_GRAPH_H_
 #define PACMAN_SIM_TASK_GRAPH_H_
 

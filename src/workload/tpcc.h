@@ -3,7 +3,7 @@
 // disabled the insert operations in the original benchmark so that the
 // database size will not grow without bound").
 //
-// Adaptations (documented in DESIGN.md):
+// Adaptations:
 //  - ORDERS / ORDER_LINE are preloaded ring buffers of `orders_per_district`
 //    slots per district; NewOrder overwrites the slot at
 //    next_o_id % orders_per_district instead of inserting, and Delivery

@@ -436,7 +436,7 @@ TEST_F(DeviceTest, RestartRecoverContinueAndRestartAgain) {
 TEST_F(DeviceTest, GroupCommitWritesEachLoggedByteOnce) {
   // 12 group commits into batches of 5 epochs. Every flush appends one
   // block to its batch file, so the device writes the logged record bytes
-  // plus v3 framing — write amplification ~1.0 instead of re-writing the
+  // plus v4 framing — write amplification ~1.0 instead of re-writing the
   // growing batch image at every flush.
   DatabaseOptions opts = FileDbOptions(logging::LogScheme::kLogical);
   opts.commits_per_epoch = 0;
@@ -481,7 +481,7 @@ TEST_F(DeviceTest, GroupCommitWritesEachLoggedByteOnce) {
   const uint64_t framing =
       files * logging::LogStore::kFileHeaderBytes +
       kEpochs * db.log_manager()->num_loggers() *
-          logging::LogStore::kBlockHeaderBytes;
+          logging::LogStore::kMaxBlockHeaderBytes;
   EXPECT_GE(log_writes, logged);
   EXPECT_LE(log_writes, logged + framing);
   EXPECT_LT(static_cast<double>(log_writes) / static_cast<double>(logged),
@@ -591,8 +591,9 @@ TEST_F(DeviceTest, RecoveryRepairsATornTailBeforeItBecomesInterior) {
     RunTxns(db.get(), 40);
     h1 = db->ContentHash();
     torn_name = db->device(0)->ListFiles("log_00_").back();
-    // A block header cut after its record count and one length byte.
-    ASSERT_TRUE(db->device(0)->AppendFile(torn_name, {1, 0, 0, 0, 64}).ok());
+    // A block header cut after its record count and the first byte of
+    // its payload length.
+    ASSERT_TRUE(db->device(0)->AppendFile(torn_name, {0x01, 0xc0}).ok());
     ASSERT_TRUE(db->device(0)->SyncBarrier().ok());
   }
   recovery::RecoveryOptions ropts;

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include "device/simulated_ssd.h"
 #include "logging/checkpointer.h"
 #include "pacman/database.h"
 #include "workload/bank.h"
@@ -168,6 +169,32 @@ TEST_F(LoggingTest, ReadOnlyTransactionsAreNotLogged) {
   // not be logged, so total <= 10.
   EXPECT_LE(total, 10u);
   EXPECT_GT(total, 0u);
+}
+
+TEST(CheckpointMetaTest, GoldenMetaFileStillValidates) {
+  // Checkpoint 5 at ts 0x300000001, 2 files on 1 device, as an earlier
+  // build wrote it: its FNV-1a checksum must keep validating.
+  const std::vector<uint8_t> kGoldenMeta = {
+      0x4d, 0x4b, 0x43, 0x50, 0x05, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+      0x01, 0x00, 0x00, 0x00, 0x03, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00,
+      0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+      0xa4, 0x7d, 0x9c, 0x50, 0x25, 0x73, 0x06, 0x8b,
+  };
+  storage::Catalog catalog;
+  device::SimulatedSsd ssd;
+  ASSERT_TRUE(
+      ssd.WriteFile(Checkpointer::MetaFileName(5), kGoldenMeta).ok());
+  Checkpointer ckpt(&catalog, LogScheme::kCommand, {&ssd});
+  CheckpointMeta meta;
+  ASSERT_TRUE(ckpt.ReadMeta(5, &meta).ok());
+  EXPECT_EQ(meta.ts, 0x300000001ull);
+  EXPECT_EQ(meta.files_per_ssd, 2u);
+  EXPECT_EQ(meta.num_ssds, 1u);
+
+  std::vector<uint8_t> flipped = kGoldenMeta;
+  flipped[12] ^= 1;
+  ASSERT_TRUE(ssd.WriteFile(Checkpointer::MetaFileName(5), flipped).ok());
+  EXPECT_EQ(ckpt.ReadMeta(5, &meta).code(), StatusCode::kCorruption);
 }
 
 TEST_F(LoggingTest, CheckpointRoundTrip) {

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdlib>
 #include <filesystem>
@@ -319,9 +320,12 @@ TEST(CorruptBatchTest, TruncatedBatchFileOnPersistentDeviceIsLoud) {
   // A valid header with a garbage record count must be rejected by the
   // block's payload bound, not attempted as a giant allocation.
   std::vector<uint8_t> bad_count = bytes;
-  // The first block's count follows the file header.
+  // The first block's count follows the file header: a one-byte varint
+  // (5) becomes 2^32 - 1.
   const size_t count_off = logging::LogStore::kFileHeaderBytes;
-  for (int i = 0; i < 4; ++i) bad_count[count_off + i] = 0xff;
+  ASSERT_EQ(bad_count[count_off], 5u);
+  bad_count[count_off] = 0xff;
+  bad_count.insert(bad_count.begin() + count_off + 1, {0xff, 0xff, 0xff, 0x0f});
   ASSERT_TRUE(dev.WriteFile(name, bad_count).ok());
   s = logging::LogStore::LoadAllBatches(LogScheme::kCommand, {&dev}, &out);
   ASSERT_FALSE(s.ok());
@@ -365,14 +369,27 @@ TEST(BatchSerializationTest, PredictedSizeIsExact) {
     if (scheme != LogScheme::kCommand) {
       for (auto& rec : batch.records) rec.proc = kAdhocProcId;
     }
+    size_t payload = 0;
     std::vector<uint8_t> bytes =
-        logging::LogStore::SerializeBatch(scheme, batch);
-    size_t predicted = logging::LogStore::kFileHeaderBytes +
-                       logging::LogStore::kBlockHeaderBytes;
+        logging::LogStore::SerializeBatch(scheme, batch, &payload);
+    // Against the block's bases (its minima) the predicted record sizes
+    // add up to the reported payload, and the records alone are exactly
+    // the file's tail.
+    const logging::RecordBases bases{50, 3};
+    size_t predicted = 0;
+    Serializer records;
     for (const auto& rec : batch.records) {
-      predicted += logging::SerializedRecordBytes(scheme, rec);
+      predicted += logging::SerializedRecordBytes(scheme, rec, bases);
+      logging::SerializeRecord(scheme, rec, bases, &records);
     }
-    EXPECT_EQ(bytes.size(), predicted) << logging::LogSchemeName(scheme);
+    EXPECT_EQ(predicted, payload) << logging::LogSchemeName(scheme);
+    EXPECT_EQ(records.size(), payload);
+    ASSERT_LE(payload, bytes.size());
+    EXPECT_LE(bytes.size() - payload,
+              logging::LogStore::kFileHeaderBytes +
+                  logging::LogStore::kMaxBlockHeaderBytes);
+    EXPECT_TRUE(std::equal(records.data().begin(), records.data().end(),
+                           bytes.end() - payload));
   }
 }
 

@@ -3,10 +3,15 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+
 #include "common/random.h"
 #include "device/simulated_ssd.h"
+#include "exec/thread_pool.h"
 #include "logging/log_record.h"
 #include "logging/log_store.h"
+#include "recovery/log_pipeline.h"
 
 namespace pacman {
 namespace {
@@ -62,6 +67,121 @@ TEST(SerializerTest, RowRoundTrip) {
   for (size_t i = 0; i < row.size(); ++i) EXPECT_EQ(out[i], row[i]);
 }
 
+TEST(SerializerTest, VarintsRoundTripAtMinimalLength) {
+  const std::pair<uint64_t, size_t> kCases[] = {
+      {0, 1},           {127, 1},          {128, 2},
+      {16383, 2},       {16384, 3},        {0xffffffffull, 5},
+      {1ull << 63, 10}, {std::numeric_limits<uint64_t>::max(), 10}};
+  for (const auto& [v, len] : kCases) {
+    Serializer s;
+    s.PutVarint(v);
+    EXPECT_EQ(s.size(), len) << v;
+    Deserializer d(s.data());
+    uint64_t out = 0;
+    ASSERT_TRUE(d.GetVarint(&out).ok()) << v;
+    EXPECT_EQ(out, v);
+    EXPECT_TRUE(d.AtEnd());
+  }
+  // Zigzag keeps small magnitudes of either sign short.
+  const std::pair<int64_t, size_t> kSigned[] = {
+      {0, 1}, {-1, 1}, {63, 1}, {-64, 1}, {64, 2},
+      {std::numeric_limits<int64_t>::min(), 10},
+      {std::numeric_limits<int64_t>::max(), 10}};
+  for (const auto& [v, len] : kSigned) {
+    Serializer s;
+    s.PutSignedVarint(v);
+    EXPECT_EQ(s.size(), len) << v;
+    Deserializer d(s.data());
+    int64_t out = 0;
+    ASSERT_TRUE(d.GetSignedVarint(&out).ok()) << v;
+    EXPECT_EQ(out, v);
+  }
+}
+
+TEST(SerializerTest, OverlongAndUnterminatedVarintsAreCorruption) {
+  const std::vector<std::vector<uint8_t>> kBad = {
+      {},                                  // Nothing at all.
+      {0x80},                              // Unterminated.
+      {0xff, 0xff},                        // Unterminated.
+      {0x80, 0x00},                        // Overlong zero.
+      {0x81, 0x80, 0x00},                  // Overlong one.
+      {0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x02},  // > 64 b.
+      {0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x81, 0x00},
+  };
+  for (const std::vector<uint8_t>& bytes : kBad) {
+    Deserializer d(bytes);
+    uint64_t out = 0;
+    EXPECT_EQ(d.GetVarint(&out).code(), StatusCode::kCorruption)
+        << bytes.size();
+  }
+  Serializer big;
+  big.PutVarint(uint64_t{1} << 32);
+  Deserializer d(big.data());
+  uint32_t out32 = 0;
+  EXPECT_EQ(d.GetVarint32(&out32).code(), StatusCode::kCorruption);
+}
+
+TEST(SerializerTest, CompactValuesRoundTrip) {
+  const double kTwo53 = 9007199254740992.0;
+  // (value, compact size). Integral doubles within +-2^53 shrink to a
+  // tag plus a zigzag varint; other doubles (-0.0 included) stay raw.
+  const std::pair<Value, size_t> kCases[] = {
+      {Value::Null(), 1},
+      {Value(int64_t{0}), 2},
+      {Value(int64_t{-64}), 2},
+      {Value(int64_t{3000}), 3},
+      {Value(std::numeric_limits<int64_t>::min()), 11},
+      {Value(2.0), 2},
+      {Value(-3000.0), 3},
+      {Value(kTwo53), 9},
+      {Value(-kTwo53), 9},
+      {Value(kTwo53 + 2.0), 9},
+      {Value(0.5), 9},
+      {Value(-0.0), 9},
+      {Value(std::numeric_limits<double>::infinity()), 9},
+      {Value(std::string()), 2},
+      {Value(std::string("ab")), 4},
+      {Value(std::string(200, 'x')), 203},
+  };
+  for (const auto& [v, len] : kCases) {
+    Serializer s;
+    s.PutCompactValue(v);
+    EXPECT_EQ(s.size(), len) << v.ToString();
+    Deserializer d(s.data());
+    Value out;
+    ASSERT_TRUE(d.GetCompactValue(&out).ok()) << v.ToString();
+    EXPECT_TRUE(out == v) << v.ToString() << " vs " << out.ToString();
+    EXPECT_TRUE(d.AtEnd());
+    if (v.type() == ValueType::kDouble) {
+      EXPECT_EQ(std::signbit(out.AsDouble()), std::signbit(v.AsDouble()));
+    }
+  }
+  Serializer nan;
+  nan.PutCompactValue(Value(std::nan("")));
+  Deserializer nd(nan.data());
+  Value out;
+  ASSERT_TRUE(nd.GetCompactValue(&out).ok());
+  EXPECT_TRUE(std::isnan(out.AsDouble()));
+
+  // The wire encoding is untouched: fixed-width values.
+  Serializer wire;
+  wire.PutValue(Value(int64_t{5}));
+  EXPECT_EQ(wire.size(), 9u);
+
+  // Unknown tags and integral doubles beyond 2^53 are corruption.
+  for (const std::vector<uint8_t>& bytes :
+       {std::vector<uint8_t>{5, 0},
+        [] {
+          Serializer b;
+          b.PutU8(kCompactIntegralDouble);
+          b.PutSignedVarint((int64_t{1} << 53) + 1);
+          return b.Release();
+        }()}) {
+    Deserializer d(bytes);
+    EXPECT_EQ(d.GetCompactValue(&out).code(), StatusCode::kCorruption);
+  }
+}
+
 TEST(LogRecordTest, CommandRecordRoundTrip) {
   logging::LogRecord rec;
   rec.commit_ts = 99;
@@ -70,11 +190,11 @@ TEST(LogRecordTest, CommandRecordRoundTrip) {
   rec.params = {Value(int64_t{7}), Value(2.5), Value(std::string("p"))};
 
   Serializer s;
-  logging::SerializeRecord(logging::LogScheme::kCommand, rec, &s);
+  logging::SerializeRecord(logging::LogScheme::kCommand, rec, {}, &s);
   Deserializer d(s.data());
   logging::LogRecord out;
   ASSERT_TRUE(
-      logging::DeserializeRecord(logging::LogScheme::kCommand, &d, &out)
+      logging::DeserializeRecord(logging::LogScheme::kCommand, {}, &d, &out)
           .ok());
   EXPECT_EQ(out.commit_ts, 99u);
   EXPECT_EQ(out.epoch, 3u);
@@ -93,11 +213,11 @@ TEST(LogRecordTest, AdhocCommandRecordCarriesWrites) {
   rec.writes.push_back({2, 43, {}, true});
 
   Serializer s;
-  logging::SerializeRecord(logging::LogScheme::kCommand, rec, &s);
+  logging::SerializeRecord(logging::LogScheme::kCommand, rec, {}, &s);
   Deserializer d(s.data());
   logging::LogRecord out;
   ASSERT_TRUE(
-      logging::DeserializeRecord(logging::LogScheme::kCommand, &d, &out)
+      logging::DeserializeRecord(logging::LogScheme::kCommand, {}, &d, &out)
           .ok());
   EXPECT_TRUE(out.is_adhoc());
   ASSERT_EQ(out.writes.size(), 2u);
@@ -113,8 +233,8 @@ TEST(LogRecordTest, PhysicalRecordsAreLargerThanLogical) {
   rec.writes.push_back({1, 7, {Value(int64_t{5}), Value(2.0)}, false});
 
   Serializer pl, ll;
-  logging::SerializeRecord(logging::LogScheme::kPhysical, rec, &pl);
-  logging::SerializeRecord(logging::LogScheme::kLogical, rec, &ll);
+  logging::SerializeRecord(logging::LogScheme::kPhysical, rec, {}, &pl);
+  logging::SerializeRecord(logging::LogScheme::kLogical, rec, {}, &ll);
   // Physical adds two 8-byte version addresses per write (§6.1.1).
   EXPECT_EQ(pl.size(), ll.size() + 16u);
 }
@@ -127,15 +247,31 @@ TEST(LogRecordTest, PhysicalAndLogicalRoundTrip) {
     rec.epoch = 2;
     rec.writes.push_back({3, 11, {Value(std::string("row"))}, false});
     Serializer s;
-    logging::SerializeRecord(scheme, rec, &s);
+    logging::SerializeRecord(scheme, rec, {}, &s);
     Deserializer d(s.data());
     logging::LogRecord out;
-    ASSERT_TRUE(logging::DeserializeRecord(scheme, &d, &out).ok());
+    ASSERT_TRUE(logging::DeserializeRecord(scheme, {}, &d, &out).ok());
     ASSERT_EQ(out.writes.size(), 1u);
     EXPECT_EQ(out.writes[0].table, 3u);
     EXPECT_EQ(out.writes[0].key, 11u);
     EXPECT_EQ(out.writes[0].after[0], Value(std::string("row")));
   }
+}
+
+TEST(LogRecordTest, CommandRecordsAreCompact) {
+  // A NewOrder-sized call: 23 small integer parameters. Fixed width it
+  // took 8 + 8 + 4 + 4 + 23 * 9 = 231 bytes; against its block's bases
+  // the TID and epoch take a byte each, proc and count a byte each, and
+  // each parameter a tag plus a one-byte zigzag varint.
+  logging::LogRecord rec;
+  rec.commit_ts = 0x700000123ull;
+  rec.epoch = 7;
+  rec.proc = 4;
+  for (int64_t i = 0; i < 23; ++i) rec.params.push_back(Value(i - 11));
+  Serializer s;
+  logging::SerializeRecord(logging::LogScheme::kCommand, rec,
+                           {rec.commit_ts - 100, rec.epoch}, &s);
+  EXPECT_EQ(s.size(), 4u + 23u * 2u);
 }
 
 TEST(LogBatchTest, BatchRoundTrip) {
@@ -214,11 +350,16 @@ void ExpectSameRecords(const std::vector<logging::LogRecord>& got,
   }
 }
 
-TEST(LogBatchTest, V3BlocksRoundTripEveryRecordField) {
+TEST(LogBatchTest, V4BlocksRoundTripEveryRecordField) {
   for (auto scheme : {logging::LogScheme::kPhysical,
                       logging::LogScheme::kLogical,
                       logging::LogScheme::kCommand}) {
     const std::vector<logging::LogRecord> records = AllFieldRecords(scheme);
+    for (const logging::LogRecord& r : records) {
+      Serializer one;
+      logging::SerializeRecord(scheme, r, {}, &one);
+      EXPECT_EQ(logging::SerializedRecordBytes(scheme, r, {}), one.size());
+    }
     // Three group-commit flushes into one file: header + block, then two
     // bare blocks appended (the middle one empty).
     std::vector<uint8_t> file = logging::LogStore::SerializeBlock(
@@ -290,7 +431,8 @@ const std::vector<uint8_t> kGoldenV2Batch = {
     0x00,
 };
 
-TEST(LogBatchTest, GoldenV1AndV2BatchesStillLoad) {
+// The records of the golden images below.
+std::vector<logging::LogRecord> GoldenRecords() {
   logging::LogRecord call;
   call.commit_ts = 0x300000005ull;
   call.epoch = 3;
@@ -301,6 +443,13 @@ TEST(LogBatchTest, GoldenV1AndV2BatchesStillLoad) {
   adhoc.epoch = 4;
   adhoc.writes = {{5, 9, {Value(int64_t{-1}), Value::Null()}, false},
                   {6, 10, {}, true}};
+  return {call, adhoc};
+}
+
+TEST(LogBatchTest, GoldenV1AndV2BatchesStillLoad) {
+  const std::vector<logging::LogRecord> golden = GoldenRecords();
+  const logging::LogRecord& call = golden[0];
+  const logging::LogRecord& adhoc = golden[1];
   // v1 is v2 without the header's 16-byte cts interval, under "PACB".
   const std::vector<uint8_t> v1 = [] {
     std::vector<uint8_t> b = kGoldenV2Batch;
@@ -329,6 +478,181 @@ TEST(LogBatchTest, GoldenV1AndV2BatchesStillLoad) {
     EXPECT_EQ(cov.min_cts, call.commit_ts);
     EXPECT_EQ(cov.max_cts, adhoc.commit_ts);
   }
+}
+
+// The v3 image the previous writer produced for the same two records:
+// logger 1, seq 7, written by two group-commit flushes (file header and a
+// block holding the call, then an appended block holding the ad-hoc
+// record).
+const std::vector<uint8_t> kGoldenV3Batch = {
+    0x33, 0x43, 0x41, 0x50, 0x01, 0x00, 0x00, 0x00, 0x07, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x31, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x05, 0x00, 0x00, 0x00, 0x03, 0x00, 0x00, 0x00,
+    0x05, 0x00, 0x00, 0x00, 0x03, 0x00, 0x00, 0x00, 0x05, 0x00, 0x00, 0x00,
+    0x03, 0x00, 0x00, 0x00, 0x03, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x02, 0x00, 0x00, 0x00, 0x03, 0x00, 0x00, 0x00, 0x01, 0x2a, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0xf8, 0x3f, 0x03, 0x02, 0x00, 0x00, 0x00, 0x61, 0x62, 0x01, 0x00, 0x00,
+    0x00, 0x44, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00,
+    0x00, 0x04, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x04, 0x00, 0x00,
+    0x00, 0x01, 0x00, 0x00, 0x00, 0x04, 0x00, 0x00, 0x00, 0x04, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x00, 0xff, 0xff, 0xff, 0xff, 0x02, 0x00, 0x00,
+    0x00, 0x05, 0x00, 0x00, 0x00, 0x09, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x02, 0x00, 0x00, 0x00, 0x01, 0xff, 0xff, 0xff, 0xff, 0xff,
+    0xff, 0xff, 0xff, 0x00, 0x06, 0x00, 0x00, 0x00, 0x0a, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x00,
+};
+
+TEST(LogBatchTest, GoldenV3BatchStillLoadsBesideV4) {
+  const std::vector<logging::LogRecord> golden = GoldenRecords();
+  logging::LogBatch out;
+  ASSERT_TRUE(logging::LogStore::DeserializeBatch(
+                  logging::LogScheme::kCommand, kGoldenV3Batch, &out)
+                  .ok());
+  EXPECT_EQ(out.logger_id, 1u);
+  EXPECT_EQ(out.seq, 7u);
+  ExpectSameRecords(out.records, golden);
+
+  // An upgraded, restarted process: the older seq of logger 1's stream is
+  // the v3 file, the newer one a v4 file its successor wrote.
+  device::SimulatedSsd dev;
+  const std::string v3_name = logging::LogStore::BatchFileName(1, 7);
+  ASSERT_TRUE(dev.WriteFile(v3_name, kGoldenV3Batch).ok());
+  logging::LogRecord later = golden[0];
+  later.commit_ts = 0x500000002ull;
+  later.epoch = 5;
+  logging::LogBatch v4;
+  v4.logger_id = 1;
+  v4.seq = 8;
+  v4.records = {later};
+  ASSERT_TRUE(dev.WriteFile(logging::LogStore::BatchFileName(1, 8),
+                            logging::LogStore::SerializeBatch(
+                                logging::LogScheme::kCommand, v4))
+                  .ok());
+
+  logging::LogBatch cov;
+  ASSERT_TRUE(logging::LogStore::ReadBatchCoverage(
+                  logging::LogScheme::kCommand, &dev, v3_name, &cov)
+                  .ok());
+  EXPECT_EQ(cov.min_cts, golden[0].commit_ts);
+  EXPECT_EQ(cov.max_cts, golden[1].commit_ts);
+  EXPECT_EQ(cov.file_bytes, kGoldenV3Batch.size());
+
+  std::vector<logging::LogBatch> all;
+  ASSERT_TRUE(logging::LogStore::LoadAllBatches(logging::LogScheme::kCommand,
+                                                {&dev}, &all)
+                  .ok());
+  ASSERT_EQ(all.size(), 2u);
+  ExpectSameRecords(all[0].records, golden);
+  ExpectSameRecords(all[1].records, {later});
+
+  exec::ThreadPool pool(2);
+  recovery::PipelinedLogLoader loader(logging::LogScheme::kCommand, {&dev},
+                                      &pool, {});
+  loader.Start();
+  ASSERT_TRUE(loader.WaitAll().ok());
+  ASSERT_EQ(loader.num_batches(), 2u);
+  const std::vector<const logging::LogRecord*>& first =
+      loader.batches()[0].records;
+  ASSERT_EQ(first.size(), 2u);
+  for (size_t i = 0; i < first.size(); ++i) {
+    ExpectSameRecords({*first[i]}, {golden[i]});
+  }
+  ASSERT_EQ(loader.batches()[1].records.size(), 1u);
+  ExpectSameRecords({*loader.batches()[1].records[0]}, {later});
+}
+
+// Hand-assembled v4 file of one block around `payload`.
+std::vector<uint8_t> V4File(uint64_t count, const std::vector<uint8_t>& payload,
+                            uint64_t min_cts, uint64_t span,
+                            uint64_t base_epoch) {
+  Serializer s;
+  s.PutU32(0x50414334);  // "PAC4"
+  s.PutU32(0);
+  s.PutU64(0);
+  s.PutVarint(count);
+  s.PutVarint(payload.size());
+  s.PutVarint(min_cts);
+  s.PutVarint(span);
+  s.PutVarint(base_epoch);
+  s.PutRaw(payload.data(), payload.size());
+  return s.Release();
+}
+
+TEST(LogBatchTest, V4BlockOfMinimumSizeRecordsParsesStrictly) {
+  // 100 parameterless CL calls in one epoch: four bytes each (TID delta,
+  // epoch delta, proc, count), well under the fixed-width formats' 20-byte
+  // minimum record.
+  std::vector<logging::LogRecord> records(100);
+  for (size_t i = 0; i < records.size(); ++i) {
+    records[i].commit_ts = 0x900000000ull + i;
+    records[i].epoch = 9;
+    records[i].proc = 3;
+  }
+  size_t payload = 0;
+  const std::vector<uint8_t> file = logging::LogStore::SerializeBlock(
+      logging::LogScheme::kCommand, 0, 0, /*file_header=*/true,
+      records.data(), records.size(), &payload);
+  EXPECT_EQ(payload, 4 * records.size());
+  logging::LogBatch out;
+  ASSERT_TRUE(logging::LogStore::DeserializeBatch(
+                  logging::LogScheme::kCommand, file,
+                  logging::BatchParseOptions{}, &out)
+                  .ok());
+  ExpectSameRecords(out.records, records);
+}
+
+TEST(LogBatchTest, V4MalformedBlocksAreCorruption) {
+  const logging::LogScheme cl = logging::LogScheme::kCommand;
+  logging::BatchParseOptions strict;
+  logging::BatchParseOptions tolerant;
+  tolerant.tolerate_torn_tail = true;
+  logging::LogBatch out;
+  // Well formed: TID delta 1, epoch delta 0, proc 2, no parameters.
+  const std::vector<uint8_t> good = V4File(1, {0x01, 0x00, 0x02, 0x00}, 100,
+                                           /*span=*/1, /*base_epoch=*/3);
+  ASSERT_TRUE(logging::LogStore::DeserializeBatch(cl, good, strict, &out).ok());
+  ASSERT_EQ(out.records.size(), 1u);
+  EXPECT_EQ(out.records[0].commit_ts, 101u);
+  EXPECT_EQ(out.records[0].epoch, 3u);
+  EXPECT_EQ(out.records[0].proc, 2u);
+
+  // A complete block whose record breaks is loud, torn-tail tolerance or
+  // not: only a short block can be a tear.
+  const std::vector<uint8_t> kBadPayloads[] = {
+      {0x81, 0x00, 0x00, 0x02, 0x00},  // Overlong TID delta.
+      {0x01, 0x00, 0x02, 0x80},        // Unterminated count.
+      {0x02, 0x00, 0x02, 0x00},        // TID beyond the block's interval.
+      {0x01, 0x00, 0x02, 0x01, 0x09},  // Unknown value tag.
+  };
+  for (const std::vector<uint8_t>& payload : kBadPayloads) {
+    const std::vector<uint8_t> file = V4File(1, payload, 100, 1, 3);
+    for (const logging::BatchParseOptions* opts : {&strict, &tolerant}) {
+      EXPECT_EQ(
+          logging::LogStore::DeserializeBatch(cl, file, *opts, &out).code(),
+          StatusCode::kCorruption)
+          << payload.size();
+    }
+  }
+
+  // An overlong varint in a block header (the count, 1 spelled 0x81 0x00).
+  std::vector<uint8_t> overlong = good;
+  const size_t count_off = logging::LogStore::kFileHeaderBytes;
+  ASSERT_EQ(overlong[count_off], 0x01);
+  overlong[count_off] = 0x81;
+  overlong.insert(overlong.begin() + count_off + 1, 0x00);
+  EXPECT_EQ(
+      logging::LogStore::DeserializeBatch(cl, overlong, strict, &out).code(),
+      StatusCode::kCorruption);
+  // A header cut inside its varints is a truncation: loud when strict, a
+  // torn tail with nothing kept when tolerated.
+  const std::vector<uint8_t> cut(good.begin(), good.begin() + count_off + 2);
+  EXPECT_EQ(logging::LogStore::DeserializeBatch(cl, cut, strict, &out).code(),
+            StatusCode::kCorruption);
+  ASSERT_TRUE(
+      logging::LogStore::DeserializeBatch(cl, cut, tolerant, &out).ok());
+  EXPECT_TRUE(out.torn_tail);
+  EXPECT_TRUE(out.records.empty());
 }
 
 TEST(LogBatchTest, CorruptBatchRejected) {

@@ -61,6 +61,19 @@ TEST(ValueTest, HashStableAndDiscriminating) {
   EXPECT_EQ(Value(std::string("x")).Hash(), Value(std::string("x")).Hash());
 }
 
+TEST(ValueTest, HashesMatchGoldenValues) {
+  // Pinned from an earlier build: ContentHash fingerprints compare across
+  // builds, so value hashes must never drift.
+  EXPECT_EQ(Value::Null().Hash(), 0x9e3779b97f4a7c15ull);
+  EXPECT_EQ(Value(int64_t{42}).Hash(), 0xd22a11e8efed3febull);
+  EXPECT_EQ(Value(1.5).Hash(), 0x8969974999917623ull);
+  EXPECT_EQ(Value(-0.0).Hash(), 0x8a5e64499a618af2ull);
+  EXPECT_EQ(Value(std::string("ab")).Hash(), 0x02266a0001d3862cull);
+  EXPECT_EQ(HashRow({Value(int64_t{42}), Value(1.5), Value(std::string("ab")),
+                     Value::Null()}),
+            0x9901261a5eea5a8dull);
+}
+
 TEST(ValueTest, RowHashOrderSensitive) {
   Row r1 = {Value(int64_t{1}), Value(int64_t{2})};
   Row r2 = {Value(int64_t{2}), Value(int64_t{1})};
