@@ -50,16 +50,12 @@ void Run(bool tpcc, int num_txns) {
   }
 }
 
-// End-to-end Recover() wall clock (checkpoint restore + log load + replay,
-// including everything in front of the replay graph — the serial loader's
-// read/deserialize/merge prefix is exactly what the pipeline removes).
+// End-to-end Recover() wall clock (checkpoint restore + pipelined log load
+// + replay, including everything in front of the replay graph).
 // `txns_per_sec` carries replayed records per wall second. Sections:
-// recovery_scaling (pipelined load, the default) vs
-// recovery_scaling_serial_load (pipelined_load = false, the seed path),
-// both on the default simulated replay backend fig16's headline table
-// uses; recovery_scaling_threads[_serial_load] repeats the sweep on the
-// real-thread backend with overlapped replay (gates) — on a single-core
-// host the overlap only adds switching, on multicore it compounds.
+// recovery_scaling on the default simulated replay backend fig16's
+// headline table uses; recovery_scaling_threads repeats the sweep on the
+// real-thread backend with overlapped replay (per-batch gates).
 void RecoveryScaling(Scheme scheme, uint64_t base_txns,
                      bool threads_backend) {
   const char* scheme_name = pacman::recovery::SchemeName(scheme);
@@ -67,53 +63,46 @@ void RecoveryScaling(Scheme scheme, uint64_t base_txns,
       "--- Recovery scaling: %s on TPC-C, %s backend, wall clock ---\n",
       scheme_name,
       threads_backend ? "real threads (overlapped replay)" : "simulated");
-  std::printf("%-10s %8s %8s %10s %12s %12s\n", "loader", "threads", "txns",
-              "records", "wall (s)", "records/s");
+  std::printf("%8s %8s %10s %12s %12s\n", "threads", "txns", "records",
+              "wall (s)", "records/s");
   for (uint64_t txns : {base_txns / 2, base_txns, base_txns * 2}) {
-    // One durable state per log size: every (threads, loader) row below
+    // One durable state per log size: every thread-count row below
     // recovers literally the same checkpoint + log, so the rows being
     // compared cannot drift apart on forward-run nondeterminism.
     Env env = MakeTpccEnv(FormatFor(scheme));
     const uint64_t hash = RunWorkload(&env, static_cast<int>(txns));
     for (uint32_t threads : {1u, 2u, 4u}) {
-      for (bool pipelined : {false, true}) {
-        pacman::recovery::RecoveryOptions opts;
-        opts.num_threads = threads;
-        opts.pipelined_load = pipelined;
-        // Median of repeated recoveries of the same durable state
-        // (recover -> crash -> recover), so one cold page-in or scheduler
-        // hiccup cannot masquerade as a loader difference.
-        constexpr int kReps = 3;
-        double walls[kReps];
-        FullRecoveryResult r;
-        for (int rep = 0; rep < kReps; ++rep) {
-          env.db->Crash();
-          const auto t0 = std::chrono::steady_clock::now();
-          r = env.db->Recover(scheme, opts,
-                              threads_backend ? ExecutionBackend::kThreads
-                                              : ExecutionBackend::kSimulated);
-          walls[rep] =
-              std::chrono::duration<double>(
-                  std::chrono::steady_clock::now() - t0)
-                  .count();
-          PACMAN_CHECK(env.db->ContentHash() == hash);
-        }
-        std::sort(walls, walls + kReps);
-        const double wall = walls[kReps / 2];
-        const double rps =
-            wall > 0.0 ? static_cast<double>(r.log.records_replayed) / wall
-                       : 0.0;
-        std::printf("%-10s %8u %8llu %10llu %12.4f %12.0f\n",
-                    pipelined ? "pipelined" : "serial", threads,
-                    static_cast<unsigned long long>(txns),
-                    static_cast<unsigned long long>(r.log.records_replayed),
-                    wall, rps);
-        std::string section = threads_backend ? "recovery_scaling_threads"
-                                              : "recovery_scaling";
-        if (!pipelined) section += "_serial_load";
-        RecordJson({section, scheme_name, threads, txns, rps, 0.0, 0.0, 0.0,
-                    wall});
+      pacman::recovery::RecoveryOptions opts;
+      opts.num_threads = threads;
+      // Median of repeated recoveries of the same durable state (recover
+      // -> crash -> recover), so one cold page-in or scheduler hiccup
+      // cannot masquerade as a scaling difference.
+      constexpr int kReps = 3;
+      double walls[kReps];
+      FullRecoveryResult r;
+      for (int rep = 0; rep < kReps; ++rep) {
+        env.db->Crash();
+        const auto t0 = std::chrono::steady_clock::now();
+        r = env.db->Recover(scheme, opts,
+                            threads_backend ? ExecutionBackend::kThreads
+                                            : ExecutionBackend::kSimulated);
+        walls[rep] = std::chrono::duration<double>(
+                         std::chrono::steady_clock::now() - t0)
+                         .count();
+        PACMAN_CHECK(env.db->ContentHash() == hash);
       }
+      std::sort(walls, walls + kReps);
+      const double wall = walls[kReps / 2];
+      const double rps =
+          wall > 0.0 ? static_cast<double>(r.log.records_replayed) / wall
+                     : 0.0;
+      std::printf("%8u %8llu %10llu %12.4f %12.0f\n", threads,
+                  static_cast<unsigned long long>(txns),
+                  static_cast<unsigned long long>(r.log.records_replayed),
+                  wall, rps);
+      RecordJson({threads_backend ? "recovery_scaling_threads"
+                                  : "recovery_scaling",
+                  scheme_name, threads, txns, rps, 0.0, 0.0, 0.0, wall});
     }
   }
 }
@@ -131,9 +120,8 @@ int main(int argc, char** argv) {
   PrintTitle("Fig. 16 - Overall performance of database recovery (40 threads)");
   Run(/*tpcc=*/true, txns);
   Run(/*tpcc=*/false, txns);
-  // CL-P = the headline scheme (replay-bound: the pipeline's win is the
-  // loader share); LL-P = the load-bound scheme (install-only replay, so
-  // the loader dominates and the pipelined/serial gap is widest).
+  // CL-P = the headline scheme (replay-bound); LL-P = the load-bound
+  // scheme (install-only replay, so the loader dominates).
   RecoveryScaling(Scheme::kClrP, flags.txns, /*threads_backend=*/false);
   RecoveryScaling(Scheme::kLlrP, flags.txns, /*threads_backend=*/false);
   RecoveryScaling(Scheme::kClrP, flags.txns, /*threads_backend=*/true);
@@ -142,9 +130,7 @@ int main(int argc, char** argv) {
       "LLR-P best (parallel, latch-free, write-only reinstall); CLR-P\n"
       "close behind (it re-executes reads too); checkpoint recovery is a\n"
       "small fraction of the total for every scheme. The scaling section\n"
-      "compares end-to-end wall time of the serial reference loader vs the\n"
-      "pipelined load path on this host (single-core containers see the\n"
-      "zero-copy/streaming-merge CPU win; multicore hosts add overlap).\n");
+      "reports end-to-end Recover() wall time by recovery thread count.\n");
   WriteJsonReport(flags.json, "fig16_overall_recovery");
   return 0;
 }

@@ -52,7 +52,8 @@ RunResult Run(Scheme scheme, bool gc, uint64_t total_txns, int rounds,
               uint32_t threads, uint64_t seed) {
   const char* scheme_name = pacman::recovery::SchemeName(scheme);
   Env env = MakeSmallbankEnv(FormatFor(scheme));
-  env.db->TakeCheckpoint();  // Baseline image, both configurations.
+  // Baseline image, both configurations.
+  PACMAN_CHECK(env.db->TryTakeCheckpoint().ok());
 
   // Interval effectively infinite: the bench drives cycles explicitly
   // with RunOnce after each round, so cadence is round-aligned and

@@ -320,7 +320,7 @@ int main(int argc, char** argv) {
     workload::Bank server_bank(bank.config());
     server_bank.Install(db.get());
     db->FinalizeSchema();
-    db->TakeCheckpoint();
+    PACMAN_CHECK(db->TryTakeCheckpoint().ok());
     net::ServerOptions sopts;
     sopts.io_threads = 2;
     sopts.executor_workers = flags.threads;
@@ -406,7 +406,7 @@ int main(int argc, char** argv) {
     workload::Bank shed_bank(bank.config());
     shed_bank.Install(shed_db.get());
     shed_db->FinalizeSchema();
-    shed_db->TakeCheckpoint();
+    PACMAN_CHECK(shed_db->TryTakeCheckpoint().ok());
     net::ServerOptions sopts;
     sopts.io_threads = 2;
     sopts.executor_workers = flags.threads;

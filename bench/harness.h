@@ -107,7 +107,7 @@ inline Env MakeSmallbankEnv(logging::LogScheme scheme) {
 inline DriverResult RunWorkloadThreaded(Env* env, int n, uint32_t threads,
                                         double adhoc_fraction = 0.0,
                                         uint64_t seed = 42) {
-  env->db->TakeCheckpoint();
+  PACMAN_CHECK(env->db->TryTakeCheckpoint().ok());
   DriverOptions opts;
   opts.num_workers = threads;
   opts.num_txns = static_cast<uint64_t>(n);
@@ -123,7 +123,7 @@ inline DriverResult RunWorkloadThreaded(Env* env, int n, uint32_t threads,
 // Returns the pre-crash content hash.
 inline uint64_t RunWorkload(Env* env, int n, double adhoc_fraction = 0.0,
                             uint64_t seed = 42) {
-  env->db->TakeCheckpoint();
+  PACMAN_CHECK(env->db->TryTakeCheckpoint().ok());
   auto session = env->db->OpenSession();
   Rng rng(seed);
   std::vector<Value> params;

@@ -36,7 +36,7 @@ int main(int argc, char** argv) {
                             .hotspot_size = 100});
     sb.Install(&db);
     db.FinalizeSchema();
-    db.TakeCheckpoint();
+    CheckpointOrExit(&db);
 
     auto session = db.OpenSession();
     Rng rng(flags.seed);

@@ -51,7 +51,7 @@ int main(int argc, char** argv) {
                          .single_fraction = 0.1});
     bank.Install(&db);
     db.FinalizeSchema();
-    db.TakeCheckpoint();
+    CheckpointOrExit(&db);
 
     DriverOptions dopts;
     dopts.num_workers = threads;

@@ -86,7 +86,7 @@ int main(int argc, char** argv) {
     // after a log-device failure drops the database to read-only mode.
     bank.RegisterBalance(db.registry());
     db.FinalizeSchema();
-    db.TakeCheckpoint();
+    CheckpointOrExit(&db);
   }
 
   net::ServerOptions sopts;

@@ -42,7 +42,7 @@ int main(int argc, char** argv) {
   db.FinalizeSchema();
   std::printf("GDG has %zu blocks over %zu procedures\n",
               db.gdg().NumBlocks(), db.num_procedures());
-  db.TakeCheckpoint();
+  CheckpointOrExit(&db);
 
   // 4. A session per client; typed handles resolve procedures by name.
   ProcHandle deposit = db.proc("Deposit");

@@ -47,7 +47,7 @@ int main(int argc, char** argv) {
     std::printf("\n");
   }
 
-  db.TakeCheckpoint();
+  CheckpointOrExit(&db);
   DriverOptions dopts;
   dopts.num_workers = threads;
   dopts.num_txns = flags.txns;

@@ -16,24 +16,24 @@ uint64_t Fnv1a(const void* data, size_t n, uint64_t seed) {
 }
 
 Value Value::Add(const Value& other) const {
-  if (type_ == ValueType::kInt64 && other.type_ == ValueType::kInt64) {
-    return Value(i_ + other.i_);
+  if (type_ != ValueType::kDouble && other.type_ != ValueType::kDouble) {
+    return Value(NumberAsInt64() + other.NumberAsInt64());
   }
-  return Value(AsDouble() + other.AsDouble());
+  return Value(NumberAsDouble() + other.NumberAsDouble());
 }
 
 Value Value::Sub(const Value& other) const {
-  if (type_ == ValueType::kInt64 && other.type_ == ValueType::kInt64) {
-    return Value(i_ - other.i_);
+  if (type_ != ValueType::kDouble && other.type_ != ValueType::kDouble) {
+    return Value(NumberAsInt64() - other.NumberAsInt64());
   }
-  return Value(AsDouble() - other.AsDouble());
+  return Value(NumberAsDouble() - other.NumberAsDouble());
 }
 
 Value Value::Mul(const Value& other) const {
-  if (type_ == ValueType::kInt64 && other.type_ == ValueType::kInt64) {
-    return Value(i_ * other.i_);
+  if (type_ != ValueType::kDouble && other.type_ != ValueType::kDouble) {
+    return Value(NumberAsInt64() * other.NumberAsInt64());
   }
-  return Value(AsDouble() * other.AsDouble());
+  return Value(NumberAsDouble() * other.NumberAsDouble());
 }
 
 bool Value::operator==(const Value& other) const {

@@ -131,6 +131,18 @@ class Value {
     PACMAN_DCHECK(type_ == ValueType::kDouble || type_ == ValueType::kInt64);
     return type_ == ValueType::kInt64 ? static_cast<double>(i_) : d_;
   }
+  // The number this value stands for as an operand of procedure
+  // arithmetic, comparisons, modulo and keys: Null (a field read on an
+  // absent local) counts as the integer 0. Branch-free for Null, whose
+  // i_ is always 0 (see the union below).
+  int64_t NumberAsInt64() const {
+    PACMAN_DCHECK(type_ == ValueType::kInt64 || type_ == ValueType::kNull);
+    return i_;
+  }
+  double NumberAsDouble() const {
+    PACMAN_DCHECK(type_ != ValueType::kString);
+    return type_ == ValueType::kDouble ? d_ : static_cast<double>(i_);
+  }
   // The string bytes, owned or borrowed. Prefer this accessor: it is the
   // one that is valid for every string value.
   std::string_view AsStringView() const {
@@ -143,7 +155,8 @@ class Value {
   }
 
   // Arithmetic used by stored-procedure expressions. Int op int stays int;
-  // anything involving a double promotes to double.
+  // anything involving a double promotes to double. Null counts as the
+  // integer 0 (NumberAsInt64).
   Value Add(const Value& other) const;
   Value Sub(const Value& other) const;
   Value Mul(const Value& other) const;
@@ -161,9 +174,11 @@ class Value {
   ValueType type_;
   bool borrowed_ = false;
   // Discriminated by type_: numbers use i_/d_, strings use sv_ (which
-  // views s_ when owned). The union keeps Value at its pre-borrowing
-  // size — rows flow through the interpreter and the install paths by
-  // value, so Value's footprint is engine-wide hot.
+  // views s_ when owned), and Null keeps i_ == 0 — every constructor and
+  // assignment that yields Null sets it, which NumberAsInt64 relies on.
+  // The union keeps Value at its pre-borrowing size — rows flow through
+  // the VM and the install paths by value, so Value's footprint is
+  // engine-wide hot.
   union {
     int64_t i_;
     double d_;

@@ -209,14 +209,8 @@ uint64_t LogManager::NextSeqOnDevices() const {
   // batches into a smaller seq than another's old ones and interleave
   // replay out of commit order. Fresh devices yield 0.
   uint64_t next = 0;
-  for (device::StorageDevice* d : devices_) {
-    for (const std::string& name : d->ListFiles("log_")) {
-      uint32_t logger = 0;
-      uint64_t seq = 0;
-      if (LogStore::ParseBatchFileName(name, &logger, &seq)) {
-        next = std::max(next, seq + 1);
-      }
-    }
+  for (const BatchFile& f : LogStore::ListBatchFiles(devices_)) {
+    next = std::max(next, f.seq + 1);
   }
   return next;
 }

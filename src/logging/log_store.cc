@@ -400,132 +400,86 @@ Status LogStore::ReadBatchCoverage(LogScheme scheme,
   return Status::Ok();
 }
 
-Status LogStore::LoadAllBatches(
-    LogScheme scheme, const std::vector<device::StorageDevice*>& devices,
-    std::vector<LogBatch>* out) {
-  out->clear();
-  // Newest batch per logger stream across all devices: the only file a
-  // crash mid-append can leave torn — closed batches are immutable — so
-  // only it is parsed with torn-tail tolerance.
+std::vector<BatchFile> LogStore::ListBatchFiles(
+    const std::vector<device::StorageDevice*>& devices) {
+  std::vector<BatchFile> files;
   std::map<uint32_t, uint64_t> newest_seq;
-  for (device::StorageDevice* device : devices) {
-    for (const std::string& name : device->ListFiles("log_")) {
-      uint32_t logger = 0;
-      uint64_t seq = 0;
-      if (!ParseBatchFileName(name, &logger, &seq)) continue;
-      auto it = newest_seq.find(logger);
-      if (it == newest_seq.end() || seq > it->second) newest_seq[logger] = seq;
+  for (uint32_t d = 0; d < devices.size(); ++d) {
+    for (std::string& name : devices[d]->ListFiles("log_")) {
+      BatchFile f;
+      if (!ParseBatchFileName(name, &f.logger, &f.seq)) continue;
+      f.device = d;
+      f.name = std::move(name);
+      auto [it, inserted] = newest_seq.emplace(f.logger, f.seq);
+      if (!inserted) it->second = std::max(it->second, f.seq);
+      files.push_back(std::move(f));
     }
   }
-  for (device::StorageDevice* device : devices) {
-    // Order the names numerically by (seq, logger) before reading. The
-    // final sort below orders by the header fields anyway, but robust
-    // on-device ordering keeps the read schedule deterministic even if a
-    // directory mixes padding widths.
-    struct NamedBatch {
-      uint64_t seq;
-      uint32_t logger;
-      std::string name;
-    };
-    std::vector<NamedBatch> names;
-    for (const std::string& name : device->ListFiles("log_")) {
-      uint32_t logger = 0;
-      uint64_t seq = 0;
-      if (!ParseBatchFileName(name, &logger, &seq)) continue;
-      names.push_back({seq, logger, name});
-    }
-    std::sort(names.begin(), names.end(),
-              [](const NamedBatch& a, const NamedBatch& b) {
-                if (a.seq != b.seq) return a.seq < b.seq;
-                return a.logger < b.logger;
-              });
-    for (const NamedBatch& nb : names) {
-      std::vector<uint8_t> bytes;
-      Status s = device->ReadFile(nb.name, &bytes);
-      if (!s.ok()) return s;
-      LogBatch batch;
-      BatchParseOptions popts;
-      popts.file_name = nb.name;
-      popts.tolerate_torn_tail = newest_seq[nb.logger] == nb.seq;
-      s = DeserializeBatch(scheme, std::move(bytes), popts, &batch);
-      if (!s.ok()) return s;
-      if (batch.torn_tail && batch.records.empty()) {
-        // The tear cut into the header itself; recover the batch identity
-        // from the file name so downstream ordering stays correct.
-        batch.logger_id = nb.logger;
-        batch.seq = nb.seq;
-      }
-      out->push_back(std::move(batch));
-    }
+  for (BatchFile& f : files) f.newest_in_stream = newest_seq[f.logger] == f.seq;
+  std::stable_sort(files.begin(), files.end(),
+                   [](const BatchFile& a, const BatchFile& b) {
+                     if (a.seq != b.seq) return a.seq < b.seq;
+                     return a.logger < b.logger;
+                   });
+  return files;
+}
+
+Status LogStore::ParseBatchFile(
+    LogScheme scheme, const BatchFile& file,
+    std::shared_ptr<const std::vector<uint8_t>> bytes, bool borrow,
+    LogBatch* out) {
+  BatchParseOptions popts;
+  popts.borrow = borrow;
+  popts.file_name = file.name;
+  popts.tolerate_torn_tail = file.newest_in_stream;
+  Status s = DeserializeBatch(scheme, std::move(bytes), popts, out);
+  if (!s.ok()) return s;
+  if (out->torn_tail && out->records.empty()) {
+    out->logger_id = file.logger;
+    out->seq = file.seq;
   }
-  // Global reload order, by the authoritative header fields.
-  std::sort(out->begin(), out->end(),
-            [](const LogBatch& a, const LogBatch& b) {
-              if (a.seq != b.seq) return a.seq < b.seq;
-              return a.logger_id < b.logger_id;
-            });
+  if (out->seq != file.seq || out->logger_id != file.logger) {
+    return Status::Corruption("batch file " + file.name +
+                              ": header (logger, seq) disagrees with the "
+                              "file name");
+  }
   return Status::Ok();
 }
 
 Status LogStore::TruncateBeyondWatermark(
     LogScheme scheme, const std::vector<device::StorageDevice*>& devices,
     Epoch pepoch) {
-  // See LoadAllBatches: only the newest file of a logger stream may be
-  // torn; interior files must still parse strictly.
-  std::map<uint32_t, uint64_t> newest_seq;
-  for (device::StorageDevice* device : devices) {
+  for (const BatchFile& f : ListBatchFiles(devices)) {
+    device::StorageDevice* device = devices[f.device];
     if (!device->IsPersistent()) continue;
-    for (const std::string& name : device->ListFiles("log_")) {
-      uint32_t logger = 0;
-      uint64_t seq = 0;
-      if (!ParseBatchFileName(name, &logger, &seq)) continue;
-      auto it = newest_seq.find(logger);
-      if (it == newest_seq.end() || seq > it->second) newest_seq[logger] = seq;
+    std::shared_ptr<const std::vector<uint8_t>> bytes;
+    Status s = device->ReadFileShared(f.name, &bytes);
+    if (!s.ok()) return s;
+    LogBatch batch;
+    s = ParseBatchFile(scheme, f, std::move(bytes), /*borrow=*/false, &batch);
+    if (!s.ok()) return s;
+    // A torn file is rewritten even if no record crossed the watermark:
+    // the rewrite replaces the ragged image with a clean serialization
+    // of the surviving prefix.
+    bool dirty = batch.torn_tail;
+    std::vector<LogRecord> kept;
+    kept.reserve(batch.records.size());
+    for (LogRecord& r : batch.records) {
+      if (r.epoch <= pepoch) {
+        kept.push_back(std::move(r));
+      } else {
+        dirty = true;
+      }
     }
-  }
-  for (device::StorageDevice* device : devices) {
-    if (!device->IsPersistent()) continue;
-    for (const std::string& name : device->ListFiles("log_")) {
-      uint32_t logger = 0;
-      uint64_t seq = 0;
-      if (!ParseBatchFileName(name, &logger, &seq)) continue;
-      std::vector<uint8_t> bytes;
-      Status s = device->ReadFile(name, &bytes);
-      if (!s.ok()) return s;
-      LogBatch batch;
-      BatchParseOptions popts;
-      popts.file_name = name;
-      popts.tolerate_torn_tail = newest_seq[logger] == seq;
-      s = DeserializeBatch(scheme, std::move(bytes), popts, &batch);
-      if (!s.ok()) return s;
-      if (batch.torn_tail && batch.records.empty()) {
-        batch.logger_id = logger;
-        batch.seq = seq;
-      }
-      // A torn file is rewritten even if no record crossed the watermark:
-      // the rewrite replaces the ragged image with a clean serialization
-      // of the surviving prefix.
-      bool dirty = batch.torn_tail;
-      std::vector<LogRecord> kept;
-      kept.reserve(batch.records.size());
-      for (LogRecord& r : batch.records) {
-        if (r.epoch <= pepoch) {
-          kept.push_back(std::move(r));
-        } else {
-          dirty = true;
-        }
-      }
-      if (!dirty) continue;
-      batch.records = std::move(kept);
-      device::IoResult w =
-          device::RetryIo(device::IoRetryPolicy{}, nullptr, [&] {
-            return device->WriteFile(name, SerializeBatch(scheme, batch));
-          });
-      if (!w.ok()) {
-        return Status(w.status.code(),
-                      "log truncation rewrite of " + name +
-                          " failed: " + w.status.message());
-      }
+    if (!dirty) continue;
+    batch.records = std::move(kept);
+    device::IoResult w =
+        device::RetryIo(device::IoRetryPolicy{}, nullptr, [&] {
+          return device->WriteFile(f.name, SerializeBatch(scheme, batch));
+        });
+    if (!w.ok()) {
+      return Status(w.status.code(), "log truncation rewrite of " + f.name +
+                                         " failed: " + w.status.message());
     }
   }
   return Status::Ok();

@@ -90,6 +90,18 @@ struct BatchParseOptions {
   bool tolerate_torn_tail = false;
 };
 
+// One batch file found on a device (LogStore::ListBatchFiles).
+struct BatchFile {
+  uint32_t device = 0;  // Index into the listed device vector.
+  uint32_t logger = 0;
+  uint64_t seq = 0;
+  std::string name;
+  // True for the newest file of its logger stream. Closed batches are
+  // immutable, so this is the only file a crash mid-append can leave torn:
+  // the only one parsed with BatchParseOptions::tolerate_torn_tail.
+  bool newest_in_stream = false;
+};
+
 // File naming and batch (de)serialization.
 class LogStore {
  public:
@@ -162,15 +174,22 @@ class LogStore {
                                   device::StorageDevice* device,
                                   const std::string& name, LogBatch* out);
 
-  // Loads and merges the batch streams of all loggers from their devices
-  // into a single sequence ordered by (seq, logger), i.e., global reload
-  // order. Interleaves loggers within each seq so commit order is restored
-  // when batches' records are merged by commit_ts downstream. File names
-  // are ordered numerically (ParseBatchFileName), never lexicographically.
-  static Status LoadAllBatches(
-      LogScheme scheme,
-      const std::vector<device::StorageDevice*>& devices,
-      std::vector<LogBatch>* out);
+  // Lists the batch files of every logger stream on `devices` in global
+  // reload order, (seq, logger), and marks the newest file of each stream.
+  // Names are ordered numerically (ParseBatchFileName), never
+  // lexicographically. Reads no file contents.
+  static std::vector<BatchFile> ListBatchFiles(
+      const std::vector<device::StorageDevice*>& devices);
+
+  // Parses a listed batch file. Only the newest file of its stream
+  // tolerates a torn tail; when the tear cut into the header, the batch
+  // identity comes from the file name. A header whose (logger, seq)
+  // disagrees with the file name is corruption: the load pipeline groups
+  // fragments by name, so the records would land in the wrong batch.
+  static Status ParseBatchFile(
+      LogScheme scheme, const BatchFile& file,
+      std::shared_ptr<const std::vector<uint8_t>> bytes, bool borrow,
+      LogBatch* out);
 
   // Rewrites batch files on *persistent* devices so no record beyond the
   // pepoch watermark survives. A process killed mid-FlushAll can leave

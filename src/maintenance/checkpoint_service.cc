@@ -162,54 +162,49 @@ void CheckpointService::TruncateLog(const logging::CheckpointMeta& meta,
   }
   const uint64_t min_open = lm->MinOpenSeq();
   const size_t num_loggers = lm->num_loggers();
-  for (device::StorageDevice* dev : lm->devices()) {
-    for (const std::string& name : dev->ListFiles("log_")) {
-      uint32_t logger_id = 0;
-      uint64_t seq = 0;
-      if (!logging::LogStore::ParseBatchFileName(name, &logger_id, &seq)) {
-        continue;
+  for (const logging::BatchFile& f :
+       logging::LogStore::ListBatchFiles(lm->devices())) {
+    device::StorageDevice* dev = lm->devices()[f.device];
+    // Never touch a live logger's in-progress batch: its file is still
+    // being appended to.
+    if (f.logger < num_loggers && f.seq >= min_open) continue;
+    Timestamp max_cts = 0;
+    bool known = false;
+    {
+      std::lock_guard<std::mutex> g(mu_);
+      auto it = coverage_.find({f.logger, f.seq});
+      if (it != coverage_.end()) {
+        max_cts = it->second;
+        known = true;
       }
-      // Never touch a live logger's in-progress batch: its file is still
-      // being appended to.
-      if (logger_id < num_loggers && seq >= min_open) continue;
-      Timestamp max_cts = 0;
-      bool known = false;
-      {
-        std::lock_guard<std::mutex> g(mu_);
-        auto it = coverage_.find({logger_id, seq});
-        if (it != coverage_.end()) {
-          max_cts = it->second;
-          known = true;
-        }
-      }
-      if (!known) {
-        // Inherited from an earlier process (or closed before this
-        // service existed): read the coverage interval from the batch
-        // headers, once, and cache it.
-        logging::LogBatch b;
-        if (!logging::LogStore::ReadBatchCoverage(lm->scheme(), dev, name, &b)
-                 .ok()) {
-          continue;  // Unreadable stays put; recovery will judge it.
-        }
-        max_cts = b.max_cts;
-        std::lock_guard<std::mutex> g(mu_);
-        coverage_[{logger_id, seq}] = max_cts;
-      }
-      if (max_cts > meta.ts) continue;  // Not yet covered.
-      const uint64_t bytes = dev->FileSize(name);
-      device::IoResult rm = dev->RemoveFile(name);
-      if (!rm.ok()) {
-        // The file is still there (and still covered): keep its coverage
-        // entry so the next cycle retries the delete.
-        continue;
-      }
-      {
-        std::lock_guard<std::mutex> g(mu_);
-        coverage_.erase({logger_id, seq});
-      }
-      event->batches_deleted += 1;
-      event->batch_bytes_deleted += bytes;
     }
+    if (!known) {
+      // Inherited from an earlier process (or closed before this service
+      // existed): read the coverage interval from the batch headers, once,
+      // and cache it.
+      logging::LogBatch b;
+      if (!logging::LogStore::ReadBatchCoverage(lm->scheme(), dev, f.name, &b)
+               .ok()) {
+        continue;  // Unreadable stays put; recovery will judge it.
+      }
+      max_cts = b.max_cts;
+      std::lock_guard<std::mutex> g(mu_);
+      coverage_[{f.logger, f.seq}] = max_cts;
+    }
+    if (max_cts > meta.ts) continue;  // Not yet covered.
+    const uint64_t bytes = dev->FileSize(f.name);
+    device::IoResult rm = dev->RemoveFile(f.name);
+    if (!rm.ok()) {
+      // The file is still there (and still covered): keep its coverage
+      // entry so the next cycle retries the delete.
+      continue;
+    }
+    {
+      std::lock_guard<std::mutex> g(mu_);
+      coverage_.erase({f.logger, f.seq});
+    }
+    event->batches_deleted += 1;
+    event->batch_bytes_deleted += bytes;
   }
 }
 

@@ -205,14 +205,11 @@ void Database::FinalizeSchema() {
     ldgs_.push_back(analysis::BuildLocalGraph(def));
   }
   gdg_ = analysis::BuildGlobalGraph(ldgs_, registry_.procedures());
-  if (options_.compiled_procedures) {
-    // Compile every procedure to register bytecode, folding the static
-    // analysis (slice and chopping piece boundaries, read/write
-    // footprints) into each program's summary.
-    std::vector<analysis::LocalDependencyGraph> chopping =
-        analysis::BuildChoppingGraphs(registry_.procedures());
-    programs_.Build(registry_, &catalog_, ldgs_, chopping);
-  }
+  // Compile every procedure to register bytecode, folding the static
+  // analysis (slice and chopping piece boundaries, read/write footprints)
+  // into each program's summary.
+  programs_.Build(registry_, &catalog_, ldgs_,
+                  analysis::BuildChoppingGraphs(registry_.procedures()));
   schema_finalized_ = true;
 }
 
@@ -264,15 +261,10 @@ TxnResult Database::Execute(ProcId proc, const std::vector<Value>& params,
                             const ExecOptions& opts) {
   PACMAN_CHECK(!crashed());
   PACMAN_CHECK_MSG(proc < registry_.size(), "unknown procedure id");
-  const proc::ProcedureDef& def = registry_.Get(proc);
-  const proc::CompiledProgram* prog = nullptr;
-  if (options_.compiled_procedures) {
-    PACMAN_CHECK_MSG(
-        programs_.compiled() && proc < programs_.size(),
-        "compiled_procedures requires FinalizeSchema() after registering "
-        "every procedure and before Execute");
-    prog = &programs_.Get(proc);
-  }
+  PACMAN_CHECK_MSG(proc < programs_.size(),
+                   "Execute requires FinalizeSchema() after registering "
+                   "every procedure");
+  const proc::CompiledProgram& prog = programs_.Get(proc);
   // Per-worker arena: registers, locals and row scratch recycled across
   // transactions (zero steady-state allocation).
   thread_local proc::ExecArena arena;
@@ -283,21 +275,13 @@ TxnResult Database::Execute(ProcId proc, const std::vector<Value>& params,
   auto attempt_once = [&]() -> bool {
     txn::Transaction t = txn_manager_.Begin();
     proc::TxnAccess access(&catalog_, &t);
-    proc::VmState vm;
-    proc::ProcState state;
-    Status s;
-    if (prog != nullptr) {
-      t.ReserveFootprint(prog->summary.num_reads, prog->summary.num_writes);
-      if (!prog->summary.writes_may_alias) t.MarkWritesDistinct();
-      // Compile-time shard classification (sharded engines): lets the
-      // commit hook route without scanning the access sets.
-      if (prog->summary.single_shard_static) t.set_static_single_shard(true);
-      vm = arena.Bind(*prog, &params);
-      s = proc::VmExecuteAll(&vm, &access);
-    } else {
-      state = proc::ProcState(&def, &params);
-      s = proc::ExecuteAll(&state, &access);
-    }
+    t.ReserveFootprint(prog.summary.num_reads, prog.summary.num_writes);
+    if (!prog.summary.writes_may_alias) t.MarkWritesDistinct();
+    // Compile-time shard classification (sharded engines): lets the commit
+    // hook route without scanning the access sets.
+    if (prog.summary.single_shard_static) t.set_static_single_shard(true);
+    proc::VmState vm = arena.Bind(prog, &params);
+    Status s = proc::VmExecuteAll(&vm, &access);
     if (!s.ok()) {
       result.status = s;
       return true;
@@ -320,10 +304,7 @@ TxnResult Database::Execute(ProcId proc, const std::vector<Value>& params,
     // The Emit() outputs of the committed attempt: evaluated from the
     // attempt's validated snapshot reads, so they are exactly the values
     // the committed serial order produced.
-    if (!def.results.empty()) {
-      result.values = prog != nullptr ? proc::VmEvalResults(&vm)
-                                      : proc::EvalResults(state);
-    }
+    if (!prog.results.empty()) result.values = proc::VmEvalResults(&vm);
     return true;
   };
   for (int attempt = 0; attempt < opts.max_retries; ++attempt) {
@@ -402,13 +383,6 @@ std::string Database::read_only_reason() const {
   return read_only_reason_;
 }
 
-logging::CheckpointMeta Database::TakeCheckpoint() {
-  logging::CheckpointMeta meta;
-  Status s = TryTakeCheckpoint(&meta);
-  PACMAN_CHECK_MSG(s.ok(), "checkpoint failed");
-  return meta;
-}
-
 Status Database::TryTakeCheckpoint(logging::CheckpointMeta* out) {
   // The snapshot base must be *stable*: with parallel commit,
   // LastCommitted() may already include a TID whose predecessor is still
@@ -420,9 +394,10 @@ Status Database::TryTakeCheckpoint(logging::CheckpointMeta* out) {
   // manual calls; a failed attempt burns its id (the files of a later
   // retry never collide with the torn leftovers).
   std::lock_guard<std::mutex> g(ckpt_mu_);
-  return checkpointer_->TakeCheckpoint(next_ckpt_id_++,
-                                       txn_manager_.StableTimestamp(),
-                                       options_.ckpt_files_per_ssd, out);
+  logging::CheckpointMeta meta;
+  return checkpointer_->TakeCheckpoint(
+      next_ckpt_id_++, txn_manager_.StableTimestamp(),
+      options_.ckpt_files_per_ssd, out != nullptr ? out : &meta);
 }
 
 void Database::StartMaintenance() {
@@ -519,7 +494,8 @@ FullRecoveryResult Database::Recover(recovery::Scheme scheme,
   // deployment error, named rather than recovered around.
   PACMAN_CHECK_MSG(s.ok(),
                    "no checkpoint on the devices — recovery needs at least "
-                   "one TakeCheckpoint() (bulk-loaded data is not logged)");
+                   "one TryTakeCheckpoint() (bulk-loaded data is not "
+                   "logged)");
   // A reopened log_dir must be recovered under the layout that wrote it:
   // the checkpoint stripes (and the logger->device striping) index the
   // device vector.
@@ -561,39 +537,29 @@ FullRecoveryResult Database::Recover(recovery::Scheme scheme,
   // below consumes prefetched stripes; the log-replay graph consumes
   // global batches as the streaming merge publishes them (overlapped with
   // replay on the real-thread backend via per-seq gates).
-  const bool pipelined = opts.pipelined_load;
-  const bool overlap =
-      pipelined && backend == ExecutionBackend::kThreads;
-  // A sharded engine recovers each shard on its own lane: one pipelined
-  // loader per shard, filtered to that shard's logger stream. The streams
-  // are disjoint by construction (StageSharded routes every record — or
+  const bool overlap = backend == ExecutionBackend::kThreads;
+  // A sharded engine recovers each shard on its own lane: one loader per
+  // shard, filtered to that shard's logger stream. The streams are
+  // disjoint by construction (StageSharded routes every record — or
   // cross-shard sub-record — to its home shard's logger), so there is no
   // cross-shard merge stage at all and the lanes replay independently.
-  // The serial reference loader stays global even when sharded: it is the
-  // parity oracle, and equal-TID sub-records commute because they touch
-  // disjoint keys.
-  const uint32_t num_lanes =
-      pipelined && options_.num_shards > 1 ? options_.num_shards : 1;
-  std::unique_ptr<exec::ThreadPool> load_pool;
-  std::unique_ptr<recovery::CheckpointPrefetch> prefetch;
+  const uint32_t num_lanes = options_.num_shards;
+  const uint32_t load_workers = std::max(
+      1u, opts.load_threads != 0 ? opts.load_threads : opts.num_threads);
+  exec::ThreadPool load_pool(load_workers);
+  recovery::CheckpointPrefetch prefetch(meta, checkpointer_.get(),
+                                        &load_pool);
   std::vector<std::unique_ptr<recovery::PipelinedLogLoader>> loaders;
-  if (pipelined) {
-    const uint32_t load_workers = std::max(
-        1u, opts.load_threads != 0 ? opts.load_threads : opts.num_threads);
-    load_pool = std::make_unique<exec::ThreadPool>(load_workers);
-    prefetch = std::make_unique<recovery::CheckpointPrefetch>(
-        meta, checkpointer_.get(), load_pool.get());
-    for (uint32_t lane = 0; lane < num_lanes; ++lane) {
-      recovery::LogPipelineOptions lopts;
-      lopts.num_threads = load_workers;
-      lopts.checkpoint_ts = meta.ts;
-      lopts.pepoch = pepoch;
-      lopts.num_ssds = num_ssds;
-      if (num_lanes > 1) lopts.logger_filter = lane;
-      loaders.push_back(std::make_unique<recovery::PipelinedLogLoader>(
-          options_.scheme, devices, load_pool.get(), lopts));
-      loaders.back()->Start();
-    }
+  for (uint32_t lane = 0; lane < num_lanes; ++lane) {
+    recovery::LogPipelineOptions lopts;
+    lopts.num_threads = load_workers;
+    lopts.checkpoint_ts = meta.ts;
+    lopts.pepoch = pepoch;
+    lopts.num_ssds = num_ssds;
+    if (num_lanes > 1) lopts.logger_filter = lane;
+    loaders.push_back(std::make_unique<recovery::PipelinedLogLoader>(
+        options_.scheme, devices, &load_pool, lopts));
+    loaders.back()->Start();
   }
 
   // --- Stage 1: checkpoint recovery -------------------------------------
@@ -602,7 +568,7 @@ FullRecoveryResult Database::Recover(recovery::Scheme scheme,
     recovery::RecoveryCounters counters;
     recovery::BuildCheckpointRecovery(meta, checkpointer_.get(), devices,
                                       &catalog_, scheme, opts, &graph,
-                                      &counters, prefetch.get());
+                                      &counters, &prefetch);
     if (backend == ExecutionBackend::kSimulated) {
       sim::Machine machine(
           recovery::StandardMachine(num_ssds, opts.num_threads));
@@ -618,49 +584,27 @@ FullRecoveryResult Database::Recover(recovery::Scheme scheme,
   recovery::RecoveryOptions log_opts = opts;
   log_opts.checkpoint_ts = meta.ts;
 
-  // The serial reference loader (pipelined_load = false): read +
-  // deserialize every batch file on this thread, merge, then verify the
-  // per-key contract over the whole log. The pipeline performs the same
-  // steps fragment-parallel and verifies each batch as it is merged, so
-  // by the time replay may consume a batch it is already checked.
-  std::vector<logging::LogBatch> raw_batches;
-  std::vector<recovery::GlobalBatch> serial_batches;
-  if (!pipelined) {
-    s = logging::LogStore::LoadAllBatches(options_.scheme, devices,
-                                          &raw_batches);
-    PACMAN_CHECK_MSG(s.ok(), s.message().c_str());
-    serial_batches =
-        recovery::MergeBatches(raw_batches, num_ssds, meta.ts, pepoch);
-    // The invariant every replay scheme rests on — per-key commit-TID
-    // order across the global reload order; NOT a globally totally
-    // ordered stream (see recovery.h) — is cheap to check against the
-    // actual log, so check it on every recovery rather than trusting the
-    // commit protocol.
-    Status order = recovery::VerifyPerKeyCommitOrder(serial_batches);
-    PACMAN_CHECK_MSG(order.ok(), order.message().c_str());
-  }
-
-  // Builds and runs the replay graph for one batch stream — the whole log
-  // (single lane) or one shard's logger stream — and returns the chosen
-  // backend's seconds for it. Counters are shared across lanes (atomic).
-  // `lane_loader` is null on the serial reference path; with `overlap`
-  // the graph is built against the loader's batch skeletons and gated per
-  // batch, so replay of batch k overlaps the load of batch k+1.
+  // Builds and runs the replay graph for one lane's batch stream — the
+  // whole log (single lane) or one shard's logger stream — and returns the
+  // chosen backend's seconds for it. Counters are shared across lanes
+  // (atomic). With `overlap` the graph is built against the loader's
+  // batch skeletons and gated per batch, so replay of batch k overlaps
+  // the load of batch k+1; the merge verifies each batch's per-key commit
+  // order before its gate opens.
   recovery::RecoveryCounters counters;
-  auto run_log_replay = [&](const std::vector<recovery::GlobalBatch>& batches,
-                            recovery::PipelinedLogLoader* lane_loader,
+  auto run_log_replay = [&](recovery::PipelinedLogLoader* loader,
                             uint32_t lane_threads) -> double {
+    const std::vector<recovery::GlobalBatch>& batches = loader->batches();
     recovery::RecoveryOptions lane_opts = log_opts;
     lane_opts.num_threads = lane_threads;
     if (num_lanes > 1) lane_opts.num_shard_lanes = num_lanes;
-    const bool lane_overlap = overlap && lane_loader != nullptr;
     sim::TaskGraph graph;
     sim::MachineConfig machine_config =
         recovery::StandardMachine(num_ssds, lane_threads);
     std::vector<sim::TaskId> gates;
     const std::vector<sim::TaskId>* gates_ptr = nullptr;
-    if (lane_overlap) {
-      gates = recovery::AddBatchGates(lane_loader, &graph,
+    if (overlap) {
+      gates = recovery::AddBatchGates(loader, &graph,
                                       recovery::CpuGroup(num_ssds));
       gates_ptr = &gates;
     }
@@ -673,22 +617,21 @@ FullRecoveryResult Database::Recover(recovery::Scheme scheme,
                                       gates_ptr);
         break;
       case recovery::Scheme::kClr:
-        recovery::BuildClrReplay(batches, devices, &catalog_, &registry_,
-                                 lane_opts, &graph, &counters, gates_ptr,
-                                 &programs_);
+        recovery::BuildClrReplay(batches, devices, &catalog_, programs_,
+                                 lane_opts, &graph, &counters, gates_ptr);
         break;
       case recovery::Scheme::kClrP: {
         const analysis::GlobalDependencyGraph* gdg =
             lane_opts.gdg_override != nullptr ? lane_opts.gdg_override
                                               : &gdg_;
         recovery::ClrPLayout layout;
-        if (lane_overlap && !batches.empty()) {
+        if (overlap && !batches.empty()) {
           // Core assignment from the first merged batch as the workload
           // sample (see PlanClrPLayout): waiting for the whole log here
           // would forfeit the load/replay overlap, and the assignment
           // only shapes scheduling.
-          const recovery::GlobalBatch* first = lane_loader->WaitBatch(0);
-          PACMAN_CHECK_MSG(first != nullptr, lane_loader->error_message());
+          const recovery::GlobalBatch* first = loader->WaitBatch(0);
+          PACMAN_CHECK_MSG(first != nullptr, loader->error_message());
           std::vector<recovery::GlobalBatch> sample(1, *first);
           layout = recovery::PlanClrPLayout(*gdg, sample, &registry_,
                                             num_ssds, lane_opts);
@@ -697,8 +640,8 @@ FullRecoveryResult Database::Recover(recovery::Scheme scheme,
                                             num_ssds, lane_opts);
         }
         recovery::BuildClrPReplay(*gdg, batches, devices, &catalog_,
-                                  &registry_, lane_opts, layout, &graph,
-                                  &counters, gates_ptr, &programs_);
+                                  &registry_, programs_, lane_opts, layout,
+                                  &graph, &counters, gates_ptr);
         machine_config = layout.machine;
         break;
       }
@@ -709,31 +652,24 @@ FullRecoveryResult Database::Recover(recovery::Scheme scheme,
     }
     return recovery::RunOnThreads(&graph, lane_threads);
   };
+  // The simulated replay backend is a virtual-time model and wants the
+  // full batch vector up front — the load itself still ran multicore (and
+  // overlapped checkpoint restore above).
+  auto wait_all = [](recovery::PipelinedLogLoader* loader) {
+    Status ls = loader->WaitAll();
+    PACMAN_CHECK_MSG(ls.ok(), loader->error_message());
+  };
 
-  if (!pipelined) {
-    result.log.seconds =
-        run_log_replay(serial_batches, nullptr, log_opts.num_threads);
-  } else if (num_lanes == 1) {
-    if (!overlap) {
-      // Simulated replay backend: the graph is a virtual-time model and
-      // wants the full batch vector up front — the load itself still ran
-      // multicore (and overlapped checkpoint restore above).
-      Status ls = loaders[0]->WaitAll();
-      PACMAN_CHECK_MSG(ls.ok(), loaders[0]->error_message());
-    }
-    result.log.seconds = run_log_replay(loaders[0]->batches(),
-                                        loaders[0].get(),
-                                        log_opts.num_threads);
+  if (num_lanes == 1) {
+    if (!overlap) wait_all(loaders[0].get());
+    result.log.seconds = run_log_replay(loaders[0].get(), log_opts.num_threads);
   } else {
     // Per-shard lanes. The replay cores are split evenly: the lanes are
     // balanced by the shard hash, and a lane never blocks on another.
     const uint32_t lane_threads =
         std::max(1u, log_opts.num_threads / num_lanes);
     if (backend == ExecutionBackend::kSimulated) {
-      for (uint32_t lane = 0; lane < num_lanes; ++lane) {
-        Status ls = loaders[lane]->WaitAll();
-        PACMAN_CHECK_MSG(ls.ok(), loaders[lane]->error_message());
-      }
+      for (const auto& loader : loaders) wait_all(loader.get());
       if (scheme == recovery::Scheme::kLlrP) {
         // Virtual time, latch-free tuple replay: all lanes' graphs run
         // on ONE machine — each lane keeps its own serial device core
@@ -747,10 +683,10 @@ FullRecoveryResult Database::Recover(recovery::Scheme scheme,
         sim::TaskGraph graph;
         recovery::RecoveryOptions lane_opts = log_opts;
         lane_opts.num_shard_lanes = num_lanes;
-        for (uint32_t lane = 0; lane < num_lanes; ++lane) {
-          recovery::BuildTupleLogReplay(scheme, loaders[lane]->batches(),
-                                        devices, &catalog_, lane_opts,
-                                        &graph, &counters, nullptr);
+        for (const auto& loader : loaders) {
+          recovery::BuildTupleLogReplay(scheme, loader->batches(), devices,
+                                        &catalog_, lane_opts, &graph,
+                                        &counters, nullptr);
         }
         sim::Machine machine(
             recovery::StandardMachine(num_ssds, log_opts.num_threads));
@@ -766,29 +702,22 @@ FullRecoveryResult Database::Recover(recovery::Scheme scheme,
         // per-lane machine layouts (its planner allocates per-block
         // core groups), which cannot share one machine config.
         double slowest = 0.0;
-        for (uint32_t lane = 0; lane < num_lanes; ++lane) {
-          slowest = std::max(
-              slowest, run_log_replay(loaders[lane]->batches(),
-                                      loaders[lane].get(), lane_threads));
+        for (const auto& loader : loaders) {
+          slowest =
+              std::max(slowest, run_log_replay(loader.get(), lane_threads));
         }
         result.log.seconds = slowest;
       }
     } else {
       // Real threads: the lanes genuinely run concurrently (each with its
-      // own per-batch gates when overlapped), and the stage's wall time
-      // is measured around the joins.
+      // own per-batch gates), and the stage's wall time is measured
+      // around the joins.
       const auto start = std::chrono::steady_clock::now();
       std::vector<std::thread> lanes;
       lanes.reserve(num_lanes);
-      for (uint32_t lane = 0; lane < num_lanes; ++lane) {
-        lanes.emplace_back([&, lane] {
-          if (!overlap) {
-            Status ls = loaders[lane]->WaitAll();
-            PACMAN_CHECK_MSG(ls.ok(), loaders[lane]->error_message());
-          }
-          run_log_replay(loaders[lane]->batches(), loaders[lane].get(),
-                         lane_threads);
-        });
+      for (const auto& loader : loaders) {
+        lanes.emplace_back(
+            [&, l = loader.get()] { run_log_replay(l, lane_threads); });
       }
       for (std::thread& lane : lanes) lane.join();
       result.log.seconds =
@@ -799,29 +728,15 @@ FullRecoveryResult Database::Recover(recovery::Scheme scheme,
   }
   counters.FillStats(&result.log);
 
-  if (pipelined) {
-    // Already returned for the non-overlap paths; after an overlapped run
-    // every gate has passed, so this only surfaces a failure that struck
-    // past the last published batch.
-    for (const auto& loader : loaders) {
-      Status ls = loader->WaitAll();
-      PACMAN_CHECK_MSG(ls.ok(), loader->error_message());
-    }
-  }
+  // Already returned for the simulated backend; after an overlapped run
+  // every gate has passed, so this only surfaces a failure that struck
+  // past the last published batch.
+  for (const auto& loader : loaders) wait_all(loader.get());
 
   Timestamp max_cts = meta.ts;
-  if (pipelined) {
-    for (const auto& loader : loaders) {
-      max_cts = std::max(max_cts, loader->max_commit_ts());
-    }
-  } else {
-    for (const auto& b : serial_batches) {
-      for (const auto* r : b.records) {
-        max_cts = std::max(max_cts, r->commit_ts);
-      }
-    }
+  for (const auto& loader : loaders) {
+    max_cts = std::max(max_cts, loader->max_commit_ts());
   }
-
   txn_manager_.ResetAfterRecovery(max_cts);
   // Continuity across a process restart: commit timestamps resume past
   // the replayed log (above), the epoch counter resumes past the epoch
@@ -832,30 +747,17 @@ FullRecoveryResult Database::Recover(recovery::Scheme scheme,
   // if the watermark file itself never made it to the device (kill before
   // the first FlushAll finished), every loaded record was replayed, so
   // the max replayed epoch serves instead.
-  Epoch epoch_floor = 0;
   const bool have_floor = pepoch != kMaxTimestamp;
-  if (have_floor) epoch_floor = pepoch;
+  Epoch epoch_floor = have_floor ? pepoch : 0;
   bool needs_truncation = false;
   bool any_batches = false;
-  if (pipelined) {
-    for (const auto& loader : loaders) {
-      if (!have_floor) {
-        epoch_floor = std::max(epoch_floor, loader->max_record_epoch());
-      }
-      needs_truncation = needs_truncation || loader->zombie_records() > 0 ||
-                         loader->torn_files() > 0;
-      any_batches = any_batches || loader->num_batches() > 0;
+  for (const auto& loader : loaders) {
+    if (!have_floor) {
+      epoch_floor = std::max(epoch_floor, loader->max_record_epoch());
     }
-  } else {
-    for (const auto& b : raw_batches) {
-      needs_truncation = needs_truncation || b.torn_tail;
-      for (const auto& r : b.records) {
-        if (!have_floor) epoch_floor = std::max(epoch_floor, r.epoch);
-        needs_truncation =
-            needs_truncation || (have_floor && r.epoch > epoch_floor);
-      }
-    }
-    any_batches = !raw_batches.empty();
+    needs_truncation = needs_truncation || loader->zombie_records() > 0 ||
+                       loader->torn_files() > 0;
+    any_batches = any_batches || loader->num_batches() > 0;
   }
   if (have_floor || any_batches) {
     epochs_.ResetAfterRecovery(epoch_floor);

@@ -9,8 +9,8 @@
 //
 //   pacman::Database db(options);
 //   workload.Install(&db);          // tables + procedures + initial data
-//   db.FinalizeSchema();            // PACMAN static analysis (compile time)
-//   db.TakeCheckpoint();
+//   db.FinalizeSchema();            // static analysis + bytecode compile
+//   db.TryTakeCheckpoint();         // Status; bulk-loaded data is not logged
 //   ProcHandle proc = db.proc("Transfer");
 //   auto session = db.OpenSession();
 //   TxnResult r = session->Call(proc, {args...});     // synchronous
@@ -44,8 +44,8 @@
 #include "logging/checkpointer.h"
 #include "logging/log_manager.h"
 #include "maintenance/checkpoint_service.h"
+#include "proc/access.h"
 #include "proc/compiler.h"
-#include "proc/interpreter.h"
 #include "proc/registry.h"
 #include "pacman/session.h"
 #include "pacman/txn_result.h"
@@ -90,17 +90,13 @@ struct DatabaseOptions {
   // caller drives epochs via AdvanceEpoch().
   uint32_t commits_per_epoch = 200;
   uint32_t ckpt_files_per_ssd = 8;
-  // Execute procedures through the register-bytecode VM compiled at
-  // FinalizeSchema() time (proc/compiler.h). Off = the expression-tree
-  // interpreter, kept as the parity oracle (tests/bytecode_test.cc pins
-  // the two bit-identical).
-  bool compiled_procedures = true;
   // --- Continuous maintenance (maintenance/checkpoint_service.h) --------
   // Background checkpoint triggers: wall-time interval and/or logged
   // bytes since the last checkpoint. Either one > 0 enables the service,
   // which starts with the executor pool (StartWorkers / EnsureWorkers)
   // and stops with it (and across Crash()/Recover()). Both zero (the
-  // default) = no background maintenance; TakeCheckpoint() stays manual.
+  // default) = no background maintenance; TryTakeCheckpoint() stays
+  // manual.
   double checkpoint_interval_s = 0.0;
   uint64_t checkpoint_log_bytes = 0;
   // Durable checkpoints kept after each new one commits (>= 1).
@@ -217,24 +213,22 @@ class Database {
   txn::EpochManager* epoch_manager() { return &epochs_; }
   logging::LogManager* log_manager() { return log_manager_.get(); }
   device::StorageDevice* device(uint32_t i) {
-    PACMAN_CHECK_MSG(i < devices_.size(), "ssd index out of range");
+    PACMAN_CHECK_MSG(i < devices_.size(), "device index out of range");
     return devices_[i].get();
   }
-  // Historical alias for device() (the paper's setup called them SSDs).
-  device::StorageDevice* ssd(uint32_t i) { return device(i); }
   std::vector<device::StorageDevice*> device_ptrs();
-  std::vector<device::StorageDevice*> ssd_ptrs() { return device_ptrs(); }
   const DatabaseOptions& options() const { return options_; }
 
   // Runs PACMAN's compile-time static analysis over all registered
-  // procedures: local dependency graphs + the global dependency graph.
-  // Call after RegisterProcedures and before Recover.
+  // procedures (local dependency graphs + the global dependency graph)
+  // and compiles each one to bytecode. Call after RegisterProcedures and
+  // before Execute or Recover.
   void FinalizeSchema();
   const analysis::GlobalDependencyGraph& gdg() const { return gdg_; }
   const std::vector<analysis::LocalDependencyGraph>& ldgs() const {
     return ldgs_;
   }
-  // Compiled programs (built by FinalizeSchema when compiled_procedures).
+  // Compiled programs (built by FinalizeSchema).
   const proc::ProgramSet& programs() const { return programs_; }
   // Transaction-chopping GDG over the same procedures (Fig. 18 baseline).
   analysis::GlobalDependencyGraph BuildChoppingGdg() const;
@@ -288,16 +282,13 @@ class Database {
   }
 
   // --- Durability --------------------------------------------------------
-  // Takes a checkpoint at a stable timestamp; aborts the process on
-  // device failure (the historical convenience form tests and examples
-  // use at known-good points).
-  logging::CheckpointMeta TakeCheckpoint();
-  // Status-returning form: snapshot at StableTimestamp(), stripes +
-  // barrier + meta commit record + readback verification
-  // (logging/checkpointer.h). Non-ok means nothing durable was committed
-  // under this id and the log must NOT be truncated against it. This is
-  // what the background maintenance service calls.
-  Status TryTakeCheckpoint(logging::CheckpointMeta* out);
+  // Takes a checkpoint: snapshot at StableTimestamp(), stripes + barrier +
+  // meta commit record + readback verification (logging/checkpointer.h).
+  // Non-ok means nothing durable was committed under this id and the log
+  // must NOT be truncated against it. `out`, when set, receives the
+  // committed checkpoint's meta. The background maintenance service calls
+  // this too.
+  Status TryTakeCheckpoint(logging::CheckpointMeta* out = nullptr);
   logging::Checkpointer* checkpointer() { return checkpointer_.get(); }
 
   // Background maintenance service (null until a checkpoint trigger is

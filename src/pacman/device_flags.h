@@ -82,6 +82,15 @@ inline void ExitIfUnrecoveredState(Database* db) {
   std::exit(2);
 }
 
+// The walkthroughs' baseline checkpoint (bulk-loaded data is not logged,
+// so recovery needs one): a device failure is reported, not aborted on.
+inline void CheckpointOrExit(Database* db) {
+  const Status s = db->TryTakeCheckpoint();
+  if (s.ok()) return;
+  std::fprintf(stderr, "error: checkpoint failed: %s\n", s.message().c_str());
+  std::exit(1);
+}
+
 }  // namespace pacman
 
 #endif  // PACMAN_PACMAN_DEVICE_FLAGS_H_

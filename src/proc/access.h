@@ -1,30 +1,27 @@
 // Copyright (c) 2026 The PACMAN reproduction authors.
-// Stored-procedure interpreter.
+// Data access for stored-procedure execution.
 //
-// The same operation stream is executed in two worlds:
+// The bytecode VM (proc/bytecode.h) executes the same operation stream in
+// two worlds:
 //  - forward processing: inside an optimistic transaction (TxnAccess);
 //  - recovery replay: directly against the tables at a known commit
 //    timestamp (ReplayAccess), with the install discipline of the active
 //    recovery scheme (latched, latch-free, or last-writer-wins).
-// It also implements the dynamic analysis primitive of §4.3.1: computing a
-// piece's (table, key) access set from the runtime parameter values before
-// executing it.
-#ifndef PACMAN_PROC_INTERPRETER_H_
-#define PACMAN_PROC_INTERPRETER_H_
+#ifndef PACMAN_PROC_ACCESS_H_
+#define PACMAN_PROC_ACCESS_H_
 
-#include <atomic>
-#include <unordered_map>
-#include <vector>
+#include <cstdint>
 
 #include "common/status.h"
 #include "common/types.h"
-#include "proc/procedure.h"
+#include "common/value.h"
 #include "storage/catalog.h"
+#include "storage/table.h"
 #include "txn/transaction_manager.h"
 
 namespace pacman::proc {
 
-// Abstract data access used by the interpreter and the bytecode VM.
+// Abstract data access used by the bytecode VM.
 class AccessContext {
  public:
   virtual ~AccessContext() = default;
@@ -151,65 +148,6 @@ class ReplayAccess : public AccessContext {
   uint64_t latch_acquisitions_ = 0;
 };
 
-// Mutable execution state of one procedure instance (one transaction):
-// parameter values plus the local rows produced by reads so far. During
-// recovery this state is shared by all pieces of the transaction, so later
-// piece-sets see the locals produced by earlier ones (§4.3.1).
-//
-// The parameter vector is borrowed, not copied: the caller's argument
-// storage (the client's vector in forward processing, the log record
-// during replay) must outlive the state. The pointer-taking constructor
-// makes that explicit — replay instantiates one state per logged
-// transaction, and copying every record's params was a measurable slice
-// of recovery time.
-struct ProcState {
-  const ProcedureDef* proc = nullptr;
-  const std::vector<Value>* params = nullptr;  // Borrowed; never null.
-  std::vector<Row> locals;
-  std::vector<uint8_t> present;
-
-  ProcState() = default;
-  ProcState(const ProcedureDef* p, const std::vector<Value>* args)
-      : proc(p), params(args) {
-    PACMAN_DCHECK(args != nullptr);
-    locals.resize(p->num_locals);
-    present.assign(p->num_locals, false);
-  }
-
-  EvalContext Ctx() const {
-    EvalContext ctx;
-    ctx.params = params;
-    ctx.locals = &locals;
-    ctx.local_present = &present;
-    return ctx;
-  }
-};
-
-// Executes the given operations (ascending op indices) of state.proc.
-// Guards are evaluated; guarded-out ops are skipped. Returns non-OK only
-// on internal errors (reads that miss simply leave the local absent).
-Status ExecuteOps(const std::vector<OpIndex>& op_indices, ProcState* state,
-                  AccessContext* access);
-
-// Executes all operations of the procedure in program order.
-Status ExecuteAll(ProcState* state, AccessContext* access);
-
-// Evaluates the procedure's Emit() result expressions against the final
-// execution state — the client-visible outputs of the transaction. An
-// expression referencing a local whose defining read was guarded out or
-// missed evaluates to Null (checked via Resolvable, so no arithmetic runs
-// on absent rows). Recovery never calls this: responses are not replayed.
-std::vector<Value> EvalResults(const ProcState& state);
-
-// Dynamic analysis: computes the (table,key) set the given ops would
-// access, using the runtime values available in `state`. Returns false if
-// some key or guard is not yet resolvable (it depends on a read that has
-// not executed), in which case the caller must fall back to conservative
-// ordering for this piece.
-bool TryExtractAccessSet(const std::vector<OpIndex>& op_indices,
-                         const ProcState& state,
-                         std::vector<std::pair<TableId, Key>>* out);
-
 }  // namespace pacman::proc
 
-#endif  // PACMAN_PROC_INTERPRETER_H_
+#endif  // PACMAN_PROC_ACCESS_H_

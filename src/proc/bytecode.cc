@@ -29,9 +29,7 @@ inline const Value& OperandValue(const VmState& st, Operand o) {
 }
 
 inline Key OperandKey(const VmState& st, Operand o) {
-  const Value& v = OperandValue(st, o);
-  PACMAN_DCHECK(!v.is_null());
-  return static_cast<Key>(v.AsInt64());
+  return static_cast<Key>(OperandValue(st, o).NumberAsInt64());
 }
 
 inline Value BoolValue(bool b) { return Value(static_cast<int64_t>(b)); }
@@ -116,8 +114,8 @@ Status RunRange(VmState* st, AccessContext* access, uint32_t pc,
         regs[ins.dst] = BoolValue(!ValueTruthy(OperandValue(*st, ins.a)));
         break;
       case BcOp::kMod: {
-        const int64_t a = OperandValue(*st, ins.a).AsInt64();
-        const int64_t m = OperandValue(*st, ins.b).AsInt64();
+        const int64_t a = OperandValue(*st, ins.a).NumberAsInt64();
+        const int64_t m = OperandValue(*st, ins.b).NumberAsInt64();
         PACMAN_DCHECK(m > 0);
         regs[ins.dst] = Value(((a % m) + m) % m);
         break;
@@ -126,8 +124,8 @@ Status RunRange(VmState* st, AccessContext* access, uint32_t pc,
         uint64_t key = 0;
         const uint16_t* pairs = prog.aux.data() + ins.a;
         for (uint16_t i = 0; i < ins.b; ++i) {
-          const Value& v = OperandValue(*st, pairs[2 * i]);
-          const int64_t part = v.is_null() ? 0 : v.AsInt64();
+          const int64_t part =
+              OperandValue(*st, pairs[2 * i]).NumberAsInt64();
           PACMAN_DCHECK(part >= 0);
           key = (key << pairs[2 * i + 1]) | static_cast<uint64_t>(part);
         }
@@ -253,7 +251,7 @@ bool VmTryExtractAccessSet(const std::vector<OpIndex>& op_indices,
     // An unresolvable guard conservatively includes the op's key (the op
     // may or may not execute but can only touch that key) — but the key
     // itself must be computable now, else the caller falls back to
-    // conservative ordering (footnote 4), exactly as TryExtractAccessSet.
+    // conservative ordering (footnote 4).
     if (!AllPresent(*state, op.key_field_locals)) return false;
     Status s = RunRange(state, nullptr, op.key_begin, op.key_end);
     PACMAN_DCHECK(s.ok());

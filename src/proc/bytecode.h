@@ -1,12 +1,11 @@
 // Copyright (c) 2026 The PACMAN reproduction authors.
-// Register bytecode for stored procedures.
+// Register bytecode for stored procedures: the one engine that executes
+// them.
 //
-// The tree interpreter (proc/interpreter.h) walks an ExprPtr graph and
-// materializes a heap Value per node on every execution — a cost paid once
-// per transaction in forward processing and once per logged transaction in
-// command-log replay (CLR / CLR-P). The compiler (proc/compiler.h) lowers
-// each procedure once, at FinalizeSchema() time, into the flat form defined
-// here: a contiguous instruction vector over dense register slots, with
+// Procedures are written as expression trees (proc/expr.h). The compiler
+// (proc/compiler.h) lowers each procedure once, at FinalizeSchema() time,
+// into the flat form defined here: a contiguous instruction vector over
+// dense register slots, with
 // constants pooled in the program and parameters referenced in place, so
 // steady-state execution touches no allocator at all (registers, local
 // rows and the row-build scratch come from a per-worker ExecArena,
@@ -21,17 +20,17 @@
 // Register discipline: every operation's instruction range is
 // self-contained — it writes each scratch register before reading it and
 // no register value flows between operations (cross-operation data flows
-// through the local rows, exactly like the interpreter's ProcState). This
-// is what lets CLR-P execute different pieces of one transaction on
-// different threads with nothing shared but the locals/present arrays, and
-// lets the compiler reuse the same low register numbers in every op (the
-// register file stays a few cache lines).
+// through the local rows). This is what lets CLR-P execute different
+// pieces of one transaction on different threads with nothing shared but
+// the locals/present arrays, and lets the compiler reuse the same low
+// register numbers in every op (the register file stays a few cache
+// lines).
 //
-// The VM executes against the same AccessContext as the interpreter, so
-// forward processing (TxnAccess), all five recovery schemes (ReplayAccess)
-// and the §4.3.1 dynamic access-set primitive share it. The interpreter
-// stays as the parity oracle (DatabaseOptions::compiled_procedures=false);
-// tests/bytecode_test.cc pins the two bit-identical.
+// The VM executes against an AccessContext (proc/access.h), so forward
+// processing (TxnAccess), command-log replay under CLR and CLR-P
+// (ReplayAccess) and the §4.3.1 dynamic access-set primitive all run this
+// one evaluator. tests/bytecode_test.cc pins its outputs to golden
+// digests and content hashes.
 #ifndef PACMAN_PROC_BYTECODE_H_
 #define PACMAN_PROC_BYTECODE_H_
 
@@ -42,7 +41,7 @@
 #include "common/status.h"
 #include "common/types.h"
 #include "common/value.h"
-#include "proc/interpreter.h"
+#include "proc/access.h"
 #include "proc/procedure.h"
 
 namespace pacman::storage {
@@ -75,7 +74,7 @@ enum class BcOp : uint8_t {
   kGt,
   kGe,
   kAnd,  // dst = truthy(in(a)) && truthy(in(b)); both sides evaluated
-  kOr,   // eagerly by construction (same as the tree interpreter).
+  kOr,   // eagerly by construction.
   kNot,
   kMod,   // dst = positive modulo, in(b) > 0.
   kPack,  // dst = fold of aux pairs [a, a + 2*b): (operand, shift bits).
@@ -106,8 +105,7 @@ struct Instr {
 // let recovery re-run just the guard or just the key computation: the
 // dynamic analysis (§4.3.1) extracts a piece's access set by executing key
 // ranges alone, and resolvability is a compile-time-collected list of the
-// locals the range's kField loads need present (the exact condition
-// Expr::Resolvable tests at runtime).
+// locals the range's kField loads need present.
 struct CompiledOp {
   uint32_t begin = 0, end = 0;              // Full instruction range.
   uint32_t guard_begin = 0, guard_end = 0;  // Guard eval (sans jump).
@@ -123,7 +121,7 @@ struct CompiledOp {
 };
 
 // One Emit() expression: run [begin, end), read `operand`; Null when any
-// referenced kField local is absent (Expr::Resolvable semantics).
+// referenced kField local is absent.
 struct CompiledResult {
   uint32_t begin = 0, end = 0;
   Operand operand = 0;
@@ -173,8 +171,8 @@ struct CompiledProgram {
   std::vector<Instr> code;
   std::vector<Value> constants;
   std::vector<uint16_t> aux;  // kPack (operand, bits) pairs.
-  // Tables resolved once at compile time (the interpreter descends
-  // catalog->GetTable on every access).
+  // Tables resolved once at compile time, not by a catalog->GetTable
+  // descent on every access.
   std::vector<storage::Table*> tables;
   std::vector<TableId> table_ids;
   uint16_t num_regs = 0;
@@ -188,8 +186,7 @@ struct CompiledProgram {
 // Execution state of one program run. Owns nothing: registers and scratch
 // come from the executing thread's ExecArena; locals/present either from
 // the same arena (forward processing, CLR) or from a per-transaction
-// VmTxnLocals shared by the transaction's pieces across threads (CLR-P) —
-// the same sharing discipline as the interpreter's ProcState.
+// VmTxnLocals shared by the transaction's pieces across threads (CLR-P).
 struct VmState {
   const CompiledProgram* prog = nullptr;
   const std::vector<Value>* params = nullptr;  // Borrowed; never null.
@@ -199,9 +196,10 @@ struct VmState {
   Row* scratch = nullptr;  // Row-build staging (kBeginRow/kWriteRow).
 };
 
-// Executes the given operations (ascending op indices). Mirrors
-// ExecuteOps: guards skip, read misses clear `present`, non-OK only on
-// internal errors.
+// Executes the given operations (ascending op indices): guards skip, read
+// misses clear `present`, non-OK only on internal errors. Successive calls
+// over disjoint op subsets of one transaction (CLR-P's pieces) share its
+// locals through `state`.
 Status VmExecuteOps(const std::vector<OpIndex>& op_indices, VmState* state,
                     AccessContext* access);
 
@@ -213,8 +211,9 @@ Status VmExecuteAll(VmState* state, AccessContext* access);
 std::vector<Value> VmEvalResults(VmState* state);
 
 // Dynamic analysis (§4.3.1): the (table, key) set the given ops would
-// access, from the runtime values in `state`. Returns false when some key
-// depends on a read that has not executed. Scratch registers are written
+// access, from the runtime values in `state`. Guarded-out ops are left
+// out. Returns false when some key reads a local that is not present (its
+// read has not executed yet, or missed). Scratch registers are written
 // (hence the mutable state), locals are not.
 bool VmTryExtractAccessSet(const std::vector<OpIndex>& op_indices,
                            VmState* state,

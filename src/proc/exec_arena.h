@@ -14,9 +14,8 @@
 // executes different pieces of one transaction on different threads, so
 // the locals/present pair — the only state that crosses piece boundaries —
 // lives in a per-transaction VmTxnLocals instead, and BindShared() marries
-// it to the calling thread's private registers and scratch. This mirrors
-// the interpreter exactly: ProcState is per-transaction, expression
-// temporaries are per-evaluation.
+// it to the calling thread's private registers and scratch: locals are
+// per-transaction, registers per-execution.
 #ifndef PACMAN_PROC_EXEC_ARENA_H_
 #define PACMAN_PROC_EXEC_ARENA_H_
 

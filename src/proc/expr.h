@@ -22,24 +22,11 @@ namespace pacman::proc {
 class Expr;
 using ExprPtr = std::shared_ptr<const Expr>;
 
-// Truthiness and ordering semantics shared by the tree interpreter and the
-// bytecode VM (proc/bytecode.h). Keeping one definition is what makes the
-// compiled path bit-identical to the interpreted one: Null and empty
-// strings are falsy, comparisons are numeric unless both sides are
-// strings.
+// Truthiness and ordering semantics of the bytecode VM (proc/bytecode.h):
+// Null and empty strings are falsy; comparisons are numeric unless both
+// sides are strings, with Null (a field of an absent local) counting as 0.
 bool ValueTruthy(const Value& v);
 int CompareValues(const Value& a, const Value& b);
-
-// Evaluation inputs: procedure parameters plus the local rows produced by
-// earlier read operations. `local_present[i]` is false if the defining
-// read missed (the row did not exist) or has not executed yet.
-struct EvalContext {
-  const std::vector<Value>* params = nullptr;
-  const std::vector<Row>* locals = nullptr;
-  // uint8_t (not vector<bool>): distinct locals may be written by pieces of
-  // the same transaction running on different recovery threads.
-  const std::vector<uint8_t>* local_present = nullptr;
-};
 
 enum class ExprKind : uint8_t {
   kConstant,
@@ -62,7 +49,9 @@ enum class ExprKind : uint8_t {
   kMod,   // Integer modulo (used for ring-buffer key slots).
 };
 
-// Immutable expression node. Shared freely via ExprPtr.
+// Immutable expression node, shared freely via ExprPtr. Expressions are
+// the IR the compiler (proc/compiler.h) lowers to bytecode; they are never
+// evaluated directly.
 class Expr {
  public:
   static ExprPtr Constant(Value v);
@@ -82,21 +71,9 @@ class Expr {
   const std::vector<ExprPtr>& children() const { return children_; }
   const std::vector<int>& pack_bits() const { return pack_bits_; }
 
-  // Evaluates to a Value. Field access on an absent local yields Null.
-  Value Eval(const EvalContext& ctx) const;
-  // Evaluates as a boolean (non-zero integer / non-null).
-  bool EvalBool(const EvalContext& ctx) const;
-  // Evaluates as a 64-bit key.
-  Key EvalKey(const EvalContext& ctx) const;
-
   // Appends the indices of all referenced params / locals (with
   // duplicates; callers dedupe).
   void CollectRefs(std::vector<int>* params, std::vector<int>* locals) const;
-
-  // True if every local this expression references is present in `ctx`
-  // (i.e., the expression can be evaluated now). Parameters are always
-  // available.
-  bool Resolvable(const EvalContext& ctx) const;
 
   std::string ToString() const;
 

@@ -2,19 +2,16 @@
 
 #include "common/macros.h"
 #include "proc/exec_arena.h"
-#include "proc/interpreter.h"
 
 namespace pacman::recovery {
 
 void BuildClrReplay(const std::vector<GlobalBatch>& batches,
                     const std::vector<device::StorageDevice*>& ssds,
                     storage::Catalog* catalog,
-                    const proc::ProcedureRegistry* registry,
+                    const proc::ProgramSet& programs,
                     const RecoveryOptions& options, sim::TaskGraph* graph,
                     RecoveryCounters* counters,
-                    const std::vector<sim::TaskId>* batch_gates,
-                    const proc::ProgramSet* programs) {
-  if (programs != nullptr && !programs->compiled()) programs = nullptr;
+                    const std::vector<sim::TaskId>* batch_gates) {
   const CostModel cm = options.costs;
   const auto num_ssds = static_cast<uint32_t>(ssds.size());
   const sim::GroupId cpu = CpuGroup(num_ssds);
@@ -51,8 +48,8 @@ void BuildClrReplay(const std::vector<GlobalBatch>& batches,
     // TID-order replay — equivalent to the forward schedule.
     sim::TaskId replay = graph->AddTask(0.0, nullptr, cpu, batch.seq);
     const GlobalBatch* b = &batch;
-    graph->task(replay).dynamic_work = [b, catalog, registry, counters,
-                                        cm, programs]() {
+    graph->task(replay).dynamic_work = [b, catalog, counters, cm,
+                                        &programs]() {
       proc::ReplayAccess access(catalog, proc::InstallMode::kUnlatched);
       // Replay-thread arena: VM registers/locals/scratch recycled across
       // all re-executed transactions of this thread.
@@ -67,14 +64,10 @@ void BuildClrReplay(const std::vector<GlobalBatch>& batches,
           for (const logging::WriteImage& img : rec->writes) {
             access.Write(img.table, img.key, img.after, img.deleted, false);
           }
-        } else if (programs != nullptr) {
-          proc::VmState vm =
-              arena.Bind(programs->Get(rec->proc), &rec->params);
-          Status s = proc::VmExecuteAll(&vm, &access);
-          PACMAN_CHECK(s.ok());
         } else {
-          proc::ProcState state(&registry->Get(rec->proc), &rec->params);
-          Status s = proc::ExecuteAll(&state, &access);
+          proc::VmState vm =
+              arena.Bind(programs.Get(rec->proc), &rec->params);
+          Status s = proc::VmExecuteAll(&vm, &access);
           PACMAN_CHECK(s.ok());
         }
         cost += cm.txn_dispatch +

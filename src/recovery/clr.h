@@ -8,7 +8,6 @@
 #define PACMAN_RECOVERY_CLR_H_
 
 #include "proc/compiler.h"
-#include "proc/registry.h"
 #include "recovery/recovery.h"
 #include "sim/task_graph.h"
 
@@ -16,17 +15,15 @@ namespace pacman::recovery {
 
 // `batches` must stay alive until the graph has run; records are read at
 // dispatch time only, so with `batch_gates` (AddBatchGates) each batch
-// may still be loading when the graph is built. When `programs` holds
-// compiled bytecode (Database::FinalizeSchema with compiled_procedures),
-// re-execution runs through the VM instead of the tree interpreter.
+// may still be loading when the graph is built. Transactions re-execute
+// through the VM on `programs` (Database::FinalizeSchema).
 void BuildClrReplay(const std::vector<GlobalBatch>& batches,
                     const std::vector<device::StorageDevice*>& ssds,
                     storage::Catalog* catalog,
-                    const proc::ProcedureRegistry* registry,
+                    const proc::ProgramSet& programs,
                     const RecoveryOptions& options, sim::TaskGraph* graph,
                     RecoveryCounters* counters,
-                    const std::vector<sim::TaskId>* batch_gates = nullptr,
-                    const proc::ProgramSet* programs = nullptr);
+                    const std::vector<sim::TaskId>* batch_gates = nullptr);
 
 }  // namespace pacman::recovery
 

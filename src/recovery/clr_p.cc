@@ -10,7 +10,6 @@
 
 #include "common/macros.h"
 #include "proc/exec_arena.h"
-#include "proc/interpreter.h"
 
 namespace pacman::recovery {
 
@@ -27,10 +26,9 @@ uint64_t PackAccess(TableId table, Key key) {
 // Replay state of one logged transaction within a batch.
 struct TxnReplay {
   const logging::LogRecord* rec = nullptr;
-  proc::ProcState state;  // Procedural transactions, interpreter path.
-  // Compiled path: locals/present shared by all pieces of the transaction
-  // (different threads may run them); registers and scratch are bound
-  // from each replay thread's own arena at piece execution time.
+  // Locals/present shared by all pieces of the transaction (different
+  // threads may run them); registers and scratch are bound from each
+  // replay thread's own arena at piece execution time.
   proc::VmTxnLocals vm_locals;
 };
 
@@ -142,12 +140,11 @@ void BuildClrPReplay(const analysis::GlobalDependencyGraph& gdg,
                      const std::vector<device::StorageDevice*>& ssds,
                      storage::Catalog* catalog,
                      const proc::ProcedureRegistry* registry,
+                     const proc::ProgramSet& programs,
                      const RecoveryOptions& options,
                      const ClrPLayout& layout, sim::TaskGraph* graph,
                      RecoveryCounters* counters,
-                     const std::vector<sim::TaskId>* batch_gates,
-                     const proc::ProgramSet* programs) {
-  if (programs != nullptr && !programs->compiled()) programs = nullptr;
+                     const std::vector<sim::TaskId>* batch_gates) {
   const CostModel cm = options.costs;
   const auto num_blocks = static_cast<uint32_t>(gdg.NumBlocks());
   const bool reload_only = options.reload_only;
@@ -189,20 +186,14 @@ void BuildClrPReplay(const analysis::GlobalDependencyGraph& gdg,
     const GlobalBatch* b = &batch;
     sim::TaskId deser =
         graph->AddTask(0.0, nullptr, layout.cpu_group, batch.seq);
-    graph->task(deser).dynamic_work = [b, bstate, registry, counters,
-                                       deser_cost, programs]() {
+    graph->task(deser).dynamic_work = [b, bstate, counters, deser_cost,
+                                       &programs]() {
       bstate->txns.resize(b->records.size());
       for (size_t i = 0; i < b->records.size(); ++i) {
         const logging::LogRecord* rec = b->records[i];
         bstate->txns[i].rec = rec;
         if (!rec->is_adhoc()) {
-          if (programs != nullptr) {
-            bstate->txns[i].vm_locals.Reset(
-                programs->Get(rec->proc).num_locals);
-          } else {
-            bstate->txns[i].state =
-                proc::ProcState(&registry->Get(rec->proc), &rec->params);
-          }
+          bstate->txns[i].vm_locals.Reset(programs.Get(rec->proc).num_locals);
         }
       }
       counters->AddLoading(deser_cost);
@@ -225,10 +216,10 @@ void BuildClrPReplay(const analysis::GlobalDependencyGraph& gdg,
       auto computed = std::make_shared<std::atomic<double>>(-1.0);
       auto run_piece_set = [bstate, k, cores, mode, catalog,
                             counters, cm, total_threads,
-                            table_block, piece_ops, programs]() -> double {
+                            table_block, piece_ops, &programs]() -> double {
         proc::ReplayAccess access(catalog, proc::InstallMode::kUnlatched);
-        // Compiled path: this replay thread's private registers/scratch;
-        // the per-transaction locals live in TxnReplay::vm_locals.
+        // This replay thread's private registers/scratch; the
+        // per-transaction locals live in TxnReplay::vm_locals.
         thread_local proc::ExecArena arena;
         // Pieces execute in batch order == ascending commit TID, and the
         // conflict chains below serialize pieces that share a key in that
@@ -269,12 +260,12 @@ void BuildClrPReplay(const analysis::GlobalDependencyGraph& gdg,
             ops = it->second;
           }
 
-          // Compiled path: marry the transaction's shared locals to this
-          // thread's registers for both the dynamic analysis and the
-          // piece execution below.
+          // Marry the transaction's shared locals to this thread's
+          // registers for both the dynamic analysis and the piece
+          // execution below.
           proc::VmState vm;
-          if (programs != nullptr && !rec->is_adhoc()) {
-            vm = arena.BindShared(programs->Get(rec->proc), &rec->params,
+          if (!rec->is_adhoc()) {
+            vm = arena.BindShared(programs.Get(rec->proc), &rec->params,
                                   &txn.vm_locals);
           }
 
@@ -286,11 +277,8 @@ void BuildClrPReplay(const analysis::GlobalDependencyGraph& gdg,
             if (rec->is_adhoc()) {
               access_set = adhoc_writes;
               resolved = true;
-            } else if (programs != nullptr) {
-              resolved = proc::VmTryExtractAccessSet(*ops, &vm, &access_set);
             } else {
-              resolved =
-                  proc::TryExtractAccessSet(*ops, txn.state, &access_set);
+              resolved = proc::VmTryExtractAccessSet(*ops, &vm, &access_set);
             }
             param += cm.piece_param_check;
           }
@@ -306,11 +294,8 @@ void BuildClrPReplay(const analysis::GlobalDependencyGraph& gdg,
                              false);
               }
             }
-          } else if (programs != nullptr) {
-            Status s = proc::VmExecuteOps(*ops, &vm, &access);
-            PACMAN_CHECK(s.ok());
           } else {
-            Status s = proc::ExecuteOps(*ops, &txn.state, &access);
+            Status s = proc::VmExecuteOps(*ops, &vm, &access);
             PACMAN_CHECK(s.ok());
           }
           const double op_cost =

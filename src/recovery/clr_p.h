@@ -38,10 +38,10 @@ struct ClrPLayout {
 // Computes the per-block core assignment from the piece distribution of
 // the reloaded batches (§4.4, Fig. 10), weighted by the cost model so
 // heavy blocks get proportional shares. The distribution is an estimate
-// made "at log reloading time": the serial loader passes every batch;
-// the streaming pipeline passes the first merged batch as a sample (the
-// assignment shapes scheduling, never correctness, and waiting for the
-// full log would forfeit the load/replay overlap).
+// made "at log reloading time": the simulated backend passes every batch;
+// the overlapped real-thread replay passes the first merged batch as a
+// sample (the assignment shapes scheduling, never correctness, and waiting
+// for the full log would forfeit the load/replay overlap).
 ClrPLayout PlanClrPLayout(const analysis::GlobalDependencyGraph& gdg,
                           const std::vector<GlobalBatch>& batches,
                           const proc::ProcedureRegistry* registry,
@@ -52,20 +52,20 @@ ClrPLayout PlanClrPLayout(const analysis::GlobalDependencyGraph& gdg,
 // `options.mode` selects static-only / synchronous / pipelined execution.
 // `batches` must stay alive until the graph has run; records are read at
 // dispatch time only, so with `batch_gates` (AddBatchGates) each batch
-// may still be loading when the graph is built. When `programs` holds
-// compiled bytecode, pieces execute through the VM: per-transaction
-// locals are shared across the replay threads (exactly like ProcState)
-// while registers and scratch stay thread-private in each thread's arena.
+// may still be loading when the graph is built. Pieces execute through
+// the VM on `programs`: per-transaction locals are shared across the
+// replay threads while registers and scratch stay thread-private in each
+// thread's arena.
 void BuildClrPReplay(const analysis::GlobalDependencyGraph& gdg,
                      const std::vector<GlobalBatch>& batches,
                      const std::vector<device::StorageDevice*>& ssds,
                      storage::Catalog* catalog,
                      const proc::ProcedureRegistry* registry,
+                     const proc::ProgramSet& programs,
                      const RecoveryOptions& options,
                      const ClrPLayout& layout, sim::TaskGraph* graph,
                      RecoveryCounters* counters,
-                     const std::vector<sim::TaskId>* batch_gates = nullptr,
-                     const proc::ProgramSet* programs = nullptr);
+                     const std::vector<sim::TaskId>* batch_gates = nullptr);
 
 }  // namespace pacman::recovery
 

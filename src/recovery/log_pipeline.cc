@@ -1,7 +1,6 @@
 #include "recovery/log_pipeline.h"
 
 #include <algorithm>
-#include <map>
 #include <utility>
 
 #include "common/macros.h"
@@ -11,51 +10,20 @@ namespace pacman::recovery {
 LogLoadPlan PlanLogLoad(const std::vector<device::StorageDevice*>& devices,
                         uint32_t logger_filter) {
   LogLoadPlan plan;
-  for (uint32_t d = 0; d < devices.size(); ++d) {
-    for (const std::string& name : devices[d]->ListFiles("log_")) {
-      uint32_t logger = 0;
-      uint64_t seq = 0;
-      if (!logging::LogStore::ParseBatchFileName(name, &logger, &seq)) {
-        continue;
-      }
-      if (logger_filter != kNoLoggerFilter && logger != logger_filter) {
-        continue;
-      }
-      BatchFileInfo info;
-      info.device = d;
-      info.logger = logger;
-      info.seq = seq;
-      info.bytes = devices[d]->FileSize(name);
-      info.name = name;
-      plan.files.push_back(std::move(info));
+  for (logging::BatchFile& f : logging::LogStore::ListBatchFiles(devices)) {
+    if (logger_filter != kNoLoggerFilter && f.logger != logger_filter) {
+      continue;
     }
-  }
-  // Global reload order: (seq, logger). The per-seq fragment lists then
-  // come out in ascending logger order, matching the serial loader.
-  std::sort(plan.files.begin(), plan.files.end(),
-            [](const BatchFileInfo& a, const BatchFileInfo& b) {
-              if (a.seq != b.seq) return a.seq < b.seq;
-              return a.logger < b.logger;
-            });
-  // The newest file of each logger stream tolerates a torn tail (see
-  // BatchParseOptions::tolerate_torn_tail); interior files stay strict.
-  std::map<uint32_t, uint64_t> newest_seq;
-  for (const BatchFileInfo& f : plan.files) {
-    auto it = newest_seq.find(f.logger);
-    if (it == newest_seq.end() || f.seq > it->second) {
-      newest_seq[f.logger] = f.seq;
-    }
-  }
-  for (BatchFileInfo& f : plan.files) {
-    f.tolerate_tail = newest_seq[f.logger] == f.seq;
-  }
-  for (size_t i = 0; i < plan.files.size(); ++i) {
-    if (plan.seqs.empty() || plan.seqs.back() != plan.files[i].seq) {
-      plan.seqs.push_back(plan.files[i].seq);
+    BatchFileInfo info;
+    info.bytes = devices[f.device]->FileSize(f.name);
+    info.file = std::move(f);
+    if (plan.seqs.empty() || plan.seqs.back() != info.file.seq) {
+      plan.seqs.push_back(info.file.seq);
       plan.seq_files.emplace_back();
     }
-    plan.files[i].seq_index = plan.seqs.size() - 1;
-    plan.seq_files.back().push_back(i);
+    info.seq_index = plan.seqs.size() - 1;
+    plan.seq_files.back().push_back(plan.files.size());
+    plan.files.push_back(std::move(info));
   }
   return plan;
 }
@@ -84,14 +52,15 @@ void PipelinedLogLoader::Start() {
   pending_.resize(plan_.seqs.size());
   for (size_t k = 0; k < plan_.seqs.size(); ++k) {
     // Skeletons: the metadata replay builders need at graph-build time,
-    // before any file contents exist. Same values the serial merge
-    // produces (device = logger % num_ssds; size from the listing).
+    // before any file contents exist (device = logger % num_ssds; size
+    // from the listing).
     batches_[k].seq = plan_.seqs[k];
     pending_[k] = plan_.seq_files[k].size();
     batches_[k].files.reserve(plan_.seq_files[k].size());
     for (size_t fi : plan_.seq_files[k]) {
       batches_[k].files.emplace_back(
-          plan_.files[fi].logger % options_.num_ssds, plan_.files[fi].bytes);
+          plan_.files[fi].file.logger % options_.num_ssds,
+          plan_.files[fi].bytes);
     }
   }
   if (scheme_ != logging::LogScheme::kCommand) {
@@ -109,7 +78,7 @@ void PipelinedLogLoader::Start() {
   // order).
   std::vector<std::vector<size_t>> per_device(devices_.size());
   for (size_t i = 0; i < plan_.files.size(); ++i) {
-    per_device[plan_.files[i].device].push_back(i);
+    per_device[plan_.files[i].file.device].push_back(i);
   }
   std::unique_lock<std::mutex> lk(mu_);
   for (uint32_t d = 0; d < per_device.size(); ++d) {
@@ -126,7 +95,7 @@ void PipelinedLogLoader::ReadDeviceStream(
   // plan_ is immutable after Start; only this reader touches this
   // device's files.
   for (size_t fi : file_indices) {
-    const BatchFileInfo& info = plan_.files[fi];
+    const logging::BatchFile& info = plan_.files[fi].file;
     {
       std::lock_guard<std::mutex> g(mu_);
       if (failed_) break;
@@ -149,29 +118,10 @@ void PipelinedLogLoader::ReadDeviceStream(
     jobs_outstanding_++;
     lk.unlock();
     pool_->Submit([this, fi, buf] {
-      const BatchFileInfo& f = plan_.files[fi];
       logging::LogBatch batch;
-      logging::BatchParseOptions popts;
-      popts.borrow = true;  // Zero-copy: strings view LogBatch::backing.
-      popts.file_name = f.name;
-      popts.tolerate_torn_tail = f.tolerate_tail;
-      Status ds =
-          logging::LogStore::DeserializeBatch(scheme_, buf, popts, &batch);
-      if (ds.ok() && batch.torn_tail && batch.records.empty()) {
-        // The tear cut into the header itself; recover the identity from
-        // the file name (the empty fragment still has to check in with
-        // its sequence group below).
-        batch.logger_id = f.logger;
-        batch.seq = f.seq;
-      }
-      if (ds.ok() && (batch.seq != f.seq || batch.logger_id != f.logger)) {
-        // The merge groups fragments by file name; a header that
-        // disagrees would silently land records in the wrong global
-        // batch, so it is corruption, not a tolerable mismatch.
-        ds = Status::Corruption("batch file " + f.name +
-                                ": header (logger, seq) disagrees with "
-                                "the file name");
-      }
+      // Zero-copy: string fields view LogBatch::backing.
+      Status ds = logging::LogStore::ParseBatchFile(
+          scheme_, plan_.files[fi].file, buf, /*borrow=*/true, &batch);
       if (ds.ok()) {
         // Distinct slot per job; publication happens-before any reader
         // of the slot via pending_/mu_ below.
@@ -229,13 +179,12 @@ void PipelinedLogLoader::DrainReadySeqs(std::unique_lock<std::mutex>& lk) {
         if (r.epoch > options_.pepoch) zombie_records_++;
       }
     }
-    // Over the *replayable* records (post checkpoint/pepoch cuts), like
-    // the serial path: the TID counter resumes past what was replayed.
+    // Over the *replayable* records (post checkpoint/pepoch cuts): the TID
+    // counter resumes past what was replayed.
     for (const logging::LogRecord* r : merged.records) {
       max_commit_ts_ = std::max(max_commit_ts_, r->commit_ts);
     }
-    Status vs = options_.verify_order ? verifier_.Check(merged)
-                                      : Status::Ok();
+    Status vs = verifier_.Check(merged);
     lk.lock();
     if (!vs.ok()) {
       if (error_.ok()) {

@@ -1,12 +1,13 @@
 // Copyright (c) 2026 The PACMAN reproduction authors.
-// Pipelined multicore recovery load path (paper §6.2.3's recovery-time
-// claim depends on it: reloading must not serialize in front of replay).
+// The recovery log loader: a pipelined multicore load path (paper
+// §6.2.3's recovery-time claim depends on it: reloading must not
+// serialize in front of replay). Every recovery, and every tool or test
+// that inspects a log, reads it through this one loader.
 //
-// The serial reference loader (LogStore::LoadAllBatches + MergeBatches)
-// reads and deserializes one batch file at a time on one thread, then
-// merges everything before replay may start — a serial prefix that grows
-// linearly with log size. This pipeline rebuilds that prefix as three
-// overlapped stages on an exec::ThreadPool:
+// Reading and deserializing one batch file at a time, then merging
+// everything before replay may start, would be a serial prefix that grows
+// linearly with log size. This pipeline runs it as three overlapped
+// stages on an exec::ThreadPool:
 //
 //   readers      one job per device, reading that device's batch files in
 //                (seq, logger) order — a device is a serial bandwidth
@@ -16,10 +17,9 @@
 //                the retained file buffer, LogBatch::backing);
 //   merge        a seq-ordered producer: the worker that completes the
 //                last fragment of the next pending sequence number merges
-//                that seq's fragments into a GlobalBatch (identical
-//                algorithm to the serial path: MergeBatchGroup), runs the
-//                incremental per-key commit-order verification, and
-//                publishes it.
+//                that seq's fragments into a GlobalBatch
+//                (MergeBatchGroup), runs the incremental per-key
+//                commit-order verification, and publishes it.
 //
 // Batches are published in ascending seq. On the real-thread replay
 // backend, per-seq gate tasks (AddBatchGates) block replay of batch k
@@ -52,19 +52,12 @@
 
 namespace pacman::recovery {
 
-// One batch file discovered on a device, plus its position in the global
-// reload order.
+// One batch file of the plan, plus its position in the global reload
+// order.
 struct BatchFileInfo {
-  uint32_t device = 0;  // Index into the device vector.
-  uint32_t logger = 0;
-  uint64_t seq = 0;
-  size_t seq_index = 0;  // Index into LogLoadPlan::seqs.
-  size_t bytes = 0;      // On-device size (listing metadata).
-  std::string name;
-  // True for the newest file of its logger stream: the only file a crash
-  // mid-(re)write can leave torn, so it parses with
-  // BatchParseOptions::tolerate_torn_tail.
-  bool tolerate_tail = false;
+  logging::BatchFile file;  // From LogStore::ListBatchFiles.
+  size_t seq_index = 0;     // Index into LogLoadPlan::seqs.
+  size_t bytes = 0;         // On-device size (listing metadata).
 };
 
 // The load plan, built from device listings only (no file contents read):
@@ -92,7 +85,6 @@ struct LogPipelineOptions {
   Timestamp checkpoint_ts = 0;
   Epoch pepoch = kMaxTimestamp;
   uint32_t num_ssds = 1;
-  bool verify_order = true;
   // Restrict this loader to one logger's batch stream (see PlanLogLoad).
   uint32_t logger_filter = kNoLoggerFilter;
 };

@@ -45,34 +45,6 @@ void MergeBatchGroup(const logging::LogBatch* const* fragments, size_t n,
             });
 }
 
-std::vector<GlobalBatch> MergeBatches(
-    const std::vector<logging::LogBatch>& batches, uint32_t num_ssds,
-    Timestamp checkpoint_ts, Epoch pepoch) {
-  // Group consecutive runs of equal seq. The input is already in global
-  // reload order (LoadAllBatches sorts by (seq, logger)), so grouping is
-  // a linear scan — no ordered-map copy of every batch.
-  std::vector<const logging::LogBatch*> ordered;
-  ordered.reserve(batches.size());
-  for (const logging::LogBatch& b : batches) ordered.push_back(&b);
-  std::sort(ordered.begin(), ordered.end(),
-            [](const logging::LogBatch* a, const logging::LogBatch* b) {
-              if (a->seq != b->seq) return a->seq < b->seq;
-              return a->logger_id < b->logger_id;
-            });
-  std::vector<GlobalBatch> out;
-  size_t i = 0;
-  while (i < ordered.size()) {
-    size_t j = i;
-    while (j < ordered.size() && ordered[j]->seq == ordered[i]->seq) ++j;
-    GlobalBatch g;
-    MergeBatchGroup(ordered.data() + i, j - i, num_ssds, checkpoint_ts,
-                    pepoch, &g);
-    out.push_back(std::move(g));
-    i = j;
-  }
-  return out;
-}
-
 Status PerKeyOrderVerifier::Check(const GlobalBatch& batch) {
   for (const logging::LogRecord* rec : batch.records) {
     for (const logging::WriteImage& img : rec->writes) {
@@ -93,22 +65,6 @@ Status PerKeyOrderVerifier::Check(const GlobalBatch& batch) {
         it->second = rec->commit_ts;
       }
     }
-  }
-  return Status::Ok();
-}
-
-Status VerifyPerKeyCommitOrder(const std::vector<GlobalBatch>& batches) {
-  PerKeyOrderVerifier verifier;
-  size_t writes = 0;
-  for (const GlobalBatch& batch : batches) {
-    for (const logging::LogRecord* rec : batch.records) {
-      writes += rec->writes.size();
-    }
-  }
-  verifier.Reserve(writes);
-  for (const GlobalBatch& batch : batches) {
-    Status s = verifier.Check(batch);
-    if (!s.ok()) return s;
   }
   return Status::Ok();
 }

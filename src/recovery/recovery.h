@@ -59,16 +59,9 @@ struct RecoveryOptions {
   // CLR-P only: replay with an alternative statically-derived graph
   // (Fig. 18 uses the transaction-chopping decomposition).
   const analysis::GlobalDependencyGraph* gdg_override = nullptr;
-  // Pipelined multicore load path (recovery/log_pipeline.h): batch files
-  // are read and deserialized in parallel (zero-copy, one reader per
-  // device stream), checkpoint stripes are prefetched concurrently, and a
-  // streaming merge hands each seq's GlobalBatch onward as soon as its
-  // per-logger fragments are parsed. On the real-thread backend, replay
-  // of batch k then overlaps the load of batch k+1 (the barrier is
-  // per-seq, not global). Off = the serial reference loader, kept as the
-  // bitwise-parity baseline (tests/recovery_pipeline_test.cc).
-  bool pipelined_load = true;
-  // Worker threads of the load pipeline; 0 = num_threads.
+  // Worker threads of the load pipeline (recovery/log_pipeline.h), which
+  // reads and deserializes batch files and checkpoint stripes in parallel;
+  // 0 = num_threads.
   uint32_t load_threads = 0;
 };
 
@@ -135,7 +128,7 @@ class RecoveryCounters {
 //  - per key, write images appear in ascending commit TID across the
 //    global reload order (within and across epochs) — the invariant
 //    PLR/LLR's last-writer-wins installs, LLR-P's in-order partition
-//    installs, and VerifyPerKeyCommitOrder below encode;
+//    installs, and PerKeyOrderVerifier below encode;
 //  - any two *conflicting* transactions (w-w, w-r, and r-w) have TIDs in
 //    their serialization order, so re-executing commands in TID order
 //    (CLR serially, CLR-P under its dependency graph) reproduces the
@@ -152,20 +145,10 @@ struct GlobalBatch {
 // logger order, drops records with commit_ts <= checkpoint_ts (already
 // durable in the checkpoint) or beyond the pepoch watermark (their
 // results were never released to clients, Appendix A), then sorts by
-// commit timestamp. Shared by the serial loader (MergeBatches) and the
-// streaming pipeline, so both produce bit-identical replay input.
+// commit timestamp. `num_ssds` maps logger id -> device (id % num_ssds).
 void MergeBatchGroup(const logging::LogBatch* const* fragments, size_t n,
                      uint32_t num_ssds, Timestamp checkpoint_ts, Epoch pepoch,
                      GlobalBatch* out);
-
-// Groups per-logger batches by sequence number and merges their records by
-// commit timestamp. `num_ssds` maps logger id -> device (id % num_ssds).
-// Records with commit_ts <= checkpoint_ts are dropped (already durable in
-// the checkpoint), as are records beyond the pepoch watermark (their
-// results were never released to clients, Appendix A).
-std::vector<GlobalBatch> MergeBatches(
-    const std::vector<logging::LogBatch>& batches, uint32_t num_ssds,
-    Timestamp checkpoint_ts, Epoch pepoch = kMaxTimestamp);
 
 // Checks the per-key ordering contract on merged replay input: every
 // key's write images must carry strictly ascending commit TIDs along the
@@ -176,10 +159,8 @@ std::vector<GlobalBatch> MergeBatches(
 // pass over the write images; command records without images (pure CL
 // entries) have nothing tuple-level to verify.
 //
-// The incremental form: feed batches in global reload order (ascending
-// seq). The streaming load pipeline verifies each GlobalBatch as it is
-// merged, before replay may consume it; the one-shot function below is
-// the same check over a fully-materialized batch vector.
+// Feed batches in global reload order (ascending seq): the load pipeline
+// verifies each GlobalBatch as it is merged, before replay may consume it.
 class PerKeyOrderVerifier {
  public:
   // Pre-sizes the conflict table for the expected number of distinct
@@ -190,8 +171,6 @@ class PerKeyOrderVerifier {
  private:
   std::unordered_map<uint64_t, Timestamp> last_cts_;
 };
-
-Status VerifyPerKeyCommitOrder(const std::vector<GlobalBatch>& batches);
 
 // Shared machine-layout convention for recovery task graphs:
 //   groups [0, num_ssds)      : one serial core per device;

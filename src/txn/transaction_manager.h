@@ -28,7 +28,7 @@
 //    unordered and break command-log re-execution (CLR / CLR-P).
 // Tuple-level replay (PLR/LLR/LLR-P) needs only the weaker per-key
 // consequence: versions of one key are installed in TID order, within and
-// across epochs (recovery/recovery.h, VerifyPerKeyCommitOrder). PACMAN is
+// across epochs (recovery/recovery.h, PerKeyOrderVerifier). PACMAN is
 // orthogonal to the CC scheme (§1); this one is chosen because its commit
 // order is cheap to make durable.
 #ifndef PACMAN_TXN_TRANSACTION_MANAGER_H_

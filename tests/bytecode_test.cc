@@ -1,16 +1,22 @@
-// Compiled-execution parity suite: the bytecode VM must be bit-identical
-// to the expression-tree interpreter — same emitted values, same final
-// table state — on forward processing and on replay under every recovery
-// scheme, plus arena reuse semantics and the unfinalized-procedure death
-// check.
+// Compiled-execution suite: golden pins on everything the bytecode VM
+// computes — emitted values and final table state on forward processing,
+// and the state every recovery scheme restores — plus arena reuse
+// semantics, the compiled program summary and the unfinalized-procedure
+// death check.
+//
+// The pinned values were captured while the VM still ran beside an
+// expression-tree interpreter and matched it bit for bit (forward and
+// CLR/CLR-P replay), and every recovery also matched a serial reference
+// loader. The pins keep those oracles' outputs as data.
 #include "proc/bytecode.h"
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "pacman/database.h"
 #include "proc/compiler.h"
 #include "proc/exec_arena.h"
-#include "proc/interpreter.h"
 #include "workload/bank.h"
 #include "workload/tpcc.h"
 
@@ -35,168 +41,133 @@ LogScheme SchemeLogFormat(Scheme s) {
   return LogScheme::kCommand;
 }
 
-// Bit-exact value equality: type and payload, no numeric promotion (the
-// parity claim is "identical results", not "equivalent results").
-bool SameValue(const Value& a, const Value& b) {
-  if (a.type() != b.type()) return false;
-  switch (a.type()) {
-    case ValueType::kNull:
-      return true;
-    case ValueType::kInt64:
-      return a.AsInt64() == b.AsInt64();
-    case ValueType::kDouble:
-      return a.AsDouble() == b.AsDouble();
-    case ValueType::kString:
-      return a.AsStringView() == b.AsStringView();
-  }
-  return false;
-}
-
-std::unique_ptr<Database> MakeBankDb(bool compiled,
-                                     LogScheme scheme = LogScheme::kCommand,
-                                     workload::Bank* bank = nullptr) {
-  DatabaseOptions opts;
-  opts.scheme = scheme;
-  opts.compiled_procedures = compiled;
-  opts.commits_per_epoch = 25;
-  opts.epochs_per_batch = 2;
-  auto db = std::make_unique<Database>(opts);
-  static workload::Bank local_bank{workload::BankConfig{
-      .num_users = 300, .num_nations = 8, .single_fraction = 0.2}};
-  workload::Bank* b = bank != nullptr ? bank : &local_bank;
-  b->CreateTables(db->catalog());
-  b->RegisterProcedures(db->registry());
-  b->Load(db->catalog());
+std::unique_ptr<Database> MakeBankDb(workload::Bank* bank) {
+  auto db = std::make_unique<Database>();
+  bank->Install(db.get());
   db->FinalizeSchema();
   return db;
 }
 
-// Every bank procedure, both engines, transaction by transaction: emitted
-// values must match exactly and the final table state must hash equal.
-TEST(BytecodeParityTest, BankForwardEmittedValuesAndState) {
-  workload::Bank bank{workload::BankConfig{
-      .num_users = 300, .num_nations = 8, .single_fraction = 0.2}};
-  auto interp = MakeBankDb(/*compiled=*/false, LogScheme::kCommand, &bank);
-  auto vm = MakeBankDb(/*compiled=*/true, LogScheme::kCommand, &bank);
+// --- Golden pins ------------------------------------------------------------
 
-  Rng rng(7);
-  std::vector<Value> params;
-  for (int i = 0; i < 400; ++i) {
-    ProcId proc = bank.NextTransaction(&rng, &params);
-    TxnResult a = interp->Execute(proc, params);
-    TxnResult b = vm->Execute(proc, params);
-    ASSERT_TRUE(a.ok());
-    ASSERT_TRUE(b.ok());
-    ASSERT_EQ(a.values.size(), b.values.size()) << "txn " << i;
-    for (size_t v = 0; v < a.values.size(); ++v) {
-      EXPECT_TRUE(SameValue(a.values[v], b.values[v]))
-          << "txn " << i << " value " << v << ": "
-          << a.values[v].ToString() << " vs " << b.values[v].ToString();
-    }
-  }
-  EXPECT_EQ(interp->ContentHash(), vm->ContentHash());
-}
-
-// Directed branch coverage: Transfer with a married source (guard taken),
-// a single source (guard skipped -> Null results), and Deposit below and
-// above the savings-bonus threshold.
-TEST(BytecodeParityTest, BankGuardBranchesMatch) {
-  workload::Bank bank{workload::BankConfig{
-      .num_users = 10, .num_nations = 2, .single_fraction = 0.0}};
-  workload::Bank single_bank{workload::BankConfig{
-      .num_users = 10, .num_nations = 2, .single_fraction = 1.0}};
-  for (workload::Bank* b : {&bank, &single_bank}) {
-    auto interp = MakeBankDb(false, LogScheme::kCommand, b);
-    auto vm = MakeBankDb(true, LogScheme::kCommand, b);
-    const std::vector<std::pair<ProcId, std::vector<Value>>> cases = {
-        {b->transfer_id(), {Value(int64_t{0}), Value(5.0)}},
-        {b->deposit_id(),
-         {Value(int64_t{1}), Value(3.0), Value(int64_t{0})}},
-        {b->deposit_id(),
-         {Value(int64_t{1}), Value(11000.0), Value(int64_t{1})}},
-    };
-    for (const auto& [proc, params] : cases) {
-      TxnResult a = interp->Execute(proc, params);
-      TxnResult r = vm->Execute(proc, params);
-      ASSERT_TRUE(a.ok());
-      ASSERT_TRUE(r.ok());
-      ASSERT_EQ(a.values.size(), r.values.size());
-      for (size_t v = 0; v < a.values.size(); ++v) {
-        EXPECT_TRUE(SameValue(a.values[v], r.values[v]));
+// FNV-1a over one transaction's outcome: status code, value count, then
+// each emitted value's type tag and exact payload (doubles bit for bit).
+uint64_t DigestResult(uint64_t h, const TxnResult& r) {
+  const uint8_t code = static_cast<uint8_t>(r.status.code());
+  h = Fnv1a(&code, 1, h);
+  const uint64_t n = r.values.size();
+  h = Fnv1a(&n, sizeof(n), h);
+  for (const Value& v : r.values) {
+    const uint8_t tag = static_cast<uint8_t>(v.type());
+    h = Fnv1a(&tag, 1, h);
+    switch (v.type()) {
+      case ValueType::kNull:
+        break;
+      case ValueType::kInt64: {
+        const int64_t i = v.AsInt64();
+        h = Fnv1a(&i, sizeof(i), h);
+        break;
       }
+      case ValueType::kDouble: {
+        const double d = v.AsDouble();
+        uint64_t bits;
+        std::memcpy(&bits, &d, sizeof(bits));
+        h = Fnv1a(&bits, sizeof(bits), h);
+        break;
+      }
+      case ValueType::kString:
+        h = Fnv1a(v.AsStringView().data(), v.AsStringView().size(), h);
+        break;
     }
-    EXPECT_EQ(interp->ContentHash(), vm->ContentHash());
   }
+  return h;
 }
 
-// TPC-C: every procedure of the full mix, both engines.
-TEST(BytecodeParityTest, TpccForwardEmittedValuesAndState) {
-  workload::TpccConfig config;
-  config.num_warehouses = 2;
-  config.districts_per_warehouse = 4;
-  config.customers_per_district = 30;
-  config.num_items = 100;
-  config.orders_per_district = 8;
+enum class Workload { kBank, kTpcc };
 
-  auto make = [&](bool compiled) {
+// One pinned run: bank runs 400 transactions from seed 7, TPC-C 300 from
+// seed 11, each on a small fixed database.
+struct PinnedRun {
+  std::unique_ptr<Database> db;
+  std::unique_ptr<workload::Bank> bank;
+  std::unique_ptr<workload::Tpcc> tpcc;
+
+  PinnedRun(Workload w, LogScheme log, uint32_t shards) {
     DatabaseOptions opts;
-    opts.scheme = LogScheme::kCommand;
-    opts.compiled_procedures = compiled;
-    auto db = std::make_unique<Database>(opts);
-    auto tpcc = std::make_shared<workload::Tpcc>(config);
-    tpcc->Install(db.get());
-    db->FinalizeSchema();
-    return std::make_pair(std::move(db), tpcc);
-  };
-  auto [interp, tpcc_a] = make(false);
-  auto [vm, tpcc_b] = make(true);
-
-  Rng rng(11);
-  std::vector<Value> params;
-  for (int i = 0; i < 300; ++i) {
-    ProcId proc = tpcc_a->NextTransaction(&rng, &params);
-    TxnResult a = interp->Execute(proc, params);
-    TxnResult b = vm->Execute(proc, params);
-    ASSERT_EQ(a.ok(), b.ok()) << "txn " << i;
-    ASSERT_EQ(a.values.size(), b.values.size()) << "txn " << i;
-    for (size_t v = 0; v < a.values.size(); ++v) {
-      EXPECT_TRUE(SameValue(a.values[v], b.values[v]))
-          << "txn " << i << " value " << v;
+    opts.scheme = log;
+    opts.num_shards = shards;
+    opts.commits_per_epoch = 25;
+    opts.epochs_per_batch = 2;
+    db = std::make_unique<Database>(opts);
+    if (w == Workload::kBank) {
+      bank = std::make_unique<workload::Bank>(workload::BankConfig{
+          .num_users = 300, .num_nations = 8, .single_fraction = 0.2});
+      bank->Install(db.get());
+    } else {
+      tpcc = std::make_unique<workload::Tpcc>(workload::TpccConfig{
+          .num_warehouses = 2,
+          .districts_per_warehouse = 4,
+          .customers_per_district = 30,
+          .num_items = 100,
+          .orders_per_district = 8});
+      tpcc->Install(db.get());
     }
+    db->FinalizeSchema();
   }
-  EXPECT_EQ(interp->ContentHash(), vm->ContentHash());
+
+  // Runs the pinned transactions; returns the digest of their outcomes.
+  uint64_t Forward() {
+    Rng rng(bank != nullptr ? 7 : 11);
+    std::vector<Value> params;
+    uint64_t h = 1469598103934665603ull;
+    for (int i = 0; i < (bank != nullptr ? 400 : 300); ++i) {
+      const ProcId proc = bank != nullptr
+                              ? bank->NextTransaction(&rng, &params)
+                              : tpcc->NextTransaction(&rng, &params);
+      h = DigestResult(h, db->Execute(proc, params));
+    }
+    return h;
+  }
+};
+
+constexpr uint64_t kBankDigest = 0x7b608f1ac631c3a0ull;
+constexpr uint64_t kBankHash = 0xfc6129b093603fafull;
+constexpr uint64_t kTpccDigest = 0x585e9123afedb393ull;
+constexpr uint64_t kTpccHash = 0xfe6a2f47d1bbb5b2ull;
+
+TEST(GoldenPinTest, BankForwardValuesAndState) {
+  PinnedRun run(Workload::kBank, LogScheme::kCommand, 1);
+  EXPECT_EQ(run.Forward(), kBankDigest);
+  EXPECT_EQ(run.db->ContentHash(), kBankHash);
 }
 
-// All five recovery schemes restore the exact pre-crash state with
-// compiled execution on; CLR/CLR-P additionally must agree with the
-// interpreter-replayed state (only they re-execute procedures).
-TEST(BytecodeParityTest, ReplayParityAcrossAllSchemes) {
-  for (Scheme scheme : {Scheme::kPlr, Scheme::kLlr, Scheme::kLlrP,
-                        Scheme::kClr, Scheme::kClrP}) {
-    workload::Bank bank{workload::BankConfig{
-        .num_users = 300, .num_nations = 8, .single_fraction = 0.2}};
-    auto interp = MakeBankDb(false, SchemeLogFormat(scheme), &bank);
-    auto vm = MakeBankDb(true, SchemeLogFormat(scheme), &bank);
-    for (Database* db : {interp.get(), vm.get()}) {
-      db->TakeCheckpoint();
-      Rng rng(5);
-      std::vector<Value> params;
-      for (int i = 0; i < 200; ++i) {
-        ProcId proc = bank.NextTransaction(&rng, &params);
-        ASSERT_TRUE(db->ExecuteProcedure(proc, params).ok());
-      }
-    }
-    const uint64_t pre_interp = interp->ContentHash();
-    const uint64_t pre_vm = vm->ContentHash();
-    ASSERT_EQ(pre_interp, pre_vm) << "scheme " << static_cast<int>(scheme);
+TEST(GoldenPinTest, TpccForwardValuesAndState) {
+  PinnedRun run(Workload::kTpcc, LogScheme::kCommand, 1);
+  EXPECT_EQ(run.Forward(), kTpccDigest);
+  EXPECT_EQ(run.db->ContentHash(), kTpccHash);
+}
 
-    RecoveryOptions ropts;
-    ropts.num_threads = 4;
-    for (Database* db : {interp.get(), vm.get()}) {
-      db->Crash();
-      db->Recover(scheme, ropts);
-      EXPECT_EQ(db->ContentHash(), pre_interp)
-          << "scheme " << static_cast<int>(scheme);
+// Every scheme, sharded and unsharded, restores the pinned state: CLR and
+// CLR-P by re-executing the procedures on the VM, the tuple schemes by
+// installing the logged images.
+TEST(GoldenPinTest, EverySchemeRecoversPinnedState) {
+  for (Workload w : {Workload::kBank, Workload::kTpcc}) {
+    for (Scheme scheme : {Scheme::kPlr, Scheme::kLlr, Scheme::kLlrP,
+                          Scheme::kClr, Scheme::kClrP}) {
+      for (uint32_t shards : {1u, 2u}) {
+        SCOPED_TRACE(std::string(recovery::SchemeName(scheme)) +
+                     (w == Workload::kBank ? " bank" : " tpcc") +
+                     " shards=" + std::to_string(shards));
+        PinnedRun run(w, SchemeLogFormat(scheme), shards);
+        ASSERT_TRUE(run.db->TryTakeCheckpoint().ok());
+        run.Forward();
+        run.db->Crash();
+        RecoveryOptions ropts;
+        ropts.num_threads = 4;
+        run.db->Recover(scheme, ropts);
+        EXPECT_EQ(run.db->ContentHash(),
+                  w == Workload::kBank ? kBankHash : kTpccHash);
+      }
     }
   }
 }
@@ -206,7 +177,7 @@ TEST(BytecodeParityTest, ReplayParityAcrossAllSchemes) {
 TEST(ExecArenaTest, BindResetsPresenceAndKeepsCapacity) {
   workload::Bank bank{workload::BankConfig{
       .num_users = 20, .num_nations = 2, .single_fraction = 0.0}};
-  auto db = MakeBankDb(true, LogScheme::kCommand, &bank);
+  auto db = MakeBankDb(&bank);
   const proc::CompiledProgram& prog =
       db->programs().Get(bank.transfer_id());
 
@@ -243,7 +214,7 @@ TEST(ExecArenaTest, BindResetsPresenceAndKeepsCapacity) {
 TEST(ExecArenaTest, BindSharedUsesTxnLocals) {
   workload::Bank bank{workload::BankConfig{
       .num_users = 20, .num_nations = 2, .single_fraction = 0.0}};
-  auto db = MakeBankDb(true, LogScheme::kCommand, &bank);
+  auto db = MakeBankDb(&bank);
   const proc::CompiledProgram& prog =
       db->programs().Get(bank.transfer_id());
 
@@ -277,7 +248,7 @@ TEST(ExecArenaTest, BindSharedUsesTxnLocals) {
 TEST(CompiledProgramTest, SummaryAndDisassembly) {
   workload::Bank bank{workload::BankConfig{
       .num_users = 20, .num_nations = 2, .single_fraction = 0.0}};
-  auto db = MakeBankDb(true, LogScheme::kCommand, &bank);
+  auto db = MakeBankDb(&bank);
   const proc::CompiledProgram& prog =
       db->programs().Get(bank.transfer_id());
 
@@ -301,12 +272,11 @@ TEST(CompiledProgramTest, SummaryAndDisassembly) {
   EXPECT_NE(dis.find("jump_if_false"), std::string::npos);
 }
 
-// Executing a compiled-procedures database whose schema was never
-// finalized must trip the check rather than run uncompiled.
+// Executing on a database whose schema was never finalized must trip the
+// check: no compiled program exists to run.
 TEST(BytecodeDeathTest, ExecuteWithoutFinalizeDies) {
   DatabaseOptions opts;
   opts.scheme = LogScheme::kCommand;
-  opts.compiled_procedures = true;
   Database db(opts);
   workload::Bank bank{workload::BankConfig{
       .num_users = 10, .num_nations = 2, .single_fraction = 0.0}};
@@ -316,7 +286,7 @@ TEST(BytecodeDeathTest, ExecuteWithoutFinalizeDies) {
   // No FinalizeSchema(): no compiled programs exist.
   const std::vector<Value> params = {Value(int64_t{0}), Value(5.0)};
   EXPECT_DEATH(db.ExecuteProcedure(bank.transfer_id(), params),
-               "compiled_procedures requires FinalizeSchema");
+               "Execute requires FinalizeSchema");
 }
 
 }  // namespace

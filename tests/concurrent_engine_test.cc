@@ -60,7 +60,7 @@ class ConcurrentEngineTest : public ::testing::Test {
 
 TEST_F(ConcurrentEngineTest, FourWorkersCommitEverythingOnce) {
   auto db = MakeBankDb();
-  db->TakeCheckpoint();
+  ASSERT_TRUE(db->TryTakeCheckpoint().ok());
   DriverOptions opts;
   opts.num_workers = 4;
   opts.num_txns = 4000;
@@ -87,7 +87,7 @@ TEST_F(ConcurrentEngineTest, TransfersConserveBalanceSum) {
   const double before =
       testutil::VisibleSum(current, db->txn_manager()->LastCommitted());
 
-  db->TakeCheckpoint();
+  ASSERT_TRUE(db->TryTakeCheckpoint().ok());
   DriverOptions opts;
   opts.num_workers = 4;
   opts.num_txns = 3000;
@@ -101,7 +101,7 @@ TEST_F(ConcurrentEngineTest, TransfersConserveBalanceSum) {
 
 TEST_F(ConcurrentEngineTest, CrashRecoveryReproducesConcurrentState) {
   auto db = MakeBankDb(/*commits_per_epoch=*/50);
-  db->TakeCheckpoint();
+  ASSERT_TRUE(db->TryTakeCheckpoint().ok());
   DriverOptions opts;
   opts.num_workers = 4;
   opts.num_txns = 3000;
@@ -125,7 +125,7 @@ TEST_F(ConcurrentEngineTest, CrashRecoveryReproducesConcurrentState) {
 
 TEST_F(ConcurrentEngineTest, RecoveryOnRealThreadsMatchesToo) {
   auto db = MakeBankDb();
-  db->TakeCheckpoint();
+  ASSERT_TRUE(db->TryTakeCheckpoint().ok());
   DriverOptions opts;
   opts.num_workers = 4;
   opts.num_txns = 2000;
@@ -141,7 +141,7 @@ TEST_F(ConcurrentEngineTest, RecoveryOnRealThreadsMatchesToo) {
 
 TEST_F(ConcurrentEngineTest, RepeatedConcurrentRunAndRecoveryCycles) {
   auto db = MakeBankDb();
-  db->TakeCheckpoint();
+  ASSERT_TRUE(db->TryTakeCheckpoint().ok());
   recovery::RecoveryOptions ropts;
   ropts.num_threads = 4;
   for (int cycle = 0; cycle < 3; ++cycle) {
@@ -162,7 +162,7 @@ TEST_F(ConcurrentEngineTest, SingleWorkerMatchesSerialExecution) {
   auto db2 = MakeBankDb();
 
   // db1: historical serial loop.
-  db1->TakeCheckpoint();
+  ASSERT_TRUE(db1->TryTakeCheckpoint().ok());
   Rng rng(123);
   std::vector<Value> params;
   for (int i = 0; i < 500; ++i) {
@@ -171,7 +171,7 @@ TEST_F(ConcurrentEngineTest, SingleWorkerMatchesSerialExecution) {
   }
 
   // db2: the driver with one worker and the same seed.
-  db2->TakeCheckpoint();
+  ASSERT_TRUE(db2->TryTakeCheckpoint().ok());
   DriverOptions opts;
   opts.num_workers = 1;
   opts.num_txns = 500;
@@ -183,7 +183,7 @@ TEST_F(ConcurrentEngineTest, SingleWorkerMatchesSerialExecution) {
 
 TEST_F(ConcurrentEngineTest, AdhocFractionSurvivesConcurrentRecovery) {
   auto db = MakeBankDb();
-  db->TakeCheckpoint();
+  ASSERT_TRUE(db->TryTakeCheckpoint().ok());
   DriverOptions opts;
   opts.num_workers = 4;
   opts.num_txns = 2000;
@@ -209,7 +209,7 @@ TEST_F(ConcurrentEngineTest, EightWorkerHotKeyStressConservesAndRecovers) {
   const storage::Table* current = db->catalog()->GetTable("Current");
   const double before =
       testutil::VisibleSum(current, db->txn_manager()->LastCommitted());
-  db->TakeCheckpoint();
+  ASSERT_TRUE(db->TryTakeCheckpoint().ok());
 
   DriverOptions opts;
   opts.num_workers = 8;
@@ -252,7 +252,7 @@ TEST(ConcurrentSmallbankTest, StressRecoversExactState) {
   sb.RegisterProcedures(db.registry());
   sb.Load(db.catalog());
   db.FinalizeSchema();
-  db.TakeCheckpoint();
+  ASSERT_TRUE(db.TryTakeCheckpoint().ok());
 
   DriverOptions opts;
   opts.num_workers = 4;

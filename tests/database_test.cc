@@ -53,7 +53,7 @@ TEST_F(DatabaseTest, FlushAccountingAccumulates) {
   RunTxns(db.get(), 50);
   EXPECT_GT(db->total_flush_seconds(), 0.0);
   EXPECT_GT(db->log_manager()->total_bytes(), 0u);
-  EXPECT_GT(db->ssd(0)->total_fsyncs() + db->ssd(1)->total_fsyncs(), 0u);
+  EXPECT_GT(db->device(0)->total_fsyncs() + db->device(1)->total_fsyncs(), 0u);
 }
 
 TEST_F(DatabaseTest, GdgBuiltOnFinalize) {
@@ -66,7 +66,7 @@ TEST_F(DatabaseTest, GdgBuiltOnFinalize) {
 
 TEST_F(DatabaseTest, RepeatedCrashRecoveryCycles) {
   auto db = MakeDb();
-  db->TakeCheckpoint();
+  ASSERT_TRUE(db->TryTakeCheckpoint().ok());
   RunTxns(db.get(), 100, 3);
   const uint64_t h1 = db->ContentHash();
   recovery::RecoveryOptions ropts;
@@ -91,7 +91,7 @@ TEST_F(DatabaseTest, RepeatedCrashRecoveryCycles) {
 
 TEST_F(DatabaseTest, RecoverySetsTimestampsPastReplayedCommits) {
   auto db = MakeDb();
-  db->TakeCheckpoint();
+  ASSERT_TRUE(db->TryTakeCheckpoint().ok());
   RunTxns(db.get(), 50);
   const Timestamp last = db->txn_manager()->LastCommitted();
   db->Crash();
@@ -109,7 +109,7 @@ TEST_F(DatabaseTest, CheckpointOnlyRecovery) {
   // and the state equals the checkpoint snapshot.
   auto db = MakeDb();
   RunTxns(db.get(), 30);
-  db->TakeCheckpoint();
+  ASSERT_TRUE(db->TryTakeCheckpoint().ok());
   const uint64_t pre = db->ContentHash();
   db->Crash();
   recovery::RecoveryOptions ropts;
@@ -121,9 +121,9 @@ TEST_F(DatabaseTest, CheckpointOnlyRecovery) {
 
 TEST_F(DatabaseTest, LatestCheckpointWins) {
   auto db = MakeDb();
-  db->TakeCheckpoint();
+  ASSERT_TRUE(db->TryTakeCheckpoint().ok());
   RunTxns(db.get(), 40, 5);
-  db->TakeCheckpoint();
+  ASSERT_TRUE(db->TryTakeCheckpoint().ok());
   RunTxns(db.get(), 40, 6);
   const uint64_t pre = db->ContentHash();
   db->Crash();
@@ -161,14 +161,14 @@ TEST_F(DatabaseTest, ContentHashStableAcrossIdenticalRuns) {
 
 TEST_F(DatabaseTest, SsdFilesAppearForLogsAndCheckpoints) {
   auto db = MakeDb();
-  db->TakeCheckpoint();
+  ASSERT_TRUE(db->TryTakeCheckpoint().ok());
   RunTxns(db.get(), 60);
   db->AdvanceEpoch();
   db->log_manager()->FinalizeAll();
   size_t log_files = 0, ckpt_files = 0;
   for (uint32_t d = 0; d < 2; ++d) {
-    log_files += db->ssd(d)->ListFiles("log_").size();
-    ckpt_files += db->ssd(d)->ListFiles("ckpt_").size();
+    log_files += db->device(d)->ListFiles("log_").size();
+    ckpt_files += db->device(d)->ListFiles("ckpt_").size();
   }
   EXPECT_GT(log_files, 0u);
   // Stripe files plus the ckpt_meta descriptor.

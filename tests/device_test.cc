@@ -359,7 +359,7 @@ TEST_P(RestartRecoveryTest, SurvivesProcessRestart) {
     ASSERT_FALSE(db->opened_existing_state());
     bank_.Install(db.get());
     db->FinalizeSchema();
-    db->TakeCheckpoint();
+    ASSERT_TRUE(db->TryTakeCheckpoint().ok());
     RunTxns(db.get(), 80);
     hash_before = db->ContentHash();
     sum_before = BalanceSum(db.get());
@@ -404,7 +404,7 @@ TEST_F(DeviceTest, RestartRecoverContinueAndRestartAgain) {
         FileDbOptions(logging::LogScheme::kCommand));
     bank_.Install(db.get());
     db->FinalizeSchema();
-    db->TakeCheckpoint();
+    ASSERT_TRUE(db->TryTakeCheckpoint().ok());
     RunTxns(db.get(), 60);
     h1 = db->ContentHash();
   }
@@ -444,7 +444,7 @@ TEST_F(DeviceTest, GroupCommitWritesEachLoggedByteOnce) {
   Database db(opts);
   bank_.Install(&db);
   db.FinalizeSchema();
-  db.TakeCheckpoint();
+  ASSERT_TRUE(db.TryTakeCheckpoint().ok());
   auto device_bytes = [&db] {
     uint64_t n = 0;
     for (device::StorageDevice* d : db.device_ptrs()) {
@@ -511,13 +511,11 @@ TEST_F(DeviceTest, TruncateBeyondWatermarkErasesZombieRecords) {
                   .ok());
   // The epoch-7 zombie is gone; the file (and its sequence slot) remain.
   EXPECT_TRUE(dev.Exists(name));
-  std::vector<logging::LogBatch> reloaded;
-  ASSERT_TRUE(logging::LogStore::LoadAllBatches(logging::LogScheme::kCommand,
-                                                {&dev}, &reloaded)
-                  .ok());
-  ASSERT_EQ(reloaded.size(), 1u);
-  ASSERT_EQ(reloaded[0].records.size(), 2u);
-  for (const auto& r : reloaded[0].records) EXPECT_LE(r.epoch, 2u);
+  auto reloaded = testutil::LoadLog(logging::LogScheme::kCommand, {&dev});
+  ASSERT_TRUE(reloaded->status.ok());
+  ASSERT_EQ(reloaded->batches().size(), 1u);
+  ASSERT_EQ(reloaded->batches()[0].records.size(), 2u);
+  for (const auto* r : reloaded->batches()[0].records) EXPECT_LE(r->epoch, 2u);
 }
 
 TEST_F(DeviceTest, RestartRecoveryErasesZombiesFromPartialFlush) {
@@ -532,7 +530,7 @@ TEST_F(DeviceTest, RestartRecoveryErasesZombiesFromPartialFlush) {
         FileDbOptions(logging::LogScheme::kCommand));
     bank_.Install(db.get());
     db->FinalizeSchema();
-    db->TakeCheckpoint();
+    ASSERT_TRUE(db->TryTakeCheckpoint().ok());
     RunTxns(db.get(), 40);
     h1 = db->ContentHash();
     // Plant the zombie: a batch whose record postdates the watermark and
@@ -587,7 +585,7 @@ TEST_F(DeviceTest, RecoveryRepairsATornTailBeforeItBecomesInterior) {
         FileDbOptions(logging::LogScheme::kCommand));
     bank_.Install(db.get());
     db->FinalizeSchema();
-    db->TakeCheckpoint();
+    ASSERT_TRUE(db->TryTakeCheckpoint().ok());
     RunTxns(db.get(), 40);
     h1 = db->ContentHash();
     torn_name = db->device(0)->ListFiles("log_00_").back();
@@ -629,7 +627,7 @@ TEST_F(DeviceTest, ColdStartRefusesForwardWorkBeforeRecovery) {
         FileDbOptions(logging::LogScheme::kCommand));
     bank_.Install(db.get());
     db->FinalizeSchema();
-    db->TakeCheckpoint();
+    ASSERT_TRUE(db->TryTakeCheckpoint().ok());
     RunTxns(db.get(), 20);
   }
   auto db = std::make_unique<Database>(
@@ -666,7 +664,7 @@ TEST_F(DeviceTest, CustomDeviceFactoryIsHonored) {
   Database db(opts);
   bank_.Install(&db);
   db.FinalizeSchema();
-  db.TakeCheckpoint();
+  ASSERT_TRUE(db.TryTakeCheckpoint().ok());
   RunTxns(&db, 20);
   EXPECT_TRUE(fs::exists(dir_ + "/custom0"));
   EXPECT_TRUE(fs::exists(dir_ + "/custom1"));

@@ -22,7 +22,7 @@ class FailureTest : public ::testing::Test {
     bank_.RegisterProcedures(db->registry());
     bank_.Load(db->catalog());
     db->FinalizeSchema();
-    db->TakeCheckpoint();
+    PACMAN_CHECK(db->TryTakeCheckpoint().ok());
     Rng rng(1);
     std::vector<Value> params;
     for (int i = 0; i < 60; ++i) {
@@ -40,10 +40,10 @@ class FailureTest : public ::testing::Test {
 
 TEST_F(FailureTest, TruncatedBatchFileIsRejected) {
   auto db = MakeDbWithLogs();
-  auto names = db->ssd(0)->ListFiles("log_");
+  auto names = db->device(0)->ListFiles("log_");
   ASSERT_FALSE(names.empty());
   std::vector<uint8_t> bytes;
-  ASSERT_TRUE(db->ssd(0)->ReadFile(names[0], &bytes).ok());
+  ASSERT_TRUE(db->device(0)->ReadFile(names[0], &bytes).ok());
   // Truncate in the middle of the record area.
   std::vector<uint8_t> truncated(bytes.begin(),
                                  bytes.begin() + bytes.size() / 2);
@@ -55,10 +55,10 @@ TEST_F(FailureTest, TruncatedBatchFileIsRejected) {
 
 TEST_F(FailureTest, BitFlippedMagicIsRejected) {
   auto db = MakeDbWithLogs();
-  auto names = db->ssd(0)->ListFiles("log_");
+  auto names = db->device(0)->ListFiles("log_");
   ASSERT_FALSE(names.empty());
   std::vector<uint8_t> bytes;
-  ASSERT_TRUE(db->ssd(0)->ReadFile(names[0], &bytes).ok());
+  ASSERT_TRUE(db->device(0)->ReadFile(names[0], &bytes).ok());
   std::vector<uint8_t> corrupted = bytes;
   corrupted[0] ^= 0xff;
   logging::LogBatch out;
@@ -73,10 +73,10 @@ TEST_F(FailureTest, WrongSchemeParseFailsOrDiverges) {
   // into a structurally valid equivalent: either it errors, or the
   // records it produces differ from the command-log parse.
   auto db = MakeDbWithLogs();
-  auto names = db->ssd(0)->ListFiles("log_");
+  auto names = db->device(0)->ListFiles("log_");
   ASSERT_FALSE(names.empty());
   std::vector<uint8_t> bytes;
-  ASSERT_TRUE(db->ssd(0)->ReadFile(names[0], &bytes).ok());
+  ASSERT_TRUE(db->device(0)->ReadFile(names[0], &bytes).ok());
   logging::LogBatch as_cl, as_ll;
   ASSERT_TRUE(logging::LogStore::DeserializeBatch(
                   logging::LogScheme::kCommand, bytes, &as_cl)
@@ -108,15 +108,15 @@ TEST_F(FailureTest, MissingFilesReportNotFound) {
 TEST_F(FailureTest, CorruptCheckpointStripeIsRejected) {
   auto db = MakeDbWithLogs();
   logging::Checkpointer ckpt(db->catalog(), logging::LogScheme::kCommand,
-                             db->ssd_ptrs());
+                             db->device_ptrs());
   logging::CheckpointMeta meta;
   ASSERT_TRUE(ckpt.ReadLatestMeta(&meta).ok());
   const std::string name = logging::Checkpointer::StripeFileName(meta.id, 0, 0);
   std::vector<uint8_t> bytes;
-  ASSERT_TRUE(db->ssd(0)->ReadFile(name, &bytes).ok());
+  ASSERT_TRUE(db->device(0)->ReadFile(name, &bytes).ok());
   std::vector<uint8_t> truncated(bytes.begin(),
                                  bytes.begin() + bytes.size() - 3);
-  ASSERT_TRUE(db->ssd(0)->WriteFile(name, std::move(truncated)).ok());
+  ASSERT_TRUE(db->device(0)->WriteFile(name, std::move(truncated)).ok());
   logging::CheckpointStripe stripe;
   EXPECT_EQ(ckpt.ReadStripe(meta, 0, 0, &stripe).code(),
             StatusCode::kCorruption);
@@ -141,7 +141,7 @@ TEST_F(FailureTest, RecordsBeyondPepochAreNotReplayed) {
       {db->catalog()->GetTableId("Current"), 0, {Value(-1e9)}, false});
   rogue.records.push_back(rec);
   ASSERT_TRUE(
-      db->ssd(0)
+      db->device(0)
           ->WriteFile(logging::LogStore::BatchFileName(0, rogue.seq),
                       logging::LogStore::SerializeBatch(
                           logging::LogScheme::kCommand, rogue))

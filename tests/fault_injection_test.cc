@@ -324,7 +324,7 @@ struct FaultyEngine {
     bank.RegisterBalance(db->registry());
     bank.Load(db->catalog());
     db->FinalizeSchema();
-    db->TakeCheckpoint();
+    EXPECT_TRUE(db->TryTakeCheckpoint().ok());
   }
 
   void RunTxns(int n) {
@@ -485,7 +485,7 @@ TEST(FaultEngineTest, TornAppendRecoveryReturnsTheAckedState) {
       .num_users = 100, .num_nations = 4, .single_fraction = 0.0}};
   bank.Install(&db);
   db.FinalizeSchema();
-  db.TakeCheckpoint();
+  ASSERT_TRUE(db.TryTakeCheckpoint().ok());
   ASSERT_EQ(dev->counters().fsyncs, 1u);
 
   Rng rng(7);
@@ -822,7 +822,6 @@ DatabaseOptions SweepOptions(recovery::Scheme scheme, uint32_t shards) {
   // watermark, never already-acked epochs in front of it.
   opts.epochs_per_batch = 3;
   opts.ckpt_files_per_ssd = 2;
-  opts.compiled_procedures = false;  // Analysis speed; parity pinned elsewhere.
   return opts;
 }
 
@@ -853,7 +852,7 @@ SweepRun ForwardRun(recovery::Scheme scheme, uint32_t shards) {
   workload::Bank bank = SweepBank();
   bank.Install(&db);
   db.FinalizeSchema();
-  db.TakeCheckpoint();
+  EXPECT_TRUE(db.TryTakeCheckpoint().ok());
   run.checkpoint_done = journal->size();
   run.legal.push_back({db.ContentHash(), MoneyTotal(&db)});
 

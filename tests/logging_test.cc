@@ -6,6 +6,7 @@
 #include "device/simulated_ssd.h"
 #include "logging/checkpointer.h"
 #include "pacman/database.h"
+#include "test_util.h"
 #include "workload/bank.h"
 
 namespace pacman::logging {
@@ -50,25 +51,21 @@ TEST_F(LoggingTest, CommandLoggingProducesOrderedBatches) {
   db->AdvanceEpoch();
   db->log_manager()->FinalizeAll();
 
-  std::vector<LogBatch> batches;
-  ASSERT_TRUE(LogStore::LoadAllBatches(LogScheme::kCommand, db->ssd_ptrs(),
-                                       &batches)
-                  .ok());
-  ASSERT_FALSE(batches.empty());
-  size_t total = 0;
-  for (const LogBatch& b : batches) {
-    total += b.records.size();
+  auto log = testutil::LoadLog(LogScheme::kCommand, db->device_ptrs());
+  ASSERT_TRUE(log->status.ok());
+  ASSERT_FALSE(log->batches().empty());
+  for (const recovery::GlobalBatch& b : log->batches()) {
     // Within a batch, records are in commit order.
     for (size_t i = 1; i < b.records.size(); ++i) {
-      EXPECT_LT(b.records[i - 1].commit_ts, b.records[i].commit_ts);
+      EXPECT_LT(b.records[i - 1]->commit_ts, b.records[i]->commit_ts);
     }
-    for (const LogRecord& r : b.records) {
-      EXPECT_FALSE(r.is_adhoc());
-      EXPECT_TRUE(r.writes.empty());
-      EXPECT_FALSE(r.params.empty());
+    for (const LogRecord* r : b.records) {
+      EXPECT_FALSE(r->is_adhoc());
+      EXPECT_TRUE(r->writes.empty());
+      EXPECT_FALSE(r->params.empty());
     }
   }
-  EXPECT_EQ(total, 100u);
+  EXPECT_EQ(log->num_records(), 100u);
 }
 
 TEST_F(LoggingTest, TupleLevelLogsCarryWriteImages) {
@@ -77,19 +74,16 @@ TEST_F(LoggingTest, TupleLevelLogsCarryWriteImages) {
   db->AdvanceEpoch();
   db->log_manager()->FinalizeAll();
 
-  std::vector<LogBatch> batches;
-  ASSERT_TRUE(LogStore::LoadAllBatches(LogScheme::kLogical, db->ssd_ptrs(),
-                                       &batches)
-                  .ok());
-  size_t total = 0, writes = 0;
-  for (const LogBatch& b : batches) {
-    for (const LogRecord& r : b.records) {
-      total++;
-      writes += r.writes.size();
-      EXPECT_FALSE(r.writes.empty());
+  auto log = testutil::LoadLog(LogScheme::kLogical, db->device_ptrs());
+  ASSERT_TRUE(log->status.ok());
+  size_t writes = 0;
+  for (const recovery::GlobalBatch& b : log->batches()) {
+    for (const LogRecord* r : b.records) {
+      writes += r->writes.size();
+      EXPECT_FALSE(r->writes.empty());
     }
   }
-  EXPECT_EQ(total, 50u);
+  EXPECT_EQ(log->num_records(), 50u);
   EXPECT_GE(writes, 50u);
 }
 
@@ -116,16 +110,14 @@ TEST_F(LoggingTest, AdhocTransactionsLogWriteImagesUnderCL) {
   db->AdvanceEpoch();
   db->log_manager()->FinalizeAll();
 
-  std::vector<LogBatch> batches;
-  ASSERT_TRUE(LogStore::LoadAllBatches(LogScheme::kCommand, db->ssd_ptrs(),
-                                       &batches)
-                  .ok());
+  auto log = testutil::LoadLog(LogScheme::kCommand, db->device_ptrs());
+  ASSERT_TRUE(log->status.ok());
   size_t adhoc = 0;
-  for (const LogBatch& b : batches) {
-    for (const LogRecord& r : b.records) {
-      if (r.is_adhoc()) {
+  for (const recovery::GlobalBatch& b : log->batches()) {
+    for (const LogRecord* r : b.records) {
+      if (r->is_adhoc()) {
         adhoc++;
-        EXPECT_FALSE(r.writes.empty());
+        EXPECT_FALSE(r->writes.empty());
       }
     }
   }
@@ -138,7 +130,7 @@ TEST_F(LoggingTest, PepochAdvancesWithFlushes) {
   EXPECT_EQ(db->epoch_manager()->PersistentEpoch(), 0u);
   db->AdvanceEpoch();
   EXPECT_EQ(db->epoch_manager()->PersistentEpoch(), 1u);
-  EXPECT_TRUE(db->ssd(0)->Exists(LogStore::PepochFileName()));
+  EXPECT_TRUE(db->device(0)->Exists(LogStore::PepochFileName()));
 }
 
 TEST_F(LoggingTest, FlushCostReflectsBytesAndFsync) {
@@ -147,7 +139,7 @@ TEST_F(LoggingTest, FlushCostReflectsBytesAndFsync) {
   FlushCost cost = db->AdvanceEpoch();
   EXPECT_GT(cost.bytes, 0u);
   // At least one fsync latency must be included.
-  EXPECT_GE(cost.seconds, db->ssd(0)->FsyncSeconds());
+  EXPECT_GE(cost.seconds, db->device(0)->FsyncSeconds());
 }
 
 TEST_F(LoggingTest, ReadOnlyTransactionsAreNotLogged) {
@@ -158,12 +150,9 @@ TEST_F(LoggingTest, ReadOnlyTransactionsAreNotLogged) {
   RunTxns(db.get(), 10);
   db->AdvanceEpoch();
   db->log_manager()->FinalizeAll();
-  std::vector<LogBatch> batches;
-  ASSERT_TRUE(LogStore::LoadAllBatches(LogScheme::kCommand, db->ssd_ptrs(),
-                                       &batches)
-                  .ok());
-  size_t total = 0;
-  for (const LogBatch& b : batches) total += b.records.size();
+  auto log = testutil::LoadLog(LogScheme::kCommand, db->device_ptrs());
+  ASSERT_TRUE(log->status.ok());
+  const size_t total = log->num_records();
   // Transfers against spouse-less users still write Saving? No: the whole
   // body is guarded. Such transactions commit empty write sets and must
   // not be logged, so total <= 10.
@@ -200,10 +189,11 @@ TEST(CheckpointMetaTest, GoldenMetaFileStillValidates) {
 TEST_F(LoggingTest, CheckpointRoundTrip) {
   auto db = MakeDb(LogScheme::kCommand);
   RunTxns(db.get(), 30);
-  CheckpointMeta meta = db->TakeCheckpoint();
+  CheckpointMeta meta;
+  ASSERT_TRUE(db->TryTakeCheckpoint(&meta).ok());
   EXPECT_GT(meta.total_bytes, 0u);
 
-  Checkpointer ckpt(db->catalog(), LogScheme::kCommand, db->ssd_ptrs());
+  Checkpointer ckpt(db->catalog(), LogScheme::kCommand, db->device_ptrs());
   CheckpointMeta read_meta;
   ASSERT_TRUE(ckpt.ReadLatestMeta(&read_meta).ok());
   EXPECT_EQ(read_meta.ts, meta.ts);
@@ -224,29 +214,26 @@ TEST_F(LoggingTest, CheckpointRoundTrip) {
   EXPECT_EQ(tuples, visible);
 }
 
-TEST_F(LoggingTest, MergeBatchesRestoresGlobalCommitOrder) {
+TEST_F(LoggingTest, LoaderRestoresGlobalCommitOrder) {
   auto db = MakeDb(LogScheme::kCommand);
   RunTxns(db.get(), 100);
   db->Crash();
-  std::vector<LogBatch> batches;
-  ASSERT_TRUE(LogStore::LoadAllBatches(LogScheme::kCommand, db->ssd_ptrs(),
-                                       &batches)
-                  .ok());
-  auto merged = recovery::MergeBatches(batches, 2, 0);
-  ASSERT_FALSE(merged.empty());
+  auto log = testutil::LoadLog(LogScheme::kCommand, db->device_ptrs());
+  ASSERT_TRUE(log->status.ok());
+  ASSERT_FALSE(log->batches().empty());
   Timestamp prev = 0;
-  size_t total = 0;
-  for (const auto& g : merged) {
+  for (const auto& g : log->batches()) {
     for (const auto* r : g.records) {
       EXPECT_GT(r->commit_ts, prev);
       prev = r->commit_ts;
-      total++;
     }
   }
-  EXPECT_EQ(total, 100u);
+  EXPECT_EQ(log->num_records(), 100u);
   // Filtering by checkpoint timestamp drops old records.
-  auto filtered = recovery::MergeBatches(batches, 2, prev);
-  for (const auto& g : filtered) EXPECT_TRUE(g.records.empty());
+  auto filtered =
+      testutil::LoadLog(LogScheme::kCommand, db->device_ptrs(), prev);
+  ASSERT_TRUE(filtered->status.ok());
+  EXPECT_EQ(filtered->num_records(), 0u);
 }
 
 }  // namespace

@@ -171,9 +171,11 @@ TEST_F(MaintenanceTest, TornMetaFallsBackToPreviousDurableCheckpoint) {
       SimDbOptions(logging::LogScheme::kCommand));
   bank_.Install(db.get());
   db->FinalizeSchema();
-  const logging::CheckpointMeta first = db->TakeCheckpoint();
+  logging::CheckpointMeta first;
+  ASSERT_TRUE(db->TryTakeCheckpoint(&first).ok());
   RunTxns(db.get(), 30);
-  const logging::CheckpointMeta second = db->TakeCheckpoint();
+  logging::CheckpointMeta second;
+  ASSERT_TRUE(db->TryTakeCheckpoint(&second).ok());
   logging::Checkpointer* cp = db->checkpointer();
 
   logging::CheckpointMeta latest;
@@ -259,7 +261,8 @@ TEST_F(MaintenanceTest, CheckpointFailsLoudlyWhenStripesDoNotLand) {
   auto db = std::make_unique<Database>(opts);
   bank_.Install(db.get());
   db->FinalizeSchema();
-  const logging::CheckpointMeta good = db->TakeCheckpoint();
+  logging::CheckpointMeta good;
+  ASSERT_TRUE(db->TryTakeCheckpoint(&good).ok());
   RunTxns(db.get(), 20);
 
   drop = true;
@@ -294,7 +297,7 @@ TEST_F(MaintenanceTest, ServiceTruncatesCoveredBatchesAndRetiresCheckpoints) {
       SimDbOptions(logging::LogScheme::kCommand));
   bank_.Install(db.get());
   db->FinalizeSchema();
-  db->TakeCheckpoint();
+  ASSERT_TRUE(db->TryTakeCheckpoint().ok());
   RunTxns(db.get(), 120);
   const uint64_t log_files_before = CountFiles(db.get(), "log_");
   ASSERT_GT(log_files_before, 2u);  // Closed batches exist to truncate.
@@ -334,7 +337,7 @@ TEST_F(MaintenanceTest, RetainedLogStaysBoundedAsLoggedBytesGrows) {
       SimDbOptions(logging::LogScheme::kCommand));
   bank_.Install(db.get());
   db->FinalizeSchema();
-  db->TakeCheckpoint();
+  ASSERT_TRUE(db->TryTakeCheckpoint().ok());
   auto service = MakeService(db.get(), /*retain=*/1);
 
   uint64_t max_files = 0;
@@ -370,7 +373,7 @@ TEST_P(MaintenanceParityTest, RecoveryMatchesNoGcControl) {
     auto db = std::make_unique<Database>(SimDbOptions(param.log));
     bank_.Install(db.get());
     db->FinalizeSchema();
-    db->TakeCheckpoint();
+    EXPECT_TRUE(db->TryTakeCheckpoint().ok());
     auto service = MakeService(db.get());
     for (int round = 0; round < 4; ++round) {
       RunTxns(db.get(), 50, /*seed=*/10 + round);
@@ -409,7 +412,7 @@ TEST_F(MaintenanceTest, KillAfterTruncationRecoversIdenticalState) {
         FileDbOptions(logging::LogScheme::kCommand, "gc"));
     bank_.Install(db.get());
     db->FinalizeSchema();
-    db->TakeCheckpoint();
+    ASSERT_TRUE(db->TryTakeCheckpoint().ok());
     RunTxns(db.get(), 80);
     auto service = MakeService(db.get());
     maintenance::CheckpointEvent ev;
@@ -439,7 +442,7 @@ TEST_F(MaintenanceTest, KillMidCheckpointLeavesTornMetaThatIsIgnored) {
         FileDbOptions(logging::LogScheme::kCommand, "torn"));
     bank_.Install(db.get());
     db->FinalizeSchema();
-    db->TakeCheckpoint();
+    ASSERT_TRUE(db->TryTakeCheckpoint().ok());
     RunTxns(db.get(), 60);
     auto service = MakeService(db.get());
     maintenance::CheckpointEvent ev;
@@ -481,7 +484,7 @@ TEST_F(MaintenanceTest, DoubleKillWithGcKeepsContinuity) {
         FileDbOptions(logging::LogScheme::kCommand, "dk"));
     bank_.Install(db.get());
     db->FinalizeSchema();
-    db->TakeCheckpoint();
+    ASSERT_TRUE(db->TryTakeCheckpoint().ok());
     RunTxns(db.get(), 60);
     auto service = MakeService(db.get());
     ASSERT_TRUE(service->RunOnce(nullptr).ok());
@@ -520,7 +523,7 @@ TEST_F(MaintenanceTest, BackgroundServiceRunsWithWorkersAndStopsOnCrash) {
   auto db = std::make_unique<Database>(opts);
   bank_.Install(db.get());
   db->FinalizeSchema();
-  db->TakeCheckpoint();
+  ASSERT_TRUE(db->TryTakeCheckpoint().ok());
   EXPECT_EQ(db->maintenance_service(), nullptr);  // Not started yet.
 
   db->StartWorkers(2);

@@ -181,7 +181,7 @@ class NetTest : public ::testing::Test {
     auto db = std::make_unique<Database>(opts);
     bank_.Install(db.get());
     db->FinalizeSchema();
-    db->TakeCheckpoint();
+    EXPECT_TRUE(db->TryTakeCheckpoint().ok());
     return db;
   }
 

@@ -1,9 +1,14 @@
-// Tests for the stored-procedure DSL: expressions, builder-derived flow
-// dependencies, the interpreter and dynamic access-set extraction.
-#include "proc/interpreter.h"
+// Tests for the stored-procedure DSL and its one evaluator: expressions
+// lowered through the bytecode VM, builder-derived flow dependencies,
+// piece execution and dynamic access-set extraction.
+#include "proc/bytecode.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
+#include "proc/compiler.h"
+#include "proc/exec_arena.h"
 #include "proc/expr.h"
 #include "proc/procedure.h"
 #include "proc/registry.h"
@@ -13,51 +18,42 @@
 namespace pacman::proc {
 namespace {
 
-TEST(ExprTest, EvalArithmeticAndComparison) {
-  std::vector<Value> params = {Value(int64_t{4}), Value(2.5)};
-  EvalContext ctx;
-  ctx.params = &params;
-
-  EXPECT_EQ(Add(P(0), C(int64_t{3}))->Eval(ctx).AsInt64(), 7);
-  EXPECT_DOUBLE_EQ(Mul(P(0), P(1))->Eval(ctx).AsDouble(), 10.0);
-  EXPECT_EQ(Gt(P(0), C(int64_t{3}))->Eval(ctx).AsInt64(), 1);
-  EXPECT_EQ(Lt(P(0), C(int64_t{3}))->Eval(ctx).AsInt64(), 0);
-  EXPECT_EQ(Mod(C(int64_t{17}), C(int64_t{5}))->Eval(ctx).AsInt64(), 2);
-  EXPECT_EQ(Mod(C(int64_t{-3}), C(int64_t{5}))->Eval(ctx).AsInt64(), 2);
+// Compiles `def` (table-free) and returns its Emit() results for `params`.
+std::vector<Value> EvalEmits(ProcedureDef def, std::vector<Value> params) {
+  const CompiledProgram prog =
+      CompileProcedure(def, nullptr, nullptr, nullptr);
+  ExecArena arena;
+  VmState st = arena.Bind(prog, &params);
+  EXPECT_TRUE(VmExecuteAll(&st, nullptr).ok());
+  return VmEvalResults(&st);
 }
 
-TEST(ExprTest, FieldOnAbsentLocalIsNull) {
-  std::vector<Value> params;
-  std::vector<Row> locals(1);
-  std::vector<uint8_t> present = {0};
-  EvalContext ctx{&params, &locals, &present};
-  EXPECT_TRUE(F(0, 0)->Eval(ctx).is_null());
-  EXPECT_EQ(Exists(0)->Eval(ctx).AsInt64(), 0);
-  present[0] = 1;
-  locals[0] = {Value(int64_t{9})};
-  EXPECT_EQ(F(0, 0)->Eval(ctx).AsInt64(), 9);
-  EXPECT_EQ(Exists(0)->Eval(ctx).AsInt64(), 1);
+TEST(ExprTest, EvalArithmeticAndComparison) {
+  ProcedureBuilder b("arith", 2);
+  b.Emit(Add(P(0), C(int64_t{3})));
+  b.Emit(Mul(P(0), P(1)));
+  b.Emit(Gt(P(0), C(int64_t{3})));
+  b.Emit(Lt(P(0), C(int64_t{3})));
+  b.Emit(Mod(C(int64_t{17}), C(int64_t{5})));
+  b.Emit(Mod(C(int64_t{-3}), C(int64_t{5})));  // Positive modulo.
+  const std::vector<Value> out =
+      EvalEmits(b.Build(), {Value(int64_t{4}), Value(2.5)});
+  ASSERT_EQ(out.size(), 6u);
+  EXPECT_EQ(out[0].AsInt64(), 7);
+  EXPECT_DOUBLE_EQ(out[1].AsDouble(), 10.0);
+  EXPECT_EQ(out[2].AsInt64(), 1);
+  EXPECT_EQ(out[3].AsInt64(), 0);
+  EXPECT_EQ(out[4].AsInt64(), 2);
+  EXPECT_EQ(out[5].AsInt64(), 2);
 }
 
 TEST(ExprTest, PackBuildsCompositeKeys) {
-  std::vector<Value> params = {Value(int64_t{3}), Value(int64_t{7})};
-  EvalContext ctx;
-  ctx.params = &params;
-  ExprPtr key = Expr::Pack({P(0), P(1)}, {0, 8});
-  EXPECT_EQ(key->EvalKey(ctx), (3u << 8) | 7u);
-}
-
-TEST(ExprTest, ResolvableTracksLocals) {
-  std::vector<Value> params = {Value(int64_t{1})};
-  std::vector<Row> locals(1);
-  std::vector<uint8_t> present = {0};
-  EvalContext ctx{&params, &locals, &present};
-  EXPECT_TRUE(P(0)->Resolvable(ctx));
-  EXPECT_FALSE(F(0, 0)->Resolvable(ctx));
-  EXPECT_TRUE(Exists(0)->Resolvable(ctx));  // Absence is an answer.
-  present[0] = 1;
-  locals[0] = {Value(int64_t{2})};
-  EXPECT_TRUE(F(0, 0)->Resolvable(ctx));
+  ProcedureBuilder b("pack", 2);
+  b.Emit(Expr::Pack({P(0), P(1)}, {0, 8}));
+  const std::vector<Value> out =
+      EvalEmits(b.Build(), {Value(int64_t{3}), Value(int64_t{7})});
+  ASSERT_EQ(out.size(), 1u);
+  EXPECT_EQ(out[0].AsInt64(), (3 << 8) | 7);
 }
 
 TEST(ExprTest, CollectRefsFindsParamsAndLocals) {
@@ -93,117 +89,195 @@ TEST(BuilderTest, FlowDepsFromDefineUseAndControl) {
   EXPECT_EQ(def.ops[2].guard != nullptr, true);
 }
 
-class InterpreterTest : public ::testing::Test {
+// The bank schema plus a one-column int64 table "T" (keys 0..9, value =
+// key), every procedure compiled as FinalizeSchema would.
+class VmTest : public ::testing::Test {
  protected:
-  InterpreterTest() : registry_(&catalog_) {
+  VmTest() : registry_(&catalog_) {
     bank_.CreateTables(&catalog_);
     bank_.RegisterProcedures(&registry_);
     bank_.Load(&catalog_);
+    storage::Table* t = catalog_.CreateTable(
+        "T", Schema({{"v", ValueType::kInt64, 0}}),
+        storage::IndexType::kHash);
+    for (int64_t k = 0; k < 10; ++k) t->LoadRow(k, {Value(k)}, 1);
+    access_.set_commit_ts(10);
+  }
+
+  ProcId Register(ProcedureDef def) {
+    return registry_.Register(std::move(def));
+  }
+  const CompiledProgram& Program(ProcId id) {
+    programs_.Build(registry_, &catalog_, {}, {});
+    return programs_.Get(id);
+  }
+  Row ReadRow(const std::string& table, Key key) {
+    Row row;
+    EXPECT_TRUE(catalog_.GetTable(table)->Read(key, 10, &row).ok());
+    return row;
   }
 
   storage::Catalog catalog_;
   ProcedureRegistry registry_;
+  ProgramSet programs_;
+  ExecArena arena_;
+  ReplayAccess access_{&catalog_, InstallMode::kUnlatched};
   workload::Bank bank_{workload::BankConfig{.num_users = 100,
                                             .num_nations = 4,
                                             .single_fraction = 0.0}};
 };
 
-TEST_F(InterpreterTest, TransferMovesMoney) {
-  ReplayAccess access(&catalog_, InstallMode::kUnlatched);
-  access.set_commit_ts(10);
-  const ProcedureDef& transfer = registry_.Get(bank_.transfer_id());
+TEST_F(VmTest, TransferMovesMoney) {
   // User 0's spouse is user 1 (single_fraction = 0).
-  std::vector<Value> args = {Value(int64_t{0}), Value(100.0)};
-  ProcState state(&transfer, &args);
-  ASSERT_TRUE(ExecuteAll(&state, &access).ok());
-
-  Row src, dst, sav;
-  ASSERT_TRUE(catalog_.GetTable("Current")->Read(0, 10, &src).ok());
-  ASSERT_TRUE(catalog_.GetTable("Current")->Read(1, 10, &dst).ok());
-  ASSERT_TRUE(catalog_.GetTable("Saving")->Read(0, 10, &sav).ok());
-  EXPECT_DOUBLE_EQ(src[0].AsDouble(), 1000.0 - 100.0);
-  EXPECT_DOUBLE_EQ(dst[0].AsDouble(), 1001.0 + 100.0);
-  EXPECT_DOUBLE_EQ(sav[0].AsDouble(), 5001.0);  // +$1 bonus.
-  EXPECT_EQ(access.writes(), 3u);
-  EXPECT_EQ(access.reads(), 4u);
+  const std::vector<Value> args = {Value(int64_t{0}), Value(100.0)};
+  VmState st = arena_.Bind(Program(bank_.transfer_id()), &args);
+  ASSERT_TRUE(VmExecuteAll(&st, &access_).ok());
+  EXPECT_DOUBLE_EQ(ReadRow("Current", 0)[0].AsDouble(), 1000.0 - 100.0);
+  EXPECT_DOUBLE_EQ(ReadRow("Current", 1)[0].AsDouble(), 1001.0 + 100.0);
+  EXPECT_DOUBLE_EQ(ReadRow("Saving", 0)[0].AsDouble(), 5001.0);  // +$1.
+  EXPECT_EQ(access_.writes(), 3u);
+  EXPECT_EQ(access_.reads(), 4u);
 }
 
-TEST_F(InterpreterTest, GuardSkipsBody) {
+TEST_F(VmTest, GuardSkipsBody) {
   // Nation deposits below the threshold touch only Current.
-  ReplayAccess access(&catalog_, InstallMode::kUnlatched);
-  access.set_commit_ts(10);
-  const ProcedureDef& deposit = registry_.Get(bank_.deposit_id());
-  std::vector<Value> args = {Value(int64_t{5}), Value(1.0), Value(int64_t{2})};
-  ProcState state(&deposit, &args);
-  ASSERT_TRUE(ExecuteAll(&state, &access).ok());
-  EXPECT_EQ(access.writes(), 1u);
-  Row stats;
-  ASSERT_TRUE(catalog_.GetTable("Stats")->Read(2, 10, &stats).ok());
-  EXPECT_EQ(stats[0].AsInt64(), 0);
+  const std::vector<Value> args = {Value(int64_t{5}), Value(1.0),
+                                   Value(int64_t{2})};
+  VmState st = arena_.Bind(Program(bank_.deposit_id()), &args);
+  ASSERT_TRUE(VmExecuteAll(&st, &access_).ok());
+  EXPECT_EQ(access_.writes(), 1u);
+  EXPECT_EQ(ReadRow("Stats", 2)[0].AsInt64(), 0);
 }
 
-TEST_F(InterpreterTest, GuardTriggersBody) {
-  ReplayAccess access(&catalog_, InstallMode::kUnlatched);
-  access.set_commit_ts(10);
-  const ProcedureDef& deposit = registry_.Get(bank_.deposit_id());
-  std::vector<Value> args = {Value(int64_t{5}), Value(20000.0), Value(int64_t{2})};
-  ProcState state(&deposit, &args);
-  ASSERT_TRUE(ExecuteAll(&state, &access).ok());
-  EXPECT_EQ(access.writes(), 3u);
-  Row stats;
-  ASSERT_TRUE(catalog_.GetTable("Stats")->Read(2, 10, &stats).ok());
-  EXPECT_EQ(stats[0].AsInt64(), 1);
+TEST_F(VmTest, GuardTriggersBody) {
+  const std::vector<Value> args = {Value(int64_t{5}), Value(20000.0),
+                                   Value(int64_t{2})};
+  VmState st = arena_.Bind(Program(bank_.deposit_id()), &args);
+  ASSERT_TRUE(VmExecuteAll(&st, &access_).ok());
+  EXPECT_EQ(access_.writes(), 3u);
+  EXPECT_EQ(ReadRow("Stats", 2)[0].AsInt64(), 1);
 }
 
-TEST_F(InterpreterTest, ExecuteOpsSubsetSharesState) {
-  // Execute the Transfer ops in two stages, like recovery pieces would.
-  ReplayAccess access(&catalog_, InstallMode::kUnlatched);
-  access.set_commit_ts(10);
-  const ProcedureDef& transfer = registry_.Get(bank_.transfer_id());
-  std::vector<Value> args = {Value(int64_t{2}), Value(50.0)};
-  ProcState state(&transfer, &args);
-  ASSERT_TRUE(ExecuteOps({0}, &state, &access).ok());  // Family read.
-  EXPECT_TRUE(state.present[0]);
-  ASSERT_TRUE(ExecuteOps({1, 2, 3, 4, 5, 6}, &state, &access).ok());
-  Row dst;
-  ASSERT_TRUE(catalog_.GetTable("Current")->Read(3, 10, &dst).ok());
-  EXPECT_DOUBLE_EQ(dst[0].AsDouble(), 1003.0 + 50.0);
+TEST_F(VmTest, ExecuteOpsSubsetSharesState) {
+  // Execute the Transfer ops in two stages, like recovery pieces would:
+  // the second stage reads the local the first one produced.
+  const std::vector<Value> args = {Value(int64_t{2}), Value(50.0)};
+  const CompiledProgram& prog = Program(bank_.transfer_id());
+  VmTxnLocals locals;
+  locals.Reset(prog.num_locals);
+  VmState st = arena_.BindShared(prog, &args, &locals);
+  ASSERT_TRUE(VmExecuteOps({0}, &st, &access_).ok());  // Family read.
+  EXPECT_TRUE(locals.present[0]);
+  ExecArena other_thread;
+  VmState st2 = other_thread.BindShared(prog, &args, &locals);
+  ASSERT_TRUE(VmExecuteOps({1, 2, 3, 4, 5, 6}, &st2, &access_).ok());
+  EXPECT_DOUBLE_EQ(ReadRow("Current", 3)[0].AsDouble(), 1003.0 + 50.0);
 }
 
-TEST_F(InterpreterTest, AccessSetResolvableAfterUpstreamRead) {
-  const ProcedureDef& transfer = registry_.Get(bank_.transfer_id());
-  std::vector<Value> args = {Value(int64_t{0}), Value(10.0)};
-  ProcState state(&transfer, &args);
+TEST_F(VmTest, AccessSetResolvableAfterUpstreamRead) {
+  const std::vector<Value> args = {Value(int64_t{0}), Value(10.0)};
+  VmState st = arena_.Bind(Program(bank_.transfer_id()), &args);
 
-  // Ops 1-4 (Current accesses) use dst = F(l0, 0): unresolved until the
-  // Family read ran.
+  // Ops 1-4 (Current accesses) include dst = F(l0, 0): unresolved until
+  // the Family read ran.
   std::vector<std::pair<TableId, Key>> accesses;
-  EXPECT_FALSE(TryExtractAccessSet({1, 2, 3, 4}, state, &accesses));
+  EXPECT_FALSE(VmTryExtractAccessSet({1, 2, 3, 4}, &st, &accesses));
 
-  ReplayAccess access(&catalog_, InstallMode::kUnlatched);
-  access.set_commit_ts(5);
-  ASSERT_TRUE(ExecuteOps({0}, &state, &access).ok());
-  ASSERT_TRUE(TryExtractAccessSet({1, 2, 3, 4}, state, &accesses));
+  ASSERT_TRUE(VmExecuteOps({0}, &st, &access_).ok());
+  ASSERT_TRUE(VmTryExtractAccessSet({1, 2, 3, 4}, &st, &accesses));
   ASSERT_EQ(accesses.size(), 4u);
   const TableId current = catalog_.GetTableId("Current");
   EXPECT_EQ(accesses[0], (std::pair<TableId, Key>{current, 0}));
   EXPECT_EQ(accesses[2], (std::pair<TableId, Key>{current, 1}));
 }
 
-TEST_F(InterpreterTest, AccessSetOmitsGuardedOutOps) {
-  const ProcedureDef& deposit = registry_.Get(bank_.deposit_id());
-  std::vector<Value> args = {Value(int64_t{5}), Value(1.0), Value(int64_t{0})};
-  ProcState state(&deposit, &args);
-  ReplayAccess access(&catalog_, InstallMode::kUnlatched);
-  access.set_commit_ts(5);
-  ASSERT_TRUE(ExecuteOps({0}, &state, &access).ok());  // Read Current.
+TEST_F(VmTest, AccessSetOmitsGuardedOutOps) {
+  const std::vector<Value> args = {Value(int64_t{5}), Value(1.0),
+                                   Value(int64_t{0})};
+  VmState st = arena_.Bind(Program(bank_.deposit_id()), &args);
+  ASSERT_TRUE(VmExecuteOps({0}, &st, &access_).ok());  // Read Current.
   // Stats ops (indices 4,5) are guarded by the >10000 condition == false.
   std::vector<std::pair<TableId, Key>> accesses;
-  ASSERT_TRUE(TryExtractAccessSet({4, 5}, state, &accesses));
+  ASSERT_TRUE(VmTryExtractAccessSet({4, 5}, &st, &accesses));
   EXPECT_TRUE(accesses.empty());
 }
 
-TEST_F(InterpreterTest, RegistryResolvesTablesAndNames) {
+TEST_F(VmTest, ExistsGuardResolvesOnAbsentLocal) {
+  // A field guard waits for its read; an Exists() guard is answered by
+  // the absence itself, so a guarded-out op leaves the access set.
+  ProcedureBuilder b("exists", 1);
+  const int l0 = b.Read("T", P(0));
+  b.BeginIf(Exists(l0));
+  b.WriteRow("T", P(0), {C(int64_t{1})});
+  b.EndIf();
+  b.BeginIf(Gt(F(l0, 0), C(int64_t{0})));
+  b.WriteRow("T", C(int64_t{1}), {C(int64_t{1})});
+  b.EndIf();
+  const ProcId id = Register(b.Build());
+  const std::vector<Value> miss = {Value(int64_t{99})};
+  VmState st = arena_.Bind(Program(id), &miss);
+  ASSERT_TRUE(VmExecuteOps({0}, &st, &access_).ok());
+  std::vector<std::pair<TableId, Key>> accesses;
+  ASSERT_TRUE(VmTryExtractAccessSet({1}, &st, &accesses));
+  EXPECT_TRUE(accesses.empty());
+  // The unresolvable field guard conservatively keeps the op's key.
+  ASSERT_TRUE(VmTryExtractAccessSet({2}, &st, &accesses));
+  EXPECT_EQ(accesses.size(), 1u);
+}
+
+TEST_F(VmTest, FieldOnAbsentLocalIsNull) {
+  ProcedureBuilder b("probe", 1);
+  const int l0 = b.Read("T", P(0));
+  b.WriteRow("T", C(int64_t{5}), {F(l0, 0)});
+  b.Emit(F(l0, 0));
+  b.Emit(Exists(l0));
+  const ProcId id = Register(b.Build());
+
+  const std::vector<Value> hit = {Value(int64_t{9})};
+  VmState st = arena_.Bind(Program(id), &hit);
+  ASSERT_TRUE(VmExecuteAll(&st, &access_).ok());
+  std::vector<Value> out = VmEvalResults(&st);
+  EXPECT_EQ(out[0].AsInt64(), 9);
+  EXPECT_EQ(out[1].AsInt64(), 1);
+
+  const std::vector<Value> miss = {Value(int64_t{99})};
+  st = arena_.Bind(Program(id), &miss);
+  ASSERT_TRUE(VmExecuteAll(&st, &access_).ok());
+  out = VmEvalResults(&st);
+  EXPECT_TRUE(out[0].is_null());
+  EXPECT_EQ(out[1].AsInt64(), 0);
+  // The field load inside the write yielded Null too.
+  EXPECT_TRUE(ReadRow("T", 5)[0].is_null());
+}
+
+// Every VM op that needs a number treats a field of an absent local (Null)
+// as the integer 0: arithmetic stays int64, comparisons, modulo, key
+// operands and key packing are defined.
+TEST_F(VmTest, NumericOpsOnAbsentLocalTreatNullAsZero) {
+  ProcedureBuilder b("absent", 2);
+  const int l0 = b.Read("T", P(0));  // Misses: l0 is absent.
+  const ExprPtr absent = F(l0, 0);
+  b.WriteRow("T", absent, {Add(absent, P(1))});                     // T[0]
+  b.WriteRow("T", Add(C(int64_t{1}), Mod(absent, C(int64_t{7}))),  // T[1]
+             {Sub(absent, P(1))});
+  b.WriteRow("T", C(int64_t{2}), {Mul(absent, P(1))});              // T[2]
+  b.WriteRow("T", C(int64_t{3}), {Lt(absent, P(1))});               // T[3]
+  b.WriteRow("T", Expr::Pack({C(int64_t{1}), absent}, {0, 2}),      // T[4]
+             {Mod(absent, C(int64_t{7}))});
+  const ProcId id = Register(b.Build());
+
+  const std::vector<Value> args = {Value(int64_t{99}), Value(int64_t{6})};
+  VmState st = arena_.Bind(Program(id), &args);
+  ASSERT_TRUE(VmExecuteAll(&st, &access_).ok());
+  const int64_t want[] = {6, -6, 0, 1, 0};
+  for (Key k = 0; k < 5; ++k) {
+    const Value v = ReadRow("T", k)[0];
+    ASSERT_EQ(v.type(), ValueType::kInt64) << "T[" << k << "]";
+    EXPECT_EQ(v.AsInt64(), want[k]) << "T[" << k << "]";
+  }
+}
+
+TEST_F(VmTest, RegistryResolvesTablesAndNames) {
   EXPECT_EQ(registry_.size(), 2u);
   EXPECT_NE(registry_.Find("Transfer"), nullptr);
   EXPECT_EQ(registry_.Find("Nope"), nullptr);

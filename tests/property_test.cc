@@ -230,7 +230,7 @@ TEST_P(RecoveryPropertyTest, AllSchemesRecoverRandomApps) {
     CreateAndLoadTables(db.catalog(), app.num_tables);
     for (auto& def : app.defs) db.registry()->Register(std::move(def));
     db.FinalizeSchema();
-    db.TakeCheckpoint();
+    ASSERT_TRUE(db.TryTakeCheckpoint().ok());
 
     Rng rng(seed * 31 + 7);
     for (int i = 0; i < 200; ++i) {

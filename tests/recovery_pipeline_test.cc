@@ -1,8 +1,8 @@
-// Pipelined-recovery suite: the parallel load + streaming merge path
-// (recovery/log_pipeline.h) must produce bit-identical post-recovery
-// table state to the serial reference loader for every scheme, stay
-// seq-ordered under out-of-order fragment arrival, and fail loudly (with
-// file name + offset) on corrupt batch files.
+// Pipelined-recovery suite: recovery through the parallel load +
+// streaming merge path (recovery/log_pipeline.h) must restore the exact
+// pre-crash state under every scheme and backend, stay seq-ordered under
+// out-of-order fragment arrival, and fail loudly (with file name + offset)
+// on corrupt batch files.
 #include "recovery/log_pipeline.h"
 
 #include <gtest/gtest.h>
@@ -16,6 +16,7 @@
 
 #include "device/file_device.h"
 #include "pacman/database.h"
+#include "test_util.h"
 #include "workload/bank.h"
 #include "workload/tpcc.h"
 
@@ -40,19 +41,19 @@ LogScheme SchemeLogFormat(Scheme s) {
   return LogScheme::kCommand;
 }
 
-// --- Parity: pipelined recovery == serial recovery, per scheme ------------
+// --- Every recovery restores the pre-crash state, per scheme --------------
 
 enum class Workload { kBank, kTpcc };
 
 class RecoveryParityTest
     : public ::testing::TestWithParam<std::tuple<Scheme, Workload>> {};
 
-// One database, one log: recover it three times (serial loader, pipelined
-// loader on the simulated backend, pipelined + overlapped replay on real
-// threads) and demand the identical content hash each time. Re-crashing a
-// recovered database appends only empty flush batches, so every recovery
-// replays the same committed history.
-TEST_P(RecoveryParityTest, PipelinedMatchesSerialState) {
+// One database, one log: recover it twice (simulated backend, then
+// overlapped replay on real threads with its own load pool size) and
+// demand the pre-crash content hash each time. Re-crashing a recovered
+// database appends only empty flush batches, so every recovery replays the
+// same committed history.
+TEST_P(RecoveryParityTest, EveryBackendRecoversPreCrashState) {
   const Scheme scheme = std::get<0>(GetParam());
   const Workload workload = std::get<1>(GetParam());
 
@@ -84,39 +85,31 @@ TEST_P(RecoveryParityTest, PipelinedMatchesSerialState) {
     };
   }
   db.FinalizeSchema();
-  db.TakeCheckpoint();
+  ASSERT_TRUE(db.TryTakeCheckpoint().ok());
 
   Rng rng(7);
   std::vector<Value> params;
   for (int i = 0; i < 260; ++i) {
     ProcId proc = next(&rng, &params);
     ASSERT_TRUE(db.ExecuteProcedure(proc, params).ok());
-    if (i == 130) db.TakeCheckpoint();  // Mid-run checkpoint.
+    if (i == 130) {
+      ASSERT_TRUE(db.TryTakeCheckpoint().ok());  // Mid-run checkpoint.
+    }
   }
   const uint64_t pre_crash = db.ContentHash();
   db.Crash();
 
-  RecoveryOptions serial;
-  serial.num_threads = 4;
-  serial.pipelined_load = false;
-  FullRecoveryResult rs = db.Recover(scheme, serial);
-  const uint64_t serial_hash = db.ContentHash();
-  EXPECT_EQ(serial_hash, pre_crash);
+  RecoveryOptions ropts;
+  ropts.num_threads = 4;
+  FullRecoveryResult rs = db.Recover(scheme, ropts);
+  EXPECT_EQ(db.ContentHash(), pre_crash) << "simulated backend";
   EXPECT_GT(rs.log.records_replayed, 0u);
 
   db.Crash();
-  RecoveryOptions piped;
-  piped.num_threads = 4;
-  piped.pipelined_load = true;
-  db.Recover(scheme, piped);
-  EXPECT_EQ(db.ContentHash(), serial_hash)
-      << "pipelined (simulated backend) diverged from serial recovery";
-
-  db.Crash();
-  piped.load_threads = 3;
-  db.Recover(scheme, piped, ExecutionBackend::kThreads);
-  EXPECT_EQ(db.ContentHash(), serial_hash)
-      << "pipelined (overlapped real-thread backend) diverged from serial";
+  ropts.load_threads = 3;
+  db.Recover(scheme, ropts, ExecutionBackend::kThreads);
+  EXPECT_EQ(db.ContentHash(), pre_crash)
+      << "overlapped real-thread backend";
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -131,7 +124,7 @@ INSTANTIATE_TEST_SUITE_P(
 // Delegating device that delays every read, so this device's fragments
 // reliably arrive after the other device finished its whole stream — the
 // streaming merge must still emit global batches in ascending seq with
-// exactly the serial merge's contents.
+// exactly the contents of an undelayed load.
 class SlowReadDevice final : public device::StorageDevice {
  public:
   SlowReadDevice(device::StorageDevice* inner, int delay_ms)
@@ -191,7 +184,7 @@ TEST(StreamingMergeTest, OutOfOrderSeqArrivalStaysSeqOrdered) {
       {.num_users = 200, .num_nations = 4, .single_fraction = 0.1});
   bank.Install(&db);
   db.FinalizeSchema();
-  db.TakeCheckpoint();
+  ASSERT_TRUE(db.TryTakeCheckpoint().ok());
   Rng rng(3);
   std::vector<Value> params;
   for (int i = 0; i < 200; ++i) {
@@ -200,13 +193,10 @@ TEST(StreamingMergeTest, OutOfOrderSeqArrivalStaysSeqOrdered) {
   }
   db.Crash();
 
-  // Serial reference merge.
-  std::vector<logging::LogBatch> raw;
-  ASSERT_TRUE(logging::LogStore::LoadAllBatches(LogScheme::kCommand,
-                                                db.device_ptrs(), &raw)
-                  .ok());
-  std::vector<recovery::GlobalBatch> expected =
-      recovery::MergeBatches(raw, opts.num_ssds, /*checkpoint_ts=*/0);
+  // Reference: the same log loaded with no delay.
+  auto reference = testutil::LoadLog(LogScheme::kCommand, db.device_ptrs());
+  ASSERT_TRUE(reference->status.ok());
+  const std::vector<recovery::GlobalBatch>& expected = reference->batches();
   ASSERT_GT(expected.size(), 2u);
 
   // Pipelined load with device 0 delayed: logger 0/2 fragments of every
@@ -280,21 +270,11 @@ TEST(CorruptBatchTest, TruncatedBatchFileOnPersistentDeviceIsLoud) {
                                 LogScheme::kCommand, newer))
                   .ok());
 
-  // Truncated mid-record: the serial loader reports file + offset.
+  // Truncated mid-record: the loader reports file, offset and record
+  // through WaitAll, and returns nullptr from WaitBatch instead of hanging.
   std::vector<uint8_t> truncated(bytes.begin(),
                                  bytes.begin() + bytes.size() / 2);
   ASSERT_TRUE(dev.WriteFile(name, truncated).ok());
-  std::vector<logging::LogBatch> out;
-  Status s = logging::LogStore::LoadAllBatches(LogScheme::kCommand, {&dev},
-                                               &out);
-  ASSERT_FALSE(s.ok());
-  EXPECT_EQ(s.code(), StatusCode::kCorruption);
-  EXPECT_NE(s.message().find(name), std::string::npos) << s.message();
-  EXPECT_NE(s.message().find("offset"), std::string::npos) << s.message();
-  EXPECT_NE(s.message().find("record"), std::string::npos) << s.message();
-
-  // The pipelined loader reports the same corruption through WaitAll and
-  // returns nullptr from WaitBatch instead of hanging.
   {
     exec::ThreadPool pool(2);
     std::vector<device::StorageDevice*> devices = {&dev};
@@ -308,14 +288,16 @@ TEST(CorruptBatchTest, TruncatedBatchFileOnPersistentDeviceIsLoud) {
     EXPECT_EQ(ps.code(), StatusCode::kCorruption);
     EXPECT_NE(ps.message().find(name), std::string::npos) << ps.message();
     EXPECT_NE(ps.message().find("offset"), std::string::npos) << ps.message();
+    EXPECT_NE(ps.message().find("record"), std::string::npos) << ps.message();
   }
 
   // Garbage contents (bad magic) are corruption too, not a quiet skip.
   ASSERT_TRUE(dev.WriteFile(name, std::vector<uint8_t>(64, 0xab)).ok());
-  s = logging::LogStore::LoadAllBatches(LogScheme::kCommand, {&dev}, &out);
+  Status s = testutil::LoadLog(LogScheme::kCommand, {&dev})->status;
   ASSERT_FALSE(s.ok());
   EXPECT_EQ(s.code(), StatusCode::kCorruption);
   EXPECT_NE(s.message().find(name), std::string::npos) << s.message();
+  EXPECT_NE(s.message().find("magic"), std::string::npos) << s.message();
 
   // A valid header with a garbage record count must be rejected by the
   // block's payload bound, not attempted as a giant allocation.
@@ -327,7 +309,7 @@ TEST(CorruptBatchTest, TruncatedBatchFileOnPersistentDeviceIsLoud) {
   bad_count[count_off] = 0xff;
   bad_count.insert(bad_count.begin() + count_off + 1, {0xff, 0xff, 0xff, 0x0f});
   ASSERT_TRUE(dev.WriteFile(name, bad_count).ok());
-  s = logging::LogStore::LoadAllBatches(LogScheme::kCommand, {&dev}, &out);
+  s = testutil::LoadLog(LogScheme::kCommand, {&dev})->status;
   ASSERT_FALSE(s.ok());
   EXPECT_EQ(s.code(), StatusCode::kCorruption);
   EXPECT_NE(s.message().find("count"), std::string::npos) << s.message();

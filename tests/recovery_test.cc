@@ -55,14 +55,16 @@ TEST_P(BankRecoveryTest, RecoversExactState) {
   bank.RegisterProcedures(db.registry());
   bank.Load(db.catalog());
   db.FinalizeSchema();
-  db.TakeCheckpoint();
+  ASSERT_TRUE(db.TryTakeCheckpoint().ok());
 
   Rng rng(99);
   std::vector<Value> params;
   for (int i = 0; i < 400; ++i) {
     ProcId proc = bank.NextTransaction(&rng, &params);
     ASSERT_TRUE(db.ExecuteProcedure(proc, params).ok());
-    if (i == 200) db.TakeCheckpoint();  // Mid-run checkpoint.
+    if (i == 200) {
+      ASSERT_TRUE(db.TryTakeCheckpoint().ok());  // Mid-run checkpoint.
+    }
   }
 
   const uint64_t pre_crash = db.ContentHash();
@@ -108,7 +110,7 @@ TEST_P(ClrPModeTest, TpccRecoversExactState) {
   tpcc.RegisterProcedures(db.registry());
   tpcc.Load(db.catalog());
   db.FinalizeSchema();
-  db.TakeCheckpoint();
+  ASSERT_TRUE(db.TryTakeCheckpoint().ok());
 
   Rng rng(5);
   std::vector<Value> params;
@@ -148,7 +150,7 @@ TEST(RecoveryEquivalenceTest, AllSchemesProduceTheSameState) {
     sb.RegisterProcedures(db.registry());
     sb.Load(db.catalog());
     db.FinalizeSchema();
-    db.TakeCheckpoint();
+    ASSERT_TRUE(db.TryTakeCheckpoint().ok());
     Rng rng(17);
     std::vector<Value> params;
     for (int i = 0; i < 250; ++i) {
@@ -178,7 +180,7 @@ TEST(AdhocRecoveryTest, MixedCommandAndLogicalRecords) {
     bank.RegisterProcedures(db.registry());
     bank.Load(db.catalog());
     db.FinalizeSchema();
-    db.TakeCheckpoint();
+    ASSERT_TRUE(db.TryTakeCheckpoint().ok());
 
     Rng rng(23);
     std::vector<Value> params;
@@ -207,7 +209,7 @@ TEST(AdhocRecoveryTest, FreeFormWritesRecover) {
   bank.RegisterProcedures(db.registry());
   bank.Load(db.catalog());
   db.FinalizeSchema();
-  db.TakeCheckpoint();
+  ASSERT_TRUE(db.TryTakeCheckpoint().ok());
 
   Rng rng(31);
   for (int i = 0; i < 60; ++i) {
@@ -242,7 +244,7 @@ TEST(ThreadBackendTest, RealThreadsRecoverToo) {
   bank.RegisterProcedures(db.registry());
   bank.Load(db.catalog());
   db.FinalizeSchema();
-  db.TakeCheckpoint();
+  ASSERT_TRUE(db.TryTakeCheckpoint().ok());
   Rng rng(13);
   std::vector<Value> params;
   for (int i = 0; i < 150; ++i) {
@@ -268,7 +270,7 @@ TEST(ChoppingRecoveryTest, ChoppingGraphRecoversExactState) {
   bank.RegisterProcedures(db.registry());
   bank.Load(db.catalog());
   db.FinalizeSchema();
-  db.TakeCheckpoint();
+  ASSERT_TRUE(db.TryTakeCheckpoint().ok());
   Rng rng(41);
   std::vector<Value> params;
   for (int i = 0; i < 200; ++i) {
@@ -300,7 +302,7 @@ TEST(RecoveryStatsTest, ClrIsSlowerThanClrPInVirtualTime) {
     sb.RegisterProcedures(db.registry());
     sb.Load(db.catalog());
     db.FinalizeSchema();
-    db.TakeCheckpoint();
+    EXPECT_TRUE(db.TryTakeCheckpoint().ok());
     Rng rng(3);
     std::vector<Value> params;
     for (int i = 0; i < 400; ++i) {
@@ -333,7 +335,7 @@ TEST(ReloadOnlyTest, ReloadSkipsReplay) {
   bank.RegisterProcedures(db.registry());
   bank.Load(db.catalog());
   db.FinalizeSchema();
-  db.TakeCheckpoint();
+  ASSERT_TRUE(db.TryTakeCheckpoint().ok());
   Rng rng(8);
   std::vector<Value> params;
   for (int i = 0; i < 100; ++i) {

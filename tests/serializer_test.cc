@@ -538,14 +538,6 @@ TEST(LogBatchTest, GoldenV3BatchStillLoadsBesideV4) {
   EXPECT_EQ(cov.max_cts, golden[1].commit_ts);
   EXPECT_EQ(cov.file_bytes, kGoldenV3Batch.size());
 
-  std::vector<logging::LogBatch> all;
-  ASSERT_TRUE(logging::LogStore::LoadAllBatches(logging::LogScheme::kCommand,
-                                                {&dev}, &all)
-                  .ok());
-  ASSERT_EQ(all.size(), 2u);
-  ExpectSameRecords(all[0].records, golden);
-  ExpectSameRecords(all[1].records, {later});
-
   exec::ThreadPool pool(2);
   recovery::PipelinedLogLoader loader(logging::LogScheme::kCommand, {&dev},
                                       &pool, {});

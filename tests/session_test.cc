@@ -125,7 +125,7 @@ TEST_F(SessionTest, SignatureMismatchesAreRejectedBeforeExecution) {
 
 TEST_F(SessionTest, SubmitRunsOnExecutorPoolAndResolvesFutures) {
   auto db = MakeDb();
-  db->TakeCheckpoint();
+  ASSERT_TRUE(db->TryTakeCheckpoint().ok());
   db->StartWorkers(2);
   auto session = db->OpenSession();
   ProcHandle transfer = db->proc("Transfer");
@@ -164,7 +164,7 @@ TEST_F(SessionTest, ClosedSessionSlotsAreRecycled) {
 
 TEST_F(SessionTest, PostIsFireAndForgetWithValidation) {
   auto db = MakeDb();
-  db->TakeCheckpoint();
+  ASSERT_TRUE(db->TryTakeCheckpoint().ok());
   db->StartWorkers(2);
   auto session = db->OpenSession();
   ProcHandle transfer = db->proc("Transfer");
@@ -202,7 +202,7 @@ TEST_F(SessionTest, SubmitValidationFailureResolvesImmediately) {
 
 TEST_F(SessionTest, AdhocSubmissionsSurviveCrashRecovery) {
   auto db = MakeDb();
-  db->TakeCheckpoint();
+  ASSERT_TRUE(db->TryTakeCheckpoint().ok());
   db->StartWorkers(2);
   auto session = db->OpenSession();
   ProcHandle transfer = db->proc("Transfer");
@@ -226,7 +226,7 @@ TEST_F(SessionTest, AdhocSubmissionsSurviveCrashRecovery) {
 
 TEST_F(SessionTest, ConcurrentSessionsShareOneDatabase) {
   auto db = MakeDb();
-  db->TakeCheckpoint();
+  ASSERT_TRUE(db->TryTakeCheckpoint().ok());
   const storage::Table* current = db->catalog()->GetTable("Current");
   const double sum_before =
       testutil::VisibleSum(current, db->txn_manager()->LastCommitted());
@@ -267,7 +267,7 @@ TEST_F(SessionTest, ConcurrentSessionsShareOneDatabase) {
 
 TEST_F(SessionTest, CrashWithOpenSessionsAndRunningWorkers) {
   auto db = MakeDb();
-  db->TakeCheckpoint();
+  ASSERT_TRUE(db->TryTakeCheckpoint().ok());
   auto s1 = db->OpenSession();
   auto s2 = db->OpenSession();
   EXPECT_NE(s1->slot(), s2->slot());
@@ -300,7 +300,7 @@ TEST_F(SessionTest, CrashWithOpenSessionsAndRunningWorkers) {
 
 TEST_F(SessionTest, DriverRejectsDegenerateOptionsButAcceptsZeroTxns) {
   auto db = MakeDb();
-  db->TakeCheckpoint();
+  ASSERT_TRUE(db->TryTakeCheckpoint().ok());
   TxnGenerator gen = [this](Rng* rng, std::vector<Value>* params) {
     return bank_.NextTransaction(rng, params);
   };
@@ -339,11 +339,11 @@ TEST(DatabaseValidationDeathTest, RejectsDegenerateOptions) {
   }
 }
 
-TEST(DatabaseValidationDeathTest, SsdAccessIsBoundsChecked) {
+TEST(DatabaseValidationDeathTest, DeviceAccessIsBoundsChecked) {
   Database db;  // Two SSDs by default.
-  EXPECT_NE(db.ssd(0), nullptr);
-  EXPECT_NE(db.ssd(1), nullptr);
-  EXPECT_DEATH(db.ssd(2), "ssd index out of range");
+  EXPECT_NE(db.device(0), nullptr);
+  EXPECT_NE(db.device(1), nullptr);
+  EXPECT_DEATH(db.device(2), "device index out of range");
 }
 
 }  // namespace

@@ -134,7 +134,7 @@ TEST(ShardDynamicClassificationTest, CountsSingleAndCrossShardCommits) {
   workload::Smallbank sb({.num_accounts = 200});
   sb.Install(&db);
   db.FinalizeSchema();
-  db.TakeCheckpoint();
+  ASSERT_TRUE(db.TryTakeCheckpoint().ok());
 
   // A statically single-shard procedure routes without any access scan.
   ASSERT_TRUE(db.ExecuteProcedure(sb.deposit_checking_id(),
@@ -198,7 +198,7 @@ TEST_P(ShardHashParityTest, ShardCountsAgreeBeforeAndAfterRecovery) {
     workload::Smallbank sb({.num_accounts = 120});
     sb.Install(db.get());
     db->FinalizeSchema();
-    db->TakeCheckpoint();
+    EXPECT_TRUE(db->TryTakeCheckpoint().ok());
     Rng rng(17);
     std::vector<Value> params;
     for (int i = 0; i < 90; ++i) {
@@ -245,7 +245,7 @@ TEST(ShardConcurrencyTest, CrossShardPaymentsConserveMoneyAt8Workers) {
   workload::Smallbank sb({.num_accounts = 400});
   sb.Install(db.get());
   db->FinalizeSchema();
-  db->TakeCheckpoint();
+  ASSERT_TRUE(db->TryTakeCheckpoint().ok());
 
   const Timestamp t0 = db->txn_manager()->LastCommitted();
   const double sum_before = testutil::VisibleSum(
@@ -351,7 +351,7 @@ TEST_P(ShardRestartRecoveryTest, SurvivesProcessRestartPerShard) {
     ASSERT_FALSE(db->opened_existing_state());
     bank_.Install(db.get());
     db->FinalizeSchema();
-    db->TakeCheckpoint();
+    ASSERT_TRUE(db->TryTakeCheckpoint().ok());
     RunTxns(db.get(), 80);
     hash_before = db->ContentHash();
   }

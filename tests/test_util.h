@@ -3,7 +3,13 @@
 #ifndef PACMAN_TESTS_TEST_UTIL_H_
 #define PACMAN_TESTS_TEST_UTIL_H_
 
+#include <memory>
+#include <vector>
+
 #include "common/types.h"
+#include "device/storage_device.h"
+#include "exec/thread_pool.h"
+#include "recovery/log_pipeline.h"
 #include "storage/table.h"
 
 namespace pacman::testutil {
@@ -18,6 +24,41 @@ inline double VisibleSum(const storage::Table* table, Timestamp ts,
     if (v != nullptr && !v->deleted) sum += v->data[col].AsDouble();
   });
   return sum;
+}
+
+// A log read the way recovery reads it: through the pipelined loader
+// (recovery/log_pipeline.h), which owns the records the batches point
+// into.
+struct LoadedLog {
+  exec::ThreadPool pool{2};
+  std::unique_ptr<recovery::PipelinedLogLoader> loader;
+  Status status;  // The loader's first error, if any.
+
+  const std::vector<recovery::GlobalBatch>& batches() const {
+    return loader->batches();
+  }
+  size_t num_records() const {
+    size_t n = 0;
+    for (const recovery::GlobalBatch& b : batches()) n += b.records.size();
+    return n;
+  }
+};
+
+// Loads every logger stream on `devices`, keeping only records with
+// commit_ts > checkpoint_ts (no pepoch cut).
+inline std::unique_ptr<LoadedLog> LoadLog(
+    logging::LogScheme scheme, std::vector<device::StorageDevice*> devices,
+    Timestamp checkpoint_ts = 0) {
+  auto log = std::make_unique<LoadedLog>();
+  recovery::LogPipelineOptions opts;
+  opts.num_threads = 2;
+  opts.checkpoint_ts = checkpoint_ts;
+  opts.num_ssds = static_cast<uint32_t>(devices.size());
+  log->loader = std::make_unique<recovery::PipelinedLogLoader>(
+      scheme, std::move(devices), &log->pool, opts);
+  log->loader->Start();
+  log->status = log->loader->WaitAll();
+  return log;
 }
 
 }  // namespace pacman::testutil

@@ -376,7 +376,7 @@ TEST_F(TpccWorkloadTest, InsertVariantRecoversUnderAllSchemes) {
     tpcc.RegisterProcedures(db.registry());
     tpcc.Load(db.catalog());
     db.FinalizeSchema();
-    db.TakeCheckpoint();
+    ASSERT_TRUE(db.TryTakeCheckpoint().ok());
     Rng rng(13);
     std::vector<Value> params;
     for (int i = 0; i < 150; ++i) {
