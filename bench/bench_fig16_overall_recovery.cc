@@ -1,10 +1,11 @@
 // Fig. 16: overall database recovery (checkpoint recovery + log recovery,
 // stacked) with 40 recovery threads, on TPC-C and Smallbank — plus the
 // recovery_scaling section: end-to-end Recover() wall time and replay
-// throughput of the pipelined load path (recovery/log_pipeline.h) against
-// the serial reference loader, across thread counts and log sizes.
-// `--json PATH` records every row (BENCH_recovery.json at the repo root
-// holds the committed before/after baseline in this format).
+// throughput of the pipelined load path (recovery/log_pipeline.h) across
+// thread counts and log sizes, on the simulated and the real-thread
+// replay backends. `--json PATH` records every row (BENCH_recovery.json
+// at the repo root holds the committed baseline in this format; CI checks
+// that a --txns 6000 run reproduces its fig16_* rows exactly).
 #include <algorithm>
 #include <chrono>
 

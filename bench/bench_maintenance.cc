@@ -60,7 +60,6 @@ RunResult Run(Scheme scheme, bool gc, uint64_t total_txns, int rounds,
   // deterministic (no background thread, hence the null pool).
   maintenance::CheckpointPolicy policy;
   policy.interval_s = 3600.0;
-  policy.retain = 1;
   maintenance::CheckpointService service(env.db.get(), policy,
                                          /*pool=*/nullptr);
 

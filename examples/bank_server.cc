@@ -130,14 +130,15 @@ int main(int argc, char** argv) {
                static_cast<unsigned long long>(stats.call_errors),
                static_cast<unsigned long long>(stats.shed),
                static_cast<unsigned long long>(stats.protocol_errors));
-  if (stats.checkpoints > 0 || stats.checkpoint_failures > 0) {
+  const maintenance::MaintenanceStats& maint = stats.maintenance;
+  if (maint.checkpoints > 0 || maint.checkpoint_failures > 0) {
     std::fprintf(stderr,
                  "maintenance: %llu checkpoints (%llu failed), "
                  "%llu batches / %llu bytes truncated\n",
-                 static_cast<unsigned long long>(stats.checkpoints),
-                 static_cast<unsigned long long>(stats.checkpoint_failures),
-                 static_cast<unsigned long long>(stats.log_batches_deleted),
-                 static_cast<unsigned long long>(stats.log_bytes_deleted));
+                 static_cast<unsigned long long>(maint.checkpoints),
+                 static_cast<unsigned long long>(maint.checkpoint_failures),
+                 static_cast<unsigned long long>(maint.batches_deleted),
+                 static_cast<unsigned long long>(maint.batch_bytes_deleted));
   }
   if (stats.io_retries > 0 || stats.io_failures > 0 || stats.read_only) {
     std::fprintf(stderr, "durability: %llu IO retries, %llu IO failures%s%s\n",

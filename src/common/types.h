@@ -30,8 +30,9 @@ using Epoch = uint64_t;
 // Stored procedure identifier (index into the ProcedureRegistry).
 using ProcId = uint32_t;
 
-// Dense id of an execution worker (forward-processing worker thread or
-// recovery pool thread). kInvalidWorkerId marks off-pool threads.
+// Dense id of a forward-processing worker's log-buffer slot
+// (Database::AllocateWorkerSlot). kInvalidWorkerId marks a caller without
+// a slot, whose records go to the shared loggers.
 using WorkerId = uint32_t;
 
 // Index of an operation within a stored procedure body.
@@ -62,9 +63,6 @@ constexpr Timestamp MakeTid(Epoch epoch, uint64_t seq) {
   return (epoch << kTidEpochShift) | seq;
 }
 constexpr Epoch TidEpoch(Timestamp tid) { return tid >> kTidEpochShift; }
-constexpr uint64_t TidSequence(Timestamp tid) {
-  return tid & ((uint64_t{1} << kTidEpochShift) - 1);
-}
 inline constexpr Timestamp kInvalidTimestamp = 0;
 inline constexpr TableId kInvalidTableId =
     std::numeric_limits<TableId>::max();

@@ -64,12 +64,8 @@ double RunTaskGraph(sim::TaskGraph* graph, ThreadPool* pool) {
       state->ready.pop();
       lock.unlock();
 
-      sim::Task& t = graph->task(id);
-      if (t.dynamic_work) {
-        t.dynamic_work();
-      } else if (t.work) {
-        t.work();
-      }
+      const sim::Task& t = graph->task(id);
+      if (t.run) t.run();  // Virtual seconds are the simulator's concern.
 
       lock.lock();
       state->completed++;

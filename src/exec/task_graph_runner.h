@@ -1,9 +1,10 @@
 // Copyright (c) 2026 The PACMAN reproduction authors.
 // Real-thread execution of sim::TaskGraph DAGs on the shared thread pool.
 //
-// The benchmark harnesses run the same graphs on the simulated machine
-// (sim::Machine) for virtual-time results; this runner executes them for
-// real. Both respect the graph's dependency edges; the pool runner maps all
+// Database::Recover runs a recovery graph either on the simulated machine
+// (sim::Machine), for virtual-time results, or here, for real. Both
+// respect the graph's dependency edges and call each task's `run` once;
+// this runner ignores the virtual seconds `run` returns and maps all
 // groups onto one shared pool (group capacities are a performance-model
 // concern, not a correctness one). Ready tasks are dispatched in
 // (priority, id) order, which recovery uses to replay conflicting piece

@@ -4,15 +4,13 @@
 #include <pthread.h>
 #endif
 
-#include "exec/worker_context.h"
-
 namespace pacman::exec {
 
 ThreadPool::ThreadPool(uint32_t num_threads, std::string name_prefix)
     : name_prefix_(std::move(name_prefix)) {
   PACMAN_CHECK(num_threads >= 1);
   threads_.reserve(num_threads);
-  for (WorkerId id = 0; id < num_threads; ++id) {
+  for (uint32_t id = 0; id < num_threads; ++id) {
     threads_.emplace_back([this, id] { WorkerLoop(id); });
   }
 }
@@ -40,7 +38,7 @@ void ThreadPool::WaitIdle() {
   idle_cv_.wait(lock, [&] { return queue_.empty() && active_ == 0; });
 }
 
-void ThreadPool::WorkerLoop(WorkerId id) {
+void ThreadPool::WorkerLoop(uint32_t id) {
 #if defined(__linux__)
   if (!name_prefix_.empty()) {
     // Kernel thread names cap at 15 chars + NUL; truncate the prefix so
@@ -50,7 +48,6 @@ void ThreadPool::WorkerLoop(WorkerId id) {
     pthread_setname_np(pthread_self(), name.c_str());
   }
 #endif
-  WorkerScope scope(id);
   std::unique_lock<std::mutex> lock(mu_);
   while (true) {
     work_cv_.wait(lock, [&] { return stop_ || !queue_.empty(); });

@@ -1,11 +1,12 @@
 // Copyright (c) 2026 The PACMAN reproduction authors.
-// Shared fixed-size thread pool — the execution layer under both ends of
-// the engine: recovery task graphs (recovery::RunOnThreads) and concurrent
-// forward processing (pacman::WorkloadDriver).
+// Shared fixed-size thread pool — the execution layer under recovery
+// task graphs (exec::RunTaskGraph), the recovery load pipeline, session
+// executors, the network IO loops and background maintenance.
 //
-// Workers are created once and tagged with dense WorkerIds [0, size);
-// submitted jobs run FIFO. WaitIdle() is the quiescence barrier callers use
-// instead of tearing the pool down between phases.
+// Workers are created once; submitted jobs run FIFO. WaitIdle() is the
+// quiescence barrier callers use instead of tearing the pool down between
+// phases. A job does not learn which worker runs it: state kept per
+// worker (a session executor's log-buffer slot) belongs to the job's owner.
 #ifndef PACMAN_EXEC_THREAD_POOL_H_
 #define PACMAN_EXEC_THREAD_POOL_H_
 
@@ -43,7 +44,7 @@ class ThreadPool {
   uint32_t size() const { return static_cast<uint32_t>(threads_.size()); }
 
  private:
-  void WorkerLoop(WorkerId id);
+  void WorkerLoop(uint32_t id);
 
   std::string name_prefix_;
   std::mutex mu_;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -25,10 +24,7 @@ double MonotonicSeconds() {
 CheckpointService::CheckpointService(Database* db, CheckpointPolicy policy,
                                      exec::ThreadPool* pool,
                                      CheckpointEventHook hook)
-    : db_(db), policy_(policy), pool_(pool), hook_(std::move(hook)) {
-  PACMAN_CHECK_MSG(policy_.retain >= 1,
-                   "CheckpointPolicy::retain must be >= 1");
-}
+    : db_(db), policy_(policy), pool_(pool), hook_(std::move(hook)) {}
 
 CheckpointService::~CheckpointService() { Stop(); }
 
@@ -130,7 +126,7 @@ Status CheckpointService::RunOnce(CheckpointEvent* event) {
   ev.checkpoint_bytes = meta.total_bytes;
   // Truncation strictly after the checkpoint verified durable: a non-ok
   // TakeCheckpoint returned above without deleting anything.
-  if (policy_.truncate_log) TruncateLog(meta, &ev);
+  TruncateLog(meta, &ev);
   RetireCheckpoints(meta, &ev);
   ev.seconds = MonotonicSeconds() - t0;
 
@@ -211,29 +207,13 @@ void CheckpointService::TruncateLog(const logging::CheckpointMeta& meta,
 void CheckpointService::RetireCheckpoints(const logging::CheckpointMeta& meta,
                                           CheckpointEvent* event) {
   logging::Checkpointer* cp = db_->checkpointer();
-  const std::vector<uint64_t> ids = cp->ListMetaIds();
-  // Survivors: the newest `retain` *durable* checkpoints — `meta` itself
-  // (just verified) plus the newest valid predecessors. Torn leftovers
-  // never count toward retention and always go.
-  std::set<uint64_t> keep;
-  for (auto it = ids.rbegin(); it != ids.rend() && keep.size() < policy_.retain;
-       ++it) {
-    if (*it > meta.id) continue;  // A concurrent manual checkpoint's id.
-    if (*it == meta.id) {
-      keep.insert(*it);
-      continue;
-    }
-    logging::CheckpointMeta m;
-    if (cp->ReadMeta(*it, &m).ok() && cp->StripesComplete(m)) keep.insert(*it);
-  }
-  keep.insert(meta.id);  // Even if ListFiles raced, never delete `meta`.
   const std::vector<device::StorageDevice*>& devices = cp->devices();
+  // Only `meta` survives; ids above it belong to an in-flight manual
+  // checkpoint — hands off, a later cycle retires them once superseded.
   // Metas first: a kill mid-retire leaves orphan stripes (swept on a later
   // cycle), never a surviving meta that names missing stripes.
-  for (uint64_t id : ids) {
-    // ids above meta.id belong to an in-flight manual checkpoint —
-    // hands off; retention judges them once they are the newest.
-    if (id > meta.id || keep.count(id)) continue;
+  for (uint64_t id : cp->ListMetaIds()) {
+    if (id >= meta.id) continue;
     device::IoResult rm =
         devices[0]->RemoveFile(logging::Checkpointer::MetaFileName(id));
     // A failed delete just stays for the next cycle (retire is idempotent).
@@ -247,7 +227,7 @@ void CheckpointService::RetireCheckpoints(const logging::CheckpointMeta& meta,
                                                       &file)) {
         continue;  // Meta files and foreign names.
       }
-      if (id > meta.id || keep.count(id)) continue;
+      if (id >= meta.id) continue;
       device::IoResult rm = dev->RemoveFile(name);
       if (rm.ok()) event->stripes_deleted += 1;
     }

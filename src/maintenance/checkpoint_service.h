@@ -14,10 +14,9 @@
 //      timestamp (coverage from the LogManager's closed-batch registry,
 //      or from the batch file header for files inherited from an earlier
 //      process), never touching any logger's in-progress batch,
-//   3. retires superseded checkpoints: keeps the newest `retain` durable
-//      ones and deletes older metas (meta first, so a kill mid-delete
-//      leaves orphan stripes, not a meta naming missing stripes) and any
-//      orphaned stripes.
+//   3. retires superseded checkpoints: keeps the one just taken and
+//      deletes every older meta (meta first, so a kill mid-delete leaves
+//      orphan stripes, not a meta naming missing stripes) and stripe.
 //
 // Kill -9 at any point is safe: a torn checkpoint is skipped at recovery
 // in favor of the previous durable one (whose covering log suffix is only
@@ -52,11 +51,11 @@ namespace pacman::maintenance {
 
 // When the background loop takes a checkpoint. Either trigger alone
 // enables the service; both disabled means Database never starts it.
+// Every cycle keeps only the checkpoint it took and deletes the batch
+// files that checkpoint covers.
 struct CheckpointPolicy {
-  double interval_s = 0.0;   // Wall-time trigger; <= 0 disables.
-  uint64_t log_bytes = 0;    // Logged-bytes-since-last trigger; 0 disables.
-  uint32_t retain = 1;       // Durable checkpoints kept (>= 1).
-  bool truncate_log = true;  // Delete covered batch files.
+  double interval_s = 0.0;  // Wall-time trigger; <= 0 disables.
+  uint64_t log_bytes = 0;   // Logged-bytes-since-last trigger; 0 disables.
 };
 
 // Monotone counters (stats()) — survive Stop/Start cycles.
@@ -122,8 +121,8 @@ class CheckpointService {
   // Deletes closed batch files wholly covered by `meta`.
   void TruncateLog(const logging::CheckpointMeta& meta,
                    CheckpointEvent* event);
-  // Keeps the newest `retain` durable checkpoints; deletes older /
-  // torn metas (meta first) and orphan stripes.
+  // Keeps `meta`, just verified durable; deletes every older meta (meta
+  // first) and stripe, complete or torn.
   void RetireCheckpoints(const logging::CheckpointMeta& meta,
                          CheckpointEvent* event);
 

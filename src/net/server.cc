@@ -776,13 +776,7 @@ ServerStats Server::stats() const {
   out.protocol_errors = s->protocol_errors.load(std::memory_order_relaxed);
   out.calls = s->calls.load(std::memory_order_relaxed);
   out.call_errors = s->call_errors.load(std::memory_order_relaxed);
-  const maintenance::MaintenanceStats m = db_->maintenance_stats();
-  out.checkpoints = m.checkpoints;
-  out.checkpoint_failures = m.checkpoint_failures;
-  out.log_truncations = m.truncations;
-  out.log_batches_deleted = m.batches_deleted;
-  out.log_bytes_deleted = m.batch_bytes_deleted;
-  out.ckpt_stripes_deleted = m.stripes_deleted;
+  out.maintenance = db_->maintenance_stats();
   out.read_only = db_->read_only();
   if (out.read_only) out.read_only_reason = db_->read_only_reason();
   out.io_retries = db_->io_retries();

@@ -43,6 +43,7 @@
 #include "common/macros.h"
 #include "common/status.h"
 #include "exec/thread_pool.h"
+#include "maintenance/checkpoint_service.h"
 #include "net/protocol.h"
 
 namespace pacman {
@@ -79,15 +80,10 @@ struct ServerStats {
   uint64_t protocol_errors = 0;   // Connections closed with kError.
   uint64_t calls = 0;             // kCall frames accepted for execution.
   uint64_t call_errors = 0;       // kCall frames answered without running.
-  // Background maintenance counters, mirrored from the database's
-  // checkpoint service (maintenance/checkpoint_service.h). Process-local
-  // observability only — not surfaced on the wire protocol.
-  uint64_t checkpoints = 0;            // Completed durable checkpoints.
-  uint64_t checkpoint_failures = 0;    // Checkpoint attempts that failed.
-  uint64_t log_truncations = 0;        // Passes that deleted >= 1 batch.
-  uint64_t log_batches_deleted = 0;    // Log batch files removed.
-  uint64_t log_bytes_deleted = 0;      // Their on-device bytes.
-  uint64_t ckpt_stripes_deleted = 0;   // Superseded ckpt files removed.
+  // The database's background maintenance counters
+  // (Database::maintenance_stats). Process-local observability only — not
+  // surfaced on the wire protocol.
+  maintenance::MaintenanceStats maintenance;
   // Durability health, mirrored from the engine (pacman/database.h):
   // whether the database is in read-only degraded mode (and why), plus
   // the logging layer's transient-retry and permanent-failure counters.

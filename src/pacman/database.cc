@@ -1,16 +1,15 @@
 #include "pacman/database.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <thread>
 
+#include "exec/task_graph_runner.h"
 #include "exec/thread_pool.h"
 #include "proc/exec_arena.h"
 #include "recovery/checkpoint_recovery.h"
 #include "recovery/clr.h"
 #include "recovery/clr_p.h"
-#include "recovery/executor.h"
 #include "recovery/log_pipeline.h"
 #include "recovery/tuple_replay.h"
 #include "sim/machine.h"
@@ -48,8 +47,6 @@ Database::Database(DatabaseOptions options)
                    "DatabaseOptions::epochs_per_batch must be >= 1");
   PACMAN_CHECK_MSG(options_.ckpt_files_per_ssd >= 1,
                    "DatabaseOptions::ckpt_files_per_ssd must be >= 1");
-  PACMAN_CHECK_MSG(options_.retain_checkpoints >= 1,
-                   "DatabaseOptions::retain_checkpoints must be >= 1");
   PACMAN_CHECK_MSG(
       options_.device != device::DeviceKind::kFile ||
           !options_.log_dir.empty(),
@@ -411,8 +408,6 @@ void Database::StartMaintenance() {
     maintenance::CheckpointPolicy policy;
     policy.interval_s = options_.checkpoint_interval_s;
     policy.log_bytes = options_.checkpoint_log_bytes;
-    policy.retain = options_.retain_checkpoints;
-    policy.truncate_log = options_.truncate_log;
     maint_ = std::make_unique<maintenance::CheckpointService>(
         this, policy, maint_pool_.get(), options_.checkpoint_event_hook);
   }
@@ -466,6 +461,8 @@ void Database::Crash() {
 FullRecoveryResult Database::Recover(recovery::Scheme scheme,
                                      const recovery::RecoveryOptions& opts,
                                      ExecutionBackend backend) {
+  PACMAN_CHECK_MSG(opts.num_threads >= 1,
+                   "RecoveryOptions::num_threads must be >= 1");
   PACMAN_CHECK(crashed());
   PACMAN_CHECK(schema_finalized_);
   // Scheme/log-format compatibility (§6.2).
@@ -544,15 +541,13 @@ FullRecoveryResult Database::Recover(recovery::Scheme scheme,
   // cross-shard sub-record — to its home shard's logger), so there is no
   // cross-shard merge stage at all and the lanes replay independently.
   const uint32_t num_lanes = options_.num_shards;
-  const uint32_t load_workers = std::max(
-      1u, opts.load_threads != 0 ? opts.load_threads : opts.num_threads);
-  exec::ThreadPool load_pool(load_workers);
+  exec::ThreadPool load_pool(opts.num_threads);
   recovery::CheckpointPrefetch prefetch(meta, checkpointer_.get(),
                                         &load_pool);
   std::vector<std::unique_ptr<recovery::PipelinedLogLoader>> loaders;
   for (uint32_t lane = 0; lane < num_lanes; ++lane) {
     recovery::LogPipelineOptions lopts;
-    lopts.num_threads = load_workers;
+    lopts.num_threads = opts.num_threads;
     lopts.checkpoint_ts = meta.ts;
     lopts.pepoch = pepoch;
     lopts.num_ssds = num_ssds;
@@ -562,21 +557,27 @@ FullRecoveryResult Database::Recover(recovery::Scheme scheme,
     loaders.back()->Start();
   }
 
+  // Runs a recovery graph on the chosen backend and returns its seconds:
+  // the makespan on `machine` in virtual time, or the wall time on a pool
+  // of `threads` real threads.
+  auto run_graph = [backend](sim::TaskGraph& graph,
+                             const sim::MachineConfig& machine,
+                             uint32_t threads) -> double {
+    if (backend == ExecutionBackend::kSimulated) {
+      return sim::Machine(machine).Run(graph);
+    }
+    return exec::RunTaskGraph(&graph, threads);
+  };
+
   // --- Stage 1: checkpoint recovery -------------------------------------
   {
     sim::TaskGraph graph;
     recovery::RecoveryCounters counters;
-    recovery::BuildCheckpointRecovery(meta, checkpointer_.get(), devices,
-                                      &catalog_, scheme, opts, &graph,
-                                      &counters, &prefetch);
-    if (backend == ExecutionBackend::kSimulated) {
-      sim::Machine machine(
-          recovery::StandardMachine(num_ssds, opts.num_threads));
-      result.checkpoint.seconds = machine.Run(graph).makespan;
-    } else {
-      result.checkpoint.seconds =
-          recovery::RunOnThreads(&graph, opts.num_threads);
-    }
+    recovery::BuildCheckpointRecovery(meta, prefetch, devices, &catalog_,
+                                      scheme, opts, &graph, &counters);
+    result.checkpoint.seconds =
+        run_graph(graph, recovery::StandardMachine(num_ssds, opts.num_threads),
+                  opts.num_threads);
     counters.FillStats(&result.checkpoint);
   }
 
@@ -597,7 +598,6 @@ FullRecoveryResult Database::Recover(recovery::Scheme scheme,
     const std::vector<recovery::GlobalBatch>& batches = loader->batches();
     recovery::RecoveryOptions lane_opts = log_opts;
     lane_opts.num_threads = lane_threads;
-    if (num_lanes > 1) lane_opts.num_shard_lanes = num_lanes;
     sim::TaskGraph graph;
     sim::MachineConfig machine_config =
         recovery::StandardMachine(num_ssds, lane_threads);
@@ -614,7 +614,7 @@ FullRecoveryResult Database::Recover(recovery::Scheme scheme,
       case recovery::Scheme::kLlrP:
         recovery::BuildTupleLogReplay(scheme, batches, devices, &catalog_,
                                       lane_opts, &graph, &counters,
-                                      gates_ptr);
+                                      gates_ptr, num_lanes);
         break;
       case recovery::Scheme::kClr:
         recovery::BuildClrReplay(batches, devices, &catalog_, programs_,
@@ -646,11 +646,7 @@ FullRecoveryResult Database::Recover(recovery::Scheme scheme,
         break;
       }
     }
-    if (backend == ExecutionBackend::kSimulated) {
-      sim::Machine machine(machine_config);
-      return machine.Run(graph).makespan;
-    }
-    return recovery::RunOnThreads(&graph, lane_threads);
+    return run_graph(graph, machine_config, lane_threads);
   };
   // The simulated replay backend is a virtual-time model and wants the
   // full batch vector up front — the load itself still ran multicore (and
@@ -660,71 +656,57 @@ FullRecoveryResult Database::Recover(recovery::Scheme scheme,
     PACMAN_CHECK_MSG(ls.ok(), loader->error_message());
   };
 
-  if (num_lanes == 1) {
-    if (!overlap) wait_all(loaders[0].get());
-    result.log.seconds = run_log_replay(loaders[0].get(), log_opts.num_threads);
-  } else {
-    // Per-shard lanes. The replay cores are split evenly: the lanes are
-    // balanced by the shard hash, and a lane never blocks on another.
-    const uint32_t lane_threads =
-        std::max(1u, log_opts.num_threads / num_lanes);
-    if (backend == ExecutionBackend::kSimulated) {
-      for (const auto& loader : loaders) wait_all(loader.get());
-      if (scheme == recovery::Scheme::kLlrP) {
-        // Virtual time, latch-free tuple replay: all lanes' graphs run
-        // on ONE machine — each lane keeps its own serial device core
-        // (the streams are disjoint), but the CPU pool is shared, so
-        // the simulated scheduler balances replay work across lanes
-        // exactly as a real machine's cores would. A static
-        // lane_threads-per-lane split would charge the makespan of the
-        // unluckiest lane; the shard hash balances the streams well but
-        // not perfectly, and latch-free installs gain nothing from
-        // bounding how many threads work one lane.
-        sim::TaskGraph graph;
-        recovery::RecoveryOptions lane_opts = log_opts;
-        lane_opts.num_shard_lanes = num_lanes;
-        for (const auto& loader : loaders) {
-          recovery::BuildTupleLogReplay(scheme, loader->batches(), devices,
-                                        &catalog_, lane_opts, &graph,
-                                        &counters, nullptr);
-        }
-        sim::Machine machine(
-            recovery::StandardMachine(num_ssds, log_opts.num_threads));
-        result.log.seconds = machine.Run(graph).makespan;
-      } else {
-        // Every other scheme keeps one lane_threads-core machine per
-        // lane, finishing when the slowest lane does. For the latched
-        // schemes (PLR/LLR) the bound is not just conservatism: capping
-        // a lane at lane_threads caps how many threads contend on that
-        // lane's tuples, so each write pays LatchCost(lane_threads)
-        // instead of the full pool's — per-shard lanes genuinely shrink
-        // the latch-contention width. CLR-P additionally builds
-        // per-lane machine layouts (its planner allocates per-block
-        // core groups), which cannot share one machine config.
-        double slowest = 0.0;
-        for (const auto& loader : loaders) {
-          slowest =
-              std::max(slowest, run_log_replay(loader.get(), lane_threads));
-        }
-        result.log.seconds = slowest;
-      }
-    } else {
-      // Real threads: the lanes genuinely run concurrently (each with its
-      // own per-batch gates), and the stage's wall time is measured
-      // around the joins.
-      const auto start = std::chrono::steady_clock::now();
-      std::vector<std::thread> lanes;
-      lanes.reserve(num_lanes);
-      for (const auto& loader : loaders) {
-        lanes.emplace_back(
-            [&, l = loader.get()] { run_log_replay(l, lane_threads); });
-      }
-      for (std::thread& lane : lanes) lane.join();
-      result.log.seconds =
-          std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                        start)
-              .count();
+  // The replay cores are split evenly across the lanes: the lanes are
+  // balanced by the shard hash, and a lane never blocks on another.
+  const uint32_t lane_threads = std::max(1u, log_opts.num_threads / num_lanes);
+  if (!overlap) {
+    for (const auto& loader : loaders) wait_all(loader.get());
+  }
+  if (!overlap && num_lanes > 1 && scheme == recovery::Scheme::kLlrP) {
+    // Virtual time, latch-free tuple replay: all lanes' graphs run on ONE
+    // machine — each lane keeps its own serial device core (the streams
+    // are disjoint), but the CPU pool is shared, so the simulated
+    // scheduler balances replay work across lanes exactly as a real
+    // machine's cores would. A static lane_threads-per-lane split would
+    // charge the makespan of the unluckiest lane; the shard hash balances
+    // the streams well but not perfectly, and latch-free installs gain
+    // nothing from bounding how many threads work one lane.
+    sim::TaskGraph graph;
+    for (const auto& loader : loaders) {
+      recovery::BuildTupleLogReplay(scheme, loader->batches(), devices,
+                                    &catalog_, log_opts, &graph, &counters,
+                                    nullptr, num_lanes);
     }
+    result.log.seconds = run_graph(
+        graph, recovery::StandardMachine(num_ssds, log_opts.num_threads),
+        log_opts.num_threads);
+  } else {
+    // Every other case replays each lane on its own lane_threads-core
+    // machine or pool; the stage lasts as long as its slowest lane. For
+    // the latched schemes (PLR/LLR) the bound is not just conservatism:
+    // capping a lane at lane_threads caps how many threads contend on
+    // that lane's tuples, so each write pays LatchCost(lane_threads)
+    // instead of the full pool's — per-shard lanes genuinely shrink the
+    // latch-contention width. CLR-P additionally builds per-lane machine
+    // layouts (its planner allocates per-block core shares), which cannot
+    // share one machine config. On real threads the lanes run
+    // concurrently, each behind its own per-batch gates.
+    std::vector<double> lane_seconds(num_lanes);
+    std::vector<std::thread> lane_runners;
+    for (uint32_t lane = 0; lane < num_lanes; ++lane) {
+      auto replay = [&, lane] {
+        lane_seconds[lane] =
+            run_log_replay(loaders[lane].get(), lane_threads);
+      };
+      if (overlap) {
+        lane_runners.emplace_back(replay);
+      } else {
+        replay();
+      }
+    }
+    for (std::thread& runner : lane_runners) runner.join();
+    result.log.seconds =
+        *std::max_element(lane_seconds.begin(), lane_seconds.end());
   }
   counters.FillStats(&result.log);
 

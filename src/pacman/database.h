@@ -94,16 +94,12 @@ struct DatabaseOptions {
   // Background checkpoint triggers: wall-time interval and/or logged
   // bytes since the last checkpoint. Either one > 0 enables the service,
   // which starts with the executor pool (StartWorkers / EnsureWorkers)
-  // and stops with it (and across Crash()/Recover()). Both zero (the
-  // default) = no background maintenance; TryTakeCheckpoint() stays
-  // manual.
+  // and stops with it (and across Crash()/Recover()). Each cycle keeps
+  // only the checkpoint it took and deletes the log batch files that
+  // checkpoint covers. Both zero (the default) = no background
+  // maintenance; TryTakeCheckpoint() stays manual.
   double checkpoint_interval_s = 0.0;
   uint64_t checkpoint_log_bytes = 0;
-  // Durable checkpoints kept after each new one commits (>= 1).
-  uint32_t retain_checkpoints = 1;
-  // Delete log batch files wholly covered by the latest durable
-  // checkpoint (and superseded checkpoint stripes) after each cycle.
-  bool truncate_log = true;
   // Optional observer, invoked on the maintenance thread after each
   // completed cycle (bank_server prints its per-checkpoint log line
   // from here).
@@ -111,8 +107,9 @@ struct DatabaseOptions {
 };
 
 // How recovery graphs execute: on the deterministic simulated multicore
-// machine (virtual time; used by all benchmarks) or on real std::threads
-// (wall-clock; used by the library API and tests).
+// machine (virtual time; the paper's figure and table benches) or on real
+// threads through exec::RunTaskGraph (wall-clock; bank_server, bench/e2e
+// and the tests that recover over real threads). Both run the same graphs.
 enum class ExecutionBackend { kSimulated, kThreads };
 
 // Overall durability state of a Database.

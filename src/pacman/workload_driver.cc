@@ -9,6 +9,16 @@
 
 namespace pacman {
 
+namespace {
+
+// Per-client share of the bounded submission queue (capacity =
+// num_workers * kPipelineDepth): a client stream blocks whenever the
+// executors fall this many transactions behind it, so executors never
+// starve between requests.
+constexpr size_t kPipelineDepth = 256;
+
+}  // namespace
+
 WorkloadDriver::WorkloadDriver(Database* db, TxnGenerator gen)
     : db_(db), gen_(std::move(gen)) {
   PACMAN_CHECK(db_ != nullptr);
@@ -23,8 +33,6 @@ DriverResult WorkloadDriver::Run(const DriverOptions& opts) {
   PACMAN_CHECK_MSG(
       opts.adhoc_fraction >= 0.0 && opts.adhoc_fraction <= 1.0,
       "DriverOptions::adhoc_fraction must lie in [0, 1]");
-  PACMAN_CHECK_MSG(opts.pipeline_depth >= 1,
-                   "DriverOptions::pipeline_depth must be >= 1");
 
   const uint32_t n = opts.num_workers;
   DriverResult result;
@@ -36,13 +44,12 @@ DriverResult WorkloadDriver::Run(const DriverOptions& opts) {
   PACMAN_CHECK_MSG(!db_->workers_running(),
                    "WorkloadDriver needs exclusive use of the executor "
                    "pool; call StopWorkers first");
-  db_->StartWorkers(
-      n, /*queue_capacity=*/static_cast<size_t>(n) * opts.pipeline_depth);
+  db_->StartWorkers(n, /*queue_capacity=*/n * kPipelineDepth);
 
   // One closed-loop client stream per worker, submitting fire-and-forget
   // through its session (Session::Post): the bounded submission queue is
   // the closed loop's window — a client blocks whenever the executors are
-  // `pipeline_depth` transactions behind its stream, and skipping the
+  // kPipelineDepth transactions behind its stream, and skipping the
   // per-transaction future keeps the driver within noise of direct
   // execution. Stream c draws from an independent RNG; stream 0 replays
   // the exact single-threaded sequence for `seed`.

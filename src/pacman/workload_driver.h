@@ -49,12 +49,6 @@ struct DriverOptions {
   // exponential backoff + jitter (see Database::ExecOptions), which keeps
   // the high-contention configurations fig15 sweeps from thrashing.
   int max_retries = 100;
-  // Per-client share of the bounded submission queue (capacity =
-  // num_workers * pipeline_depth): a client stream blocks whenever the
-  // executors fall this many transactions behind it. 1 approximates a
-  // strict closed loop; larger values pipeline the streams so executors
-  // never starve between requests.
-  uint32_t pipeline_depth = 256;
 };
 
 // Cache-line aligned: the 32-byte struct otherwise packs two workers'

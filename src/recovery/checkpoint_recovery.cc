@@ -1,8 +1,5 @@
 #include "recovery/checkpoint_recovery.h"
 
-#include <memory>
-
-#include "common/macros.h"
 #include "recovery/log_pipeline.h"
 
 namespace pacman::recovery {
@@ -17,13 +14,12 @@ sim::MachineConfig StandardMachine(uint32_t num_ssds, uint32_t num_threads) {
 }
 
 void BuildCheckpointRecovery(const logging::CheckpointMeta& meta,
-                             const logging::Checkpointer* checkpointer,
+                             CheckpointPrefetch& prefetch,
                              const std::vector<device::StorageDevice*>& ssds,
                              storage::Catalog* catalog, Scheme scheme,
                              const RecoveryOptions& options,
                              sim::TaskGraph* graph,
-                             RecoveryCounters* counters,
-                             CheckpointPrefetch* prefetch) {
+                             RecoveryCounters* counters) {
   const CostModel cm = options.costs;
   const auto num_ssds = static_cast<uint32_t>(ssds.size());
   const sim::GroupId cpu = CpuGroup(num_ssds);
@@ -43,35 +39,26 @@ void BuildCheckpointRecovery(const logging::CheckpointMeta& meta,
       const size_t bytes = ssds[d]->FileSize(name);
       const double io_cost = ssds[d]->ReadSeconds(bytes);
 
-      sim::TaskId io = graph->AddTask(
-          io_cost, [counters, io_cost]() { counters->AddLoading(io_cost); },
-          SsdGroup(d), /*priority=*/f);
-
-      auto stripe = std::make_shared<logging::CheckpointStripe>();
-      sim::TaskId load = graph->AddTask(0.0, nullptr, cpu, /*priority=*/f);
-      graph->task(load).dynamic_work = [=]() {
-        if (prefetch != nullptr) {
-          *stripe = prefetch->TakeStripe(d, f);
-        } else {
-          Status s = checkpointer->ReadStripe(meta, d, f, stripe.get());
-          PACMAN_CHECK_MSG(s.ok(), s.message().c_str());
-        }
-        double deser = static_cast<double>(stripe->file_bytes) *
-                       cm.deserialize_byte;
+      sim::TaskId io = graph->AddTask(SsdGroup(d), /*priority=*/f,
+                                      [counters, io_cost] {
+                                        counters->AddLoading(io_cost);
+                                        return io_cost;
+                                      });
+      const Timestamp ts = meta.ts;
+      sim::TaskId load = graph->AddTask(cpu, /*priority=*/f, [=, &prefetch] {
+        const logging::CheckpointStripe stripe = prefetch.TakeStripe(d, f);
+        double deser =
+            static_cast<double>(stripe.file_bytes) * cm.deserialize_byte;
         counters->AddLoading(deser);
-        if (reload_only) {
-          stripe->tuples.clear();
-          return deser;
+        if (reload_only) return deser;
+        for (const logging::WriteImage& img : stripe.tuples) {
+          catalog->GetTable(img.table)->LoadRow(img.key, img.after, ts);
         }
-        for (const logging::WriteImage& img : stripe->tuples) {
-          catalog->GetTable(img.table)->LoadRow(img.key, img.after, meta.ts);
-        }
-        const double useful = install_cost * stripe->tuples.size();
+        const double useful = install_cost * stripe.tuples.size();
         counters->AddUseful(useful);
-        counters->AddTuples(stripe->tuples.size());
-        stripe->tuples.clear();  // Free memory promptly.
+        counters->AddTuples(stripe.tuples.size());
         return deser + useful;
-      };
+      });
       graph->AddEdge(io, load);
     }
   }

@@ -13,30 +13,14 @@ void BuildClrReplay(const std::vector<GlobalBatch>& batches,
                     RecoveryCounters* counters,
                     const std::vector<sim::TaskId>* batch_gates) {
   const CostModel cm = options.costs;
-  const auto num_ssds = static_cast<uint32_t>(ssds.size());
-  const sim::GroupId cpu = CpuGroup(num_ssds);
+  const sim::GroupId cpu = CpuGroup(static_cast<uint32_t>(ssds.size()));
   const bool reload_only = options.reload_only;
 
   sim::TaskId prev_replay = sim::kInvalidTask;
   for (size_t bi = 0; bi < batches.size(); ++bi) {
     const GlobalBatch& batch = batches[bi];
-    std::vector<sim::TaskId> ios;
-    size_t batch_bytes = 0;
-    for (const auto& [ssd_index, bytes] : batch.files) {
-      const double io_cost = ssds[ssd_index]->ReadSeconds(bytes);
-      batch_bytes += bytes;
-      ios.push_back(graph->AddTask(
-          io_cost, [counters, io_cost]() { counters->AddLoading(io_cost); },
-          SsdGroup(ssd_index), batch.seq));
-    }
-    const double deser_cost =
-        static_cast<double>(batch_bytes) * cm.deserialize_byte;
-    sim::TaskId deser = graph->AddTask(
-        deser_cost,
-        [counters, deser_cost]() { counters->AddLoading(deser_cost); }, cpu,
-        batch.seq);
-    for (sim::TaskId io : ios) graph->AddEdge(io, deser);
-    if (batch_gates != nullptr) graph->AddEdge((*batch_gates)[bi], deser);
+    const sim::TaskId deser = AddReloadStage(batches, bi, batch_gates, ssds,
+                                             cm, graph, counters);
     if (reload_only) continue;
 
     // Serial re-execution of the whole batch; the chain of replay tasks
@@ -46,10 +30,9 @@ void BuildClrReplay(const std::vector<GlobalBatch>& batches,
     // (txn/transaction_manager.h), and batches are TID intervals (drains
     // run at commit quiesce barriers), so batch-sequential replay is
     // TID-order replay — equivalent to the forward schedule.
-    sim::TaskId replay = graph->AddTask(0.0, nullptr, cpu, batch.seq);
     const GlobalBatch* b = &batch;
-    graph->task(replay).dynamic_work = [b, catalog, counters, cm,
-                                        &programs]() {
+    sim::TaskId replay = graph->AddTask(cpu, batch.seq, [b, catalog, counters,
+                                                         cm, &programs] {
       proc::ReplayAccess access(catalog, proc::InstallMode::kUnlatched);
       // Replay-thread arena: VM registers/locals/scratch recycled across
       // all re-executed transactions of this thread.
@@ -78,7 +61,7 @@ void BuildClrReplay(const std::vector<GlobalBatch>& batches,
       counters->AddTuples(access.writes());
       counters->AddUseful(cost);
       return cost;
-    };
+    });
     graph->AddEdge(deser, replay);
     if (prev_replay != sim::kInvalidTask) {
       graph->AddEdge(prev_replay, replay);

@@ -2,10 +2,8 @@
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <cmath>
 #include <memory>
-#include <thread>
 #include <unordered_map>
 
 #include "common/macros.h"
@@ -170,45 +168,31 @@ void BuildClrPReplay(const analysis::GlobalDependencyGraph& gdg,
 
   for (size_t bi = 0; bi < batches.size(); ++bi) {
     const GlobalBatch& batch = batches[bi];
-    // --- Reload stage --------------------------------------------------
-    std::vector<sim::TaskId> ios;
-    size_t batch_bytes = 0;
-    for (const auto& [ssd_index, bytes] : batch.files) {
-      const double io_cost = ssds[ssd_index]->ReadSeconds(bytes);
-      batch_bytes += bytes;
-      ios.push_back(graph->AddTask(
-          io_cost, [counters, io_cost]() { counters->AddLoading(io_cost); },
-          SsdGroup(ssd_index), batch.seq));
-    }
-    const double deser_cost =
-        static_cast<double>(batch_bytes) * cm.deserialize_byte;
+    // --- Reload stage: also binds each transaction's replay state -------
     auto bstate = std::make_shared<BatchState>();
     const GlobalBatch* b = &batch;
-    sim::TaskId deser =
-        graph->AddTask(0.0, nullptr, layout.cpu_group, batch.seq);
-    graph->task(deser).dynamic_work = [b, bstate, counters, deser_cost,
-                                       &programs]() {
-      bstate->txns.resize(b->records.size());
-      for (size_t i = 0; i < b->records.size(); ++i) {
-        const logging::LogRecord* rec = b->records[i];
-        bstate->txns[i].rec = rec;
-        if (!rec->is_adhoc()) {
-          bstate->txns[i].vm_locals.Reset(programs.Get(rec->proc).num_locals);
-        }
-      }
-      counters->AddLoading(deser_cost);
-      counters->AddRecords(b->records.size());
-      return deser_cost;
-    };
-    for (sim::TaskId io : ios) graph->AddEdge(io, deser);
-    if (batch_gates != nullptr) graph->AddEdge((*batch_gates)[bi], deser);
+    const sim::TaskId deser = AddReloadStage(
+        batches, bi, batch_gates, ssds, cm, graph, counters,
+        [b, bstate, counters, &programs] {
+          bstate->txns.resize(b->records.size());
+          for (size_t i = 0; i < b->records.size(); ++i) {
+            const logging::LogRecord* rec = b->records[i];
+            bstate->txns[i].rec = rec;
+            if (!rec->is_adhoc()) {
+              bstate->txns[i].vm_locals.Reset(
+                  programs.Get(rec->proc).num_locals);
+            }
+          }
+          counters->AddRecords(b->records.size());
+        });
     if (reload_only) continue;
 
     // --- Piece-set tasks ------------------------------------------------
-    // A piece-set runs as `cores` parallel worker tasks on the shared CPU
-    // pool (its assigned cores, §4.4); the first worker performs the real
-    // replay and computes the internal parallel makespan, which every
-    // worker then occupies a core for. ps_tasks[k] is the join task.
+    // A piece-set runs as `cores` worker tasks on the shared CPU pool (its
+    // assigned cores, §4.4). The first worker performs the real replay and
+    // computes the internal parallel makespan; the others only occupy the
+    // block's other cores for that long on the simulated machine.
+    // ps_tasks[k] is the join task.
     std::vector<sim::TaskId> ps_tasks(num_blocks);
     for (BlockId k = 0; k < num_blocks; ++k) {
       const uint32_t cores =
@@ -352,41 +336,24 @@ void BuildClrPReplay(const analysis::GlobalDependencyGraph& gdg,
         return makespan;
       };
 
-      // Worker tasks: lowest id runs first within the pool's FIFO order,
-      // so the real replay happens once and the remaining workers just
-      // occupy the block's other assigned cores for the same duration.
-      sim::TaskId join =
-          graph->AddTask(0.0, nullptr, layout.cpu_group, batch.seq);
-      std::vector<sim::TaskId> workers;
+      // Worker tasks. The extra workers (c > 0) share the first worker's
+      // dependencies and priority and have higher ids, so the simulated
+      // machine always dispatches the first worker before them and they
+      // return the makespan it stored. If that order ever broke, they
+      // would return -1 and the machine's cost check would fail at once.
+      // The thread runner ignores costs, so there they finish at once.
+      sim::TaskId join = graph->AddTask(layout.cpu_group, batch.seq);
       for (uint32_t c = 0; c < cores; ++c) {
-        sim::TaskId w =
-            graph->AddTask(0.0, nullptr, layout.cpu_group, batch.seq);
+        std::function<double()> run = [computed] { return computed->load(); };
         if (c == 0) {
-          graph->task(w).dynamic_work = [computed, run_piece_set]() {
+          run = [computed, run_piece_set] {
             const double makespan = run_piece_set();
-            computed->store(makespan, std::memory_order_release);
-            return makespan;
-          };
-        } else {
-          graph->task(w).dynamic_work = [computed]() {
-            // The simulated machine dispatches the first worker before its
-            // siblings (FIFO by id within the group), so this never loops
-            // there; the real-thread backend may run siblings concurrently
-            // with the replay, so wait for the computed makespan. The wait
-            // is bounded: on the sequential simulated backend a dispatch-
-            // order regression could never satisfy it, and we want that to
-            // fail fast instead of livelocking.
-            const auto deadline =
-                std::chrono::steady_clock::now() + std::chrono::seconds(60);
-            double makespan;
-            while ((makespan = computed->load(std::memory_order_acquire)) <
-                   0.0) {
-              PACMAN_CHECK(std::chrono::steady_clock::now() < deadline);
-              std::this_thread::yield();
-            }
+            computed->store(makespan);
             return makespan;
           };
         }
+        sim::TaskId w =
+            graph->AddTask(layout.cpu_group, batch.seq, std::move(run));
         graph->AddEdge(deser, w);
         for (BlockId dep : gdg.blocks[k].deps) {
           graph->AddEdge(ps_tasks[dep], w);
@@ -399,7 +366,6 @@ void BuildClrPReplay(const analysis::GlobalDependencyGraph& gdg,
           graph->AddEdge(prev_barrier, w);
         }
         graph->AddEdge(w, join);
-        workers.push_back(w);
       }
       ps_tasks[k] = join;
     }
@@ -407,8 +373,7 @@ void BuildClrPReplay(const analysis::GlobalDependencyGraph& gdg,
     if (mode != PacmanMode::kPipelined) {
       // Synchronous execution: a barrier separates consecutive batches
       // (Fig. 9a).
-      sim::TaskId barrier =
-          graph->AddTask(0.0, nullptr, layout.cpu_group, batch.seq);
+      sim::TaskId barrier = graph->AddTask(layout.cpu_group, batch.seq);
       for (BlockId k = 0; k < num_blocks; ++k) {
         graph->AddEdge(ps_tasks[k], barrier);
       }

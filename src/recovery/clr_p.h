@@ -26,9 +26,12 @@ namespace pacman::recovery {
 
 // The core-to-block assignment for one CLR-P run (§4.4, Fig. 10). All
 // recovery threads form one pool; every piece-set of block k is executed
-// as `block_cores[k]` parallel worker tasks on that pool, so each assigned
-// core genuinely occupies pool capacity and contention between blocks
-// emerges from the simulation rather than from an analytic correction.
+// as `block_cores[k]` worker tasks on that pool. The first worker replays
+// the piece-set and list-schedules its pieces onto the block's cores; on
+// the simulated machine the extra workers occupy the other assigned cores
+// for that makespan, so contention between blocks emerges from the
+// simulation rather than from an analytic correction. On real threads the
+// extra workers finish at once.
 struct ClrPLayout {
   sim::MachineConfig machine;          // SSD groups + one CPU pool.
   sim::GroupId cpu_group = 0;          // The pool's group id.

@@ -230,13 +230,12 @@ std::vector<sim::TaskId> AddBatchGates(PipelinedLogLoader* loader,
   gates.reserve(loader->num_batches());
   sim::TaskId prev = sim::kInvalidTask;
   for (size_t k = 0; k < loader->num_batches(); ++k) {
-    sim::TaskId gate = graph->AddTask(0.0, nullptr, group,
-                                      loader->batches()[k].seq);
-    graph->task(gate).dynamic_work = [loader, k]() -> double {
-      const GlobalBatch* b = loader->WaitBatch(k);
-      PACMAN_CHECK_MSG(b != nullptr, loader->error_message());
-      return 0.0;
-    };
+    sim::TaskId gate =
+        graph->AddTask(group, loader->batches()[k].seq, [loader, k] {
+          const GlobalBatch* b = loader->WaitBatch(k);
+          PACMAN_CHECK_MSG(b != nullptr, loader->error_message());
+          return 0.0;
+        });
     if (prev != sim::kInvalidTask) graph->AddEdge(prev, gate);
     prev = gate;
     gates.push_back(gate);

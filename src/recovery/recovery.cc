@@ -45,6 +45,39 @@ void MergeBatchGroup(const logging::LogBatch* const* fragments, size_t n,
             });
 }
 
+sim::TaskId AddReloadStage(const std::vector<GlobalBatch>& batches,
+                           size_t index,
+                           const std::vector<sim::TaskId>* batch_gates,
+                           const std::vector<device::StorageDevice*>& ssds,
+                           const CostModel& costs, sim::TaskGraph* graph,
+                           RecoveryCounters* counters,
+                           std::function<void()> on_deserialize) {
+  const GlobalBatch& batch = batches[index];
+  std::vector<sim::TaskId> ios;
+  size_t batch_bytes = 0;
+  for (const auto& [ssd_index, bytes] : batch.files) {
+    const double io_cost = ssds[ssd_index]->ReadSeconds(bytes);
+    batch_bytes += bytes;
+    ios.push_back(graph->AddTask(SsdGroup(ssd_index), batch.seq,
+                                 [counters, io_cost] {
+                                   counters->AddLoading(io_cost);
+                                   return io_cost;
+                                 }));
+  }
+  const double deser_cost =
+      static_cast<double>(batch_bytes) * costs.deserialize_byte;
+  const sim::TaskId deser = graph->AddTask(
+      CpuGroup(static_cast<uint32_t>(ssds.size())), batch.seq,
+      [counters, deser_cost, setup = std::move(on_deserialize)] {
+        if (setup) setup();
+        counters->AddLoading(deser_cost);
+        return deser_cost;
+      });
+  for (sim::TaskId io : ios) graph->AddEdge(io, deser);
+  if (batch_gates != nullptr) graph->AddEdge((*batch_gates)[index], deser);
+  return deser;
+}
+
 Status PerKeyOrderVerifier::Check(const GlobalBatch& batch) {
   for (const logging::LogRecord* rec : batch.records) {
     for (const logging::WriteImage& img : rec->writes) {

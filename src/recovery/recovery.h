@@ -5,6 +5,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -47,22 +48,11 @@ struct RecoveryOptions {
   // Build only the reload stage (io + deserialize), for the "pure file
   // reloading" measurements of Figs. 13a/14a.
   bool reload_only = false;
-  // Set by Database::Recover on per-shard recovery lanes: this replay
-  // graph covers one of `num_shard_lanes` disjoint partitions, so
-  // whole-database costs (PLR's deferred index rebuild) charge only the
-  // lane's 1/N share — each lane rebuilds its own shard's partition
-  // indexes, and the total rebuild work across lanes stays exactly the
-  // unsharded amount.
-  uint32_t num_shard_lanes = 1;
   // Model latch acquisition costs (true for PLR/LLR; Fig. 15 disables).
   bool use_latches = true;
   // CLR-P only: replay with an alternative statically-derived graph
   // (Fig. 18 uses the transaction-chopping decomposition).
   const analysis::GlobalDependencyGraph* gdg_override = nullptr;
-  // Worker threads of the load pipeline (recovery/log_pipeline.h), which
-  // reads and deserializes batch files and checkpoint stripes in parallel;
-  // 0 = num_threads.
-  uint32_t load_threads = 0;
 };
 
 // Virtual-time busy breakdown (Fig. 20 categories).
@@ -174,10 +164,25 @@ class PerKeyOrderVerifier {
 
 // Shared machine-layout convention for recovery task graphs:
 //   groups [0, num_ssds)      : one serial core per device;
-//   group  num_ssds           : the CPU pool (num_threads cores);
-//   groups num_ssds+1 ...     : CLR-P per-block groups.
+//   group  num_ssds           : the CPU pool (num_threads cores).
 inline sim::GroupId SsdGroup(uint32_t ssd_index) { return ssd_index; }
 inline sim::GroupId CpuGroup(uint32_t num_ssds) { return num_ssds; }
+
+// Appends the reload stage of batches[index], the stage every log-replay
+// builder starts a batch with: one read task per member file on its
+// device's serial core, then one deserialize task on the CPU pool behind
+// them and behind the batch's gate (with `batch_gates`, from
+// AddBatchGates). Records are parsed by the load pipeline; the stage
+// charges their virtual costs as data loading. `on_deserialize`, if set,
+// runs inside the deserialize task, once the batch's records exist.
+// Returns the deserialize task, which the batch's replay tasks follow.
+sim::TaskId AddReloadStage(const std::vector<GlobalBatch>& batches,
+                           size_t index,
+                           const std::vector<sim::TaskId>* batch_gates,
+                           const std::vector<device::StorageDevice*>& ssds,
+                           const CostModel& costs, sim::TaskGraph* graph,
+                           RecoveryCounters* counters,
+                           std::function<void()> on_deserialize = nullptr);
 
 }  // namespace pacman::recovery
 

@@ -1,6 +1,5 @@
 #include "recovery/tuple_replay.h"
 
-#include <algorithm>
 #include <memory>
 
 #include "common/macros.h"
@@ -24,7 +23,8 @@ void BuildTupleLogReplay(Scheme scheme,
                          storage::Catalog* catalog,
                          const RecoveryOptions& options,
                          sim::TaskGraph* graph, RecoveryCounters* counters,
-                         const std::vector<sim::TaskId>* batch_gates) {
+                         const std::vector<sim::TaskId>* batch_gates,
+                         uint32_t num_shard_lanes) {
   PACMAN_CHECK(scheme == Scheme::kPlr || scheme == Scheme::kLlr ||
                scheme == Scheme::kLlrP);
   const CostModel cm = options.costs;
@@ -48,27 +48,8 @@ void BuildTupleLogReplay(Scheme scheme,
 
   for (size_t bi = 0; bi < batches.size(); ++bi) {
     const GlobalBatch& batch = batches[bi];
-    // IO: each member file read from its device.
-    std::vector<sim::TaskId> ios;
-    for (const auto& [ssd_index, bytes] : batch.files) {
-      const double io_cost = ssds[ssd_index]->ReadSeconds(bytes);
-      ios.push_back(graph->AddTask(
-          io_cost, [counters, io_cost]() { counters->AddLoading(io_cost); },
-          SsdGroup(ssd_index), /*priority=*/batch.seq));
-    }
-    // Deserialize: one CPU task per batch (records are parsed by the
-    // loader — serially before the run, or by the streaming pipeline
-    // gating this batch; the virtual cost is charged here).
-    size_t batch_bytes = 0;
-    for (const auto& [ssd_index, bytes] : batch.files) batch_bytes += bytes;
-    const double deser_cost =
-        static_cast<double>(batch_bytes) * cm.deserialize_byte;
-    sim::TaskId deser = graph->AddTask(
-        deser_cost,
-        [counters, deser_cost]() { counters->AddLoading(deser_cost); }, cpu,
-        batch.seq);
-    for (sim::TaskId io : ios) graph->AddEdge(io, deser);
-    if (batch_gates != nullptr) graph->AddEdge((*batch_gates)[bi], deser);
+    const sim::TaskId deser = AddReloadStage(batches, bi, batch_gates, ssds,
+                                             cm, graph, counters);
     if (reload_only) continue;
 
     // Partition the batch's writes across threads, at dispatch time (the
@@ -80,9 +61,8 @@ void BuildTupleLogReplay(Scheme scheme,
     auto partitions =
         std::make_shared<std::vector<std::vector<ReplayWrite>>>(n_threads);
     const GlobalBatch* b = &batch;
-    sim::TaskId part = graph->AddTask(0.0, nullptr, cpu, batch.seq);
-    graph->task(part).dynamic_work = [b, partitions, scheme, n_threads,
-                                      counters]() -> double {
+    sim::TaskId part = graph->AddTask(cpu, batch.seq, [b, partitions, scheme,
+                                                      n_threads, counters] {
       size_t total_writes = 0;
       for (const logging::LogRecord* rec : b->records) {
         total_writes += rec->writes.size();
@@ -107,14 +87,14 @@ void BuildTupleLogReplay(Scheme scheme,
       }
       counters->AddRecords(b->records.size());
       return 0.0;
-    };
+    });
     graph->AddEdge(deser, part);
 
     for (uint32_t p = 0; p < n_threads; ++p) {
-      sim::TaskId t = graph->AddTask(0.0, nullptr, cpu, batch.seq);
-      graph->task(t).dynamic_work = [partitions, p, scheme, catalog,
-                                     counters, write_cost, latch_cost,
-                                     latched]() -> double {
+      sim::TaskId t = graph->AddTask(cpu, batch.seq, [partitions, p, scheme,
+                                                      catalog, counters,
+                                                      write_cost, latch_cost,
+                                                      latched] {
         const auto& part = (*partitions)[p];
         if (part.empty()) return 0.0;
         const double cost = static_cast<double>(part.size()) *
@@ -145,7 +125,7 @@ void BuildTupleLogReplay(Scheme scheme,
         counters->AddUseful(cost);
         counters->AddTuples(part.size());
         return cost;
-      };
+      });
       graph->AddEdge(part, t);
       if (scheme == Scheme::kLlrP &&
           prev_partition[p] != sim::kInvalidTask) {
@@ -162,21 +142,20 @@ void BuildTupleLogReplay(Scheme scheme,
   // the paper's cost structure.
   if (scheme == Scheme::kPlr && !reload_only) {
     // A per-shard lane rebuilds only its shard's partition indexes — the
-    // lane's 1/num_shard_lanes share of the keys (RecoveryOptions).
-    const uint32_t lanes = std::max(1u, options.num_shard_lanes);
-    sim::TaskId barrier = graph->AddTask(0.0, nullptr, cpu, ~0ull);
+    // lane's 1/num_shard_lanes share of the keys.
+    sim::TaskId barrier = graph->AddTask(cpu, ~0ull);
     for (sim::TaskId t : replay_tasks) graph->AddEdge(t, barrier);
     for (uint32_t p = 0; p < n_threads; ++p) {
-      sim::TaskId t = graph->AddTask(0.0, nullptr, cpu, ~0ull);
-      graph->task(t).dynamic_work = [catalog, counters, cm, n_threads,
-                                     lanes]() {
+      sim::TaskId t = graph->AddTask(cpu, ~0ull, [catalog, counters, cm,
+                                                  n_threads,
+                                                  num_shard_lanes] {
         uint64_t keys = 0;
         for (const auto& table : catalog->tables()) keys += table->NumKeys();
         const double cost = cm.index_insert * static_cast<double>(keys) /
-                            static_cast<double>(lanes) / n_threads;
+                            static_cast<double>(num_shard_lanes) / n_threads;
         counters->AddUseful(cost);
         return cost;
-      };
+      });
       graph->AddEdge(barrier, t);
     }
   }

@@ -24,6 +24,12 @@ namespace pacman::recovery {
 // dispatch time, so with `batch_gates` (one gate task per batch, from
 // AddBatchGates) the batches may still be loading when the graph is
 // built — each batch's tasks are edged behind its gate.
+//
+// Database::Recover passes `num_shard_lanes` > 1 when this graph replays
+// one of that many disjoint per-shard lanes: whole-database costs (PLR's
+// deferred index rebuild) then charge only the lane's share — each lane
+// rebuilds its own shard's partition indexes, and the total rebuild work
+// across lanes stays exactly the unsharded amount.
 void BuildTupleLogReplay(Scheme scheme,
                          const std::vector<GlobalBatch>& batches,
                          const std::vector<device::StorageDevice*>& ssds,
@@ -31,7 +37,8 @@ void BuildTupleLogReplay(Scheme scheme,
                          const RecoveryOptions& options,
                          sim::TaskGraph* graph, RecoveryCounters* counters,
                          const std::vector<sim::TaskId>* batch_gates =
-                             nullptr);
+                             nullptr,
+                         uint32_t num_shard_lanes = 1);
 
 }  // namespace pacman::recovery
 

@@ -34,7 +34,7 @@ Machine::Machine(MachineConfig config) : config_(std::move(config)) {
   for (uint32_t c : config_.cores_per_group) PACMAN_CHECK(c > 0);
 }
 
-RunStats Machine::Run(TaskGraph& graph) {
+double Machine::Run(TaskGraph& graph) {
   const size_t num_groups = config_.cores_per_group.size();
   std::vector<std::priority_queue<ReadyEntry, std::vector<ReadyEntry>,
                                   std::greater<ReadyEntry>>>
@@ -50,8 +50,6 @@ RunStats Machine::Run(TaskGraph& graph) {
     if (t.num_deps == 0) ready[t.group].push({t.priority, i});
   }
 
-  RunStats stats;
-  stats.groups.resize(num_groups);
   double now = 0.0;
   uint64_t seq = 0;
   size_t completed = 0;
@@ -61,16 +59,9 @@ RunStats Machine::Run(TaskGraph& graph) {
       TaskId id = ready[g].top().id;
       ready[g].pop();
       idle_cores[g]--;
-      Task& t = graph.task(id);
-      double cost = t.cost;
-      if (t.dynamic_work) {
-        cost = t.dynamic_work();
-        t.cost = cost;
-      } else if (t.work) {
-        t.work();
-      }
-      stats.groups[g].busy_time += cost;
-      stats.groups[g].tasks_run++;
+      const Task& t = graph.task(id);
+      const double cost = t.run ? t.run() : 0.0;
+      PACMAN_CHECK(cost >= 0.0);
       events.push({now + cost, seq++, id, g});
     }
   };
@@ -96,8 +87,7 @@ RunStats Machine::Run(TaskGraph& graph) {
   }
 
   PACMAN_CHECK(completed == graph.NumTasks());  // Acyclic & all groups valid.
-  stats.makespan = now;
-  return stats;
+  return now;
 }
 
 }  // namespace pacman::sim

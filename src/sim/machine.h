@@ -24,17 +24,6 @@ struct MachineConfig {
   static MachineConfig Uniform(uint32_t n) { return MachineConfig{{n}}; }
 };
 
-// Per-run statistics, reported per group.
-struct GroupStats {
-  double busy_time = 0.0;   // Sum of task costs executed in this group.
-  uint64_t tasks_run = 0;
-};
-
-struct RunStats {
-  double makespan = 0.0;
-  std::vector<GroupStats> groups;
-};
-
 // Executes a TaskGraph to completion; returns the virtual-time makespan.
 // Dispatch is deterministic: ready tasks are ordered by (priority, task id)
 // within each group, and simultaneous events tie-break on sequence number.
@@ -43,9 +32,12 @@ class Machine {
   explicit Machine(MachineConfig config);
   PACMAN_DISALLOW_COPY_AND_MOVE(Machine);
 
-  // Runs the graph. All tasks must complete (the graph must be acyclic and
-  // every group id must be < number of groups); PACMAN_CHECKs otherwise.
-  RunStats Run(TaskGraph& graph);
+  // Runs the graph and returns its makespan in virtual seconds. Each task
+  // occupies a core of its group for the seconds its `run` returns. All
+  // tasks must complete (the graph must be acyclic and every group id must
+  // be < number of groups), and no task may return a negative cost;
+  // PACMAN_CHECKs otherwise.
+  double Run(TaskGraph& graph);
 
  private:
   MachineConfig config_;

@@ -2,12 +2,10 @@
 
 namespace pacman::sim {
 
-TaskId TaskGraph::AddTask(double cost, std::function<void()> work,
-                          GroupId group, uint64_t priority) {
-  PACMAN_DCHECK(cost >= 0.0);
+TaskId TaskGraph::AddTask(GroupId group, uint64_t priority,
+                          std::function<double()> run) {
   Task t;
-  t.cost = cost;
-  t.work = std::move(work);
+  t.run = std::move(run);
   t.group = group;
   t.priority = priority;
   tasks_.push_back(std::move(t));
@@ -19,12 +17,6 @@ void TaskGraph::AddEdge(TaskId from, TaskId to) {
   PACMAN_DCHECK(from != to);
   tasks_[from].dependents.push_back(to);
   tasks_[to].num_deps++;
-}
-
-double TaskGraph::TotalCost() const {
-  double total = 0.0;
-  for (const Task& t : tasks_) total += t.cost;
-  return total;
 }
 
 }  // namespace pacman::sim

@@ -1,14 +1,16 @@
 // Copyright (c) 2026 The PACMAN reproduction authors.
 //
-// Task graphs executed on the simulated multicore machine (sim::Machine).
+// Task graphs: the one schedule form of recovery, run either on the
+// simulated multicore machine (sim::Machine) or on real threads
+// (exec::RunTaskGraph).
 //
 // The paper's evaluation ran on a 40-core server; this reproduction runs on
-// a single-core host. Recovery and logging work is therefore decomposed
-// into tasks with calibrated virtual costs. The *side effects* of every
-// task (actual index lookups, version installs, deserialization) run for
-// real when the simulator dispatches the task, so correctness is fully
-// exercised; only the clock is virtual. See README, "Layered
-// architecture".
+// a small host. Recovery and logging work is therefore decomposed into
+// tasks with calibrated virtual costs. Each task's callback does the task's
+// real work (index lookups, version installs, deserialization) and returns
+// its virtual seconds: the simulator charges that cost to a core, the
+// thread runner ignores it. Correctness is exercised by both; only the
+// simulator's clock is virtual. See README, "Layered architecture".
 #ifndef PACMAN_SIM_TASK_GRAPH_H_
 #define PACMAN_SIM_TASK_GRAPH_H_
 
@@ -26,16 +28,13 @@ using GroupId = uint32_t;
 
 inline constexpr TaskId kInvalidTask = std::numeric_limits<TaskId>::max();
 
-// A unit of work: `cost` virtual seconds of exclusive use of one core in
-// `group`, with real side effects in `work` executed when the task starts.
+// A unit of work on one core of `group`.
 struct Task {
-  double cost = 0.0;
-  std::function<void()> work;  // May be empty (pure-cost task).
-  // If set, runs instead of `work` when the task is dispatched and returns
-  // the task's actual cost (overriding `cost`). PACMAN's piece-set tasks
-  // use this: their internal parallel makespan is only computable once the
-  // runtime parameter values of upstream piece-sets are available (§4.3).
-  std::function<double()> dynamic_work;
+  // Does the task's work when it is dispatched and returns its virtual
+  // seconds (>= 0). Piece-set tasks compute theirs only then, from the
+  // runtime parameter values of upstream piece-sets (§4.3). Empty: a
+  // zero-cost task (a join, a barrier).
+  std::function<double()> run;
   GroupId group = 0;
   // FIFO dispatch order within a group's ready queue; recovery uses the
   // transaction commit order so conflicting piece chains replay in order.
@@ -46,7 +45,7 @@ struct Task {
   uint32_t num_deps = 0;
 };
 
-// A DAG of tasks. Build once, execute once on a Machine.
+// A DAG of tasks. Build once, execute once.
 class TaskGraph {
  public:
   TaskGraph() = default;
@@ -55,21 +54,16 @@ class TaskGraph {
   TaskGraph& operator=(TaskGraph&&) = default;
 
   // Adds a task and returns its id. Ids are dense and start at 0.
-  TaskId AddTask(double cost, std::function<void()> work, GroupId group = 0,
-                 uint64_t priority = 0);
+  TaskId AddTask(GroupId group, uint64_t priority,
+                 std::function<double()> run = nullptr);
 
   // Declares that `to` cannot start before `from` completes.
   void AddEdge(TaskId from, TaskId to);
 
   size_t NumTasks() const { return tasks_.size(); }
   const Task& task(TaskId id) const { return tasks_[id]; }
-  Task& task(TaskId id) { return tasks_[id]; }
-
-  // Sum of all task costs (the serial makespan, ignoring groups).
-  double TotalCost() const;
 
  private:
-  friend class Machine;
   std::vector<Task> tasks_;
 };
 

@@ -37,14 +37,6 @@ uint64_t Catalog::ContentHash(Timestamp ts) const {
   return h;
 }
 
-uint64_t Catalog::ApproxContentBytes(Timestamp ts) const {
-  uint64_t bytes = 0;
-  for (const auto& t : tables_) {
-    bytes += t->VisibleCount(ts) * (t->schema().RowByteSize() + sizeof(Key));
-  }
-  return bytes;
-}
-
 void Catalog::ResetAllTables() {
   for (const auto& t : tables_) t->Reset();
 }

@@ -39,16 +39,12 @@ class Catalog {
   // Returns kInvalidTableId if absent.
   TableId GetTableId(const std::string& name) const;
 
-  size_t NumTables() const { return tables_.size(); }
   const std::vector<std::unique_ptr<Table>>& tables() const {
     return tables_;
   }
 
   // Fingerprint of the whole database's visible content at `ts`.
   uint64_t ContentHash(Timestamp ts) const;
-
-  // Serialized byte size of all visible tuples (checkpoint size estimate).
-  uint64_t ApproxContentBytes(Timestamp ts) const;
 
   // Drops all tuple data, keeping schemas (crash simulation).
   void ResetAllTables();

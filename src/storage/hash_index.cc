@@ -31,10 +31,4 @@ void* HashIndex::Lookup(Key key) const {
   return result;
 }
 
-void HashIndex::ForEach(const std::function<void(Key, void*)>& fn) const {
-  for (uint32_t i = 0; i < num_shards_; ++i) {
-    for (const auto& [k, v] : shards_[i].map) fn(k, v);
-  }
-}
-
 }  // namespace pacman::storage

@@ -7,7 +7,6 @@
 
 #include <bit>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <unordered_map>
 
@@ -46,10 +45,6 @@ class HashIndex {
   void* Lookup(Key key) const;
 
   uint64_t size() const { return size_.load(std::memory_order_relaxed); }
-
-  // Visits all entries (no ordering guarantee); not concurrency-safe with
-  // writers. Used by tests and content fingerprinting.
-  void ForEach(const std::function<void(Key, void*)>& fn) const;
 
  private:
   struct Shard {

@@ -35,6 +35,21 @@ uint64_t CountFiles(Database* db, const std::string& prefix) {
   return n;
 }
 
+// The checkpoint id of every stripe file on the checkpointer's devices.
+std::vector<uint64_t> StripeIds(logging::Checkpointer* cp) {
+  std::vector<uint64_t> ids;
+  for (device::StorageDevice* dev : cp->devices()) {
+    for (const std::string& name : dev->ListFiles("ckpt_")) {
+      uint64_t id = 0;
+      uint32_t ssd = 0, file = 0;
+      if (logging::Checkpointer::ParseStripeFileName(name, &id, &ssd, &file)) {
+        ids.push_back(id);
+      }
+    }
+  }
+  return ids;
+}
+
 class MaintenanceTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -84,11 +99,9 @@ class MaintenanceTest : public ::testing::Test {
 
   // A service driven synchronously (RunOnce) — no background thread, so
   // every cycle is deterministic.
-  std::unique_ptr<maintenance::CheckpointService> MakeService(
-      Database* db, uint32_t retain = 1) {
+  std::unique_ptr<maintenance::CheckpointService> MakeService(Database* db) {
     maintenance::CheckpointPolicy policy;
     policy.interval_s = 3600;  // Triggers irrelevant: tests call RunOnce.
-    policy.retain = retain;
     return std::make_unique<maintenance::CheckpointService>(db, policy,
                                                             nullptr);
   }
@@ -302,14 +315,14 @@ TEST_F(MaintenanceTest, ServiceTruncatesCoveredBatchesAndRetiresCheckpoints) {
   const uint64_t log_files_before = CountFiles(db.get(), "log_");
   ASSERT_GT(log_files_before, 2u);  // Closed batches exist to truncate.
 
-  auto service = MakeService(db.get(), /*retain=*/1);
+  auto service = MakeService(db.get());
   maintenance::CheckpointEvent ev;
   ASSERT_TRUE(service->RunOnce(&ev).ok());
   EXPECT_GT(ev.batches_deleted, 0u);
   EXPECT_GT(ev.batch_bytes_deleted, 0u);
   EXPECT_GT(ev.stripes_deleted, 0u);  // Checkpoint id 0 retired.
   EXPECT_LT(CountFiles(db.get(), "log_"), log_files_before);
-  // retain=1: exactly one meta file survives, and it is the new one.
+  // Exactly one meta file survives, and it is the new one.
   std::vector<uint64_t> ids = db->checkpointer()->ListMetaIds();
   ASSERT_EQ(ids.size(), 1u);
   EXPECT_EQ(ids[0], ev.id);
@@ -332,13 +345,47 @@ TEST_F(MaintenanceTest, ServiceTruncatesCoveredBatchesAndRetiresCheckpoints) {
   EXPECT_EQ(idle->stats().checkpoints, after_first);
 }
 
+TEST_F(MaintenanceTest, CycleRetiresEveryOlderCheckpoint) {
+  auto db = std::make_unique<Database>(
+      SimDbOptions(logging::LogScheme::kCommand));
+  bank_.Install(db.get());
+  db->FinalizeSchema();
+  // Manual checkpoints pile up: nothing retires them until a cycle runs.
+  for (int i = 0; i < 3; ++i) {
+    RunTxns(db.get(), 30, /*seed=*/10 + i);
+    ASSERT_TRUE(db->TryTakeCheckpoint().ok());
+  }
+  logging::Checkpointer* cp = db->checkpointer();
+  ASSERT_EQ(cp->ListMetaIds().size(), 3u);
+  const uint64_t old_stripes = StripeIds(cp).size();
+  ASSERT_GT(old_stripes, 0u);
+
+  RunTxns(db.get(), 30, /*seed=*/20);
+  auto service = MakeService(db.get());
+  maintenance::CheckpointEvent ev;
+  ASSERT_TRUE(service->RunOnce(&ev).ok());
+  // Only the checkpoint this cycle verified survives: all three older
+  // metas and every stripe they named are deleted.
+  EXPECT_EQ(cp->ListMetaIds(), std::vector<uint64_t>{ev.id});
+  EXPECT_EQ(ev.stripes_deleted, 3 + old_stripes);
+  for (uint64_t id : StripeIds(cp)) EXPECT_EQ(id, ev.id);
+
+  // The survivor alone recovers the database exactly.
+  const uint64_t hash_before = db->ContentHash();
+  db->Crash();
+  recovery::RecoveryOptions ropts;
+  ropts.num_threads = 4;
+  db->Recover(recovery::Scheme::kClrP, ropts);
+  EXPECT_EQ(db->ContentHash(), hash_before);
+}
+
 TEST_F(MaintenanceTest, RetainedLogStaysBoundedAsLoggedBytesGrows) {
   auto db = std::make_unique<Database>(
       SimDbOptions(logging::LogScheme::kCommand));
   bank_.Install(db.get());
   db->FinalizeSchema();
   ASSERT_TRUE(db->TryTakeCheckpoint().ok());
-  auto service = MakeService(db.get(), /*retain=*/1);
+  auto service = MakeService(db.get());
 
   uint64_t max_files = 0;
   const uint64_t bytes_start = db->log_bytes();

@@ -1,8 +1,9 @@
 // Pipelined-recovery suite: recovery through the parallel load +
 // streaming merge path (recovery/log_pipeline.h) must restore the exact
 // pre-crash state under every scheme and backend, stay seq-ordered under
-// out-of-order fragment arrival, and fail loudly (with file name + offset)
-// on corrupt batch files.
+// out-of-order fragment arrival, schedule each batch's reads and parse in
+// the one reload stage, and fail loudly (with file name + offset) on
+// corrupt batch files.
 #include "recovery/log_pipeline.h"
 
 #include <gtest/gtest.h>
@@ -15,7 +16,9 @@
 #include <thread>
 
 #include "device/file_device.h"
+#include "device/simulated_ssd.h"
 #include "pacman/database.h"
+#include "sim/machine.h"
 #include "test_util.h"
 #include "workload/bank.h"
 #include "workload/tpcc.h"
@@ -49,8 +52,8 @@ class RecoveryParityTest
     : public ::testing::TestWithParam<std::tuple<Scheme, Workload>> {};
 
 // One database, one log: recover it twice (simulated backend, then
-// overlapped replay on real threads with its own load pool size) and
-// demand the pre-crash content hash each time. Re-crashing a recovered
+// overlapped replay on real threads) and demand the pre-crash content hash
+// each time. Re-crashing a recovered
 // database appends only empty flush batches, so every recovery replays the
 // same committed history.
 TEST_P(RecoveryParityTest, EveryBackendRecoversPreCrashState) {
@@ -106,7 +109,6 @@ TEST_P(RecoveryParityTest, EveryBackendRecoversPreCrashState) {
   EXPECT_GT(rs.log.records_replayed, 0u);
 
   db.Crash();
-  ropts.load_threads = 3;
   db.Recover(scheme, ropts, ExecutionBackend::kThreads);
   EXPECT_EQ(db.ContentHash(), pre_crash)
       << "overlapped real-thread backend";
@@ -232,6 +234,66 @@ TEST(StreamingMergeTest, OutOfOrderSeqArrivalStaysSeqOrdered) {
   }
   ASSERT_TRUE(loader.WaitAll().ok());
   EXPECT_GT(loader.total_records(), 0u);
+}
+
+// --- The reload stage every log-replay builder shares ---------------------
+
+TEST(ReloadStageTest, ReadsEveryFileThenDeserializesBehindTheGate) {
+  device::SimulatedSsd ssd0, ssd1;
+  const std::vector<device::StorageDevice*> ssds = {&ssd0, &ssd1};
+  const recovery::CostModel costs;
+  std::vector<recovery::GlobalBatch> batches(2);
+  batches[0].seq = 7;
+  batches[0].files = {{0, 4000}, {1, 1000}};
+  batches[1].seq = 8;
+  batches[1].files = {{1, 2000}};
+
+  sim::TaskGraph g;
+  const sim::GroupId cpu = recovery::CpuGroup(2);
+  // Stand-ins for AddBatchGates' gates; batch 8's holds its reload back
+  // for one virtual second.
+  const std::vector<sim::TaskId> gates = {
+      g.AddTask(cpu, 0), g.AddTask(cpu, 0, [] { return 1.0; })};
+  recovery::RecoveryCounters counters;
+  std::vector<uint64_t> deserialized;
+  std::vector<sim::TaskId> deser;
+  for (size_t i = 0; i < batches.size(); ++i) {
+    const uint64_t seq = batches[i].seq;
+    deser.push_back(recovery::AddReloadStage(
+        batches, i, &gates, ssds, costs, &g, &counters,
+        [&deserialized, seq] { deserialized.push_back(seq); }));
+  }
+
+  // Creation order fixes task ids and with them the simulated dispatch
+  // order: each batch's reads in file order, then its deserialize task.
+  ASSERT_EQ(g.NumTasks(), 7u);
+  EXPECT_EQ(deser, (std::vector<sim::TaskId>{4, 6}));
+  const std::vector<sim::GroupId> groups = {recovery::SsdGroup(0),
+                                            recovery::SsdGroup(1), cpu,
+                                            recovery::SsdGroup(1), cpu};
+  const std::vector<uint64_t> priorities = {7, 7, 7, 8, 8};
+  for (sim::TaskId t = 2; t < 7; ++t) {
+    EXPECT_EQ(g.task(t).group, groups[t - 2]) << "task " << t;
+    EXPECT_EQ(g.task(t).priority, priorities[t - 2]) << "task " << t;
+  }
+  EXPECT_EQ(g.task(deser[0]).num_deps, 3u);  // Two reads and the gate.
+  EXPECT_EQ(g.task(deser[1]).num_deps, 2u);  // One read and the gate.
+  EXPECT_EQ(g.task(gates[1]).dependents, std::vector<sim::TaskId>{deser[1]});
+
+  // One core per device, two CPU cores: batch 7 deserializes as soon as
+  // its reads land; batch 8 waits out its gate.
+  sim::Machine machine(sim::MachineConfig{{1, 1, 2}});
+  EXPECT_DOUBLE_EQ(machine.Run(g), 1.0 + 2000 * costs.deserialize_byte);
+  EXPECT_EQ(deserialized, (std::vector<uint64_t>{7, 8}));
+
+  // Every read and both deserializations are charged as data loading.
+  recovery::RecoveryStats stats;
+  counters.FillStats(&stats);
+  const double loading = ssd0.ReadSeconds(4000) + ssd1.ReadSeconds(1000) +
+                         ssd1.ReadSeconds(2000) +
+                         7000 * costs.deserialize_byte;
+  EXPECT_NEAR(stats.breakdown.data_loading, loading, 1e-12 * loading);
+  EXPECT_EQ(stats.breakdown.useful_work, 0.0);
 }
 
 // --- Corrupt batch files fail loudly with file name + offset --------------

@@ -339,6 +339,29 @@ TEST(DatabaseValidationDeathTest, RejectsDegenerateOptions) {
   }
 }
 
+using RecoveryValidationDeathTest = SessionTest;
+
+// Recovery with no threads names the option instead of failing a bare
+// check after the load pipeline has started, on either backend.
+TEST_F(RecoveryValidationDeathTest, ZeroThreadsIsNamedOnBothBackends) {
+  for (ExecutionBackend backend :
+       {ExecutionBackend::kSimulated, ExecutionBackend::kThreads}) {
+    auto db = MakeDb();
+    ASSERT_TRUE(db->TryTakeCheckpoint().ok());
+    Rng rng(3);
+    std::vector<Value> params;
+    for (int i = 0; i < 20; ++i) {
+      const ProcId proc = bank_.NextTransaction(&rng, &params);
+      ASSERT_TRUE(db->ExecuteProcedure(proc, params).ok());
+    }
+    db->Crash();
+    recovery::RecoveryOptions ropts;
+    ropts.num_threads = 0;
+    EXPECT_DEATH(db->Recover(recovery::Scheme::kClrP, ropts, backend),
+                 "RecoveryOptions::num_threads must be >= 1");
+  }
+}
+
 TEST(DatabaseValidationDeathTest, DeviceAccessIsBoundsChecked) {
   Database db;  // Two SSDs by default.
   EXPECT_NE(db.device(0), nullptr);

@@ -12,42 +12,47 @@
 namespace pacman::sim {
 namespace {
 
-TEST(TaskGraphTest, TotalCost) {
-  TaskGraph g;
-  g.AddTask(1.0, nullptr);
-  g.AddTask(2.5, nullptr);
-  EXPECT_DOUBLE_EQ(g.TotalCost(), 3.5);
+// A task that occupies one core of `group` for `cost` virtual seconds.
+TaskId AddCost(TaskGraph* g, double cost, GroupId group = 0,
+               uint64_t priority = 0) {
+  return g->AddTask(group, priority, [cost] { return cost; });
 }
 
 TEST(MachineTest, SerialChainTakesSumOfCosts) {
   TaskGraph g;
-  TaskId a = g.AddTask(1.0, nullptr);
-  TaskId b = g.AddTask(2.0, nullptr);
-  TaskId c = g.AddTask(3.0, nullptr);
+  TaskId a = AddCost(&g, 1.0);
+  TaskId b = AddCost(&g, 2.0);
+  TaskId c = AddCost(&g, 3.0);
   g.AddEdge(a, b);
   g.AddEdge(b, c);
   Machine m(MachineConfig::Uniform(4));
-  EXPECT_DOUBLE_EQ(m.Run(g).makespan, 6.0);
+  EXPECT_DOUBLE_EQ(m.Run(g), 6.0);
 }
 
 TEST(MachineTest, IndependentTasksRunInParallel) {
   TaskGraph g;
-  for (int i = 0; i < 8; ++i) g.AddTask(1.0, nullptr);
+  for (int i = 0; i < 8; ++i) AddCost(&g, 1.0);
   Machine m4(MachineConfig::Uniform(4));
-  EXPECT_DOUBLE_EQ(m4.Run(g).makespan, 2.0);
+  EXPECT_DOUBLE_EQ(m4.Run(g), 2.0);
 
   TaskGraph g2;
-  for (int i = 0; i < 8; ++i) g2.AddTask(1.0, nullptr);
+  for (int i = 0; i < 8; ++i) AddCost(&g2, 1.0);
   Machine m1(MachineConfig::Uniform(1));
-  EXPECT_DOUBLE_EQ(m1.Run(g2).makespan, 8.0);
+  EXPECT_DOUBLE_EQ(m1.Run(g2), 8.0);
 }
 
 TEST(MachineTest, WorkRunsExactlyOnceInDependencyOrder) {
   TaskGraph g;
   std::vector<int> order;
-  TaskId a = g.AddTask(1.0, [&]() { order.push_back(1); });
-  TaskId b = g.AddTask(1.0, [&]() { order.push_back(2); });
-  TaskId c = g.AddTask(1.0, [&]() { order.push_back(3); });
+  auto record = [&](int i) {
+    return [&order, i] {
+      order.push_back(i);
+      return 1.0;
+    };
+  };
+  TaskId a = g.AddTask(0, 0, record(1));
+  TaskId b = g.AddTask(0, 0, record(2));
+  TaskId c = g.AddTask(0, 0, record(3));
   g.AddEdge(a, b);
   g.AddEdge(a, c);
   Machine m(MachineConfig::Uniform(1));
@@ -62,8 +67,14 @@ TEST(MachineTest, WorkRunsExactlyOnceInDependencyOrder) {
 TEST(MachineTest, PriorityBreaksTies) {
   TaskGraph g;
   std::vector<int> order;
-  g.AddTask(1.0, [&]() { order.push_back(1); }, 0, /*priority=*/5);
-  g.AddTask(1.0, [&]() { order.push_back(2); }, 0, /*priority=*/1);
+  g.AddTask(0, /*priority=*/5, [&] {
+    order.push_back(1);
+    return 1.0;
+  });
+  g.AddTask(0, /*priority=*/1, [&] {
+    order.push_back(2);
+    return 1.0;
+  });
   Machine m(MachineConfig::Uniform(1));
   m.Run(g);
   EXPECT_EQ(order, (std::vector<int>{2, 1}));
@@ -72,39 +83,50 @@ TEST(MachineTest, PriorityBreaksTies) {
 TEST(MachineTest, GroupsAreIsolatedResources) {
   // Group 0 has 1 core, group 1 has 2 cores. Three unit tasks per group.
   TaskGraph g;
-  for (int i = 0; i < 3; ++i) g.AddTask(1.0, nullptr, 0);
-  for (int i = 0; i < 3; ++i) g.AddTask(1.0, nullptr, 1);
+  for (int i = 0; i < 3; ++i) AddCost(&g, 1.0, 0);
+  for (int i = 0; i < 3; ++i) AddCost(&g, 1.0, 1);
   Machine m(MachineConfig{{1, 2}});
-  RunStats stats = m.Run(g);
-  EXPECT_DOUBLE_EQ(stats.makespan, 3.0);  // Group 0 is the bottleneck.
-  EXPECT_DOUBLE_EQ(stats.groups[0].busy_time, 3.0);
-  EXPECT_DOUBLE_EQ(stats.groups[1].busy_time, 3.0);
-  EXPECT_EQ(stats.groups[0].tasks_run, 3u);
+  // Group 0 is the bottleneck; one pool of three cores would take 2.0.
+  EXPECT_DOUBLE_EQ(m.Run(g), 3.0);
 }
 
-TEST(MachineTest, DynamicWorkOverridesCost) {
+TEST(MachineTest, ChargesWhatRunReturnsAtDispatch) {
+  // The cost is known only when the task runs: here it depends on state
+  // its predecessor set, as a piece-set's depends on upstream parameters.
   TaskGraph g;
-  TaskId a = g.AddTask(99.0, nullptr);
-  g.task(a).dynamic_work = []() { return 2.0; };
-  TaskId b = g.AddTask(1.0, nullptr);
+  double upstream = 0.0;
+  TaskId a = g.AddTask(0, 0, [&] {
+    upstream = 2.0;
+    return 1.0;
+  });
+  TaskId b = g.AddTask(0, 0, [&] { return upstream; });
+  TaskId c = g.AddTask(0, 0);  // Empty run: a zero-cost join.
   g.AddEdge(a, b);
+  g.AddEdge(b, c);
   Machine m(MachineConfig::Uniform(1));
-  EXPECT_DOUBLE_EQ(m.Run(g).makespan, 3.0);
+  EXPECT_DOUBLE_EQ(m.Run(g), 3.0);
+}
+
+TEST(MachineDeathTest, NegativeCostDies) {
+  TaskGraph g;
+  g.AddTask(0, 0, [] { return -1.0; });
+  Machine m(MachineConfig::Uniform(1));
+  EXPECT_DEATH(m.Run(g), "cost >= 0");
 }
 
 TEST(MachineTest, DiamondDependency) {
   // a -> {b, c} -> d on 2 cores: 1 + 2 + 1.
   TaskGraph g;
-  TaskId a = g.AddTask(1.0, nullptr);
-  TaskId b = g.AddTask(2.0, nullptr);
-  TaskId c = g.AddTask(2.0, nullptr);
-  TaskId d = g.AddTask(1.0, nullptr);
+  TaskId a = AddCost(&g, 1.0);
+  TaskId b = AddCost(&g, 2.0);
+  TaskId c = AddCost(&g, 2.0);
+  TaskId d = AddCost(&g, 1.0);
   g.AddEdge(a, b);
   g.AddEdge(a, c);
   g.AddEdge(b, d);
   g.AddEdge(c, d);
   Machine m(MachineConfig::Uniform(2));
-  EXPECT_DOUBLE_EQ(m.Run(g).makespan, 4.0);
+  EXPECT_DOUBLE_EQ(m.Run(g), 4.0);
 }
 
 // Property sweep: on random DAGs the makespan must lie between the
@@ -129,9 +151,10 @@ TEST_P(MachinePropertyTest, MakespanBoundsOnRandomDags) {
   }
   for (int i = 0; i < n; ++i) {
     std::vector<TaskId> my_deps = deps[i];
-    TaskId t = g.AddTask(costs[i], [&ran, my_deps, &g, i]() {
+    TaskId t = g.AddTask(0, 0, [&ran, my_deps, i, cost = costs[i]] {
       ran[i]++;
       for (TaskId d : my_deps) EXPECT_EQ(ran[d], 1);
+      return cost;
     });
     for (TaskId d : deps[i]) g.AddEdge(d, t);
   }
@@ -149,7 +172,7 @@ TEST_P(MachinePropertyTest, MakespanBoundsOnRandomDags) {
 
   const uint32_t cores = 1 + static_cast<uint32_t>(GetParam() % 7);
   Machine m(MachineConfig::Uniform(cores));
-  double makespan = m.Run(g).makespan;
+  double makespan = m.Run(g);
   EXPECT_GE(makespan, critical_path - 1e-9);
   EXPECT_GE(makespan, total / cores - 1e-9);
   EXPECT_LE(makespan, total + 1e-9);
@@ -168,14 +191,14 @@ TEST(MachineTest, PipelineOverlapsStages) {
   TaskGraph g;
   TaskId prev_s2 = kInvalidTask;
   for (int i = 0; i < 4; ++i) {
-    TaskId s1 = g.AddTask(1.0, nullptr, 0, i);
-    TaskId s2 = g.AddTask(2.0, nullptr, 1, i);
+    TaskId s1 = AddCost(&g, 1.0, 0, i);
+    TaskId s2 = AddCost(&g, 2.0, 1, i);
     g.AddEdge(s1, s2);
     if (prev_s2 != kInvalidTask) g.AddEdge(prev_s2, s2);
     prev_s2 = s2;
   }
   Machine m(MachineConfig{{1, 1}});
-  EXPECT_DOUBLE_EQ(m.Run(g).makespan, 1.0 + 4 * 2.0);
+  EXPECT_DOUBLE_EQ(m.Run(g), 1.0 + 4 * 2.0);
 }
 
 }  // namespace

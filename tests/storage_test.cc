@@ -121,7 +121,7 @@ TEST(CatalogTest, CreateAndResolveTables) {
   Catalog c;
   Table* t1 = c.CreateTable("alpha", OneIntSchema());
   Table* t2 = c.CreateTable("beta", OneIntSchema(), IndexType::kHash);
-  EXPECT_EQ(c.NumTables(), 2u);
+  EXPECT_EQ(c.tables().size(), 2u);
   EXPECT_EQ(c.GetTable("alpha"), t1);
   EXPECT_EQ(c.GetTable(t2->id()), t2);
   EXPECT_EQ(c.GetTable("gamma"), nullptr);
@@ -136,7 +136,6 @@ TEST(CatalogTest, ContentHashCoversAllTables) {
   uint64_t empty = c.ContentHash(1);
   c.GetTable("b")->LoadRow(1, IntRow(5), 1);
   EXPECT_NE(c.ContentHash(1), empty);
-  EXPECT_GT(c.ApproxContentBytes(1), 0u);
   c.ResetAllTables();
   EXPECT_EQ(c.ContentHash(1), empty);
 }
