@@ -10,8 +10,8 @@
 // counts the only serialization events left on the commit path (the
 // retired global commit latch serialized every commit by construction).
 // `--json PATH` emits every measured row machine-readably; the committed
-// BENCH_fig15.json baseline records the before/after trajectory of this
-// refactor.
+// BENCH_fig15.json baseline holds one such run's rows with its rerun
+// command.
 #include "bench/harness.h"
 
 namespace pacman::bench {

@@ -1,7 +1,9 @@
 #include "common/serializer.h"
 
 #include <cmath>
+#include <cstring>
 #include <limits>
+#include <string>
 
 namespace pacman {
 
@@ -45,26 +47,150 @@ size_t CompactRowBytes(const Row& row) {
   return n;
 }
 
-void Serializer::PutValue(const Value& v) {
-  PutU8(static_cast<uint8_t>(v.type()));
+namespace {
+
+size_t FixedValueBytes(const Value& v) {
   switch (v.type()) {
     case ValueType::kNull:
-      break;
+      return 1;
     case ValueType::kInt64:
-      PutI64(v.AsInt64());
-      break;
     case ValueType::kDouble:
-      PutDouble(v.AsDouble());
-      break;
+      return 1 + sizeof(int64_t);
     case ValueType::kString:
-      PutString(v.AsStringView());
-      break;
+      return 1 + sizeof(uint32_t) + v.AsStringView().size();
+  }
+  return 1;
+}
+
+template <typename T>
+uint8_t* PutFixed(uint8_t* out, T v) {
+  std::memcpy(out, &v, sizeof(v));
+  return out + sizeof(v);
+}
+
+template <typename T>
+T GetFixed(const uint8_t* p) {
+  T v;
+  std::memcpy(&v, p, sizeof(v));
+  return v;
+}
+
+uint8_t* EncodeFixedValue(const Value& v, uint8_t* out) {
+  *out++ = static_cast<uint8_t>(v.type());
+  switch (v.type()) {
+    case ValueType::kNull:
+      return out;
+    case ValueType::kInt64:
+      return PutFixed(out, v.AsInt64());
+    case ValueType::kDouble:
+      return PutFixed(out, v.AsDouble());
+    case ValueType::kString: {
+      const std::string_view sv = v.AsStringView();
+      out = PutFixed(out, static_cast<uint32_t>(sv.size()));
+      std::memcpy(out, sv.data(), sv.size());
+      return out + sv.size();
+    }
+  }
+  return out;
+}
+
+}  // namespace
+
+size_t FixedRowBytes(const Row& row) {
+  size_t n = sizeof(uint32_t);
+  for (const Value& v : row) n += FixedValueBytes(v);
+  return n;
+}
+
+uint8_t* EncodeFixedRow(const Row& row, uint8_t* out) {
+  out = PutFixed(out, static_cast<uint32_t>(row.size()));
+  for (const Value& v : row) out = EncodeFixedValue(v, out);
+  return out;
+}
+
+void DecodeFixedRow(const uint8_t* p, Row* out) {
+  out->resize(GetFixed<uint32_t>(p));
+  p += sizeof(uint32_t);
+  for (Value& v : *out) {
+    switch (static_cast<ValueType>(*p++)) {
+      case ValueType::kNull:
+        v = Value::Null();
+        break;
+      case ValueType::kInt64:
+        v = Value(GetFixed<int64_t>(p));
+        p += sizeof(int64_t);
+        break;
+      case ValueType::kDouble:
+        v = Value(GetFixed<double>(p));
+        p += sizeof(double);
+        break;
+      case ValueType::kString: {
+        const uint32_t n = GetFixed<uint32_t>(p);
+        p += sizeof(uint32_t);
+        // Copy-assigning a view materializes the bytes in v's own
+        // string, reusing its capacity.
+        const Value view = Value::BorrowedString(
+            std::string_view(reinterpret_cast<const char*>(p), n));
+        v = view;
+        p += n;
+        break;
+      }
+    }
   }
 }
 
+Status CheckFixedRow(const uint8_t* p, size_t avail, size_t* size) {
+  size_t pos = sizeof(uint32_t);
+  if (avail < pos) return Status::Corruption("row cut in its value count");
+  for (uint32_t n = GetFixed<uint32_t>(p); n > 0; --n) {
+    if (pos == avail) return Status::Corruption("row cut before a value");
+    const uint8_t tag = p[pos++];
+    size_t payload = 0;
+    switch (tag) {
+      case static_cast<uint8_t>(ValueType::kNull):
+        break;
+      case static_cast<uint8_t>(ValueType::kInt64):
+      case static_cast<uint8_t>(ValueType::kDouble):
+        payload = sizeof(int64_t);
+        break;
+      case static_cast<uint8_t>(ValueType::kString):
+        if (avail - pos < sizeof(uint32_t)) {
+          return Status::Corruption("row cut in a string length");
+        }
+        payload = sizeof(uint32_t) + GetFixed<uint32_t>(p + pos);
+        break;
+      default:
+        return Status::Corruption("bad value tag " + std::to_string(tag) +
+                                  " in row");
+    }
+    if (avail - pos < payload) {
+      return Status::Corruption("row cut in a value");
+    }
+    pos += payload;
+  }
+  *size = pos;
+  return Status::Ok();
+}
+
+size_t FixedRowSize(const uint8_t* p) {
+  size_t size = 0;
+  const Status s =
+      CheckFixedRow(p, std::numeric_limits<size_t>::max(), &size);
+  PACMAN_DCHECK(s.ok());
+  (void)s;
+  return size;
+}
+
+void Serializer::PutValue(const Value& v) {
+  const size_t at = buf_.size();
+  buf_.resize(at + FixedValueBytes(v));
+  EncodeFixedValue(v, buf_.data() + at);
+}
+
 void Serializer::PutRow(const Row& row) {
-  PutU32(static_cast<uint32_t>(row.size()));
-  for (const Value& v : row) PutValue(v);
+  const size_t at = buf_.size();
+  buf_.resize(at + FixedRowBytes(row));
+  EncodeFixedRow(row, buf_.data() + at);
 }
 
 void Serializer::PutCompactValue(const Value& v) {

@@ -45,6 +45,29 @@ inline size_t VarintBytes(uint64_t v) {
 size_t CompactValueBytes(const Value& v);
 size_t CompactRowBytes(const Row& row);
 
+// --- Fixed-width rows in caller-owned memory -------------------------------
+// The row encoding Serializer::PutRow appends: a u32 value count, then per
+// value its ValueType tag and either the raw int64 or double bits, or a
+// u32 length and the string bytes. Table versions hold their rows in it
+// (storage/tuple.h), so checkpoint stripes copy those bytes as they are.
+// Every value keeps its tag, so a row round-trips bit for bit whatever its
+// schema says (Null, -0.0, NaN payloads, an int64 in a double column).
+
+// The bytes EncodeFixedRow writes for `row`.
+size_t FixedRowBytes(const Row& row);
+// Writes `row` at `out`; returns the end of what it wrote.
+uint8_t* EncodeFixedRow(const Row& row, uint8_t* out);
+// The bytes of the well-formed row at `p`: one EncodeFixedRow wrote, or
+// one CheckFixedRow accepted.
+size_t FixedRowSize(const uint8_t* p);
+// Decodes the well-formed row at `p` into *out, reusing the capacity of
+// its values; string bytes are copied, never borrowed.
+void DecodeFixedRow(const uint8_t* p, Row* out);
+// Checks the row that starts at `p` and must end within `avail` bytes:
+// every tag is a ValueType and no length runs past the end. Sets *size to
+// its bytes; kCorruption otherwise.
+Status CheckFixedRow(const uint8_t* p, size_t avail, size_t* size);
+
 // Appends primitive values to a growable byte buffer.
 class Serializer {
  public:

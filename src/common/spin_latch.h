@@ -1,7 +1,8 @@
 // Copyright (c) 2026 The PACMAN reproduction authors.
-// Spin latches used by the storage engine and the latched recovery schemes
-// (PLR / LLR). Latch acquisitions during recovery are counted so that the
-// benchmark harness can attribute synchronization overhead (Fig. 15).
+// Spin latches used by the storage engine, the commit protocol and the
+// latched recovery schemes (PLR / LLR). Latch acquisitions during recovery
+// are counted so that the benchmark harness can attribute synchronization
+// overhead (Fig. 15).
 #ifndef PACMAN_COMMON_SPIN_LATCH_H_
 #define PACMAN_COMMON_SPIN_LATCH_H_
 
@@ -13,8 +14,10 @@
 
 namespace pacman {
 
-// Test-and-test-and-set spin latch. One cache line to avoid false sharing
-// in per-tuple latch arrays.
+// Test-and-test-and-set spin latch. One cache line, so latches that
+// different threads take (a table partition's arena latch, a log worker
+// buffer's latch) never share one. Tuple slots have no SpinLatch: their
+// install latch is the OccStampLock's lock bit below.
 class alignas(64) SpinLatch {
  public:
   SpinLatch() = default;
@@ -58,7 +61,10 @@ class SpinLatchGuard {
 // canonical (table, key) order, which makes the blocking Lock()
 // deadlock-free, and release each slot by publishing the new timestamp in
 // one store (PublishTs). Readers never touch the lock bit: MVCC reads go
-// through the version chain, which stays lock-free.
+// through the version chain, which stays lock-free. The same bit is
+// PLR/LLR replay's per-tuple install latch (storage::Table's latched
+// installs); recovery never runs beside forward commits, so the two users
+// never meet.
 class OccStampLock {
  public:
   OccStampLock() = default;

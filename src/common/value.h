@@ -45,10 +45,11 @@ inline const char* ValueTypeName(ValueType t) {
 //    buffer instead of allocating per field (recovery/log_pipeline.h).
 // Borrowed-ness does NOT survive a copy: the copy constructor always
 // materializes an owned string, so a borrowed value that escapes its
-// buffer's scope (e.g. a replayed row installed into a table version)
-// owns its bytes from the first copy on. Moves keep the view (the buffer
-// outlives both source and destination in the parse pipelines that move
-// records around).
+// buffer's scope owns its bytes from the first copy on. Moves keep the
+// view (the buffer outlives both source and destination in the parse
+// pipelines that move records around). Tables never hold a Value: a
+// version copies string bytes into its packed row (storage/tuple.h), so a
+// replayed row's borrowed strings cannot reach one.
 class Value {
  public:
   Value() : type_(ValueType::kNull), i_(0) {}

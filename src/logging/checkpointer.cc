@@ -128,7 +128,7 @@ Status Checkpointer::TakeCheckpoint(uint64_t id, Timestamp ts,
         s.PutU64(reinterpret_cast<uint64_t>(slot));
         s.PutU64(reinterpret_cast<uint64_t>(v));
       }
-      s.PutRow(v->data);
+      s.PutRaw(v->row(), v->row_size());  // As PutRow wrote it.
     }
   }
 
@@ -273,34 +273,41 @@ Status Checkpointer::ReadLatestMeta(CheckpointMeta* out) const {
   return Status::NotFound("no durable checkpoint");
 }
 
+Status ParseStripeTuple(const CheckpointStripe& stripe, size_t* offset,
+                        StripeTuple* out) {
+  const size_t at = *offset;
+  Deserializer in(stripe.bytes.data() + at, stripe.bytes.size() - at);
+  Status s = in.GetU32(&out->table);
+  if (s.ok()) s = in.GetU64(&out->key);
+  if (s.ok() && stripe.has_addresses) s = in.Skip(2 * sizeof(uint64_t));
+  if (s.ok()) {
+    out->row = stripe.bytes.data() + at + in.position();
+    s = CheckFixedRow(out->row, in.remaining(), &out->row_size);
+  }
+  if (!s.ok()) {
+    return Status::Corruption("record at offset " + std::to_string(at) +
+                              ": " + s.message());
+  }
+  *offset = at + in.position() + out->row_size;
+  return Status::Ok();
+}
+
+Status Checkpointer::ReadStripeBytes(const CheckpointMeta& meta,
+                                     uint32_t ssd_index, uint32_t file_index,
+                                     CheckpointStripe* out) const {
+  out->has_addresses = scheme_ == LogScheme::kPhysical;
+  out->num_tuples = 0;
+  return devices_[ssd_index]->ReadFile(
+      StripeFileName(meta.id, ssd_index, file_index), &out->bytes);
+}
+
 Status Checkpointer::ReadStripe(const CheckpointMeta& meta,
                                 uint32_t ssd_index, uint32_t file_index,
                                 CheckpointStripe* out) const {
-  std::vector<uint8_t> bytes;
-  Status s = devices_[ssd_index]->ReadFile(
-      StripeFileName(meta.id, ssd_index, file_index), &bytes);
+  Status s = ReadStripeBytes(meta, ssd_index, file_index, out);
   if (!s.ok()) return s;
-  out->tuples.clear();
-  out->file_bytes = bytes.size();
-  Deserializer in(bytes);
-  while (!in.AtEnd()) {
-    WriteImage img;
-    s = in.GetU32(&img.table);
-    if (!s.ok()) return s;
-    s = in.GetU64(&img.key);
-    if (!s.ok()) return s;
-    if (scheme_ == LogScheme::kPhysical) {
-      uint64_t addr;
-      s = in.GetU64(&addr);
-      if (!s.ok()) return s;
-      s = in.GetU64(&addr);
-      if (!s.ok()) return s;
-    }
-    s = in.GetRow(&img.after);
-    if (!s.ok()) return s;
-    out->tuples.push_back(std::move(img));
-  }
-  return Status::Ok();
+  return ForEachStripeTuple(*out,
+                            [&](const StripeTuple&) { out->num_tuples++; });
 }
 
 }  // namespace pacman::logging

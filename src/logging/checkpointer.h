@@ -38,11 +38,44 @@ struct CheckpointMeta {
   uint64_t total_bytes = 0;
 };
 
-// A reloaded checkpoint stripe: a flat run of tuples.
+// A reloaded checkpoint stripe: the stripe file's bytes, a flat run of
+// records. A record is the table id (u32) and key (u64); under physical
+// logging the tuple's slot and version addresses (two u64, §2.2); then the
+// row as Serializer::PutRow writes it — the bytes a version holds
+// (storage/tuple.h), copied in and out as they are.
 struct CheckpointStripe {
-  std::vector<WriteImage> tuples;
-  size_t file_bytes = 0;
+  std::vector<uint8_t> bytes;
+  bool has_addresses = false;
+  size_t num_tuples = 0;  // Counted by Checkpointer::ReadStripe's walk.
 };
+
+// One record of a stripe, viewed in place in the stripe's bytes.
+struct StripeTuple {
+  TableId table = 0;
+  Key key = 0;
+  const uint8_t* row = nullptr;  // Checked well formed (CheckFixedRow).
+  size_t row_size = 0;
+};
+
+// Parses the record at byte `*offset` of `stripe` into *out and advances
+// `*offset` past it. kCorruption, naming the offset, when the record is
+// cut short or its row holds a bad value tag.
+Status ParseStripeTuple(const CheckpointStripe& stripe, size_t* offset,
+                        StripeTuple* out);
+
+// Calls fn(const StripeTuple&) for each record of `stripe` in file order.
+// The first malformed record stops the walk with its ParseStripeTuple
+// error; the records before it were visited.
+template <typename Fn>
+Status ForEachStripeTuple(const CheckpointStripe& stripe, Fn&& fn) {
+  StripeTuple t;
+  for (size_t offset = 0; offset < stripe.bytes.size();) {
+    Status s = ParseStripeTuple(stripe, &offset, &t);
+    if (!s.ok()) return s;
+    fn(t);
+  }
+  return Status::Ok();
+}
 
 class Checkpointer {
  public:
@@ -85,9 +118,14 @@ class Checkpointer {
   // superseded checkpoints to delete.
   std::vector<uint64_t> ListMetaIds() const;
 
-  // Loads one stripe of checkpoint `meta` back from its device.
+  // Loads one stripe of checkpoint `meta` back from its device and walks
+  // it: kCorruption if any record is malformed. Sets out->num_tuples.
   Status ReadStripe(const CheckpointMeta& meta, uint32_t ssd_index,
                     uint32_t file_index, CheckpointStripe* out) const;
+  // Loads the stripe's bytes without walking them: recovery's prefetch,
+  // whose restore task checks each record as it installs it.
+  Status ReadStripeBytes(const CheckpointMeta& meta, uint32_t ssd_index,
+                         uint32_t file_index, CheckpointStripe* out) const;
 
   static std::string StripeFileName(uint64_t ckpt_id, uint32_t ssd_index,
                                     uint32_t file_index);

@@ -81,7 +81,7 @@ class TxnAccess : public AccessContext {
 
 // How recovery installs versions.
 enum class InstallMode {
-  kLatched,         // PLR/LLR: take the per-tuple latch.
+  kLatched,         // PLR/LLR: take the slot's install latch.
   kUnlatched,       // PACMAN: the schedule already ordered conflicts.
   kLastWriterWins,  // PLR/LLR replaying out of order (Thomas write rule).
 };
@@ -120,17 +120,14 @@ class ReplayAccess : public AccessContext {
     switch (mode_) {
       case InstallMode::kLatched:
         latch_acquisitions_++;
-        storage::Table::InstallVersionLatched(slot, std::move(row), cts_,
-                                              deleted);
+        storage::Table::InstallVersionLatched(slot, row, cts_, deleted);
         break;
       case InstallMode::kUnlatched:
-        storage::Table::InstallVersionUnlatched(slot, std::move(row), cts_,
-                                                deleted);
+        storage::Table::InstallVersionUnlatched(slot, row, cts_, deleted);
         break;
       case InstallMode::kLastWriterWins:
         latch_acquisitions_++;
-        storage::Table::InstallLastWriterWins(slot, std::move(row), cts_,
-                                              deleted);
+        storage::Table::InstallLastWriterWins(slot, row, cts_, deleted);
         break;
     }
   }

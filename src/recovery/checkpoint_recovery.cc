@@ -1,5 +1,8 @@
 #include "recovery/checkpoint_recovery.h"
 
+#include <string>
+
+#include "common/macros.h"
 #include "recovery/log_pipeline.h"
 
 namespace pacman::recovery {
@@ -48,15 +51,28 @@ void BuildCheckpointRecovery(const logging::CheckpointMeta& meta,
       sim::TaskId load = graph->AddTask(cpu, /*priority=*/f, [=, &prefetch] {
         const logging::CheckpointStripe stripe = prefetch.TakeStripe(d, f);
         double deser =
-            static_cast<double>(stripe.file_bytes) * cm.deserialize_byte;
+            static_cast<double>(stripe.bytes.size()) * cm.deserialize_byte;
         counters->AddLoading(deser);
+        // Each record's row is checked, then copied into its version as it
+        // stands: one allocation and one memcpy per tuple.
+        size_t tuples = 0;
+        const Status s = logging::ForEachStripeTuple(
+            stripe, [&](const logging::StripeTuple& t) {
+              ++tuples;
+              if (reload_only) return;
+              storage::Table* table = catalog->GetTable(t.table);
+              PACMAN_CHECK_MSG(table != nullptr,
+                               ("checkpoint stripe " + name +
+                                ": unknown table " + std::to_string(t.table))
+                                   .c_str());
+              table->LoadRow(t.key, t.row, t.row_size, ts);
+            });
+        PACMAN_CHECK_MSG(
+            s.ok(), ("checkpoint stripe " + name + ": " + s.message()).c_str());
         if (reload_only) return deser;
-        for (const logging::WriteImage& img : stripe.tuples) {
-          catalog->GetTable(img.table)->LoadRow(img.key, img.after, ts);
-        }
-        const double useful = install_cost * stripe.tuples.size();
+        const double useful = install_cost * static_cast<double>(tuples);
         counters->AddUseful(useful);
-        counters->AddTuples(stripe.tuples.size());
+        counters->AddTuples(tuples);
         return deser + useful;
       });
       graph->AddEdge(io, load);

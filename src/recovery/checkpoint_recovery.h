@@ -25,10 +25,12 @@ class CheckpointPrefetch;
 // Appends the checkpoint-recovery tasks for `meta` to `graph` using the
 // standard group layout (SSD groups + CPU pool). Real side effects load
 // tuples into `catalog`. Counter categories: loading for io/deserialize,
-// useful for tuple/index installation. Each stripe's read and
-// deserialization already runs on the load pool (`prefetch`, started for
-// the same `meta`); the graph task consumes the parsed stripe, so the
-// stripes load in parallel with each other and with the log pipeline.
+// useful for tuple/index installation. Each stripe's read already runs on
+// the load pool (`prefetch`, started for the same `meta`), so the stripes
+// load in parallel with each other and with the log pipeline; the graph
+// task walks the stripe's bytes, checks each row and installs it with one
+// allocation and one copy (Table::LoadRow on encoded bytes). A malformed
+// record aborts loudly, naming the stripe and the record's offset.
 void BuildCheckpointRecovery(const logging::CheckpointMeta& meta,
                              CheckpointPrefetch& prefetch,
                              const std::vector<device::StorageDevice*>& ssds,

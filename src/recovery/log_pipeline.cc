@@ -257,7 +257,7 @@ CheckpointPrefetch::CheckpointPrefetch(
       jobs_outstanding_++;
       pool->Submit([this, checkpointer, d, f] {
         auto stripe = std::make_unique<logging::CheckpointStripe>();
-        Status s = checkpointer->ReadStripe(meta_, d, f, stripe.get());
+        Status s = checkpointer->ReadStripeBytes(meta_, d, f, stripe.get());
         PACMAN_CHECK_MSG(
             s.ok(), ("checkpoint stripe (" + std::to_string(d) + ", " +
                      std::to_string(f) + ") read failed: " + s.message())

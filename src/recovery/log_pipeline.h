@@ -30,9 +30,10 @@
 // and publication are strictly seq-ordered.
 //
 // CheckpointPrefetch does the same for checkpoint stripes: all stripe
-// files are read + deserialized on the pool, so the checkpoint-recovery
-// graph (and, concurrently, the log pipeline) consumes them as they
-// arrive instead of reading them one task at a time.
+// files are read on the pool, so the checkpoint-recovery graph (and,
+// concurrently, the log pipeline) consumes them as they arrive instead of
+// reading them one task at a time. A stripe stays its file's bytes; the
+// restore task walks them and installs each row as it stands.
 #ifndef PACMAN_RECOVERY_LOG_PIPELINE_H_
 #define PACMAN_RECOVERY_LOG_PIPELINE_H_
 
@@ -194,10 +195,9 @@ std::vector<sim::TaskId> AddBatchGates(PipelinedLogLoader* loader,
                                        sim::TaskGraph* graph,
                                        sim::GroupId group);
 
-// Parallel checkpoint-stripe load: submits one read+deserialize job per
-// stripe of `meta` to `pool`; the checkpoint-recovery graph consumes the
-// stripes via WaitStripe as they arrive. Read errors abort loudly (same
-// contract as the previous in-task PACMAN_CHECK).
+// Parallel checkpoint-stripe load: submits one read job per stripe of
+// `meta` to `pool`; the checkpoint-recovery graph consumes the stripes'
+// bytes via TakeStripe as they arrive. Read errors abort loudly.
 class CheckpointPrefetch {
  public:
   CheckpointPrefetch(const logging::CheckpointMeta& meta,

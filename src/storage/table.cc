@@ -2,11 +2,20 @@
 
 #include <algorithm>
 #include <bit>
+#include <cstring>
+#include <new>
 #include <utility>
 
 namespace pacman::storage {
 
 namespace {
+
+// One operator new per version: the header, then `row_size` row bytes,
+// never less than the struct itself (whose tail padding the row reuses).
+Version* AllocateVersion(size_t row_size) {
+  return static_cast<Version*>(::operator new(
+      std::max(sizeof(Version), Version::kHeaderBytes + row_size)));
+}
 
 // Latch shards per partition hash index. The table partitioning already
 // splits the key space, so the per-partition indexes share the unsharded
@@ -41,6 +50,26 @@ Table::Table(TableId id, std::string name, Schema schema,
   }
 }
 
+Version* Version::New(Timestamp ts, bool deleted, Version* older,
+                      const Row& row) {
+  auto* v = new (AllocateVersion(FixedRowBytes(row)))
+      Version(ts, deleted, older);
+  EncodeFixedRow(row, v->mutable_row());
+  return v;
+}
+
+Version* Version::New(Timestamp ts, bool deleted, Version* older,
+                      const uint8_t* row, size_t size) {
+  auto* v = new (AllocateVersion(size)) Version(ts, deleted, older);
+  std::memcpy(v->mutable_row(), row, size);
+  return v;
+}
+
+void Version::Free(Version* v) {
+  v->~Version();
+  ::operator delete(v);
+}
+
 TupleSlot* Table::IndexLookup(const Partition& part, Key key) const {
   void* p = index_type_ == IndexType::kBPlusTree ? part.btree->Lookup(key)
                                                  : part.hash->Lookup(key);
@@ -69,14 +98,19 @@ TupleSlot* Table::GetOrCreateSlot(Key key) {
   return slot;
 }
 
-void Table::LoadRow(Key key, Row row, Timestamp ts) {
+void Table::LoadRow(Key key, const Row& row, Timestamp ts) {
+  LoadVersion(key, Version::New(ts, false, nullptr, row));
+}
+
+void Table::LoadRow(Key key, const uint8_t* row, size_t size, Timestamp ts) {
+  LoadVersion(key, Version::New(ts, false, nullptr, row, size));
+}
+
+void Table::LoadVersion(Key key, Version* v) {
   TupleSlot* slot = GetOrCreateSlot(key);
   PACMAN_CHECK(slot->newest.load(std::memory_order_relaxed) == nullptr);
-  auto* v = new Version();
-  v->begin_ts = ts;
-  v->data = std::move(row);
   slot->newest.store(v, std::memory_order_release);
-  slot->wlock.PublishTs(ts);
+  slot->wlock.PublishTs(v->begin_ts);
 }
 
 Status Table::Read(Key key, Timestamp ts, Row* out) const {
@@ -94,29 +128,24 @@ Status Table::ReadObserved(Key key, Timestamp ts, Row* out,
   if (v == nullptr) return Status::NotFound();
   *observed = v->begin_ts;
   if (v->deleted) return Status::NotFound();
-  *out = v->data;
+  v->ReadRow(out);
   return Status::Ok();
 }
 
-void Table::InstallVersionLatched(TupleSlot* slot, Row row, Timestamp ts,
-                                  bool deleted) {
-  SpinLatchGuard g(slot->latch);
-  InstallVersionUnlatched(slot, std::move(row), ts, deleted);
+void Table::InstallVersionLatched(TupleSlot* slot, const Row& row,
+                                  Timestamp ts, bool deleted) {
+  slot->wlock.Lock();
+  InstallVersionUnlatched(slot, row, ts, deleted);  // Publishing unlocks.
 }
 
-void Table::InstallVersionUnlatched(TupleSlot* slot, Row row, Timestamp ts,
-                                    bool deleted) {
+void Table::InstallVersionUnlatched(TupleSlot* slot, const Row& row,
+                                    Timestamp ts, bool deleted) {
   Version* old = slot->newest.load(std::memory_order_relaxed);
   // Equal timestamps occur when one transaction writes a key twice; the
   // later install (program order) supersedes.
   PACMAN_DCHECK(old == nullptr || old->begin_ts <= ts);
-  auto* v = new Version();
-  v->begin_ts = ts;
-  v->deleted = deleted;
-  v->data = std::move(row);
-  v->older = old;
-  if (old != nullptr) old->end_ts = ts;
-  slot->newest.store(v, std::memory_order_release);
+  slot->newest.store(Version::New(ts, deleted, old, row),
+                     std::memory_order_release);
   // Publish the commit stamp last: on a write-locked slot this single
   // release store is also the unlock, so a validator that observes the
   // slot unlocked with an unchanged stamp is guaranteed the version chain
@@ -124,42 +153,49 @@ void Table::InstallVersionUnlatched(TupleSlot* slot, Row row, Timestamp ts,
   slot->wlock.PublishTs(ts);
 }
 
-void Table::InstallLastWriterWins(TupleSlot* slot, Row row, Timestamp ts,
-                                  bool deleted) {
-  SpinLatchGuard g(slot->latch);
-  Version* old = slot->newest.load(std::memory_order_relaxed);
-  if (old != nullptr && old->begin_ts >= ts) return;  // Thomas write rule.
-  InstallVersionUnlatched(slot, std::move(row), ts, deleted);
+bool Table::InstallLastWriterWins(TupleSlot* slot, const Row& row,
+                                  Timestamp ts, bool deleted) {
+  slot->wlock.Lock();
+  const Version* old = slot->newest.load(std::memory_order_relaxed);
+  if (old != nullptr && old->begin_ts >= ts) {
+    slot->wlock.Unlock();  // Thomas write rule: dropped, stamp unchanged.
+    return false;
+  }
+  InstallVersionUnlatched(slot, row, ts, deleted);  // Publishing unlocks.
+  return true;
 }
 
 void Table::ScanFrom(
     Key from, Timestamp ts,
     const std::function<bool(Key, const Row&)>& callback) const {
   PACMAN_CHECK(index_type_ == IndexType::kBPlusTree);
+  Row row;
   if (num_parts_ == 1) {
     parts_[0].btree->ScanFrom(from, [&](Key key, void* p) {
       const auto* slot = static_cast<const TupleSlot*>(p);
       const Version* v = slot->VisibleAt(ts);
       if (v == nullptr || v->deleted) return true;  // Skip invisible tuples.
-      return callback(key, v->data);
+      v->ReadRow(&row);
+      return callback(key, row);
     });
     return;
   }
   // Sharded: each partition's tree is ordered but the shards interleave,
   // so collect the visible suffix of every shard and merge by key.
-  std::vector<std::pair<Key, const Row*>> rows;
+  std::vector<std::pair<Key, const Version*>> visible;
   for (uint32_t s = 0; s < num_parts_; ++s) {
     parts_[s].btree->ScanFrom(from, [&](Key key, void* p) {
       const auto* slot = static_cast<const TupleSlot*>(p);
       const Version* v = slot->VisibleAt(ts);
-      if (v != nullptr && !v->deleted) rows.emplace_back(key, &v->data);
+      if (v != nullptr && !v->deleted) visible.emplace_back(key, v);
       return true;
     });
   }
-  std::sort(rows.begin(), rows.end(),
+  std::sort(visible.begin(), visible.end(),
             [](const auto& a, const auto& b) { return a.first < b.first; });
-  for (const auto& [key, row] : rows) {
-    if (!callback(key, *row)) return;
+  for (const auto& [key, v] : visible) {
+    v->ReadRow(&row);
+    if (!callback(key, row)) return;
   }
 }
 
@@ -192,12 +228,14 @@ uint64_t Table::NumKeys() const {
 
 uint64_t Table::ContentHash(Timestamp ts) const {
   uint64_t h = 0;
+  Row row;
   for (uint32_t s = 0; s < num_parts_; ++s) {
     for (const TupleSlot& slot : parts_[s].arena) {
       const Version* v = slot.VisibleAt(ts);
       if (v == nullptr || v->deleted) continue;
+      v->ReadRow(&row);
       uint64_t kh = slot.key * 0x9e3779b97f4a7c15ull;
-      uint64_t rh = HashRow(v->data);
+      uint64_t rh = HashRow(row);
       // XOR of per-key mixes: order-independent, hence also invariant
       // under how the keys are partitioned across shards.
       h ^= kh ^ (rh + 0x9e3779b97f4a7c15ull + (kh << 6) + (kh >> 2));

@@ -1,6 +1,8 @@
 // Copyright (c) 2026 The PACMAN reproduction authors.
 // Main-memory table: a slot arena of MVCC tuples plus a primary index
 // (B+tree for ordered tables, sharded hash for point-lookup tables).
+// Versions hold their rows encoded (storage/tuple.h); reads decode them
+// into the caller's Row.
 #ifndef PACMAN_STORAGE_TABLE_H_
 #define PACMAN_STORAGE_TABLE_H_
 
@@ -49,10 +51,15 @@ class Table {
   // --- Bulk load (initial population / checkpoint restore) --------------
   // Installs `row` as the sole version visible from timestamp `ts`.
   // Precondition: `key` has no versions yet.
-  void LoadRow(Key key, Row row, Timestamp ts);
+  void LoadRow(Key key, const Row& row, Timestamp ts);
+  // Same, from a row already in the fixed-width encoding: the `size`
+  // well-formed bytes at `row` (CheckFixedRow). Checkpoint restore installs
+  // stripe rows with it: one allocation and one memcpy per tuple.
+  void LoadRow(Key key, const uint8_t* row, size_t size, Timestamp ts);
 
   // --- MVCC reads -------------------------------------------------------
-  // Copies the row visible at `ts` into *out; kNotFound if absent/deleted.
+  // Decodes the row visible at `ts` into *out, reusing its capacity;
+  // kNotFound if absent/deleted.
   Status Read(Key key, Timestamp ts, Row* out) const;
   // Same, and also reports the begin_ts of the version the read resolved
   // to (tombstones included), or 0 when the key had no version at `ts`,
@@ -67,22 +74,26 @@ class Table {
   // begin_ts; on a slot the caller write-locked, the stamp publication
   // doubles as the unlock (commit's install-and-release step).
   //
-  // Appends a committed version on `slot` under the slot latch. Used by
-  // the latched recovery schemes. `ts` must exceed the current newest
-  // version's begin_ts.
-  static void InstallVersionLatched(TupleSlot* slot, Row row, Timestamp ts,
-                                    bool deleted = false);
+  // Appends a committed version on `slot` under the slot latch — the
+  // stamp word's lock bit, which the install's stamp publication releases.
+  // Used by the latched recovery schemes, which never run beside forward
+  // commits (the other users of that bit). `ts` must exceed the current
+  // newest version's begin_ts.
+  static void InstallVersionLatched(TupleSlot* slot, const Row& row,
+                                    Timestamp ts, bool deleted = false);
   // Same but without taking the latch: used by forward processing (the
   // committer holds the slot's write lock, which this install releases)
   // and by PACMAN replay, whose schedule already serialized conflicting
   // writers so the latch is provably unnecessary (§4.5).
-  static void InstallVersionUnlatched(TupleSlot* slot, Row row, Timestamp ts,
-                                      bool deleted = false);
+  static void InstallVersionUnlatched(TupleSlot* slot, const Row& row,
+                                      Timestamp ts, bool deleted = false);
   // Last-writer-wins install (Thomas write rule): drops the write if a
   // version with begin_ts >= ts is already in place. Used by PLR/LLR whose
-  // threads replay log records out of order. Takes the slot latch.
-  static void InstallLastWriterWins(TupleSlot* slot, Row row, Timestamp ts,
-                                    bool deleted = false);
+  // threads replay log records out of order. Takes the slot latch; a
+  // dropped write releases it with the stamp unchanged. Returns whether
+  // the write was installed.
+  static bool InstallLastWriterWins(TupleSlot* slot, const Row& row,
+                                    Timestamp ts, bool deleted = false);
 
   // --- Scans -------------------------------------------------------------
   // Ordered scan from `from` (B+tree tables only): visits visible rows at
@@ -136,6 +147,8 @@ class Table {
     return parts_[ShardOfKey(key, num_parts_)];
   }
   TupleSlot* IndexLookup(const Partition& part, Key key) const;
+  // Installs `v` as the sole version of `key` (LoadRow).
+  void LoadVersion(Key key, Version* v);
 
   TableId id_;
   std::string name_;

@@ -4,42 +4,84 @@
 // Each logical tuple (one candidate key of a table) owns a TupleSlot with a
 // newest-first chain of committed versions. The engine is multi-versioned
 // like the paper's Peloton configuration [42]: checkpointing reads a
-// consistent snapshot at a timestamp while writers continue, and the
-// latched recovery schemes (PLR/LLR) take the per-slot latch to append
-// versions, while PACMAN (CLR-P / LLR-P) installs latch-free because its
-// schedule already orders conflicting writes.
+// consistent snapshot at a timestamp while writers continue. The latched
+// recovery schemes (PLR/LLR) append versions under the slot's stamp-word
+// lock bit — the same bit forward commits lock (Silo keeps a record's lock
+// in its TID word the same way) — while PACMAN (CLR-P / LLR-P) installs
+// latch-free because its schedule already orders conflicting writes.
+//
+// Storage layout (what one row costs in memory):
+//  - a TupleSlot is 24 bytes: key, stamp word, newest-version pointer;
+//  - a Version is one allocation: a 17-byte header (begin_ts, older,
+//    deleted) followed by the row in the fixed-width encoding that
+//    checkpoint stripes use (common/serializer.h). String bytes are always
+//    copied in, so a version never points into a caller's buffer.
 #ifndef PACMAN_STORAGE_TUPLE_H_
 #define PACMAN_STORAGE_TUPLE_H_
 
 #include <atomic>
+#include <cstddef>
+#include <cstdint>
 
+#include "common/macros.h"
+#include "common/serializer.h"
 #include "common/spin_latch.h"
 #include "common/types.h"
 #include "common/value.h"
 
 namespace pacman::storage {
 
-// One committed version of a tuple. Immutable once linked into the chain.
+// One committed version of a tuple: this header, then the row's encoded
+// bytes in the same allocation. Immutable once linked into the chain.
+// Created by New, freed by Free; never copied or built on its own.
 struct Version {
-  Timestamp begin_ts = kInvalidTimestamp;  // Creator's commit timestamp.
-  Timestamp end_ts = kMaxTimestamp;        // Superseder's commit timestamp.
-  bool deleted = false;                    // Tombstone (SQL DELETE).
-  Row data;
-  Version* older = nullptr;
+  Timestamp begin_ts;  // Creator's commit timestamp.
+  Version* older;      // Next-older version, or nullptr.
+  bool deleted;        // Tombstone (SQL DELETE).
+
+  // Where the row bytes start: right after `deleted`, in what would
+  // otherwise be the struct's tail padding.
+  static constexpr size_t kHeaderBytes =
+      sizeof(Timestamp) + sizeof(Version*) + sizeof(bool);
+
+  // Allocates a version holding `row`, encoded.
+  static Version* New(Timestamp ts, bool deleted, Version* older,
+                      const Row& row);
+  // Same, from a row already encoded: the `size` well-formed bytes at
+  // `row` (CheckFixedRow), copied with one memcpy.
+  static Version* New(Timestamp ts, bool deleted, Version* older,
+                      const uint8_t* row, size_t size);
+  static void Free(Version* v);
+
+  const uint8_t* row() const {
+    return reinterpret_cast<const uint8_t*>(this) + kHeaderBytes;
+  }
+  size_t row_size() const { return FixedRowSize(row()); }
+  // Decodes the row into *out, reusing its capacity.
+  void ReadRow(Row* out) const { DecodeFixedRow(row(), out); }
+
+  PACMAN_DISALLOW_COPY_AND_MOVE(Version);
+
+ private:
+  Version(Timestamp ts, bool del, Version* old)
+      : begin_ts(ts), older(old), deleted(del) {}
+  uint8_t* mutable_row() {
+    return reinterpret_cast<uint8_t*>(this) + kHeaderBytes;
+  }
 };
 
 // Header of one logical tuple. Chains are newest-first and strictly
 // decreasing in begin_ts.
 struct TupleSlot {
   Key key = 0;
-  SpinLatch latch;  // Install latch; also the recovery latch of PLR/LLR.
   // Commit stamp + write lock (Silo-style parallel commit): the packed
   // begin_ts of the newest version plus a write-lock bit, kept coherent
   // with `newest` by every install path (Table::InstallVersion* /
   // LoadRow). OCC validation compares this word against the stamp a read
-  // observed; commit locks it for the slots in its write set. 0 means "no
-  // version yet" (kInvalidTimestamp), which is also what a reader of an
-  // absent key records.
+  // observed; commit locks it for the slots in its write set, and PLR/LLR
+  // replay locks it around each latched install. 0 means "no version yet"
+  // (kInvalidTimestamp), which is also what a reader of an absent key
+  // records.
   OccStampLock wlock;
   std::atomic<Version*> newest{nullptr};
 
@@ -58,11 +100,14 @@ struct TupleSlot {
     Version* v = newest.load(std::memory_order_relaxed);
     while (v != nullptr) {
       Version* older = v->older;
-      delete v;
+      Version::Free(v);
       v = older;
     }
   }
 };
+
+// A deque node (512 bytes in libstdc++) then holds 21 slots.
+static_assert(sizeof(TupleSlot) == 24, "TupleSlot must stay 24 bytes");
 
 }  // namespace pacman::storage
 

@@ -242,8 +242,7 @@ Status TransactionManager::Commit(Transaction* t, CommitInfo* info) {
   // Phase 5: install. Publishing each slot's new stamp is the unlock.
   for (size_t i = 0; i < t->write_set_.size(); ++i) {
     WriteEntry& w = t->write_set_[i];
-    storage::Table::InstallVersionUnlatched(locked[i], std::move(w.row), cts,
-                                            w.deleted);
+    storage::Table::InstallVersionUnlatched(locked[i], w.row, cts, w.deleted);
   }
 
   AdvanceLastCommitted(cts);

@@ -19,6 +19,7 @@
 #include <string>
 #include <vector>
 
+#include "common/serializer.h"
 #include "pacman/database.h"
 #include "proc/compiler.h"
 #include "proc/exec_arena.h"
@@ -174,6 +175,86 @@ TEST(GoldenPinTest, EverySchemeRecoversPinnedState) {
                   w == Workload::kBank ? kBankHash : kTpccHash);
       }
     }
+  }
+}
+
+// --- Checkpoint stripe pins -------------------------------------------------
+
+// FNV-1a over every stripe file of checkpoint `meta`, in (device, file)
+// order, each file's size first. Physical checkpoints also persist each
+// tuple's slot and version addresses, which differ from run to run; those
+// 16 bytes of every record are hashed as zeros.
+uint64_t StripeDigest(Database* db, const logging::CheckpointMeta& meta,
+                      LogScheme log) {
+  uint64_t h = 1469598103934665603ull;
+  for (uint32_t d = 0; d < meta.num_ssds; ++d) {
+    for (uint32_t f = 0; f < meta.files_per_ssd; ++f) {
+      std::vector<uint8_t> bytes;
+      EXPECT_TRUE(db->device(d)
+                      ->ReadFile(logging::Checkpointer::StripeFileName(
+                                     meta.id, d, f),
+                                 &bytes)
+                      .ok());
+      if (log == LogScheme::kPhysical) {
+        Deserializer in(bytes);
+        while (!in.AtEnd()) {
+          uint32_t table = 0;
+          uint64_t key = 0;
+          Row row;
+          bool ok = in.GetU32(&table).ok() && in.GetU64(&key).ok() &&
+                    in.remaining() >= 16;
+          if (ok) std::memset(bytes.data() + in.position(), 0, 16);
+          ok = ok && in.Skip(16).ok() && in.GetRow(&row).ok();
+          if (!ok) {
+            ADD_FAILURE() << "unparsable stripe (" << d << ", " << f << ")";
+            break;
+          }
+        }
+      }
+      const uint64_t n = bytes.size();
+      h = Fnv1a(&n, sizeof(n), h);
+      h = Fnv1a(bytes.data(), bytes.size(), h);
+    }
+  }
+  return h;
+}
+
+// The stripes a checkpoint writes after the pinned transactions, under the
+// command log (contents only) and the physical log (contents and
+// addresses), unsharded and on two shards. Captured before tuples were
+// stored as packed rows: the stripe writer copies each version's row bytes
+// as they are, and these pins hold that copy to Serializer::PutRow's
+// format byte for byte.
+TEST(GoldenPinTest, CheckpointStripeBytes) {
+  struct StripePin {
+    Workload workload;
+    LogScheme log;
+    uint32_t shards;
+    uint64_t digest;
+  };
+  const StripePin pins[] = {
+      {Workload::kBank, LogScheme::kCommand, 1, 0xea6fb58d8ff3b88aull},
+      {Workload::kBank, LogScheme::kCommand, 2, 0x017beff4595fc584ull},
+      {Workload::kBank, LogScheme::kPhysical, 1, 0xaaa8675b4c2c27d6ull},
+      {Workload::kBank, LogScheme::kPhysical, 2, 0xb86a493b6009f4faull},
+      {Workload::kTpcc, LogScheme::kCommand, 1, 0xf14b6a675087331full},
+      {Workload::kTpcc, LogScheme::kCommand, 2, 0x8a8df2e7c62f583full},
+      {Workload::kTpcc, LogScheme::kPhysical, 1, 0x7331d5744402f6f1ull},
+      {Workload::kTpcc, LogScheme::kPhysical, 2, 0xe55d01e7ded54765ull},
+  };
+  for (const StripePin& pin : pins) {
+    SCOPED_TRACE(std::string(pin.workload == Workload::kBank ? "bank" : "tpcc") +
+                 (pin.log == LogScheme::kCommand ? " CL" : " PL") +
+                 " shards=" + std::to_string(pin.shards));
+    PinnedRun run(pin.workload, pin.log, pin.shards);
+    run.Forward();
+    logging::CheckpointMeta meta;
+    ASSERT_TRUE(run.db->TryTakeCheckpoint(&meta).ok());
+    const uint64_t got = StripeDigest(run.db.get(), meta, pin.log);
+    char hex[32];
+    std::snprintf(hex, sizeof(hex), "0x%016llx",
+                  static_cast<unsigned long long>(got));
+    EXPECT_EQ(got, pin.digest) << hex;
   }
 }
 

@@ -122,6 +122,41 @@ TEST_F(FailureTest, CorruptCheckpointStripeIsRejected) {
             StatusCode::kCorruption);
 }
 
+// Recovery's restore task walks the stripe bytes itself and copies each
+// row into its version as it stands, so it must check every row first: a
+// bad value tag, or a stripe cut mid-row, aborts the restore loudly,
+// naming the stripe and the record's offset.
+TEST_F(FailureTest, CorruptCheckpointRowAbortsRestore) {
+  enum class Damage { kBadTag, kCutRow };
+  for (Damage damage : {Damage::kBadTag, Damage::kCutRow}) {
+    auto db = MakeDbWithLogs();
+    logging::Checkpointer ckpt(db->catalog(), logging::LogScheme::kCommand,
+                               db->device_ptrs());
+    logging::CheckpointMeta meta;
+    ASSERT_TRUE(ckpt.ReadLatestMeta(&meta).ok());
+    const std::string name =
+        logging::Checkpointer::StripeFileName(meta.id, 0, 0);
+    std::vector<uint8_t> bytes;
+    ASSERT_TRUE(db->device(0)->ReadFile(name, &bytes).ok());
+    // A command-log record: table (u32), key (u64), then the row, whose
+    // first value's tag follows its u32 count.
+    ASSERT_GT(bytes.size(), 17u);
+    std::string want;
+    if (damage == Damage::kBadTag) {
+      bytes[16] = 0x7f;
+      want = name + ": record at offset 0: bad value tag 127";
+    } else {
+      bytes.resize(bytes.size() - 3);
+      want = name + ": record at offset [0-9]+: row cut";
+    }
+    ASSERT_TRUE(db->device(0)->WriteFile(name, std::move(bytes)).ok());
+    db->Crash();
+    recovery::RecoveryOptions ropts;
+    ropts.num_threads = 2;
+    EXPECT_DEATH(db->Recover(recovery::Scheme::kClrP, ropts), want);
+  }
+}
+
 TEST_F(FailureTest, RecordsBeyondPepochAreNotReplayed) {
   // A log batch whose records postdate the pepoch watermark models an
   // epoch that was only partially persisted at the crash: its results

@@ -1,17 +1,20 @@
 // Tests for the latch primitives (SpinLatch, RwSpinLatch, OccStampLock)
-// and the parallel commit path built on them: mutual exclusion, stamp
-// semantics, canonical slot-lock ordering (no deadlock on opposed write
-// orders), and a >= 8-worker high-contention stress asserting balance-sum
-// conservation.
+// and the paths built on them: mutual exclusion, stamp semantics,
+// canonical slot-lock ordering (no deadlock on opposed write orders), a
+// >= 8-worker high-contention commit stress asserting balance-sum
+// conservation, and PLR/LLR's installs under the same stamp-word lock.
 #include "common/spin_latch.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <atomic>
+#include <string>
 #include <thread>
 #include <vector>
 
+#include "common/random.h"
 #include "storage/catalog.h"
 #include "txn/epoch_manager.h"
 #include "txn/transaction_manager.h"
@@ -271,6 +274,128 @@ TEST(ParallelCommitStressTest, StampsMatchNewestVersionAfterStress) {
     ASSERT_NE(v, nullptr);
     EXPECT_EQ(OccStampLock::TsOf(stamp), v->begin_ts);
   });
+}
+
+// PLR/LLR's install latch is the stamp word's lock bit. A write the
+// Thomas rule drops must release it without touching the stamp.
+TEST(InstallLatchTest, ThomasRuleDropLeavesStampUnchanged) {
+  storage::Table table(0, "t", Schema({{"v", ValueType::kInt64, 0}}),
+                       storage::IndexType::kHash);
+  table.LoadRow(1, {Value(int64_t{10})}, 10);
+  storage::TupleSlot* slot = table.GetSlot(1);
+  const storage::Version* newest = slot->newest.load();
+  const uint64_t stamp = slot->wlock.Load();
+  for (Timestamp stale : {Timestamp{5}, Timestamp{10}}) {
+    EXPECT_FALSE(storage::Table::InstallLastWriterWins(
+        slot, {Value(int64_t{0})}, stale));
+    EXPECT_EQ(slot->wlock.Load(), stamp);
+    EXPECT_FALSE(OccStampLock::IsLocked(slot->wlock.Load()));
+    EXPECT_EQ(slot->newest.load(), newest);
+  }
+  EXPECT_TRUE(storage::Table::InstallLastWriterWins(
+      slot, {Value(int64_t{11})}, 11));
+  EXPECT_EQ(slot->wlock.Load(), OccStampLock::Pack(11));
+}
+
+// 8 threads race last-writer-wins and latched installs on a handful of
+// shared slots, every install under the slot's stamp-word lock bit. Each
+// last-writer-wins timestamp is drawn from its slot's counter, so installs
+// keep racing at the newest version; a quarter of the draws are held back
+// and installed later, out of order, where the Thomas rule drops most of
+// them. Each slot also has one latched writer that, after its share,
+// installs timestamps ascending above every drawn one, as the latched
+// install requires. A lost or torn install breaks the chain's order, its
+// row contents or its count.
+TEST(InstallLatchTest, ContendedInstallsKeepChainsOrderedAndExact) {
+  constexpr int kThreads = 8;
+  constexpr int kSlots = 2;
+  constexpr int kOpsPerThread = 20000;  // Last-writer-wins, over the slots.
+  constexpr Timestamp kLwwTs = kThreads * kOpsPerThread / kSlots;
+  constexpr Timestamp kLatched = 100;  // Per slot, by its latched writer.
+  storage::Table table(0, "t", Schema({{"v", ValueType::kInt64, 0}}),
+                       storage::IndexType::kHash);
+  std::vector<storage::TupleSlot*> slots;
+  for (int s = 0; s < kSlots; ++s) {
+    slots.push_back(table.GetOrCreateSlot(static_cast<Key>(s)));
+  }
+  std::array<std::atomic<Timestamp>, kSlots> next_ts{};
+  std::atomic<int> ready{0};
+  std::vector<std::array<uint64_t, kSlots>> wins(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t]() {
+      wins[t].fill(0);
+      const auto install = [&](int slot, Timestamp ts, bool latched) {
+        const Row row = {Value(static_cast<int64_t>(ts))};
+        if (latched) {
+          storage::Table::InstallVersionLatched(slots[slot], row, ts);
+          wins[t][slot]++;
+        } else if (storage::Table::InstallLastWriterWins(slots[slot], row,
+                                                         ts)) {
+          wins[t][slot]++;
+        }
+      };
+      Rng rng(static_cast<uint64_t>(t) + 1);
+      std::vector<std::pair<int, Timestamp>> held;
+      ready.fetch_add(1);
+      while (ready.load() < kThreads) std::this_thread::yield();
+      for (int n = 0; n < kOpsPerThread; ++n) {
+        const int slot = n % kSlots;
+        const Timestamp ts = next_ts[slot].fetch_add(1) + 1;
+        if (rng.Uniform(0, 3) == 0) {
+          held.emplace_back(slot, ts);
+        } else {
+          install(slot, ts, false);
+        }
+        if (held.size() > 8 || (!held.empty() && rng.Uniform(0, 3) == 0)) {
+          const size_t i = rng.Uniform(0, held.size() - 1);
+          install(held[i].first, held[i].second, false);
+          held[i] = held.back();
+          held.pop_back();
+        }
+      }
+      for (const auto& [slot, ts] : held) install(slot, ts, false);
+      if (t < kSlots) {
+        for (Timestamp k = 1; k <= kLatched; ++k) {
+          install(t, kLwwTs + k, true);
+        }
+      }
+    });
+  }
+  for (auto& t : threads) t.join();
+
+  for (int s = 0; s < kSlots; ++s) {
+    SCOPED_TRACE("slot " + std::to_string(s));
+    uint64_t want_versions = 0;
+    for (int t = 0; t < kThreads; ++t) want_versions += wins[t][s];
+    const storage::Version* newest = slots[s]->newest.load();
+    ASSERT_NE(newest, nullptr);
+    EXPECT_EQ(newest->begin_ts, kLwwTs + kLatched);
+    const uint64_t stamp = slots[s]->wlock.Load();
+    EXPECT_FALSE(OccStampLock::IsLocked(stamp));
+    EXPECT_EQ(OccStampLock::TsOf(stamp), newest->begin_ts);
+    uint64_t versions = 0;
+    uint64_t latched = 0;
+    uint64_t out_of_order = 0;
+    uint64_t wrong_rows = 0;
+    Row row;
+    for (const storage::Version* v = newest; v != nullptr; v = v->older) {
+      versions++;
+      if (v->begin_ts > kLwwTs) latched++;
+      if (v->older != nullptr && v->begin_ts <= v->older->begin_ts) {
+        out_of_order++;
+      }
+      v->ReadRow(&row);
+      if (row.size() != 1 ||
+          row[0].AsInt64() != static_cast<int64_t>(v->begin_ts)) {
+        wrong_rows++;
+      }
+    }
+    EXPECT_EQ(out_of_order, 0u);
+    EXPECT_EQ(wrong_rows, 0u);
+    EXPECT_EQ(latched, kLatched);
+    EXPECT_EQ(versions, want_versions);
+  }
 }
 
 }  // namespace

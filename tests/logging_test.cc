@@ -204,7 +204,7 @@ TEST_F(LoggingTest, CheckpointRoundTrip) {
     for (uint32_t f = 0; f < meta.files_per_ssd; ++f) {
       CheckpointStripe stripe;
       ASSERT_TRUE(ckpt.ReadStripe(meta, d, f, &stripe).ok());
-      tuples += stripe.tuples.size();
+      tuples += stripe.num_tuples;
     }
   }
   uint64_t visible = 0;

@@ -1,8 +1,17 @@
-// Tests for tuple version chains, Table MVCC semantics and Catalog.
+// Tests for tuple version chains, packed version rows, Table MVCC
+// semantics and Catalog.
 #include "storage/table.h"
 
 #include <gtest/gtest.h>
+#include <malloc.h>
 
+#include <cstdio>
+#include <cstring>
+#include <limits>
+#include <string>
+#include <vector>
+
+#include "common/serializer.h"
 #include "storage/catalog.h"
 #include "storage/hash_index.h"
 
@@ -11,6 +20,13 @@ namespace {
 
 Schema OneIntSchema() { return Schema({{"v", ValueType::kInt64, 0}}); }
 Row IntRow(int64_t v) { return {Value(v)}; }
+
+// The first column of a version's row, decoded.
+int64_t FirstInt(const Version* v) {
+  Row row;
+  v->ReadRow(&row);
+  return row[0].AsInt64();
+}
 
 TEST(HashIndexTest, InsertLookupUpsert) {
   HashIndex idx;
@@ -33,13 +49,127 @@ TEST(TupleSlotTest, VisibilityWalksChain) {
   Table::InstallVersionLatched(slot, IntRow(30), 12);
 
   EXPECT_EQ(slot->VisibleAt(4), nullptr);  // Before load.
-  EXPECT_EQ(slot->VisibleAt(5)->data[0].AsInt64(), 10);
-  EXPECT_EQ(slot->VisibleAt(7)->data[0].AsInt64(), 10);
-  EXPECT_EQ(slot->VisibleAt(8)->data[0].AsInt64(), 20);
-  EXPECT_EQ(slot->VisibleAt(11)->data[0].AsInt64(), 20);
-  EXPECT_EQ(slot->VisibleAt(kMaxTimestamp)->data[0].AsInt64(), 30);
-  // end_ts chain is maintained.
-  EXPECT_EQ(slot->VisibleAt(5)->end_ts, 8u);
+  EXPECT_EQ(FirstInt(slot->VisibleAt(5)), 10);
+  EXPECT_EQ(FirstInt(slot->VisibleAt(7)), 10);
+  EXPECT_EQ(FirstInt(slot->VisibleAt(8)), 20);
+  EXPECT_EQ(FirstInt(slot->VisibleAt(11)), 20);
+  EXPECT_EQ(FirstInt(slot->VisibleAt(kMaxTimestamp)), 30);
+}
+
+// Value bits as the fixed-width encoding stores them.
+uint64_t Bits(const Value& v) {
+  uint64_t bits = 0;
+  if (v.type() == ValueType::kInt64) {
+    const int64_t i = v.AsInt64();
+    std::memcpy(&bits, &i, sizeof(bits));
+  } else if (v.type() == ValueType::kDouble) {
+    const double d = v.AsDouble();
+    std::memcpy(&bits, &d, sizeof(bits));
+  }
+  return bits;
+}
+
+// A version stores its row packed, tags included, so nothing the engine
+// can hold is lost: whatever a writer puts in (schemas are not enforced
+// on writes) reads back with the same type and the same bits.
+TEST(PackedRowTest, EveryValueTypeRoundTripsExactly) {
+  double nan_with_payload;
+  const uint64_t nan_bits = 0x7ff4000000abcdefull;  // Signalling, payload.
+  std::memcpy(&nan_with_payload, &nan_bits, sizeof(nan_bits));
+  const std::string long_string(5000, 'x');
+  // A string borrowed from a buffer that is overwritten before the read,
+  // the way a replayed row's strings view their log batch.
+  std::string replay_buffer = "borrowed from a replayed row";
+  const Row row = {Value::Null(),
+                   Value(std::numeric_limits<int64_t>::min()),
+                   Value(std::numeric_limits<int64_t>::max()),
+                   Value(-0.0),
+                   Value(nan_with_payload),
+                   Value(std::string()),
+                   Value(long_string),
+                   Value(int64_t{42}),  // An int64 in a "double" column.
+                   Value::BorrowedString(replay_buffer)};
+  const std::string replayed = replay_buffer;
+  const uint64_t want_hash = HashRow(row);
+
+  Table t(0, "t", OneIntSchema(), IndexType::kHash);
+  t.LoadRow(1, row, 1);
+  Table::InstallVersionUnlatched(t.GetOrCreateSlot(2), row, 3);
+  replay_buffer.assign(replay_buffer.size(), '?');  // The buffer moves on.
+
+  for (Key key : {Key{1}, Key{2}}) {
+    Row out = {Value(std::string(64, 'y'))};  // Stale capacity to reuse.
+    ASSERT_TRUE(t.Read(key, kMaxTimestamp, &out).ok());
+    ASSERT_EQ(out.size(), row.size());
+    for (size_t i = 0; i < row.size(); ++i) {
+      SCOPED_TRACE("value " + std::to_string(i));
+      ASSERT_EQ(out[i].type(), row[i].type());
+      EXPECT_FALSE(out[i].is_borrowed());
+      EXPECT_EQ(Bits(out[i]), Bits(row[i]));
+    }
+    EXPECT_EQ(out[5].AsStringView(), "");
+    EXPECT_EQ(out[6].AsStringView(), long_string);
+    EXPECT_EQ(out[8].AsStringView(), replayed);
+    EXPECT_EQ(HashRow(out), want_hash);
+  }
+  // The version holds exactly the bytes Serializer::PutRow writes.
+  Serializer s;
+  s.PutRow(row);
+  const Version* v = t.GetSlot(1)->VisibleAt(kMaxTimestamp);
+  ASSERT_EQ(v->row_size(), s.size());
+  EXPECT_EQ(std::memcmp(v->row(), s.data().data(), s.size()), 0);
+}
+
+TEST(PackedRowTest, CheckFixedRowRejectsBadTagsAndCutRows) {
+  Serializer s;
+  s.PutRow({Value(int64_t{7}), Value(std::string("abc")), Value(1.5)});
+  std::vector<uint8_t> bytes = s.Release();
+  size_t size = 0;
+  ASSERT_TRUE(CheckFixedRow(bytes.data(), bytes.size(), &size).ok());
+  EXPECT_EQ(size, bytes.size());
+  EXPECT_EQ(FixedRowSize(bytes.data()), bytes.size());
+  for (size_t cut = 0; cut < bytes.size(); ++cut) {
+    EXPECT_EQ(CheckFixedRow(bytes.data(), cut, &size).code(),
+              StatusCode::kCorruption)
+        << "cut at " << cut;
+  }
+  bytes[4] = 9;  // The first value's tag.
+  EXPECT_EQ(CheckFixedRow(bytes.data(), bytes.size(), &size).code(),
+            StatusCode::kCorruption);
+}
+
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+#define PACMAN_SANITIZED_MALLOC 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
+#define PACMAN_SANITIZED_MALLOC 1
+#endif
+#endif
+
+// Heap bytes per row of a hash-indexed table of one-double rows: slot,
+// version and index entry. Before versions were packed and slots lost
+// their cache-line latch this read about 400.
+TEST(PackedRowTest, HeapBytesPerRowStaySmall) {
+#ifdef PACMAN_SANITIZED_MALLOC
+  GTEST_SKIP() << "sanitizer allocators replace malloc";
+#else
+  constexpr int kRows = 100000;
+  const auto heap_bytes = [] {
+    const struct mallinfo2 mi = mallinfo2();
+    return static_cast<double>(mi.uordblks + mi.hblkhd);
+  };
+  const double before = heap_bytes();
+  {
+    Table t(0, "t", Schema({{"balance", ValueType::kDouble, 0}}),
+            IndexType::kHash);
+    for (int k = 0; k < kRows; ++k) {
+      t.LoadRow(static_cast<Key>(k), {Value(1000.0 + k)}, 1);
+    }
+    const double per_row = (heap_bytes() - before) / kRows;
+    std::printf("heap bytes per row: %.1f\n", per_row);
+    EXPECT_LE(per_row, 160.0);
+  }
+#endif
 }
 
 TEST(TableTest, ReadRespectsTimestampsAndTombstones) {
@@ -60,9 +190,9 @@ TEST(TableTest, LastWriterWinsDropsStaleWrites) {
   TupleSlot* slot = t.GetOrCreateSlot(1);
   Table::InstallLastWriterWins(slot, IntRow(30), 12);
   Table::InstallLastWriterWins(slot, IntRow(20), 8);  // Stale: dropped.
-  EXPECT_EQ(slot->VisibleAt(kMaxTimestamp)->data[0].AsInt64(), 30);
+  EXPECT_EQ(FirstInt(slot->VisibleAt(kMaxTimestamp)), 30);
   Table::InstallLastWriterWins(slot, IntRow(40), 15);
-  EXPECT_EQ(slot->VisibleAt(kMaxTimestamp)->data[0].AsInt64(), 40);
+  EXPECT_EQ(FirstInt(slot->VisibleAt(kMaxTimestamp)), 40);
 }
 
 TEST(TableTest, ScanFromVisibleOnly) {

@@ -19,9 +19,12 @@ namespace pacman::testutil {
 inline double VisibleSum(const storage::Table* table, Timestamp ts,
                          int col = 0) {
   double sum = 0.0;
+  Row row;
   table->ForEachSlot([&](storage::TupleSlot* slot) {
     const storage::Version* v = slot->VisibleAt(ts);
-    if (v != nullptr && !v->deleted) sum += v->data[col].AsDouble();
+    if (v == nullptr || v->deleted) return;
+    v->ReadRow(&row);
+    sum += row[col].AsDouble();
   });
   return sum;
 }

@@ -15,9 +15,12 @@ namespace {
 
 double SumColumn(storage::Table* table, int col, Timestamp ts) {
   double sum = 0.0;
+  Row row;
   table->ForEachSlot([&](storage::TupleSlot* slot) {
     const storage::Version* v = slot->VisibleAt(ts);
-    if (v != nullptr && !v->deleted) sum += v->data[col].AsDouble();
+    if (v == nullptr || v->deleted) return;
+    v->ReadRow(&row);
+    sum += row[col].AsDouble();
   });
   return sum;
 }
