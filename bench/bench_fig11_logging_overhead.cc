@@ -12,6 +12,27 @@
 namespace pacman::bench {
 namespace {
 
+// Prints one scheme's row: its B/txn and six 100-second windows of the
+// fluid model's timeline (throughput and worst latency), like the
+// figure's trace.
+void PrintTimelineRow(const char* name, double bytes_per_txn,
+                      uint32_t num_ssds, bool checkpointing_enabled) {
+  LoggingSimParams p;
+  p.bytes_per_txn = bytes_per_txn;
+  p.num_ssds = num_ssds;
+  auto timeline = SimulateTimeline(p, 600.0, 1.0, checkpointing_enabled);
+  std::printf("%-7s %10.0f |", name, bytes_per_txn);
+  for (int w = 0; w < 6; ++w) {
+    double tps = 0.0, lat = 0.0;
+    for (int i = w * 100; i < (w + 1) * 100; ++i) {
+      tps += timeline[i].tps;
+      lat = std::max(lat, timeline[i].latency_s);
+    }
+    std::printf(" %5.1f/%-5.1f", tps / 100 / 1000, lat * 1000);
+  }
+  std::printf("\n");
+}
+
 void RunConfig(uint32_t num_ssds, uint32_t threads) {
   std::printf("\n--- Fig. 11%s: %u SSD(s), %u worker(s) ---\n",
               num_ssds == 1 ? "a" : "b", num_ssds, threads);
@@ -19,34 +40,17 @@ void RunConfig(uint32_t num_ssds, uint32_t threads) {
               "scheme", "B/txn");
   for (auto scheme :
        {logging::LogScheme::kPhysical, logging::LogScheme::kLogical,
-        logging::LogScheme::kCommand, logging::LogScheme::kOff}) {
-    double bytes_per_txn = 0.0;
-    if (scheme != logging::LogScheme::kOff) {
-      Env env = MakeTpccEnv(scheme);
-      DriverResult forward;
-      bytes_per_txn = MeasureBytesPerTxn(&env, 3000, 0.0, 42, threads,
-                                         &forward);
-      PrintForwardStats(logging::LogSchemeName(scheme), forward);
-    }
-    LoggingSimParams p;
-    p.bytes_per_txn = bytes_per_txn;
-    p.num_ssds = num_ssds;
-    auto timeline = SimulateTimeline(p, 600.0, 1.0,
-                                     /*checkpointing_enabled=*/scheme !=
-                                         logging::LogScheme::kOff);
-    std::printf("%-7s %10.0f |", logging::LogSchemeName(scheme),
-                bytes_per_txn);
-    // Report six 100-second windows (throughput) like the figure's trace.
-    for (int w = 0; w < 6; ++w) {
-      double tps = 0.0, lat = 0.0;
-      for (int i = w * 100; i < (w + 1) * 100; ++i) {
-        tps += timeline[i].tps;
-        lat = std::max(lat, timeline[i].latency_s);
-      }
-      std::printf(" %5.1f/%-5.1f", tps / 100 / 1000, lat * 1000);
-    }
-    std::printf("\n");
+        logging::LogScheme::kCommand}) {
+    Env env = MakeTpccEnv(scheme);
+    DriverResult forward;
+    const double bytes_per_txn =
+        MeasureBytesPerTxn(&env, 3000, 0.0, 42, threads, &forward);
+    PrintForwardStats(logging::LogSchemeName(scheme), forward);
+    PrintTimelineRow(logging::LogSchemeName(scheme), bytes_per_txn, num_ssds,
+                     /*checkpointing_enabled=*/true);
   }
+  // OFF logs nothing and never checkpoints: the fluid model alone.
+  PrintTimelineRow("OFF", 0.0, num_ssds, /*checkpointing_enabled=*/false);
 }
 
 }  // namespace

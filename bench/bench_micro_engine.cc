@@ -35,7 +35,7 @@ void BM_BPlusTreeInsert(benchmark::State& state) {
   storage::BPlusTree tree;
   Rng rng(1);
   for (auto _ : state) {
-    tree.Upsert(rng.Next() >> 8, &tree);
+    tree.Insert(rng.Next() >> 8, &tree);
   }
   state.SetItemsProcessed(state.iterations());
 }
@@ -253,8 +253,7 @@ void RunEngineRows(const CommonFlags& flags) {
   bench::Env exec_env = MakeBankEnv();
   StubAccess stub;
   const double logic_tps = VmTps(&exec_env, &stub, reqs);
-  proc::ReplayAccess replay(exec_env.db->catalog(),
-                            proc::InstallMode::kUnlatched);
+  proc::ReplayAccess replay(exec_env.db->catalog());
   const double exec_tps = VmTps(&exec_env, &replay, reqs);
 
   DriverResult fwd = bench::RunWorkloadThreaded(&env, txns, 1, 0.0, seed);

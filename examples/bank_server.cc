@@ -130,7 +130,7 @@ int main(int argc, char** argv) {
                static_cast<unsigned long long>(stats.call_errors),
                static_cast<unsigned long long>(stats.shed),
                static_cast<unsigned long long>(stats.protocol_errors));
-  const maintenance::MaintenanceStats& maint = stats.maintenance;
+  const maintenance::MaintenanceStats maint = db.maintenance_stats();
   if (maint.checkpoints > 0 || maint.checkpoint_failures > 0) {
     std::fprintf(stderr,
                  "maintenance: %llu checkpoints (%llu failed), "
@@ -140,12 +140,15 @@ int main(int argc, char** argv) {
                  static_cast<unsigned long long>(maint.batches_deleted),
                  static_cast<unsigned long long>(maint.batch_bytes_deleted));
   }
-  if (stats.io_retries > 0 || stats.io_failures > 0 || stats.read_only) {
+  const uint64_t io_retries = db.io_retries();
+  const uint64_t io_failures = db.io_failures();
+  const bool read_only = db.read_only();
+  if (io_retries > 0 || io_failures > 0 || read_only) {
     std::fprintf(stderr, "durability: %llu IO retries, %llu IO failures%s%s\n",
-                 static_cast<unsigned long long>(stats.io_retries),
-                 static_cast<unsigned long long>(stats.io_failures),
-                 stats.read_only ? ", READ-ONLY: " : "",
-                 stats.read_only ? stats.read_only_reason.c_str() : "");
+                 static_cast<unsigned long long>(io_retries),
+                 static_cast<unsigned long long>(io_failures),
+                 read_only ? ", READ-ONLY: " : "",
+                 read_only ? db.read_only_reason().c_str() : "");
   }
   return 0;
 }

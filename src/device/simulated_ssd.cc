@@ -4,15 +4,6 @@
 
 namespace pacman::device {
 
-SimulatedSsd::SimulatedSsd(SsdConfig config) : config_(config) {
-  PACMAN_CHECK_MSG(config_.read_mbps > 0.0,
-                   "SsdConfig::read_mbps must be positive");
-  PACMAN_CHECK_MSG(config_.write_mbps > 0.0,
-                   "SsdConfig::write_mbps must be positive");
-  PACMAN_CHECK_MSG(config_.fsync_latency_s >= 0.0,
-                   "SsdConfig::fsync_latency_s must be non-negative");
-}
-
 IoResult SimulatedSsd::WriteFile(const std::string& name,
                                  std::vector<uint8_t> bytes) {
   const double cost = WriteSeconds(bytes.size());

@@ -22,22 +22,13 @@
 
 namespace pacman::device {
 
-// Validated at SimulatedSsd construction: bandwidths must be positive and
-// the fsync latency non-negative, or virtual flush times turn into silent
-// nonsense (negative or infinite seconds).
-struct SsdConfig {
-  double read_mbps = 550.0;       // Sequential read bandwidth.
-  double write_mbps = 520.0;      // Sequential write bandwidth.
-  double fsync_latency_s = 5e-3;  // Latency of one fsync barrier.
-
-  // Defaults mirror the paper's devices.
-  static SsdConfig PaperSsd() { return SsdConfig{}; }
-};
-
-// Thread-safe in-memory file store + virtual-time cost model.
+// Thread-safe in-memory file store + virtual-time cost model of the
+// paper's devices.
 class SimulatedSsd final : public StorageDevice {
  public:
-  explicit SimulatedSsd(SsdConfig config = SsdConfig::PaperSsd());
+  static constexpr double kReadMbps = 550.0;      // Sequential read.
+  static constexpr double kWriteMbps = 520.0;     // Sequential write.
+  static constexpr double kFsyncLatencyS = 5e-3;  // One fsync barrier.
 
   // --- Durable object store -------------------------------------------
   IoResult WriteFile(const std::string& name,
@@ -64,16 +55,14 @@ class SimulatedSsd final : public StorageDevice {
 
   // --- Virtual-time cost model ----------------------------------------
   double WriteSeconds(size_t bytes) const override {
-    return static_cast<double>(bytes) / (config_.write_mbps * 1e6);
+    return static_cast<double>(bytes) / (kWriteMbps * 1e6);
   }
   double ReadSeconds(size_t bytes) const override {
-    return static_cast<double>(bytes) / (config_.read_mbps * 1e6);
+    return static_cast<double>(bytes) / (kReadMbps * 1e6);
   }
-  double FsyncSeconds() const override { return config_.fsync_latency_s; }
-  const SsdConfig& config() const { return config_; }
+  double FsyncSeconds() const override { return kFsyncLatencyS; }
 
  private:
-  SsdConfig config_;
   mutable std::mutex mu_;
   // A stored buffer is mutated in place only while no reader shares it
   // (see AppendFile); otherwise every mutation installs a fresh one.

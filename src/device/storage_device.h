@@ -128,10 +128,6 @@ class StorageDevice {
   uint64_t total_fsyncs() const {
     return total_fsyncs_.load(std::memory_order_relaxed);
   }
-  void ResetCounters() {
-    total_bytes_written_.store(0, std::memory_order_relaxed);
-    total_fsyncs_.store(0, std::memory_order_relaxed);
-  }
 
  protected:
   void CountBytesWritten(uint64_t n) {

@@ -20,10 +20,10 @@ constexpr device::IoRetryPolicy kLogRetryPolicy{};
 
 Logger::Logger(uint32_t id, LogScheme scheme, device::StorageDevice* device,
                uint32_t epochs_per_batch, uint64_t start_seq,
-               CloseCallback on_close, std::atomic<uint64_t>* io_retries)
+               std::atomic<uint64_t>* io_retries)
     : id_(id), scheme_(scheme), device_(device),
-      epochs_per_batch_(epochs_per_batch), on_close_(std::move(on_close)),
-      io_retries_(io_retries), batch_seq_(start_seq) {
+      epochs_per_batch_(epochs_per_batch), io_retries_(io_retries),
+      batch_seq_(start_seq) {
   current_.logger_id = id_;
   current_.seq = batch_seq_;
 }
@@ -122,17 +122,7 @@ device::IoResult Logger::WriteOwed(const std::string& name) {
 
 void Logger::CloseBatch() {
   // Called with mu_ held, with nothing owed.
-  if (!current_.records.empty()) {
-    if (on_close_ != nullptr) {
-      Timestamp max_cts = 0;
-      for (const LogRecord& r : current_.records) {
-        max_cts = std::max(max_cts, r.commit_ts);
-      }
-      on_close_(BatchCoverage{id_, current_.seq, max_cts, file_bytes_});
-    }
-    batch_seq_++;
-    batches_written_++;
-  }
+  if (!current_.records.empty()) batch_seq_++;
   OpenBatch();
 }
 
@@ -178,26 +168,17 @@ LogManager::LogManager(LogScheme scheme,
       epochs_(epochs),
       txns_(txns),
       num_shards_(num_shards) {
-  PACMAN_CHECK(scheme == LogScheme::kOff || !devices_.empty());
+  PACMAN_CHECK(!devices_.empty());
   PACMAN_CHECK_MSG(num_shards_ >= 1, "LogManager num_shards must be >= 1");
   // Sharded routing keys the durable streams by shard: logger s must BE
   // shard s's log, or per-shard recovery would read a mixed stream.
-  PACMAN_CHECK_MSG(
-      num_shards_ == 1 || scheme == LogScheme::kOff ||
-          num_loggers == num_shards_,
-      "sharded logging requires num_loggers == num_shards");
-  if (scheme != LogScheme::kOff) {
-    const uint64_t start_seq = NextSeqOnDevices();
-    for (uint32_t i = 0; i < num_loggers; ++i) {
-      loggers_.push_back(std::make_unique<Logger>(
-          i, scheme, devices_[i % devices_.size()], epochs_per_batch,
-          start_seq,
-          [this](const BatchCoverage& c) {
-            std::lock_guard<std::mutex> g(coverage_mu_);
-            closed_batches_.push_back(c);
-          },
-          &io_retries_));
-    }
+  PACMAN_CHECK_MSG(num_shards_ == 1 || num_loggers == num_shards_,
+                   "sharded logging requires num_loggers == num_shards");
+  const uint64_t start_seq = NextSeqOnDevices();
+  for (uint32_t i = 0; i < num_loggers; ++i) {
+    loggers_.push_back(std::make_unique<Logger>(
+        i, scheme, devices_[i % devices_.size()], epochs_per_batch, start_seq,
+        &io_retries_));
   }
 }
 
@@ -257,7 +238,6 @@ LogRecord MakeRecord(LogScheme scheme, const txn::Transaction& txn,
 
 void LogManager::OnCommit(const txn::Transaction& txn,
                           const txn::CommitInfo& info) {
-  if (scheme_ == LogScheme::kOff) return;
   // Read-only transactions generate no log records (paper, Appendix C).
   if (txn.write_set().empty()) return;
   const WorkerId worker = txn.worker_id();
@@ -399,7 +379,6 @@ LogManager::WorkerBuffer* LogManager::worker_buffer(WorkerId w) {
 }
 
 void LogManager::EnsureWorkerBuffers(uint32_t num_workers) {
-  if (scheme_ == LogScheme::kOff) return;
   PACMAN_CHECK_MSG(
       num_workers <= kWorkerBufferChunkSize * kMaxWorkerBufferChunks,
       "too many worker log-buffer slots (sessions + executor workers)");
@@ -545,18 +524,6 @@ uint64_t LogManager::total_bytes() const {
   uint64_t total = 0;
   for (const auto& logger : loggers_) total += logger->bytes_logged();
   return total;
-}
-
-std::vector<BatchCoverage> LogManager::TakeTruncatable(Timestamp ts) {
-  std::lock_guard<std::mutex> g(coverage_mu_);
-  std::vector<BatchCoverage> covered;
-  std::vector<BatchCoverage> kept;
-  kept.reserve(closed_batches_.size());
-  for (const BatchCoverage& c : closed_batches_) {
-    (c.max_cts <= ts ? covered : kept).push_back(c);
-  }
-  closed_batches_ = std::move(kept);
-  return covered;
 }
 
 uint64_t LogManager::MinOpenSeq() {

@@ -29,7 +29,6 @@
 
 #include <array>
 #include <atomic>
-#include <functional>
 #include <memory>
 #include <mutex>
 #include <vector>
@@ -58,30 +57,14 @@ struct FlushCost {
   Status status;
 };
 
-// Coverage summary of one closed (immutable) batch file, reported by the
-// logger that closed it and consumed by log garbage collection: a batch
-// whose max_cts is at or below a durable checkpoint's timestamp holds no
-// record recovery could still need.
-struct BatchCoverage {
-  uint32_t logger_id = 0;
-  uint64_t seq = 0;
-  Timestamp max_cts = 0;
-  uint64_t bytes = 0;  // Size of the closed batch file.
-};
-
 class Logger {
  public:
-  // Called (with the logger latched) for every non-empty batch the logger
-  // closes, i.e., exactly when the file becomes immutable.
-  using CloseCallback = std::function<void(const BatchCoverage&)>;
-
   // `start_seq` resumes this logger's batch stream past the batches an
   // earlier process left on a persistent device (0 on a fresh device).
   // `io_retries`, when given, counts transient device errors absorbed by
   // the bounded retry/backoff around this logger's durable writes.
   Logger(uint32_t id, LogScheme scheme, device::StorageDevice* device,
          uint32_t epochs_per_batch, uint64_t start_seq = 0,
-         CloseCallback on_close = nullptr,
          std::atomic<uint64_t>* io_retries = nullptr);
   PACMAN_DISALLOW_COPY_AND_MOVE(Logger);
 
@@ -118,7 +101,6 @@ class Logger {
   uint64_t bytes_logged() const {
     return bytes_logged_.load(std::memory_order_relaxed);
   }
-  uint64_t batches_written() const { return batches_written_; }
   uint32_t id() const { return id_; }
   // Sequence number of the in-progress batch: the file at this seq (and
   // only it — later seqs don't exist yet) is still mutable and must never
@@ -138,8 +120,8 @@ class Logger {
   // After a successful PersistOwed: counts the record bytes it made
   // durable into bytes_logged_, clears what is owed, and returns them.
   uint64_t MarkPersisted();
-  // Reports the batch's coverage and moves the stream to the next seq.
-  // The file already holds every record, so nothing is written.
+  // Moves the stream to the next seq. The file already holds every
+  // record, so nothing is written.
   void CloseBatch();
   // Starts an empty batch at batch_seq_.
   void OpenBatch();
@@ -148,13 +130,11 @@ class Logger {
   const LogScheme scheme_;
   device::StorageDevice* device_;
   const uint32_t epochs_per_batch_;
-  const CloseCallback on_close_;
   std::atomic<uint64_t>* const io_retries_;  // May be null.
 
   std::mutex mu_;
   LogBatch current_;
   uint64_t batch_seq_ = 0;
-  uint64_t batches_written_ = 0;
   uint32_t epochs_in_batch_ = 0;
   std::atomic<uint64_t> bytes_logged_{0};
   size_t unflushed_records_ = 0;
@@ -193,8 +173,7 @@ class LogManager {
 
   // Commit hook body: builds the record for `txn` and routes it to the
   // committing worker's staging buffer (if the transaction carries a
-  // WorkerId with a registered buffer) or directly to a logger. No-op when
-  // the scheme is kOff.
+  // WorkerId with a registered buffer) or directly to a logger.
   void OnCommit(const txn::Transaction& txn, const txn::CommitInfo& info);
 
   // Grows the per-worker staging buffer set to at least `num_workers`
@@ -234,7 +213,7 @@ class LogManager {
   uint64_t total_bytes() const;
   // Transient device errors absorbed by retry/backoff on the log path,
   // and flush/pepoch failures that survived the retry budget. Operator
-  // health counters (surfaced through net::ServerStats).
+  // health counters (read through Database::io_retries/io_failures).
   uint64_t io_retries() const {
     return io_retries_.load(std::memory_order_relaxed);
   }
@@ -259,20 +238,11 @@ class LogManager {
   uint64_t single_shard_commits();
   uint64_t cross_shard_commits();
 
-  // --- Batch coverage (log garbage collection surface) -----------------
-  // Every batch a live logger closes lands in a registry of
-  // (logger, seq) → max commit-ts entries. TakeTruncatable removes and
-  // returns the entries wholly covered by a checkpoint at `ts`
-  // (max_cts <= ts) — "take" because the caller deletes those files, and
-  // an entry must not be handed out twice. Entries that are not yet
-  // covered stay for a later pass. Batch files inherited from an earlier
-  // process predate the registry; callers read their coverage from the
-  // batch headers (LogStore::ReadBatchCoverage).
-  std::vector<BatchCoverage> TakeTruncatable(Timestamp ts);
-  // Smallest in-progress batch seq across loggers: files at or past it
-  // may still be appended to and are never truncation candidates. kOff
-  // or zero loggers → 0, which holds back everything — there is nothing
-  // to truncate anyway.
+  // Smallest in-progress batch seq across loggers (the log garbage
+  // collection guard): files at or past it may still be appended to and
+  // are never truncation candidates. Every file below it is closed and
+  // immutable, so its coverage can be read from its batch headers
+  // (LogStore::ReadBatchCoverage).
   uint64_t MinOpenSeq();
 
   // Upper bound on worker log-buffer slots (sessions + executor workers
@@ -340,12 +310,6 @@ class LogManager {
   std::atomic<uint32_t> num_worker_buffers_{0};
   std::mutex grow_mu_;   // Serializes EnsureWorkerBuffers.
   std::mutex flush_mu_;  // Serializes FlushAll / FinalizeAll.
-
-  // Closed-batch coverage registry. Appended from Logger::CloseBatch with
-  // that logger's mu_ held (lock order: Logger::mu_ → coverage_mu_; no
-  // path takes them in the other order).
-  std::mutex coverage_mu_;
-  std::vector<BatchCoverage> closed_batches_;
 
   std::atomic<uint64_t> io_retries_{0};
   std::atomic<uint64_t> io_failures_{0};

@@ -8,8 +8,6 @@ namespace pacman::logging {
 
 const char* LogSchemeName(LogScheme scheme) {
   switch (scheme) {
-    case LogScheme::kOff:
-      return "OFF";
     case LogScheme::kPhysical:
       return "PL";
     case LogScheme::kLogical:
@@ -130,9 +128,6 @@ class FieldReader {
 
   Status ReadRecord(LogScheme scheme, const RecordBases& bases,
                 LogRecord* record) {
-    if (scheme == LogScheme::kOff) {
-      return Status::InvalidArgument("cannot deserialize with scheme OFF");
-    }
     record->params.clear();
     record->writes.clear();
     record->proc = kAdhocProcId;
@@ -163,7 +158,6 @@ class FieldReader {
 
 void SerializeRecord(LogScheme scheme, const LogRecord& record,
                      const RecordBases& bases, Serializer* out) {
-  PACMAN_CHECK(scheme != LogScheme::kOff);
   PACMAN_DCHECK(record.commit_ts >= bases.cts && record.epoch >= bases.epoch);
   out->PutVarint(record.commit_ts - bases.cts);
   out->PutVarint(record.epoch - bases.epoch);
@@ -184,7 +178,6 @@ void SerializeRecord(LogScheme scheme, const LogRecord& record,
 
 size_t SerializedRecordBytes(LogScheme scheme, const LogRecord& record,
                              const RecordBases& bases) {
-  PACMAN_CHECK(scheme != LogScheme::kOff);
   size_t n = VarintBytes(record.commit_ts - bases.cts) +
              VarintBytes(record.epoch - bases.epoch);
   LogScheme images = scheme;

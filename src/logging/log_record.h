@@ -30,7 +30,6 @@
 namespace pacman::logging {
 
 enum class LogScheme : uint8_t {
-  kOff = 0,
   kPhysical = 1,
   kLogical = 2,
   kCommand = 3,

@@ -149,13 +149,6 @@ Status CheckpointService::RunOnce(CheckpointEvent* event) {
 void CheckpointService::TruncateLog(const logging::CheckpointMeta& meta,
                                     CheckpointEvent* event) {
   logging::LogManager* lm = db_->log_manager();
-  // Batches this process closed report their coverage through the
-  // registry; fold the newly covered ones into the map keyed by the
-  // (logger, seq) identity their file names carry.
-  for (const logging::BatchCoverage& c : lm->TakeTruncatable(meta.ts)) {
-    std::lock_guard<std::mutex> g(mu_);
-    coverage_[{c.logger_id, c.seq}] = c.max_cts;
-  }
   const uint64_t min_open = lm->MinOpenSeq();
   const size_t num_loggers = lm->num_loggers();
   for (const logging::BatchFile& f :
@@ -175,9 +168,8 @@ void CheckpointService::TruncateLog(const logging::CheckpointMeta& meta,
       }
     }
     if (!known) {
-      // Inherited from an earlier process (or closed before this service
-      // existed): read the coverage interval from the batch headers, once,
-      // and cache it.
+      // A closed batch is immutable: read its coverage interval from the
+      // batch headers once, and cache it until the file is deleted.
       logging::LogBatch b;
       if (!logging::LogStore::ReadBatchCoverage(lm->scheme(), dev, f.name, &b)
                .ok()) {

@@ -11,9 +11,8 @@
 //      record — see logging/checkpointer.h),
 //   2. truncates the log: deletes every *closed* batch file whose entire
 //      commit-timestamp interval is <= the durable checkpoint's snapshot
-//      timestamp (coverage from the LogManager's closed-batch registry,
-//      or from the batch file header for files inherited from an earlier
-//      process), never touching any logger's in-progress batch,
+//      timestamp (coverage read from the batch headers once per file and
+//      cached), never reading or touching any logger's in-progress batch,
 //   3. retires superseded checkpoints: keeps the one just taken and
 //      deletes every older meta (meta first, so a kill mid-delete leaves
 //      orphan stripes, not a meta naming missing stripes) and stripe.
@@ -141,9 +140,8 @@ class CheckpointService {
   uint64_t log_bytes_at_last_cycle_ = 0;
   Timestamp last_snapshot_ts_ = 0;
   // Coverage of closed batch files awaiting truncation, keyed by
-  // (logger_id, seq) → max commit-ts: fed from the LogManager registry
-  // (batches closed by this process) and lazily from batch file headers
-  // (files inherited from an earlier process).
+  // (logger_id, seq) → max commit-ts, read from each file's batch headers
+  // the first cycle that sees it closed.
   std::map<std::pair<uint32_t, uint64_t>, Timestamp> coverage_;
 };
 

@@ -776,11 +776,6 @@ ServerStats Server::stats() const {
   out.protocol_errors = s->protocol_errors.load(std::memory_order_relaxed);
   out.calls = s->calls.load(std::memory_order_relaxed);
   out.call_errors = s->call_errors.load(std::memory_order_relaxed);
-  out.maintenance = db_->maintenance_stats();
-  out.read_only = db_->read_only();
-  if (out.read_only) out.read_only_reason = db_->read_only_reason();
-  out.io_retries = db_->io_retries();
-  out.io_failures = db_->io_failures();
   return out;
 }
 

@@ -43,7 +43,6 @@
 #include "common/macros.h"
 #include "common/status.h"
 #include "exec/thread_pool.h"
-#include "maintenance/checkpoint_service.h"
 #include "net/protocol.h"
 
 namespace pacman {
@@ -71,7 +70,9 @@ struct ServerOptions {
   int sndbuf_bytes = 0;
 };
 
-// Monotone counters; readable while the server runs.
+// The server's own monotone counters; readable while the server runs.
+// Engine state is read from the Database itself: maintenance_stats(),
+// read_only()/read_only_reason(), io_retries() and io_failures().
 struct ServerStats {
   uint64_t accepted = 0;          // Connections accepted.
   uint64_t active = 0;            // Currently open connections.
@@ -80,17 +81,6 @@ struct ServerStats {
   uint64_t protocol_errors = 0;   // Connections closed with kError.
   uint64_t calls = 0;             // kCall frames accepted for execution.
   uint64_t call_errors = 0;       // kCall frames answered without running.
-  // The database's background maintenance counters
-  // (Database::maintenance_stats). Process-local observability only — not
-  // surfaced on the wire protocol.
-  maintenance::MaintenanceStats maintenance;
-  // Durability health, mirrored from the engine (pacman/database.h):
-  // whether the database is in read-only degraded mode (and why), plus
-  // the logging layer's transient-retry and permanent-failure counters.
-  bool read_only = false;
-  std::string read_only_reason;
-  uint64_t io_retries = 0;   // Transient durable-path faults retried away.
-  uint64_t io_failures = 0;  // Durable-path ops that exhausted retries.
 };
 
 class Server {

@@ -61,8 +61,7 @@ Database::Database(DatabaseOptions options)
       cfg.dir = options_.log_dir + "/dev" + std::to_string(d);
       devices_.push_back(std::make_unique<device::FileDevice>(cfg));
     } else {
-      devices_.push_back(
-          std::make_unique<device::SimulatedSsd>(options_.ssd_config));
+      devices_.push_back(std::make_unique<device::SimulatedSsd>());
     }
   }
   // Every table created from here on is partitioned num_shards ways; the
@@ -582,9 +581,6 @@ FullRecoveryResult Database::Recover(recovery::Scheme scheme,
   }
 
   // --- Stage 2: log recovery ---------------------------------------------
-  recovery::RecoveryOptions log_opts = opts;
-  log_opts.checkpoint_ts = meta.ts;
-
   // Builds and runs the replay graph for one lane's batch stream — the
   // whole log (single lane) or one shard's logger stream — and returns the
   // chosen backend's seconds for it. Counters are shared across lanes
@@ -596,7 +592,7 @@ FullRecoveryResult Database::Recover(recovery::Scheme scheme,
   auto run_log_replay = [&](recovery::PipelinedLogLoader* loader,
                             uint32_t lane_threads) -> double {
     const std::vector<recovery::GlobalBatch>& batches = loader->batches();
-    recovery::RecoveryOptions lane_opts = log_opts;
+    recovery::RecoveryOptions lane_opts = opts;
     lane_opts.num_threads = lane_threads;
     sim::TaskGraph graph;
     sim::MachineConfig machine_config =
@@ -658,7 +654,7 @@ FullRecoveryResult Database::Recover(recovery::Scheme scheme,
 
   // The replay cores are split evenly across the lanes: the lanes are
   // balanced by the shard hash, and a lane never blocks on another.
-  const uint32_t lane_threads = std::max(1u, log_opts.num_threads / num_lanes);
+  const uint32_t lane_threads = std::max(1u, opts.num_threads / num_lanes);
   if (!overlap) {
     for (const auto& loader : loaders) wait_all(loader.get());
   }
@@ -674,12 +670,12 @@ FullRecoveryResult Database::Recover(recovery::Scheme scheme,
     sim::TaskGraph graph;
     for (const auto& loader : loaders) {
       recovery::BuildTupleLogReplay(scheme, loader->batches(), devices,
-                                    &catalog_, log_opts, &graph, &counters,
+                                    &catalog_, opts, &graph, &counters,
                                     nullptr, num_lanes);
     }
     result.log.seconds = run_graph(
-        graph, recovery::StandardMachine(num_ssds, log_opts.num_threads),
-        log_opts.num_threads);
+        graph, recovery::StandardMachine(num_ssds, opts.num_threads),
+        opts.num_threads);
   } else {
     // Every other case replays each lane on its own lane_threads-core
     // machine or pool; the stage lasts as long as its slowest lane. For

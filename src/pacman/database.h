@@ -69,8 +69,7 @@ struct DatabaseOptions {
   // (logs and checkpoints survive a process kill; see Database ctor notes
   // on reopening an existing log_dir).
   device::DeviceKind device = device::DeviceKind::kSimulatedSsd;
-  device::SsdConfig ssd_config;   // kSimulatedSsd backend.
-  std::string log_dir;            // kFile backend: device d uses log_dir/devD.
+  std::string log_dir;  // kFile backend: device d uses log_dir/devD.
   // Optional fully-custom backend; overrides `device` when set. Called
   // once per device index in [0, num_ssds).
   device::DeviceFactory device_factory;

@@ -50,10 +50,9 @@ inline void ApplyDeviceFlags(const CommonFlags& flags, DatabaseOptions* opts,
   }
   // Capture everything by value: the factory outlives this scope (the
   // Database constructor calls it once per device index).
-  const device::SsdConfig ssd_config = opts->ssd_config;
   const std::string log_dir = opts->log_dir;
   opts->device_factory =
-      [spec, inner_kind, ssd_config,
+      [spec, inner_kind,
        log_dir](uint32_t index) -> std::unique_ptr<device::StorageDevice> {
     std::unique_ptr<device::StorageDevice> inner;
     if (inner_kind == "file") {
@@ -61,7 +60,7 @@ inline void ApplyDeviceFlags(const CommonFlags& flags, DatabaseOptions* opts,
       cfg.dir = log_dir + "/dev" + std::to_string(index);
       inner = std::make_unique<device::FileDevice>(cfg);
     } else {
-      inner = std::make_unique<device::SimulatedSsd>(ssd_config);
+      inner = std::make_unique<device::SimulatedSsd>();
     }
     return std::make_unique<device::FaultInjectingDevice>(std::move(inner),
                                                           spec, index);

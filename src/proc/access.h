@@ -5,8 +5,8 @@
 // two worlds:
 //  - forward processing: inside an optimistic transaction (TxnAccess);
 //  - recovery replay: directly against the tables at a known commit
-//    timestamp (ReplayAccess), with the install discipline of the active
-//    recovery scheme (latched, latch-free, or last-writer-wins).
+//    timestamp (ReplayAccess), installing latch-free: CLR and CLR-P replay
+//    conflicting commands in commit order, so no two installs race.
 #ifndef PACMAN_PROC_ACCESS_H_
 #define PACMAN_PROC_ACCESS_H_
 
@@ -79,21 +79,14 @@ class TxnAccess : public AccessContext {
   txn::Transaction* txn_;
 };
 
-// How recovery installs versions.
-enum class InstallMode {
-  kLatched,         // PLR/LLR: take the slot's install latch.
-  kUnlatched,       // PACMAN: the schedule already ordered conflicts.
-  kLastWriterWins,  // PLR/LLR replaying out of order (Thomas write rule).
-};
-
-// Replay access: reads current state, installs at a fixed commit ts.
+// Replay access for command replay: reads current state, installs at a
+// fixed commit ts without a latch (Table::InstallVersionUnlatched).
 // (A (table, key) -> slot memo was tried here and measured ~10% slower
 // than the plain index descent on the replay path — the B+tree is three
 // cache-hot levels at these table sizes, cheaper than hash-map churn.)
 class ReplayAccess : public AccessContext {
  public:
-  ReplayAccess(storage::Catalog* catalog, InstallMode mode)
-      : catalog_(catalog), mode_(mode) {}
+  explicit ReplayAccess(storage::Catalog* catalog) : catalog_(catalog) {}
 
   void set_commit_ts(Timestamp cts) { cts_ = cts; }
 
@@ -116,33 +109,18 @@ class ReplayAccess : public AccessContext {
   void WriteTable(storage::Table* t, TableId /*table*/, Key key, Row row,
                   bool deleted, bool /*is_insert*/) override {
     writes_++;
-    storage::TupleSlot* slot = t->GetOrCreateSlot(key);
-    switch (mode_) {
-      case InstallMode::kLatched:
-        latch_acquisitions_++;
-        storage::Table::InstallVersionLatched(slot, row, cts_, deleted);
-        break;
-      case InstallMode::kUnlatched:
-        storage::Table::InstallVersionUnlatched(slot, row, cts_, deleted);
-        break;
-      case InstallMode::kLastWriterWins:
-        latch_acquisitions_++;
-        storage::Table::InstallLastWriterWins(slot, row, cts_, deleted);
-        break;
-    }
+    storage::Table::InstallVersionUnlatched(t->GetOrCreateSlot(key), row,
+                                            cts_, deleted);
   }
 
   uint64_t reads() const { return reads_; }
   uint64_t writes() const { return writes_; }
-  uint64_t latch_acquisitions() const { return latch_acquisitions_; }
 
  private:
   storage::Catalog* catalog_;
-  InstallMode mode_;
   Timestamp cts_ = kInvalidTimestamp;
   uint64_t reads_ = 0;
   uint64_t writes_ = 0;
-  uint64_t latch_acquisitions_ = 0;
 };
 
 }  // namespace pacman::proc

@@ -33,7 +33,7 @@ void BuildClrReplay(const std::vector<GlobalBatch>& batches,
     const GlobalBatch* b = &batch;
     sim::TaskId replay = graph->AddTask(cpu, batch.seq, [b, catalog, counters,
                                                          cm, &programs] {
-      proc::ReplayAccess access(catalog, proc::InstallMode::kUnlatched);
+      proc::ReplayAccess access(catalog);
       // Replay-thread arena: VM registers/locals/scratch recycled across
       // all re-executed transactions of this thread.
       thread_local proc::ExecArena arena;

@@ -201,7 +201,7 @@ void BuildClrPReplay(const analysis::GlobalDependencyGraph& gdg,
       auto run_piece_set = [bstate, k, cores, mode, catalog,
                             counters, cm, total_threads,
                             table_block, piece_ops, &programs]() -> double {
-        proc::ReplayAccess access(catalog, proc::InstallMode::kUnlatched);
+        proc::ReplayAccess access(catalog);
         // This replay thread's private registers/scratch; the
         // per-transaction locals live in TxnReplay::vm_locals.
         thread_local proc::ExecArena arena;

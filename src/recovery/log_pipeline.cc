@@ -218,11 +218,6 @@ Status PipelinedLogLoader::WaitAll() {
   return error_;
 }
 
-Status PipelinedLogLoader::status() const {
-  std::lock_guard<std::mutex> g(mu_);
-  return error_;
-}
-
 std::vector<sim::TaskId> AddBatchGates(PipelinedLogLoader* loader,
                                        sim::TaskGraph* graph,
                                        sim::GroupId group) {

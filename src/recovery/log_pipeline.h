@@ -119,15 +119,13 @@ class PipelinedLogLoader {
 
   // Blocks until batch `index` (position in ascending-seq order) is
   // merged and verified. Returns nullptr when the pipeline failed before
-  // publishing it (see status()).
+  // publishing it (see error_message()).
   const GlobalBatch* WaitBatch(size_t index);
 
   // Blocks until every batch is published (or the pipeline failed) and
   // the pool finished all pipeline jobs. Returns the first error.
   Status WaitAll();
 
-  // First error, if any. Stable once WaitAll returned.
-  Status status() const;
   // The first error's message, in storage that outlives the call (for
   // PACMAN_CHECK_MSG). Meaningful only after a WaitBatch/WaitAll that
   // observed the failure.

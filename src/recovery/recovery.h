@@ -43,8 +43,6 @@ struct RecoveryOptions {
   uint32_t num_threads = 1;
   CostModel costs;
   PacmanMode mode = PacmanMode::kPipelined;
-  // Replay only records with commit_ts > this (the checkpoint snapshot).
-  Timestamp checkpoint_ts = 0;
   // Build only the reload stage (io + deserialize), for the "pure file
   // reloading" measurements of Figs. 13a/14a.
   bool reload_only = false;

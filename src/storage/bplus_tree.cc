@@ -1,6 +1,8 @@
 #include "storage/bplus_tree.h"
 
 #include <algorithm>
+#include <functional>
+#include <vector>
 
 namespace pacman::storage {
 
@@ -30,7 +32,6 @@ struct BPlusTree::InnerNode : BPlusTree::Node {
 struct BPlusTree::LeafNode : BPlusTree::Node {
   Key keys[kLeafCapacity];
   void* values[kLeafCapacity];
-  LeafNode* next = nullptr;
 
   LeafNode() { is_leaf = true; }
 
@@ -83,43 +84,7 @@ void* BPlusTree::Lookup(Key key) const {
   return result;
 }
 
-void BPlusTree::ScanFrom(
-    Key from, const std::function<bool(Key, void*)>& callback) const {
-  LeafNode* leaf = FindLeafShared(from);
-  int i = leaf->LowerBound(from);
-  while (true) {
-    for (; i < leaf->count; ++i) {
-      if (!callback(leaf->keys[i], leaf->values[i])) {
-        leaf->latch.UnlockShared();
-        return;
-      }
-    }
-    LeafNode* next = leaf->next;
-    if (next == nullptr) {
-      leaf->latch.UnlockShared();
-      return;
-    }
-    next->latch.LockShared();  // Couple along the leaf chain.
-    leaf->latch.UnlockShared();
-    leaf = next;
-    i = 0;
-  }
-}
-
 bool BPlusTree::Insert(Key key, void* value) {
-  bool inserted = false;
-  UpsertInternal(key, value, /*overwrite=*/false, &inserted);
-  return inserted;
-}
-
-void* BPlusTree::Upsert(Key key, void* value) {
-  bool inserted = false;
-  return UpsertInternal(key, value, /*overwrite=*/true, &inserted);
-}
-
-void* BPlusTree::UpsertInternal(Key key, void* value, bool overwrite,
-                                bool* inserted) {
-  *inserted = false;
   // Descend with exclusive latches, releasing safe ancestors.
   root_latch_.LockExclusive();
   bool root_latch_held = true;
@@ -158,13 +123,10 @@ void* BPlusTree::UpsertInternal(Key key, void* value, bool overwrite,
   auto* leaf = static_cast<LeafNode*>(node);
   int pos = leaf->LowerBound(key);
   if (pos < leaf->count && leaf->keys[pos] == key) {
-    void* prev = leaf->values[pos];
-    if (overwrite) leaf->values[pos] = value;
     leaf->latch.UnlockExclusive();
     release_ancestors();
-    return prev;
+    return false;
   }
-  *inserted = true;
 
   // Insert into the leaf (splitting if full).
   if (leaf->count < kLeafCapacity) {
@@ -178,7 +140,7 @@ void* BPlusTree::UpsertInternal(Key key, void* value, bool overwrite,
     leaf->latch.UnlockExclusive();
     release_ancestors();
     size_.fetch_add(1, std::memory_order_relaxed);
-    return nullptr;
+    return true;
   }
 
   // Split the leaf. All unsafe ancestors are still exclusively latched.
@@ -188,8 +150,6 @@ void* BPlusTree::UpsertInternal(Key key, void* value, bool overwrite,
   std::copy(leaf->keys + mid, leaf->keys + leaf->count, right->keys);
   std::copy(leaf->values + mid, leaf->values + leaf->count, right->values);
   leaf->count = mid;
-  right->next = leaf->next;
-  leaf->next = right;
   Key separator = right->keys[0];
 
   // Insert the new entry into the correct half.
@@ -277,7 +237,7 @@ void* BPlusTree::UpsertInternal(Key key, void* value, bool overwrite,
   for (Node* n : latched) n->latch.UnlockExclusive();
   if (root_latch_held) root_latch_.UnlockExclusive();
   size_.fetch_add(1, std::memory_order_relaxed);
-  return nullptr;
+  return true;
 }
 
 int BPlusTree::Height() const {

@@ -1,11 +1,13 @@
 // Copyright (c) 2026 The PACMAN reproduction authors.
 //
 // Concurrent B+tree over 64-bit keys mapping to opaque pointers, used as
-// the ordered primary index of tables (Peloton uses a B-tree-style index;
-// Section 6). Concurrency control is classic latch crabbing: readers take
-// shared latches and release the parent as soon as the child is latched;
-// writers take exclusive latches top-down and release all safe ancestors
-// once the current node cannot split.
+// the point index of tables whose keys are dense, sequentially loaded
+// ranges (Peloton uses a B-tree-style index; Section 6): such keys fill
+// leaves in order, so it packs them tighter and inserts them faster than
+// the hash index. Concurrency control is classic latch crabbing: readers
+// take shared latches and release the parent as soon as the child is
+// latched; writers take exclusive latches top-down and release all safe
+// ancestors once the current node cannot split.
 //
 // Structural deletion is not supported: the engine models SQL DELETE as an
 // MVCC tombstone version, so index entries are only ever inserted. This is
@@ -14,9 +16,8 @@
 #ifndef PACMAN_STORAGE_BPLUS_TREE_H_
 #define PACMAN_STORAGE_BPLUS_TREE_H_
 
+#include <atomic>
 #include <cstdint>
-#include <functional>
-#include <vector>
 
 #include "common/macros.h"
 #include "common/spin_latch.h"
@@ -38,16 +39,8 @@ class BPlusTree {
   // the key already exists.
   bool Insert(Key key, void* value);
 
-  // Inserts or overwrites. Returns the previous value or nullptr.
-  void* Upsert(Key key, void* value);
-
   // Returns the value for `key`, or nullptr if absent.
   void* Lookup(Key key) const;
-
-  // Visits entries with key >= `from` in ascending key order until the
-  // callback returns false or the tree is exhausted.
-  void ScanFrom(Key from,
-                const std::function<bool(Key, void*)>& callback) const;
 
   uint64_t size() const { return size_.load(std::memory_order_relaxed); }
 
@@ -55,7 +48,7 @@ class BPlusTree {
   int Height() const;
 
   // Verifies structural invariants (sorted keys, child separators, uniform
-  // leaf depth, leaf-chain ordering). For tests; not thread-safe.
+  // leaf depth, entry count). For tests; not thread-safe.
   bool CheckInvariants() const;
 
  private:
@@ -66,11 +59,6 @@ class BPlusTree {
   // Latches the leaf that may contain `key` in shared mode; caller must
   // unlock. Crabs from the root.
   LeafNode* FindLeafShared(Key key) const;
-
-  // Shared implementation of Insert/Upsert. If the key exists: overwrites
-  // when `overwrite` and returns the previous value; otherwise inserts and
-  // returns nullptr. `*inserted` reports whether a new entry was created.
-  void* UpsertInternal(Key key, void* value, bool overwrite, bool* inserted);
 
   void FreeRecursive(Node* node);
 

@@ -1,7 +1,8 @@
 // Copyright (c) 2026 The PACMAN reproduction authors.
-// Sharded hash index: Key -> void*. Used as the primary index for
-// point-lookup-only tables; the B+tree serves tables that need ordered
-// scans. Thread-safe via per-shard reader/writer spin latches.
+// Sharded hash index: Key -> void*. The point index of tables whose keys
+// are sparse or random (a workload picks the index per table; the B+tree
+// serves dense, sequentially loaded key ranges). Thread-safe via
+// per-shard reader/writer spin latches.
 #ifndef PACMAN_STORAGE_HASH_INDEX_H_
 #define PACMAN_STORAGE_HASH_INDEX_H_
 
@@ -38,13 +39,8 @@ class HashIndex {
   // Inserts key -> value; returns false if the key already exists.
   bool Insert(Key key, void* value);
 
-  // Inserts or overwrites; returns the previous value or nullptr.
-  void* Upsert(Key key, void* value);
-
   // Returns the value or nullptr.
   void* Lookup(Key key) const;
-
-  uint64_t size() const { return size_.load(std::memory_order_relaxed); }
 
  private:
   struct Shard {
@@ -61,7 +57,6 @@ class HashIndex {
   uint32_t num_shards_;
   uint32_t shift_;
   std::unique_ptr<Shard[]> shards_;
-  std::atomic<uint64_t> size_{0};
 };
 
 }  // namespace pacman::storage

@@ -132,12 +132,6 @@ Status Table::ReadObserved(Key key, Timestamp ts, Row* out,
   return Status::Ok();
 }
 
-void Table::InstallVersionLatched(TupleSlot* slot, const Row& row,
-                                  Timestamp ts, bool deleted) {
-  slot->wlock.Lock();
-  InstallVersionUnlatched(slot, row, ts, deleted);  // Publishing unlocks.
-}
-
 void Table::InstallVersionUnlatched(TupleSlot* slot, const Row& row,
                                     Timestamp ts, bool deleted) {
   Version* old = slot->newest.load(std::memory_order_relaxed);
@@ -163,40 +157,6 @@ bool Table::InstallLastWriterWins(TupleSlot* slot, const Row& row,
   }
   InstallVersionUnlatched(slot, row, ts, deleted);  // Publishing unlocks.
   return true;
-}
-
-void Table::ScanFrom(
-    Key from, Timestamp ts,
-    const std::function<bool(Key, const Row&)>& callback) const {
-  PACMAN_CHECK(index_type_ == IndexType::kBPlusTree);
-  Row row;
-  if (num_parts_ == 1) {
-    parts_[0].btree->ScanFrom(from, [&](Key key, void* p) {
-      const auto* slot = static_cast<const TupleSlot*>(p);
-      const Version* v = slot->VisibleAt(ts);
-      if (v == nullptr || v->deleted) return true;  // Skip invisible tuples.
-      v->ReadRow(&row);
-      return callback(key, row);
-    });
-    return;
-  }
-  // Sharded: each partition's tree is ordered but the shards interleave,
-  // so collect the visible suffix of every shard and merge by key.
-  std::vector<std::pair<Key, const Version*>> visible;
-  for (uint32_t s = 0; s < num_parts_; ++s) {
-    parts_[s].btree->ScanFrom(from, [&](Key key, void* p) {
-      const auto* slot = static_cast<const TupleSlot*>(p);
-      const Version* v = slot->VisibleAt(ts);
-      if (v != nullptr && !v->deleted) visible.emplace_back(key, v);
-      return true;
-    });
-  }
-  std::sort(visible.begin(), visible.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-  for (const auto& [key, v] : visible) {
-    v->ReadRow(&row);
-    if (!callback(key, row)) return;
-  }
 }
 
 void Table::ForEachSlot(const std::function<void(TupleSlot*)>& fn) const {

@@ -1,8 +1,8 @@
 // Copyright (c) 2026 The PACMAN reproduction authors.
-// Main-memory table: a slot arena of MVCC tuples plus a primary index
-// (B+tree for ordered tables, sharded hash for point-lookup tables).
-// Versions hold their rows encoded (storage/tuple.h); reads decode them
-// into the caller's Row.
+// Main-memory table: a slot arena of MVCC tuples plus a primary point
+// index, chosen per table: a B+tree (dense, sequentially loaded key
+// ranges) or a sharded hash. Versions hold their rows encoded
+// (storage/tuple.h); reads decode them into the caller's Row.
 #ifndef PACMAN_STORAGE_TABLE_H_
 #define PACMAN_STORAGE_TABLE_H_
 
@@ -74,34 +74,22 @@ class Table {
   // begin_ts; on a slot the caller write-locked, the stamp publication
   // doubles as the unlock (commit's install-and-release step).
   //
-  // Appends a committed version on `slot` under the slot latch — the
-  // stamp word's lock bit, which the install's stamp publication releases.
-  // Used by the latched recovery schemes, which never run beside forward
-  // commits (the other users of that bit). `ts` must exceed the current
-  // newest version's begin_ts.
-  static void InstallVersionLatched(TupleSlot* slot, const Row& row,
-                                    Timestamp ts, bool deleted = false);
-  // Same but without taking the latch: used by forward processing (the
-  // committer holds the slot's write lock, which this install releases)
-  // and by PACMAN replay, whose schedule already serialized conflicting
-  // writers so the latch is provably unnecessary (§4.5).
+  // Appends a committed version on `slot` without taking the latch: used
+  // by forward processing (the committer holds the slot's write lock,
+  // which this install releases), by PACMAN replay, whose schedule
+  // already serialized conflicting writers so the latch is provably
+  // unnecessary (§4.5), and by LLR-P's per-key ordered installs. `ts` must
+  // not be below the current newest version's begin_ts.
   static void InstallVersionUnlatched(TupleSlot* slot, const Row& row,
                                       Timestamp ts, bool deleted = false);
   // Last-writer-wins install (Thomas write rule): drops the write if a
   // version with begin_ts >= ts is already in place. Used by PLR/LLR whose
-  // threads replay log records out of order. Takes the slot latch; a
-  // dropped write releases it with the stamp unchanged. Returns whether
-  // the write was installed.
+  // threads replay log records out of order. Takes the slot latch — the
+  // stamp word's lock bit, which the install's stamp publication
+  // releases; a dropped write releases it with the stamp unchanged.
+  // Returns whether the write was installed.
   static bool InstallLastWriterWins(TupleSlot* slot, const Row& row,
                                     Timestamp ts, bool deleted = false);
-
-  // --- Scans -------------------------------------------------------------
-  // Ordered scan from `from` (B+tree tables only): visits visible rows at
-  // `ts` until the callback returns false. On a sharded table the per-shard
-  // trees are merged into one key-ordered pass (materialized; scans are a
-  // cold path — tests and introspection — not the transaction hot path).
-  void ScanFrom(Key from, Timestamp ts,
-                const std::function<bool(Key, const Row&)>& callback) const;
 
   // Visits every slot (any order, including logically deleted tuples).
   // NOT safe against concurrent slot creation; single-threaded callers
@@ -131,8 +119,8 @@ class Table {
 
  private:
   // One shard's worth of table state. Key-routed operations touch exactly
-  // one partition; whole-table operations (scans, hashes, checkpoints)
-  // iterate all of them. Cache-line aligned so two partitions' arena
+  // one partition; whole-table operations (hashes, checkpoints) iterate
+  // all of them. Cache-line aligned so two partitions' arena
   // latches never share a line — adjacent shards are exactly the state
   // that distinct workers touch concurrently.
   struct alignas(64) Partition {

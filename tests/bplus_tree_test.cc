@@ -4,7 +4,6 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <map>
 #include <thread>
 #include <vector>
@@ -34,12 +33,27 @@ TEST(BPlusTreeTest, InsertAndLookup) {
   EXPECT_EQ(tree.size(), 2u);
 }
 
-TEST(BPlusTreeTest, UpsertOverwrites) {
+// A duplicate insert descends with exclusive latches like any insert but
+// returns before touching the leaf: it must change nothing and release
+// every latch it took, or the inserts after it would spin forever.
+TEST(BPlusTreeTest, DuplicateInsertsChangeNothingAndReleaseLatches) {
   BPlusTree tree;
-  EXPECT_EQ(tree.Upsert(7, Ptr(1)), nullptr);
-  EXPECT_EQ(tree.Upsert(7, Ptr(2)), Ptr(1));
-  EXPECT_EQ(tree.Lookup(7), Ptr(2));
-  EXPECT_EQ(tree.size(), 1u);
+  const uint64_t n = 10000;
+  // 7919 is prime to n, so this visits every key once in a scattered
+  // order that leaves some leaves full and some half full.
+  for (uint64_t i = 0; i < n; ++i) {
+    const Key k = i * 7919 % n;
+    ASSERT_TRUE(tree.Insert(k, Ptr(k + 1)));
+  }
+  const int height = tree.Height();
+  for (uint64_t k = 0; k < n; ++k) ASSERT_FALSE(tree.Insert(k, Ptr(k + 7)));
+  EXPECT_EQ(tree.size(), n);
+  EXPECT_EQ(tree.Height(), height);
+  EXPECT_TRUE(tree.CheckInvariants());
+  for (uint64_t k = 0; k < n; ++k) ASSERT_EQ(tree.Lookup(k), Ptr(k + 1));
+  for (uint64_t k = n; k < 2 * n; ++k) ASSERT_TRUE(tree.Insert(k, Ptr(k + 1)));
+  EXPECT_EQ(tree.size(), 2 * n);
+  EXPECT_TRUE(tree.CheckInvariants());
 }
 
 TEST(BPlusTreeTest, SplitsPreserveAllKeysAscending) {
@@ -60,38 +74,7 @@ TEST(BPlusTreeTest, SplitsPreserveAllKeysDescending) {
   for (uint64_t k = 1; k <= n; ++k) ASSERT_EQ(tree.Lookup(k), Ptr(k));
 }
 
-TEST(BPlusTreeTest, ScanFromVisitsInOrder) {
-  BPlusTree tree;
-  for (uint64_t k = 0; k < 1000; k += 2) tree.Insert(k, Ptr(k + 1));
-  std::vector<Key> seen;
-  tree.ScanFrom(101, [&](Key k, void*) {
-    seen.push_back(k);
-    return seen.size() < 5;
-  });
-  ASSERT_EQ(seen.size(), 5u);
-  EXPECT_EQ(seen.front(), 102u);
-  EXPECT_TRUE(std::is_sorted(seen.begin(), seen.end()));
-}
-
-TEST(BPlusTreeTest, ScanWholeTree) {
-  BPlusTree tree;
-  Rng rng(5);
-  std::map<Key, void*> model;
-  for (int i = 0; i < 5000; ++i) {
-    Key k = rng.Uniform(0, 1u << 20);
-    if (model.emplace(k, Ptr(k + 7)).second) tree.Insert(k, Ptr(k + 7));
-  }
-  std::vector<Key> seen;
-  tree.ScanFrom(0, [&](Key k, void*) {
-    seen.push_back(k);
-    return true;
-  });
-  ASSERT_EQ(seen.size(), model.size());
-  auto it = model.begin();
-  for (Key k : seen) EXPECT_EQ(k, (it++)->first);
-}
-
-// Property sweep: random interleavings of insert/upsert vs a std::map
+// Property sweep: random interleavings of insert/lookup vs a std::map
 // model, across several seeds.
 class BPlusTreePropertyTest : public ::testing::TestWithParam<uint64_t> {};
 
@@ -105,10 +88,8 @@ TEST_P(BPlusTreePropertyTest, MatchesModel) {
       bool inserted = tree.Insert(k, Ptr(i + 1));
       EXPECT_EQ(inserted, model.emplace(k, Ptr(i + 1)).second);
     } else {
-      void* prev = tree.Upsert(k, Ptr(i + 1));
       auto it = model.find(k);
-      EXPECT_EQ(prev, it == model.end() ? nullptr : it->second);
-      model[k] = Ptr(i + 1);
+      EXPECT_EQ(tree.Lookup(k), it == model.end() ? nullptr : it->second);
     }
   }
   EXPECT_EQ(tree.size(), model.size());
@@ -138,6 +119,41 @@ TEST(BPlusTreeConcurrencyTest, ParallelDisjointInserts) {
   for (uint64_t k = 0; k < kThreads * kPerThread; ++k) {
     ASSERT_EQ(tree.Lookup(k), Ptr(k + 1));
   }
+}
+
+// Threads race to insert the same keys, half of them walking the key
+// range backwards so they also meet mid-range: every key has exactly one
+// winner, and the tree keeps the winner's value.
+TEST(BPlusTreeConcurrencyTest, RacingInsertsOfOneKeyHaveOneWinner) {
+  BPlusTree tree;
+  constexpr int kThreads = 4;
+  constexpr uint64_t kKeys = 20000;
+  std::vector<std::vector<uint8_t>> won(kThreads,
+                                        std::vector<uint8_t>(kKeys, 0));
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t]() {
+      for (uint64_t i = 0; i < kKeys; ++i) {
+        const Key k = t % 2 == 0 ? i : kKeys - 1 - i;
+        if (tree.Insert(k, Ptr(k * kThreads + t + 1))) won[t][k] = 1;
+      }
+    });
+  }
+  for (auto& t : threads) t.join();
+  for (uint64_t k = 0; k < kKeys; ++k) {
+    int winners = 0;
+    int winner = 0;
+    for (int t = 0; t < kThreads; ++t) {
+      if (won[t][k] != 0) {
+        winners++;
+        winner = t;
+      }
+    }
+    ASSERT_EQ(winners, 1) << "key " << k;
+    ASSERT_EQ(tree.Lookup(k), Ptr(k * kThreads + winner + 1)) << "key " << k;
+  }
+  EXPECT_EQ(tree.size(), kKeys);
+  EXPECT_TRUE(tree.CheckInvariants());
 }
 
 TEST(BPlusTreeConcurrencyTest, ReadersDuringWrites) {

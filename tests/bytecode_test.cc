@@ -534,7 +534,7 @@ TEST(ExecArenaTest, BindResetsPresenceAndKeepsCapacity) {
     EXPECT_EQ(st.present[l], 0);
   }
 
-  proc::ReplayAccess access(db->catalog(), proc::InstallMode::kUnlatched);
+  proc::ReplayAccess access(db->catalog());
   access.set_commit_ts(1);
   ASSERT_TRUE(proc::VmExecuteAll(&st, &access).ok());
   bool any_present = false;
@@ -575,7 +575,7 @@ TEST(ExecArenaTest, BindSharedUsesTxnLocals) {
   EXPECT_EQ(st.locals, locals.rows.data());
   EXPECT_EQ(st.present, locals.present.data());
 
-  proc::ReplayAccess access(db->catalog(), proc::InstallMode::kUnlatched);
+  proc::ReplayAccess access(db->catalog());
   access.set_commit_ts(1);
   ASSERT_TRUE(proc::VmExecuteAll(&st, &access).ok());
   bool any_present = false;

@@ -52,10 +52,9 @@ using device::IoResult;
 using device::OpJournal;
 using device::OpJournalEntry;
 using device::SimulatedSsd;
-using device::SsdConfig;
 
 std::unique_ptr<SimulatedSsd> Ssd() {
-  return std::make_unique<SimulatedSsd>(SsdConfig::PaperSsd());
+  return std::make_unique<SimulatedSsd>();
 }
 
 // --- Spec parsing ---------------------------------------------------------
@@ -256,7 +255,7 @@ TEST(FaultInjectorTest, JournalReplayRebuildsEveryOpBoundary) {
       {true, {1, 2}, true},    {false, {}, true},
   };
   for (size_t upto = 0; upto <= entries.size(); ++upto) {
-    SimulatedSsd target(SsdConfig::PaperSsd());
+    SimulatedSsd target;
     device::ReplayJournal(entries, upto, {&target});
     EXPECT_EQ(target.Exists("a"), expect[upto].has_a) << upto;
     EXPECT_EQ(target.Exists("b"), expect[upto].has_b) << upto;
@@ -771,11 +770,10 @@ TEST(FaultServerTest, PermanentLogFailureLeavesServerServingReadOnly) {
   ASSERT_TRUE(fresh.Call(1, balance, {Value(int64_t{4})}, &r2));
   EXPECT_EQ(r2.status, static_cast<uint8_t>(StatusCode::kOk));
 
-  const net::ServerStats stats = server.stats();
-  EXPECT_TRUE(stats.read_only);
-  EXPECT_NE(stats.read_only_reason.find("log volume yanked"),
+  EXPECT_TRUE(e.db->read_only());
+  EXPECT_NE(e.db->read_only_reason().find("log volume yanked"),
             std::string::npos);
-  EXPECT_GE(stats.io_failures, 1u);
+  EXPECT_GE(e.db->io_failures(), 1u);
 
   server.Stop();
 }

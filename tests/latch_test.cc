@@ -297,21 +297,23 @@ TEST(InstallLatchTest, ThomasRuleDropLeavesStampUnchanged) {
   EXPECT_EQ(slot->wlock.Load(), OccStampLock::Pack(11));
 }
 
-// 8 threads race last-writer-wins and latched installs on a handful of
-// shared slots, every install under the slot's stamp-word lock bit. Each
-// last-writer-wins timestamp is drawn from its slot's counter, so installs
-// keep racing at the newest version; a quarter of the draws are held back
-// and installed later, out of order, where the Thomas rule drops most of
-// them. Each slot also has one latched writer that, after its share,
-// installs timestamps ascending above every drawn one, as the latched
-// install requires. A lost or torn install breaks the chain's order, its
-// row contents or its count.
+// 8 threads race last-writer-wins installs on a handful of shared slots,
+// every install under the slot's stamp-word lock bit. Each timestamp is
+// drawn from its slot's counter, so installs keep racing at the newest
+// version; a quarter of the draws are held back and installed later, out
+// of order, where the Thomas rule drops most of them. Each slot also has
+// one ascending writer that, after its share, installs timestamps above
+// every drawn one, where it always wins. A lost or torn install breaks the
+// chain's order, its row contents or its count.
 TEST(InstallLatchTest, ContendedInstallsKeepChainsOrderedAndExact) {
   constexpr int kThreads = 8;
   constexpr int kSlots = 2;
-  constexpr int kOpsPerThread = 20000;  // Last-writer-wins, over the slots.
+  // Drawn timestamps, over the slots. Enough that the threads overlap in
+  // time on a shared host, where a thread can run tens of thousands of
+  // installs before the next one is scheduled.
+  constexpr int kOpsPerThread = 100000;
   constexpr Timestamp kLwwTs = kThreads * kOpsPerThread / kSlots;
-  constexpr Timestamp kLatched = 100;  // Per slot, by its latched writer.
+  constexpr Timestamp kAbove = 100;  // Per slot, by its ascending writer.
   storage::Table table(0, "t", Schema({{"v", ValueType::kInt64, 0}}),
                        storage::IndexType::kHash);
   std::vector<storage::TupleSlot*> slots;
@@ -325,13 +327,9 @@ TEST(InstallLatchTest, ContendedInstallsKeepChainsOrderedAndExact) {
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&, t]() {
       wins[t].fill(0);
-      const auto install = [&](int slot, Timestamp ts, bool latched) {
+      const auto install = [&](int slot, Timestamp ts) {
         const Row row = {Value(static_cast<int64_t>(ts))};
-        if (latched) {
-          storage::Table::InstallVersionLatched(slots[slot], row, ts);
-          wins[t][slot]++;
-        } else if (storage::Table::InstallLastWriterWins(slots[slot], row,
-                                                         ts)) {
+        if (storage::Table::InstallLastWriterWins(slots[slot], row, ts)) {
           wins[t][slot]++;
         }
       };
@@ -345,20 +343,18 @@ TEST(InstallLatchTest, ContendedInstallsKeepChainsOrderedAndExact) {
         if (rng.Uniform(0, 3) == 0) {
           held.emplace_back(slot, ts);
         } else {
-          install(slot, ts, false);
+          install(slot, ts);
         }
         if (held.size() > 8 || (!held.empty() && rng.Uniform(0, 3) == 0)) {
           const size_t i = rng.Uniform(0, held.size() - 1);
-          install(held[i].first, held[i].second, false);
+          install(held[i].first, held[i].second);
           held[i] = held.back();
           held.pop_back();
         }
       }
-      for (const auto& [slot, ts] : held) install(slot, ts, false);
+      for (const auto& [slot, ts] : held) install(slot, ts);
       if (t < kSlots) {
-        for (Timestamp k = 1; k <= kLatched; ++k) {
-          install(t, kLwwTs + k, true);
-        }
+        for (Timestamp k = 1; k <= kAbove; ++k) install(t, kLwwTs + k);
       }
     });
   }
@@ -370,18 +366,18 @@ TEST(InstallLatchTest, ContendedInstallsKeepChainsOrderedAndExact) {
     for (int t = 0; t < kThreads; ++t) want_versions += wins[t][s];
     const storage::Version* newest = slots[s]->newest.load();
     ASSERT_NE(newest, nullptr);
-    EXPECT_EQ(newest->begin_ts, kLwwTs + kLatched);
+    EXPECT_EQ(newest->begin_ts, kLwwTs + kAbove);
     const uint64_t stamp = slots[s]->wlock.Load();
     EXPECT_FALSE(OccStampLock::IsLocked(stamp));
     EXPECT_EQ(OccStampLock::TsOf(stamp), newest->begin_ts);
     uint64_t versions = 0;
-    uint64_t latched = 0;
+    uint64_t above = 0;
     uint64_t out_of_order = 0;
     uint64_t wrong_rows = 0;
     Row row;
     for (const storage::Version* v = newest; v != nullptr; v = v->older) {
       versions++;
-      if (v->begin_ts > kLwwTs) latched++;
+      if (v->begin_ts > kLwwTs) above++;
       if (v->older != nullptr && v->begin_ts <= v->older->begin_ts) {
         out_of_order++;
       }
@@ -393,7 +389,7 @@ TEST(InstallLatchTest, ContendedInstallsKeepChainsOrderedAndExact) {
     }
     EXPECT_EQ(out_of_order, 0u);
     EXPECT_EQ(wrong_rows, 0u);
-    EXPECT_EQ(latched, kLatched);
+    EXPECT_EQ(above, kAbove);
     EXPECT_EQ(versions, want_versions);
   }
 }

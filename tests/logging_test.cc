@@ -3,8 +3,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "device/simulated_ssd.h"
 #include "logging/checkpointer.h"
+#include "logging/log_store.h"
 #include "pacman/database.h"
 #include "test_util.h"
 #include "workload/bank.h"
@@ -234,6 +238,50 @@ TEST_F(LoggingTest, LoaderRestoresGlobalCommitOrder) {
       testutil::LoadLog(LogScheme::kCommand, db->device_ptrs(), prev);
   ASSERT_TRUE(filtered->status.ok());
   EXPECT_EQ(filtered->num_records(), 0u);
+}
+
+// Log truncation learns which commit timestamps a closed batch file holds
+// from its block headers alone (LogStore::ReadBatchCoverage). For every
+// batch the loggers closed under group commit, one block per flush, the
+// header interval must be exactly the span of the records in the file.
+TEST_F(LoggingTest, ClosedBatchHeadersSpanExactlyTheirRecords) {
+  for (LogScheme scheme :
+       {LogScheme::kPhysical, LogScheme::kLogical, LogScheme::kCommand}) {
+    SCOPED_TRACE(LogSchemeName(scheme));
+    auto db = MakeDb(scheme);
+    RunTxns(db.get(), 200);
+    db->AdvanceEpoch();
+    LogManager* lm = db->log_manager();
+    const uint64_t min_open = lm->MinOpenSeq();
+    size_t closed = 0;
+    for (const BatchFile& f : LogStore::ListBatchFiles(lm->devices())) {
+      if (f.seq >= min_open) continue;
+      device::StorageDevice* dev = lm->devices()[f.device];
+      LogBatch header;
+      ASSERT_TRUE(
+          LogStore::ReadBatchCoverage(scheme, dev, f.name, &header).ok());
+      std::vector<uint8_t> bytes;
+      ASSERT_TRUE(dev->ReadFile(f.name, &bytes).ok());
+      LogBatch full;
+      ASSERT_TRUE(LogStore::DeserializeBatch(scheme, bytes, &full).ok());
+      ASSERT_FALSE(full.records.empty()) << f.name;
+      Timestamp lo = kMaxTimestamp;
+      Timestamp hi = 0;
+      for (const LogRecord& r : full.records) {
+        lo = std::min(lo, r.commit_ts);
+        hi = std::max(hi, r.commit_ts);
+      }
+      EXPECT_EQ(header.logger_id, f.logger) << f.name;
+      EXPECT_EQ(header.seq, f.seq) << f.name;
+      EXPECT_EQ(header.min_cts, lo) << f.name;
+      EXPECT_EQ(header.max_cts, hi) << f.name;
+      EXPECT_EQ(header.file_bytes, bytes.size()) << f.name;
+      EXPECT_TRUE(header.records.empty()) << f.name;
+      closed++;
+    }
+    // Two loggers, two epochs per batch, ten commits per epoch.
+    EXPECT_GE(closed, 8u);
+  }
 }
 
 }  // namespace

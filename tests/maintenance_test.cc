@@ -10,6 +10,8 @@
 
 #include <cstdlib>
 #include <filesystem>
+#include <functional>
+#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -128,7 +130,7 @@ TEST_F(MaintenanceTest, FileDeviceRemoveFileIsDurableAndIdempotent) {
 }
 
 TEST_F(MaintenanceTest, SimulatedSsdRemoveFileIsIdempotent) {
-  device::SimulatedSsd dev(device::SsdConfig::PaperSsd());
+  device::SimulatedSsd dev;
   ASSERT_TRUE(dev.WriteFile("a", {1}).ok());
   ASSERT_TRUE(dev.RemoveFile("a").ok());
   EXPECT_FALSE(dev.Exists("a"));
@@ -139,7 +141,7 @@ TEST_F(MaintenanceTest, SimulatedSsdRemoveFileIsIdempotent) {
 // --- Batch coverage headers ----------------------------------------------
 
 TEST_F(MaintenanceTest, ReadBatchCoverageAnswersFromHeader) {
-  device::SimulatedSsd dev(device::SsdConfig::PaperSsd());
+  device::SimulatedSsd dev;
   logging::LogBatch batch;
   batch.logger_id = 1;
   batch.seq = 4;
@@ -197,8 +199,10 @@ TEST_F(MaintenanceTest, TornMetaFallsBackToPreviousDurableCheckpoint) {
 
   // A torn meta (kill mid-write: garbage bytes under a higher id) must
   // not mask the durable checkpoint below it.
-  db->device(0)->WriteFile(logging::Checkpointer::MetaFileName(9),
-                           std::vector<uint8_t>(24, 0xab));
+  ASSERT_TRUE(db->device(0)
+                  ->WriteFile(logging::Checkpointer::MetaFileName(9),
+                              std::vector<uint8_t>(24, 0xab))
+                  .ok());
   ASSERT_TRUE(cp->ReadLatestMeta(&latest).ok());
   EXPECT_EQ(latest.id, second.id);
 
@@ -214,18 +218,12 @@ TEST_F(MaintenanceTest, TornMetaFallsBackToPreviousDurableCheckpoint) {
 
 // --- Checkpoint failure surfaces as Status --------------------------------
 
-// Wrapper device that silently swallows checkpoint stripe writes — the
-// "device acknowledged a write it did not keep" failure TakeCheckpoint
-// must detect instead of letting truncation delete the only copy.
-class StripeDroppingDevice : public device::StorageDevice {
+// Forwards every operation to an in-memory SimulatedSsd: the base of the
+// wrapper devices below, which each override the calls they observe.
+class ForwardingDevice : public device::StorageDevice {
  public:
-  explicit StripeDroppingDevice(bool* drop) : drop_(drop) {}
   device::IoResult WriteFile(const std::string& name,
                              std::vector<uint8_t> bytes) override {
-    if (*drop_ && name.rfind("ckpt_", 0) == 0 &&
-        name.rfind("ckpt_meta_", 0) != 0) {
-      return device::IoResult::Ok(0.0);  // Acknowledge and drop.
-    }
     return inner_.WriteFile(name, std::move(bytes));
   }
   device::IoResult AppendFile(const std::string& name,
@@ -261,7 +259,25 @@ class StripeDroppingDevice : public device::StorageDevice {
   double FsyncSeconds() const override { return inner_.FsyncSeconds(); }
 
  private:
-  device::SimulatedSsd inner_{device::SsdConfig::PaperSsd()};
+  device::SimulatedSsd inner_;
+};
+
+// Wrapper device that silently swallows checkpoint stripe writes — the
+// "device acknowledged a write it did not keep" failure TakeCheckpoint
+// must detect instead of letting truncation delete the only copy.
+class StripeDroppingDevice : public ForwardingDevice {
+ public:
+  explicit StripeDroppingDevice(bool* drop) : drop_(drop) {}
+  device::IoResult WriteFile(const std::string& name,
+                             std::vector<uint8_t> bytes) override {
+    if (*drop_ && name.rfind("ckpt_", 0) == 0 &&
+        name.rfind("ckpt_meta_", 0) != 0) {
+      return device::IoResult::Ok(0.0);  // Acknowledge and drop.
+    }
+    return ForwardingDevice::WriteFile(name, std::move(bytes));
+  }
+
+ private:
   bool* drop_;
 };
 
@@ -403,6 +419,167 @@ TEST_F(MaintenanceTest, RetainedLogStaysBoundedAsLoggedBytesGrows) {
   EXPECT_GE(service->stats().truncations, 1u);
 }
 
+// What a BatchReadCountingDevice saw, shared by every device of one
+// database. Touched only by the test thread: the service cycles run
+// synchronously and nothing else reads batch files here.
+struct BatchReadProbe {
+  Database* db = nullptr;
+  bool counting = true;
+  // Runs just before a checkpoint meta is written, i.e. after the
+  // checkpoint took its snapshot.
+  std::function<void()> before_meta;
+  std::map<std::string, int> reads;     // ReadFile calls per batch file.
+  std::vector<std::string> open_reads;  // Reads of an in-progress batch.
+};
+
+class BatchReadCountingDevice : public ForwardingDevice {
+ public:
+  explicit BatchReadCountingDevice(BatchReadProbe* probe) : probe_(probe) {}
+  device::IoResult WriteFile(const std::string& name,
+                             std::vector<uint8_t> bytes) override {
+    if (probe_->before_meta && name.rfind("ckpt_meta_", 0) == 0) {
+      probe_->before_meta();
+    }
+    return ForwardingDevice::WriteFile(name, std::move(bytes));
+  }
+  Status ReadFile(const std::string& name,
+                  std::vector<uint8_t>* out) const override {
+    uint32_t logger = 0;
+    uint64_t seq = 0;
+    if (probe_->counting &&
+        logging::LogStore::ParseBatchFileName(name, &logger, &seq)) {
+      probe_->reads[name]++;
+      if (seq >= probe_->db->log_manager()->MinOpenSeq()) {
+        probe_->open_reads.push_back(name);
+      }
+    }
+    return ForwardingDevice::ReadFile(name, out);
+  }
+
+ private:
+  BatchReadProbe* probe_;
+};
+
+TEST_F(MaintenanceTest, TruncationReadsEachClosedBatchHeaderOnce) {
+  BatchReadProbe probe;
+  DatabaseOptions opts = SimDbOptions(logging::LogScheme::kCommand);
+  opts.device_factory = [&probe](uint32_t) {
+    return std::make_unique<BatchReadCountingDevice>(&probe);
+  };
+  auto db = std::make_unique<Database>(opts);
+  probe.db = db.get();
+  bank_.Install(db.get());
+  db->FinalizeSchema();
+  ASSERT_TRUE(db->TryTakeCheckpoint().ok());
+  auto service = MakeService(db.get());
+  // Commits landing while a cycle writes its checkpoint close batches the
+  // checkpoint does not cover; the next cycle covers them, and must not
+  // read them again to find out.
+  int landed = 0;
+  probe.before_meta = [&] { RunTxns(db.get(), 25, /*seed=*/50 + landed++); };
+
+  logging::LogManager* lm = db->log_manager();
+  uint64_t uncovered_closed = 0;
+  uint64_t open_files = 0;
+  for (int cycle = 0; cycle < 4; ++cycle) {
+    RunTxns(db.get(), 40, /*seed=*/10 + cycle);
+    maintenance::CheckpointEvent ev;
+    ASSERT_TRUE(service->RunOnce(&ev).ok());
+    // Every closed batch the checkpoint covers is gone.
+    probe.counting = false;
+    const uint64_t min_open = lm->MinOpenSeq();
+    for (const logging::BatchFile& f :
+         logging::LogStore::ListBatchFiles(lm->devices())) {
+      if (f.seq >= min_open) {
+        open_files++;
+        continue;
+      }
+      logging::LogBatch b;
+      ASSERT_TRUE(logging::LogStore::ReadBatchCoverage(
+                      lm->scheme(), lm->devices()[f.device], f.name, &b)
+                      .ok());
+      EXPECT_GT(b.max_cts, ev.ts) << f.name << " is covered but kept";
+      uncovered_closed++;
+    }
+    probe.counting = true;
+  }
+  // The cycles met both kinds of file the reads must treat differently.
+  EXPECT_GT(uncovered_closed, 0u);
+  EXPECT_GT(open_files, 0u);
+  EXPECT_FALSE(probe.reads.empty());
+  for (const auto& [name, n] : probe.reads) {
+    EXPECT_LE(n, 1) << name << " read " << n << " times";
+  }
+  EXPECT_TRUE(probe.open_reads.empty())
+      << "in-progress batch read: " << probe.open_reads.front();
+}
+
+// One service outlives an in-process crash. Crash() closes the log
+// streams and Recover() resumes them; the service's cached coverage of
+// the batches closed before the crash stays true, because closed batches
+// are immutable, and its next cycle deletes every batch the new
+// checkpoint covers, whichever side of the crash closed it.
+TEST_F(MaintenanceTest, ServiceTruncatesAcrossAnInProcessCrash) {
+  auto db = std::make_unique<Database>(
+      SimDbOptions(logging::LogScheme::kCommand));
+  bank_.Install(db.get());
+  db->FinalizeSchema();
+  ASSERT_TRUE(db->TryTakeCheckpoint().ok());
+  auto service = MakeService(db.get());
+  RunTxns(db.get(), 60);
+  ASSERT_TRUE(service->RunOnce(nullptr).ok());
+  RunTxns(db.get(), 60, /*seed=*/2);
+
+  recovery::RecoveryOptions ropts;
+  ropts.num_threads = 4;
+  const uint64_t hash_at_crash = db->ContentHash();
+  db->Crash();
+  logging::LogManager* lm = db->log_manager();
+  std::map<std::string, Timestamp> at_crash;  // Batch file → max_cts.
+  for (const logging::BatchFile& f :
+       logging::LogStore::ListBatchFiles(lm->devices())) {
+    logging::LogBatch b;
+    ASSERT_TRUE(logging::LogStore::ReadBatchCoverage(
+                    lm->scheme(), lm->devices()[f.device], f.name, &b)
+                    .ok());
+    at_crash[f.name] = b.max_cts;
+  }
+  ASSERT_FALSE(at_crash.empty());
+  db->Recover(recovery::Scheme::kClrP, ropts);
+  ASSERT_EQ(db->ContentHash(), hash_at_crash);
+
+  RunTxns(db.get(), 60, /*seed=*/3);
+  maintenance::CheckpointEvent ev;
+  ASSERT_TRUE(service->RunOnce(&ev).ok());
+  EXPECT_GT(ev.batches_deleted, 0u);
+  uint64_t covered_at_crash = 0;
+  for (const auto& [name, max_cts] : at_crash) {
+    if (max_cts > ev.ts) continue;
+    covered_at_crash++;
+    for (device::StorageDevice* dev : lm->devices()) {
+      EXPECT_FALSE(dev->Exists(name)) << name << " is covered but kept";
+    }
+  }
+  EXPECT_GT(covered_at_crash, 0u);
+  const uint64_t min_open = lm->MinOpenSeq();
+  for (const logging::BatchFile& f :
+       logging::LogStore::ListBatchFiles(lm->devices())) {
+    if (f.seq >= min_open) continue;
+    logging::LogBatch b;
+    ASSERT_TRUE(logging::LogStore::ReadBatchCoverage(
+                    lm->scheme(), lm->devices()[f.device], f.name, &b)
+                    .ok());
+    EXPECT_GT(b.max_cts, ev.ts) << f.name << " is covered but kept";
+  }
+
+  // What the cycle kept recovers the database exactly.
+  RunTxns(db.get(), 20, /*seed=*/4);
+  const uint64_t hash_before = db->ContentHash();
+  db->Crash();
+  db->Recover(recovery::Scheme::kClrP, ropts);
+  EXPECT_EQ(db->ContentHash(), hash_before);
+}
+
 // --- GC/no-GC recovery parity across all five schemes ---------------------
 
 struct SchemeCase {
@@ -424,7 +601,9 @@ TEST_P(MaintenanceParityTest, RecoveryMatchesNoGcControl) {
     auto service = MakeService(db.get());
     for (int round = 0; round < 4; ++round) {
       RunTxns(db.get(), 50, /*seed=*/10 + round);
-      if (gc) EXPECT_TRUE(service->RunOnce(nullptr).ok());
+      if (gc) {
+        EXPECT_TRUE(service->RunOnce(nullptr).ok());
+      }
     }
     const uint64_t hash_before = db->ContentHash();
     db->Crash();
@@ -499,12 +678,16 @@ TEST_F(MaintenanceTest, KillMidCheckpointLeavesTornMetaThatIsIgnored) {
     hash_before = db->ContentHash();
     // Simulate a kill -9 mid-checkpoint: stripes of the next id partially
     // written, meta torn (truncated garbage).
-    db->device(0)->WriteFile(
-        logging::Checkpointer::StripeFileName(durable_id + 1, 0, 0),
-        std::vector<uint8_t>(128, 0x5a));
-    db->device(0)->WriteFile(
-        logging::Checkpointer::MetaFileName(durable_id + 1),
-        std::vector<uint8_t>(13, 0x5a));
+    ASSERT_TRUE(db->device(0)
+                    ->WriteFile(logging::Checkpointer::StripeFileName(
+                                    durable_id + 1, 0, 0),
+                                std::vector<uint8_t>(128, 0x5a))
+                    .ok());
+    ASSERT_TRUE(db->device(0)
+                    ->WriteFile(
+                        logging::Checkpointer::MetaFileName(durable_id + 1),
+                        std::vector<uint8_t>(13, 0x5a))
+                    .ok());
   }
   auto db = std::make_unique<Database>(
       FileDbOptions(logging::LogScheme::kCommand, "torn"));

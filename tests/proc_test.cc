@@ -121,7 +121,7 @@ class VmTest : public ::testing::Test {
   ProcedureRegistry registry_;
   ProgramSet programs_;
   ExecArena arena_;
-  ReplayAccess access_{&catalog_, InstallMode::kUnlatched};
+  ReplayAccess access_{&catalog_};
   workload::Bank bank_{workload::BankConfig{.num_users = 100,
                                             .num_nations = 4,
                                             .single_fraction = 0.0}};
