@@ -173,14 +173,20 @@ bench::Env MakeBankEnv() {
   return env;
 }
 
-// Storage-stubbed access context: every read returns a fixed one-column
-// row, writes are dropped. Takes the storage engine (index descent,
-// version install) out of the measurement, leaving bytecode evaluation,
-// per-txn state management and row building.
+// Storage-stubbed access context: every read views one fixed one-column
+// packed row, encoded once, and writes are dropped. Takes the storage
+// engine (index descent, version install) out of the measurement, leaving
+// bytecode evaluation, per-txn state management and row building.
 class StubAccess : public proc::AccessContext {
  public:
-  Status Read(TableId, Key, Row* out) override {
-    *out = row_;
+  StubAccess() {
+    const Row row = {Value(1000.0)};
+    row_.resize(FixedRowBytes(row));
+    EncodeFixedRow(row, row_.data());
+  }
+  Status ReadTable(storage::Table*, TableId, Key,
+                   const uint8_t** row) override {
+    *row = row_.data();
     return Status::Ok();
   }
   void Write(TableId, Key, Row row, bool, bool) override {
@@ -188,7 +194,7 @@ class StubAccess : public proc::AccessContext {
   }
 
  private:
-  Row row_ = {Value(1000.0)};
+  std::vector<uint8_t> row_;
   Row sink_;
 };
 

@@ -119,11 +119,12 @@ void ForwardComparison(const char* section, const std::string& title,
               "txn/s", "wall (s)", "single-shard", "cross-shard",
               "log B/txn");
   struct Side {
+    explicit Side(uint32_t n) : shards(n) {}
     uint32_t shards;
     DriverResult best;
     uint64_t single = 0, cross = 0, bytes = 0;
   };
-  Side sides[2] = {{1u}, {kShards}};
+  Side sides[2] = {Side(1u), Side(kShards)};
   for (int rep = 0; rep < reps; ++rep) {
     for (Side& side : sides) {
       Env env = MakeEnv(logging::LogScheme::kCommand, side.shards, mix);

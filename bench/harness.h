@@ -10,6 +10,7 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/flags.h"
@@ -190,15 +191,32 @@ inline std::vector<uint32_t> PaperThreadCounts() {
 // tables are printed. Committed baselines (BENCH_*.json at the repo root)
 // use exactly this format, so a rerun is diffable against them.
 struct JsonRow {
+  // Rows are written positionally, in the field order below; `extra` is
+  // the only optional field.
+  JsonRow(std::string section, std::string scheme, uint32_t threads,
+          uint64_t txns, double txns_per_sec, double abort_rate,
+          double retries_per_txn, double lock_waits_per_txn, double seconds,
+          std::string extra = "")
+      : section(std::move(section)),
+        scheme(std::move(scheme)),
+        threads(threads),
+        txns(txns),
+        txns_per_sec(txns_per_sec),
+        abort_rate(abort_rate),
+        retries_per_txn(retries_per_txn),
+        lock_waits_per_txn(lock_waits_per_txn),
+        seconds(seconds),
+        extra(std::move(extra)) {}
+
   std::string section;  // e.g. "forward_commit_scaling", "recovery_fig15a".
   std::string scheme;   // Log/recovery scheme name of the row.
-  uint32_t threads = 0;
-  uint64_t txns = 0;
-  double txns_per_sec = 0.0;   // 0 when the row measures recovery only.
-  double abort_rate = 0.0;     // Aborted attempts / total attempts.
-  double retries_per_txn = 0.0;
-  double lock_waits_per_txn = 0.0;  // Commit slot-lock contention events.
-  double seconds = 0.0;        // Wall (forward) or virtual (recovery) time.
+  uint32_t threads;
+  uint64_t txns;
+  double txns_per_sec;        // 0 when the row measures recovery only.
+  double abort_rate;          // Aborted attempts / total attempts.
+  double retries_per_txn;
+  double lock_waits_per_txn;  // Commit slot-lock contention events.
+  double seconds;             // Wall (forward) or virtual (recovery) time.
   // Pre-rendered JSON fragment appended inside the row object for
   // bench-specific fields (e.g. `"p50_us": 12.3, "p99_us": 45.6`). Must
   // start with a comma when non-empty; empty keeps the row byte-identical

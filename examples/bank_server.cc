@@ -7,9 +7,10 @@
 //
 // Build & run:
 //   cmake -B build -G Ninja && cmake --build build
-//   ./build/examples/bank_server --port 7444 [--threads N] \
-//       [--device file --log-dir /tmp/pacman-bank] \
+//   ./build/examples/bank_server --port 7444 [--threads N]
+//       [--device file --log-dir /tmp/pacman-bank]
 //       [--checkpoint-secs S] [--checkpoint-mb N]
+// (one command line: the options wrap here only for width)
 //
 // With a checkpoint trigger set, a background service periodically
 // checkpoints and truncates the log (maintenance/checkpoint_service.h),

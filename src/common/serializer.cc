@@ -108,35 +108,73 @@ uint8_t* EncodeFixedRow(const Row& row, uint8_t* out) {
   return out;
 }
 
+namespace {
+
+// Sources for DecodeFixedValue's copy-assignments: copy-assigning a
+// non-string clears the destination's type but keeps its string capacity
+// (Value::operator=), and copy-assigning a view materializes the bytes in
+// the destination's own string, reusing that capacity. So a VM register or
+// row slot that once held a string never reallocates for it again.
+const Value kNullValue;
+
+// Decodes the value at `p` into *v; returns the byte past it.
+const uint8_t* DecodeFixedValue(const uint8_t* p, Value* v) {
+  switch (static_cast<ValueType>(*p++)) {
+    case ValueType::kNull:
+      *v = kNullValue;
+      return p;
+    case ValueType::kInt64: {
+      const Value number(GetFixed<int64_t>(p));
+      *v = number;
+      return p + sizeof(int64_t);
+    }
+    case ValueType::kDouble: {
+      const Value number(GetFixed<double>(p));
+      *v = number;
+      return p + sizeof(double);
+    }
+    case ValueType::kString: {
+      const uint32_t n = GetFixed<uint32_t>(p);
+      p += sizeof(uint32_t);
+      const Value view = Value::BorrowedString(
+          std::string_view(reinterpret_cast<const char*>(p), n));
+      *v = view;
+      return p + n;
+    }
+  }
+  return p;
+}
+
+// The byte past the value at `p`.
+const uint8_t* SkipFixedValue(const uint8_t* p) {
+  switch (static_cast<ValueType>(*p++)) {
+    case ValueType::kNull:
+      return p;
+    case ValueType::kInt64:
+    case ValueType::kDouble:
+      return p + sizeof(int64_t);
+    case ValueType::kString:
+      return p + sizeof(uint32_t) + GetFixed<uint32_t>(p);
+  }
+  return p;
+}
+
+}  // namespace
+
 void DecodeFixedRow(const uint8_t* p, Row* out) {
   out->resize(GetFixed<uint32_t>(p));
   p += sizeof(uint32_t);
-  for (Value& v : *out) {
-    switch (static_cast<ValueType>(*p++)) {
-      case ValueType::kNull:
-        v = Value::Null();
-        break;
-      case ValueType::kInt64:
-        v = Value(GetFixed<int64_t>(p));
-        p += sizeof(int64_t);
-        break;
-      case ValueType::kDouble:
-        v = Value(GetFixed<double>(p));
-        p += sizeof(double);
-        break;
-      case ValueType::kString: {
-        const uint32_t n = GetFixed<uint32_t>(p);
-        p += sizeof(uint32_t);
-        // Copy-assigning a view materializes the bytes in v's own
-        // string, reusing its capacity.
-        const Value view = Value::BorrowedString(
-            std::string_view(reinterpret_cast<const char*>(p), n));
-        v = view;
-        p += n;
-        break;
-      }
-    }
+  for (Value& v : *out) p = DecodeFixedValue(p, &v);
+}
+
+void DecodeFixedField(const uint8_t* p, size_t col, Value* out) {
+  if (col >= GetFixed<uint32_t>(p)) {
+    *out = kNullValue;
+    return;
   }
+  p += sizeof(uint32_t);
+  for (; col > 0; --col) p = SkipFixedValue(p);
+  DecodeFixedValue(p, out);
 }
 
 Status CheckFixedRow(const uint8_t* p, size_t avail, size_t* size) {

@@ -63,6 +63,10 @@ size_t FixedRowSize(const uint8_t* p);
 // Decodes the well-formed row at `p` into *out, reusing the capacity of
 // its values; string bytes are copied, never borrowed.
 void DecodeFixedRow(const uint8_t* p, Row* out);
+// Decodes column `col` of the well-formed row at `p` into *out, reusing
+// its string capacity; Null when the row has no such column. Walks the
+// values before `col` without decoding them.
+void DecodeFixedField(const uint8_t* p, size_t col, Value* out);
 // Checks the row that starts at `p` and must end within `avail` bytes:
 // every tag is a ValueType and no length runs past the end. Sets *size to
 // its bytes; kCorruption otherwise.

@@ -262,7 +262,7 @@ TxnResult Database::Execute(ProcId proc, const std::vector<Value>& params,
                    "every procedure");
   const proc::CompiledProgram& prog = programs_.Get(proc);
   // Per-worker arena: registers, locals and row scratch recycled across
-  // transactions (zero steady-state allocation).
+  // transactions (reads allocate nothing once it is warm).
   thread_local proc::ExecArena arena;
   TxnResult result;
   result.status = Status::Internal("not attempted");

@@ -7,6 +7,14 @@
 //  - recovery replay: directly against the tables at a known commit
 //    timestamp (ReplayAccess), installing latch-free: CLR and CLR-P replay
 //    conflicting commands in commit order, so no two installs race.
+//
+// A read returns a view, not a decoded row: a pointer to the packed row
+// bytes (common/serializer.h) of the version it resolved to, or to the
+// transaction's own buffered write encoded once. The VM keeps that pointer
+// as the read's local and decodes only the columns it loads. Versions are
+// immutable and outlive every view (storage/tuple.h), so a replayed
+// transaction's views stay valid across its pieces and threads even when
+// later installs supersede the versions they point at.
 #ifndef PACMAN_PROC_ACCESS_H_
 #define PACMAN_PROC_ACCESS_H_
 
@@ -25,43 +33,39 @@ namespace pacman::proc {
 class AccessContext {
  public:
   virtual ~AccessContext() = default;
-  virtual Status Read(TableId table, Key key, Row* out) = 0;
+  // Points *row at the packed row of `key` in `t` (resolved at compile
+  // time from `table`), or sets it null and returns kNotFound when the row
+  // is absent. The view must stay valid for the rest of the execution.
+  virtual Status ReadTable(storage::Table* t, TableId table, Key key,
+                           const uint8_t** row) = 0;
   virtual void Write(TableId table, Key key, Row row, bool deleted,
                      bool is_insert) = 0;
 
-  // Pre-resolved-table fast path used by compiled programs: the compiler
+  // Pre-resolved-table write used by compiled programs: the compiler
   // caches the catalog_->GetTable(table) descent once per (program, table)
   // at FinalizeSchema() time. Contexts that can use the pointer directly
-  // override these; the defaults fall back to the TableId virtuals so any
-  // context keeps working unmodified.
-  virtual Status ReadTable(storage::Table* /*t*/, TableId table, Key key,
-                           Row* out) {
-    return Read(table, key, out);
-  }
+  // override it; the default falls back to the TableId virtual.
   virtual void WriteTable(storage::Table* /*t*/, TableId table, Key key,
                           Row row, bool deleted, bool is_insert) {
     Write(table, key, std::move(row), deleted, is_insert);
   }
 };
 
-// Forward-processing access: routes through an optimistic Transaction.
+// Forward-processing access: routes through an optimistic Transaction,
+// whose reads' views last as long as the Transaction.
 class TxnAccess : public AccessContext {
  public:
   TxnAccess(storage::Catalog* catalog, txn::Transaction* txn)
       : catalog_(catalog), txn_(txn) {}
 
-  Status Read(TableId table, Key key, Row* out) override {
-    return ReadTable(catalog_->GetTable(table), table, key, out);
+  Status ReadTable(storage::Table* t, TableId /*table*/, Key key,
+                   const uint8_t** row) override {
+    return txn_->Read(t, key, row);
   }
   void Write(TableId table, Key key, Row row, bool deleted,
              bool is_insert) override {
     WriteTable(catalog_->GetTable(table), table, key, std::move(row),
                deleted, is_insert);
-  }
-
-  Status ReadTable(storage::Table* t, TableId /*table*/, Key key,
-                   Row* out) override {
-    return txn_->Read(t, key, out);
   }
   void WriteTable(storage::Table* t, TableId /*table*/, Key key, Row row,
                   bool deleted, bool is_insert) override {
@@ -90,20 +94,18 @@ class ReplayAccess : public AccessContext {
 
   void set_commit_ts(Timestamp cts) { cts_ = cts; }
 
-  Status Read(TableId table, Key key, Row* out) override {
-    return ReadTable(catalog_->GetTable(table), table, key, out);
+  // Views the newest version; an install that later supersedes it leaves
+  // the viewed version in the chain.
+  Status ReadTable(storage::Table* t, TableId /*table*/, Key key,
+                   const uint8_t** row) override {
+    reads_++;
+    return t->Read(key, kMaxTimestamp, row);
   }
 
   void Write(TableId table, Key key, Row row, bool deleted,
              bool is_insert) override {
     WriteTable(catalog_->GetTable(table), table, key, std::move(row),
                deleted, is_insert);
-  }
-
-  Status ReadTable(storage::Table* t, TableId /*table*/, Key key,
-                   Row* out) override {
-    reads_++;
-    return t->Read(key, kMaxTimestamp, out);
   }
 
   void WriteTable(storage::Table* t, TableId /*table*/, Key key, Row row,

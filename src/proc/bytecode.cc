@@ -1,6 +1,7 @@
 #include "proc/bytecode.h"
 
 #include "common/macros.h"
+#include "common/serializer.h"
 #include "proc/expr.h"
 #include "storage/table.h"
 
@@ -41,26 +42,19 @@ Status RunRange(VmState* st, AccessContext* access, uint32_t pc,
   const CompiledProgram& prog = *st->prog;
   const Instr* code = prog.code.data();
   Value* regs = st->regs;
-  const uint8_t* present = st->present;
-  const Row* locals = st->locals;
+  const uint8_t** locals = st->locals;
   while (pc < end) {
     const Instr& ins = code[pc];
     switch (ins.op) {
-      case BcOp::kLoadField: {
-        if (!present[ins.a]) {
+      case BcOp::kLoadField:
+        if (locals[ins.a] == nullptr) {
           regs[ins.dst] = kNullValue;
-          break;
-        }
-        const Row& row = locals[ins.a];
-        if (ins.b < row.size()) {
-          regs[ins.dst] = row[ins.b];
         } else {
-          regs[ins.dst] = kNullValue;
+          DecodeFixedField(locals[ins.a], ins.b, &regs[ins.dst]);
         }
         break;
-      }
       case BcOp::kLoadExists:
-        regs[ins.dst] = BoolValue(present[ins.a] != 0);
+        regs[ins.dst] = BoolValue(locals[ins.a] != nullptr);
         break;
       case BcOp::kAdd:
         regs[ins.dst] =
@@ -141,22 +135,18 @@ Status RunRange(VmState* st, AccessContext* access, uint32_t pc,
       case BcOp::kReadRow: {
         PACMAN_DCHECK(access != nullptr);
         const Key key = OperandKey(*st, ins.b);
+        // A miss leaves the local null.
         Status s = access->ReadTable(prog.tables[ins.a],
                                      prog.table_ids[ins.a], key,
-                                     &st->locals[ins.dst]);
-        if (s.ok()) {
-          st->present[ins.dst] = 1;
-        } else if (s.code() == StatusCode::kNotFound) {
-          st->present[ins.dst] = 0;
-        } else {
-          return s;
-        }
+                                     &locals[ins.dst]);
+        if (!s.ok() && s.code() != StatusCode::kNotFound) return s;
         break;
       }
       case BcOp::kBeginRow:
-        st->scratch->clear();
-        if (ins.a != kNoBaseLocal && present[ins.a]) {
-          *st->scratch = locals[ins.a];
+        if (ins.a != kNoBaseLocal && locals[ins.a] != nullptr) {
+          DecodeFixedRow(locals[ins.a], st->scratch);
+        } else {
+          st->scratch->clear();
         }
         break;
       case BcOp::kSetCol: {
@@ -192,7 +182,7 @@ Status RunRange(VmState* st, AccessContext* access, uint32_t pc,
 inline bool AllPresent(const VmState& st,
                        const std::vector<uint16_t>& locals) {
   for (uint16_t l : locals) {
-    if (!st.present[l]) return false;
+    if (st.locals[l] == nullptr) return false;
   }
   return true;
 }
@@ -293,15 +283,18 @@ const char* BcOpName(BcOp op) {
 }
 
 std::string OperandName(Operand o) {
-  const uint16_t idx = o & kOperandIndexMask;
+  char space = 'r';
   switch (o & kOperandTagMask) {
     case kOperandConst:
-      return "c" + std::to_string(idx);
+      space = 'c';
+      break;
     case kOperandParam:
-      return "p" + std::to_string(idx);
-    default:
-      return "r" + std::to_string(idx);
+      space = 'p';
+      break;
   }
+  std::string name(1, space);
+  name += std::to_string(o & kOperandIndexMask);
+  return name;
 }
 
 }  // namespace

@@ -5,12 +5,19 @@
 // Procedures are written as expression trees (proc/expr.h). The compiler
 // (proc/compiler.h) lowers each procedure once, at FinalizeSchema() time,
 // into the flat form defined here: a contiguous instruction vector over
-// dense register slots, with
-// constants pooled in the program and parameters referenced in place, so
-// steady-state execution touches no allocator at all (registers, local
-// rows and the row-build scratch come from a per-worker ExecArena,
-// proc/exec_arena.h, and keep their string/row capacity across
-// transactions).
+// dense register slots, with constants pooled in the program and
+// parameters referenced in place, so steady-state reads and expressions
+// touch no allocator (registers, locals and the row-build scratch come
+// from a per-worker ExecArena, proc/exec_arena.h, and registers keep their
+// string capacity across transactions; only a write allocates its row).
+//
+// Locals are views. A read stores a pointer to the packed row bytes of the
+// version it resolved to (common/serializer.h, storage/tuple.h), null when
+// the row is absent; a field load decodes just that column into a
+// register, and only an update (kBeginRow) decodes a whole row, into the
+// scratch. Nothing is copied out of a version until it is used, so a
+// replayed transaction that waits between its pieces holds one pointer per
+// read, not a decoded row.
 //
 // Operands are 16-bit and carry their own address space in the top two
 // bits: a register, a constant-pool slot or a parameter index. Constant
@@ -20,9 +27,9 @@
 // Register discipline: every operation's instruction range is
 // self-contained — it writes each scratch register before reading it and
 // no register value flows between operations (cross-operation data flows
-// through the local rows). This is what lets CLR-P execute different
+// through the locals). This is what lets CLR-P execute different
 // pieces of one transaction on different threads with nothing shared but
-// the locals/present arrays, and lets the compiler reuse the same low
+// the locals array, and lets the compiler reuse the same low
 // register numbers in every op (the register file stays a few cache
 // lines).
 //
@@ -62,8 +69,8 @@ inline constexpr Operand kOperandIndexMask = 0x3FFF;
 enum class BcOp : uint8_t {
   // Pure value instructions (no data access; these are the only opcodes
   // allowed inside guard / key / result sub-ranges).
-  kLoadField,   // dst = locals[a][b], Null when absent / column overflow.
-  kLoadExists,  // dst = present[a] as int64 0/1.
+  kLoadField,   // dst = column b of locals[a]; Null when absent or short.
+  kLoadExists,  // dst = (locals[a] != null) as int64 0/1.
   kAdd,         // dst = in(a) + in(b)   (numeric promotion as Value::Add).
   kSub,
   kMul,
@@ -81,8 +88,9 @@ enum class BcOp : uint8_t {
   // Control flow.
   kJumpIfFalse,  // if !truthy(in(a)) pc = dst  (skips the rest of the op).
   // Data access (through AccessContext, table pointer pre-resolved).
-  kReadRow,    // locals[dst] = read(tables[a], key=in(b)); present updated.
-  kBeginRow,   // scratch = (a != kNoBaseLocal && present[a]) ? locals[a] : {}.
+  kReadRow,    // locals[dst] = view of read(tables[a], key=in(b)), or null.
+  kBeginRow,   // scratch = decoded locals[a] if a != kNoBaseLocal and
+               // locals[a] is not null, else {}.
   kSetCol,     // scratch[a] = in(b), resizing to a+1 when short.
   kAppendCol,  // scratch.push_back(in(a)).
   kWriteRow,   // write(tables[a], key=in(b), move(scratch), insert = c).
@@ -105,7 +113,7 @@ struct Instr {
 // let recovery re-run just the guard or just the key computation: the
 // dynamic analysis (§4.3.1) extracts a piece's access set by executing key
 // ranges alone, and resolvability is a compile-time-collected list of the
-// locals the range's kField loads need present.
+// locals the range's kField loads need non-null.
 struct CompiledOp {
   uint32_t begin = 0, end = 0;              // Full instruction range.
   uint32_t guard_begin = 0, guard_end = 0;  // Guard eval (sans jump).
@@ -184,20 +192,21 @@ struct CompiledProgram {
 };
 
 // Execution state of one program run. Owns nothing: registers and scratch
-// come from the executing thread's ExecArena; locals/present either from
-// the same arena (forward processing, CLR) or from a per-transaction
-// VmTxnLocals shared by the transaction's pieces across threads (CLR-P).
+// come from the executing thread's ExecArena; locals either from the same
+// arena (forward processing, CLR) or from a per-transaction VmTxnLocals
+// shared by the transaction's pieces across threads (CLR-P).
 struct VmState {
   const CompiledProgram* prog = nullptr;
   const std::vector<Value>* params = nullptr;  // Borrowed; never null.
   Value* regs = nullptr;
-  Row* locals = nullptr;
-  uint8_t* present = nullptr;
+  // One view per local: the packed row its read resolved to (valid while
+  // the version lives, storage/tuple.h), or null when absent / not read.
+  const uint8_t** locals = nullptr;
   Row* scratch = nullptr;  // Row-build staging (kBeginRow/kWriteRow).
 };
 
 // Executes the given operations (ascending op indices): guards skip, read
-// misses clear `present`, non-OK only on internal errors. Successive calls
+// misses null their local, non-OK only on internal errors. Successive calls
 // over disjoint op subsets of one transaction (CLR-P's pieces) share its
 // locals through `state`.
 Status VmExecuteOps(const std::vector<OpIndex>& op_indices, VmState* state,
@@ -212,8 +221,8 @@ std::vector<Value> VmEvalResults(VmState* state);
 
 // Dynamic analysis (§4.3.1): the (table, key) set the given ops would
 // access, from the runtime values in `state`. Guarded-out ops are left
-// out. Returns false when some key reads a local that is not present (its
-// read has not executed yet, or missed). Scratch registers are written
+// out. Returns false when some key reads a local that is null (its read
+// has not executed yet, or missed). Scratch registers are written
 // (hence the mutable state), locals are not.
 bool VmTryExtractAccessSet(const std::vector<OpIndex>& op_indices,
                            VmState* state,

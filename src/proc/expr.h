@@ -32,7 +32,7 @@ enum class ExprKind : uint8_t {
   kConstant,
   kParam,      // params[index]
   kField,      // locals[index][column]
-  kLocalExists,  // local_present[index] as 0/1
+  kLocalExists,  // 1 when locals[index]'s read found a row, else 0
   kAdd,
   kSub,
   kMul,

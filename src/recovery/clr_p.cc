@@ -24,9 +24,10 @@ uint64_t PackAccess(TableId table, Key key) {
 // Replay state of one logged transaction within a batch.
 struct TxnReplay {
   const logging::LogRecord* rec = nullptr;
-  // Locals/present shared by all pieces of the transaction (different
-  // threads may run them); registers and scratch are bound from each
-  // replay thread's own arena at piece execution time.
+  // Locals shared by all pieces of the transaction (different threads may
+  // run them): one view per read, into a version that stays in its chain
+  // however many installs later supersede it. Registers and scratch are
+  // bound from each replay thread's own arena at piece execution time.
   proc::VmTxnLocals vm_locals;
 };
 

@@ -113,14 +113,15 @@ void Table::LoadVersion(Key key, Version* v) {
   slot->wlock.PublishTs(v->begin_ts);
 }
 
-Status Table::Read(Key key, Timestamp ts, Row* out) const {
+Status Table::Read(Key key, Timestamp ts, const uint8_t** row) const {
   Timestamp observed;
   TupleSlot* slot;
-  return ReadObserved(key, ts, out, &observed, &slot);
+  return ReadObserved(key, ts, row, &observed, &slot);
 }
 
-Status Table::ReadObserved(Key key, Timestamp ts, Row* out,
+Status Table::ReadObserved(Key key, Timestamp ts, const uint8_t** row,
                            Timestamp* observed, TupleSlot** slot) const {
+  *row = nullptr;
   *observed = kInvalidTimestamp;
   *slot = GetSlot(key);
   if (*slot == nullptr) return Status::NotFound();
@@ -128,8 +129,15 @@ Status Table::ReadObserved(Key key, Timestamp ts, Row* out,
   if (v == nullptr) return Status::NotFound();
   *observed = v->begin_ts;
   if (v->deleted) return Status::NotFound();
-  v->ReadRow(out);
+  *row = v->row();
   return Status::Ok();
+}
+
+Status Table::Read(Key key, Timestamp ts, Row* out) const {
+  const uint8_t* row;
+  Status s = Read(key, ts, &row);
+  if (s.ok()) DecodeFixedRow(row, out);
+  return s;
 }
 
 void Table::InstallVersionUnlatched(TupleSlot* slot, const Row& row,

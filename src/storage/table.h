@@ -2,7 +2,8 @@
 // Main-memory table: a slot arena of MVCC tuples plus a primary point
 // index, chosen per table: a B+tree (dense, sequentially loaded key
 // ranges) or a sharded hash. Versions hold their rows encoded
-// (storage/tuple.h); reads decode them into the caller's Row.
+// (storage/tuple.h); reads return a view of those bytes, and only the
+// reader decides what to decode.
 #ifndef PACMAN_STORAGE_TABLE_H_
 #define PACMAN_STORAGE_TABLE_H_
 
@@ -58,16 +59,21 @@ class Table {
   void LoadRow(Key key, const uint8_t* row, size_t size, Timestamp ts);
 
   // --- MVCC reads -------------------------------------------------------
-  // Decodes the row visible at `ts` into *out, reusing its capacity;
-  // kNotFound if absent/deleted.
-  Status Read(Key key, Timestamp ts, Row* out) const;
+  // Points *row at the packed bytes (common/serializer.h) of the row
+  // visible at `ts`: a view into the version itself, valid while the
+  // database is open (storage/tuple.h). kNotFound, with *row null, if
+  // absent/deleted.
+  Status Read(Key key, Timestamp ts, const uint8_t** row) const;
   // Same, and also reports the begin_ts of the version the read resolved
   // to (tombstones included), or 0 when the key had no version at `ts`,
   // plus the slot itself (nullptr when the key has none). Those are what
   // OCC validation later compares against the slot's commit stamp
   // (TupleSlot::wlock), so transactions record them per read.
-  Status ReadObserved(Key key, Timestamp ts, Row* out, Timestamp* observed,
-                      TupleSlot** slot) const;
+  Status ReadObserved(Key key, Timestamp ts, const uint8_t** row,
+                      Timestamp* observed, TupleSlot** slot) const;
+  // Decodes the row Read views into *out: a convenience for tests and
+  // tools, not a second read path.
+  Status Read(Key key, Timestamp ts, Row* out) const;
 
   // --- Version installation ---------------------------------------------
   // Every install keeps TupleSlot::wlock equal to the newest version's

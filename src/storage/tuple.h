@@ -16,6 +16,16 @@
 //    deleted) followed by the row in the fixed-width encoding that
 //    checkpoint stripes use (common/serializer.h). String bytes are always
 //    copied in, so a version never points into a caller's buffer.
+//
+// Readers view those bytes in place (Table::Read returns a pointer to
+// them): a VM local is such a view, held for a forward transaction's whole
+// attempt and, under CLR-P, across the pieces and threads of a replayed
+// transaction. That is sound because a version is immutable once linked
+// and nothing frees it while the database is open: a newer version only
+// supersedes it in the chain, and only Table::Reset (a crash) frees
+// chains. A version that a running transaction or a recovery may still
+// view must not be freed; reclaiming old versions (by epoch, as Silo
+// does) has to wait until no such view can remain.
 #ifndef PACMAN_STORAGE_TUPLE_H_
 #define PACMAN_STORAGE_TUPLE_H_
 
@@ -32,7 +42,8 @@
 namespace pacman::storage {
 
 // One committed version of a tuple: this header, then the row's encoded
-// bytes in the same allocation. Immutable once linked into the chain.
+// bytes in the same allocation. Immutable once linked into the chain, so
+// row() may be viewed for as long as the version lives.
 // Created by New, freed by Free; never copied or built on its own.
 struct Version {
   Timestamp begin_ts;  // Creator's commit timestamp.

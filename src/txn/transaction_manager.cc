@@ -3,34 +3,56 @@
 #include <algorithm>
 #include <thread>
 
+#include "common/serializer.h"
+
 namespace pacman::txn {
 
-Status Transaction::Read(storage::Table* table, Key key, Row* out) {
+Status Transaction::Read(storage::Table* table, Key key,
+                         const uint8_t** row) {
   // Own writes first (reverse order: latest buffered write wins).
   for (auto it = write_set_.rbegin(); it != write_set_.rend(); ++it) {
     if (it->table == table && it->key == key) {
-      if (it->deleted) return Status::NotFound();
-      *out = it->row;
+      if (it->deleted) {
+        *row = nullptr;
+        return Status::NotFound();
+      }
+      *row = EncodedWrite(&*it);
       return Status::Ok();
     }
   }
   ReadEntry entry{table, key, kInvalidTimestamp, nullptr};
   Status s =
-      table->ReadObserved(key, read_ts_, out, &entry.observed, &entry.slot);
+      table->ReadObserved(key, read_ts_, row, &entry.observed, &entry.slot);
   read_set_.push_back(entry);
   return s;
 }
 
+Status Transaction::Read(storage::Table* table, Key key, Row* out) {
+  const uint8_t* row;
+  Status s = Read(table, key, &row);
+  if (s.ok()) DecodeFixedRow(row, out);
+  return s;
+}
+
+const uint8_t* Transaction::EncodedWrite(WriteEntry* w) {
+  if (w->encoded == nullptr) {
+    own_rows_.emplace_back(new uint8_t[FixedRowBytes(w->row)]);
+    EncodeFixedRow(w->row, own_rows_.back().get());
+    w->encoded = own_rows_.back().get();
+  }
+  return w->encoded;
+}
+
 void Transaction::Write(storage::Table* table, Key key, Row row) {
-  write_set_.push_back({table, key, std::move(row), false, false});
+  write_set_.push_back({table, key, std::move(row), false, false, nullptr});
 }
 
 void Transaction::Insert(storage::Table* table, Key key, Row row) {
-  write_set_.push_back({table, key, std::move(row), false, true});
+  write_set_.push_back({table, key, std::move(row), false, true, nullptr});
 }
 
 void Transaction::Delete(storage::Table* table, Key key) {
-  write_set_.push_back({table, key, {}, true, false});
+  write_set_.push_back({table, key, {}, true, false, nullptr});
 }
 
 void Transaction::CoalesceWrites() {

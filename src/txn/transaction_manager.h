@@ -3,7 +3,13 @@
 //
 // Reads run against the snapshot at the transaction's begin timestamp and
 // record the stamp (begin_ts) of the version they resolved to; writes are
-// buffered. Commit never enters a global critical section: it write-locks
+// buffered. A read returns a view of the version's packed row bytes
+// (storage/tuple.h), not a decoded copy; a read of the transaction's own
+// buffered write views that write's row, encoded once into storage the
+// Transaction owns. Either view stays valid for the Transaction's life,
+// commit included, so results can be evaluated after commit.
+//
+// Commit never enters a global critical section: it write-locks
 // only its own write-set slots (per-TupleSlot stamp locks, acquired in
 // canonical (table, key) order so multi-slot lockers cannot deadlock),
 // draws an epoch-prefixed commit TID from one atomic counter, validates
@@ -36,6 +42,7 @@
 
 #include <atomic>
 #include <functional>
+#include <memory>
 #include <mutex>
 #include <vector>
 
@@ -55,6 +62,9 @@ struct WriteEntry {
   Row row;
   bool deleted = false;
   bool is_insert = false;
+  // `row` encoded, once a read of this write has needed it (owned by the
+  // Transaction's own_rows_); null until then.
+  const uint8_t* encoded = nullptr;
 };
 
 struct ReadEntry {
@@ -77,8 +87,11 @@ class TransactionManager;
 // A single in-flight transaction. Not thread-safe (one worker owns it).
 class Transaction {
  public:
-  // Reads the row for `key` visible at the snapshot, observing the
-  // transaction's own earlier writes. kNotFound if absent.
+  // Points *row at the packed row for `key` visible at the snapshot,
+  // observing the transaction's own earlier writes; kNotFound, with *row
+  // null, if absent. The view is valid for this Transaction's life.
+  Status Read(storage::Table* table, Key key, const uint8_t** row);
+  // Decodes the row Read views into *out (tests).
   Status Read(storage::Table* table, Key key, Row* out);
   // Buffers an update (the key need not exist yet; see Insert).
   void Write(storage::Table* table, Key key, Row row);
@@ -139,9 +152,15 @@ class Transaction {
 
  private:
   friend class TransactionManager;
+  // Encodes `w`'s row into own_rows_ unless a read already did.
+  const uint8_t* EncodedWrite(WriteEntry* w);
+
   Timestamp read_ts_ = kInvalidTimestamp;
   std::vector<ReadEntry> read_set_;
   std::vector<WriteEntry> write_set_;
+  // Encoded rows of buffered writes that reads viewed. Kept past Commit
+  // and Abort, which clear the write set, since VM locals still view them.
+  std::vector<std::unique_ptr<uint8_t[]>> own_rows_;
   ProcId proc_id_ = kAdhocProcId;
   const std::vector<Value>* params_ = nullptr;
   bool is_adhoc_ = true;

@@ -1,9 +1,9 @@
 // Compiled-execution suite: golden pins on everything the bytecode VM
 // computes — emitted values and final table state on forward processing,
 // and the state every recovery scheme restores — and on the virtual time
-// the simulated backend reports for each recovery configuration, plus
-// arena reuse semantics, the compiled program summary and the
-// unfinalized-procedure death check.
+// the simulated backend reports for each recovery configuration, plus a
+// transaction's reads of its own writes, arena reuse and view semantics,
+// the compiled program summary and the unfinalized-procedure death check.
 //
 // The pinned values were captured while the VM still ran beside an
 // expression-tree interpreter and matched it bit for bit (forward and
@@ -17,6 +17,7 @@
 #include <cstring>
 #include <iterator>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/serializer.h"
@@ -518,9 +519,87 @@ TEST(GoldenPinTest, VirtualTimeOfEveryRecovery) {
   }
 }
 
-// Arena reuse: Bind() resets presence flags between transactions but
-// keeps row/register capacity, so steady-state execution does not grow.
-TEST(ExecArenaTest, BindResetsPresenceAndKeepsCapacity) {
+// --- Reads of a transaction's own writes ------------------------------------
+
+// Table KV(v int64, s string) and WriteThenRead(key, v, s): writes KV[key],
+// reads it back in the same transaction, writes a row derived from what it
+// read to KV[key + 100] and emits the read columns. Forward processing
+// views the write's buffered image, which the Transaction encodes once;
+// replay views the version it just installed. Both must give the same
+// values and the same state.
+ProcId InstallWriteThenRead(Database* db) {
+  db->catalog()->CreateTable("KV",
+                             Schema({{"v", ValueType::kInt64, 0},
+                                     {"s", ValueType::kString, 64}}),
+                             storage::IndexType::kHash);
+  proc::ProcedureBuilder b(
+      "WriteThenRead",
+      {ValueType::kInt64, ValueType::kInt64, ValueType::kString});
+  using proc::Add, proc::C, proc::F, proc::P;
+  b.WriteRow("KV", P(0), {P(1), P(2)});
+  const int l = b.Read("KV", P(0));
+  b.WriteRow("KV", Add(P(0), C(int64_t{100})),
+             {Add(F(l, 0), C(int64_t{1})), F(l, 1)});
+  b.Emit(F(l, 0));
+  b.Emit(F(l, 1));
+  const ProcId id = db->registry()->Register(b.Build());
+  db->FinalizeSchema();
+  return id;
+}
+
+// The state 20 WriteThenRead calls over 7 keys leave. Captured from the
+// forward run; the engine whose reads decoded rows reaches it too, and
+// every recovery below must restore it.
+constexpr uint64_t kWriteThenReadHash = 0xd0b20564e56daeb8ull;
+
+TEST(OwnWriteTest, ReadBackOfOwnWriteForwardAndReplayed) {
+  for (const auto& [scheme, backend] :
+       {std::pair{Scheme::kClr, ExecutionBackend::kSimulated},
+        std::pair{Scheme::kClrP, ExecutionBackend::kSimulated},
+        std::pair{Scheme::kClrP, ExecutionBackend::kThreads}}) {
+    SCOPED_TRACE(std::string(recovery::SchemeName(scheme)) +
+                 (backend == ExecutionBackend::kThreads ? " threads" : ""));
+    DatabaseOptions opts;
+    opts.scheme = LogScheme::kCommand;
+    opts.commits_per_epoch = 4;
+    opts.epochs_per_batch = 2;
+    Database db(opts);
+    const ProcId id = InstallWriteThenRead(&db);
+    ASSERT_TRUE(db.TryTakeCheckpoint().ok());
+    for (int64_t i = 0; i < 20; ++i) {
+      // Strings past the small-string buffer, so a view that outlived its
+      // bytes would show under ASan.
+      const std::string s(40 + i, static_cast<char>('a' + i));
+      const TxnResult r =
+          db.Execute(id, {Value(i % 7), Value(i * 3), Value(s)});
+      ASSERT_TRUE(r.status.ok()) << r.status.ToString();
+      ASSERT_EQ(r.values.size(), 2u);
+      EXPECT_EQ(r.values[0].AsInt64(), i * 3);
+      EXPECT_EQ(r.values[1].AsStringView(), s);
+    }
+    // The last call on key 6 was i = 13: KV[106] = (40, 53 'n's).
+    Row row;
+    ASSERT_TRUE(db.catalog()->GetTable("KV")->Read(106, kMaxTimestamp, &row)
+                    .ok());
+    ASSERT_EQ(row.size(), 2u);
+    EXPECT_EQ(row[0].AsInt64(), 13 * 3 + 1);
+    EXPECT_EQ(row[1].AsStringView(), std::string(53, 'n'));
+    char hex[32];
+    std::snprintf(hex, sizeof(hex), "0x%016llx",
+                  static_cast<unsigned long long>(db.ContentHash()));
+    EXPECT_EQ(db.ContentHash(), kWriteThenReadHash) << hex;
+
+    db.Crash();
+    RecoveryOptions ropts;
+    ropts.num_threads = 4;
+    db.Recover(scheme, ropts, backend);
+    EXPECT_EQ(db.ContentHash(), kWriteThenReadHash);
+  }
+}
+
+// Arena reuse: Bind() nulls every local between transactions, and a read
+// leaves its local viewing the version's own packed bytes, not a copy.
+TEST(ExecArenaTest, BindNullsLocalsAndReadsViewVersions) {
   workload::Bank bank{workload::BankConfig{
       .num_users = 20, .num_nations = 2, .single_fraction = 0.0}};
   auto db = MakeBankDb(&bank);
@@ -531,32 +610,32 @@ TEST(ExecArenaTest, BindResetsPresenceAndKeepsCapacity) {
   const std::vector<Value> params = {Value(int64_t{0}), Value(5.0)};
   proc::VmState st = arena.Bind(prog, &params);
   for (uint16_t l = 0; l < prog.num_locals; ++l) {
-    EXPECT_EQ(st.present[l], 0);
+    EXPECT_EQ(st.locals[l], nullptr);
   }
 
   proc::ReplayAccess access(db->catalog());
-  access.set_commit_ts(1);
+  access.set_commit_ts(2);
   ASSERT_TRUE(proc::VmExecuteAll(&st, &access).ok());
-  bool any_present = false;
-  for (uint16_t l = 0; l < prog.num_locals; ++l) {
-    any_present = any_present || st.present[l] != 0;
-  }
-  EXPECT_TRUE(any_present);
-  std::vector<size_t> caps;
-  for (uint16_t l = 0; l < prog.num_locals; ++l) {
-    caps.push_back(st.locals[l].capacity());
-  }
+  // Local 0 read Family[0], local 1 Current[0]; Transfer then installed a
+  // newer Current[0], and local 1 still views the version it read.
+  const storage::TupleSlot* family =
+      db->catalog()->GetTable("Family")->GetSlot(0);
+  const storage::TupleSlot* current =
+      db->catalog()->GetTable("Current")->GetSlot(0);
+  EXPECT_EQ(st.locals[0], family->newest.load()->row());
+  const storage::Version* newest = current->newest.load();
+  ASSERT_NE(newest->older, nullptr);
+  EXPECT_EQ(st.locals[1], newest->older->row());
 
-  // Rebind: presence cleared, the rows' heap capacity survives.
+  // Rebind: every local is null again.
   proc::VmState st2 = arena.Bind(prog, &params);
   for (uint16_t l = 0; l < prog.num_locals; ++l) {
-    EXPECT_EQ(st2.present[l], 0);
-    EXPECT_EQ(st2.locals[l].capacity(), caps[l]);
+    EXPECT_EQ(st2.locals[l], nullptr);
   }
 }
 
 // Shared-locals binding (CLR-P): VmTxnLocals carries the per-transaction
-// rows across piece executions; BindShared points the state at them.
+// views across piece executions; BindShared points the state at them.
 TEST(ExecArenaTest, BindSharedUsesTxnLocals) {
   workload::Bank bank{workload::BankConfig{
       .num_users = 20, .num_nations = 2, .single_fraction = 0.0}};
@@ -567,25 +646,23 @@ TEST(ExecArenaTest, BindSharedUsesTxnLocals) {
   proc::VmTxnLocals locals;
   locals.Reset(prog.num_locals);
   ASSERT_EQ(locals.rows.size(), prog.num_locals);
-  ASSERT_EQ(locals.present.size(), prog.num_locals);
 
   proc::ExecArena arena;
   const std::vector<Value> params = {Value(int64_t{0}), Value(5.0)};
   proc::VmState st = arena.BindShared(prog, &params, &locals);
   EXPECT_EQ(st.locals, locals.rows.data());
-  EXPECT_EQ(st.present, locals.present.data());
 
   proc::ReplayAccess access(db->catalog());
-  access.set_commit_ts(1);
+  access.set_commit_ts(2);
   ASSERT_TRUE(proc::VmExecuteAll(&st, &access).ok());
-  bool any_present = false;
+  bool any_read = false;
   for (uint16_t l = 0; l < prog.num_locals; ++l) {
-    any_present = any_present || locals.present[l] != 0;
+    any_read = any_read || locals.rows[l] != nullptr;
   }
-  EXPECT_TRUE(any_present);
+  EXPECT_TRUE(any_read);
   locals.Reset(prog.num_locals);
   for (uint16_t l = 0; l < prog.num_locals; ++l) {
-    EXPECT_EQ(locals.present[l], 0);
+    EXPECT_EQ(locals.rows[l], nullptr);
   }
 }
 

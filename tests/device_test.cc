@@ -325,17 +325,14 @@ TEST(BatchFileNameTest, ParseAcceptsBothPaddingForms) {
 
 // --- Process-restart durability (the capstone) ---------------------------
 
-struct RestartCase {
-  logging::LogScheme log;
-  recovery::Scheme rec;
-};
+using testutil::SchemeCase;
 
 class RestartRecoveryTest
     : public DeviceTest,
-      public ::testing::WithParamInterface<RestartCase> {};
+      public ::testing::WithParamInterface<SchemeCase> {};
 
 TEST_P(RestartRecoveryTest, SurvivesProcessRestart) {
-  const RestartCase param = GetParam();
+  const SchemeCase param = GetParam();
   uint64_t hash_before = 0;
   double sum_before = 0.0;
   {
@@ -372,9 +369,9 @@ TEST_P(RestartRecoveryTest, SurvivesProcessRestart) {
 INSTANTIATE_TEST_SUITE_P(
     AllSchemes, RestartRecoveryTest,
     ::testing::Values(
-        RestartCase{logging::LogScheme::kPhysical, recovery::Scheme::kPlr},
-        RestartCase{logging::LogScheme::kLogical, recovery::Scheme::kLlrP},
-        RestartCase{logging::LogScheme::kCommand, recovery::Scheme::kClrP}));
+        SchemeCase{logging::LogScheme::kPhysical, recovery::Scheme::kPlr},
+        SchemeCase{logging::LogScheme::kLogical, recovery::Scheme::kLlrP},
+        SchemeCase{logging::LogScheme::kCommand, recovery::Scheme::kClrP}));
 
 TEST_F(DeviceTest, RestartRecoverContinueAndRestartAgain) {
   // Two generations of restart: recover, commit more work, get killed

@@ -582,10 +582,7 @@ TEST_F(MaintenanceTest, ServiceTruncatesAcrossAnInProcessCrash) {
 
 // --- GC/no-GC recovery parity across all five schemes ---------------------
 
-struct SchemeCase {
-  logging::LogScheme log;
-  recovery::Scheme rec;
-};
+using testutil::SchemeCase;
 
 class MaintenanceParityTest
     : public MaintenanceTest,

@@ -167,7 +167,7 @@ TEST_F(VmTest, ExecuteOpsSubsetSharesState) {
   locals.Reset(prog.num_locals);
   VmState st = arena_.BindShared(prog, &args, &locals);
   ASSERT_TRUE(VmExecuteOps({0}, &st, &access_).ok());  // Family read.
-  EXPECT_TRUE(locals.present[0]);
+  EXPECT_NE(locals.rows[0], nullptr);
   ExecArena other_thread;
   VmState st2 = other_thread.BindShared(prog, &args, &locals);
   ASSERT_TRUE(VmExecuteOps({1, 2, 3, 4, 5, 6}, &st2, &access_).ok());
@@ -248,6 +248,61 @@ TEST_F(VmTest, FieldOnAbsentLocalIsNull) {
   EXPECT_EQ(out[1].AsInt64(), 0);
   // The field load inside the write yielded Null too.
   EXPECT_TRUE(ReadRow("T", 5)[0].is_null());
+}
+
+// A local is a view of a packed row: a field past the row's last column
+// decodes to Null, as does any field of an absent (null) local.
+TEST_F(VmTest, FieldPastLastColumnIsNull) {
+  ProcedureBuilder b("short_row", 2);
+  const int hit = b.Read("T", P(0));
+  const int miss = b.Read("T", P(1));
+  b.Emit(F(hit, 0));
+  b.Emit(F(hit, 1));
+  b.Emit(F(hit, 7));
+  b.Emit(F(miss, 0));
+  b.Emit(Exists(miss));
+  const ProcId id = Register(b.Build());
+
+  const std::vector<Value> args = {Value(int64_t{4}), Value(int64_t{99})};
+  VmState st = arena_.Bind(Program(id), &args);
+  ASSERT_TRUE(VmExecuteAll(&st, &access_).ok());
+  EXPECT_NE(st.locals[hit], nullptr);
+  EXPECT_EQ(st.locals[miss], nullptr);
+  const std::vector<Value> out = VmEvalResults(&st);
+  ASSERT_EQ(out.size(), 5u);
+  EXPECT_EQ(out[0].AsInt64(), 4);
+  EXPECT_TRUE(out[1].is_null());
+  EXPECT_TRUE(out[2].is_null());
+  EXPECT_TRUE(out[3].is_null());
+  EXPECT_EQ(out[4].AsInt64(), 0);
+}
+
+// Replay installs a newer version of a key a local still views: the local
+// keeps viewing the version it read (superseded, not freed), so later ops
+// and the results see the old row while a fresh read sees the new one.
+TEST_F(VmTest, ViewSurvivesLaterInstallOnSameKey) {
+  ProcedureBuilder b("overwrite", 1);
+  const int before = b.Read("T", P(0));
+  b.WriteRow("T", P(0), {C(int64_t{77})});
+  const int after = b.Read("T", P(0));
+  b.WriteRow("T", C(int64_t{8}), {F(before, 0)});
+  b.Emit(F(before, 0));
+  b.Emit(F(after, 0));
+  const ProcId id = Register(b.Build());
+
+  const std::vector<Value> args = {Value(int64_t{3})};
+  VmState st = arena_.Bind(Program(id), &args);
+  ASSERT_TRUE(VmExecuteAll(&st, &access_).ok());
+  const storage::Version* newest =
+      catalog_.GetTable("T")->GetSlot(3)->newest.load();
+  ASSERT_NE(newest->older, nullptr);
+  EXPECT_EQ(st.locals[before], newest->older->row());
+  EXPECT_EQ(st.locals[after], newest->row());
+  const std::vector<Value> out = VmEvalResults(&st);
+  EXPECT_EQ(out[0].AsInt64(), 3);
+  EXPECT_EQ(out[1].AsInt64(), 77);
+  EXPECT_EQ(ReadRow("T", 8)[0].AsInt64(), 3);
+  EXPECT_EQ(ReadRow("T", 3)[0].AsInt64(), 77);
 }
 
 // Every VM op that needs a number treats a field of an absent local (Null)

@@ -180,19 +180,16 @@ TEST(ShardDynamicClassificationTest, CountsSingleAndCrossShardCommits) {
 
 // --- Sharded vs unsharded content-hash parity ----------------------------
 
-struct ShardSchemeCase {
-  logging::LogScheme log;
-  recovery::Scheme rec;
-};
+using testutil::SchemeCase;
 
 class ShardHashParityTest
-    : public ::testing::TestWithParam<ShardSchemeCase> {};
+    : public ::testing::TestWithParam<SchemeCase> {};
 
 // The same workload against a 1-shard and a 4-shard engine must produce
 // identical logical state, before and after a crash/recovery cycle —
 // partitioning is a layout decision, never a semantic one.
 TEST_P(ShardHashParityTest, ShardCountsAgreeBeforeAndAfterRecovery) {
-  const ShardSchemeCase param = GetParam();
+  const SchemeCase param = GetParam();
   auto run = [&](uint32_t num_shards) -> std::unique_ptr<Database> {
     auto db = std::make_unique<Database>(SimOptions(param.log, num_shards));
     workload::Smallbank sb({.num_accounts = 120});
@@ -230,12 +227,11 @@ TEST_P(ShardHashParityTest, ShardCountsAgreeBeforeAndAfterRecovery) {
 INSTANTIATE_TEST_SUITE_P(
     AllSchemes, ShardHashParityTest,
     ::testing::Values(
-        ShardSchemeCase{logging::LogScheme::kPhysical, recovery::Scheme::kPlr},
-        ShardSchemeCase{logging::LogScheme::kLogical, recovery::Scheme::kLlr},
-        ShardSchemeCase{logging::LogScheme::kLogical, recovery::Scheme::kLlrP},
-        ShardSchemeCase{logging::LogScheme::kCommand, recovery::Scheme::kClr},
-        ShardSchemeCase{logging::LogScheme::kCommand,
-                        recovery::Scheme::kClrP}));
+        SchemeCase{logging::LogScheme::kPhysical, recovery::Scheme::kPlr},
+        SchemeCase{logging::LogScheme::kLogical, recovery::Scheme::kLlr},
+        SchemeCase{logging::LogScheme::kLogical, recovery::Scheme::kLlrP},
+        SchemeCase{logging::LogScheme::kCommand, recovery::Scheme::kClr},
+        SchemeCase{logging::LogScheme::kCommand, recovery::Scheme::kClrP}));
 
 // --- Cross-shard atomicity under concurrency -----------------------------
 
@@ -294,7 +290,7 @@ TEST(ShardConcurrencyTest, CrossShardPaymentsConserveMoneyAt8Workers) {
 // --- Process-restart recovery through the per-shard lanes ----------------
 
 class ShardRestartRecoveryTest
-    : public ::testing::TestWithParam<ShardSchemeCase> {
+    : public ::testing::TestWithParam<SchemeCase> {
  protected:
   void SetUp() override {
     std::string tmpl =
@@ -344,7 +340,7 @@ class ShardRestartRecoveryTest
 // handshake, reopen the directory, recover over one lane per shard, and
 // require exact state parity — for every scheme.
 TEST_P(ShardRestartRecoveryTest, SurvivesProcessRestartPerShard) {
-  const ShardSchemeCase param = GetParam();
+  const SchemeCase param = GetParam();
   uint64_t hash_before = 0;
   {
     auto db = std::make_unique<Database>(ShardedFileOptions(param.log));
@@ -378,12 +374,11 @@ TEST_P(ShardRestartRecoveryTest, SurvivesProcessRestartPerShard) {
 INSTANTIATE_TEST_SUITE_P(
     AllSchemes, ShardRestartRecoveryTest,
     ::testing::Values(
-        ShardSchemeCase{logging::LogScheme::kPhysical, recovery::Scheme::kPlr},
-        ShardSchemeCase{logging::LogScheme::kLogical, recovery::Scheme::kLlr},
-        ShardSchemeCase{logging::LogScheme::kLogical, recovery::Scheme::kLlrP},
-        ShardSchemeCase{logging::LogScheme::kCommand, recovery::Scheme::kClr},
-        ShardSchemeCase{logging::LogScheme::kCommand,
-                        recovery::Scheme::kClrP}));
+        SchemeCase{logging::LogScheme::kPhysical, recovery::Scheme::kPlr},
+        SchemeCase{logging::LogScheme::kLogical, recovery::Scheme::kLlr},
+        SchemeCase{logging::LogScheme::kLogical, recovery::Scheme::kLlrP},
+        SchemeCase{logging::LogScheme::kCommand, recovery::Scheme::kClr},
+        SchemeCase{logging::LogScheme::kCommand, recovery::Scheme::kClrP}));
 
 }  // namespace
 }  // namespace pacman

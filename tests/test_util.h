@@ -3,13 +3,18 @@
 #ifndef PACMAN_TESTS_TEST_UTIL_H_
 #define PACMAN_TESTS_TEST_UTIL_H_
 
+#include <algorithm>
 #include <memory>
+#include <ostream>
+#include <string>
 #include <vector>
 
 #include "common/types.h"
 #include "device/storage_device.h"
 #include "exec/thread_pool.h"
+#include "logging/log_record.h"
 #include "recovery/log_pipeline.h"
+#include "recovery/recovery.h"
 #include "storage/table.h"
 
 namespace pacman::testutil {
@@ -27,6 +32,25 @@ inline double VisibleSum(const storage::Table* table, Timestamp ts,
     sum += row[col].AsDouble();
   });
   return sum;
+}
+
+// A recovery scheme and the log format it replays: the parameter of the
+// suites that run once per scheme.
+struct SchemeCase {
+  logging::LogScheme log;
+  recovery::Scheme rec;
+};
+
+// How gtest prints a case, and so how CMake's gtest_discover_tests names
+// its ctest entries (".../CLR_P"): the scheme's name as a gtest name would
+// spell it (SchemeName's '-' as '_'), not the struct's bytes, whose padding
+// is uninitialized. The suites use no name generator: for a case name that
+// is not an index, CMake keeps gtest's "# GetParam() = ..." comment in the
+// ctest name.
+inline void PrintTo(const SchemeCase& c, std::ostream* os) {
+  std::string name = recovery::SchemeName(c.rec);
+  std::replace(name.begin(), name.end(), '-', '_');
+  *os << name;
 }
 
 // A log read the way recovery reads it: through the pipelined loader
