@@ -74,10 +74,9 @@ void BM_SerializeLogicalRecord(benchmark::State& state) {
   rec.commit_ts = 1;
   rec.epoch = 1;
   for (int i = 0; i < 8; ++i) {
-    rec.writes.push_back(
-        {0, static_cast<Key>(i),
-         {Value(int64_t{i}), Value(1.0), Value(std::string(32, 'y'))},
-         false});
+    rec.AddImage(0, static_cast<Key>(i),
+                 {Value(int64_t{i}), Value(1.0), Value(std::string(32, 'y'))},
+                 false);
   }
   for (auto _ : state) {
     Serializer s(1024);
@@ -189,13 +188,10 @@ class StubAccess : public proc::AccessContext {
     *row = row_.data();
     return Status::Ok();
   }
-  void Write(TableId, Key, Row row, bool, bool) override {
-    sink_ = std::move(row);
-  }
+  void Write(TableId, Key, const Row&, bool, bool) override {}
 
  private:
   std::vector<uint8_t> row_;
-  Row sink_;
 };
 
 // Times `run_one` over the request stream, best of `kRepeats` passes (the

@@ -1,5 +1,6 @@
 #include "common/serializer.h"
 
+#include <bit>
 #include <cmath>
 #include <cstring>
 #include <limits>
@@ -49,19 +50,6 @@ size_t CompactRowBytes(const Row& row) {
 
 namespace {
 
-size_t FixedValueBytes(const Value& v) {
-  switch (v.type()) {
-    case ValueType::kNull:
-      return 1;
-    case ValueType::kInt64:
-    case ValueType::kDouble:
-      return 1 + sizeof(int64_t);
-    case ValueType::kString:
-      return 1 + sizeof(uint32_t) + v.AsStringView().size();
-  }
-  return 1;
-}
-
 template <typename T>
 uint8_t* PutFixed(uint8_t* out, T v) {
   std::memcpy(out, &v, sizeof(v));
@@ -75,21 +63,54 @@ T GetFixed(const uint8_t* p) {
   return v;
 }
 
-uint8_t* EncodeFixedValue(const Value& v, uint8_t* out) {
-  *out++ = static_cast<uint8_t>(v.type());
+// One value's type and payload: the int64 or double bits, or the string
+// bytes. Read from a Value or in place from a compact row, so the
+// fixed-width writer below serves both.
+struct Field {
+  ValueType type = ValueType::kNull;
+  uint64_t bits = 0;
+  std::string_view str;
+};
+
+Field FieldOf(const Value& v) {
   switch (v.type()) {
+    case ValueType::kNull:
+      break;
+    case ValueType::kInt64:
+      return {ValueType::kInt64, static_cast<uint64_t>(v.AsInt64()), {}};
+    case ValueType::kDouble:
+      return {ValueType::kDouble, std::bit_cast<uint64_t>(v.AsDouble()), {}};
+    case ValueType::kString:
+      return {ValueType::kString, 0, v.AsStringView()};
+  }
+  return {};
+}
+
+size_t FixedFieldBytes(const Field& f) {
+  switch (f.type) {
+    case ValueType::kNull:
+      return 1;
+    case ValueType::kInt64:
+    case ValueType::kDouble:
+      return 1 + sizeof(uint64_t);
+    case ValueType::kString:
+      return 1 + sizeof(uint32_t) + f.str.size();
+  }
+  return 1;
+}
+
+uint8_t* EncodeFixedField(const Field& f, uint8_t* out) {
+  *out++ = static_cast<uint8_t>(f.type);
+  switch (f.type) {
     case ValueType::kNull:
       return out;
     case ValueType::kInt64:
-      return PutFixed(out, v.AsInt64());
     case ValueType::kDouble:
-      return PutFixed(out, v.AsDouble());
-    case ValueType::kString: {
-      const std::string_view sv = v.AsStringView();
-      out = PutFixed(out, static_cast<uint32_t>(sv.size()));
-      std::memcpy(out, sv.data(), sv.size());
-      return out + sv.size();
-    }
+      return PutFixed(out, f.bits);
+    case ValueType::kString:
+      out = PutFixed(out, static_cast<uint32_t>(f.str.size()));
+      std::memcpy(out, f.str.data(), f.str.size());
+      return out + f.str.size();
   }
   return out;
 }
@@ -98,13 +119,13 @@ uint8_t* EncodeFixedValue(const Value& v, uint8_t* out) {
 
 size_t FixedRowBytes(const Row& row) {
   size_t n = sizeof(uint32_t);
-  for (const Value& v : row) n += FixedValueBytes(v);
+  for (const Value& v : row) n += FixedFieldBytes(FieldOf(v));
   return n;
 }
 
 uint8_t* EncodeFixedRow(const Row& row, uint8_t* out) {
   out = PutFixed(out, static_cast<uint32_t>(row.size()));
-  for (const Value& v : row) out = EncodeFixedValue(v, out);
+  for (const Value& v : row) out = EncodeFixedField(FieldOf(v), out);
   return out;
 }
 
@@ -117,31 +138,49 @@ namespace {
 // row slot that once held a string never reallocates for it again.
 const Value kNullValue;
 
-// Decodes the value at `p` into *v; returns the byte past it.
-const uint8_t* DecodeFixedValue(const uint8_t* p, Value* v) {
-  switch (static_cast<ValueType>(*p++)) {
+void AssignField(const Field& f, Value* v) {
+  switch (f.type) {
     case ValueType::kNull:
       *v = kNullValue;
-      return p;
+      return;
     case ValueType::kInt64: {
-      const Value number(GetFixed<int64_t>(p));
+      const Value number(static_cast<int64_t>(f.bits));
       *v = number;
-      return p + sizeof(int64_t);
+      return;
     }
     case ValueType::kDouble: {
-      const Value number(GetFixed<double>(p));
+      const Value number(std::bit_cast<double>(f.bits));
       *v = number;
-      return p + sizeof(double);
+      return;
     }
+    case ValueType::kString: {
+      const Value view = Value::BorrowedString(f.str);
+      *v = view;
+      return;
+    }
+  }
+}
+
+// Decodes the value at `p` into *v; returns the byte past it.
+const uint8_t* DecodeFixedValue(const uint8_t* p, Value* v) {
+  Field f{static_cast<ValueType>(*p++), 0, {}};
+  switch (f.type) {
+    case ValueType::kNull:
+      break;
+    case ValueType::kInt64:
+    case ValueType::kDouble:
+      f.bits = GetFixed<uint64_t>(p);
+      p += sizeof(uint64_t);
+      break;
     case ValueType::kString: {
       const uint32_t n = GetFixed<uint32_t>(p);
       p += sizeof(uint32_t);
-      const Value view = Value::BorrowedString(
-          std::string_view(reinterpret_cast<const char*>(p), n));
-      *v = view;
-      return p + n;
+      f.str = std::string_view(reinterpret_cast<const char*>(p), n);
+      p += n;
+      break;
     }
   }
+  AssignField(f, v);
   return p;
 }
 
@@ -219,10 +258,150 @@ size_t FixedRowSize(const uint8_t* p) {
   return size;
 }
 
+namespace {
+
+// LEB128 into caller-owned memory (Serializer::PutVarint's encoding).
+uint8_t* EncodeVarint(uint64_t v, uint8_t* out) {
+  while (v >= 0x80) {
+    *out++ = static_cast<uint8_t>(v | 0x80);
+    v >>= 7;
+  }
+  *out++ = static_cast<uint8_t>(v);
+  return out;
+}
+
+uint8_t* EncodeCompactValue(const Value& v, uint8_t* out) {
+  switch (v.type()) {
+    case ValueType::kNull:
+      *out++ = static_cast<uint8_t>(ValueType::kNull);
+      return out;
+    case ValueType::kInt64:
+      *out++ = static_cast<uint8_t>(ValueType::kInt64);
+      return EncodeVarint(ZigzagEncode(v.AsInt64()), out);
+    case ValueType::kDouble:
+      if (IsIntegralDouble(v.AsDouble())) {
+        *out++ = kCompactIntegralDouble;
+        return EncodeVarint(
+            ZigzagEncode(static_cast<int64_t>(v.AsDouble())), out);
+      }
+      *out++ = static_cast<uint8_t>(ValueType::kDouble);
+      return PutFixed(out, v.AsDouble());
+    case ValueType::kString: {
+      const std::string_view sv = v.AsStringView();
+      *out++ = static_cast<uint8_t>(ValueType::kString);
+      out = EncodeVarint(sv.size(), out);
+      std::memcpy(out, sv.data(), sv.size());
+      return out + sv.size();
+    }
+  }
+  return out;
+}
+
+// Readers of well-formed compact bytes (CheckCompactRow accepted them), so
+// nothing is bounds-checked again.
+const uint8_t* ReadCheckedVarint(const uint8_t* p, uint64_t* v) {
+  uint64_t x = 0;
+  int shift = 0;
+  for (; *p >= 0x80; shift += 7) {
+    x |= static_cast<uint64_t>(*p++ & 0x7f) << shift;
+  }
+  *v = x | static_cast<uint64_t>(*p++) << shift;
+  return p;
+}
+
+const uint8_t* ReadCompactField(const uint8_t* p, Field* f) {
+  const uint8_t tag = *p++;
+  uint64_t u = 0;
+  switch (tag) {
+    case static_cast<uint8_t>(ValueType::kNull):
+      *f = {ValueType::kNull, 0, {}};
+      return p;
+    case static_cast<uint8_t>(ValueType::kInt64):
+      p = ReadCheckedVarint(p, &u);
+      *f = {ValueType::kInt64, static_cast<uint64_t>(ZigzagDecode(u)), {}};
+      return p;
+    case static_cast<uint8_t>(ValueType::kDouble):
+      *f = {ValueType::kDouble, GetFixed<uint64_t>(p), {}};
+      return p + sizeof(uint64_t);
+    case kCompactIntegralDouble:
+      p = ReadCheckedVarint(p, &u);
+      *f = {ValueType::kDouble,
+            std::bit_cast<uint64_t>(static_cast<double>(ZigzagDecode(u))),
+            {}};
+      return p;
+    case static_cast<uint8_t>(ValueType::kString):
+      p = ReadCheckedVarint(p, &u);
+      *f = {ValueType::kString, 0,
+            std::string_view(reinterpret_cast<const char*>(p), u)};
+      return p + u;
+  }
+  PACMAN_DCHECK(false);
+  return p;
+}
+
+}  // namespace
+
+uint8_t* EncodeCompactRow(const Row& row, uint8_t* out) {
+  out = EncodeVarint(row.size(), out);
+  for (const Value& v : row) out = EncodeCompactValue(v, out);
+  return out;
+}
+
+Status CheckCompactRow(const uint8_t* p, size_t avail, size_t* size) {
+  Deserializer in(p, avail);
+  in.set_borrow_strings(true);  // Values are checked, never kept.
+  uint64_t n = 0;
+  Status s = in.GetVarint(&n);
+  // Every compact value takes at least its tag byte.
+  if (s.ok() && n > in.remaining()) {
+    s = Status::Corruption("row length too large");
+  }
+  Value v;
+  for (; s.ok() && n > 0; --n) s = in.GetCompactValue(&v);
+  if (s.ok()) *size = in.position();
+  return s;
+}
+
+size_t CompactRowFixedBytes(const uint8_t* p) {
+  uint64_t n = 0;
+  p = ReadCheckedVarint(p, &n);
+  size_t bytes = sizeof(uint32_t);
+  Field f;
+  for (; n > 0; --n) {
+    p = ReadCompactField(p, &f);
+    bytes += FixedFieldBytes(f);
+  }
+  return bytes;
+}
+
+uint8_t* TranscodeCompactRow(const uint8_t* p, uint8_t* out) {
+  uint64_t n = 0;
+  p = ReadCheckedVarint(p, &n);
+  out = PutFixed(out, static_cast<uint32_t>(n));
+  Field f;
+  for (; n > 0; --n) {
+    p = ReadCompactField(p, &f);
+    out = EncodeFixedField(f, out);
+  }
+  return out;
+}
+
+void DecodeCompactRow(const uint8_t* p, Row* out) {
+  uint64_t n = 0;
+  p = ReadCheckedVarint(p, &n);
+  out->resize(n);
+  Field f;
+  for (Value& v : *out) {
+    p = ReadCompactField(p, &f);
+    AssignField(f, &v);
+  }
+}
+
 void Serializer::PutValue(const Value& v) {
   const size_t at = buf_.size();
-  buf_.resize(at + FixedValueBytes(v));
-  EncodeFixedValue(v, buf_.data() + at);
+  const Field f = FieldOf(v);
+  buf_.resize(at + FixedFieldBytes(f));
+  EncodeFixedField(f, buf_.data() + at);
 }
 
 void Serializer::PutRow(const Row& row) {
@@ -232,36 +411,9 @@ void Serializer::PutRow(const Row& row) {
 }
 
 void Serializer::PutCompactValue(const Value& v) {
-  switch (v.type()) {
-    case ValueType::kNull:
-      PutU8(static_cast<uint8_t>(ValueType::kNull));
-      break;
-    case ValueType::kInt64:
-      PutU8(static_cast<uint8_t>(ValueType::kInt64));
-      PutSignedVarint(v.AsInt64());
-      break;
-    case ValueType::kDouble:
-      if (IsIntegralDouble(v.AsDouble())) {
-        PutU8(kCompactIntegralDouble);
-        PutSignedVarint(static_cast<int64_t>(v.AsDouble()));
-      } else {
-        PutU8(static_cast<uint8_t>(ValueType::kDouble));
-        PutDouble(v.AsDouble());
-      }
-      break;
-    case ValueType::kString: {
-      const std::string_view sv = v.AsStringView();
-      PutU8(static_cast<uint8_t>(ValueType::kString));
-      PutVarint(sv.size());
-      PutRaw(sv.data(), sv.size());
-      break;
-    }
-  }
-}
-
-void Serializer::PutCompactRow(const Row& row) {
-  PutVarint(row.size());
-  for (const Value& v : row) PutCompactValue(v);
+  const size_t at = buf_.size();
+  buf_.resize(at + CompactValueBytes(v));
+  EncodeCompactValue(v, buf_.data() + at);
 }
 
 Status Deserializer::GetString(std::string* out) {
@@ -395,23 +547,6 @@ Status Deserializer::GetCompactValue(Value* out) {
     }
   }
   return Status::Corruption("bad value tag");
-}
-
-Status Deserializer::GetCompactRow(Row* out) {
-  uint64_t n = 0;
-  Status s = GetVarint(&n);
-  if (!s.ok()) return s;
-  // Every compact value takes at least its tag byte.
-  if (n > remaining()) return Status::Corruption("row length too large");
-  out->clear();
-  out->reserve(n);
-  for (uint64_t i = 0; i < n; ++i) {
-    Value v;
-    s = GetCompactValue(&v);
-    if (!s.ok()) return s;
-    out->push_back(std::move(v));
-  }
-  return Status::Ok();
 }
 
 Status Deserializer::GetRow(Row* out) {

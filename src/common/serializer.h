@@ -6,7 +6,7 @@
 //    integers, u32 length-prefixed strings. The wire protocol
 //    (docs/PROTOCOL.md), checkpoint stripes and the v1-v3 log batch
 //    formats use it.
-//  - Compact (PutVarint/PutCompactValue/PutCompactRow): LEB128 varints,
+//  - Compact (PutVarint/PutCompactValue/EncodeCompactRow): LEB128 varints,
 //    zigzag for signed values. Log batch format v4 uses it. A compact
 //    value is a ValueType tag, then: nothing (null); a zigzag varint
 //    (int64); a varint length and the bytes (string); 8 raw bytes
@@ -35,9 +35,12 @@ inline constexpr uint8_t kCompactIntegralDouble = 4;
 inline uint64_t ZigzagEncode(int64_t v) {
   return (static_cast<uint64_t>(v) << 1) ^ static_cast<uint64_t>(v >> 63);
 }
+inline int64_t ZigzagDecode(uint64_t u) {
+  return static_cast<int64_t>((u >> 1) ^ (0 - (u & 1)));
+}
 
-// The bytes Serializer::PutVarint / PutCompactValue / PutCompactRow
-// append, computed without writing, so log blocks are sized exactly
+// The bytes Serializer::PutVarint / PutCompactValue / EncodeCompactRow
+// write, computed without writing, so log blocks are sized exactly
 // before they are built.
 inline size_t VarintBytes(uint64_t v) {
   return (static_cast<size_t>(std::bit_width(v | 1)) + 6) / 7;
@@ -72,6 +75,32 @@ void DecodeFixedField(const uint8_t* p, size_t col, Value* out);
 // its bytes; kCorruption otherwise.
 Status CheckFixedRow(const uint8_t* p, size_t avail, size_t* size);
 
+// --- Compact rows in caller-owned memory ----------------------------------
+// A varint value count, then the compact values. Log write images hold
+// their after images in it (logging/log_record.h): a parsed image is a
+// view of these bytes in the batch file, checked in place and never
+// decoded into a Row on the way to a table version.
+
+// Writes `row` compact at `out` (CompactRowBytes(row) bytes); returns the
+// end of what it wrote.
+uint8_t* EncodeCompactRow(const Row& row, uint8_t* out);
+// Checks the compact row that starts at `p` and must end within `avail`
+// bytes by the rules Deserializer::GetCompactValue reads values with:
+// minimal varints, known tags, integral doubles within +-2^53, a value
+// count the bytes can hold and no string past the end. Sets *size to its
+// bytes; kCorruption otherwise.
+Status CheckCompactRow(const uint8_t* p, size_t avail, size_t* size);
+// The bytes EncodeFixedRow writes for the row the well-formed compact row
+// at `p` (one CheckCompactRow accepted) holds.
+size_t CompactRowFixedBytes(const uint8_t* p);
+// Transcodes the well-formed compact row at `p` to the fixed-width
+// encoding at `out`, byte for byte what EncodeFixedRow writes for the
+// decoded row, without decoding it; returns the end of what it wrote.
+uint8_t* TranscodeCompactRow(const uint8_t* p, uint8_t* out);
+// Decodes the well-formed compact row at `p` into *out, reusing the
+// capacity of its values, as DecodeFixedRow does.
+void DecodeCompactRow(const uint8_t* p, Row* out);
+
 // Appends primitive values to a growable byte buffer.
 class Serializer {
  public:
@@ -100,7 +129,6 @@ class Serializer {
   }
   void PutSignedVarint(int64_t v) { PutVarint(ZigzagEncode(v)); }
   void PutCompactValue(const Value& v);
-  void PutCompactRow(const Row& row);
 
   void PutRaw(const void* data, size_t n) {
     const auto* p = static_cast<const uint8_t*>(data);
@@ -120,9 +148,11 @@ class Serializer {
 //
 // With set_borrow_strings(true), string payloads are returned as
 // Value::BorrowedString views over the input span instead of per-field
-// copies — the zero-copy mode of batch deserialization. The caller then
-// owns keeping the span alive for as long as the parsed values live
-// (logging::LogBatch retains its file buffer for exactly this reason).
+// copies — the zero-copy mode of batch deserialization, in which log
+// records also view their image rows in the span (logging/log_record.h).
+// The caller then owns keeping the span alive for as long as the parsed
+// values live (logging::LogBatch retains its file buffer for exactly this
+// reason).
 class Deserializer {
  public:
   Deserializer(const uint8_t* data, size_t size)
@@ -161,11 +191,10 @@ class Deserializer {
     uint64_t u = 0;
     Status s = GetVarint(&u);
     if (!s.ok()) return s;
-    *out = static_cast<int64_t>((u >> 1) ^ (0 - (u & 1)));
+    *out = ZigzagDecode(u);
     return Status::Ok();
   }
   Status GetCompactValue(Value* out);
-  Status GetCompactRow(Row* out);
 
   // Advances past `n` bytes without reading them.
   Status Skip(size_t n) {
@@ -177,6 +206,8 @@ class Deserializer {
   bool AtEnd() const { return pos_ == size_; }
   size_t remaining() const { return size_ - pos_; }
   size_t position() const { return pos_; }
+  // The next unread byte, for callers that check a span in place.
+  const uint8_t* cursor() const { return data_ + pos_; }
 
  private:
   Status GetVarintSlow(uint64_t* out);

@@ -40,9 +40,12 @@ inline const char* ValueTypeName(ValueType t) {
 // String storage comes in two flavors:
 //  - owned: the bytes live in the Value (the default everywhere);
 //  - borrowed: the bytes live in an external buffer the caller keeps
-//    alive (Value::BorrowedString). Zero-copy log/checkpoint
-//    deserialization parses string fields as views over the batch file
-//    buffer instead of allocating per field (recovery/log_pipeline.h).
+//    alive (Value::BorrowedString). A zero-copy batch parse leaves
+//    command-log string parameters as views over the batch file buffer
+//    instead of allocating per field (recovery/log_pipeline.h); that is
+//    the only place borrowed values live on. Write images are never
+//    decoded at all (logging/log_record.h), and the row decoders
+//    (common/serializer.h) use views only as short-lived copy sources.
 // Borrowed-ness does NOT survive a copy: the copy constructor always
 // materializes an owned string, so a borrowed value that escapes its
 // buffer's scope owns its bytes from the first copy on. Moves keep the

@@ -223,14 +223,16 @@ LogRecord MakeRecord(LogScheme scheme, const txn::Transaction& txn,
     r.params = *txn.params();
   }
   if (tuple_level) {
+    // Each written row is encoded once, here, into bytes the record owns;
+    // the flush copies them into its block as they are.
     r.proc = kAdhocProcId;
-    for (const txn::WriteEntry& w : txn.write_set()) {
-      WriteImage img;
-      img.table = w.table->id();
-      img.key = w.key;
-      img.after = w.row;
-      img.deleted = w.deleted;
-      r.writes.push_back(std::move(img));
+    const std::vector<txn::WriteEntry>& writes = txn.write_set();
+    size_t bytes = 0;
+    for (const txn::WriteEntry& w : writes) bytes += CompactRowBytes(w.row);
+    r.images.Reserve(bytes);
+    r.writes.reserve(writes.size());
+    for (const txn::WriteEntry& w : writes) {
+      r.AddImage(w.table->id(), w.key, w.row, w.deleted);
     }
   }
   return r;
@@ -332,12 +334,7 @@ void LogManager::StageSharded(const txn::Transaction& txn,
       subs.push_back(std::move(fresh));
       sub = &subs.back();
     }
-    WriteImage img;
-    img.table = w.table->id();
-    img.key = w.key;
-    img.after = w.row;
-    img.deleted = w.deleted;
-    sub->writes.push_back(std::move(img));
+    sub->AddImage(w.table->id(), w.key, w.row, w.deleted);
   }
   SpinLatchGuard g(buf->latch);
   buf->cross_commits++;

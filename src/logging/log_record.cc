@@ -1,5 +1,7 @@
 #include "logging/log_record.h"
 
+#include <algorithm>
+#include <cstring>
 #include <limits>
 
 #include "common/macros.h"
@@ -31,7 +33,8 @@ constexpr size_t kVersionLocationBytes = 16;
 constexpr size_t kMinFixedWidthImageBytes = 4 + 8 + 1 + 4;
 constexpr size_t kMinCompactImageBytes = 1 + 1 + 1 + 1;
 
-void SerializeWrite(LogScheme scheme, const WriteImage& w, Serializer* out) {
+void SerializeWrite(LogScheme scheme, const LogRecord& record,
+                    const WriteImage& w, Serializer* out) {
   if (scheme == LogScheme::kPhysical) {
     out->PutU64(reinterpret_cast<uint64_t>(&w));  // New version address.
     out->PutU64(reinterpret_cast<uint64_t>(&w) ^ 0x5bd1e995);  // Old version.
@@ -39,13 +42,12 @@ void SerializeWrite(LogScheme scheme, const WriteImage& w, Serializer* out) {
   out->PutVarint(w.table);
   out->PutVarint(w.key);
   out->PutU8(w.deleted ? 1 : 0);
-  out->PutCompactRow(w.after);
+  out->PutRaw(record.ImageRow(w), w.size);
 }
 
 size_t WriteBytes(LogScheme scheme, const WriteImage& w) {
   return (scheme == LogScheme::kPhysical ? kVersionLocationBytes : 0) +
-         VarintBytes(w.table) + VarintBytes(w.key) + 1 +
-         CompactRowBytes(w.after);
+         VarintBytes(w.table) + VarintBytes(w.key) + 1 + w.size;
 }
 
 // Reads the fields every format shares, each in the compact (v4) or the
@@ -82,32 +84,59 @@ class FieldReader {
   Status ReadValue(Value* out) {
     return compact_ ? in_->GetCompactValue(out) : in_->GetValue(out);
   }
-  Status ReadRow(Row* out) {
-    return compact_ ? in_->GetCompactRow(out) : in_->GetRow(out);
-  }
 
-  Status ReadWrite(LogScheme scheme, WriteImage* w) {
+  // One write image of the record that starts at `start`. A compact row
+  // is checked in place and located by its offset from `start`; a
+  // fixed-width one is transcoded into the record's own image bytes.
+  Status ReadWrite(LogScheme scheme, const uint8_t* start,
+                   LogRecord* record) {
     Status s;
     if (scheme == LogScheme::kPhysical) s = in_->Skip(kVersionLocationBytes);
-    if (s.ok()) s = ReadU32(&w->table);
-    if (s.ok()) s = ReadU64(&w->key);
+    TableId table = 0;
+    Key key = 0;
     uint8_t deleted = 0;
+    if (s.ok()) s = ReadU32(&table);
+    if (s.ok()) s = ReadU64(&key);
     if (s.ok()) s = in_->GetU8(&deleted);
     if (!s.ok()) return s;
-    w->deleted = deleted != 0;
-    return ReadRow(&w->after);
+    if (!compact_) {
+      Row row;
+      s = in_->GetRow(&row);
+      if (s.ok()) record->AddImage(table, key, row, deleted != 0);
+      return s;
+    }
+    size_t size = 0;
+    s = CheckCompactRow(in_->cursor(), in_->remaining(), &size);
+    if (!s.ok()) return s;
+    const size_t offset = static_cast<size_t>(in_->cursor() - start);
+    if (offset + size > std::numeric_limits<uint32_t>::max()) {
+      return Status::Corruption("write image ends 4 GiB past its record");
+    }
+    record->writes.push_back({key, table, static_cast<uint32_t>(offset),
+                              static_cast<uint32_t>(size), deleted != 0});
+    return in_->Skip(size);
   }
 
-  Status ReadWrites(LogScheme scheme, LogRecord* record) {
+  // The write images of a tuple-level or ad-hoc record that starts at
+  // `start`. A compact record then views them in the input span (borrow
+  // mode) or copies its bytes, so they outlive the input.
+  Status ReadWrites(LogScheme scheme, const uint8_t* start,
+                    LogRecord* record) {
     uint64_t n = 0;
     Status s = ReadCount(
         compact_ ? kMinCompactImageBytes : kMinFixedWidthImageBytes,
         "write image", &n);
     if (!s.ok()) return s;
-    record->writes.resize(n);
-    for (WriteImage& w : record->writes) {
-      s = ReadWrite(scheme, &w);
-      if (!s.ok()) return s;
+    record->writes.reserve(n);
+    for (uint64_t i = 0; i < n && s.ok(); ++i) {
+      s = ReadWrite(scheme, start, record);
+    }
+    if (!s.ok() || !compact_ || n == 0) return s;
+    if (in_->borrow_strings()) {
+      record->images = ImageBytes(start);
+    } else {
+      const size_t bytes = static_cast<size_t>(in_->cursor() - start);
+      std::memcpy(record->images.Append(bytes), start, bytes);
     }
     return Status::Ok();
   }
@@ -127,17 +156,21 @@ class FieldReader {
   }
 
   Status ReadRecord(LogScheme scheme, const RecordBases& bases,
-                LogRecord* record) {
+                    LogRecord* record) {
+    const uint8_t* start = in_->cursor();
     record->params.clear();
     record->writes.clear();
+    record->images = ImageBytes();
     record->proc = kAdhocProcId;
     Status s = ReadStamp(bases.cts, "commit_ts", &record->commit_ts);
     if (s.ok()) s = ReadStamp(bases.epoch, "epoch", &record->epoch);
     if (!s.ok()) return s;
-    if (scheme != LogScheme::kCommand) return ReadWrites(scheme, record);
+    if (scheme != LogScheme::kCommand) return ReadWrites(scheme, start, record);
     s = ReadU32(&record->proc);
     if (!s.ok()) return s;
-    if (record->is_adhoc()) return ReadWrites(LogScheme::kLogical, record);
+    if (record->is_adhoc()) {
+      return ReadWrites(LogScheme::kLogical, start, record);
+    }
     uint64_t n = 0;
     s = ReadCount(1, "parameter", &n);  // Tag byte minimum.
     if (!s.ok()) return s;
@@ -156,6 +189,44 @@ class FieldReader {
 
 }  // namespace
 
+ImageBytes::ImageBytes(const ImageBytes& other) : data_(other.data_) {
+  if (!other.owned()) return;  // A view, or nothing: share it.
+  data_ = nullptr;
+  if (other.size_ > 0) {
+    std::memcpy(Append(other.size_), other.data_, other.size_);
+  }
+}
+
+void ImageBytes::Reserve(size_t n) {
+  PACMAN_DCHECK(owned() || data_ == nullptr);
+  if (n <= capacity_) return;
+  PACMAN_CHECK_MSG(n <= std::numeric_limits<uint32_t>::max(),
+                   "a log record's images exceed 4 GiB");
+  auto* grown = new uint8_t[n];
+  if (size_ > 0) std::memcpy(grown, data_, size_);
+  if (owned()) delete[] data_;
+  data_ = grown;
+  capacity_ = static_cast<uint32_t>(n);
+}
+
+uint8_t* ImageBytes::Append(size_t n) {
+  if (size_ + n > capacity_) {
+    Reserve(std::max<size_t>(size_ + n, 2 * size_t{capacity_}));
+  }
+  uint8_t* at = data_ + size_;
+  size_ += static_cast<uint32_t>(n);
+  return at;
+}
+
+void LogRecord::AddImage(TableId table, Key key, const Row& row,
+                         bool deleted) {
+  const size_t n = CompactRowBytes(row);
+  uint8_t* at = images.Append(n);
+  EncodeCompactRow(row, at);
+  writes.push_back({key, table, static_cast<uint32_t>(at - images.data()),
+                    static_cast<uint32_t>(n), deleted});
+}
+
 void SerializeRecord(LogScheme scheme, const LogRecord& record,
                      const RecordBases& bases, Serializer* out) {
   PACMAN_DCHECK(record.commit_ts >= bases.cts && record.epoch >= bases.epoch);
@@ -173,7 +244,9 @@ void SerializeRecord(LogScheme scheme, const LogRecord& record,
     images = LogScheme::kLogical;
   }
   out->PutVarint(record.writes.size());
-  for (const WriteImage& w : record.writes) SerializeWrite(images, w, out);
+  for (const WriteImage& w : record.writes) {
+    SerializeWrite(images, record, w, out);
+  }
 }
 
 size_t SerializedRecordBytes(LogScheme scheme, const LogRecord& record,

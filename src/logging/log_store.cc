@@ -342,8 +342,9 @@ Status LogStore::DeserializeBatch(
   }
   out->file_bytes = bytes->size();
   if (opts.borrow) {
-    // Zero-copy: the records' string fields are views into `bytes`; the
-    // batch keeps the shared handle alive for as long as they live.
+    // Zero-copy: the records' images and string parameters are views
+    // into `bytes`; the batch keeps the shared handle alive for as long
+    // as they live.
     out->backing = std::move(bytes);
   } else {
     out->backing.reset();

@@ -53,9 +53,11 @@ struct LogBatch {
   size_t file_bytes = 0;  // Size of the batch file on its device.
   std::vector<LogRecord> records;  // Ascending commit_ts.
   // The raw file bytes, retained when the batch was parsed in zero-copy
-  // mode: string fields of `records` are then borrowed views into this
-  // buffer (Value::BorrowedString), so it must live as long as the
-  // records. Null for copy-mode parses. A shared handle, so a device
+  // mode: the write images of `records` are then views of their compact
+  // rows in this buffer (LogRecord::images), and string parameters of
+  // command records borrowed views (Value::BorrowedString), so it must
+  // live as long as the records. Null for copy-mode parses, whose records
+  // own their bytes. A shared handle, so a device
   // that stores objects in memory (SimulatedSsd::ReadFileShared) lends
   // its own buffer and a reload never duplicates the log; moving the
   // LogBatch moves the handle and views stay valid.
@@ -68,9 +70,10 @@ struct LogBatch {
 
 // How DeserializeBatch parses a batch file.
 struct BatchParseOptions {
-  // Zero-copy: moves the file bytes into LogBatch::backing and parses
-  // string fields as views over it, eliminating the per-field string
-  // copies and their allocations on the recovery load path.
+  // Zero-copy: moves the file bytes into LogBatch::backing; write images
+  // view their rows in it, checked in place, and string parameters
+  // borrow from it. The recovery load path then allocates per record,
+  // not per row or field.
   bool borrow = false;
   // File name reported in deserialization errors (with the byte offset),
   // so a corrupt batch names the exact file and position that broke.
@@ -144,7 +147,8 @@ class LogStore {
 
   // Parses a batch file. Errors name the file and byte offset (see
   // BatchParseOptions). With opts.borrow the handle is retained as
-  // LogBatch::backing and string fields borrow from it (zero-copy).
+  // LogBatch::backing and images and string parameters view it
+  // (zero-copy).
   static Status DeserializeBatch(
       LogScheme scheme, std::shared_ptr<const std::vector<uint8_t>> bytes,
       const BatchParseOptions& opts, LogBatch* out);

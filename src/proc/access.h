@@ -38,7 +38,10 @@ class AccessContext {
   // is absent. The view must stay valid for the rest of the execution.
   virtual Status ReadTable(storage::Table* t, TableId table, Key key,
                            const uint8_t** row) = 0;
-  virtual void Write(TableId table, Key key, Row row, bool deleted,
+  // Writes `row` to `key` of `table`. The row is the caller's (the VM's
+  // row-build scratch): a context copies or encodes what it keeps, so the
+  // scratch keeps its capacity for the next write.
+  virtual void Write(TableId table, Key key, const Row& row, bool deleted,
                      bool is_insert) = 0;
 
   // Pre-resolved-table write used by compiled programs: the compiler
@@ -46,8 +49,8 @@ class AccessContext {
   // at FinalizeSchema() time. Contexts that can use the pointer directly
   // override it; the default falls back to the TableId virtual.
   virtual void WriteTable(storage::Table* /*t*/, TableId table, Key key,
-                          Row row, bool deleted, bool is_insert) {
-    Write(table, key, std::move(row), deleted, is_insert);
+                          const Row& row, bool deleted, bool is_insert) {
+    Write(table, key, row, deleted, is_insert);
   }
 };
 
@@ -62,19 +65,20 @@ class TxnAccess : public AccessContext {
                    const uint8_t** row) override {
     return txn_->Read(t, key, row);
   }
-  void Write(TableId table, Key key, Row row, bool deleted,
+  void Write(TableId table, Key key, const Row& row, bool deleted,
              bool is_insert) override {
-    WriteTable(catalog_->GetTable(table), table, key, std::move(row),
-               deleted, is_insert);
+    WriteTable(catalog_->GetTable(table), table, key, row, deleted,
+               is_insert);
   }
-  void WriteTable(storage::Table* t, TableId /*table*/, Key key, Row row,
-                  bool deleted, bool is_insert) override {
+  // Buffers a copy of the row in the transaction's write set.
+  void WriteTable(storage::Table* t, TableId /*table*/, Key key,
+                  const Row& row, bool deleted, bool is_insert) override {
     if (deleted) {
       txn_->Delete(t, key);
     } else if (is_insert) {
-      txn_->Insert(t, key, std::move(row));
+      txn_->Insert(t, key, row);
     } else {
-      txn_->Write(t, key, std::move(row));
+      txn_->Write(t, key, row);
     }
   }
 
@@ -102,14 +106,16 @@ class ReplayAccess : public AccessContext {
     return t->Read(key, kMaxTimestamp, row);
   }
 
-  void Write(TableId table, Key key, Row row, bool deleted,
+  void Write(TableId table, Key key, const Row& row, bool deleted,
              bool is_insert) override {
-    WriteTable(catalog_->GetTable(table), table, key, std::move(row),
-               deleted, is_insert);
+    WriteTable(catalog_->GetTable(table), table, key, row, deleted,
+               is_insert);
   }
 
-  void WriteTable(storage::Table* t, TableId /*table*/, Key key, Row row,
-                  bool deleted, bool /*is_insert*/) override {
+  // Encodes the row straight into the new version.
+  void WriteTable(storage::Table* t, TableId /*table*/, Key key,
+                  const Row& row, bool deleted,
+                  bool /*is_insert*/) override {
     writes_++;
     storage::Table::InstallVersionUnlatched(t->GetOrCreateSlot(key), row,
                                             cts_, deleted);

@@ -161,9 +161,9 @@ Status RunRange(VmState* st, AccessContext* access, uint32_t pc,
       case BcOp::kWriteRow: {
         PACMAN_DCHECK(access != nullptr);
         const Key key = OperandKey(*st, ins.b);
+        // The scratch keeps its rows and capacity: kBeginRow resets it.
         access->WriteTable(prog.tables[ins.a], prog.table_ids[ins.a], key,
-                           std::move(*st->scratch), false, ins.c != 0);
-        st->scratch->clear();
+                           *st->scratch, false, ins.c != 0);
         break;
       }
       case BcOp::kDeleteRow: {

@@ -93,7 +93,7 @@ enum class BcOp : uint8_t {
                // locals[a] is not null, else {}.
   kSetCol,     // scratch[a] = in(b), resizing to a+1 when short.
   kAppendCol,  // scratch.push_back(in(a)).
-  kWriteRow,   // write(tables[a], key=in(b), move(scratch), insert = c).
+  kWriteRow,   // write(tables[a], key=in(b), scratch, insert = c).
   kDeleteRow,  // write(tables[a], key=in(b), {}, deleted).
 };
 

@@ -8,9 +8,10 @@
 // the locals; registers keep whatever string capacity they accumulated
 // (Value copy-assign from a non-string clears the type but not the
 // buffer). After the first few transactions warm a worker's arena, reads,
-// field loads and guards allocate nothing; a write still does, because
-// kWriteRow moves the scratch row out to the access context, so the next
-// row is built in a fresh one.
+// field loads, guards and row building allocate nothing: kWriteRow hands
+// the access context the scratch row by reference and leaves it, with its
+// capacity, in place. What a write keeps (the transaction's copy forward,
+// the new version under replay) is the context's own allocation.
 //
 // Threading: one ExecArena per thread (the users hold it thread_local).
 // Forward processing and CLR bind the whole state from the arena. CLR-P

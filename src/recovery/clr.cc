@@ -37,6 +37,7 @@ void BuildClrReplay(const std::vector<GlobalBatch>& batches,
       // Replay-thread arena: VM registers/locals/scratch recycled across
       // all re-executed transactions of this thread.
       thread_local proc::ExecArena arena;
+      Row image;  // Ad-hoc images decode here, one at a time.
       double cost = 0.0;
       for (const logging::LogRecord* rec : b->records) {
         access.set_commit_ts(rec->commit_ts);
@@ -45,7 +46,8 @@ void BuildClrReplay(const std::vector<GlobalBatch>& batches,
         if (rec->is_adhoc()) {
           // Ad-hoc entries carry logical images: reinstall directly.
           for (const logging::WriteImage& img : rec->writes) {
-            access.Write(img.table, img.key, img.after, img.deleted, false);
+            rec->DecodeImage(img, &image);
+            access.Write(img.table, img.key, image, img.deleted, false);
           }
         } else {
           proc::VmState vm =

@@ -224,6 +224,7 @@ void BuildClrPReplay(const analysis::GlobalDependencyGraph& gdg,
         double serial_time = 0.0;
         double useful = 0.0, param = 0.0, sched = 0.0;
         std::vector<std::pair<TableId, Key>> access_set;
+        Row image;  // Ad-hoc images decode here, one at a time.
 
         for (TxnReplay& txn : bstate->txns) {
           const logging::LogRecord* rec = txn.rec;
@@ -275,8 +276,8 @@ void BuildClrPReplay(const analysis::GlobalDependencyGraph& gdg,
             for (const logging::WriteImage& img : rec->writes) {
               auto it = table_block->find(img.table);
               if (it->second == k) {
-                access.Write(img.table, img.key, img.after, img.deleted,
-                             false);
+                rec->DecodeImage(img, &image);
+                access.Write(img.table, img.key, image, img.deleted, false);
               }
             }
           } else {

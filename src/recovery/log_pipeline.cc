@@ -119,7 +119,7 @@ void PipelinedLogLoader::ReadDeviceStream(
     lk.unlock();
     pool_->Submit([this, fi, buf] {
       logging::LogBatch batch;
-      // Zero-copy: string fields view LogBatch::backing.
+      // Zero-copy: images and string parameters view LogBatch::backing.
       Status ds = logging::LogStore::ParseBatchFile(
           scheme_, plan_.files[fi].file, buf, /*borrow=*/true, &batch);
       if (ds.ok()) {

@@ -13,8 +13,9 @@
 //                (seq, logger) order — a device is a serial bandwidth
 //                resource, so one sequential reader per stream;
 //   deserialize  fan-out: each file's bytes are parsed by whatever worker
-//                is free, in zero-copy mode (string fields are views over
-//                the retained file buffer, LogBatch::backing);
+//                is free, in zero-copy mode (write images are views of
+//                their rows, checked in place, and string parameters
+//                views of the retained file buffer, LogBatch::backing);
 //   merge        a seq-ordered producer: the worker that completes the
 //                last fragment of the next pending sequence number merges
 //                that seq's fragments into a GlobalBatch

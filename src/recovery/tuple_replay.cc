@@ -9,10 +9,11 @@ namespace pacman::recovery {
 
 namespace {
 
-// A write to replay: the image plus its commit timestamp.
+// A write to replay: the image and the record holding its row bytes and
+// commit timestamp.
 struct ReplayWrite {
+  const logging::LogRecord* rec;
   const logging::WriteImage* image;
-  Timestamp cts;
 };
 
 }  // namespace
@@ -82,7 +83,7 @@ void BuildTupleLogReplay(Scheme scheme,
           } else {
             p = rr++ % n_threads;
           }
-          (*partitions)[p].push_back({&img, rec->commit_ts});
+          (*partitions)[p].push_back({rec, &img});
         }
       }
       counters->AddRecords(b->records.size());
@@ -102,6 +103,8 @@ void BuildTupleLogReplay(Scheme scheme,
         for (const ReplayWrite& w : part) {
           storage::Table* table = catalog->GetTable(w.image->table);
           storage::TupleSlot* slot = table->GetOrCreateSlot(w.image->key);
+          // The image's compact row goes straight into the version.
+          const uint8_t* row = w.rec->ImageRow(*w.image);
           if (scheme == Scheme::kLlrP) {
             // Keys are partition-owned and their images arrive in
             // ascending commit TID — the per-key invariant the parallel
@@ -110,15 +113,15 @@ void BuildTupleLogReplay(Scheme scheme,
             // guaranteed nor needed. The in-order install below would
             // corrupt the chain on any violation (its begin_ts DCHECK is
             // the debug-build tripwire).
-            storage::Table::InstallVersionUnlatched(slot, w.image->after,
-                                                    w.cts, w.image->deleted);
+            storage::Table::InstallCompactUnlatched(
+                slot, row, w.rec->commit_ts, w.image->deleted);
           } else {
             // PLR/LLR threads replay out of order within the batch:
             // last-writer-wins by TID resolves same-key races, which is
             // sound for exactly the same reason — per key, TID order is
             // install order.
-            storage::Table::InstallLastWriterWins(slot, w.image->after,
-                                                  w.cts, w.image->deleted);
+            storage::Table::InstallCompactLastWriterWins(
+                slot, row, w.rec->commit_ts, w.image->deleted);
           }
         }
         if (latched) counters->AddLatches(part.size());

@@ -29,6 +29,20 @@ uint32_t LatchShardsPerPartition(uint32_t num_shards) {
   return std::max(8u, budget);
 }
 
+// Links `v`, whose `older` is the slot's newest version, as the newest and
+// publishes its stamp: the step both unlatched installs end with.
+void LinkVersion(TupleSlot* slot, Version* v) {
+  // Equal timestamps occur when one transaction writes a key twice; the
+  // later install (program order) supersedes.
+  PACMAN_DCHECK(v->older == nullptr || v->older->begin_ts <= v->begin_ts);
+  slot->newest.store(v, std::memory_order_release);
+  // Publish the commit stamp last: on a write-locked slot this single
+  // release store is also the unlock, so a validator that observes the
+  // slot unlocked with an unchanged stamp is guaranteed the version chain
+  // it read is still the newest.
+  slot->wlock.PublishTs(v->begin_ts);
+}
+
 }  // namespace
 
 Table::Table(TableId id, std::string name, Schema schema,
@@ -62,6 +76,14 @@ Version* Version::New(Timestamp ts, bool deleted, Version* older,
                       const uint8_t* row, size_t size) {
   auto* v = new (AllocateVersion(size)) Version(ts, deleted, older);
   std::memcpy(v->mutable_row(), row, size);
+  return v;
+}
+
+Version* Version::NewFromCompact(Timestamp ts, bool deleted, Version* older,
+                                 const uint8_t* compact_row) {
+  auto* v = new (AllocateVersion(CompactRowFixedBytes(compact_row)))
+      Version(ts, deleted, older);
+  TranscodeCompactRow(compact_row, v->mutable_row());
   return v;
 }
 
@@ -142,28 +164,31 @@ Status Table::Read(Key key, Timestamp ts, Row* out) const {
 
 void Table::InstallVersionUnlatched(TupleSlot* slot, const Row& row,
                                     Timestamp ts, bool deleted) {
-  Version* old = slot->newest.load(std::memory_order_relaxed);
-  // Equal timestamps occur when one transaction writes a key twice; the
-  // later install (program order) supersedes.
-  PACMAN_DCHECK(old == nullptr || old->begin_ts <= ts);
-  slot->newest.store(Version::New(ts, deleted, old, row),
-                     std::memory_order_release);
-  // Publish the commit stamp last: on a write-locked slot this single
-  // release store is also the unlock, so a validator that observes the
-  // slot unlocked with an unchanged stamp is guaranteed the version chain
-  // it read is still the newest.
-  slot->wlock.PublishTs(ts);
+  LinkVersion(slot, Version::New(ts, deleted,
+                                 slot->newest.load(std::memory_order_relaxed),
+                                 row));
 }
 
-bool Table::InstallLastWriterWins(TupleSlot* slot, const Row& row,
-                                  Timestamp ts, bool deleted) {
+void Table::InstallCompactUnlatched(TupleSlot* slot,
+                                    const uint8_t* compact_row, Timestamp ts,
+                                    bool deleted) {
+  LinkVersion(slot, Version::NewFromCompact(
+                        ts, deleted,
+                        slot->newest.load(std::memory_order_relaxed),
+                        compact_row));
+}
+
+bool Table::InstallCompactLastWriterWins(TupleSlot* slot,
+                                         const uint8_t* compact_row,
+                                         Timestamp ts, bool deleted) {
   slot->wlock.Lock();
   const Version* old = slot->newest.load(std::memory_order_relaxed);
   if (old != nullptr && old->begin_ts >= ts) {
     slot->wlock.Unlock();  // Thomas write rule: dropped, stamp unchanged.
     return false;
   }
-  InstallVersionUnlatched(slot, row, ts, deleted);  // Publishing unlocks.
+  // Publishing unlocks.
+  InstallCompactUnlatched(slot, compact_row, ts, deleted);
   return true;
 }
 

@@ -82,11 +82,19 @@ class Table {
   //
   // Appends a committed version on `slot` without taking the latch: used
   // by forward processing (the committer holds the slot's write lock,
-  // which this install releases), by PACMAN replay, whose schedule
-  // already serialized conflicting writers so the latch is provably
-  // unnecessary (§4.5), and by LLR-P's per-key ordered installs. `ts` must
-  // not be below the current newest version's begin_ts.
+  // which this install releases) and by PACMAN's command replay, whose
+  // schedule already serialized conflicting writers so the latch is
+  // provably unnecessary (§4.5). `ts` must not be below the current
+  // newest version's begin_ts.
   static void InstallVersionUnlatched(TupleSlot* slot, const Row& row,
+                                      Timestamp ts, bool deleted = false);
+  // The installs of tuple-level replay, from a log image's compact row
+  // (common/serializer.h, one CheckCompactRow accepted), transcoded
+  // straight into the version with no Row in between.
+  //
+  // Unlatched, as above: LLR-P's per-key ordered installs.
+  static void InstallCompactUnlatched(TupleSlot* slot,
+                                      const uint8_t* compact_row,
                                       Timestamp ts, bool deleted = false);
   // Last-writer-wins install (Thomas write rule): drops the write if a
   // version with begin_ts >= ts is already in place. Used by PLR/LLR whose
@@ -94,8 +102,10 @@ class Table {
   // stamp word's lock bit, which the install's stamp publication
   // releases; a dropped write releases it with the stamp unchanged.
   // Returns whether the write was installed.
-  static bool InstallLastWriterWins(TupleSlot* slot, const Row& row,
-                                    Timestamp ts, bool deleted = false);
+  static bool InstallCompactLastWriterWins(TupleSlot* slot,
+                                           const uint8_t* compact_row,
+                                           Timestamp ts,
+                                           bool deleted = false);
 
   // Visits every slot (any order, including logically deleted tuples).
   // NOT safe against concurrent slot creation; single-threaded callers

@@ -62,6 +62,9 @@ struct Version {
   // `row` (CheckFixedRow), copied with one memcpy.
   static Version* New(Timestamp ts, bool deleted, Version* older,
                       const uint8_t* row, size_t size);
+  // Same, from a well-formed compact row (CheckCompactRow), transcoded.
+  static Version* NewFromCompact(Timestamp ts, bool deleted, Version* older,
+                                 const uint8_t* compact_row);
   static void Free(Version* v);
 
   const uint8_t* row() const {

@@ -13,9 +13,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <iterator>
+#include <new>
 #include <string>
 #include <utility>
 #include <vector>
@@ -26,6 +29,31 @@
 #include "proc/exec_arena.h"
 #include "workload/bank.h"
 #include "workload/tpcc.h"
+
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+#define PACMAN_SANITIZED_MALLOC 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
+#define PACMAN_SANITIZED_MALLOC 1
+#endif
+#endif
+
+#ifndef PACMAN_SANITIZED_MALLOC
+// Counts the calling thread's operator new calls, for the allocation pin
+// below. The library's operator delete frees with free(), which matches;
+// kept out of line so the compiler pairs callers' deletes with operator
+// new, not with the malloc inside it. Sanitizer builds keep their own
+// operator new (the pin skips).
+namespace {
+thread_local uint64_t t_allocations = 0;
+}  // namespace
+
+[[gnu::noinline]] void* operator new(size_t n) {
+  ++t_allocations;
+  if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
+  throw std::bad_alloc();
+}
+#endif
 
 namespace pacman {
 namespace {
@@ -252,6 +280,116 @@ TEST(GoldenPinTest, CheckpointStripeBytes) {
     logging::CheckpointMeta meta;
     ASSERT_TRUE(run.db->TryTakeCheckpoint(&meta).ok());
     const uint64_t got = StripeDigest(run.db.get(), meta, pin.log);
+    char hex[32];
+    std::snprintf(hex, sizeof(hex), "0x%016llx",
+                  static_cast<unsigned long long>(got));
+    EXPECT_EQ(got, pin.digest) << hex;
+  }
+}
+
+// --- Log batch pins ---------------------------------------------------------
+
+// Zeroes the 16 version-location bytes of every physical image in the v4
+// batch file `bytes` (addresses that differ from run to run, as
+// StripeDigest masks them). Returns false if the file does not parse.
+bool MaskPhysicalImages(std::vector<uint8_t>* bytes) {
+  Deserializer in(*bytes);
+  if (!in.Skip(logging::LogStore::kFileHeaderBytes).ok()) return false;
+  while (!in.AtEnd()) {
+    uint64_t count = 0, header = 0;
+    bool ok = in.GetVarint(&count).ok();
+    for (int i = 0; ok && i < 4; ++i) ok = in.GetVarint(&header).ok();
+    for (uint64_t r = 0; ok && r < count; ++r) {
+      uint64_t images = 0;
+      ok = in.GetVarint(&header).ok() && in.GetVarint(&header).ok() &&
+           in.GetVarint(&images).ok();
+      for (uint64_t w = 0; ok && w < images; ++w) {
+        ok = in.remaining() >= 16;
+        if (ok) std::memset(bytes->data() + in.position(), 0, 16);
+        uint8_t deleted = 0;
+        uint64_t values = 0;
+        ok = ok && in.Skip(16).ok() && in.GetVarint(&header).ok() &&
+             in.GetVarint(&header).ok() && in.GetU8(&deleted).ok() &&
+             in.GetVarint(&values).ok();
+        Value v;
+        for (uint64_t c = 0; ok && c < values; ++c) {
+          ok = in.GetCompactValue(&v).ok();
+        }
+      }
+    }
+    if (!ok) return false;
+  }
+  return true;
+}
+
+// FNV-1a over every batch file on the database's devices, in (device,
+// name) order, each file's name and size first; physical images masked.
+uint64_t LogDigest(Database* db, LogScheme log) {
+  uint64_t h = 1469598103934665603ull;
+  for (uint32_t d = 0; d < db->options().num_ssds; ++d) {
+    std::vector<std::string> names = db->device(d)->ListFiles("log_");
+    std::sort(names.begin(), names.end());
+    for (const std::string& name : names) {
+      std::vector<uint8_t> bytes;
+      EXPECT_TRUE(db->device(d)->ReadFile(name, &bytes).ok());
+      if (log == LogScheme::kPhysical && !MaskPhysicalImages(&bytes)) {
+        ADD_FAILURE() << "unparsable batch file " << name;
+      }
+      h = Fnv1a(name.data(), name.size(), h);
+      const uint64_t n = bytes.size();
+      h = Fnv1a(&n, sizeof(n), h);
+      h = Fnv1a(bytes.data(), bytes.size(), h);
+    }
+  }
+  return h;
+}
+
+// The batch files the pinned transactions leave once the crash's final
+// flush closed them: the logical log, the command log with one more
+// transaction logged ad hoc (row images inside a command stream), and the
+// physical log, unsharded and on two shards. Captured on the engine whose
+// log records still held decoded rows and encoded them at flush, so they
+// hold batch format v4 to that writer byte for byte.
+TEST(GoldenPinTest, LogBatchBytes) {
+  struct LogPin {
+    Workload workload;
+    LogScheme log;
+    uint32_t shards;
+    uint64_t digest;
+  };
+  const LogPin pins[] = {
+      {Workload::kBank, LogScheme::kLogical, 1, 0x3a5018197a3bf372ull},
+      {Workload::kBank, LogScheme::kLogical, 2, 0x5bf89d95d3577551ull},
+      {Workload::kBank, LogScheme::kCommand, 1, 0xdc3c3905b441418aull},
+      {Workload::kBank, LogScheme::kCommand, 2, 0xfb69a70507b0b0dfull},
+      {Workload::kBank, LogScheme::kPhysical, 1, 0xf929ff5b42363ad3ull},
+      {Workload::kBank, LogScheme::kPhysical, 2, 0xf03092f51ab45590ull},
+      {Workload::kTpcc, LogScheme::kLogical, 1, 0x70a125a267f4f542ull},
+      {Workload::kTpcc, LogScheme::kLogical, 2, 0x670a9c5802b324c8ull},
+      {Workload::kTpcc, LogScheme::kCommand, 1, 0x3884a3dce6baadd8ull},
+      {Workload::kTpcc, LogScheme::kCommand, 2, 0x9746917a687e9aabull},
+      {Workload::kTpcc, LogScheme::kPhysical, 1, 0x08a242ef5441f070ull},
+      {Workload::kTpcc, LogScheme::kPhysical, 2, 0x0e2dc81f6148592full},
+  };
+  for (const LogPin& pin : pins) {
+    SCOPED_TRACE(std::string(pin.workload == Workload::kBank ? "bank " : "tpcc ") +
+                 logging::LogSchemeName(pin.log) +
+                 " shards=" + std::to_string(pin.shards));
+    PinnedRun run(pin.workload, pin.log, pin.shards);
+    run.Forward();
+    if (pin.log == LogScheme::kCommand) {
+      // One more transaction, logged as row images.
+      Rng rng(5);
+      std::vector<Value> params;
+      const ProcId proc = run.bank != nullptr
+                              ? run.bank->NextTransaction(&rng, &params)
+                              : run.tpcc->NextTransaction(&rng, &params);
+      Database::ExecOptions adhoc;
+      adhoc.adhoc = true;
+      ASSERT_TRUE(run.db->Execute(proc, params, adhoc).status.ok());
+    }
+    run.db->Crash();
+    const uint64_t got = LogDigest(run.db.get(), pin.log);
     char hex[32];
     std::snprintf(hex, sizeof(hex), "0x%016llx",
                   static_cast<unsigned long long>(got));
@@ -632,6 +770,39 @@ TEST(ExecArenaTest, BindNullsLocalsAndReadsViewVersions) {
   for (uint16_t l = 0; l < prog.num_locals; ++l) {
     EXPECT_EQ(st2.locals[l], nullptr);
   }
+}
+
+// A replayed write hands the VM's row scratch to the access context by
+// reference, so on a warm arena the only allocations a replayed Transfer
+// makes are its three new versions. When kWriteRow moved the scratch out,
+// each write also rebuilt it in a fresh allocation: six in all.
+TEST(ExecArenaTest, ReplayedWritesAllocateOnlyTheirVersions) {
+#ifdef PACMAN_SANITIZED_MALLOC
+  GTEST_SKIP() << "sanitizer allocators replace operator new";
+#else
+  workload::Bank bank{workload::BankConfig{
+      .num_users = 20, .num_nations = 2, .single_fraction = 0.0}};
+  auto db = MakeBankDb(&bank);
+  const proc::CompiledProgram& prog =
+      db->programs().Get(bank.transfer_id());
+  const std::vector<Value> params = {Value(int64_t{0}), Value(5.0)};
+  proc::ExecArena arena;
+  proc::ReplayAccess access(db->catalog());
+  // The first replay warms the arena's registers and row scratch.
+  access.set_commit_ts(2);
+  proc::VmState st = arena.Bind(prog, &params);
+  ASSERT_TRUE(proc::VmExecuteAll(&st, &access).ok());
+
+  access.set_commit_ts(3);
+  st = arena.Bind(prog, &params);
+  const uint64_t writes = access.writes();
+  const uint64_t before = t_allocations;
+  const Status s = proc::VmExecuteAll(&st, &access);
+  const uint64_t allocations = t_allocations - before;
+  ASSERT_TRUE(s.ok());
+  ASSERT_EQ(access.writes() - writes, 3u);
+  EXPECT_EQ(allocations, 3u);
+#endif
 }
 
 // Shared-locals binding (CLR-P): VmTxnLocals carries the per-transaction

@@ -479,7 +479,7 @@ TEST_F(DeviceTest, TruncateBeyondWatermarkErasesZombieRecords) {
     rec.commit_ts = 10 + e;
     rec.epoch = e;
     rec.proc = kAdhocProcId;
-    rec.writes.push_back({0, e, {Value(1.0)}, false});
+    rec.AddImage(0, e, {Value(1.0)}, false);
     batch.records.push_back(std::move(rec));
   }
   const std::string name = logging::LogStore::BatchFileName(0, batch.seq);
@@ -523,8 +523,8 @@ TEST_F(DeviceTest, RestartRecoveryErasesZombiesFromPartialFlush) {
     rec.commit_ts = 1u << 30;
     rec.epoch = db->epoch_manager()->PersistentEpoch() + 1;
     rec.proc = kAdhocProcId;
-    rec.writes.push_back(
-        {db->catalog()->GetTableId("Current"), 0, {Value(-1e9)}, false});
+    rec.AddImage(db->catalog()->GetTableId("Current"), 0, {Value(-1e9)},
+                 false);
     zombie.records.push_back(rec);
     ASSERT_TRUE(db->device(0)
                     ->WriteFile(logging::LogStore::BatchFileName(0, zombie.seq),

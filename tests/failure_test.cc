@@ -172,8 +172,8 @@ TEST_F(FailureTest, RecordsBeyondPepochAreNotReplayed) {
   rec.commit_ts = 1u << 30;  // Far past everything replayable.
   rec.epoch = 1u << 20;      // Far past the persisted epoch.
   rec.proc = kAdhocProcId;
-  rec.writes.push_back(
-      {db->catalog()->GetTableId("Current"), 0, {Value(-1e9)}, false});
+  rec.AddImage(db->catalog()->GetTableId("Current"), 0, {Value(-1e9)},
+               false);
   rogue.records.push_back(rec);
   ASSERT_TRUE(
       db->device(0)

@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "common/random.h"
+#include "common/serializer.h"
 #include "storage/catalog.h"
 #include "txn/epoch_manager.h"
 #include "txn/transaction_manager.h"
@@ -276,6 +277,14 @@ TEST(ParallelCommitStressTest, StampsMatchNewestVersionAfterStress) {
   });
 }
 
+// A one-int row in the compact encoding log images carry.
+std::vector<uint8_t> CompactIntRow(int64_t v) {
+  const Row row = {Value(v)};
+  std::vector<uint8_t> bytes(CompactRowBytes(row));
+  EncodeCompactRow(row, bytes.data());
+  return bytes;
+}
+
 // PLR/LLR's install latch is the stamp word's lock bit. A write the
 // Thomas rule drops must release it without touching the stamp.
 TEST(InstallLatchTest, ThomasRuleDropLeavesStampUnchanged) {
@@ -286,14 +295,14 @@ TEST(InstallLatchTest, ThomasRuleDropLeavesStampUnchanged) {
   const storage::Version* newest = slot->newest.load();
   const uint64_t stamp = slot->wlock.Load();
   for (Timestamp stale : {Timestamp{5}, Timestamp{10}}) {
-    EXPECT_FALSE(storage::Table::InstallLastWriterWins(
-        slot, {Value(int64_t{0})}, stale));
+    EXPECT_FALSE(storage::Table::InstallCompactLastWriterWins(
+        slot, CompactIntRow(0).data(), stale));
     EXPECT_EQ(slot->wlock.Load(), stamp);
     EXPECT_FALSE(OccStampLock::IsLocked(slot->wlock.Load()));
     EXPECT_EQ(slot->newest.load(), newest);
   }
-  EXPECT_TRUE(storage::Table::InstallLastWriterWins(
-      slot, {Value(int64_t{11})}, 11));
+  EXPECT_TRUE(storage::Table::InstallCompactLastWriterWins(
+      slot, CompactIntRow(11).data(), 11));
   EXPECT_EQ(slot->wlock.Load(), OccStampLock::Pack(11));
 }
 
@@ -328,8 +337,10 @@ TEST(InstallLatchTest, ContendedInstallsKeepChainsOrderedAndExact) {
     threads.emplace_back([&, t]() {
       wins[t].fill(0);
       const auto install = [&](int slot, Timestamp ts) {
-        const Row row = {Value(static_cast<int64_t>(ts))};
-        if (storage::Table::InstallLastWriterWins(slots[slot], row, ts)) {
+        const std::vector<uint8_t> row =
+            CompactIntRow(static_cast<int64_t>(ts));
+        if (storage::Table::InstallCompactLastWriterWins(slots[slot],
+                                                         row.data(), ts)) {
           wins[t][slot]++;
         }
       };

@@ -312,9 +312,8 @@ TEST(CorruptBatchTest, TruncatedBatchFileOnPersistentDeviceIsLoud) {
     rec.commit_ts = 100 + i;
     rec.epoch = 1;
     rec.proc = kAdhocProcId;
-    rec.writes.push_back(
-        {0, static_cast<Key>(i), {Value(1.5), Value(std::string("row"))},
-         false});
+    rec.AddImage(0, static_cast<Key>(i),
+                 {Value(1.5), Value(std::string("row"))}, false);
     batch.records.push_back(std::move(rec));
   }
   std::vector<uint8_t> bytes =
@@ -396,10 +395,10 @@ logging::LogBatch MixedBatch(LogScheme scheme) {
                     Value(std::string("a string parameter")), Value::Null()};
     } else {
       rec.proc = kAdhocProcId;
-      rec.writes.push_back({2, static_cast<Key>(i),
-                            {Value(int64_t{1}), Value(std::string("abcdef")),
-                             Value::Null()},
-                            i == 3});
+      rec.AddImage(2, static_cast<Key>(i),
+                   {Value(int64_t{1}), Value(std::string("abcdef")),
+                    Value::Null()},
+                   i == 3);
     }
     batch.records.push_back(std::move(rec));
   }
@@ -483,6 +482,64 @@ TEST(BatchSerializationTest, ZeroCopyParseBorrowsAndMaterializesOnCopy) {
     for (size_t v = 0; v < copied.records[i].params.size(); ++v) {
       EXPECT_TRUE(copied.records[i].params[v] == moved.records[i].params[v]);
     }
+  }
+
+  // A logical batch: every image of a zero-copy parse views its row in
+  // the retained buffer, and copies and moves of its records, like every
+  // record of a copy-mode parse, read the rows that were logged.
+  logging::LogBatch logical = MixedBatch(LogScheme::kLogical);
+  std::vector<uint8_t> ll_bytes =
+      logging::LogStore::SerializeBatch(LogScheme::kLogical, logical);
+  logging::LogBatch borrowed_ll;
+  ASSERT_TRUE(logging::LogStore::DeserializeBatch(LogScheme::kLogical,
+                                                  ll_bytes, popts,
+                                                  &borrowed_ll)
+                  .ok());
+  ASSERT_NE(borrowed_ll.backing, nullptr);
+  logging::LogBatch copied_ll;
+  ASSERT_TRUE(logging::LogStore::DeserializeBatch(LogScheme::kLogical,
+                                                  ll_bytes, &copied_ll)
+                  .ok());
+  EXPECT_EQ(copied_ll.backing, nullptr);
+  ASSERT_EQ(borrowed_ll.records.size(), logical.records.size());
+  ASSERT_EQ(copied_ll.records.size(), logical.records.size());
+  const uint8_t* ll_lo = borrowed_ll.backing->data();
+  const uint8_t* ll_hi = ll_lo + borrowed_ll.backing->size();
+  // The rows each image holds, decoded.
+  const auto rows = [](const logging::LogRecord& rec) {
+    std::vector<Row> out(rec.writes.size());
+    for (size_t w = 0; w < rec.writes.size(); ++w) {
+      rec.DecodeImage(rec.writes[w], &out[w]);
+    }
+    return out;
+  };
+  std::vector<logging::LogRecord> record_copies;
+  for (size_t i = 0; i < logical.records.size(); ++i) {
+    SCOPED_TRACE(i);
+    const logging::LogRecord& rec = borrowed_ll.records[i];
+    EXPECT_FALSE(rec.images.owned());
+    ASSERT_EQ(rec.writes.size(), 1u);
+    const logging::WriteImage& w = rec.writes[0];
+    const uint8_t* row = rec.ImageRow(w);
+    EXPECT_TRUE(row >= ll_lo && row + w.size <= ll_hi)
+        << "image row is not a view of the batch file";
+    EXPECT_TRUE(copied_ll.records[i].images.owned());
+    EXPECT_EQ(rows(copied_ll.records[i]), rows(logical.records[i]));
+    EXPECT_EQ(rows(rec), rows(logical.records[i]));
+    record_copies.push_back(rec);
+    record_copies.push_back(copied_ll.records[i]);
+  }
+  const logging::LogBatch moved_ll = std::move(borrowed_ll);
+  for (size_t i = 0; i < logical.records.size(); ++i) {
+    SCOPED_TRACE(i);
+    const std::vector<Row> want = rows(logical.records[i]);
+    EXPECT_EQ(rows(moved_ll.records[i]), want);
+    EXPECT_EQ(rows(record_copies[2 * i]), want);
+    // A copy of an owning record reads its own bytes, not the source's.
+    const logging::LogRecord& owned = record_copies[2 * i + 1];
+    EXPECT_NE(owned.ImageRow(owned.writes[0]),
+              copied_ll.records[i].ImageRow(copied_ll.records[i].writes[0]));
+    EXPECT_EQ(rows(owned), want);
   }
 }
 

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <limits>
 
 #include "common/random.h"
@@ -12,6 +13,7 @@
 #include "logging/log_record.h"
 #include "logging/log_store.h"
 #include "recovery/log_pipeline.h"
+#include "storage/table.h"
 
 namespace pacman {
 namespace {
@@ -209,8 +211,8 @@ TEST(LogRecordTest, AdhocCommandRecordCarriesWrites) {
   rec.commit_ts = 100;
   rec.epoch = 1;
   rec.proc = kAdhocProcId;
-  rec.writes.push_back({1, 42, {Value(int64_t{1})}, false});
-  rec.writes.push_back({2, 43, {}, true});
+  rec.AddImage(1, 42, {Value(int64_t{1})}, false);
+  rec.AddImage(2, 43, {}, true);
 
   Serializer s;
   logging::SerializeRecord(logging::LogScheme::kCommand, rec, {}, &s);
@@ -230,7 +232,7 @@ TEST(LogRecordTest, PhysicalRecordsAreLargerThanLogical) {
   logging::LogRecord rec;
   rec.commit_ts = 1;
   rec.epoch = 1;
-  rec.writes.push_back({1, 7, {Value(int64_t{5}), Value(2.0)}, false});
+  rec.AddImage(1, 7, {Value(int64_t{5}), Value(2.0)}, false);
 
   Serializer pl, ll;
   logging::SerializeRecord(logging::LogScheme::kPhysical, rec, {}, &pl);
@@ -245,7 +247,7 @@ TEST(LogRecordTest, PhysicalAndLogicalRoundTrip) {
     logging::LogRecord rec;
     rec.commit_ts = 5;
     rec.epoch = 2;
-    rec.writes.push_back({3, 11, {Value(std::string("row"))}, false});
+    rec.AddImage(3, 11, {Value(std::string("row"))}, false);
     Serializer s;
     logging::SerializeRecord(scheme, rec, {}, &s);
     Deserializer d(s.data());
@@ -254,7 +256,10 @@ TEST(LogRecordTest, PhysicalAndLogicalRoundTrip) {
     ASSERT_EQ(out.writes.size(), 1u);
     EXPECT_EQ(out.writes[0].table, 3u);
     EXPECT_EQ(out.writes[0].key, 11u);
-    EXPECT_EQ(out.writes[0].after[0], Value(std::string("row")));
+    Row row;
+    out.DecodeImage(out.writes[0], &row);
+    ASSERT_EQ(row.size(), 1u);
+    EXPECT_EQ(row[0], Value(std::string("row")));
   }
 }
 
@@ -315,11 +320,10 @@ std::vector<logging::LogRecord> AllFieldRecords(logging::LogScheme scheme) {
     } else {
       r.proc = kAdhocProcId;
       for (int w = 0; w <= i % 3; ++w) {
-        r.writes.push_back({static_cast<TableId>(w + 1),
-                            static_cast<Key>(100 * i + w),
-                            {Value(int64_t{i}), Value(std::string("row")),
-                             Value(1.5), Value::Null()},
-                            w == 1});
+        r.AddImage(static_cast<TableId>(w + 1), static_cast<Key>(100 * i + w),
+                   {Value(int64_t{i}), Value(std::string("row")), Value(1.5),
+                    Value::Null()},
+                   w == 1);
       }
     }
     out.push_back(std::move(r));
@@ -345,7 +349,11 @@ void ExpectSameRecords(const std::vector<logging::LogRecord>& got,
       EXPECT_EQ(a.table, b.table);
       EXPECT_EQ(a.key, b.key);
       EXPECT_EQ(a.deleted, b.deleted);
-      EXPECT_TRUE(a.after == b.after) << i << "/" << w;
+      // The same compact row bytes, wherever each record keeps them.
+      ASSERT_EQ(a.size, b.size) << i << "/" << w;
+      EXPECT_EQ(std::memcmp(got[i].ImageRow(a), want[i].ImageRow(b), a.size),
+                0)
+          << i << "/" << w;
     }
   }
 }
@@ -441,8 +449,8 @@ std::vector<logging::LogRecord> GoldenRecords() {
   logging::LogRecord adhoc;
   adhoc.commit_ts = 0x400000001ull;
   adhoc.epoch = 4;
-  adhoc.writes = {{5, 9, {Value(int64_t{-1}), Value::Null()}, false},
-                  {6, 10, {}, true}};
+  adhoc.AddImage(5, 9, {Value(int64_t{-1}), Value::Null()}, false);
+  adhoc.AddImage(6, 10, {}, true);
   return {call, adhoc};
 }
 
@@ -627,6 +635,60 @@ TEST(LogBatchTest, V4MalformedBlocksAreCorruption) {
     }
   }
 
+  // The same for a logical record whose one image row breaks: the parse
+  // checks rows in place, borrowing or copying, and must still reject
+  // each of these without reading past the block.
+  const logging::LogScheme ll = logging::LogScheme::kLogical;
+  // TID delta 1, epoch delta 0, one image: table 2, key 5, not deleted,
+  // then the row.
+  const std::vector<uint8_t> kImage = {0x01, 0x00, 0x01, 0x02, 0x05, 0x00};
+  const auto ll_file = [&](const std::vector<uint8_t>& row) {
+    std::vector<uint8_t> payload = kImage;
+    payload.insert(payload.end(), row.begin(), row.end());
+    return V4File(1, payload, 100, 1, 3);
+  };
+  logging::BatchParseOptions borrow_strict;
+  borrow_strict.borrow = true;
+  logging::BatchParseOptions borrow_tolerant = tolerant;
+  borrow_tolerant.borrow = true;
+  const logging::BatchParseOptions* const kParses[] = {
+      &strict, &tolerant, &borrow_strict, &borrow_tolerant};
+  // Well formed: one int64 value, 1.
+  for (const logging::BatchParseOptions* opts : kParses) {
+    ASSERT_TRUE(logging::LogStore::DeserializeBatch(ll, ll_file({0x01, 0x01,
+                                                                 0x02}),
+                                                    *opts, &out)
+                    .ok());
+    ASSERT_EQ(out.records.size(), 1u);
+    Row row;
+    out.records[0].DecodeImage(out.records[0].writes[0], &row);
+    ASSERT_EQ(row.size(), 1u);
+    EXPECT_EQ(row[0], Value(int64_t{1}));
+  }
+  const std::vector<uint8_t> kBadRows[] = {
+      {0x01, 0x09},                    // Unknown value tag.
+      {0x01, 0x01, 0x82, 0x00},        // Overlong varint (2 in two bytes).
+      {0x01, 0x03, 0x05, 'a', 'b'},    // A string past the block.
+      [] {                             // An integral double beyond 2^53.
+        Serializer b;
+        b.PutVarint(1);
+        b.PutU8(kCompactIntegralDouble);
+        b.PutSignedVarint(-(int64_t{1} << 53) - 1);
+        return b.Release();
+      }(),
+      {0x05, 0x00},                    // Five values in one byte.
+  };
+  for (const std::vector<uint8_t>& row : kBadRows) {
+    const std::vector<uint8_t> file = ll_file(row);
+    for (const logging::BatchParseOptions* opts : kParses) {
+      EXPECT_EQ(
+          logging::LogStore::DeserializeBatch(ll, file, *opts, &out).code(),
+          StatusCode::kCorruption)
+          << row.size() << (opts->borrow ? " borrow" : " copy")
+          << (opts->tolerate_torn_tail ? " tolerant" : " strict");
+    }
+  }
+
   // An overlong varint in a block header (the count, 1 spelled 0x81 0x00).
   std::vector<uint8_t> overlong = good;
   const size_t count_off = logging::LogStore::kFileHeaderBytes;
@@ -645,6 +707,77 @@ TEST(LogBatchTest, V4MalformedBlocksAreCorruption) {
       logging::LogStore::DeserializeBatch(cl, cut, tolerant, &out).ok());
   EXPECT_TRUE(out.torn_tail);
   EXPECT_TRUE(out.records.empty());
+}
+
+// Every byte of a small logical batch, flipped three ways: each parse,
+// borrowing or copying, strict or tolerating a torn tail, either fails as
+// corruption or yields images that install and read back cleanly. Under
+// ASan, a row check that let an image run past its block would show here
+// as an out-of-bounds read of the exactly sized file buffer.
+TEST(LogBatchTest, FlippedLogicalBatchBytesFailOrInstallCleanly) {
+  const logging::LogScheme ll = logging::LogScheme::kLogical;
+  logging::LogBatch batch;
+  for (int i = 0; i < 3; ++i) {
+    logging::LogRecord rec;
+    rec.commit_ts = 100 + i;
+    rec.epoch = 2;
+    rec.AddImage(1, static_cast<Key>(i),
+                 {Value(int64_t{-i}), Value(0.5 * i),
+                  Value(std::string(static_cast<size_t>(i) + 2, 's')),
+                  Value::Null(), Value(3.0)},
+                 false);
+    rec.AddImage(2, static_cast<Key>(10 + i), {}, i == 1);
+    batch.records.push_back(std::move(rec));
+  }
+  const std::vector<uint8_t> file =
+      logging::LogStore::SerializeBatch(ll, batch);
+  size_t parsed = 0, rejected = 0;
+  Row want, got;
+  for (size_t i = 0; i < file.size(); ++i) {
+    for (const uint8_t flip : {uint8_t{0x01}, uint8_t{0x80}, uint8_t{0xff}}) {
+      std::vector<uint8_t> bytes = file;
+      bytes[i] ^= flip;
+      for (const bool borrow : {false, true}) {
+        for (const bool tolerate : {false, true}) {
+          SCOPED_TRACE("byte " + std::to_string(i) + " ^ " +
+                       std::to_string(flip) + (borrow ? " borrow" : "") +
+                       (tolerate ? " tolerant" : ""));
+          logging::BatchParseOptions opts;
+          opts.borrow = borrow;
+          opts.tolerate_torn_tail = tolerate;
+          logging::LogBatch out;
+          const Status s =
+              logging::LogStore::DeserializeBatch(ll, bytes, opts, &out);
+          if (!s.ok()) {
+            EXPECT_EQ(s.code(), StatusCode::kCorruption);
+            ++rejected;
+            continue;
+          }
+          ++parsed;
+          storage::Table table(0, "t", Schema({{"v", ValueType::kInt64, 0}}));
+          for (const logging::LogRecord& rec : out.records) {
+            for (const logging::WriteImage& w : rec.writes) {
+              rec.DecodeImage(w, &want);
+              if (!storage::Table::InstallCompactLastWriterWins(
+                      table.GetOrCreateSlot(w.key), rec.ImageRow(w),
+                      rec.commit_ts, w.deleted)) {
+                continue;
+              }
+              const Status r = table.Read(w.key, kMaxTimestamp, &got);
+              if (w.deleted) {
+                EXPECT_EQ(r.code(), StatusCode::kNotFound);
+              } else {
+                ASSERT_TRUE(r.ok());
+                EXPECT_EQ(HashRow(got), HashRow(want));
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(parsed, 0u);
+  EXPECT_GT(rejected, 0u);
 }
 
 TEST(LogBatchTest, CorruptBatchRejected) {

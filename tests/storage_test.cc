@@ -8,11 +8,13 @@
 #include <cstdio>
 #include <cstring>
 #include <limits>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "common/serializer.h"
+#include "logging/log_store.h"
 #include "storage/catalog.h"
 #include "storage/hash_index.h"
 
@@ -21,6 +23,12 @@ namespace {
 
 Schema OneIntSchema() { return Schema({{"v", ValueType::kInt64, 0}}); }
 Row IntRow(int64_t v) { return {Value(v)}; }
+// The same row in the compact encoding log images carry.
+std::vector<uint8_t> CompactIntRow(int64_t v) {
+  std::vector<uint8_t> bytes(CompactRowBytes(IntRow(v)));
+  EncodeCompactRow(IntRow(v), bytes.data());
+  return bytes;
+}
 
 // The first column of a version's row, decoded.
 int64_t FirstInt(const Version* v) {
@@ -103,14 +111,15 @@ uint64_t Bits(const Value& v) {
 
 // A version stores its row packed, tags included, so nothing the engine
 // can hold is lost: whatever a writer puts in (schemas are not enforced
-// on writes) reads back with the same type and the same bits.
+// on writes) reads back with the same type and the same bits, whether it
+// was installed from a Row or transcoded from a log image's compact row.
 TEST(PackedRowTest, EveryValueTypeRoundTripsExactly) {
   double nan_with_payload;
   const uint64_t nan_bits = 0x7ff4000000abcdefull;  // Signalling, payload.
   std::memcpy(&nan_with_payload, &nan_bits, sizeof(nan_bits));
   const std::string long_string(5000, 'x');
   // A string borrowed from a buffer that is overwritten before the read,
-  // the way a replayed row's strings view their log batch.
+  // the way a command's string parameters view their log batch.
   std::string replay_buffer = "borrowed from a replayed row";
   const Row row = {Value::Null(),
                    Value(std::numeric_limits<int64_t>::min()),
@@ -120,16 +129,25 @@ TEST(PackedRowTest, EveryValueTypeRoundTripsExactly) {
                    Value(std::string()),
                    Value(long_string),
                    Value(int64_t{42}),  // An int64 in a "double" column.
-                   Value::BorrowedString(replay_buffer)};
+                   Value::BorrowedString(replay_buffer),
+                   Value(-9007199254740992.0),  // Compact: an integral double.
+                   Value(3.0)};
   const std::string replayed = replay_buffer;
   const uint64_t want_hash = HashRow(row);
+  std::vector<uint8_t> compact(CompactRowBytes(row));
+  EncodeCompactRow(row, compact.data());
+  size_t compact_size = 0;
+  ASSERT_TRUE(
+      CheckCompactRow(compact.data(), compact.size(), &compact_size).ok());
+  EXPECT_EQ(compact_size, compact.size());
 
   Table t(0, "t", OneIntSchema(), IndexType::kHash);
   t.LoadRow(1, row, 1);
   Table::InstallVersionUnlatched(t.GetOrCreateSlot(2), row, 3);
+  Table::InstallCompactUnlatched(t.GetOrCreateSlot(3), compact.data(), 3);
   replay_buffer.assign(replay_buffer.size(), '?');  // The buffer moves on.
 
-  for (Key key : {Key{1}, Key{2}}) {
+  for (Key key : {Key{1}, Key{2}, Key{3}}) {
     Row out = {Value(std::string(64, 'y'))};  // Stale capacity to reuse.
     ASSERT_TRUE(t.Read(key, kMaxTimestamp, &out).ok());
     ASSERT_EQ(out.size(), row.size());
@@ -144,12 +162,25 @@ TEST(PackedRowTest, EveryValueTypeRoundTripsExactly) {
     EXPECT_EQ(out[8].AsStringView(), replayed);
     EXPECT_EQ(HashRow(out), want_hash);
   }
-  // The version holds exactly the bytes Serializer::PutRow writes.
+  // Every version holds exactly the bytes Serializer::PutRow writes.
   Serializer s;
   s.PutRow(row);
-  const Version* v = t.GetSlot(1)->VisibleAt(kMaxTimestamp);
-  ASSERT_EQ(v->row_size(), s.size());
-  EXPECT_EQ(std::memcmp(v->row(), s.data().data(), s.size()), 0);
+  EXPECT_EQ(CompactRowFixedBytes(compact.data()), s.size());
+  for (Key key : {Key{1}, Key{3}}) {
+    const Version* v = t.GetSlot(key)->VisibleAt(kMaxTimestamp);
+    ASSERT_EQ(v->row_size(), s.size());
+    EXPECT_EQ(std::memcmp(v->row(), s.data().data(), s.size()), 0);
+  }
+  // And the compact row decodes to the same values.
+  Row decoded = {Value(std::string(64, 'y'))};
+  DecodeCompactRow(compact.data(), &decoded);
+  ASSERT_EQ(decoded.size(), row.size());
+  for (size_t i = 0; i < row.size(); ++i) {
+    EXPECT_EQ(decoded[i].type(), row[i].type()) << i;
+    EXPECT_EQ(Bits(decoded[i]), Bits(row[i])) << i;
+  }
+  EXPECT_EQ(decoded[6].AsStringView(), long_string);
+  EXPECT_EQ(decoded[8].AsStringView(), replayed);
 }
 
 TEST(PackedRowTest, CheckFixedRowRejectsBadTagsAndCutRows) {
@@ -204,6 +235,57 @@ TEST(PackedRowTest, HeapBytesPerRowStaySmall) {
 #endif
 }
 
+// Heap bytes a zero-copy parse adds per write image of a logical batch of
+// 10-column rows, 16 images to a record, beyond the file buffer it keeps:
+// the record's share and the image itself, since rows stay in the file.
+// When each image decoded its row into 56-byte Values this read about 620.
+TEST(PackedRowTest, HeapBytesPerParsedImageStaySmall) {
+#ifdef PACMAN_SANITIZED_MALLOC
+  GTEST_SKIP() << "sanitizer allocators replace malloc";
+#else
+  constexpr int kRecords = 2000;
+  constexpr int kImages = 16;
+  const auto heap_bytes = [] {
+    const struct mallinfo2 mi = mallinfo2();
+    return static_cast<double>(mi.uordblks + mi.hblkhd);
+  };
+  std::shared_ptr<const std::vector<uint8_t>> file;
+  {
+    logging::LogBatch batch;
+    for (int r = 0; r < kRecords; ++r) {
+      logging::LogRecord rec;
+      rec.commit_ts = 100 + r;
+      rec.epoch = 1;
+      for (int i = 0; i < kImages; ++i) {
+        const int64_t k = r * kImages + i;
+        rec.AddImage(1, static_cast<Key>(k),
+                     {Value(k), Value(int64_t{7}), Value(int64_t{-3}),
+                      Value(int64_t{1000}), Value(0.25), Value(12.5),
+                      Value(3.0), Value(std::string("abcdefghij")),
+                      Value(std::string("0123456789abcdef")), Value::Null()},
+                     false);
+      }
+      batch.records.push_back(std::move(rec));
+    }
+    file = std::make_shared<const std::vector<uint8_t>>(
+        logging::LogStore::SerializeBatch(logging::LogScheme::kLogical,
+                                          batch));
+  }
+  const double before = heap_bytes();
+  logging::LogBatch parsed;
+  logging::BatchParseOptions opts;
+  opts.borrow = true;
+  ASSERT_TRUE(logging::LogStore::DeserializeBatch(logging::LogScheme::kLogical,
+                                                  file, opts, &parsed)
+                  .ok());
+  ASSERT_EQ(parsed.records.size(), static_cast<size_t>(kRecords));
+  const double per_image =
+      (heap_bytes() - before) / (kRecords * kImages);
+  std::printf("heap bytes per parsed image: %.1f\n", per_image);
+  EXPECT_LE(per_image, 40.0);
+#endif
+}
+
 TEST(TableTest, ReadRespectsTimestampsAndTombstones) {
   Table t(0, "t", OneIntSchema(), IndexType::kBPlusTree);
   t.LoadRow(7, IntRow(1), 2);
@@ -220,10 +302,14 @@ TEST(TableTest, ReadRespectsTimestampsAndTombstones) {
 TEST(TableTest, LastWriterWinsDropsStaleWrites) {
   Table t(0, "t", OneIntSchema(), IndexType::kHash);
   TupleSlot* slot = t.GetOrCreateSlot(1);
-  Table::InstallLastWriterWins(slot, IntRow(30), 12);
-  Table::InstallLastWriterWins(slot, IntRow(20), 8);  // Stale: dropped.
+  EXPECT_TRUE(
+      Table::InstallCompactLastWriterWins(slot, CompactIntRow(30).data(), 12));
+  // Stale: dropped.
+  EXPECT_FALSE(
+      Table::InstallCompactLastWriterWins(slot, CompactIntRow(20).data(), 8));
   EXPECT_EQ(FirstInt(slot->VisibleAt(kMaxTimestamp)), 30);
-  Table::InstallLastWriterWins(slot, IntRow(40), 15);
+  EXPECT_TRUE(
+      Table::InstallCompactLastWriterWins(slot, CompactIntRow(40).data(), 15));
   EXPECT_EQ(FirstInt(slot->VisibleAt(kMaxTimestamp)), 40);
 }
 
