@@ -180,8 +180,8 @@ class StubAccess : public proc::AccessContext {
  public:
   StubAccess() {
     const Row row = {Value(1000.0)};
-    row_.resize(FixedRowBytes(row));
-    EncodeFixedRow(row, row_.data());
+    row_.resize(CompactRowBytes(row));
+    EncodeCompactRow(row, row_.data());
   }
   Status ReadTable(storage::Table*, TableId, Key,
                    const uint8_t** row) override {

@@ -1,6 +1,5 @@
 #include "common/serializer.h"
 
-#include <bit>
 #include <cmath>
 #include <cstring>
 #include <limits>
@@ -63,203 +62,6 @@ T GetFixed(const uint8_t* p) {
   return v;
 }
 
-// One value's type and payload: the int64 or double bits, or the string
-// bytes. Read from a Value or in place from a compact row, so the
-// fixed-width writer below serves both.
-struct Field {
-  ValueType type = ValueType::kNull;
-  uint64_t bits = 0;
-  std::string_view str;
-};
-
-Field FieldOf(const Value& v) {
-  switch (v.type()) {
-    case ValueType::kNull:
-      break;
-    case ValueType::kInt64:
-      return {ValueType::kInt64, static_cast<uint64_t>(v.AsInt64()), {}};
-    case ValueType::kDouble:
-      return {ValueType::kDouble, std::bit_cast<uint64_t>(v.AsDouble()), {}};
-    case ValueType::kString:
-      return {ValueType::kString, 0, v.AsStringView()};
-  }
-  return {};
-}
-
-size_t FixedFieldBytes(const Field& f) {
-  switch (f.type) {
-    case ValueType::kNull:
-      return 1;
-    case ValueType::kInt64:
-    case ValueType::kDouble:
-      return 1 + sizeof(uint64_t);
-    case ValueType::kString:
-      return 1 + sizeof(uint32_t) + f.str.size();
-  }
-  return 1;
-}
-
-uint8_t* EncodeFixedField(const Field& f, uint8_t* out) {
-  *out++ = static_cast<uint8_t>(f.type);
-  switch (f.type) {
-    case ValueType::kNull:
-      return out;
-    case ValueType::kInt64:
-    case ValueType::kDouble:
-      return PutFixed(out, f.bits);
-    case ValueType::kString:
-      out = PutFixed(out, static_cast<uint32_t>(f.str.size()));
-      std::memcpy(out, f.str.data(), f.str.size());
-      return out + f.str.size();
-  }
-  return out;
-}
-
-}  // namespace
-
-size_t FixedRowBytes(const Row& row) {
-  size_t n = sizeof(uint32_t);
-  for (const Value& v : row) n += FixedFieldBytes(FieldOf(v));
-  return n;
-}
-
-uint8_t* EncodeFixedRow(const Row& row, uint8_t* out) {
-  out = PutFixed(out, static_cast<uint32_t>(row.size()));
-  for (const Value& v : row) out = EncodeFixedField(FieldOf(v), out);
-  return out;
-}
-
-namespace {
-
-// Sources for DecodeFixedValue's copy-assignments: copy-assigning a
-// non-string clears the destination's type but keeps its string capacity
-// (Value::operator=), and copy-assigning a view materializes the bytes in
-// the destination's own string, reusing that capacity. So a VM register or
-// row slot that once held a string never reallocates for it again.
-const Value kNullValue;
-
-void AssignField(const Field& f, Value* v) {
-  switch (f.type) {
-    case ValueType::kNull:
-      *v = kNullValue;
-      return;
-    case ValueType::kInt64: {
-      const Value number(static_cast<int64_t>(f.bits));
-      *v = number;
-      return;
-    }
-    case ValueType::kDouble: {
-      const Value number(std::bit_cast<double>(f.bits));
-      *v = number;
-      return;
-    }
-    case ValueType::kString: {
-      const Value view = Value::BorrowedString(f.str);
-      *v = view;
-      return;
-    }
-  }
-}
-
-// Decodes the value at `p` into *v; returns the byte past it.
-const uint8_t* DecodeFixedValue(const uint8_t* p, Value* v) {
-  Field f{static_cast<ValueType>(*p++), 0, {}};
-  switch (f.type) {
-    case ValueType::kNull:
-      break;
-    case ValueType::kInt64:
-    case ValueType::kDouble:
-      f.bits = GetFixed<uint64_t>(p);
-      p += sizeof(uint64_t);
-      break;
-    case ValueType::kString: {
-      const uint32_t n = GetFixed<uint32_t>(p);
-      p += sizeof(uint32_t);
-      f.str = std::string_view(reinterpret_cast<const char*>(p), n);
-      p += n;
-      break;
-    }
-  }
-  AssignField(f, v);
-  return p;
-}
-
-// The byte past the value at `p`.
-const uint8_t* SkipFixedValue(const uint8_t* p) {
-  switch (static_cast<ValueType>(*p++)) {
-    case ValueType::kNull:
-      return p;
-    case ValueType::kInt64:
-    case ValueType::kDouble:
-      return p + sizeof(int64_t);
-    case ValueType::kString:
-      return p + sizeof(uint32_t) + GetFixed<uint32_t>(p);
-  }
-  return p;
-}
-
-}  // namespace
-
-void DecodeFixedRow(const uint8_t* p, Row* out) {
-  out->resize(GetFixed<uint32_t>(p));
-  p += sizeof(uint32_t);
-  for (Value& v : *out) p = DecodeFixedValue(p, &v);
-}
-
-void DecodeFixedField(const uint8_t* p, size_t col, Value* out) {
-  if (col >= GetFixed<uint32_t>(p)) {
-    *out = kNullValue;
-    return;
-  }
-  p += sizeof(uint32_t);
-  for (; col > 0; --col) p = SkipFixedValue(p);
-  DecodeFixedValue(p, out);
-}
-
-Status CheckFixedRow(const uint8_t* p, size_t avail, size_t* size) {
-  size_t pos = sizeof(uint32_t);
-  if (avail < pos) return Status::Corruption("row cut in its value count");
-  for (uint32_t n = GetFixed<uint32_t>(p); n > 0; --n) {
-    if (pos == avail) return Status::Corruption("row cut before a value");
-    const uint8_t tag = p[pos++];
-    size_t payload = 0;
-    switch (tag) {
-      case static_cast<uint8_t>(ValueType::kNull):
-        break;
-      case static_cast<uint8_t>(ValueType::kInt64):
-      case static_cast<uint8_t>(ValueType::kDouble):
-        payload = sizeof(int64_t);
-        break;
-      case static_cast<uint8_t>(ValueType::kString):
-        if (avail - pos < sizeof(uint32_t)) {
-          return Status::Corruption("row cut in a string length");
-        }
-        payload = sizeof(uint32_t) + GetFixed<uint32_t>(p + pos);
-        break;
-      default:
-        return Status::Corruption("bad value tag " + std::to_string(tag) +
-                                  " in row");
-    }
-    if (avail - pos < payload) {
-      return Status::Corruption("row cut in a value");
-    }
-    pos += payload;
-  }
-  *size = pos;
-  return Status::Ok();
-}
-
-size_t FixedRowSize(const uint8_t* p) {
-  size_t size = 0;
-  const Status s =
-      CheckFixedRow(p, std::numeric_limits<size_t>::max(), &size);
-  PACMAN_DCHECK(s.ok());
-  (void)s;
-  return size;
-}
-
-namespace {
-
 // LEB128 into caller-owned memory (Serializer::PutVarint's encoding).
 uint8_t* EncodeVarint(uint64_t v, uint8_t* out) {
   while (v >= 0x80) {
@@ -297,8 +99,32 @@ uint8_t* EncodeCompactValue(const Value& v, uint8_t* out) {
   return out;
 }
 
-// Readers of well-formed compact bytes (CheckCompactRow accepted them), so
-// nothing is bounds-checked again.
+// Decodes the LEB128 varint at *p, which must end before `end`, advancing
+// *p past each byte it reads. Returns null, or why the bytes are no
+// varint: unterminated, or longer than its minimal encoding (or than 64
+// bits). Deserializer::GetVarint and CheckCompactRow share these rules.
+const char* DecodeVarint(const uint8_t** p, const uint8_t* end,
+                         uint64_t* out) {
+  uint64_t v = 0;
+  for (int shift = 0; shift < 64; shift += 7) {
+    if (*p == end) return "unterminated varint";
+    const uint8_t b = *(*p)++;
+    // The tenth byte holds only bit 63.
+    if (shift == 63 && b > 1) return "overlong varint";
+    v |= static_cast<uint64_t>(b & 0x7f) << shift;
+    if ((b & 0x80) == 0) {
+      // A zero final group after the first byte encodes nothing: the
+      // value had a shorter encoding.
+      if (b == 0 && shift > 0) return "overlong varint";
+      *out = v;
+      return nullptr;
+    }
+  }
+  return "overlong varint";
+}
+
+// Readers of well-formed compact bytes (EncodeCompactRow wrote them or
+// CheckCompactRow accepted them), so nothing is bounds-checked again.
 const uint8_t* ReadCheckedVarint(const uint8_t* p, uint64_t* v) {
   uint64_t x = 0;
   int shift = 0;
@@ -309,34 +135,63 @@ const uint8_t* ReadCheckedVarint(const uint8_t* p, uint64_t* v) {
   return p;
 }
 
-const uint8_t* ReadCompactField(const uint8_t* p, Field* f) {
-  const uint8_t tag = *p++;
+// Sources for DecodeCompactValue's copy-assignments: copy-assigning a
+// non-string clears the destination's type but keeps its string capacity
+// (Value::operator=), and copy-assigning a view materializes the bytes in
+// the destination's own string, reusing that capacity. So a VM register or
+// row slot that once held a string never reallocates for it again.
+const Value kNullValue;
+
+// Decodes the value at `p` into *v; returns the byte past it.
+const uint8_t* DecodeCompactValue(const uint8_t* p, Value* v) {
   uint64_t u = 0;
-  switch (tag) {
+  switch (*p++) {
     case static_cast<uint8_t>(ValueType::kNull):
-      *f = {ValueType::kNull, 0, {}};
+      *v = kNullValue;
       return p;
-    case static_cast<uint8_t>(ValueType::kInt64):
+    case static_cast<uint8_t>(ValueType::kInt64): {
       p = ReadCheckedVarint(p, &u);
-      *f = {ValueType::kInt64, static_cast<uint64_t>(ZigzagDecode(u)), {}};
+      const Value number(ZigzagDecode(u));
+      *v = number;
       return p;
-    case static_cast<uint8_t>(ValueType::kDouble):
-      *f = {ValueType::kDouble, GetFixed<uint64_t>(p), {}};
-      return p + sizeof(uint64_t);
-    case kCompactIntegralDouble:
+    }
+    case static_cast<uint8_t>(ValueType::kDouble): {
+      const Value number(GetFixed<double>(p));
+      *v = number;
+      return p + sizeof(double);
+    }
+    case kCompactIntegralDouble: {
       p = ReadCheckedVarint(p, &u);
-      *f = {ValueType::kDouble,
-            std::bit_cast<uint64_t>(static_cast<double>(ZigzagDecode(u))),
-            {}};
+      const Value number(static_cast<double>(ZigzagDecode(u)));
+      *v = number;
       return p;
-    case static_cast<uint8_t>(ValueType::kString):
+    }
+    case static_cast<uint8_t>(ValueType::kString): {
       p = ReadCheckedVarint(p, &u);
-      *f = {ValueType::kString, 0,
-            std::string_view(reinterpret_cast<const char*>(p), u)};
+      const Value view = Value::BorrowedString(
+          std::string_view(reinterpret_cast<const char*>(p), u));
+      *v = view;
       return p + u;
+    }
   }
   PACMAN_DCHECK(false);
   return p;
+}
+
+// The byte past the value at `p`.
+const uint8_t* SkipCompactValue(const uint8_t* p) {
+  uint64_t u = 0;
+  switch (*p++) {
+    case static_cast<uint8_t>(ValueType::kNull):
+      return p;
+    case static_cast<uint8_t>(ValueType::kDouble):
+      return p + sizeof(double);
+    case static_cast<uint8_t>(ValueType::kString):
+      p = ReadCheckedVarint(p, &u);
+      return p + u;
+    default:  // An int64 or an integral double: one varint.
+      return ReadCheckedVarint(p, &u);
+  }
 }
 
 }  // namespace
@@ -348,66 +203,99 @@ uint8_t* EncodeCompactRow(const Row& row, uint8_t* out) {
 }
 
 Status CheckCompactRow(const uint8_t* p, size_t avail, size_t* size) {
-  Deserializer in(p, avail);
-  in.set_borrow_strings(true);  // Values are checked, never kept.
+  // A walk over raw bytes, building no Value and no Status per value:
+  // restore and replay check every row they copy.
+  const uint8_t* const end = p + avail;
+  const uint8_t* q = p;
   uint64_t n = 0;
-  Status s = in.GetVarint(&n);
+  const char* error = DecodeVarint(&q, end, &n);
   // Every compact value takes at least its tag byte.
-  if (s.ok() && n > in.remaining()) {
-    s = Status::Corruption("row length too large");
+  if (error == nullptr && n > static_cast<size_t>(end - q)) {
+    error = "row length too large";
   }
-  Value v;
-  for (; s.ok() && n > 0; --n) s = in.GetCompactValue(&v);
-  if (s.ok()) *size = in.position();
-  return s;
+  for (; error == nullptr && n > 0; --n) {
+    if (q == end) {
+      error = "serializer underflow";
+      break;
+    }
+    uint64_t u = 0;
+    switch (*q++) {
+      case static_cast<uint8_t>(ValueType::kNull):
+        break;
+      case static_cast<uint8_t>(ValueType::kInt64):
+        error = DecodeVarint(&q, end, &u);
+        break;
+      case static_cast<uint8_t>(ValueType::kDouble):
+        if (static_cast<size_t>(end - q) < sizeof(double)) {
+          error = "serializer underflow";
+        } else {
+          q += sizeof(double);
+        }
+        break;
+      case kCompactIntegralDouble: {
+        error = DecodeVarint(&q, end, &u);
+        const int64_t v = ZigzagDecode(u);
+        if (error == nullptr && (v < -kMaxExactInt || v > kMaxExactInt)) {
+          error = "integral double out of range";
+        }
+        break;
+      }
+      case static_cast<uint8_t>(ValueType::kString):
+        error = DecodeVarint(&q, end, &u);
+        if (error == nullptr && u > static_cast<size_t>(end - q)) {
+          error = "string underflow";
+        }
+        q += error == nullptr ? u : 0;
+        break;
+      default:
+        error = "bad value tag";
+    }
+  }
+  if (error != nullptr) return Status::Corruption(error);
+  *size = static_cast<size_t>(q - p);
+  return Status::Ok();
 }
 
-size_t CompactRowFixedBytes(const uint8_t* p) {
+size_t CompactRowSize(const uint8_t* p) {
   uint64_t n = 0;
-  p = ReadCheckedVarint(p, &n);
-  size_t bytes = sizeof(uint32_t);
-  Field f;
-  for (; n > 0; --n) {
-    p = ReadCompactField(p, &f);
-    bytes += FixedFieldBytes(f);
-  }
-  return bytes;
-}
-
-uint8_t* TranscodeCompactRow(const uint8_t* p, uint8_t* out) {
-  uint64_t n = 0;
-  p = ReadCheckedVarint(p, &n);
-  out = PutFixed(out, static_cast<uint32_t>(n));
-  Field f;
-  for (; n > 0; --n) {
-    p = ReadCompactField(p, &f);
-    out = EncodeFixedField(f, out);
-  }
-  return out;
+  const uint8_t* q = ReadCheckedVarint(p, &n);
+  for (; n > 0; --n) q = SkipCompactValue(q);
+  return static_cast<size_t>(q - p);
 }
 
 void DecodeCompactRow(const uint8_t* p, Row* out) {
   uint64_t n = 0;
   p = ReadCheckedVarint(p, &n);
   out->resize(n);
-  Field f;
-  for (Value& v : *out) {
-    p = ReadCompactField(p, &f);
-    AssignField(f, &v);
+  for (Value& v : *out) p = DecodeCompactValue(p, &v);
+}
+
+void DecodeCompactField(const uint8_t* p, size_t col, Value* out) {
+  uint64_t n = 0;
+  p = ReadCheckedVarint(p, &n);
+  if (col >= n) {
+    *out = kNullValue;
+    return;
   }
+  for (; col > 0; --col) p = SkipCompactValue(p);
+  DecodeCompactValue(p, out);
 }
 
 void Serializer::PutValue(const Value& v) {
-  const size_t at = buf_.size();
-  const Field f = FieldOf(v);
-  buf_.resize(at + FixedFieldBytes(f));
-  EncodeFixedField(f, buf_.data() + at);
-}
-
-void Serializer::PutRow(const Row& row) {
-  const size_t at = buf_.size();
-  buf_.resize(at + FixedRowBytes(row));
-  EncodeFixedRow(row, buf_.data() + at);
+  PutU8(static_cast<uint8_t>(v.type()));
+  switch (v.type()) {
+    case ValueType::kNull:
+      return;
+    case ValueType::kInt64:
+      PutI64(v.AsInt64());
+      return;
+    case ValueType::kDouble:
+      PutDouble(v.AsDouble());
+      return;
+    case ValueType::kString:
+      PutString(v.AsStringView());
+      return;
+  }
 }
 
 void Serializer::PutCompactValue(const Value& v) {
@@ -439,22 +327,10 @@ Status Deserializer::GetStringBytes(size_t n, std::string_view* out) {
 }
 
 Status Deserializer::GetVarintSlow(uint64_t* out) {
-  uint64_t v = 0;
-  for (int shift = 0; shift < 64; shift += 7) {
-    if (pos_ == size_) return Status::Corruption("unterminated varint");
-    const uint8_t b = data_[pos_++];
-    // The tenth byte holds only bit 63.
-    if (shift == 63 && b > 1) return Status::Corruption("overlong varint");
-    v |= static_cast<uint64_t>(b & 0x7f) << shift;
-    if ((b & 0x80) == 0) {
-      // A zero final group after the first byte encodes nothing: the
-      // value had a shorter encoding.
-      if (b == 0 && shift > 0) return Status::Corruption("overlong varint");
-      *out = v;
-      return Status::Ok();
-    }
-  }
-  return Status::Corruption("overlong varint");
+  const uint8_t* p = data_ + pos_;
+  const char* error = DecodeVarint(&p, data_ + size_, out);
+  pos_ = static_cast<size_t>(p - data_);
+  return error == nullptr ? Status::Ok() : Status::Corruption(error);
 }
 
 Status Deserializer::GetVarint32(uint32_t* out) {
@@ -547,22 +423,6 @@ Status Deserializer::GetCompactValue(Value* out) {
     }
   }
   return Status::Corruption("bad value tag");
-}
-
-Status Deserializer::GetRow(Row* out) {
-  uint32_t n = 0;
-  Status s = GetU32(&n);
-  if (!s.ok()) return s;
-  if (n > remaining()) return Status::Corruption("row length too large");
-  out->clear();
-  out->reserve(n);
-  for (uint32_t i = 0; i < n; ++i) {
-    Value v;
-    s = GetValue(&v);
-    if (!s.ok()) return s;
-    out->push_back(std::move(v));
-  }
-  return Status::Ok();
 }
 
 }  // namespace pacman

@@ -2,17 +2,18 @@
 // Byte-oriented serialization used by the log record formats, the
 // checkpointer and the wire protocol. Two encodings share this file:
 //
-//  - Fixed width (PutU32/PutU64/PutValue/PutRow...): little-endian
-//    integers, u32 length-prefixed strings. The wire protocol
-//    (docs/PROTOCOL.md), checkpoint stripes and the v1-v3 log batch
-//    formats use it.
 //  - Compact (PutVarint/PutCompactValue/EncodeCompactRow): LEB128 varints,
-//    zigzag for signed values. Log batch format v4 uses it. A compact
-//    value is a ValueType tag, then: nothing (null); a zigzag varint
-//    (int64); a varint length and the bytes (string); 8 raw bytes
+//    zigzag for signed values. It is the engine's one row encoding: table
+//    versions hold their rows in it (storage/tuple.h), and log batch
+//    format v4 and checkpoint stripes copy those bytes as they are. A
+//    compact value is a ValueType tag, then: nothing (null); a zigzag
+//    varint (int64); a varint length and the bytes (string); 8 raw bytes
 //    (double), or, for a double holding an exact integer within +-2^53
 //    that is not -0.0, a zigzag varint under kCompactIntegralDouble.
 //    Readers accept only minimal varints.
+//  - Fixed width (PutU32/PutU64/PutValue...): little-endian integers,
+//    u32 length-prefixed strings. File headers, the checkpoint meta and
+//    the wire protocol (docs/PROTOCOL.md) use it.
 #ifndef PACMAN_COMMON_SERIALIZER_H_
 #define PACMAN_COMMON_SERIALIZER_H_
 
@@ -48,38 +49,13 @@ inline size_t VarintBytes(uint64_t v) {
 size_t CompactValueBytes(const Value& v);
 size_t CompactRowBytes(const Row& row);
 
-// --- Fixed-width rows in caller-owned memory -------------------------------
-// The row encoding Serializer::PutRow appends: a u32 value count, then per
-// value its ValueType tag and either the raw int64 or double bits, or a
-// u32 length and the string bytes. Table versions hold their rows in it
-// (storage/tuple.h), so checkpoint stripes copy those bytes as they are.
-// Every value keeps its tag, so a row round-trips bit for bit whatever its
-// schema says (Null, -0.0, NaN payloads, an int64 in a double column).
-
-// The bytes EncodeFixedRow writes for `row`.
-size_t FixedRowBytes(const Row& row);
-// Writes `row` at `out`; returns the end of what it wrote.
-uint8_t* EncodeFixedRow(const Row& row, uint8_t* out);
-// The bytes of the well-formed row at `p`: one EncodeFixedRow wrote, or
-// one CheckFixedRow accepted.
-size_t FixedRowSize(const uint8_t* p);
-// Decodes the well-formed row at `p` into *out, reusing the capacity of
-// its values; string bytes are copied, never borrowed.
-void DecodeFixedRow(const uint8_t* p, Row* out);
-// Decodes column `col` of the well-formed row at `p` into *out, reusing
-// its string capacity; Null when the row has no such column. Walks the
-// values before `col` without decoding them.
-void DecodeFixedField(const uint8_t* p, size_t col, Value* out);
-// Checks the row that starts at `p` and must end within `avail` bytes:
-// every tag is a ValueType and no length runs past the end. Sets *size to
-// its bytes; kCorruption otherwise.
-Status CheckFixedRow(const uint8_t* p, size_t avail, size_t* size);
-
 // --- Compact rows in caller-owned memory ----------------------------------
-// A varint value count, then the compact values. Log write images hold
-// their after images in it (logging/log_record.h): a parsed image is a
-// view of these bytes in the batch file, checked in place and never
-// decoded into a Row on the way to a table version.
+// A varint value count, then the compact values. Every value keeps its
+// tag, so a row round-trips bit for bit whatever its schema says (Null,
+// -0.0, NaN payloads, an int64 in a double column). A table version holds
+// its row in these bytes, and a parsed log image or checkpoint record is a
+// view of them in its file, checked in place and never decoded into a Row
+// on the way to a version.
 
 // Writes `row` compact at `out` (CompactRowBytes(row) bytes); returns the
 // end of what it wrote.
@@ -90,16 +66,16 @@ uint8_t* EncodeCompactRow(const Row& row, uint8_t* out);
 // count the bytes can hold and no string past the end. Sets *size to its
 // bytes; kCorruption otherwise.
 Status CheckCompactRow(const uint8_t* p, size_t avail, size_t* size);
-// The bytes EncodeFixedRow writes for the row the well-formed compact row
-// at `p` (one CheckCompactRow accepted) holds.
-size_t CompactRowFixedBytes(const uint8_t* p);
-// Transcodes the well-formed compact row at `p` to the fixed-width
-// encoding at `out`, byte for byte what EncodeFixedRow writes for the
-// decoded row, without decoding it; returns the end of what it wrote.
-uint8_t* TranscodeCompactRow(const uint8_t* p, uint8_t* out);
+// The bytes of the well-formed compact row at `p`: one EncodeCompactRow
+// wrote, or one CheckCompactRow accepted.
+size_t CompactRowSize(const uint8_t* p);
 // Decodes the well-formed compact row at `p` into *out, reusing the
-// capacity of its values, as DecodeFixedRow does.
+// capacity of its values; string bytes are copied, never borrowed.
 void DecodeCompactRow(const uint8_t* p, Row* out);
+// Decodes column `col` of the well-formed compact row at `p` into *out,
+// reusing its string capacity; Null when the row has no such column.
+// Walks the values before `col` without decoding them.
+void DecodeCompactField(const uint8_t* p, size_t col, Value* out);
 
 // Appends primitive values to a growable byte buffer.
 class Serializer {
@@ -117,7 +93,6 @@ class Serializer {
     PutRaw(s.data(), s.size());
   }
   void PutValue(const Value& v);
-  void PutRow(const Row& row);
 
   // LEB128: seven bits per byte, low group first, high bit = "more".
   void PutVarint(uint64_t v) {
@@ -131,8 +106,10 @@ class Serializer {
   void PutCompactValue(const Value& v);
 
   void PutRaw(const void* data, size_t n) {
-    const auto* p = static_cast<const uint8_t*>(data);
-    buf_.insert(buf_.end(), p, p + n);
+    if (n == 0) return;
+    const size_t at = buf_.size();
+    buf_.resize(at + n);
+    std::memcpy(buf_.data() + at, data, n);
   }
 
   size_t size() const { return buf_.size(); }
@@ -173,7 +150,6 @@ class Deserializer {
   // underlying buffer lives, independent of further Get calls).
   Status GetStringView(std::string_view* out);
   Status GetValue(Value* out);
-  Status GetRow(Row* out);
 
   // Compact-encoding readers. A varint that runs past the span is
   // unterminated, one longer than its minimal encoding (or than 64 bits)

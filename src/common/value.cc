@@ -76,8 +76,12 @@ std::string Value::ToString() const {
       return std::to_string(i_);
     case ValueType::kDouble:
       return std::to_string(d_);
-    case ValueType::kString:
-      return "\"" + std::string(sv_) + "\"";
+    case ValueType::kString: {
+      std::string quoted(1, '"');
+      quoted.append(sv_);
+      quoted += '"';
+      return quoted;
+    }
   }
   return "?";
 }

@@ -15,8 +15,47 @@ namespace {
 // Meta file layout: magic, id, ts, files_per_ssd, num_ssds, total_bytes,
 // then an FNV-1a checksum of everything before it. The checksum (plus the
 // device's atomic WriteFile) is what lets recovery tell a committed meta
-// from a torn leftover.
-constexpr uint32_t kMetaMagic = 0x50434B4D;  // "PCKM"
+// from a torn leftover. The magic names the stripe format (checkpointer.h).
+constexpr uint32_t kMetaMagic = 0x50434B32;  // "PCK2": compact rows.
+// The retired format, whose stripe records held a u32 table, a u64 key and
+// a fixed-width row. Refused by name, never parsed.
+constexpr uint32_t kRetiredMetaMagic = 0x50434B4D;  // "PCKM"
+
+bool HasMagic(const std::vector<uint8_t>& bytes, uint32_t magic) {
+  uint32_t got = 0;
+  return Deserializer(bytes).GetU32(&got).ok() && got == magic;
+}
+
+// Parses the bytes of meta file `id` (magic and checksum checked).
+Status ParseMeta(const std::vector<uint8_t>& bytes, uint64_t id,
+                 CheckpointMeta* out) {
+  const std::string name = Checkpointer::MetaFileName(id);
+  Deserializer in(bytes);
+  uint32_t magic = 0;
+  Status s = in.GetU32(&magic);
+  if (s.ok() && magic == kRetiredMetaMagic) {
+    return Status::Corruption(
+        "checkpoint meta " + name +
+        " is in the retired fixed-width checkpoint format (PCKM); this "
+        "build reads only the compact format (PCK2)");
+  }
+  if (!s.ok() || magic != kMetaMagic) {
+    return Status::Corruption("bad checkpoint meta magic: " + name);
+  }
+  s = in.GetU64(&out->id);
+  if (s.ok()) s = in.GetU64(&out->ts);
+  if (s.ok()) s = in.GetU32(&out->files_per_ssd);
+  if (s.ok()) s = in.GetU32(&out->num_ssds);
+  if (s.ok()) s = in.GetU64(&out->total_bytes);
+  uint64_t checksum = 0;
+  if (s.ok()) s = in.GetU64(&checksum);
+  if (!s.ok()) return Status::Corruption("truncated checkpoint meta: " + name);
+  if (checksum != Fnv1a(bytes.data(), bytes.size() - sizeof(uint64_t)) ||
+      out->id != id) {
+    return Status::Corruption("checkpoint meta checksum mismatch: " + name);
+  }
+  return Status::Ok();
+}
 
 // Parses a decimal run starting at `pos`; advances `pos` past it.
 bool ParseDigits(const std::string& s, size_t* pos, uint64_t* out) {
@@ -121,14 +160,14 @@ Status Checkpointer::TakeCheckpoint(uint64_t id, Timestamp ts,
         next = (next + 1) % num_stripes;
       }
       Serializer& s = stripes[stripe];
-      s.PutU32(table->id());
-      s.PutU64(slot->key);
+      s.PutVarint(table->id());
+      s.PutVarint(slot->key);
       if (scheme_ == LogScheme::kPhysical) {
         // Physical checkpoints persist tuple locations too (§2.2).
         s.PutU64(reinterpret_cast<uint64_t>(slot));
         s.PutU64(reinterpret_cast<uint64_t>(v));
       }
-      s.PutRaw(v->row(), v->row_size());  // As PutRow wrote it.
+      s.PutRaw(v->row(), v->row_size());  // The version's bytes as they are.
     }
   }
 
@@ -213,30 +252,7 @@ Status Checkpointer::ReadMeta(uint64_t id, CheckpointMeta* out) const {
   std::vector<uint8_t> bytes;
   Status s = devices_[0]->ReadFile(MetaFileName(id), &bytes);
   if (!s.ok()) return s;
-  Deserializer in(bytes);
-  uint32_t magic = 0;
-  s = in.GetU32(&magic);
-  if (!s.ok() || magic != kMetaMagic) {
-    return Status::Corruption("bad checkpoint meta magic: " +
-                              MetaFileName(id));
-  }
-  s = in.GetU64(&out->id);
-  if (s.ok()) s = in.GetU64(&out->ts);
-  if (s.ok()) s = in.GetU32(&out->files_per_ssd);
-  if (s.ok()) s = in.GetU32(&out->num_ssds);
-  if (s.ok()) s = in.GetU64(&out->total_bytes);
-  uint64_t checksum = 0;
-  if (s.ok()) s = in.GetU64(&checksum);
-  if (!s.ok()) {
-    return Status::Corruption("truncated checkpoint meta: " +
-                              MetaFileName(id));
-  }
-  if (checksum != Fnv1a(bytes.data(), bytes.size() - sizeof(uint64_t)) ||
-      out->id != id) {
-    return Status::Corruption("checkpoint meta checksum mismatch: " +
-                              MetaFileName(id));
-  }
-  return Status::Ok();
+  return ParseMeta(bytes, id, out);
 }
 
 bool Checkpointer::StripesComplete(const CheckpointMeta& meta) const {
@@ -264,9 +280,14 @@ Status Checkpointer::ReadLatestMeta(CheckpointMeta* out) const {
   // Newest first: a torn high-id leftover must fall back to the previous
   // durable checkpoint, not mask it.
   for (auto it = ids.rbegin(); it != ids.rend(); ++it) {
+    std::vector<uint8_t> bytes;
+    if (!devices_[0]->ReadFile(MetaFileName(*it), &bytes).ok()) continue;
     CheckpointMeta meta;
-    if (!ReadMeta(*it, &meta).ok()) continue;
-    if (!StripesComplete(meta)) continue;
+    const Status s = ParseMeta(bytes, *it, &meta);
+    // A retired-format meta is a complete checkpoint, not a torn leftover:
+    // falling back past it would recover an older state, or none.
+    if (HasMagic(bytes, kRetiredMetaMagic)) return s;
+    if (!s.ok() || !StripesComplete(meta)) continue;
     *out = meta;
     return Status::Ok();
   }
@@ -277,12 +298,12 @@ Status ParseStripeTuple(const CheckpointStripe& stripe, size_t* offset,
                         StripeTuple* out) {
   const size_t at = *offset;
   Deserializer in(stripe.bytes.data() + at, stripe.bytes.size() - at);
-  Status s = in.GetU32(&out->table);
-  if (s.ok()) s = in.GetU64(&out->key);
+  Status s = in.GetVarint32(&out->table);
+  if (s.ok()) s = in.GetVarint(&out->key);
   if (s.ok() && stripe.has_addresses) s = in.Skip(2 * sizeof(uint64_t));
   if (s.ok()) {
-    out->row = stripe.bytes.data() + at + in.position();
-    s = CheckFixedRow(out->row, in.remaining(), &out->row_size);
+    out->row = in.cursor();
+    s = CheckCompactRow(out->row, in.remaining(), &out->row_size);
   }
   if (!s.ok()) {
     return Status::Corruption("record at offset " + std::to_string(at) +

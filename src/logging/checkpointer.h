@@ -39,10 +39,13 @@ struct CheckpointMeta {
 };
 
 // A reloaded checkpoint stripe: the stripe file's bytes, a flat run of
-// records. A record is the table id (u32) and key (u64); under physical
-// logging the tuple's slot and version addresses (two u64, §2.2); then the
-// row as Serializer::PutRow writes it — the bytes a version holds
-// (storage/tuple.h), copied in and out as they are.
+// records. A record is the table id and key as varints (as log images
+// carry them); under physical logging the tuple's slot and version
+// addresses (two raw u64, §2.2); then the row's compact bytes
+// (common/serializer.h) — the bytes a version holds (storage/tuple.h),
+// copied in and out as they are. Stripes have no header: the meta's magic
+// ("PCK2") names this format, and a meta of the retired fixed-width one
+// ("PCKM") is refused by name.
 struct CheckpointStripe {
   std::vector<uint8_t> bytes;
   bool has_addresses = false;
@@ -53,13 +56,13 @@ struct CheckpointStripe {
 struct StripeTuple {
   TableId table = 0;
   Key key = 0;
-  const uint8_t* row = nullptr;  // Checked well formed (CheckFixedRow).
+  const uint8_t* row = nullptr;  // Checked well formed (CheckCompactRow).
   size_t row_size = 0;
 };
 
 // Parses the record at byte `*offset` of `stripe` into *out and advances
 // `*offset` past it. kCorruption, naming the offset, when the record is
-// cut short or its row holds a bad value tag.
+// cut short or holds a bad varint or value tag.
 Status ParseStripeTuple(const CheckpointStripe& stripe, size_t* offset,
                         StripeTuple* out);
 
@@ -104,7 +107,9 @@ class Checkpointer {
   // Reads the newest *durable* checkpoint's metadata: the highest-id meta
   // file that parses, passes its checksum and whose stripes all exist.
   // Torn leftovers of a checkpoint interrupted by a crash are skipped.
-  // kNotFound if no durable checkpoint exists.
+  // kNotFound if no durable checkpoint exists. A meta of the retired
+  // fixed-width format stops the search with its kCorruption: it is a
+  // complete checkpoint this build cannot read.
   Status ReadLatestMeta(CheckpointMeta* out) const;
 
   // Parses (and checksum-validates) the meta file of checkpoint `id`.

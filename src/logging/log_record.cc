@@ -27,11 +27,9 @@ namespace {
 // two 8-byte pointers.
 constexpr size_t kVersionLocationBytes = 16;
 
-// Smallest write image: table, key, deleted flag and an empty row, at
-// fixed width and as one-byte varints (physical images add the version
-// locations).
-constexpr size_t kMinFixedWidthImageBytes = 4 + 8 + 1 + 4;
-constexpr size_t kMinCompactImageBytes = 1 + 1 + 1 + 1;
+// Smallest write image: table, key, deleted flag and an empty row, as
+// one-byte varints (physical images add the version locations).
+constexpr size_t kMinImageBytes = 1 + 1 + 1 + 1;
 
 void SerializeWrite(LogScheme scheme, const LogRecord& record,
                     const WriteImage& w, Serializer* out) {
@@ -50,142 +48,80 @@ size_t WriteBytes(LogScheme scheme, const WriteImage& w) {
          VarintBytes(w.table) + VarintBytes(w.key) + 1 + w.size;
 }
 
-// Reads the fields every format shares, each in the compact (v4) or the
-// fixed-width (v1-v3) encoding.
-class FieldReader {
- public:
-  FieldReader(bool compact, Deserializer* in) : compact_(compact), in_(in) {}
+// A count of elements at least `min_bytes` long each, validated against
+// the bytes left in the stream so a corrupt count fails loudly instead of
+// driving a giant resize.
+Status ReadCount(Deserializer* in, size_t min_bytes, const char* what,
+                 uint64_t* n) {
+  Status s = in->GetVarint(n);
+  if (s.ok() && *n > in->remaining() / min_bytes) {
+    return Status::Corruption(std::string(what) + " count " +
+                              std::to_string(*n) +
+                              " exceeds the bytes remaining");
+  }
+  return s;
+}
 
-  Status ReadU32(uint32_t* out) {
-    return compact_ ? in_->GetVarint32(out) : in_->GetU32(out);
+// One write image of the record that starts at `start`: its row is
+// checked in place and located by its offset from `start`.
+Status ReadWrite(LogScheme scheme, const uint8_t* start, Deserializer* in,
+                 LogRecord* record) {
+  Status s;
+  if (scheme == LogScheme::kPhysical) s = in->Skip(kVersionLocationBytes);
+  TableId table = 0;
+  Key key = 0;
+  uint8_t deleted = 0;
+  if (s.ok()) s = in->GetVarint32(&table);
+  if (s.ok()) s = in->GetVarint(&key);
+  if (s.ok()) s = in->GetU8(&deleted);
+  if (!s.ok()) return s;
+  size_t size = 0;
+  s = CheckCompactRow(in->cursor(), in->remaining(), &size);
+  if (!s.ok()) return s;
+  const size_t offset = static_cast<size_t>(in->cursor() - start);
+  if (offset + size > std::numeric_limits<uint32_t>::max()) {
+    return Status::Corruption("write image ends 4 GiB past its record");
   }
-  Status ReadU64(uint64_t* out) {
-    return compact_ ? in_->GetVarint(out) : in_->GetU64(out);
-  }
-  // A count of elements at least `min_bytes` long each (fixed width: u32),
-  // validated against the bytes left in the stream so a corrupt count
-  // fails loudly instead of driving a giant resize.
-  Status ReadCount(size_t min_bytes, const char* what, uint64_t* n) {
-    Status s;
-    if (compact_) {
-      s = in_->GetVarint(n);
-    } else {
-      uint32_t n32 = 0;
-      s = in_->GetU32(&n32);
-      *n = n32;
-    }
-    if (s.ok() && *n > in_->remaining() / min_bytes) {
-      return Status::Corruption(std::string(what) + " count " +
-                                std::to_string(*n) +
-                                " exceeds the bytes remaining");
-    }
-    return s;
-  }
-  Status ReadValue(Value* out) {
-    return compact_ ? in_->GetCompactValue(out) : in_->GetValue(out);
-  }
+  record->writes.push_back({key, table, static_cast<uint32_t>(offset),
+                            static_cast<uint32_t>(size), deleted != 0});
+  return in->Skip(size);
+}
 
-  // One write image of the record that starts at `start`. A compact row
-  // is checked in place and located by its offset from `start`; a
-  // fixed-width one is transcoded into the record's own image bytes.
-  Status ReadWrite(LogScheme scheme, const uint8_t* start,
-                   LogRecord* record) {
-    Status s;
-    if (scheme == LogScheme::kPhysical) s = in_->Skip(kVersionLocationBytes);
-    TableId table = 0;
-    Key key = 0;
-    uint8_t deleted = 0;
-    if (s.ok()) s = ReadU32(&table);
-    if (s.ok()) s = ReadU64(&key);
-    if (s.ok()) s = in_->GetU8(&deleted);
-    if (!s.ok()) return s;
-    if (!compact_) {
-      Row row;
-      s = in_->GetRow(&row);
-      if (s.ok()) record->AddImage(table, key, row, deleted != 0);
-      return s;
-    }
-    size_t size = 0;
-    s = CheckCompactRow(in_->cursor(), in_->remaining(), &size);
-    if (!s.ok()) return s;
-    const size_t offset = static_cast<size_t>(in_->cursor() - start);
-    if (offset + size > std::numeric_limits<uint32_t>::max()) {
-      return Status::Corruption("write image ends 4 GiB past its record");
-    }
-    record->writes.push_back({key, table, static_cast<uint32_t>(offset),
-                              static_cast<uint32_t>(size), deleted != 0});
-    return in_->Skip(size);
+// The write images of a tuple-level or ad-hoc record that starts at
+// `start`. The record then views them in the input span (borrow mode) or
+// copies its bytes, so they outlive the input.
+Status ReadWrites(LogScheme scheme, const uint8_t* start, Deserializer* in,
+                  LogRecord* record) {
+  uint64_t n = 0;
+  Status s = ReadCount(in, kMinImageBytes, "write image", &n);
+  if (!s.ok()) return s;
+  record->writes.reserve(n);
+  for (uint64_t i = 0; i < n && s.ok(); ++i) {
+    s = ReadWrite(scheme, start, in, record);
   }
-
-  // The write images of a tuple-level or ad-hoc record that starts at
-  // `start`. A compact record then views them in the input span (borrow
-  // mode) or copies its bytes, so they outlive the input.
-  Status ReadWrites(LogScheme scheme, const uint8_t* start,
-                    LogRecord* record) {
-    uint64_t n = 0;
-    Status s = ReadCount(
-        compact_ ? kMinCompactImageBytes : kMinFixedWidthImageBytes,
-        "write image", &n);
-    if (!s.ok()) return s;
-    record->writes.reserve(n);
-    for (uint64_t i = 0; i < n && s.ok(); ++i) {
-      s = ReadWrite(scheme, start, record);
-    }
-    if (!s.ok() || !compact_ || n == 0) return s;
-    if (in_->borrow_strings()) {
-      record->images = ImageBytes(start);
-    } else {
-      const size_t bytes = static_cast<size_t>(in_->cursor() - start);
-      std::memcpy(record->images.Append(bytes), start, bytes);
-    }
-    return Status::Ok();
+  if (!s.ok() || n == 0) return s;
+  if (in->borrow_strings()) {
+    record->images = ImageBytes(start);
+  } else {
+    const size_t bytes = static_cast<size_t>(in->cursor() - start);
+    std::memcpy(record->images.Append(bytes), start, bytes);
   }
+  return Status::Ok();
+}
 
-  // A commit_ts or epoch: a varint delta above `base` (compact; a sum
-  // that wraps is corruption) or a plain u64.
-  Status ReadStamp(uint64_t base, const char* what, uint64_t* out) {
-    if (!compact_) return in_->GetU64(out);
-    uint64_t delta = 0;
-    Status s = in_->GetVarint(&delta);
-    if (!s.ok()) return s;
-    if (delta > std::numeric_limits<uint64_t>::max() - base) {
-      return Status::Corruption(std::string(what) + " delta overflows");
-    }
-    *out = base + delta;
-    return Status::Ok();
+// A commit_ts or epoch: a varint delta above `base`; a sum that wraps is
+// corruption.
+Status ReadStamp(Deserializer* in, uint64_t base, const char* what,
+                 uint64_t* out) {
+  uint64_t delta = 0;
+  Status s = in->GetVarint(&delta);
+  if (!s.ok()) return s;
+  if (delta > std::numeric_limits<uint64_t>::max() - base) {
+    return Status::Corruption(std::string(what) + " delta overflows");
   }
-
-  Status ReadRecord(LogScheme scheme, const RecordBases& bases,
-                    LogRecord* record) {
-    const uint8_t* start = in_->cursor();
-    record->params.clear();
-    record->writes.clear();
-    record->images = ImageBytes();
-    record->proc = kAdhocProcId;
-    Status s = ReadStamp(bases.cts, "commit_ts", &record->commit_ts);
-    if (s.ok()) s = ReadStamp(bases.epoch, "epoch", &record->epoch);
-    if (!s.ok()) return s;
-    if (scheme != LogScheme::kCommand) return ReadWrites(scheme, start, record);
-    s = ReadU32(&record->proc);
-    if (!s.ok()) return s;
-    if (record->is_adhoc()) {
-      return ReadWrites(LogScheme::kLogical, start, record);
-    }
-    uint64_t n = 0;
-    s = ReadCount(1, "parameter", &n);  // Tag byte minimum.
-    if (!s.ok()) return s;
-    record->params.resize(n);
-    for (Value& v : record->params) {
-      s = ReadValue(&v);
-      if (!s.ok()) return s;
-    }
-    return Status::Ok();
-  }
-
- private:
-  const bool compact_;
-  Deserializer* const in_;
-};
+  *out = base + delta;
+  return Status::Ok();
+}
 
 }  // namespace
 
@@ -270,12 +206,31 @@ size_t SerializedRecordBytes(LogScheme scheme, const LogRecord& record,
 
 Status DeserializeRecord(LogScheme scheme, const RecordBases& bases,
                          Deserializer* in, LogRecord* record) {
-  return FieldReader(/*compact=*/true, in).ReadRecord(scheme, bases, record);
-}
-
-Status DeserializeFixedWidthRecord(LogScheme scheme, Deserializer* in,
-                                   LogRecord* record) {
-  return FieldReader(/*compact=*/false, in).ReadRecord(scheme, {}, record);
+  const uint8_t* start = in->cursor();
+  record->params.clear();
+  record->writes.clear();
+  record->images = ImageBytes();
+  record->proc = kAdhocProcId;
+  Status s = ReadStamp(in, bases.cts, "commit_ts", &record->commit_ts);
+  if (s.ok()) s = ReadStamp(in, bases.epoch, "epoch", &record->epoch);
+  if (!s.ok()) return s;
+  if (scheme != LogScheme::kCommand) {
+    return ReadWrites(scheme, start, in, record);
+  }
+  s = in->GetVarint32(&record->proc);
+  if (!s.ok()) return s;
+  if (record->is_adhoc()) {
+    return ReadWrites(LogScheme::kLogical, start, in, record);
+  }
+  uint64_t n = 0;
+  s = ReadCount(in, 1, "parameter", &n);  // Tag byte minimum.
+  if (!s.ok()) return s;
+  record->params.resize(n);
+  for (Value& v : record->params) {
+    s = in->GetCompactValue(&v);
+    if (!s.ok()) return s;
+  }
+  return Status::Ok();
 }
 
 }  // namespace pacman::logging

@@ -53,9 +53,9 @@ struct WriteImage {
 static_assert(sizeof(WriteImage) == 24, "WriteImage must stay 24 bytes");
 
 // The bytes a record's image offsets count from. Either the record owns
-// them (rows encoded at commit, or copied by a copy-mode or fixed-width
-// parse) or they are a view into the LogBatch::backing of a zero-copy
-// parse, which must outlive the record. A copy copies owned bytes and
+// them (rows encoded at commit, or copied by a copy-mode parse) or they
+// are a view into the LogBatch::backing of a zero-copy parse, which must
+// outlive the record. A copy copies owned bytes and
 // shares a view, so copies and moves of a record keep reading the same
 // rows. 16 bytes, because command records, which have no images, carry
 // one too.
@@ -169,13 +169,6 @@ size_t SerializedRecordBytes(LogScheme scheme, const LogRecord& record,
 // copies them into bytes it owns.
 Status DeserializeRecord(LogScheme scheme, const RecordBases& bases,
                          Deserializer* in, LogRecord* record);
-
-// Deserializes one record of the fixed-width formats v1-v3 (no longer
-// written): u64 cts, u64 epoch, u32 counts/ids/tables, u64 keys, and
-// values as Serializer::PutValue writes them. Image rows are transcoded
-// to the compact encoding, into bytes the record owns.
-Status DeserializeFixedWidthRecord(LogScheme scheme, Deserializer* in,
-                                   LogRecord* record);
 
 }  // namespace pacman::logging
 

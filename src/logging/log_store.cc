@@ -12,19 +12,36 @@
 namespace pacman::logging {
 
 namespace {
-// v1 header: magic, logger_id, seq, first_epoch, last_epoch, count.
-constexpr uint32_t kBatchMagicV1 = 0x50414342;  // "PACB"
-// v2 adds min_cts/max_cts before the count.
-constexpr uint32_t kBatchMagicV2 = 0x50414332;  // "PAC2"
-// v3: file header + one fixed-width block per flush.
-constexpr uint32_t kBatchMagicV3 = 0x50414333;  // "PAC3"
-// v4: v3's framing with varint block headers and compact records (see
-// log_store.h). The only format written; readers accept all four.
+// v4: a file header, then one varint-framed block of compact records per
+// flush (see log_store.h). The only format written or read.
 constexpr uint32_t kBatchMagicV4 = 0x50414334;  // "PAC4"
-// Smallest possible record: cts + epoch + count, fixed width (v1-v3) and
-// as one-byte varints (v4).
-constexpr size_t kMinFixedWidthRecordBytes = 8 + 8 + 4;
+// Smallest possible record: cts, epoch and count as one-byte varints.
 constexpr size_t kMinRecordBytes = 1 + 1 + 1;
+
+// The retired fixed-width formats, refused by name: the single-block v1
+// and v2, and v3, whose blocks held fixed-width headers and records.
+struct RetiredFormat {
+  uint32_t magic;
+  const char* name;
+};
+constexpr RetiredFormat kRetiredFormats[] = {
+    {0x50414342, "v1 (PACB)"},
+    {0x50414332, "v2 (PAC2)"},
+    {0x50414333, "v3 (PAC3)"},
+};
+
+// The error for a file whose magic is not v4's: the retired format it
+// names, or plain garbage.
+Status WrongMagic(uint32_t magic) {
+  for (const RetiredFormat& f : kRetiredFormats) {
+    if (magic == f.magic) {
+      return Status::Corruption(std::string("retired fixed-width batch "
+                                            "format ") +
+                                f.name + "; this build reads only v4 (PAC4)");
+    }
+  }
+  return Status::Corruption("bad batch magic");
+}
 
 // Parses a decimal run starting at `pos`; advances `pos` past it.
 bool ParseDigits(const std::string& s, size_t* pos, uint64_t* out) {
@@ -151,68 +168,16 @@ Status Truncated(const Status& s, const BatchParseOptions& opts,
   return AnnotateParseError(s, opts, offset, what);
 }
 
-// The body parsers below fill out->logger_id/seq/records from `in`
-// (positioned just past the magic) and return either OK — setting
-// out->torn_tail when they stopped at a tolerated truncation — or the
-// annotated corruption.
-
-Status ParseSingleBlockBody(LogScheme scheme, uint32_t magic,
-                            const BatchParseOptions& opts, Deserializer* in,
-                            LogBatch* out) {
-  Status s = in->GetU32(&out->logger_id);
-  if (s.ok()) s = in->GetU64(&out->seq);
-  // first/last epoch (v1, v2) and the cts interval (v2): no reader needs
-  // them; the interval is derived from the records.
-  if (s.ok()) s = in->Skip(magic == kBatchMagicV2 ? 32 : 16);
-  if (!s.ok()) return Truncated(s, opts, in->position(), "header", out);
-  uint32_t n = 0;
-  s = in->GetU32(&n);
-  if (!s.ok()) return Truncated(s, opts, in->position(), "record count", out);
-  // Bound the count by the bytes actually present before allocating: a
-  // garbage count field must be loud corruption, not a hundred-GB resize.
-  // Under tolerance a larger count is the signature of a truncated record
-  // region; reserve only what can possibly be present.
-  const size_t fit = in->remaining() / kMinFixedWidthRecordBytes;
-  if (n > fit && !opts.tolerate_torn_tail) {
-    return AnnotateParseError(
-        Status::Corruption("record count " + std::to_string(n) +
-                           " exceeds file size"),
-        opts, in->position(), "record count");
-  }
-  out->records.reserve(std::min<size_t>(n, fit));
-  for (uint32_t i = 0; i < n; ++i) {
-    LogRecord rec;
-    s = DeserializeFixedWidthRecord(scheme, in, &rec);
-    if (!s.ok()) {
-      return Truncated(
-          s, opts, in->position(),
-          "record " + std::to_string(i) + " of " + std::to_string(n), out);
-    }
-    out->records.push_back(std::move(rec));
-  }
-  return Status::Ok();
-}
-
-// One block header of the append-only formats.
+// One v4 block header.
 struct BlockHeader {
   uint64_t count = 0;
   uint64_t payload = 0;
   Timestamp min_cts = 0;
   Timestamp max_cts = 0;
-  Epoch base_epoch = 0;  // v4 only.
+  Epoch base_epoch = 0;
 };
 
-// Reads a v3 (fixed-width) or v4 (varint) block header.
-Status ReadBlockHeader(bool v4, Deserializer* in, BlockHeader* h) {
-  if (!v4) {
-    uint32_t n = 0;
-    Status s = in->GetU32(&n);
-    if (s.ok()) s = in->GetU64(&h->payload);
-    if (s.ok()) s = in->GetU64(&h->min_cts);
-    if (s.ok()) s = in->GetU64(&h->max_cts);
-    h->count = n;
-    return s;
-  }
+Status ReadBlockHeader(Deserializer* in, BlockHeader* h) {
   uint64_t span = 0;
   Status s = in->GetVarint(&h->count);
   if (s.ok()) s = in->GetVarint(&h->payload);
@@ -227,26 +192,26 @@ Status ReadBlockHeader(bool v4, Deserializer* in, BlockHeader* h) {
   return Status::Ok();
 }
 
-Status ParseBlocksBody(LogScheme scheme, bool v4,
-                       const std::vector<uint8_t>& bytes,
+// Fills out->logger_id/seq/records from `in` (positioned just past the
+// magic) and returns either OK — setting out->torn_tail when it stopped
+// at a tolerated truncation — or the annotated corruption.
+Status ParseBlocksBody(LogScheme scheme, const std::vector<uint8_t>& bytes,
                        const BatchParseOptions& opts, Deserializer* in,
                        LogBatch* out) {
   Status s = in->GetU32(&out->logger_id);
   if (s.ok()) s = in->GetU64(&out->seq);
   if (!s.ok()) return Truncated(s, opts, in->position(), "header", out);
-  const size_t min_record_bytes =
-      v4 ? kMinRecordBytes : kMinFixedWidthRecordBytes;
   for (uint64_t b = 0; !in->AtEnd(); ++b) {
     const std::string block = "block " + std::to_string(b);
     const size_t block_offset = in->position();
     BlockHeader h;
-    s = ReadBlockHeader(v4, in, &h);
+    s = ReadBlockHeader(in, &h);
     if (!s.ok()) {
       return Truncated(s, opts, block_offset, block + " header", out);
     }
     // A complete block header is never a truncation artifact: a count
     // its own payload cannot hold is corruption even under tolerance.
-    if (h.count > h.payload / min_record_bytes) {
+    if (h.count > h.payload / kMinRecordBytes) {
       return AnnotateParseError(
           Status::Corruption("record count " + std::to_string(h.count) +
                              " exceeds the block payload of " +
@@ -269,12 +234,11 @@ Status ParseBlocksBody(LogScheme scheme, bool v4,
     records.set_borrow_strings(in->borrow_strings());
     out->records.reserve(
         out->records.size() +
-        std::min<size_t>(h.count, avail / min_record_bytes));
+        std::min<size_t>(h.count, avail / kMinRecordBytes));
     const RecordBases bases{h.min_cts, h.base_epoch};
     for (uint64_t i = 0; i < h.count; ++i) {
       LogRecord rec;
-      s = v4 ? DeserializeRecord(scheme, bases, &records, &rec)
-             : DeserializeFixedWidthRecord(scheme, &records, &rec);
+      s = DeserializeRecord(scheme, bases, &records, &rec);
       if (!s.ok() && short_block) {
         // The tear cut this record; keep the prefix.
         out->torn_tail = true;
@@ -320,20 +284,16 @@ Status LogStore::DeserializeBatch(
   Status s = in.GetU32(&magic);
   if (!s.ok()) {
     s = Truncated(s, opts, in.position(), "magic", out);
-  } else if (magic == kBatchMagicV4 || magic == kBatchMagicV3) {
-    s = ParseBlocksBody(scheme, magic == kBatchMagicV4, *bytes, opts, &in,
-                        out);
-  } else if (magic == kBatchMagicV1 || magic == kBatchMagicV2) {
-    s = ParseSingleBlockBody(scheme, magic, opts, &in, out);
+  } else if (magic == kBatchMagicV4) {
+    s = ParseBlocksBody(scheme, *bytes, opts, &in, out);
   } else {
-    // A present-but-wrong magic is never a truncation artifact; it stays
-    // loud even under torn-tail tolerance.
-    return AnnotateParseError(Status::Corruption("bad batch magic"), opts, 0,
-                              "magic");
+    // A present-but-wrong magic, retired format or garbage, is never a
+    // truncation artifact; it stays loud even under torn-tail tolerance.
+    return AnnotateParseError(WrongMagic(magic), opts, 0, "magic");
   }
   if (!s.ok()) return s;
-  // Derived from what parsed, so every reloaded batch (any version, torn
-  // or not) answers coverage questions from exactly its records.
+  // Derived from what parsed, so every reloaded batch (torn or not)
+  // answers coverage questions from exactly its records.
   out->min_cts = kMaxTimestamp;
   out->max_cts = 0;
   for (const LogRecord& r : out->records) {
@@ -352,40 +312,24 @@ Status LogStore::DeserializeBatch(
   return Status::Ok();
 }
 
-Status LogStore::ReadBatchCoverage(LogScheme scheme,
-                                   device::StorageDevice* device,
+Status LogStore::ReadBatchCoverage(device::StorageDevice* device,
                                    const std::string& name, LogBatch* out) {
   std::vector<uint8_t> bytes;
   Status s = device->ReadFile(name, &bytes);
   if (!s.ok()) return s;
+  // Header-only parse: every block header carries its interval, and its
+  // payload is skipped by its length.
   Deserializer in(bytes);
   uint32_t magic = 0;
   s = in.GetU32(&magic);
-  const bool blocks = magic == kBatchMagicV4 || magic == kBatchMagicV3;
-  if (s.ok() && !blocks && magic != kBatchMagicV2) {
-    // v1 (or anything else DeserializeBatch will reject loudly): full parse.
-    LogBatch full;
-    s = DeserializeBatch(scheme, std::move(bytes), {false, name}, &full);
-    if (!s.ok()) return s;
-    full.records.clear();
-    full.backing.reset();
-    *out = std::move(full);
-    return Status::Ok();
-  }
-  // Header-only parse: v2 carries the interval in its file header, v3 and
-  // v4 in every block header, whose payload is skipped by its length.
+  if (s.ok() && magic != kBatchMagicV4) s = WrongMagic(magic);
   out->min_cts = kMaxTimestamp;
   out->max_cts = 0;
   if (s.ok()) s = in.GetU32(&out->logger_id);
   if (s.ok()) s = in.GetU64(&out->seq);
-  if (s.ok() && magic == kBatchMagicV2) {
-    s = in.Skip(16);  // first/last epoch.
-    if (s.ok()) s = in.GetU64(&out->min_cts);
-    if (s.ok()) s = in.GetU64(&out->max_cts);
-  }
-  while (s.ok() && blocks && !in.AtEnd()) {
+  while (s.ok() && !in.AtEnd()) {
     BlockHeader h;
-    s = ReadBlockHeader(magic == kBatchMagicV4, &in, &h);
+    s = ReadBlockHeader(&in, &h);
     if (s.ok()) s = in.Skip(h.payload);
     if (s.ok() && h.count > 0) {
       out->min_cts = std::min(out->min_cts, h.min_cts);

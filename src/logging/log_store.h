@@ -21,11 +21,10 @@
 // Each group-commit flush appends one block holding the records it made
 // durable (the first flush of a batch also writes the file header), so
 // every logged byte reaches the device once. A short last block is what a
-// crash mid-append leaves behind. Readers still accept the fixed-width
-// formats: v3 ("PAC3", the same framing with a u32 count and u64
-// payload_bytes, min_cts and max_cts), and the single-block v1 ("PACB")
-// and v2 ("PAC2", which added a cts interval to the header), whose
-// epoch-range header fields are skipped.
+// crash mid-append leaves behind. v4 is also the only format read: a file
+// of the retired fixed-width formats, the single-block v1 ("PACB") and v2
+// ("PAC2") or v3 ("PAC3"), fails with kCorruption naming the file and
+// its format.
 #ifndef PACMAN_LOGGING_LOG_STORE_H_
 #define PACMAN_LOGGING_LOG_STORE_H_
 
@@ -44,10 +43,9 @@ struct LogBatch {
   uint32_t logger_id = 0;
   uint64_t seq = 0;  // Batch sequence number within the logger's stream.
   // Commit-timestamp interval of the records ([kMaxTimestamp, 0] when
-  // empty). Carried in the v3/v4 block headers (and the v2 file header) so
-  // log garbage collection can decide "wholly covered by a checkpoint at
-  // ts?" without parsing records (ReadBatchCoverage); a full parse
-  // derives it from the records.
+  // empty). Carried in the block headers so log garbage collection can
+  // decide "wholly covered by a checkpoint at ts?" without parsing records
+  // (ReadBatchCoverage); a full parse derives it from the records.
   Timestamp min_cts = kMaxTimestamp;
   Timestamp max_cts = 0;
   size_t file_bytes = 0;  // Size of the batch file on its device.
@@ -169,13 +167,10 @@ class LogStore {
   // Answers "what commit-timestamp interval does this batch file cover?"
   // for log garbage collection: fills the header fields of `*out`
   // (logger_id, seq, min_cts/max_cts, file_bytes) and leaves
-  // `out->records` empty. v3 and v4 files sum their block headers,
-  // skipping every payload by its length (a short block is corruption
-  // here: a file being judged for deletion must be complete); v2 files
-  // answer from the header alone; historical v1 files fall back to a full
-  // record parse.
-  static Status ReadBatchCoverage(LogScheme scheme,
-                                  device::StorageDevice* device,
+  // `out->records` empty. Sums the block headers, skipping every payload
+  // by its length (a short block is corruption here: a file being judged
+  // for deletion must be complete).
+  static Status ReadBatchCoverage(device::StorageDevice* device,
                                   const std::string& name, LogBatch* out);
 
   // Lists the batch files of every logger stream on `devices` in global

@@ -171,7 +171,7 @@ void CheckpointService::TruncateLog(const logging::CheckpointMeta& meta,
       // A closed batch is immutable: read its coverage interval from the
       // batch headers once, and cache it until the file is deleted.
       logging::LogBatch b;
-      if (!logging::LogStore::ReadBatchCoverage(lm->scheme(), dev, f.name, &b)
+      if (!logging::LogStore::ReadBatchCoverage(dev, f.name, &b)
                .ok()) {
         continue;  // Unreadable stays put; recovery will judge it.
       }

@@ -84,7 +84,8 @@ Database::Database(DatabaseOptions options)
   logging::CheckpointMeta boot_meta;
   bool has_state =
       devices_[0]->Exists(logging::LogStore::PepochFileName()) ||
-      checkpointer_->ReadLatestMeta(&boot_meta).ok();
+      checkpointer_->ReadLatestMeta(&boot_meta).code() !=
+          StatusCode::kNotFound;
   for (const auto& d : devices_) {
     has_state = has_state || !d->ListFiles("log_").empty();
   }
@@ -488,10 +489,11 @@ FullRecoveryResult Database::Recover(recovery::Scheme scheme,
   // Replaying from an empty checkpoint would silently drop the bulk-loaded
   // initial data (LoadRow is not logged), so a missing checkpoint is a
   // deployment error, named rather than recovered around.
-  PACMAN_CHECK_MSG(s.ok(),
+  PACMAN_CHECK_MSG(s.code() != StatusCode::kNotFound,
                    "no checkpoint on the devices — recovery needs at least "
                    "one TryTakeCheckpoint() (bulk-loaded data is not "
                    "logged)");
+  PACMAN_CHECK_MSG(s.ok(), s.message().c_str());
   // A reopened log_dir must be recovered under the layout that wrote it:
   // the checkpoint stripes (and the logger->device striping) index the
   // device vector.

@@ -50,7 +50,7 @@ Status RunRange(VmState* st, AccessContext* access, uint32_t pc,
         if (locals[ins.a] == nullptr) {
           regs[ins.dst] = kNullValue;
         } else {
-          DecodeFixedField(locals[ins.a], ins.b, &regs[ins.dst]);
+          DecodeCompactField(locals[ins.a], ins.b, &regs[ins.dst]);
         }
         break;
       case BcOp::kLoadExists:
@@ -144,7 +144,7 @@ Status RunRange(VmState* st, AccessContext* access, uint32_t pc,
       }
       case BcOp::kBeginRow:
         if (ins.a != kNoBaseLocal && locals[ins.a] != nullptr) {
-          DecodeFixedRow(locals[ins.a], st->scratch);
+          DecodeCompactRow(locals[ins.a], st->scratch);
         } else {
           st->scratch->clear();
         }

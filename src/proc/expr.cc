@@ -1,5 +1,8 @@
 #include "proc/expr.h"
 
+#include <initializer_list>
+#include <string_view>
+
 #include "common/macros.h"
 
 namespace pacman::proc {
@@ -90,21 +93,33 @@ void Expr::CollectRefs(std::vector<int>* params,
   for (const ExprPtr& c : children_) c->CollectRefs(params, locals);
 }
 
+namespace {
+
+// Joins `parts` by appending to one string (`"literal" + std::string`
+// inserts at the front, which GCC 12 misreports as -Wrestrict).
+std::string Cat(std::initializer_list<std::string_view> parts) {
+  std::string s;
+  for (std::string_view part : parts) s.append(part);
+  return s;
+}
+
+}  // namespace
+
 std::string Expr::ToString() const {
   switch (kind_) {
     case ExprKind::kConstant:
       return constant_.ToString();
     case ExprKind::kParam:
-      return "p" + std::to_string(index_);
+      return Cat({"p", std::to_string(index_)});
     case ExprKind::kField:
-      return "l" + std::to_string(index_) + "." + std::to_string(column_);
+      return Cat({"l", std::to_string(index_), ".", std::to_string(column_)});
     case ExprKind::kLocalExists:
-      return "exists(l" + std::to_string(index_) + ")";
+      return Cat({"exists(l", std::to_string(index_), ")"});
     case ExprKind::kNot:
-      return "!(" + children_[0]->ToString() + ")";
+      return Cat({"!(", children_[0]->ToString(), ")"});
     case ExprKind::kMod:
-      return "(" + children_[0]->ToString() + " % " +
-             children_[1]->ToString() + ")";
+      return Cat({"(", children_[0]->ToString(), " % ",
+                  children_[1]->ToString(), ")"});
     case ExprKind::kPack: {
       std::string s = "pack(";
       for (size_t i = 0; i < children_.size(); ++i) {
@@ -116,9 +131,9 @@ std::string Expr::ToString() const {
     default: {
       static const char* ops[] = {"", "", "", "", "+", "-", "*", "==",
                                   "!=", "<", "<=", ">", ">=", "&&", "||"};
-      return "(" + children_[0]->ToString() + " " +
-             ops[static_cast<int>(kind_)] + " " + children_[1]->ToString() +
-             ")";
+      return Cat({"(", children_[0]->ToString(), " ",
+                  ops[static_cast<int>(kind_)], " ", children_[1]->ToString(),
+                  ")"});
     }
   }
 }

@@ -1,10 +1,11 @@
 // Copyright (c) 2026 The PACMAN reproduction authors.
 // Virtual-time cost model for recovery and logging work.
 //
-// The paper's numbers come from a 40-core Xeon with two SATA SSDs; this
-// host has one core, so experiment magnitudes are produced by a calibrated
-// cost model executed on the discrete-event machine (README, "Layered
-// architecture"). The constants below are set so that single-thread
+// The paper's numbers come from a 40-core Xeon with two SATA SSDs; the
+// machines this runs on have a few cores (4 vCPUs where the committed
+// figures were made), so experiment magnitudes are produced by a
+// calibrated cost model executed on the discrete-event machine (README,
+// "Layered architecture"). The constants below are set so that single-thread
 // command-log replay costs ~150us per TPC-C transaction (the paper's CLR
 // replays a 5-minute, ~93 Ktps run in ~4200 s single-threaded, §6.2.2)
 // and so that per-tuple latch costs drive the PLR/LLR collapse beyond ~20

@@ -103,8 +103,9 @@ void BuildTupleLogReplay(Scheme scheme,
         for (const ReplayWrite& w : part) {
           storage::Table* table = catalog->GetTable(w.image->table);
           storage::TupleSlot* slot = table->GetOrCreateSlot(w.image->key);
-          // The image's compact row goes straight into the version.
+          // The image's row bytes are copied into the version as they are.
           const uint8_t* row = w.rec->ImageRow(*w.image);
+          const size_t size = w.image->size;
           if (scheme == Scheme::kLlrP) {
             // Keys are partition-owned and their images arrive in
             // ascending commit TID — the per-key invariant the parallel
@@ -113,15 +114,15 @@ void BuildTupleLogReplay(Scheme scheme,
             // guaranteed nor needed. The in-order install below would
             // corrupt the chain on any violation (its begin_ts DCHECK is
             // the debug-build tripwire).
-            storage::Table::InstallCompactUnlatched(
-                slot, row, w.rec->commit_ts, w.image->deleted);
+            storage::Table::InstallRowUnlatched(
+                slot, row, size, w.rec->commit_ts, w.image->deleted);
           } else {
             // PLR/LLR threads replay out of order within the batch:
             // last-writer-wins by TID resolves same-key races, which is
             // sound for exactly the same reason — per key, TID order is
             // install order.
-            storage::Table::InstallCompactLastWriterWins(
-                slot, row, w.rec->commit_ts, w.image->deleted);
+            storage::Table::InstallRowLastWriterWins(
+                slot, row, size, w.rec->commit_ts, w.image->deleted);
           }
         }
         if (latched) counters->AddLatches(part.size());

@@ -66,9 +66,9 @@ Table::Table(TableId id, std::string name, Schema schema,
 
 Version* Version::New(Timestamp ts, bool deleted, Version* older,
                       const Row& row) {
-  auto* v = new (AllocateVersion(FixedRowBytes(row)))
+  auto* v = new (AllocateVersion(CompactRowBytes(row)))
       Version(ts, deleted, older);
-  EncodeFixedRow(row, v->mutable_row());
+  EncodeCompactRow(row, v->mutable_row());
   return v;
 }
 
@@ -76,14 +76,6 @@ Version* Version::New(Timestamp ts, bool deleted, Version* older,
                       const uint8_t* row, size_t size) {
   auto* v = new (AllocateVersion(size)) Version(ts, deleted, older);
   std::memcpy(v->mutable_row(), row, size);
-  return v;
-}
-
-Version* Version::NewFromCompact(Timestamp ts, bool deleted, Version* older,
-                                 const uint8_t* compact_row) {
-  auto* v = new (AllocateVersion(CompactRowFixedBytes(compact_row)))
-      Version(ts, deleted, older);
-  TranscodeCompactRow(compact_row, v->mutable_row());
   return v;
 }
 
@@ -158,7 +150,7 @@ Status Table::ReadObserved(Key key, Timestamp ts, const uint8_t** row,
 Status Table::Read(Key key, Timestamp ts, Row* out) const {
   const uint8_t* row;
   Status s = Read(key, ts, &row);
-  if (s.ok()) DecodeFixedRow(row, out);
+  if (s.ok()) DecodeCompactRow(row, out);
   return s;
 }
 
@@ -169,18 +161,16 @@ void Table::InstallVersionUnlatched(TupleSlot* slot, const Row& row,
                                  row));
 }
 
-void Table::InstallCompactUnlatched(TupleSlot* slot,
-                                    const uint8_t* compact_row, Timestamp ts,
-                                    bool deleted) {
-  LinkVersion(slot, Version::NewFromCompact(
-                        ts, deleted,
-                        slot->newest.load(std::memory_order_relaxed),
-                        compact_row));
+void Table::InstallRowUnlatched(TupleSlot* slot, const uint8_t* row,
+                                size_t size, Timestamp ts, bool deleted) {
+  LinkVersion(slot, Version::New(ts, deleted,
+                                 slot->newest.load(std::memory_order_relaxed),
+                                 row, size));
 }
 
-bool Table::InstallCompactLastWriterWins(TupleSlot* slot,
-                                         const uint8_t* compact_row,
-                                         Timestamp ts, bool deleted) {
+bool Table::InstallRowLastWriterWins(TupleSlot* slot, const uint8_t* row,
+                                     size_t size, Timestamp ts,
+                                     bool deleted) {
   slot->wlock.Lock();
   const Version* old = slot->newest.load(std::memory_order_relaxed);
   if (old != nullptr && old->begin_ts >= ts) {
@@ -188,7 +178,7 @@ bool Table::InstallCompactLastWriterWins(TupleSlot* slot,
     return false;
   }
   // Publishing unlocks.
-  InstallCompactUnlatched(slot, compact_row, ts, deleted);
+  InstallRowUnlatched(slot, row, size, ts, deleted);
   return true;
 }
 

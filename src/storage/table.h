@@ -53,9 +53,9 @@ class Table {
   // Installs `row` as the sole version visible from timestamp `ts`.
   // Precondition: `key` has no versions yet.
   void LoadRow(Key key, const Row& row, Timestamp ts);
-  // Same, from a row already in the fixed-width encoding: the `size`
-  // well-formed bytes at `row` (CheckFixedRow). Checkpoint restore installs
-  // stripe rows with it: one allocation and one memcpy per tuple.
+  // Same, from a row already encoded: the `size` well-formed compact bytes
+  // at `row` (CheckCompactRow). Checkpoint restore installs stripe rows
+  // with it: one allocation and one memcpy per tuple.
   void LoadRow(Key key, const uint8_t* row, size_t size, Timestamp ts);
 
   // --- MVCC reads -------------------------------------------------------
@@ -88,24 +88,23 @@ class Table {
   // newest version's begin_ts.
   static void InstallVersionUnlatched(TupleSlot* slot, const Row& row,
                                       Timestamp ts, bool deleted = false);
-  // The installs of tuple-level replay, from a log image's compact row
-  // (common/serializer.h, one CheckCompactRow accepted), transcoded
-  // straight into the version with no Row in between.
+  // The installs of tuple-level replay, from a log image's row: the
+  // `size` compact bytes at `row` (common/serializer.h, one
+  // CheckCompactRow accepted), copied into the version with one memcpy.
   //
   // Unlatched, as above: LLR-P's per-key ordered installs.
-  static void InstallCompactUnlatched(TupleSlot* slot,
-                                      const uint8_t* compact_row,
-                                      Timestamp ts, bool deleted = false);
+  static void InstallRowUnlatched(TupleSlot* slot, const uint8_t* row,
+                                  size_t size, Timestamp ts,
+                                  bool deleted = false);
   // Last-writer-wins install (Thomas write rule): drops the write if a
   // version with begin_ts >= ts is already in place. Used by PLR/LLR whose
   // threads replay log records out of order. Takes the slot latch — the
   // stamp word's lock bit, which the install's stamp publication
   // releases; a dropped write releases it with the stamp unchanged.
   // Returns whether the write was installed.
-  static bool InstallCompactLastWriterWins(TupleSlot* slot,
-                                           const uint8_t* compact_row,
-                                           Timestamp ts,
-                                           bool deleted = false);
+  static bool InstallRowLastWriterWins(TupleSlot* slot, const uint8_t* row,
+                                       size_t size, Timestamp ts,
+                                       bool deleted = false);
 
   // Visits every slot (any order, including logically deleted tuples).
   // NOT safe against concurrent slot creation; single-threaded callers

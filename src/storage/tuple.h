@@ -13,9 +13,13 @@
 // Storage layout (what one row costs in memory):
 //  - a TupleSlot is 24 bytes: key, stamp word, newest-version pointer;
 //  - a Version is one allocation: a 17-byte header (begin_ts, older,
-//    deleted) followed by the row in the fixed-width encoding that
-//    checkpoint stripes use (common/serializer.h). String bytes are always
-//    copied in, so a version never points into a caller's buffer.
+//    deleted) followed by the row in the compact encoding
+//    (common/serializer.h), the bytes log images and checkpoint stripes
+//    carry, so replay and restore install a row with one memcpy. Rows of
+//    up to 7 bytes fill the struct's tail padding; glibc then serves the
+//    version from a 32-byte chunk (a balance row holding an integral
+//    double), and a 48-byte chunk up to 23 row bytes. String bytes are
+//    always copied in, so a version never points into a caller's buffer.
 //
 // Readers view those bytes in place (Table::Read returns a pointer to
 // them): a VM local is such a view, held for a forward transaction's whole
@@ -59,20 +63,17 @@ struct Version {
   static Version* New(Timestamp ts, bool deleted, Version* older,
                       const Row& row);
   // Same, from a row already encoded: the `size` well-formed bytes at
-  // `row` (CheckFixedRow), copied with one memcpy.
+  // `row` (CheckCompactRow), copied with one memcpy.
   static Version* New(Timestamp ts, bool deleted, Version* older,
                       const uint8_t* row, size_t size);
-  // Same, from a well-formed compact row (CheckCompactRow), transcoded.
-  static Version* NewFromCompact(Timestamp ts, bool deleted, Version* older,
-                                 const uint8_t* compact_row);
   static void Free(Version* v);
 
   const uint8_t* row() const {
     return reinterpret_cast<const uint8_t*>(this) + kHeaderBytes;
   }
-  size_t row_size() const { return FixedRowSize(row()); }
+  size_t row_size() const { return CompactRowSize(row()); }
   // Decodes the row into *out, reusing its capacity.
-  void ReadRow(Row* out) const { DecodeFixedRow(row(), out); }
+  void ReadRow(Row* out) const { DecodeCompactRow(row(), out); }
 
   PACMAN_DISALLOW_COPY_AND_MOVE(Version);
 

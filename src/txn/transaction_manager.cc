@@ -30,14 +30,14 @@ Status Transaction::Read(storage::Table* table, Key key,
 Status Transaction::Read(storage::Table* table, Key key, Row* out) {
   const uint8_t* row;
   Status s = Read(table, key, &row);
-  if (s.ok()) DecodeFixedRow(row, out);
+  if (s.ok()) DecodeCompactRow(row, out);
   return s;
 }
 
 const uint8_t* Transaction::EncodedWrite(WriteEntry* w) {
   if (w->encoded == nullptr) {
-    own_rows_.emplace_back(new uint8_t[FixedRowBytes(w->row)]);
-    EncodeFixedRow(w->row, own_rows_.back().get());
+    own_rows_.emplace_back(new uint8_t[CompactRowBytes(w->row)]);
+    EncodeCompactRow(w->row, own_rows_.back().get());
     w->encoded = own_rows_.back().get();
   }
   return w->encoded;

@@ -145,20 +145,22 @@ TEST_F(BankAnalysisTest, ChoppingIsCoarserThanPacman) {
   }
 }
 
+// An operation of `type` on table `table`.
+proc::Operation TableOp(proc::OpType type, std::string table) {
+  proc::Operation op;
+  op.type = type;
+  op.table_name = std::move(table);
+  return op;
+}
+
 TEST(DependenceTest, TableLevelDataDependence) {
-  proc::Operation read_t, write_t, read_u;
-  read_t.type = proc::OpType::kRead;
-  read_t.table_name = "T";
-  write_t.type = proc::OpType::kWrite;
-  write_t.table_name = "T";
-  read_u.type = proc::OpType::kRead;
-  read_u.table_name = "U";
+  const proc::Operation read_t = TableOp(proc::OpType::kRead, "T");
+  const proc::Operation write_t = TableOp(proc::OpType::kWrite, "T");
+  const proc::Operation read_u = TableOp(proc::OpType::kRead, "U");
   EXPECT_TRUE(DataDependent(read_t, write_t));
   EXPECT_FALSE(DataDependent(read_t, read_u));
   EXPECT_FALSE(DataDependent(read_t, read_t));  // Read-read: no dep.
-  proc::Operation del_t;
-  del_t.type = proc::OpType::kDelete;
-  del_t.table_name = "T";
+  const proc::Operation del_t = TableOp(proc::OpType::kDelete, "T");
   EXPECT_TRUE(DataDependent(del_t, write_t));  // Write-write: dep.
 }
 

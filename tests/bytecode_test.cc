@@ -229,11 +229,13 @@ uint64_t StripeDigest(Database* db, const logging::CheckpointMeta& meta,
         while (!in.AtEnd()) {
           uint32_t table = 0;
           uint64_t key = 0;
-          Row row;
-          bool ok = in.GetU32(&table).ok() && in.GetU64(&key).ok() &&
+          size_t row = 0;
+          bool ok = in.GetVarint32(&table).ok() && in.GetVarint(&key).ok() &&
                     in.remaining() >= 16;
           if (ok) std::memset(bytes.data() + in.position(), 0, 16);
-          ok = ok && in.Skip(16).ok() && in.GetRow(&row).ok();
+          ok = ok && in.Skip(16).ok() &&
+               CheckCompactRow(in.cursor(), in.remaining(), &row).ok() &&
+               in.Skip(row).ok();
           if (!ok) {
             ADD_FAILURE() << "unparsable stripe (" << d << ", " << f << ")";
             break;
@@ -250,10 +252,10 @@ uint64_t StripeDigest(Database* db, const logging::CheckpointMeta& meta,
 
 // The stripes a checkpoint writes after the pinned transactions, under the
 // command log (contents only) and the physical log (contents and
-// addresses), unsharded and on two shards. Captured before tuples were
-// stored as packed rows: the stripe writer copies each version's row bytes
-// as they are, and these pins hold that copy to Serializer::PutRow's
-// format byte for byte.
+// addresses), unsharded and on two shards. Captured when versions and
+// stripes moved to the compact row encoding: the stripe writer copies each
+// version's row bytes as they are, and these pins hold that copy, and the
+// varint table and key before it, byte for byte.
 TEST(GoldenPinTest, CheckpointStripeBytes) {
   struct StripePin {
     Workload workload;
@@ -262,14 +264,14 @@ TEST(GoldenPinTest, CheckpointStripeBytes) {
     uint64_t digest;
   };
   const StripePin pins[] = {
-      {Workload::kBank, LogScheme::kCommand, 1, 0xea6fb58d8ff3b88aull},
-      {Workload::kBank, LogScheme::kCommand, 2, 0x017beff4595fc584ull},
-      {Workload::kBank, LogScheme::kPhysical, 1, 0xaaa8675b4c2c27d6ull},
-      {Workload::kBank, LogScheme::kPhysical, 2, 0xb86a493b6009f4faull},
-      {Workload::kTpcc, LogScheme::kCommand, 1, 0xf14b6a675087331full},
-      {Workload::kTpcc, LogScheme::kCommand, 2, 0x8a8df2e7c62f583full},
-      {Workload::kTpcc, LogScheme::kPhysical, 1, 0x7331d5744402f6f1ull},
-      {Workload::kTpcc, LogScheme::kPhysical, 2, 0xe55d01e7ded54765ull},
+      {Workload::kBank, LogScheme::kCommand, 1, 0xc3a8ce346508b5baull},
+      {Workload::kBank, LogScheme::kCommand, 2, 0xe6d8d39c25310e22ull},
+      {Workload::kBank, LogScheme::kPhysical, 1, 0x62b55f3181aa250aull},
+      {Workload::kBank, LogScheme::kPhysical, 2, 0xe60156772481e895ull},
+      {Workload::kTpcc, LogScheme::kCommand, 1, 0x687c07f1486c2eccull},
+      {Workload::kTpcc, LogScheme::kCommand, 2, 0xc58e0fba9cd8d7f5ull},
+      {Workload::kTpcc, LogScheme::kPhysical, 1, 0x06480445478c17e8ull},
+      {Workload::kTpcc, LogScheme::kPhysical, 2, 0xbb0683e33dd69fe2ull},
   };
   for (const StripePin& pin : pins) {
     SCOPED_TRACE(std::string(pin.workload == Workload::kBank ? "bank" : "tpcc") +
@@ -510,126 +512,126 @@ VirtualTimePin RunVirtualTimeConfig(const VirtualTimeConfig& c) {
 // and three copies of the batch-reload stage, printed with %.17g, so any
 // change to a task graph's shape, dispatch order or costs shows here.
 constexpr VirtualTimePin kVirtualTimePins[] = {
-    {"bank PLR t1 s1", 0.0011683050909090909, 0.0041034660909090911,
+    {"bank PLR t1 s1", 0.0011326439999999999, 0.0041034660909090911,
      0.0040574690000000002, 8.355709090909091e-05, 0, 0, 363, 829, 829},
-    {"bank PLR t1 s2", 0.0011682305454545456, 0.0020585390909090909,
+    {"bank PLR t1 s2", 0.0011326076363636364, 0.0020585390909090909,
      0.0040574689999999993, 8.4702545454545466e-05, 0, 0, 463, 829, 829},
-    {"bank PLR t40 s1", 0.00010706672727272727, 0.00047885709090909087,
+    {"bank PLR t40 s1", 8.9555999999999994e-05, 0.00047885709090909087,
      0.018638749999999905, 8.355709090909091e-05, 0, 0, 363, 829, 829},
-    {"bank PLR t40 s2", 0.00010758854545454545, 0.00020267909090909087,
+    {"bank PLR t40 s2", 8.9875090909090913e-05, 0.00020267909090909087,
      0.0076959499999999723, 8.4702545454545466e-05, 0, 0, 463, 829, 829},
-    {"bank LLR t1 s1", 0.0024087909090909085, 0.0039649708181818174,
+    {"bank LLR t1 s1", 0.0023731298181818182, 0.0039649708181818174,
      0.0039468689999999996, 3.291272727272727e-05, 0, 0, 363, 829, 829},
-    {"bank LLR t1 s2", 0.0024087454545454537, 0.0019904270909090909,
+    {"bank LLR t1 s2", 0.0023731225454545458, 0.0019904270909090909,
      0.0039468690000000004, 3.4054363636363631e-05, 0, 0, 463, 829, 829},
-    {"bank LLR t40 s1", 0.0001717772727272727, 0.00047210181818181808,
+    {"bank LLR t40 s1", 0.00015426654545454543, 0.00047210181818181808,
      0.018528150000000077, 3.291272727272727e-05, 0, 0, 363, 829, 829},
-    {"bank LLR t40 s2", 0.00017215454545454543, 0.00019534309090909089,
+    {"bank LLR t40 s2", 0.00015630945454545454, 0.00019534309090909089,
      0.007585349999999995, 3.4054363636363631e-05, 0, 0, 463, 829, 829},
-    {"bank LLR-P t1 s1", 0.0026811909090909089, 0.0037486018181818186,
+    {"bank LLR-P t1 s1", 0.0026455298181818181, 0.0037486018181818186,
      0.0037304999999999999, 3.291272727272727e-05, 0, 0, 363, 829, 0},
-    {"bank LLR-P t1 s2", 0.0026811454545454545, 0.0037491052727272735,
+    {"bank LLR-P t1 s2", 0.0026455225454545452, 0.0037491052727272735,
      0.0037304999999999999, 3.4054363636363631e-05, 0, 0, 463, 829, 0},
-    {"bank LLR-P t40 s1", 0.00018887727272727271, 0.00020975181818181821,
+    {"bank LLR-P t40 s1", 0.00017136654545454543, 0.00020975181818181821,
      0.0037304999999999934, 3.2912727272727277e-05, 0, 0, 363, 829, 0},
-    {"bank LLR-P t40 s2", 0.00018955454545454544, 0.00015511909090909091,
+    {"bank LLR-P t40 s2", 0.00017370945454545455, 0.00015511909090909091,
      0.0037304999999999964, 3.4054363636363638e-05, 0, 0, 463, 829, 0},
-    {"bank CLR t1 s1", 0.0026811909090909089, 0.007864742181818183,
+    {"bank CLR t1 s1", 0.0026455298181818181, 0.007864742181818183,
      0.0078550000000000009, 1.7533090909090907e-05, 0, 0, 363, 829, 0},
-    {"bank CLR t1 s2", 0.0026811454545454545, 0.0034195098181818186,
+    {"bank CLR t1 s2", 0.0026455225454545452, 0.0034195098181818186,
      0.0068054999999999982, 2.937327272727272e-05, 0, 0, 463, 829, 0},
-    {"bank CLR t40 s1", 0.00018887727272727271, 0.0078567361818181834,
+    {"bank CLR t40 s1", 0.00017136654545454543, 0.0078567361818181834,
      0.0078550000000000009, 1.753309090909091e-05, 0, 0, 363, 829, 0},
-    {"bank CLR t40 s2", 0.00018955454545454544, 0.0034129778181818185,
+    {"bank CLR t40 s2", 0.00017370945454545455, 0.0034129778181818185,
      0.0068054999999999982, 2.937327272727272e-05, 0, 0, 463, 829, 0},
-    {"bank CLR-P t1 s1", 0.0026811909090909089, 0.0093562821818181843,
+    {"bank CLR-P t1 s1", 0.0026455298181818181, 0.0093562821818181843,
      0.0071289999999999991, 1.7533090909090907e-05, 0.00087119999999999906,
      0.0013463400000000003, 363, 829, 0},
-    {"bank CLR-P t1 s2", 0.0026811454545454545, 0.0041590743636363637,
+    {"bank CLR-P t1 s2", 0.0026455225454545452, 0.0041590743636363637,
      0.005879500000000001, 2.937327272727272e-05, 0.00087119999999999993,
      0.0015383400000000007, 463, 829, 0},
-    {"bank CLR-P t40 s1", 0.00018887727272727271, 0.00081943618181818181,
+    {"bank CLR-P t40 s1", 0.00017136654545454543, 0.00081943618181818181,
      0.0071289999999999999, 1.753309090909091e-05, 0.00087119999999999906,
      0.0081416999999999965, 363, 829, 0},
-    {"bank CLR-P t40 s2", 0.00018955454545454544, 0.00062347781818181808,
+    {"bank CLR-P t40 s2", 0.00017370945454545455, 0.00062347781818181808,
      0.0058795000000000002, 2.937327272727272e-05, 0.00087119999999999993,
      0.0048489000000000006, 463, 829, 0},
-    {"bank CLR-P t40 s1 static-only", 0.00018887727272727271,
+    {"bank CLR-P t40 s1 static-only", 0.00017136654545454543,
      0.0065467361818181804, 0.0071289999999999991, 1.753309090909091e-05, 0,
      0.00019200000000000009, 363, 829, 0},
-    {"bank CLR-P t40 s1 synchronous", 0.00018887727272727271,
+    {"bank CLR-P t40 s1 synchronous", 0.00017136654545454543,
      0.0016812361818181816, 0.0071289999999999991, 1.753309090909091e-05,
      0.00087119999999999906, 0.0081416999999999965, 363, 829, 0},
-    {"bank CLR-P t40 s1 reload-only", 2.3577272727272733e-05,
+    {"bank CLR-P t40 s1 reload-only", 6.0665454545454538e-06,
      5.3787272727272732e-06, 0, 1.753309090909091e-05, 0, 0, 363, 0, 0},
-    {"bank CLR-P t40 s1 chopping", 0.00018887727272727271,
+    {"bank CLR-P t40 s1 chopping", 0.00017136654545454543,
      0.0012752361818181822, 0.0071290000000000008, 1.753309090909091e-05,
      0.00040399999999999974, 0.0037824999999999985, 363, 829, 0},
-    {"bank CLR-P t40 s1 coordination", 0.00018887727272727271,
+    {"bank CLR-P t40 s1 coordination", 0.00017136654545454543,
      0.00086143618181818175, 0.0071289999999999999, 1.753309090909091e-05,
      0.00087119999999999917, 0.0092307000000000014, 363, 829, 0},
-    {"bank PLR t40 s1 no-latches", 0.00010706672727272727,
+    {"bank PLR t40 s1 no-latches", 8.9555999999999994e-05,
      0.0001060170909090909, 0.0038410999999999975, 8.355709090909091e-05, 0, 0,
      363, 829, 829},
-    {"tpcc PLR t1 s1", 0.0020945614545454547, 0.01532653790909091,
+    {"tpcc PLR t1 s1", 0.0020136483636363635, 0.01532653790909091,
      0.013932502999999999, 0.0024526167272727272, 0, 0, 282, 3623, 3623},
-    {"tpcc PLR t1 s2", 0.0020941250909090911, 0.0079003244545454536,
+    {"tpcc PLR t1 s2", 0.0020133592727272728, 0.0079003244545454536,
      0.013932503000000001, 0.002455602545454546, 0, 0, 542, 3623, 3623},
-    {"tpcc PLR t40 s1", 0.00038332781818181823, 0.0024307629090909093,
+    {"tpcc PLR t40 s1", 0.00034350290909090908, 0.0024307629090909093,
      0.077657450000000072, 0.0024526167272727272, 0, 0, 282, 3623, 3623},
-    {"tpcc PLR t40 s2", 0.00040313654545454547, 0.0011166903636363635,
+    {"tpcc PLR t40 s2", 0.00036146327272727275, 0.0011166903636363635,
      0.029833850000000023, 0.002455602545454546, 0, 0, 542, 3623, 3623},
-    {"tpcc LLR t1 s1", 0.0038077643636363631, 0.018517223727272727,
+    {"tpcc LLR t1 s1", 0.0037268512727272724, 0.018517223727272727,
      0.017249102999999998, 0.0022312843636363637, 0, 0, 282, 3623, 3623},
-    {"tpcc LLR t1 s2", 0.0038074152727272724, 0.0095444233636363639,
+    {"tpcc LLR t1 s2", 0.0037266494545454541, 0.0095444233636363639,
      0.017249103000000002, 0.002234270181818182, 0, 0, 542, 3623, 3623},
-    {"tpcc LLR t40 s1", 0.00047170454545454544, 0.0024598827272727273,
+    {"tpcc LLR t40 s1", 0.0004318796363636363, 0.0024598827272727273,
      0.080974050000000075, 0.0022312843636363637, 0, 0, 282, 3623, 3623},
-    {"tpcc LLR t40 s2", 0.00049611254545454541, 0.0011713343636363634,
+    {"tpcc LLR t40 s2", 0.00045443927272727268, 0.0011713343636363634,
      0.033150449999999991, 0.002234270181818182, 0, 0, 542, 3623, 3623},
-    {"tpcc LLR-P t1 s1", 0.0041839643636363633, 0.017571620727272728,
+    {"tpcc LLR-P t1 s1", 0.004103051272727273, 0.017571620727272728,
      0.016303500000000002, 0.0022312843636363637, 0, 0, 282, 3623, 0},
-    {"tpcc LLR-P t1 s2", 0.004183615272727273, 0.017550633818181817,
+    {"tpcc LLR-P t1 s2", 0.0041028494545454547, 0.017550633818181817,
      0.016303500000000002, 0.002234270181818182, 0, 0, 542, 3623, 0},
-    {"tpcc LLR-P t40 s1", 0.00049510454545454536, 0.0013243947272727271,
+    {"tpcc LLR-P t40 s1", 0.00045527963636363632, 0.0013243947272727271,
      0.016303499999999999, 0.0022312843636363637, 0, 0, 282, 3623, 0},
-    {"tpcc LLR-P t40 s2", 0.00052071254545454546, 0.00078557272727272718,
+    {"tpcc LLR-P t40 s2", 0.00047903927272727274, 0.00078557272727272718,
      0.016303499999999978, 0.0022342701818181816, 0, 0, 542, 3623, 0},
-    {"tpcc CLR t1 s1", 0.0041839643636363633, 0.030239536909090925,
+    {"tpcc CLR t1 s1", 0.004103051272727273, 0.030239536909090925,
      0.030216500000000014, 4.067509090909091e-05, 0, 0, 282, 3623, 0},
-    {"tpcc CLR t1 s2", 0.004183615272727273, 0.0095843123636363634,
+    {"tpcc CLR t1 s2", 0.0041028494545454547, 0.0095843123636363634,
      0.017618499999999995, 0.0021953514545454546, 0, 0, 542, 3623, 0},
-    {"tpcc CLR t40 s1", 0.00049510454545454536, 0.030221898909090925,
+    {"tpcc CLR t40 s1", 0.00045527963636363632, 0.030221898909090925,
      0.030216500000000014, 4.067509090909091e-05, 0, 0, 282, 3623, 0},
-    {"tpcc CLR t40 s2", 0.00052071254545454546, 0.0090781403636363625,
+    {"tpcc CLR t40 s2", 0.00047903927272727274, 0.0090781403636363625,
      0.017618499999999995, 0.0021953514545454546, 0, 0, 542, 3623, 0},
-    {"tpcc CLR-P t1 s1", 0.0041839643636363633, 0.034958536909090919,
+    {"tpcc CLR-P t1 s1", 0.004103051272727273, 0.034958536909090919,
      0.029652500000000026, 4.067509090909091e-05, 0.0020399999999999997,
      0.003243000000000002, 282, 3623, 0},
-    {"tpcc CLR-P t1 s2", 0.004183615272727273, 0.010707292363636376,
+    {"tpcc CLR-P t1 s2", 0.0041028494545454547, 0.010707292363636376,
      0.016534499999999997, 0.0021953514545454546, 0.0010287999999999996,
      0.0024431599999999959, 542, 3623, 0},
-    {"tpcc CLR-P t40 s1", 0.00049510454545454536, 0.0072117989090909104,
+    {"tpcc CLR-P t40 s1", 0.00045527963636363632, 0.0072117989090909104,
      0.029652500000000012, 4.067509090909091e-05, 0.0020399999999999993,
      0.019154999999999988, 282, 3623, 0},
-    {"tpcc CLR-P t40 s2", 0.00052071254545454546, 0.0024635403636363638,
+    {"tpcc CLR-P t40 s2", 0.00047903927272727274, 0.0024635403636363638,
      0.016534499999999994, 0.0021953514545454546, 0.0010287999999999996,
      0.0063525999999999956, 542, 3623, 0},
-    {"tpcc CLR-P t40 s1 static-only", 0.00049510454545454536,
+    {"tpcc CLR-P t40 s1 static-only", 0.00045527963636363632,
      0.023280398909090904, 0.029652500000000026, 4.067509090909091e-05, 0,
      0.00053999999999999979, 282, 3623, 0},
-    {"tpcc CLR-P t40 s1 synchronous", 0.00049510454545454536,
+    {"tpcc CLR-P t40 s1 synchronous", 0.00045527963636363632,
      0.01097849890909091, 0.029652500000000026, 4.067509090909091e-05,
      0.0020399999999999997, 0.019154999999999995, 282, 3623, 0},
-    {"tpcc CLR-P t40 s1 reload-only", 0.00026890454545454545,
+    {"tpcc CLR-P t40 s1 reload-only", 0.00022907963636363633,
      1.3649272727272727e-05, 0, 4.067509090909091e-05, 0, 0, 282, 0, 0},
-    {"tpcc CLR-P t40 s1 chopping", 0.00049510454545454536, 0.031339924909090884,
+    {"tpcc CLR-P t40 s1 chopping", 0.00045527963636363632, 0.031339924909090884,
      0.029652499999999998, 4.067509090909091e-05, 0.00022559999999999985,
      0.0020945999999999998, 282, 3623, 0},
-    {"tpcc CLR-P t40 s1 coordination", 0.00049510454545454536,
+    {"tpcc CLR-P t40 s1 coordination", 0.00045527963636363632,
      0.0073207989090909101, 0.029652500000000012, 4.067509090909091e-05,
      0.0020399999999999993, 0.02170500000000003, 282, 3623, 0},
-    {"tpcc PLR t40 s1 no-latches", 0.00038332781818181823,
+    {"tpcc PLR t40 s1 no-latches", 0.00034350290909090908,
      0.00093639672727272711, 0.012986900000000006, 0.0024526167272727272, 0, 0,
      282, 3623, 3623},
 };

@@ -1,7 +1,11 @@
 // Failure-injection tests: corrupted and truncated log/checkpoint files
 // must be rejected with kCorruption, never mis-parsed.
 #include <gtest/gtest.h>
+#include <stdlib.h>
 
+#include <filesystem>
+
+#include "common/serializer.h"
 #include "logging/checkpointer.h"
 #include "logging/log_store.h"
 #include "pacman/database.h"
@@ -124,7 +128,7 @@ TEST_F(FailureTest, CorruptCheckpointStripeIsRejected) {
 
 // Recovery's restore task walks the stripe bytes itself and copies each
 // row into its version as it stands, so it must check every row first: a
-// bad value tag, or a stripe cut mid-row, aborts the restore loudly,
+// bad value tag, or a stripe cut mid-record, aborts the restore loudly,
 // naming the stripe and the record's offset.
 TEST_F(FailureTest, CorruptCheckpointRowAbortsRestore) {
   enum class Damage { kBadTag, kCutRow };
@@ -138,16 +142,22 @@ TEST_F(FailureTest, CorruptCheckpointRowAbortsRestore) {
         logging::Checkpointer::StripeFileName(meta.id, 0, 0);
     std::vector<uint8_t> bytes;
     ASSERT_TRUE(db->device(0)->ReadFile(name, &bytes).ok());
-    // A command-log record: table (u32), key (u64), then the row, whose
-    // first value's tag follows its u32 count.
-    ASSERT_GT(bytes.size(), 17u);
+    // A command-log record: table and key (varints), then the row, whose
+    // first value's tag follows its varint count.
+    Deserializer in(bytes);
+    uint32_t table = 0;
+    uint64_t key = 0, count = 0;
+    ASSERT_TRUE(in.GetVarint32(&table).ok() && in.GetVarint(&key).ok() &&
+                in.GetVarint(&count).ok() && count > 0 && !in.AtEnd());
     std::string want;
     if (damage == Damage::kBadTag) {
-      bytes[16] = 0x7f;
-      want = name + ": record at offset 0: bad value tag 127";
+      bytes[in.position()] = 0x7f;
+      want = name + ": record at offset 0: bad value tag";
     } else {
       bytes.resize(bytes.size() - 3);
-      want = name + ": record at offset [0-9]+: row cut";
+      want = name +
+             ": record at offset [0-9]+: (serializer underflow|unterminated "
+             "varint|string underflow|row length too large)";
     }
     ASSERT_TRUE(db->device(0)->WriteFile(name, std::move(bytes)).ok());
     db->Crash();
@@ -155,6 +165,59 @@ TEST_F(FailureTest, CorruptCheckpointRowAbortsRestore) {
     ropts.num_threads = 2;
     EXPECT_DEATH(db->Recover(recovery::Scheme::kClrP, ropts), want);
   }
+}
+
+// A log dir that the previous build left, whose one checkpoint is in the
+// retired fixed-width format: meta magic "PCKM", and stripe records of a
+// u32 table, a u64 key and a u32-counted row of tagged 8-byte values.
+// Recovery must refuse it by name, neither misparsing the stripe nor
+// reporting that the devices hold no checkpoint.
+TEST_F(FailureTest, RetiredCheckpointFormatAbortsRecoveryByName) {
+  std::string dir =
+      (std::filesystem::temp_directory_path() / "pacman_ckpt_XXXXXX")
+          .string();
+  ASSERT_NE(::mkdtemp(dir.data()), nullptr);
+  DatabaseOptions opts;
+  opts.scheme = logging::LogScheme::kCommand;
+  opts.num_ssds = 1;
+  opts.device = device::DeviceKind::kFile;
+  opts.log_dir = dir;
+  {
+    Database writer(opts);  // An empty dir: only opens the device.
+    Serializer stripe;
+    stripe.PutU32(0);  // Table.
+    stripe.PutU64(7);  // Key.
+    stripe.PutU32(1);  // One value: an int64.
+    stripe.PutValue(Value(int64_t{42}));
+    Serializer meta;
+    meta.PutU32(0x50434B4D);  // "PCKM"
+    meta.PutU64(1);           // Id.
+    meta.PutU64(1);           // Snapshot ts.
+    meta.PutU32(1);           // Files per device.
+    meta.PutU32(1);           // Devices.
+    meta.PutU64(stripe.size());
+    meta.PutU64(Fnv1a(meta.data().data(), meta.size()));
+    ASSERT_TRUE(writer.device(0)
+                    ->WriteFile(logging::Checkpointer::StripeFileName(1, 0, 0),
+                                stripe.Release())
+                    .ok());
+    ASSERT_TRUE(writer.device(0)
+                    ->WriteFile(logging::Checkpointer::MetaFileName(1),
+                                meta.Release())
+                    .ok());
+  }
+  Database db(opts);
+  EXPECT_TRUE(db.crashed());  // The checkpoint is state to recover.
+  bank_.CreateTables(db.catalog());
+  bank_.RegisterProcedures(db.registry());
+  db.FinalizeSchema();
+  recovery::RecoveryOptions ropts;
+  ropts.num_threads = 2;
+  EXPECT_DEATH(db.Recover(recovery::Scheme::kClrP, ropts),
+               "ckpt_meta_000000000001 is in the retired fixed-width "
+               "checkpoint format \\(PCKM\\)");
+  std::error_code ec;
+  std::filesystem::remove_all(dir, ec);
 }
 
 TEST_F(FailureTest, RecordsBeyondPepochAreNotReplayed) {

@@ -112,8 +112,9 @@ TEST(FaultInjectorTest, SeededRateScheduleIsDeterministic) {
     FaultInjectingDevice dev(Ssd(), spec);
     std::string pattern;
     for (int i = 0; i < 100; ++i) {
-      pattern +=
-          dev.WriteFile("f" + std::to_string(i), {1, 2, 3}).ok() ? '.' : 'X';
+      std::string name = "f";
+      name += std::to_string(i);
+      pattern += dev.WriteFile(name, {1, 2, 3}).ok() ? '.' : 'X';
     }
     for (int i = 0; i < 50; ++i) {
       pattern += dev.AppendFile("a", {9}).ok() ? '.' : 'X';

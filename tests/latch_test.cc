@@ -295,14 +295,16 @@ TEST(InstallLatchTest, ThomasRuleDropLeavesStampUnchanged) {
   const storage::Version* newest = slot->newest.load();
   const uint64_t stamp = slot->wlock.Load();
   for (Timestamp stale : {Timestamp{5}, Timestamp{10}}) {
-    EXPECT_FALSE(storage::Table::InstallCompactLastWriterWins(
-        slot, CompactIntRow(0).data(), stale));
+    const std::vector<uint8_t> row = CompactIntRow(0);
+    EXPECT_FALSE(storage::Table::InstallRowLastWriterWins(
+        slot, row.data(), row.size(), stale));
     EXPECT_EQ(slot->wlock.Load(), stamp);
     EXPECT_FALSE(OccStampLock::IsLocked(slot->wlock.Load()));
     EXPECT_EQ(slot->newest.load(), newest);
   }
-  EXPECT_TRUE(storage::Table::InstallCompactLastWriterWins(
-      slot, CompactIntRow(11).data(), 11));
+  const std::vector<uint8_t> row = CompactIntRow(11);
+  EXPECT_TRUE(storage::Table::InstallRowLastWriterWins(slot, row.data(),
+                                                       row.size(), 11));
   EXPECT_EQ(slot->wlock.Load(), OccStampLock::Pack(11));
 }
 
@@ -339,8 +341,8 @@ TEST(InstallLatchTest, ContendedInstallsKeepChainsOrderedAndExact) {
       const auto install = [&](int slot, Timestamp ts) {
         const std::vector<uint8_t> row =
             CompactIntRow(static_cast<int64_t>(ts));
-        if (storage::Table::InstallCompactLastWriterWins(slots[slot],
-                                                         row.data(), ts)) {
+        if (storage::Table::InstallRowLastWriterWins(slots[slot], row.data(),
+                                                     row.size(), ts)) {
           wins[t][slot]++;
         }
       };

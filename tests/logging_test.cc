@@ -165,13 +165,13 @@ TEST_F(LoggingTest, ReadOnlyTransactionsAreNotLogged) {
 }
 
 TEST(CheckpointMetaTest, GoldenMetaFileStillValidates) {
-  // Checkpoint 5 at ts 0x300000001, 2 files on 1 device, as an earlier
-  // build wrote it: its FNV-1a checksum must keep validating.
+  // Checkpoint 5 at ts 0x300000001, 2 files on 1 device, in the compact
+  // stripe format ("PCK2"): its FNV-1a checksum must keep validating.
   const std::vector<uint8_t> kGoldenMeta = {
-      0x4d, 0x4b, 0x43, 0x50, 0x05, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+      0x32, 0x4b, 0x43, 0x50, 0x05, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
       0x01, 0x00, 0x00, 0x00, 0x03, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00,
       0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
-      0xa4, 0x7d, 0x9c, 0x50, 0x25, 0x73, 0x06, 0x8b,
+      0xa7, 0x89, 0xa4, 0x35, 0x60, 0x0c, 0xdf, 0xa9,
   };
   storage::Catalog catalog;
   device::SimulatedSsd ssd;
@@ -188,6 +188,25 @@ TEST(CheckpointMetaTest, GoldenMetaFileStillValidates) {
   flipped[12] ^= 1;
   ASSERT_TRUE(ssd.WriteFile(Checkpointer::MetaFileName(5), flipped).ok());
   EXPECT_EQ(ckpt.ReadMeta(5, &meta).code(), StatusCode::kCorruption);
+
+  // The same checkpoint as the fixed-width build wrote it ("PCKM", its
+  // checksum valid) is refused by name, and the search for the newest
+  // checkpoint stops at it instead of skipping it as a torn leftover.
+  const std::vector<uint8_t> kRetiredMeta = {
+      0x4d, 0x4b, 0x43, 0x50, 0x05, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+      0x01, 0x00, 0x00, 0x00, 0x03, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00,
+      0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+      0xa4, 0x7d, 0x9c, 0x50, 0x25, 0x73, 0x06, 0x8b,
+  };
+  ASSERT_TRUE(
+      ssd.WriteFile(Checkpointer::MetaFileName(5), kRetiredMeta).ok());
+  for (const Status& s : {ckpt.ReadMeta(5, &meta), ckpt.ReadLatestMeta(&meta)}) {
+    EXPECT_EQ(s.code(), StatusCode::kCorruption);
+    EXPECT_NE(s.message().find("ckpt_meta_000000000005 is in the retired "
+                               "fixed-width checkpoint format (PCKM)"),
+              std::string::npos)
+        << s.message();
+  }
 }
 
 TEST_F(LoggingTest, CheckpointRoundTrip) {
@@ -259,7 +278,7 @@ TEST_F(LoggingTest, ClosedBatchHeadersSpanExactlyTheirRecords) {
       device::StorageDevice* dev = lm->devices()[f.device];
       LogBatch header;
       ASSERT_TRUE(
-          LogStore::ReadBatchCoverage(scheme, dev, f.name, &header).ok());
+          LogStore::ReadBatchCoverage(dev, f.name, &header).ok());
       std::vector<uint8_t> bytes;
       ASSERT_TRUE(dev->ReadFile(f.name, &bytes).ok());
       LogBatch full;

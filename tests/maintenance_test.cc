@@ -157,8 +157,7 @@ TEST_F(MaintenanceTest, ReadBatchCoverageAnswersFromHeader) {
                   .ok());
 
   logging::LogBatch cov;
-  ASSERT_TRUE(logging::LogStore::ReadBatchCoverage(
-                  logging::LogScheme::kCommand, &dev, name, &cov)
+  ASSERT_TRUE(logging::LogStore::ReadBatchCoverage(&dev, name, &cov)
                   .ok());
   EXPECT_EQ(cov.logger_id, 1u);
   EXPECT_EQ(cov.seq, 4u);
@@ -496,7 +495,7 @@ TEST_F(MaintenanceTest, TruncationReadsEachClosedBatchHeaderOnce) {
       }
       logging::LogBatch b;
       ASSERT_TRUE(logging::LogStore::ReadBatchCoverage(
-                      lm->scheme(), lm->devices()[f.device], f.name, &b)
+                      lm->devices()[f.device], f.name, &b)
                       .ok());
       EXPECT_GT(b.max_cts, ev.ts) << f.name << " is covered but kept";
       uncovered_closed++;
@@ -540,7 +539,7 @@ TEST_F(MaintenanceTest, ServiceTruncatesAcrossAnInProcessCrash) {
        logging::LogStore::ListBatchFiles(lm->devices())) {
     logging::LogBatch b;
     ASSERT_TRUE(logging::LogStore::ReadBatchCoverage(
-                    lm->scheme(), lm->devices()[f.device], f.name, &b)
+                    lm->devices()[f.device], f.name, &b)
                     .ok());
     at_crash[f.name] = b.max_cts;
   }
@@ -567,7 +566,7 @@ TEST_F(MaintenanceTest, ServiceTruncatesAcrossAnInProcessCrash) {
     if (f.seq >= min_open) continue;
     logging::LogBatch b;
     ASSERT_TRUE(logging::LogStore::ReadBatchCoverage(
-                    lm->scheme(), lm->devices()[f.device], f.name, &b)
+                    lm->devices()[f.device], f.name, &b)
                     .ok());
     EXPECT_GT(b.max_cts, ev.ts) << f.name << " is covered but kept";
   }

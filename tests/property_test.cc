@@ -42,8 +42,8 @@ RandomApp MakeRandomApp(Rng* rng, int num_tables, int num_procs) {
     std::vector<int> locals;
     int guard_depth = 0;
     for (int oi = 0; oi < nops; ++oi) {
-      std::string table =
-          "t" + std::to_string(rng->Uniform(0, num_tables - 1));
+      std::string table = "t";
+      table += std::to_string(rng->Uniform(0, num_tables - 1));
       // Key: 70% parameter, 30% foreign key from an earlier read.
       ExprPtr key;
       if (!locals.empty() && rng->Bernoulli(0.3)) {

@@ -60,13 +60,24 @@ TEST(SerializerTest, UnderflowReturnsCorruption) {
 TEST(SerializerTest, RowRoundTrip) {
   Row row = {Value(int64_t{-5}), Value(1.5), Value(std::string("s")),
              Value::Null()};
-  Serializer s;
-  s.PutRow(row);
-  Deserializer d(s.data());
+  std::vector<uint8_t> bytes(CompactRowBytes(row));
+  EXPECT_EQ(EncodeCompactRow(row, bytes.data()), bytes.data() + bytes.size());
+  size_t size = 0;
+  ASSERT_TRUE(CheckCompactRow(bytes.data(), bytes.size(), &size).ok());
+  EXPECT_EQ(size, bytes.size());
+  EXPECT_EQ(CompactRowSize(bytes.data()), bytes.size());
   Row out;
-  ASSERT_TRUE(d.GetRow(&out).ok());
+  DecodeCompactRow(bytes.data(), &out);
   ASSERT_EQ(out.size(), row.size());
-  for (size_t i = 0; i < row.size(); ++i) EXPECT_EQ(out[i], row[i]);
+  for (size_t i = 0; i < row.size(); ++i) {
+    EXPECT_EQ(out[i], row[i]);
+    Value field;
+    DecodeCompactField(bytes.data(), i, &field);
+    EXPECT_EQ(field, row[i]);
+  }
+  Value past_the_end(int64_t{1});
+  DecodeCompactField(bytes.data(), row.size(), &past_the_end);
+  EXPECT_TRUE(past_the_end.is_null());
 }
 
 TEST(SerializerTest, VarintsRoundTripAtMinimalLength) {
@@ -397,7 +408,7 @@ TEST(LogBatchTest, V4BlocksRoundTripEveryRecordField) {
     ASSERT_TRUE(dev.WriteFile(name, file).ok());
     logging::LogBatch cov;
     ASSERT_TRUE(
-        logging::LogStore::ReadBatchCoverage(scheme, &dev, name, &cov).ok());
+        logging::LogStore::ReadBatchCoverage(&dev, name, &cov).ok());
     EXPECT_EQ(cov.min_cts, out.min_cts);
     EXPECT_EQ(cov.max_cts, out.max_cts);
     EXPECT_TRUE(cov.records.empty());
@@ -418,9 +429,12 @@ TEST(LogBatchTest, V4BlocksRoundTripEveryRecordField) {
   }
 }
 
-// The v2 image the previous writer produced for a two-record CL batch
-// (logger 1, seq 7, epochs 3-4): one native call with int/double/string
-// parameters and one ad-hoc record with two row images, one a delete.
+// Images that the fixed-width writers of formats v2 and v3 produced for a
+// two-record CL batch (logger 1, seq 7, epochs 3-4): one native call with
+// int/double/string parameters and one ad-hoc record with two row images,
+// one a delete. The v3 file was written by two group-commit flushes (file
+// header and a block holding the call, then an appended block holding the
+// ad-hoc record).
 const std::vector<uint8_t> kGoldenV2Batch = {
     0x32, 0x43, 0x41, 0x50, 0x01, 0x00, 0x00, 0x00, 0x07, 0x00, 0x00, 0x00,
     0x00, 0x00, 0x00, 0x00, 0x03, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
@@ -439,59 +453,6 @@ const std::vector<uint8_t> kGoldenV2Batch = {
     0x00,
 };
 
-// The records of the golden images below.
-std::vector<logging::LogRecord> GoldenRecords() {
-  logging::LogRecord call;
-  call.commit_ts = 0x300000005ull;
-  call.epoch = 3;
-  call.proc = 2;
-  call.params = {Value(int64_t{42}), Value(1.5), Value(std::string("ab"))};
-  logging::LogRecord adhoc;
-  adhoc.commit_ts = 0x400000001ull;
-  adhoc.epoch = 4;
-  adhoc.AddImage(5, 9, {Value(int64_t{-1}), Value::Null()}, false);
-  adhoc.AddImage(6, 10, {}, true);
-  return {call, adhoc};
-}
-
-TEST(LogBatchTest, GoldenV1AndV2BatchesStillLoad) {
-  const std::vector<logging::LogRecord> golden = GoldenRecords();
-  const logging::LogRecord& call = golden[0];
-  const logging::LogRecord& adhoc = golden[1];
-  // v1 is v2 without the header's 16-byte cts interval, under "PACB".
-  const std::vector<uint8_t> v1 = [] {
-    std::vector<uint8_t> b = kGoldenV2Batch;
-    b[0] = 0x42;
-    b.erase(b.begin() + 32, b.begin() + 48);
-    return b;
-  }();
-  for (const std::vector<uint8_t>* image : {&kGoldenV2Batch, &v1}) {
-    logging::LogBatch out;
-    ASSERT_TRUE(logging::LogStore::DeserializeBatch(
-                    logging::LogScheme::kCommand, *image, &out)
-                    .ok());
-    EXPECT_EQ(out.logger_id, 1u);
-    EXPECT_EQ(out.seq, 7u);
-    EXPECT_EQ(out.min_cts, call.commit_ts);
-    EXPECT_EQ(out.max_cts, adhoc.commit_ts);
-    ExpectSameRecords(out.records, {call, adhoc});
-
-    device::SimulatedSsd dev;
-    ASSERT_TRUE(dev.WriteFile("log_01_000000000007.batch", *image).ok());
-    logging::LogBatch cov;
-    ASSERT_TRUE(logging::LogStore::ReadBatchCoverage(
-                    logging::LogScheme::kCommand, &dev,
-                    "log_01_000000000007.batch", &cov)
-                    .ok());
-    EXPECT_EQ(cov.min_cts, call.commit_ts);
-    EXPECT_EQ(cov.max_cts, adhoc.commit_ts);
-  }
-}
-
-// The v3 image the previous writer produced for the same two records:
-// logger 1, seq 7, written by two group-commit flushes (file header and a
-// block holding the call, then an appended block holding the ad-hoc
-// record).
 const std::vector<uint8_t> kGoldenV3Batch = {
     0x33, 0x43, 0x41, 0x50, 0x01, 0x00, 0x00, 0x00, 0x07, 0x00, 0x00, 0x00,
     0x00, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x31, 0x00, 0x00, 0x00,
@@ -511,55 +472,76 @@ const std::vector<uint8_t> kGoldenV3Batch = {
     0x00, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x00,
 };
 
-TEST(LogBatchTest, GoldenV3BatchStillLoadsBesideV4) {
-  const std::vector<logging::LogRecord> golden = GoldenRecords();
-  logging::LogBatch out;
-  ASSERT_TRUE(logging::LogStore::DeserializeBatch(
-                  logging::LogScheme::kCommand, kGoldenV3Batch, &out)
-                  .ok());
-  EXPECT_EQ(out.logger_id, 1u);
-  EXPECT_EQ(out.seq, 7u);
-  ExpectSameRecords(out.records, golden);
+// Files of the retired fixed-width formats fail with kCorruption naming the
+// file and the format, whether or not the file is the newest of its stream:
+// a retired magic is never a torn tail, even when the file is also cut.
+TEST(LogBatchTest, RetiredBatchFormatsAreRefused) {
+  // v1 is v2 without the header's 16-byte cts interval, under "PACB".
+  std::vector<uint8_t> v1 = kGoldenV2Batch;
+  v1[0] = 0x42;
+  v1.erase(v1.begin() + 32, v1.begin() + 48);
+  const std::pair<const char*, const std::vector<uint8_t>*> kRetired[] = {
+      {"v1 (PACB)", &v1},
+      {"v2 (PAC2)", &kGoldenV2Batch},
+      {"v3 (PAC3)", &kGoldenV3Batch},
+  };
+  const auto expect_refused = [](const Status& s, const std::string& name,
+                                 const char* format) {
+    EXPECT_EQ(s.code(), StatusCode::kCorruption);
+    EXPECT_NE(s.message().find(name), std::string::npos) << s.message();
+    EXPECT_NE(s.message().find(std::string("retired fixed-width batch "
+                                           "format ") +
+                               format),
+              std::string::npos)
+        << s.message();
+  };
+  for (const auto& [format, image] : kRetired) {
+    SCOPED_TRACE(format);
+    logging::BatchFile file;
+    file.logger = 1;
+    file.seq = 7;
+    file.name = logging::LogStore::BatchFileName(1, 7);
+    for (size_t cut : {size_t{0}, size_t{5}}) {
+      for (bool newest : {false, true}) {
+        file.newest_in_stream = newest;  // Tolerates a torn tail.
+        logging::LogBatch out;
+        const Status s = logging::LogStore::ParseBatchFile(
+            logging::LogScheme::kCommand, file,
+            std::make_shared<const std::vector<uint8_t>>(image->begin(),
+                                                         image->end() - cut),
+            /*borrow=*/false, &out);
+        expect_refused(s, file.name, format);
+        EXPECT_TRUE(out.records.empty());
+      }
+    }
 
-  // An upgraded, restarted process: the older seq of logger 1's stream is
-  // the v3 file, the newer one a v4 file its successor wrote.
-  device::SimulatedSsd dev;
-  const std::string v3_name = logging::LogStore::BatchFileName(1, 7);
-  ASSERT_TRUE(dev.WriteFile(v3_name, kGoldenV3Batch).ok());
-  logging::LogRecord later = golden[0];
-  later.commit_ts = 0x500000002ull;
-  later.epoch = 5;
-  logging::LogBatch v4;
-  v4.logger_id = 1;
-  v4.seq = 8;
-  v4.records = {later};
-  ASSERT_TRUE(dev.WriteFile(logging::LogStore::BatchFileName(1, 8),
-                            logging::LogStore::SerializeBatch(
-                                logging::LogScheme::kCommand, v4))
-                  .ok());
-
-  logging::LogBatch cov;
-  ASSERT_TRUE(logging::LogStore::ReadBatchCoverage(
-                  logging::LogScheme::kCommand, &dev, v3_name, &cov)
-                  .ok());
-  EXPECT_EQ(cov.min_cts, golden[0].commit_ts);
-  EXPECT_EQ(cov.max_cts, golden[1].commit_ts);
-  EXPECT_EQ(cov.file_bytes, kGoldenV3Batch.size());
-
-  exec::ThreadPool pool(2);
-  recovery::PipelinedLogLoader loader(logging::LogScheme::kCommand, {&dev},
-                                      &pool, {});
-  loader.Start();
-  ASSERT_TRUE(loader.WaitAll().ok());
-  ASSERT_EQ(loader.num_batches(), 2u);
-  const std::vector<const logging::LogRecord*>& first =
-      loader.batches()[0].records;
-  ASSERT_EQ(first.size(), 2u);
-  for (size_t i = 0; i < first.size(); ++i) {
-    ExpectSameRecords({*first[i]}, {golden[i]});
+    // Log garbage collection's header-only read refuses it too, and so
+    // does recovery's loader beside a v4 successor of the same stream.
+    device::SimulatedSsd dev;
+    ASSERT_TRUE(dev.WriteFile(file.name, *image).ok());
+    logging::LogBatch cov;
+    expect_refused(
+        logging::LogStore::ReadBatchCoverage(&dev, file.name, &cov),
+        file.name, format);
+    logging::LogRecord call;
+    call.commit_ts = 0x500000002ull;
+    call.epoch = 5;
+    call.proc = 2;
+    call.params = {Value(int64_t{42})};
+    logging::LogBatch v4;
+    v4.logger_id = 1;
+    v4.seq = 8;
+    v4.records = {call};
+    ASSERT_TRUE(dev.WriteFile(logging::LogStore::BatchFileName(1, 8),
+                              logging::LogStore::SerializeBatch(
+                                  logging::LogScheme::kCommand, v4))
+                    .ok());
+    exec::ThreadPool pool(2);
+    recovery::PipelinedLogLoader loader(logging::LogScheme::kCommand, {&dev},
+                                        &pool, {});
+    loader.Start();
+    expect_refused(loader.WaitAll(), file.name, format);
   }
-  ASSERT_EQ(loader.batches()[1].records.size(), 1u);
-  ExpectSameRecords({*loader.batches()[1].records[0]}, {later});
 }
 
 // Hand-assembled v4 file of one block around `payload`.
@@ -758,8 +740,8 @@ TEST(LogBatchTest, FlippedLogicalBatchBytesFailOrInstallCleanly) {
           for (const logging::LogRecord& rec : out.records) {
             for (const logging::WriteImage& w : rec.writes) {
               rec.DecodeImage(w, &want);
-              if (!storage::Table::InstallCompactLastWriterWins(
-                      table.GetOrCreateSlot(w.key), rec.ImageRow(w),
+              if (!storage::Table::InstallRowLastWriterWins(
+                      table.GetOrCreateSlot(w.key), rec.ImageRow(w), w.size,
                       rec.commit_ts, w.deleted)) {
                 continue;
               }

@@ -112,7 +112,7 @@ uint64_t Bits(const Value& v) {
 // A version stores its row packed, tags included, so nothing the engine
 // can hold is lost: whatever a writer puts in (schemas are not enforced
 // on writes) reads back with the same type and the same bits, whether it
-// was installed from a Row or transcoded from a log image's compact row.
+// was installed from a Row or copied from a log image's compact row.
 TEST(PackedRowTest, EveryValueTypeRoundTripsExactly) {
   double nan_with_payload;
   const uint64_t nan_bits = 0x7ff4000000abcdefull;  // Signalling, payload.
@@ -144,7 +144,8 @@ TEST(PackedRowTest, EveryValueTypeRoundTripsExactly) {
   Table t(0, "t", OneIntSchema(), IndexType::kHash);
   t.LoadRow(1, row, 1);
   Table::InstallVersionUnlatched(t.GetOrCreateSlot(2), row, 3);
-  Table::InstallCompactUnlatched(t.GetOrCreateSlot(3), compact.data(), 3);
+  Table::InstallRowUnlatched(t.GetOrCreateSlot(3), compact.data(),
+                             compact.size(), 3);
   replay_buffer.assign(replay_buffer.size(), '?');  // The buffer moves on.
 
   for (Key key : {Key{1}, Key{2}, Key{3}}) {
@@ -162,14 +163,11 @@ TEST(PackedRowTest, EveryValueTypeRoundTripsExactly) {
     EXPECT_EQ(out[8].AsStringView(), replayed);
     EXPECT_EQ(HashRow(out), want_hash);
   }
-  // Every version holds exactly the bytes Serializer::PutRow writes.
-  Serializer s;
-  s.PutRow(row);
-  EXPECT_EQ(CompactRowFixedBytes(compact.data()), s.size());
-  for (Key key : {Key{1}, Key{3}}) {
+  // Every version holds exactly the bytes EncodeCompactRow writes.
+  for (Key key : {Key{1}, Key{2}, Key{3}}) {
     const Version* v = t.GetSlot(key)->VisibleAt(kMaxTimestamp);
-    ASSERT_EQ(v->row_size(), s.size());
-    EXPECT_EQ(std::memcmp(v->row(), s.data().data(), s.size()), 0);
+    ASSERT_EQ(v->row_size(), compact.size());
+    EXPECT_EQ(std::memcmp(v->row(), compact.data(), compact.size()), 0);
   }
   // And the compact row decodes to the same values.
   Row decoded = {Value(std::string(64, 'y'))};
@@ -183,22 +181,33 @@ TEST(PackedRowTest, EveryValueTypeRoundTripsExactly) {
   EXPECT_EQ(decoded[8].AsStringView(), replayed);
 }
 
-TEST(PackedRowTest, CheckFixedRowRejectsBadTagsAndCutRows) {
-  Serializer s;
-  s.PutRow({Value(int64_t{7}), Value(std::string("abc")), Value(1.5)});
-  std::vector<uint8_t> bytes = s.Release();
+// Checkpoint restore and log replay copy rows they have only checked, so
+// the check must refuse every cut and every bad tag.
+TEST(PackedRowTest, CheckCompactRowRejectsBadTagsAndCutRows) {
+  const Row row = {Value(int64_t{7}), Value(std::string("abc")), Value(1.5),
+                   Value(2.0)};
+  std::vector<uint8_t> bytes(CompactRowBytes(row));
+  EncodeCompactRow(row, bytes.data());
   size_t size = 0;
-  ASSERT_TRUE(CheckFixedRow(bytes.data(), bytes.size(), &size).ok());
+  ASSERT_TRUE(CheckCompactRow(bytes.data(), bytes.size(), &size).ok());
   EXPECT_EQ(size, bytes.size());
-  EXPECT_EQ(FixedRowSize(bytes.data()), bytes.size());
+  EXPECT_EQ(CompactRowSize(bytes.data()), bytes.size());
   for (size_t cut = 0; cut < bytes.size(); ++cut) {
-    EXPECT_EQ(CheckFixedRow(bytes.data(), cut, &size).code(),
+    EXPECT_EQ(CheckCompactRow(bytes.data(), cut, &size).code(),
               StatusCode::kCorruption)
         << "cut at " << cut;
   }
-  bytes[4] = 9;  // The first value's tag.
-  EXPECT_EQ(CheckFixedRow(bytes.data(), bytes.size(), &size).code(),
-            StatusCode::kCorruption);
+  // The tags: count, int64 tag + 1-byte varint, string tag + length +
+  // "abc", double tag + 8 bytes, integral-double tag + 1-byte varint.
+  for (size_t at : {size_t{1}, size_t{3}, size_t{8}, size_t{17}}) {
+    for (uint8_t bad : {uint8_t{5}, uint8_t{9}, uint8_t{0x7f}, uint8_t{0xff}}) {
+      std::vector<uint8_t> damaged = bytes;
+      damaged[at] = bad;
+      EXPECT_EQ(CheckCompactRow(damaged.data(), damaged.size(), &size).code(),
+                StatusCode::kCorruption)
+          << "tag " << int{bad} << " at " << at;
+    }
+  }
 }
 
 #if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
@@ -211,7 +220,10 @@ TEST(PackedRowTest, CheckFixedRowRejectsBadTagsAndCutRows) {
 
 // Heap bytes per row of a hash-indexed table of one-double rows: slot,
 // version and index entry. Before versions were packed and slots lost
-// their cache-line latch this read about 400.
+// their cache-line latch this read about 400; with fixed-width version
+// rows, whose 30-byte versions take 48-byte chunks, about 117.5. A
+// compact balance row fits the version struct's tail padding, a 32-byte
+// chunk.
 TEST(PackedRowTest, HeapBytesPerRowStaySmall) {
 #ifdef PACMAN_SANITIZED_MALLOC
   GTEST_SKIP() << "sanitizer allocators replace malloc";
@@ -230,7 +242,7 @@ TEST(PackedRowTest, HeapBytesPerRowStaySmall) {
     }
     const double per_row = (heap_bytes() - before) / kRows;
     std::printf("heap bytes per row: %.1f\n", per_row);
-    EXPECT_LE(per_row, 160.0);
+    EXPECT_LE(per_row, 110.0);
   }
 #endif
 }
@@ -302,14 +314,14 @@ TEST(TableTest, ReadRespectsTimestampsAndTombstones) {
 TEST(TableTest, LastWriterWinsDropsStaleWrites) {
   Table t(0, "t", OneIntSchema(), IndexType::kHash);
   TupleSlot* slot = t.GetOrCreateSlot(1);
-  EXPECT_TRUE(
-      Table::InstallCompactLastWriterWins(slot, CompactIntRow(30).data(), 12));
-  // Stale: dropped.
-  EXPECT_FALSE(
-      Table::InstallCompactLastWriterWins(slot, CompactIntRow(20).data(), 8));
+  const auto install = [slot](int64_t v, Timestamp ts) {
+    const std::vector<uint8_t> row = CompactIntRow(v);
+    return Table::InstallRowLastWriterWins(slot, row.data(), row.size(), ts);
+  };
+  EXPECT_TRUE(install(30, 12));
+  EXPECT_FALSE(install(20, 8));  // Stale: dropped.
   EXPECT_EQ(FirstInt(slot->VisibleAt(kMaxTimestamp)), 30);
-  EXPECT_TRUE(
-      Table::InstallCompactLastWriterWins(slot, CompactIntRow(40).data(), 15));
+  EXPECT_TRUE(install(40, 15));
   EXPECT_EQ(FirstInt(slot->VisibleAt(kMaxTimestamp)), 40);
 }
 
