@@ -105,6 +105,10 @@ uint8_t* EncodeCompactValue(const Value& v, uint8_t* out) {
 // bits). Deserializer::GetVarint and CheckCompactRow share these rules.
 const char* DecodeVarint(const uint8_t** p, const uint8_t* end,
                          uint64_t* out) {
+  if (*p != end && **p < 0x80) {  // One-byte fast path.
+    *out = *(*p)++;
+    return nullptr;
+  }
   uint64_t v = 0;
   for (int shift = 0; shift < 64; shift += 7) {
     if (*p == end) return "unterminated varint";

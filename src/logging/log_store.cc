@@ -300,7 +300,6 @@ Status LogStore::DeserializeBatch(
     out->min_cts = std::min(out->min_cts, r.commit_ts);
     out->max_cts = std::max(out->max_cts, r.commit_ts);
   }
-  out->file_bytes = bytes->size();
   if (opts.borrow) {
     // Zero-copy: the records' images and string parameters are views
     // into `bytes`; the batch keeps the shared handle alive for as long
@@ -341,7 +340,6 @@ Status LogStore::ReadBatchCoverage(device::StorageDevice* device,
   }
   out->records.clear();
   out->backing.reset();
-  out->file_bytes = bytes.size();
   return Status::Ok();
 }
 

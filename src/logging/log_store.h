@@ -48,7 +48,6 @@ struct LogBatch {
   // (ReadBatchCoverage); a full parse derives it from the records.
   Timestamp min_cts = kMaxTimestamp;
   Timestamp max_cts = 0;
-  size_t file_bytes = 0;  // Size of the batch file on its device.
   std::vector<LogRecord> records;  // Ascending commit_ts.
   // The raw file bytes, retained when the batch was parsed in zero-copy
   // mode: the write images of `records` are then views of their compact
@@ -166,8 +165,7 @@ class LogStore {
 
   // Answers "what commit-timestamp interval does this batch file cover?"
   // for log garbage collection: fills the header fields of `*out`
-  // (logger_id, seq, min_cts/max_cts, file_bytes) and leaves
-  // `out->records` empty. Sums the block headers, skipping every payload
+  // (logger_id, seq, min_cts/max_cts) and leaves `out->records` empty. Sums the block headers, skipping every payload
   // by its length (a short block is corruption here: a file being judged
   // for deletion must be complete).
   static Status ReadBatchCoverage(device::StorageDevice* device,

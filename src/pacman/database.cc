@@ -534,7 +534,9 @@ FullRecoveryResult Database::Recover(recovery::Scheme scheme,
   // deserialized on a dedicated load pool. The checkpoint-recovery graph
   // below consumes prefetched stripes; the log-replay graph consumes
   // global batches as the streaming merge publishes them (overlapped with
-  // replay on the real-thread backend via per-seq gates).
+  // replay on the real-thread backend via per-seq gates; there the graph
+  // releases each batch once replayed, so the loaders read only a bounded
+  // window ahead of replay).
   const bool overlap = backend == ExecutionBackend::kThreads;
   // A sharded engine recovers each shard on its own lane: one loader per
   // shard, filtered to that shard's logger stream. The streams are
@@ -553,6 +555,8 @@ FullRecoveryResult Database::Recover(recovery::Scheme scheme,
     lopts.pepoch = pepoch;
     lopts.num_ssds = num_ssds;
     if (num_lanes > 1) lopts.logger_filter = lane;
+    // The gated replay graph releases each batch once replayed.
+    lopts.release_batches = overlap;
     loaders.push_back(std::make_unique<recovery::PipelinedLogLoader>(
         options_.scheme, devices, &load_pool, lopts));
     loaders.back()->Start();
@@ -589,7 +593,8 @@ FullRecoveryResult Database::Recover(recovery::Scheme scheme,
   // (atomic). With `overlap` the graph is built against the loader's
   // batch skeletons and gated per batch, so replay of batch k overlaps
   // the load of batch k+1; the merge verifies each batch's per-key commit
-  // order before its gate opens.
+  // order before its gate opens, and a release task frees each batch once
+  // it is replayed.
   recovery::RecoveryCounters counters;
   auto run_log_replay = [&](recovery::PipelinedLogLoader* loader,
                             uint32_t lane_threads) -> double {
@@ -599,8 +604,8 @@ FullRecoveryResult Database::Recover(recovery::Scheme scheme,
     sim::TaskGraph graph;
     sim::MachineConfig machine_config =
         recovery::StandardMachine(num_ssds, lane_threads);
-    std::vector<sim::TaskId> gates;
-    const std::vector<sim::TaskId>* gates_ptr = nullptr;
+    recovery::BatchGates gates;
+    const recovery::BatchGates* gates_ptr = nullptr;
     if (overlap) {
       gates = recovery::AddBatchGates(loader, &graph,
                                       recovery::CpuGroup(num_ssds));

@@ -11,7 +11,7 @@ void BuildClrReplay(const std::vector<GlobalBatch>& batches,
                     const proc::ProgramSet& programs,
                     const RecoveryOptions& options, sim::TaskGraph* graph,
                     RecoveryCounters* counters,
-                    const std::vector<sim::TaskId>* batch_gates) {
+                    const BatchGates* gates) {
   const CostModel cm = options.costs;
   const sim::GroupId cpu = CpuGroup(static_cast<uint32_t>(ssds.size()));
   const bool reload_only = options.reload_only;
@@ -19,9 +19,12 @@ void BuildClrReplay(const std::vector<GlobalBatch>& batches,
   sim::TaskId prev_replay = sim::kInvalidTask;
   for (size_t bi = 0; bi < batches.size(); ++bi) {
     const GlobalBatch& batch = batches[bi];
-    const sim::TaskId deser = AddReloadStage(batches, bi, batch_gates, ssds,
-                                             cm, graph, counters);
-    if (reload_only) continue;
+    const sim::TaskId deser =
+        AddReloadStage(batches, bi, gates, ssds, cm, graph, counters);
+    if (reload_only) {
+      AddReleaseStage(batches, bi, gates, {deser}, cpu, graph);
+      continue;
+    }
 
     // Serial re-execution of the whole batch; the chain of replay tasks
     // enforces the single-threaded replay in ascending TID per batch.
@@ -69,6 +72,7 @@ void BuildClrReplay(const std::vector<GlobalBatch>& batches,
       graph->AddEdge(prev_replay, replay);
     }
     prev_replay = replay;
+    AddReleaseStage(batches, bi, gates, {replay}, cpu, graph);
   }
 }
 

@@ -14,16 +14,17 @@
 namespace pacman::recovery {
 
 // `batches` must stay alive until the graph has run; records are read at
-// dispatch time only, so with `batch_gates` (AddBatchGates) each batch
-// may still be loading when the graph is built. Transactions re-execute
-// through the VM on `programs` (Database::FinalizeSchema).
+// dispatch time only, so with `gates` (AddBatchGates) each batch may
+// still be loading when the graph is built, and is released once
+// replayed. Transactions re-execute through the VM on `programs`
+// (Database::FinalizeSchema).
 void BuildClrReplay(const std::vector<GlobalBatch>& batches,
                     const std::vector<device::StorageDevice*>& ssds,
                     storage::Catalog* catalog,
                     const proc::ProgramSet& programs,
                     const RecoveryOptions& options, sim::TaskGraph* graph,
                     RecoveryCounters* counters,
-                    const std::vector<sim::TaskId>* batch_gates = nullptr);
+                    const BatchGates* gates = nullptr);
 
 }  // namespace pacman::recovery
 

@@ -143,7 +143,7 @@ void BuildClrPReplay(const analysis::GlobalDependencyGraph& gdg,
                      const RecoveryOptions& options,
                      const ClrPLayout& layout, sim::TaskGraph* graph,
                      RecoveryCounters* counters,
-                     const std::vector<sim::TaskId>* batch_gates) {
+                     const BatchGates* gates) {
   const CostModel cm = options.costs;
   const auto num_blocks = static_cast<uint32_t>(gdg.NumBlocks());
   const bool reload_only = options.reload_only;
@@ -173,7 +173,7 @@ void BuildClrPReplay(const analysis::GlobalDependencyGraph& gdg,
     auto bstate = std::make_shared<BatchState>();
     const GlobalBatch* b = &batch;
     const sim::TaskId deser = AddReloadStage(
-        batches, bi, batch_gates, ssds, cm, graph, counters,
+        batches, bi, gates, ssds, cm, graph, counters,
         [b, bstate, counters, &programs] {
           bstate->txns.resize(b->records.size());
           for (size_t i = 0; i < b->records.size(); ++i) {
@@ -186,7 +186,13 @@ void BuildClrPReplay(const analysis::GlobalDependencyGraph& gdg,
           }
           counters->AddRecords(b->records.size());
         });
-    if (reload_only) continue;
+    // Frees the transactions' shared replay state with the batch.
+    auto free_state = [bstate] { bstate->txns = {}; };
+    if (reload_only) {
+      AddReleaseStage(batches, bi, gates, {deser}, layout.cpu_group, graph,
+                      free_state);
+      continue;
+    }
 
     // --- Piece-set tasks ------------------------------------------------
     // A piece-set runs as `cores` worker tasks on the shared CPU pool (its
@@ -381,6 +387,8 @@ void BuildClrPReplay(const analysis::GlobalDependencyGraph& gdg,
       }
       prev_barrier = barrier;
     }
+    AddReleaseStage(batches, bi, gates, ps_tasks, layout.cpu_group, graph,
+                    free_state);
     prev_ps = ps_tasks;
   }
 }

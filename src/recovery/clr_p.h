@@ -54,8 +54,9 @@ ClrPLayout PlanClrPLayout(const analysis::GlobalDependencyGraph& gdg,
 // Appends the PACMAN log-replay tasks to `graph` using `layout`'s groups.
 // `options.mode` selects static-only / synchronous / pipelined execution.
 // `batches` must stay alive until the graph has run; records are read at
-// dispatch time only, so with `batch_gates` (AddBatchGates) each batch
-// may still be loading when the graph is built. Pieces execute through
+// dispatch time only, so with `gates` (AddBatchGates) each batch may
+// still be loading when the graph is built, and is released, with its
+// transactions' shared replay state, once replayed. Pieces execute through
 // the VM on `programs`: per-transaction locals are shared across the
 // replay threads while registers and scratch stay thread-private in each
 // thread's arena.
@@ -68,7 +69,7 @@ void BuildClrPReplay(const analysis::GlobalDependencyGraph& gdg,
                      const RecoveryOptions& options,
                      const ClrPLayout& layout, sim::TaskGraph* graph,
                      RecoveryCounters* counters,
-                     const std::vector<sim::TaskId>* batch_gates = nullptr);
+                     const BatchGates* gates = nullptr);
 
 }  // namespace pacman::recovery
 

@@ -23,31 +23,23 @@ const char* SchemeName(Scheme s) {
 }
 
 void MergeBatchGroup(const logging::LogBatch* const* fragments, size_t n,
-                     uint32_t num_ssds, Timestamp checkpoint_ts, Epoch pepoch,
-                     GlobalBatch* out) {
+                     std::vector<const logging::LogRecord*>* out) {
   size_t total = 0;
   for (size_t i = 0; i < n; ++i) total += fragments[i]->records.size();
-  out->records.reserve(total);
-  out->files.reserve(n);
+  out->reserve(total);
   for (size_t i = 0; i < n; ++i) {
-    const logging::LogBatch& b = *fragments[i];
-    out->seq = b.seq;
-    out->files.emplace_back(b.logger_id % num_ssds, b.file_bytes);
-    for (const logging::LogRecord& r : b.records) {
-      if (r.commit_ts > checkpoint_ts && r.epoch <= pepoch) {
-        out->records.push_back(&r);
-      }
+    for (const logging::LogRecord& r : fragments[i]->records) {
+      out->push_back(&r);
     }
   }
-  std::sort(out->records.begin(), out->records.end(),
+  std::sort(out->begin(), out->end(),
             [](const logging::LogRecord* a, const logging::LogRecord* b) {
               return a->commit_ts < b->commit_ts;
             });
 }
 
 sim::TaskId AddReloadStage(const std::vector<GlobalBatch>& batches,
-                           size_t index,
-                           const std::vector<sim::TaskId>* batch_gates,
+                           size_t index, const BatchGates* gates,
                            const std::vector<device::StorageDevice*>& ssds,
                            const CostModel& costs, sim::TaskGraph* graph,
                            RecoveryCounters* counters,
@@ -74,8 +66,24 @@ sim::TaskId AddReloadStage(const std::vector<GlobalBatch>& batches,
         return deser_cost;
       });
   for (sim::TaskId io : ios) graph->AddEdge(io, deser);
-  if (batch_gates != nullptr) graph->AddEdge((*batch_gates)[index], deser);
+  if (gates != nullptr) graph->AddEdge(gates->tasks[index], deser);
   return deser;
+}
+
+void AddReleaseStage(const std::vector<GlobalBatch>& batches, size_t index,
+                     const BatchGates* gates,
+                     const std::vector<sim::TaskId>& replayed,
+                     sim::GroupId group, sim::TaskGraph* graph,
+                     std::function<void()> free_state) {
+  if (gates == nullptr) return;
+  const sim::TaskId release = graph->AddTask(
+      group, batches[index].seq,
+      [release = gates->release, index, free = std::move(free_state)] {
+        if (free) free();
+        release(index);
+        return 0.0;
+      });
+  for (sim::TaskId t : replayed) graph->AddEdge(t, release);
 }
 
 Status PerKeyOrderVerifier::Check(const GlobalBatch& batch) {

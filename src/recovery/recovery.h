@@ -130,13 +130,11 @@ struct GlobalBatch {
 
 // Merges the per-logger fragments of ONE sequence number (given in
 // ascending logger order) into `out`: concatenates their records in
-// logger order, drops records with commit_ts <= checkpoint_ts (already
-// durable in the checkpoint) or beyond the pepoch watermark (their
-// results were never released to clients, Appendix A), then sorts by
-// commit timestamp. `num_ssds` maps logger id -> device (id % num_ssds).
+// logger order, then sorts them by commit timestamp. The load pipeline
+// has already dropped, at parse, the records no replay reads: those at or
+// below the checkpoint timestamp and those beyond the pepoch watermark.
 void MergeBatchGroup(const logging::LogBatch* const* fragments, size_t n,
-                     uint32_t num_ssds, Timestamp checkpoint_ts, Epoch pepoch,
-                     GlobalBatch* out);
+                     std::vector<const logging::LogRecord*>* out);
 
 // Checks the per-key ordering contract on merged replay input: every
 // key's write images must carry strictly ascending commit TIDs along the
@@ -151,12 +149,10 @@ void MergeBatchGroup(const logging::LogBatch* const* fragments, size_t n,
 // verifies each GlobalBatch as it is merged, before replay may consume it.
 class PerKeyOrderVerifier {
  public:
-  // Pre-sizes the conflict table for the expected number of distinct
-  // keys (approximated by total write images; 0 = no reservation).
-  void Reserve(size_t expected_keys) { last_cts_.reserve(expected_keys); }
   Status Check(const GlobalBatch& batch);
 
  private:
+  // Grows with the distinct keys written so far.
   std::unordered_map<uint64_t, Timestamp> last_cts_;
 };
 
@@ -166,21 +162,42 @@ class PerKeyOrderVerifier {
 inline sim::GroupId SsdGroup(uint32_t ssd_index) { return ssd_index; }
 inline sim::GroupId CpuGroup(uint32_t num_ssds) { return num_ssds; }
 
+// The gates of a streamed replay graph (real-thread backend), from
+// AddBatchGates: one gate task per batch, which the batch's reload stage
+// waits behind, and the release that hands a replayed batch back to its
+// loader (PipelinedLogLoader::Release), which frees the batch's records
+// and file buffers and lets the readers load further ahead.
+struct BatchGates {
+  std::vector<sim::TaskId> tasks;
+  std::function<void(size_t)> release;
+};
+
 // Appends the reload stage of batches[index], the stage every log-replay
 // builder starts a batch with: one read task per member file on its
 // device's serial core, then one deserialize task on the CPU pool behind
-// them and behind the batch's gate (with `batch_gates`, from
-// AddBatchGates). Records are parsed by the load pipeline; the stage
-// charges their virtual costs as data loading. `on_deserialize`, if set,
-// runs inside the deserialize task, once the batch's records exist.
-// Returns the deserialize task, which the batch's replay tasks follow.
+// them and behind the batch's gate (with `gates`, from AddBatchGates).
+// Records are parsed by the load pipeline; the stage charges their
+// virtual costs as data loading. `on_deserialize`, if set, runs inside
+// the deserialize task, once the batch's records exist. Returns the
+// deserialize task, which the batch's replay tasks follow.
 sim::TaskId AddReloadStage(const std::vector<GlobalBatch>& batches,
-                           size_t index,
-                           const std::vector<sim::TaskId>* batch_gates,
+                           size_t index, const BatchGates* gates,
                            const std::vector<device::StorageDevice*>& ssds,
                            const CostModel& costs, sim::TaskGraph* graph,
                            RecoveryCounters* counters,
                            std::function<void()> on_deserialize = nullptr);
+
+// Appends the release of batches[index], the stage every log-replay
+// builder ends a batch with on a gated graph: one zero-cost task on
+// `group` behind `replayed` (the batch's last tasks to read its records)
+// that runs `free_state`, if set, to drop the per-batch state those tasks
+// share, then gates->release(index). Without `gates` it adds nothing, so
+// a simulated graph, which holds the whole log anyway, is unchanged.
+void AddReleaseStage(const std::vector<GlobalBatch>& batches, size_t index,
+                     const BatchGates* gates,
+                     const std::vector<sim::TaskId>& replayed,
+                     sim::GroupId group, sim::TaskGraph* graph,
+                     std::function<void()> free_state = nullptr);
 
 }  // namespace pacman::recovery
 

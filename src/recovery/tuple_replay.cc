@@ -24,7 +24,7 @@ void BuildTupleLogReplay(Scheme scheme,
                          storage::Catalog* catalog,
                          const RecoveryOptions& options,
                          sim::TaskGraph* graph, RecoveryCounters* counters,
-                         const std::vector<sim::TaskId>* batch_gates,
+                         const BatchGates* gates,
                          uint32_t num_shard_lanes) {
   PACMAN_CHECK(scheme == Scheme::kPlr || scheme == Scheme::kLlr ||
                scheme == Scheme::kLlrP);
@@ -49,9 +49,12 @@ void BuildTupleLogReplay(Scheme scheme,
 
   for (size_t bi = 0; bi < batches.size(); ++bi) {
     const GlobalBatch& batch = batches[bi];
-    const sim::TaskId deser = AddReloadStage(batches, bi, batch_gates, ssds,
-                                             cm, graph, counters);
-    if (reload_only) continue;
+    const sim::TaskId deser =
+        AddReloadStage(batches, bi, gates, ssds, cm, graph, counters);
+    if (reload_only) {
+      AddReleaseStage(batches, bi, gates, {deser}, cpu, graph);
+      continue;
+    }
 
     // Partition the batch's writes across threads, at dispatch time (the
     // records may not exist yet when the graph is built — the streaming
@@ -91,6 +94,8 @@ void BuildTupleLogReplay(Scheme scheme,
     });
     graph->AddEdge(deser, part);
 
+    std::vector<sim::TaskId> batch_tasks;
+    batch_tasks.reserve(n_threads);
     for (uint32_t p = 0; p < n_threads; ++p) {
       sim::TaskId t = graph->AddTask(cpu, batch.seq, [partitions, p, scheme,
                                                       catalog, counters,
@@ -137,7 +142,10 @@ void BuildTupleLogReplay(Scheme scheme,
       }
       prev_partition[p] = t;
       replay_tasks.push_back(t);
+      batch_tasks.push_back(t);
     }
+    AddReleaseStage(batches, bi, gates, batch_tasks, cpu, graph,
+                    [partitions] { *partitions = {}; });
   }
 
   // PLR: rebuild all database indexes in parallel after the log replay

@@ -21,9 +21,10 @@ namespace pacman::recovery {
 // Appends the log-replay tasks for a tuple-level scheme (kPlr, kLlr or
 // kLlrP) to `graph` using the standard group layout. `batches` must stay
 // alive until the graph has run; their `records` are only read at
-// dispatch time, so with `batch_gates` (one gate task per batch, from
+// dispatch time, so with `gates` (one gate task per batch, from
 // AddBatchGates) the batches may still be loading when the graph is
-// built — each batch's tasks are edged behind its gate.
+// built — each batch's tasks are edged behind its gate, and a release
+// task behind them hands the batch back to its loader.
 //
 // Database::Recover passes `num_shard_lanes` > 1 when this graph replays
 // one of that many disjoint per-shard lanes: whole-database costs (PLR's
@@ -36,8 +37,7 @@ void BuildTupleLogReplay(Scheme scheme,
                          storage::Catalog* catalog,
                          const RecoveryOptions& options,
                          sim::TaskGraph* graph, RecoveryCounters* counters,
-                         const std::vector<sim::TaskId>* batch_gates =
-                             nullptr,
+                         const BatchGates* gates = nullptr,
                          uint32_t num_shard_lanes = 1);
 
 }  // namespace pacman::recovery

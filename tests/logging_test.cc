@@ -294,7 +294,6 @@ TEST_F(LoggingTest, ClosedBatchHeadersSpanExactlyTheirRecords) {
       EXPECT_EQ(header.seq, f.seq) << f.name;
       EXPECT_EQ(header.min_cts, lo) << f.name;
       EXPECT_EQ(header.max_cts, hi) << f.name;
-      EXPECT_EQ(header.file_bytes, bytes.size()) << f.name;
       EXPECT_TRUE(header.records.empty()) << f.name;
       closed++;
     }

@@ -13,7 +13,10 @@
 #include <cstdlib>
 #include <filesystem>
 #include <functional>
+#include <map>
+#include <mutex>
 #include <thread>
+#include <utility>
 
 #include "device/file_device.h"
 #include "device/simulated_ssd.h"
@@ -21,6 +24,7 @@
 #include "sim/machine.h"
 #include "test_util.h"
 #include "workload/bank.h"
+#include "workload/smallbank.h"
 #include "workload/tpcc.h"
 
 namespace pacman {
@@ -121,16 +125,13 @@ INSTANTIATE_TEST_SUITE_P(
                                          Scheme::kClrP),
                        ::testing::Values(Workload::kBank, Workload::kTpcc)));
 
-// --- Out-of-order fragment arrival ----------------------------------------
+// --- Device wrappers -----------------------------------------------------
 
-// Delegating device that delays every read, so this device's fragments
-// reliably arrive after the other device finished its whole stream — the
-// streaming merge must still emit global batches in ascending seq with
-// exactly the contents of an undelayed load.
-class SlowReadDevice final : public device::StorageDevice {
+// Forwards every operation to `inner`; tests override the reads they
+// watch or slow down.
+class DelegatingDevice : public device::StorageDevice {
  public:
-  SlowReadDevice(device::StorageDevice* inner, int delay_ms)
-      : inner_(inner), delay_ms_(delay_ms) {}
+  explicit DelegatingDevice(device::StorageDevice* inner) : inner_(inner) {}
 
   device::IoResult WriteFile(const std::string& name,
                              std::vector<uint8_t> bytes) override {
@@ -142,7 +143,6 @@ class SlowReadDevice final : public device::StorageDevice {
   }
   Status ReadFile(const std::string& name,
                   std::vector<uint8_t>* out) const override {
-    std::this_thread::sleep_for(std::chrono::milliseconds(delay_ms_));
     return inner_->ReadFile(name, out);
   }
   bool Exists(const std::string& name) const override {
@@ -169,8 +169,28 @@ class SlowReadDevice final : public device::StorageDevice {
   }
   double FsyncSeconds() const override { return inner_->FsyncSeconds(); }
 
- private:
+ protected:
   device::StorageDevice* inner_;
+};
+
+// --- Out-of-order fragment arrival ----------------------------------------
+
+// Delegating device that delays every read, so this device's fragments
+// reliably arrive after the other device finished its whole stream — the
+// streaming merge must still emit global batches in ascending seq with
+// exactly the contents of an undelayed load.
+class SlowReadDevice final : public DelegatingDevice {
+ public:
+  SlowReadDevice(device::StorageDevice* inner, int delay_ms)
+      : DelegatingDevice(inner), delay_ms_(delay_ms) {}
+
+  Status ReadFile(const std::string& name,
+                  std::vector<uint8_t>* out) const override {
+    std::this_thread::sleep_for(std::chrono::milliseconds(delay_ms_));
+    return inner_->ReadFile(name, out);
+  }
+
+ private:
   int delay_ms_;
 };
 
@@ -252,8 +272,8 @@ TEST(ReloadStageTest, ReadsEveryFileThenDeserializesBehindTheGate) {
   const sim::GroupId cpu = recovery::CpuGroup(2);
   // Stand-ins for AddBatchGates' gates; batch 8's holds its reload back
   // for one virtual second.
-  const std::vector<sim::TaskId> gates = {
-      g.AddTask(cpu, 0), g.AddTask(cpu, 0, [] { return 1.0; })};
+  const recovery::BatchGates gates{
+      {g.AddTask(cpu, 0), g.AddTask(cpu, 0, [] { return 1.0; })}, nullptr};
   recovery::RecoveryCounters counters;
   std::vector<uint64_t> deserialized;
   std::vector<sim::TaskId> deser;
@@ -278,7 +298,8 @@ TEST(ReloadStageTest, ReadsEveryFileThenDeserializesBehindTheGate) {
   }
   EXPECT_EQ(g.task(deser[0]).num_deps, 3u);  // Two reads and the gate.
   EXPECT_EQ(g.task(deser[1]).num_deps, 2u);  // One read and the gate.
-  EXPECT_EQ(g.task(gates[1]).dependents, std::vector<sim::TaskId>{deser[1]});
+  EXPECT_EQ(g.task(gates.tasks[1]).dependents,
+            std::vector<sim::TaskId>{deser[1]});
 
   // One core per device, two CPU cores: batch 7 deserializes as soon as
   // its reads land; batch 8 waits out its gate.
@@ -295,6 +316,294 @@ TEST(ReloadStageTest, ReadsEveryFileThenDeserializesBehindTheGate) {
   EXPECT_NEAR(stats.breakdown.data_loading, loading, 1e-12 * loading);
   EXPECT_EQ(stats.breakdown.useful_work, 0.0);
 }
+
+// --- The bounded read-ahead window ---------------------------------------
+
+// The batch-file buffers CountingReadDevice handed out and has not yet
+// seen freed, by file name, and the most alive at once.
+class LiveBuffers {
+ public:
+  void Add(const std::string& name) {
+    std::lock_guard<std::mutex> g(mu_);
+    by_name_[name]++;
+    peak_ = std::max(peak_, ++alive_);
+  }
+  void Drop(const std::string& name) {
+    std::lock_guard<std::mutex> g(mu_);
+    if (--by_name_[name] == 0) by_name_.erase(name);
+    alive_--;
+  }
+  size_t alive() const {
+    std::lock_guard<std::mutex> g(mu_);
+    return alive_;
+  }
+  size_t alive(const std::string& name) const {
+    std::lock_guard<std::mutex> g(mu_);
+    auto it = by_name_.find(name);
+    return it == by_name_.end() ? 0 : it->second;
+  }
+  // The most alive at once since the last call.
+  size_t TakePeak() {
+    std::lock_guard<std::mutex> g(mu_);
+    return std::exchange(peak_, alive_);
+  }
+
+ private:
+  mutable std::mutex mu_;
+  std::map<std::string, size_t> by_name_;
+  size_t alive_ = 0;
+  size_t peak_ = 0;
+};
+
+// A simulated SSD whose ReadFileShared hands out each batch file as a
+// fresh copy whose deleter reports to `live`, so a test sees exactly when
+// the loader lets go of a file's bytes.
+class CountingReadDevice final : public DelegatingDevice {
+ public:
+  explicit CountingReadDevice(LiveBuffers* live)
+      : DelegatingDevice(&ssd_), live_(live) {}
+
+  Status ReadFileShared(
+      const std::string& name,
+      std::shared_ptr<const std::vector<uint8_t>>* out) const override {
+    uint32_t logger = 0;
+    uint64_t seq = 0;
+    if (!logging::LogStore::ParseBatchFileName(name, &logger, &seq)) {
+      return ssd_.ReadFileShared(name, out);
+    }
+    auto bytes = std::make_unique<std::vector<uint8_t>>();
+    Status s = ssd_.ReadFile(name, bytes.get());
+    if (!s.ok()) return s;
+    live_->Add(name);
+    *out = std::shared_ptr<const std::vector<uint8_t>>(
+        bytes.release(), [live = live_, name](const std::vector<uint8_t>* b) {
+          live->Drop(name);
+          delete b;
+        });
+    return Status::Ok();
+  }
+
+ private:
+  device::SimulatedSsd ssd_;
+  LiveBuffers* live_;
+};
+
+// Small TPC-C with a logical log on counting devices: one epoch per batch
+// and ten commits per epoch, so `txns` calls leave about txns / 10
+// batches per logger.
+std::unique_ptr<Database> LogicalTpcc(LiveBuffers* live, int txns) {
+  DatabaseOptions opts;
+  opts.scheme = LogScheme::kLogical;
+  opts.num_ssds = 2;
+  opts.num_loggers = 2;
+  opts.epochs_per_batch = 1;
+  opts.commits_per_epoch = 10;
+  opts.device_factory = [live](uint32_t) {
+    return std::make_unique<CountingReadDevice>(live);
+  };
+  auto db = std::make_unique<Database>(opts);
+  workload::Tpcc tpcc({.num_warehouses = 2,
+                       .districts_per_warehouse = 4,
+                       .customers_per_district = 40,
+                       .num_items = 80,
+                       .orders_per_district = 6});
+  tpcc.Install(db.get());
+  db->FinalizeSchema();
+  EXPECT_TRUE(db->TryTakeCheckpoint().ok());
+  Rng rng(11);
+  std::vector<Value> params;
+  for (int i = 0; i < txns; ++i) {
+    ProcId proc = tpcc.NextTransaction(&rng, &params);
+    EXPECT_TRUE(db->ExecuteProcedure(proc, params).ok());
+  }
+  return db;
+}
+
+// A real-thread recovery holds the batches in flight, not the log: every
+// batch is released once replayed (in order under LLR-P, in any order
+// under LLR's unordered installs), and the readers never run more than
+// the window ahead of the oldest unreleased one.
+TEST(ReadAheadWindowTest, ThreadsRecoveryHoldsAtMostTheWindow) {
+  LiveBuffers live;
+  std::unique_ptr<Database> db = LogicalTpcc(&live, /*txns=*/300);
+  const uint64_t pre_crash = db->ContentHash();
+  ASSERT_GE(recovery::PlanLogLoad(db->device_ptrs()).seqs.size(), 20u);
+  const size_t window =
+      recovery::PipelinedLogLoader::kReadAheadBatches * 2;  // Two loggers.
+
+  RecoveryOptions ropts;
+  ropts.num_threads = 4;
+  for (Scheme scheme : {Scheme::kLlrP, Scheme::kLlr}) {
+    SCOPED_TRACE(recovery::SchemeName(scheme));
+    db->Crash();
+    live.TakePeak();
+    FullRecoveryResult rs =
+        db->Recover(scheme, ropts, ExecutionBackend::kThreads);
+    EXPECT_EQ(db->ContentHash(), pre_crash);
+    EXPECT_GT(rs.log.records_replayed, 0u);
+    const size_t peak = live.TakePeak();
+    EXPECT_GT(peak, 0u) << "no batch file read through the wrapper";
+    EXPECT_LE(peak, window);
+    EXPECT_EQ(live.alive(), 0u) << "a batch buffer outlived Recover()";
+  }
+}
+
+// With the checkpoint covering every batch but the last, the parse drops
+// all of a covered file's records, so its buffer dies with the parse: it
+// is gone by the time the batch is published, released or not. The
+// aggregates still count every raw record.
+TEST(ReadAheadWindowTest, CoveredBatchesFreeTheirBuffersAtParse) {
+  LiveBuffers live;
+  std::unique_ptr<Database> db = LogicalTpcc(&live, /*txns=*/120);
+  db->Crash();
+  std::vector<device::StorageDevice*> devices = db->device_ptrs();
+  auto reference = testutil::LoadLog(LogScheme::kLogical, devices);
+  ASSERT_TRUE(reference->status.ok());
+  const std::vector<recovery::GlobalBatch>& all = reference->batches();
+  ASSERT_GT(all.size(), 3u);
+  ASSERT_FALSE(all.back().records.empty());
+  // Batches are TID intervals: everything before the last batch commits
+  // below its first TID.
+  const Timestamp cover = all.back().records.front()->commit_ts - 1;
+  // The reference cuts nothing, so it publishes every raw record.
+  const size_t raw_records = reference->num_records();
+  Epoch max_epoch = 0;
+  for (const recovery::GlobalBatch& b : all) {
+    for (const logging::LogRecord* r : b.records) {
+      max_epoch = std::max(max_epoch, r->epoch);
+    }
+  }
+  reference.reset();
+  ASSERT_EQ(live.alive(), 0u);
+
+  exec::ThreadPool pool(2);
+  recovery::LogPipelineOptions lopts;
+  lopts.checkpoint_ts = cover;
+  lopts.num_ssds = 2;
+  {
+    recovery::PipelinedLogLoader loader(LogScheme::kLogical, devices, &pool,
+                                        lopts);
+    loader.Start();
+    const recovery::LogLoadPlan plan = recovery::PlanLogLoad(devices);
+    ASSERT_EQ(loader.num_batches(), plan.seqs.size());
+    for (size_t k = 0; k < loader.num_batches(); ++k) {
+      SCOPED_TRACE(k);
+      const recovery::GlobalBatch* b = loader.WaitBatch(k);
+      ASSERT_NE(b, nullptr);
+      const bool last = k + 1 == loader.num_batches();
+      EXPECT_EQ(b->records.empty(), !last);
+      for (size_t fi : plan.seq_files[k]) {
+        const std::string& name = plan.files[fi].file.name;
+        if (last) {
+          EXPECT_EQ(live.alive(name), 1u) << name << " is replayed";
+        } else {
+          EXPECT_EQ(live.alive(name), 0u) << name << " outlived its parse";
+        }
+      }
+    }
+    ASSERT_TRUE(loader.WaitAll().ok());
+    EXPECT_EQ(loader.total_records(), raw_records);
+    EXPECT_EQ(loader.max_record_epoch(), max_epoch);
+  }
+  EXPECT_EQ(live.alive(), 0u);
+}
+
+// A loader whose consumer was to release it, but never does, still
+// publishes every batch through WaitAll(): the window holds the readers
+// until then, and WaitAll() lifts it.
+TEST(ReadAheadWindowTest, UnreleasedLoaderPublishesEveryBatchThroughWaitAll) {
+  LiveBuffers live;
+  std::unique_ptr<Database> db = LogicalTpcc(&live, /*txns=*/250);
+  db->Crash();
+  std::vector<device::StorageDevice*> devices = db->device_ptrs();
+  auto reference = testutil::LoadLog(LogScheme::kLogical, devices);
+  ASSERT_TRUE(reference->status.ok());
+  const size_t num_files = recovery::PlanLogLoad(devices).files.size();
+  ASSERT_GT(reference->batches().size(),
+            2 * recovery::PipelinedLogLoader::kReadAheadBatches);
+  ASSERT_EQ(live.alive(), num_files);  // A plain load keeps every file.
+  const size_t window = recovery::PipelinedLogLoader::kReadAheadBatches * 2;
+
+  exec::ThreadPool pool(2);
+  recovery::LogPipelineOptions lopts;
+  lopts.num_ssds = 2;
+  lopts.release_batches = true;
+  recovery::PipelinedLogLoader loader(LogScheme::kLogical, devices, &pool,
+                                      lopts);
+  live.TakePeak();
+  loader.Start();
+  // The batches inside the window publish without a release ...
+  ASSERT_NE(loader.WaitBatch(0), nullptr);
+  EXPECT_LE(live.TakePeak(), num_files + window);
+  // ... and WaitAll() reads on past it.
+  ASSERT_TRUE(loader.WaitAll().ok());
+  EXPECT_EQ(live.alive(), 2 * num_files);
+  const std::vector<recovery::GlobalBatch>& want = reference->batches();
+  ASSERT_EQ(loader.num_batches(), want.size());
+  for (size_t k = 0; k < want.size(); ++k) {
+    SCOPED_TRACE(k);
+    const recovery::GlobalBatch& got = loader.batches()[k];
+    EXPECT_EQ(got.seq, want[k].seq);
+    ASSERT_EQ(got.records.size(), want[k].records.size());
+    for (size_t i = 0; i < got.records.size(); ++i) {
+      EXPECT_EQ(got.records[i]->commit_ts, want[k].records[i]->commit_ts);
+    }
+  }
+  EXPECT_EQ(loader.total_records(), reference->num_records());
+}
+
+// Four shards on two devices recover as four lanes, each with its own
+// loader on the one load pool: with one or two recovery threads, the
+// lanes' readers outnumber the pool's workers. A reader at the window
+// parks instead of holding a worker, so every lane's loads and merges
+// still run, and every scheme restores the pre-crash state.
+class ShardedWindowTest
+    : public ::testing::TestWithParam<testutil::SchemeCase> {};
+
+TEST_P(ShardedWindowTest, LanesOutnumberingTheLoadPoolStillRecover) {
+  const testutil::SchemeCase param = GetParam();
+  DatabaseOptions opts;
+  opts.scheme = param.log;
+  opts.num_ssds = 2;
+  opts.num_shards = 4;
+  opts.epochs_per_batch = 1;
+  opts.commits_per_epoch = 6;
+  Database db(opts);
+  workload::Smallbank sb({.num_accounts = 120});
+  sb.Install(&db);
+  db.FinalizeSchema();
+  ASSERT_TRUE(db.TryTakeCheckpoint().ok());
+  Rng rng(23);
+  std::vector<Value> params;
+  for (int i = 0; i < 150; ++i) {
+    ProcId proc = sb.NextTransaction(&rng, &params);
+    ASSERT_TRUE(db.ExecuteProcedure(proc, params, /*adhoc=*/i % 7 == 0).ok());
+  }
+  const uint64_t pre_crash = db.ContentHash();
+  for (uint32_t lane = 0; lane < opts.num_shards; ++lane) {
+    ASSERT_GT(recovery::PlanLogLoad(db.device_ptrs(), lane).seqs.size(),
+              2 * recovery::PipelinedLogLoader::kReadAheadBatches)
+        << "lane " << lane;
+  }
+
+  for (uint32_t threads : {1u, 2u}) {
+    SCOPED_TRACE(threads);
+    db.Crash();
+    RecoveryOptions ropts;
+    ropts.num_threads = threads;
+    db.Recover(param.rec, ropts, ExecutionBackend::kThreads);
+    EXPECT_EQ(db.ContentHash(), pre_crash);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllSchemes, ShardedWindowTest,
+    ::testing::Values(
+        testutil::SchemeCase{LogScheme::kPhysical, Scheme::kPlr},
+        testutil::SchemeCase{LogScheme::kLogical, Scheme::kLlr},
+        testutil::SchemeCase{LogScheme::kLogical, Scheme::kLlrP},
+        testutil::SchemeCase{LogScheme::kCommand, Scheme::kClr},
+        testutil::SchemeCase{LogScheme::kCommand, Scheme::kClrP}));
 
 // --- Corrupt batch files fail loudly with file name + offset --------------
 

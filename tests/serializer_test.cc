@@ -312,7 +312,6 @@ TEST(LogBatchTest, BatchRoundTrip) {
   EXPECT_EQ(out.seq, 4u);
   ASSERT_EQ(out.records.size(), 10u);
   EXPECT_EQ(out.records[9].commit_ts, 109u);
-  EXPECT_EQ(out.file_bytes, bytes.size());
 }
 
 // Records exercising every serialized field: all value types, deletes,
@@ -397,7 +396,6 @@ TEST(LogBatchTest, V4BlocksRoundTripEveryRecordField) {
     EXPECT_EQ(out.logger_id, 3u);
     EXPECT_EQ(out.seq, 21u);
     EXPECT_FALSE(out.torn_tail);
-    EXPECT_EQ(out.file_bytes, file.size());
     EXPECT_EQ(out.min_cts, records[0].commit_ts);
     EXPECT_EQ(out.max_cts, records[4].commit_ts);
     ExpectSameRecords(out.records, records);
