@@ -14,6 +14,7 @@
 
 #include <chrono>
 #include <type_traits>
+#include <vector>
 
 #include "bench/harness.h"
 #include "common/random.h"
@@ -21,7 +22,6 @@
 #include "logging/log_record.h"
 #include "pacman/database.h"
 #include "proc/exec_arena.h"
-#include "storage/bplus_tree.h"
 #include "storage/catalog.h"
 #include "storage/hash_index.h"
 #include "storage/table.h"
@@ -31,26 +31,23 @@
 namespace pacman {
 namespace {
 
-void BM_BPlusTreeInsert(benchmark::State& state) {
-  storage::BPlusTree tree;
+// Fills a fresh index with as many keys as one smallbank_large table
+// holds, growing it from empty: sequential keys (random:0, the order a
+// bulk load inserts them) or random 64-bit keys (random:1).
+void BM_HashIndexInsert(benchmark::State& state) {
+  constexpr Key kKeys = 600000;
+  std::vector<Key> keys(kKeys);
   Rng rng(1);
-  for (auto _ : state) {
-    tree.Insert(rng.Next() >> 8, &tree);
+  for (Key i = 0; i < kKeys; ++i) {
+    keys[i] = state.range(0) != 0 ? rng.Next() : i;
   }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_BPlusTreeInsert);
-
-void BM_BPlusTreeLookup(benchmark::State& state) {
-  storage::BPlusTree tree;
-  for (Key k = 0; k < 100000; ++k) tree.Insert(k, &tree);
-  Rng rng(2);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(tree.Lookup(rng.Uniform(0, 99999)));
+    storage::HashIndex idx;
+    for (Key k : keys) benchmark::DoNotOptimize(idx.Insert(k, &idx));
   }
-  state.SetItemsProcessed(state.iterations());
+  state.SetItemsProcessed(state.iterations() * kKeys);
 }
-BENCHMARK(BM_BPlusTreeLookup);
+BENCHMARK(BM_HashIndexInsert)->ArgName("random")->Arg(0)->Arg(1);
 
 void BM_HashIndexLookup(benchmark::State& state) {
   storage::HashIndex idx;
@@ -91,8 +88,7 @@ BENCHMARK(BM_SerializeLogicalRecord);
 void BM_TxnCommitSingleWrite(benchmark::State& state) {
   storage::Catalog catalog;
   storage::Table* t =
-      catalog.CreateTable("t", Schema({{"v", ValueType::kInt64, 0}}),
-                          storage::IndexType::kHash);
+      catalog.CreateTable("t", Schema({{"v", ValueType::kInt64, 0}}));
   for (Key k = 0; k < 1000; ++k) t->LoadRow(k, {Value(int64_t{0})}, 1);
   txn::EpochManager epochs(0);
   txn::TransactionManager tm(&epochs);

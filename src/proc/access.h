@@ -89,9 +89,8 @@ class TxnAccess : public AccessContext {
 
 // Replay access for command replay: reads current state, installs at a
 // fixed commit ts without a latch (Table::InstallVersionUnlatched).
-// (A (table, key) -> slot memo was tried here and measured ~10% slower
-// than the plain index descent on the replay path — the B+tree is three
-// cache-hot levels at these table sizes, cheaper than hash-map churn.)
+// (A (table, key) -> slot memo in front of the index was tried here and
+// measured ~10% slower than the plain index lookup on the replay path.)
 class ReplayAccess : public AccessContext {
  public:
   explicit ReplayAccess(storage::Catalog* catalog) : catalog_(catalog) {}

@@ -2,12 +2,10 @@
 
 namespace pacman::storage {
 
-Table* Catalog::CreateTable(const std::string& name, Schema schema,
-                            IndexType index_type) {
+Table* Catalog::CreateTable(const std::string& name, Schema schema) {
   PACMAN_CHECK(by_name_.count(name) == 0);
   auto id = static_cast<TableId>(tables_.size());
   tables_.push_back(std::make_unique<Table>(id, name, std::move(schema),
-                                            index_type,
                                             default_num_shards_));
   by_name_[name] = id;
   return tables_.back().get();

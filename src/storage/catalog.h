@@ -1,5 +1,6 @@
 // Copyright (c) 2026 The PACMAN reproduction authors.
-// Catalog: owns all tables of a database instance.
+// Catalog: owns all tables of a database instance. Every table has the
+// same layout (storage/table.h): per shard, a slot arena and a hash index.
 #ifndef PACMAN_STORAGE_CATALOG_H_
 #define PACMAN_STORAGE_CATALOG_H_
 
@@ -20,10 +21,9 @@ class Catalog {
   Catalog() = default;
   PACMAN_DISALLOW_COPY_AND_MOVE(Catalog);
 
-  // Creates a table (partitioned into `default_num_shards()` shards);
-  // PACMAN_CHECKs on duplicate names.
-  Table* CreateTable(const std::string& name, Schema schema,
-                     IndexType index_type = IndexType::kBPlusTree);
+  // Creates a table (partitioned into `default_num_shards()` shards,
+  // each with its own hash index); PACMAN_CHECKs on duplicate names.
+  Table* CreateTable(const std::string& name, Schema schema);
 
   // Shard count applied to subsequently created tables. The Database sets
   // this once from DatabaseOptions::num_shards before any schema install;

@@ -20,9 +20,9 @@ Version* AllocateVersion(size_t row_size) {
 // Latch shards per partition hash index. The table partitioning already
 // splits the key space, so the per-partition indexes share the unsharded
 // latch budget (HashIndex::kNumShards in total, floor 8 per partition)
-// instead of multiplying it — N full-width indexes would blow up the
-// bucket-array and map-header footprint N-fold and turn every lookup
-// into a cold-cache miss. num_shards = 1 keeps the full width, so the
+// instead of multiplying it — N full-width indexes would multiply the
+// per-shard latches and entry arrays N-fold and turn every lookup into a
+// cold-cache miss. num_shards = 1 keeps the full width, so the
 // unsharded layout is bit-identical to the pre-partitioning engine.
 uint32_t LatchShardsPerPartition(uint32_t num_shards) {
   const uint32_t budget = HashIndex::kNumShards / std::bit_floor(num_shards);
@@ -46,21 +46,16 @@ void LinkVersion(TupleSlot* slot, Version* v) {
 }  // namespace
 
 Table::Table(TableId id, std::string name, Schema schema,
-             IndexType index_type, uint32_t num_shards)
+             uint32_t num_shards)
     : id_(id),
       name_(std::move(name)),
       schema_(std::move(schema)),
-      index_type_(index_type),
       num_parts_(num_shards) {
   PACMAN_CHECK_MSG(num_shards >= 1, "Table num_shards must be >= 1");
   parts_ = std::make_unique<Partition[]>(num_shards);
   for (uint32_t s = 0; s < num_shards; ++s) {
-    if (index_type_ == IndexType::kBPlusTree) {
-      parts_[s].btree = std::make_unique<BPlusTree>();
-    } else {
-      parts_[s].hash =
-          std::make_unique<HashIndex>(LatchShardsPerPartition(num_shards));
-    }
+    parts_[s].index =
+        std::make_unique<HashIndex>(LatchShardsPerPartition(num_shards));
   }
 }
 
@@ -85,9 +80,7 @@ void Version::Free(Version* v) {
 }
 
 TupleSlot* Table::IndexLookup(const Partition& part, Key key) const {
-  void* p = index_type_ == IndexType::kBPlusTree ? part.btree->Lookup(key)
-                                                 : part.hash->Lookup(key);
-  return static_cast<TupleSlot*>(p);
+  return static_cast<TupleSlot*>(part.index->Lookup(key));
 }
 
 TupleSlot* Table::GetSlot(Key key) const {
@@ -105,9 +98,7 @@ TupleSlot* Table::GetOrCreateSlot(Key key) {
   part.arena.emplace_back();
   slot = &part.arena.back();
   slot->key = key;
-  bool inserted = index_type_ == IndexType::kBPlusTree
-                      ? part.btree->Insert(key, slot)
-                      : part.hash->Insert(key, slot);
+  const bool inserted = part.index->Insert(key, slot);
   PACMAN_CHECK(inserted);
   return slot;
 }
@@ -241,12 +232,8 @@ uint64_t Table::VisibleCount(Timestamp ts) const {
 void Table::Reset() {
   for (uint32_t s = 0; s < num_parts_; ++s) {
     parts_[s].arena.clear();
-    if (index_type_ == IndexType::kBPlusTree) {
-      parts_[s].btree = std::make_unique<BPlusTree>();
-    } else {
-      parts_[s].hash =
-          std::make_unique<HashIndex>(LatchShardsPerPartition(num_parts_));
-    }
+    parts_[s].index =
+        std::make_unique<HashIndex>(LatchShardsPerPartition(num_parts_));
   }
 }
 

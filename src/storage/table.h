@@ -1,9 +1,9 @@
 // Copyright (c) 2026 The PACMAN reproduction authors.
-// Main-memory table: a slot arena of MVCC tuples plus a primary point
-// index, chosen per table: a B+tree (dense, sequentially loaded key
-// ranges) or a sharded hash. Versions hold their rows encoded
-// (storage/tuple.h); reads return a view of those bytes, and only the
-// reader decides what to decode.
+// Main-memory table: a slot arena of MVCC tuples plus its primary point
+// index, a sharded open-addressing hash (storage/hash_index.h) from key
+// to slot. Versions hold their rows encoded (storage/tuple.h); reads
+// return a view of those bytes, and only the reader decides what to
+// decode.
 #ifndef PACMAN_STORAGE_TABLE_H_
 #define PACMAN_STORAGE_TABLE_H_
 
@@ -17,14 +17,11 @@
 #include "common/schema.h"
 #include "common/status.h"
 #include "common/types.h"
-#include "storage/bplus_tree.h"
 #include "storage/hash_index.h"
 #include "storage/shard.h"
 #include "storage/tuple.h"
 
 namespace pacman::storage {
-
-enum class IndexType { kBPlusTree, kHash };
 
 class Table {
  public:
@@ -33,14 +30,12 @@ class Table {
   // contend on) another shard's structures. `num_shards` = 1 is the
   // unsharded layout, bit-identical to the pre-partitioning engine.
   Table(TableId id, std::string name, Schema schema,
-        IndexType index_type = IndexType::kBPlusTree,
         uint32_t num_shards = 1);
   PACMAN_DISALLOW_COPY_AND_MOVE(Table);
 
   TableId id() const { return id_; }
   const std::string& name() const { return name_; }
   const Schema& schema() const { return schema_; }
-  IndexType index_type() const { return index_type_; }
   uint32_t num_shards() const { return num_parts_; }
 
   // --- Slot access ------------------------------------------------------
@@ -139,8 +134,7 @@ class Table {
   // latches never share a line — adjacent shards are exactly the state
   // that distinct workers touch concurrently.
   struct alignas(64) Partition {
-    std::unique_ptr<BPlusTree> btree;
-    std::unique_ptr<HashIndex> hash;
+    std::unique_ptr<HashIndex> index;
     // Slot arena. Deque gives pointer stability; creation is latched.
     mutable SpinLatch arena_latch;
     std::deque<TupleSlot> arena;
@@ -156,7 +150,6 @@ class Table {
   TableId id_;
   std::string name_;
   Schema schema_;
-  IndexType index_type_;
 
   // Contiguous by-value partitions (one indirection on the per-access
   // path, vs two through a pointer array).

@@ -18,18 +18,10 @@ using proc::P;
 using proc::Sub;
 
 void Bank::CreateTables(storage::Catalog* catalog) {
-  catalog->CreateTable(
-      "Family", Schema({{"spouse", ValueType::kInt64, 0}}),
-      storage::IndexType::kHash);
-  catalog->CreateTable(
-      "Current", Schema({{"value", ValueType::kDouble, 0}}),
-      storage::IndexType::kHash);
-  catalog->CreateTable(
-      "Saving", Schema({{"value", ValueType::kDouble, 0}}),
-      storage::IndexType::kHash);
-  catalog->CreateTable(
-      "Stats", Schema({{"count", ValueType::kInt64, 0}}),
-      storage::IndexType::kHash);
+  catalog->CreateTable("Family", Schema({{"spouse", ValueType::kInt64, 0}}));
+  catalog->CreateTable("Current", Schema({{"value", ValueType::kDouble, 0}}));
+  catalog->CreateTable("Saving", Schema({{"value", ValueType::kDouble, 0}}));
+  catalog->CreateTable("Stats", Schema({{"count", ValueType::kInt64, 0}}));
 }
 
 void Bank::RegisterProcedures(proc::ProcedureRegistry* registry) {

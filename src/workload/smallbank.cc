@@ -14,15 +14,10 @@ using proc::P;
 using proc::Sub;
 
 void Smallbank::CreateTables(storage::Catalog* catalog) {
+  catalog->CreateTable("Accounts", Schema({{"name", ValueType::kString, 24}}));
+  catalog->CreateTable("Savings", Schema({{"balance", ValueType::kDouble, 0}}));
   catalog->CreateTable(
-      "Accounts", Schema({{"name", ValueType::kString, 24}}),
-      storage::IndexType::kHash);
-  catalog->CreateTable(
-      "Savings", Schema({{"balance", ValueType::kDouble, 0}}),
-      storage::IndexType::kHash);
-  catalog->CreateTable(
-      "Checking", Schema({{"balance", ValueType::kDouble, 0}}),
-      storage::IndexType::kHash);
+      "Checking", Schema({{"balance", ValueType::kDouble, 0}}));
 }
 
 void Smallbank::RegisterProcedures(proc::ProcedureRegistry* registry) {

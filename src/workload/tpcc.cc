@@ -46,14 +46,12 @@ void Tpcc::CreateTables(storage::Catalog* catalog) {
       "WAREHOUSE",
       Schema({{"name", ValueType::kString, 10},
               {"tax", ValueType::kDouble, 0},
-              {"ytd", ValueType::kDouble, 0}}),
-      storage::IndexType::kHash);
+              {"ytd", ValueType::kDouble, 0}}));
   catalog->CreateTable(
       "DISTRICT",
       Schema({{"tax", ValueType::kDouble, 0},
               {"ytd", ValueType::kDouble, 0},
-              {"next_o_id", ValueType::kInt64, 0}}),
-      storage::IndexType::kBPlusTree);
+              {"next_o_id", ValueType::kInt64, 0}}));
   catalog->CreateTable(
       "CUSTOMER",
       Schema({{"balance", ValueType::kDouble, 0},
@@ -63,13 +61,11 @@ void Tpcc::CreateTables(storage::Catalog* catalog) {
               {"discount", ValueType::kDouble, 0},
               // c_data is up to 500 chars in the TPC-C spec; row sizes
               // drive the tuple-level log volume (Table 1).
-              {"data", ValueType::kString, 500}}),
-      storage::IndexType::kBPlusTree);
+              {"data", ValueType::kString, 500}}));
   catalog->CreateTable(
       "ITEM",
       Schema({{"price", ValueType::kDouble, 0},
-              {"name", ValueType::kString, 24}}),
-      storage::IndexType::kHash);
+              {"name", ValueType::kString, 24}}));
   catalog->CreateTable(
       "STOCK",
       Schema({{"quantity", ValueType::kInt64, 0},
@@ -77,25 +73,21 @@ void Tpcc::CreateTables(storage::Catalog* catalog) {
               {"order_cnt", ValueType::kInt64, 0},
               // s_dist_01..s_dist_10 are ten 24-char fields in the spec.
               {"dist_info", ValueType::kString, 240},
-              {"data", ValueType::kString, 50}}),
-      storage::IndexType::kBPlusTree);
+              {"data", ValueType::kString, 50}}));
   catalog->CreateTable(
       "ORDERS",
       Schema({{"c_id", ValueType::kInt64, 0},
               {"carrier_id", ValueType::kInt64, 0},
-              {"ol_cnt", ValueType::kInt64, 0}}),
-      storage::IndexType::kBPlusTree);
+              {"ol_cnt", ValueType::kInt64, 0}}));
   catalog->CreateTable(
       "ORDER_LINE",
       Schema({{"i_id", ValueType::kInt64, 0},
               {"quantity", ValueType::kInt64, 0},
               {"amount", ValueType::kDouble, 0},
-              {"dist_info", ValueType::kString, 24}}),
-      storage::IndexType::kBPlusTree);
+              {"dist_info", ValueType::kString, 24}}));
   if (config_.enable_inserts) {
     catalog->CreateTable(
-        "NEW_ORDER", Schema({{"o_id", ValueType::kInt64, 0}}),
-        storage::IndexType::kBPlusTree);
+        "NEW_ORDER", Schema({{"o_id", ValueType::kInt64, 0}}));
   }
 }
 

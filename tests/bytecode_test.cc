@@ -670,8 +670,7 @@ TEST(GoldenPinTest, VirtualTimeOfEveryRecovery) {
 ProcId InstallWriteThenRead(Database* db) {
   db->catalog()->CreateTable("KV",
                              Schema({{"v", ValueType::kInt64, 0},
-                                     {"s", ValueType::kString, 64}}),
-                             storage::IndexType::kHash);
+                                     {"s", ValueType::kString, 64}}));
   proc::ProcedureBuilder b(
       "WriteThenRead",
       {ValueType::kInt64, ValueType::kInt64, ValueType::kString});

@@ -183,8 +183,7 @@ TEST(OccStampLockTest, CanonicalOrderAvoidsDeadlockAcrossSlots) {
 TEST(ParallelCommitStressTest, EightWorkersConserveBalanceSum) {
   storage::Catalog catalog;
   storage::Table* table = catalog.CreateTable(
-      "hot", Schema({{"v", ValueType::kInt64, 0}}),
-      storage::IndexType::kHash);
+      "hot", Schema({{"v", ValueType::kInt64, 0}}));
   constexpr int kAccounts = 16;
   constexpr int64_t kInitial = 1000;
   for (int a = 0; a < kAccounts; ++a) {
@@ -240,8 +239,7 @@ TEST(ParallelCommitStressTest, EightWorkersConserveBalanceSum) {
 TEST(ParallelCommitStressTest, StampsMatchNewestVersionAfterStress) {
   storage::Catalog catalog;
   storage::Table* table = catalog.CreateTable(
-      "hot", Schema({{"v", ValueType::kInt64, 0}}),
-      storage::IndexType::kHash);
+      "hot", Schema({{"v", ValueType::kInt64, 0}}));
   for (int a = 0; a < 8; ++a) {
     table->LoadRow(static_cast<Key>(a), {Value(int64_t{0})}, 1);
   }
@@ -288,8 +286,7 @@ std::vector<uint8_t> CompactIntRow(int64_t v) {
 // PLR/LLR's install latch is the stamp word's lock bit. A write the
 // Thomas rule drops must release it without touching the stamp.
 TEST(InstallLatchTest, ThomasRuleDropLeavesStampUnchanged) {
-  storage::Table table(0, "t", Schema({{"v", ValueType::kInt64, 0}}),
-                       storage::IndexType::kHash);
+  storage::Table table(0, "t", Schema({{"v", ValueType::kInt64, 0}}));
   table.LoadRow(1, {Value(int64_t{10})}, 10);
   storage::TupleSlot* slot = table.GetSlot(1);
   const storage::Version* newest = slot->newest.load();
@@ -325,8 +322,7 @@ TEST(InstallLatchTest, ContendedInstallsKeepChainsOrderedAndExact) {
   constexpr int kOpsPerThread = 100000;
   constexpr Timestamp kLwwTs = kThreads * kOpsPerThread / kSlots;
   constexpr Timestamp kAbove = 100;  // Per slot, by its ascending writer.
-  storage::Table table(0, "t", Schema({{"v", ValueType::kInt64, 0}}),
-                       storage::IndexType::kHash);
+  storage::Table table(0, "t", Schema({{"v", ValueType::kInt64, 0}}));
   std::vector<storage::TupleSlot*> slots;
   for (int s = 0; s < kSlots; ++s) {
     slots.push_back(table.GetOrCreateSlot(static_cast<Key>(s)));

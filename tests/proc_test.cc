@@ -98,8 +98,7 @@ class VmTest : public ::testing::Test {
     bank_.RegisterProcedures(&registry_);
     bank_.Load(&catalog_);
     storage::Table* t = catalog_.CreateTable(
-        "T", Schema({{"v", ValueType::kInt64, 0}}),
-        storage::IndexType::kHash);
+        "T", Schema({{"v", ValueType::kInt64, 0}}));
     for (int64_t k = 0; k < 10; ++k) t->LoadRow(k, {Value(k)}, 1);
     access_.set_commit_ts(10);
   }

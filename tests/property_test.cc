@@ -86,9 +86,7 @@ void CreateAndLoadTables(storage::Catalog* catalog, int num_tables) {
   Rng rng(99);
   for (int t = 0; t < num_tables; ++t) {
     storage::Table* table = catalog->CreateTable(
-        "t" + std::to_string(t), Schema({{"v", ValueType::kInt64, 0}}),
-        t % 2 == 0 ? storage::IndexType::kBPlusTree
-                   : storage::IndexType::kHash);
+        "t" + std::to_string(t), Schema({{"v", ValueType::kInt64, 0}}));
     for (Key k = 0; k < static_cast<Key>(kKeysPerTable); ++k) {
       table->LoadRow(k, {Value(rng.UniformInt(0, kKeysPerTable - 1))}, 1);
     }

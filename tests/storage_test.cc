@@ -1,18 +1,22 @@
-// Tests for tuple version chains, packed version rows, Table MVCC
-// semantics and Catalog.
+// Tests for the hash index, tuple version chains, packed version rows,
+// Table MVCC semantics and Catalog.
 #include "storage/table.h"
 
 #include <gtest/gtest.h>
 #include <malloc.h>
 
+#include <atomic>
+#include <bit>
 #include <cstdio>
 #include <cstring>
 #include <limits>
 #include <memory>
 #include <string>
 #include <thread>
+#include <unordered_map>
 #include <vector>
 
+#include "common/random.h"
 #include "common/serializer.h"
 #include "logging/log_store.h"
 #include "storage/catalog.h"
@@ -37,13 +41,210 @@ int64_t FirstInt(const Version* v) {
   return row[0].AsInt64();
 }
 
+void* Ptr(uint64_t v) { return reinterpret_cast<void*>(v); }
+
 TEST(HashIndexTest, InsertLookup) {
   HashIndex idx;
   int a = 0, b = 0;
+  EXPECT_EQ(idx.Lookup(1), nullptr);
   EXPECT_TRUE(idx.Insert(1, &a));
   EXPECT_FALSE(idx.Insert(1, &b));
   EXPECT_EQ(idx.Lookup(1), &a);
   EXPECT_EQ(idx.Lookup(2), nullptr);
+}
+
+// A null value marks an empty entry, so no key value is reserved: 0 and
+// ~0 are keys like any other, and a null value is refused.
+TEST(HashIndexTest, EdgeKeysAreStorableAndNullValuesAreRefused) {
+  HashIndex idx;
+  constexpr Key kMax = ~Key{0};
+  EXPECT_EQ(idx.Lookup(0), nullptr);
+  EXPECT_EQ(idx.Lookup(kMax), nullptr);
+  EXPECT_TRUE(idx.Insert(0, Ptr(1)));
+  EXPECT_TRUE(idx.Insert(kMax, Ptr(2)));
+  EXPECT_FALSE(idx.Insert(0, Ptr(3)));
+  EXPECT_EQ(idx.Lookup(0), Ptr(1));
+  EXPECT_EQ(idx.Lookup(kMax), Ptr(2));
+  EXPECT_EQ(idx.Lookup(1), nullptr);
+  EXPECT_DEATH(idx.Insert(7, nullptr), "non-null");
+}
+
+// The index places a key by its product with 0x9e3779b97f4a7c15: the top
+// bits pick the latch shard, the bits below them the first entry probed.
+// Keys whose products differ only in their low bits therefore share both,
+// at every table size, and pile into one probe run that each doubling
+// rehashes. Every key of the run stays reachable, and a miss that shares
+// the run's start walks to its end.
+TEST(HashIndexTest, KeysSharingShardAndProbeStartStayReachable) {
+  constexpr uint64_t kMul = 0x9e3779b97f4a7c15ull;
+  uint64_t inverse = kMul;  // Newton's iteration for kMul^-1 mod 2^64.
+  for (int i = 0; i < 5; ++i) inverse *= 2 - kMul * inverse;
+  ASSERT_EQ(kMul * inverse, 1u);
+  constexpr int kRun = 300;
+  // Products (0xdeadbeef << 32) + j, j < 2 * kRun: equal above bit 10.
+  const auto key = [inverse](uint64_t j) {
+    return ((uint64_t{0xdeadbeef} << 32) + j) * inverse;
+  };
+  for (uint32_t shards : {1u, 64u}) {
+    SCOPED_TRACE("shards " + std::to_string(shards));
+    HashIndex idx(shards);
+    ASSERT_TRUE(idx.Insert(0, Ptr(1)));  // A neighbour outside the run.
+    for (uint64_t j = 0; j < kRun; ++j) {
+      ASSERT_TRUE(idx.Insert(key(j), Ptr(j + 2)));
+      ASSERT_EQ(idx.Lookup(key(j / 2)), Ptr(j / 2 + 2));
+    }
+    for (uint64_t j = 0; j < kRun; ++j) {
+      ASSERT_FALSE(idx.Insert(key(j), Ptr(7)));
+      ASSERT_EQ(idx.Lookup(key(j)), Ptr(j + 2));
+      ASSERT_EQ(idx.Lookup(key(kRun + j)), nullptr);
+    }
+    EXPECT_EQ(idx.Lookup(0), Ptr(1));
+  }
+}
+
+// A duplicate insert takes the shard's exclusive latch like any insert
+// but stores nothing: it must keep the first value and release the latch,
+// or the inserts after it would spin forever.
+TEST(HashIndexTest, DuplicateInsertsKeepFirstValueAndReleaseLatch) {
+  HashIndex idx;
+  const uint64_t n = 10000;
+  // 7919 is prime to n, so this visits every key once, scattered.
+  for (uint64_t i = 0; i < n; ++i) {
+    const Key k = i * 7919 % n;
+    ASSERT_TRUE(idx.Insert(k, Ptr(k + 1)));
+  }
+  for (uint64_t k = 0; k < n; ++k) ASSERT_FALSE(idx.Insert(k, Ptr(k + 7)));
+  for (uint64_t k = 0; k < n; ++k) ASSERT_EQ(idx.Lookup(k), Ptr(k + 1));
+  for (uint64_t k = n; k < 2 * n; ++k) ASSERT_TRUE(idx.Insert(k, Ptr(k + 1)));
+  for (uint64_t k = 0; k < 2 * n; ++k) ASSERT_EQ(idx.Lookup(k), Ptr(k + 1));
+}
+
+// Inserts 10000 keys in the order `key_of(0)`, `key_of(1)`, ... into a
+// one-shard and a 64-shard index. Whenever the count reaches a power of
+// two (for one shard, each time just after a doubling), every key
+// inserted so far is still found with its value, and the next is not.
+template <typename KeyOf>
+void CheckGrowthPreservesKeysInOrder(KeyOf key_of) {
+  constexpr uint64_t n = 10000;
+  for (uint32_t shards : {1u, 64u}) {
+    SCOPED_TRACE("shards " + std::to_string(shards));
+    HashIndex idx(shards);
+    for (uint64_t i = 0; i < n; ++i) {
+      ASSERT_TRUE(idx.Insert(key_of(i), Ptr(i + 1)));
+      if (!std::has_single_bit(i + 1)) continue;
+      for (uint64_t j = 0; j <= i; ++j) {
+        ASSERT_EQ(idx.Lookup(key_of(j)), Ptr(j + 1)) << "after " << i + 1;
+      }
+      ASSERT_EQ(idx.Lookup(key_of(i + 1)), nullptr) << "after " << i + 1;
+    }
+    for (uint64_t j = 0; j < n; ++j) {
+      ASSERT_EQ(idx.Lookup(key_of(j)), Ptr(j + 1));
+    }
+  }
+}
+
+// A dense id range from 0, as the workloads load it.
+TEST(HashIndexTest, GrowthPreservesAllKeysAscending) {
+  CheckGrowthPreservesKeysInOrder([](uint64_t i) { return Key{i}; });
+}
+
+// Keys from ~0 down: the top of the key range, whose products with the
+// multiplier wrap.
+TEST(HashIndexTest, GrowthPreservesAllKeysDescending) {
+  CheckGrowthPreservesKeysInOrder([](uint64_t i) { return ~Key{0} - i; });
+}
+
+// Random interleavings of inserts and lookups against a std::unordered_map
+// model. Half the keys are dense (many duplicates), half random 64-bit
+// values (nearly all misses); four latch shards each double about ten
+// times.
+class HashIndexModelTest : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(HashIndexModelTest, MatchesModel) {
+  Rng rng(GetParam());
+  HashIndex idx(4);
+  std::unordered_map<Key, void*> model;
+  for (uint64_t i = 0; i < 40000; ++i) {
+    const Key k = rng.Bernoulli(0.5) ? rng.Uniform(0, 8000) : rng.Next();
+    if (rng.Bernoulli(0.5)) {
+      ASSERT_EQ(idx.Insert(k, Ptr(i + 1)), model.emplace(k, Ptr(i + 1)).second)
+          << "key " << k;
+    } else {
+      auto it = model.find(k);
+      ASSERT_EQ(idx.Lookup(k), it == model.end() ? nullptr : it->second)
+          << "key " << k;
+    }
+  }
+  for (const auto& [k, v] : model) ASSERT_EQ(idx.Lookup(k), v) << "key " << k;
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, HashIndexModelTest,
+                         ::testing::Values(1, 2, 3, 4, 5, 6, 7, 99, 123,
+                                           31337));
+
+// Readers look keys up while two writers insert disjoint keys that double
+// the two shards many times: a present key is always found with its value,
+// and a key being inserted reads as absent or as its value, never as
+// another's.
+TEST(HashIndexTest, ReadersDuringGrowingInserts) {
+  HashIndex idx(2);
+  constexpr uint64_t kKeys = 40000;
+  for (uint64_t k = 0; k < kKeys; k += 4) {
+    ASSERT_TRUE(idx.Insert(k, Ptr(k + 1)));
+  }
+  std::atomic<bool> stop{false};
+  std::vector<std::thread> readers;
+  for (int r = 0; r < 2; ++r) {
+    readers.emplace_back([&, r]() {
+      Rng rng(r + 1);
+      while (!stop.load(std::memory_order_relaxed)) {
+        const Key present = rng.Uniform(0, kKeys - 1) & ~Key{3};
+        ASSERT_EQ(idx.Lookup(present), Ptr(present + 1));
+        const Key racing = rng.Uniform(0, kKeys - 1) | 1;
+        void* v = idx.Lookup(racing);
+        ASSERT_TRUE(v == nullptr || v == Ptr(racing + 1)) << "key " << racing;
+      }
+    });
+  }
+  std::vector<std::thread> writers;
+  for (uint64_t w = 0; w < 2; ++w) {
+    writers.emplace_back([&, w]() {
+      // Writer 0 inserts keys = 1 mod 4, writer 1 keys = 3 mod 4.
+      for (uint64_t k = 1 + 2 * w; k < kKeys; k += 4) {
+        ASSERT_TRUE(idx.Insert(k, Ptr(k + 1)));
+      }
+    });
+  }
+  for (auto& t : writers) t.join();
+  stop.store(true);
+  for (auto& t : readers) t.join();
+  for (uint64_t k = 0; k < kKeys; ++k) {
+    ASSERT_EQ(idx.Lookup(k), k % 2 == 0 && k % 4 != 0 ? nullptr : Ptr(k + 1))
+        << "key " << k;
+  }
+}
+
+// Four threads insert disjoint key ranges at once, so every latch shard
+// doubles about eight times under inserts from several threads: each
+// insert succeeds and every key keeps its own value.
+TEST(HashIndexTest, ParallelDisjointInserts) {
+  HashIndex idx;
+  constexpr int kThreads = 4;
+  constexpr uint64_t kPerThread = 20000;
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&idx, t]() {
+      for (uint64_t i = 0; i < kPerThread; ++i) {
+        const Key k = static_cast<Key>(t) * kPerThread + i;
+        ASSERT_TRUE(idx.Insert(k, Ptr(k + 1)));
+      }
+    });
+  }
+  for (auto& t : threads) t.join();
+  for (uint64_t k = 0; k < kThreads * kPerThread; ++k) {
+    ASSERT_EQ(idx.Lookup(k), Ptr(k + 1)) << "key " << k;
+  }
+  EXPECT_EQ(idx.Lookup(kThreads * kPerThread), nullptr);
 }
 
 // Threads race to insert the same keys under the shard latches: every key
@@ -81,7 +282,7 @@ TEST(HashIndexTest, RacingInsertsOfOneKeyHaveOneWinner) {
 }
 
 TEST(TupleSlotTest, VisibilityWalksChain) {
-  Table t(0, "t", OneIntSchema(), IndexType::kHash);
+  Table t(0, "t", OneIntSchema());
   t.LoadRow(1, IntRow(10), 5);
   TupleSlot* slot = t.GetSlot(1);
   ASSERT_NE(slot, nullptr);
@@ -141,7 +342,7 @@ TEST(PackedRowTest, EveryValueTypeRoundTripsExactly) {
       CheckCompactRow(compact.data(), compact.size(), &compact_size).ok());
   EXPECT_EQ(compact_size, compact.size());
 
-  Table t(0, "t", OneIntSchema(), IndexType::kHash);
+  Table t(0, "t", OneIntSchema());
   t.LoadRow(1, row, 1);
   Table::InstallVersionUnlatched(t.GetOrCreateSlot(2), row, 3);
   Table::InstallRowUnlatched(t.GetOrCreateSlot(3), compact.data(),
@@ -218,12 +419,14 @@ TEST(PackedRowTest, CheckCompactRowRejectsBadTagsAndCutRows) {
 #endif
 #endif
 
-// Heap bytes per row of a hash-indexed table of one-double rows: slot,
-// version and index entry. Before versions were packed and slots lost
-// their cache-line latch this read about 400; with fixed-width version
-// rows, whose 30-byte versions take 48-byte chunks, about 117.5. A
-// compact balance row fits the version struct's tail padding, a 32-byte
-// chunk.
+// Heap bytes per row of a table of one-double rows: slot, version and
+// index entry. Before versions were packed and slots lost their
+// cache-line latch this read about 400; with fixed-width version rows,
+// whose 30-byte versions take 48-byte chunks, about 117.5; with an
+// unordered_map index (a 32-byte node and a bucket pointer per key)
+// about 101.5. A compact balance row fits the version struct's tail
+// padding, a 32-byte chunk, and a flat index entry is 16 bytes at 7/16
+// to 7/8 load.
 TEST(PackedRowTest, HeapBytesPerRowStaySmall) {
 #ifdef PACMAN_SANITIZED_MALLOC
   GTEST_SKIP() << "sanitizer allocators replace malloc";
@@ -235,14 +438,13 @@ TEST(PackedRowTest, HeapBytesPerRowStaySmall) {
   };
   const double before = heap_bytes();
   {
-    Table t(0, "t", Schema({{"balance", ValueType::kDouble, 0}}),
-            IndexType::kHash);
+    Table t(0, "t", Schema({{"balance", ValueType::kDouble, 0}}));
     for (int k = 0; k < kRows; ++k) {
       t.LoadRow(static_cast<Key>(k), {Value(1000.0 + k)}, 1);
     }
     const double per_row = (heap_bytes() - before) / kRows;
     std::printf("heap bytes per row: %.1f\n", per_row);
-    EXPECT_LE(per_row, 110.0);
+    EXPECT_LE(per_row, 90.0);
   }
 #endif
 }
@@ -299,7 +501,7 @@ TEST(PackedRowTest, HeapBytesPerParsedImageStaySmall) {
 }
 
 TEST(TableTest, ReadRespectsTimestampsAndTombstones) {
-  Table t(0, "t", OneIntSchema(), IndexType::kBPlusTree);
+  Table t(0, "t", OneIntSchema());
   t.LoadRow(7, IntRow(1), 2);
   TupleSlot* slot = t.GetSlot(7);
   Table::InstallVersionUnlatched(slot, {}, 6, /*deleted=*/true);
@@ -312,7 +514,7 @@ TEST(TableTest, ReadRespectsTimestampsAndTombstones) {
 }
 
 TEST(TableTest, LastWriterWinsDropsStaleWrites) {
-  Table t(0, "t", OneIntSchema(), IndexType::kHash);
+  Table t(0, "t", OneIntSchema());
   TupleSlot* slot = t.GetOrCreateSlot(1);
   const auto install = [slot](int64_t v, Timestamp ts) {
     const std::vector<uint8_t> row = CompactIntRow(v);
@@ -326,22 +528,22 @@ TEST(TableTest, LastWriterWinsDropsStaleWrites) {
 }
 
 TEST(TableTest, ContentHashDetectsDifferencesAndIgnoresOrder) {
-  Table a(0, "a", OneIntSchema(), IndexType::kHash);
-  Table b(1, "b", OneIntSchema(), IndexType::kHash);
+  Table a(0, "a", OneIntSchema());
+  Table b(1, "b", OneIntSchema());
   a.LoadRow(1, IntRow(10), 1);
   a.LoadRow(2, IntRow(20), 1);
   b.LoadRow(2, IntRow(20), 1);  // Different load order.
   b.LoadRow(1, IntRow(10), 1);
   EXPECT_EQ(a.ContentHash(5), b.ContentHash(5));
 
-  Table c(2, "c", OneIntSchema(), IndexType::kHash);
+  Table c(2, "c", OneIntSchema());
   c.LoadRow(1, IntRow(10), 1);
   c.LoadRow(2, IntRow(21), 1);
   EXPECT_NE(a.ContentHash(5), c.ContentHash(5));
 }
 
 TEST(TableTest, ContentHashIsTimestampSensitive) {
-  Table t(0, "t", OneIntSchema(), IndexType::kHash);
+  Table t(0, "t", OneIntSchema());
   t.LoadRow(1, IntRow(10), 1);
   uint64_t h1 = t.ContentHash(1);
   Table::InstallVersionUnlatched(t.GetSlot(1), IntRow(11), 5);
@@ -350,7 +552,7 @@ TEST(TableTest, ContentHashIsTimestampSensitive) {
 }
 
 TEST(TableTest, ResetDropsEverything) {
-  Table t(0, "t", OneIntSchema(), IndexType::kBPlusTree);
+  Table t(0, "t", OneIntSchema());
   t.LoadRow(1, IntRow(10), 1);
   t.Reset();
   EXPECT_EQ(t.NumKeys(), 0u);
@@ -365,7 +567,7 @@ TEST(TableTest, ResetDropsEverything) {
 TEST(CatalogTest, CreateAndResolveTables) {
   Catalog c;
   Table* t1 = c.CreateTable("alpha", OneIntSchema());
-  Table* t2 = c.CreateTable("beta", OneIntSchema(), IndexType::kHash);
+  Table* t2 = c.CreateTable("beta", OneIntSchema());
   EXPECT_EQ(c.tables().size(), 2u);
   EXPECT_EQ(c.GetTable("alpha"), t1);
   EXPECT_EQ(c.GetTable(t2->id()), t2);
@@ -376,8 +578,8 @@ TEST(CatalogTest, CreateAndResolveTables) {
 
 TEST(CatalogTest, ContentHashCoversAllTables) {
   Catalog c;
-  c.CreateTable("a", OneIntSchema(), IndexType::kHash);
-  c.CreateTable("b", OneIntSchema(), IndexType::kHash);
+  c.CreateTable("a", OneIntSchema());
+  c.CreateTable("b", OneIntSchema());
   uint64_t empty = c.ContentHash(1);
   c.GetTable("b")->LoadRow(1, IntRow(5), 1);
   EXPECT_NE(c.ContentHash(1), empty);

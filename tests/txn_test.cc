@@ -12,8 +12,7 @@ namespace pacman::txn {
 namespace {
 
 storage::Table* MakeTable(storage::Catalog* c, const std::string& name) {
-  return c->CreateTable(name, Schema({{"v", ValueType::kInt64, 0}}),
-                        storage::IndexType::kHash);
+  return c->CreateTable(name, Schema({{"v", ValueType::kInt64, 0}}));
 }
 Row IntRow(int64_t v) { return {Value(v)}; }
 
