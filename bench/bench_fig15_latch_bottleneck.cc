@@ -33,13 +33,12 @@ void Run(Scheme scheme, logging::LogScheme format, const char* fig,
     {
       pacman::recovery::RecoveryOptions opts;
       opts.num_threads = threads;
-      opts.use_latches = true;
       with_latch = CrashAndRecover(&env, scheme, opts, hash).log.seconds;
     }
     {
       pacman::recovery::RecoveryOptions opts;
       opts.num_threads = threads;
-      opts.use_latches = false;
+      opts.costs.latch_base = opts.costs.latch_quad = 0.0;
       without_latch = CrashAndRecover(&env, scheme, opts, hash).log.seconds;
     }
     std::printf("%-8u %14.4f %14.4f\n", threads, with_latch, without_latch);

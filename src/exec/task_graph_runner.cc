@@ -5,7 +5,6 @@
 #include <memory>
 #include <mutex>
 #include <queue>
-#include <tuple>
 #include <vector>
 
 #include "common/macros.h"
@@ -14,22 +13,14 @@ namespace pacman::exec {
 
 namespace {
 
-struct ReadyEntry {
-  uint64_t priority;
-  sim::TaskId id;
-  bool operator>(const ReadyEntry& o) const {
-    return std::tie(priority, id) > std::tie(o.priority, o.id);
-  }
-};
-
 // Bookkeeping shared by the graph-worker jobs of one run. Heap-allocated
 // and owned via shared_ptr so a worker draining its exit path can never
 // outlive the state it references.
 struct RunState {
   std::mutex mu;
   std::condition_variable cv;
-  std::priority_queue<ReadyEntry, std::vector<ReadyEntry>,
-                      std::greater<ReadyEntry>>
+  std::priority_queue<sim::ReadyEntry, std::vector<sim::ReadyEntry>,
+                      std::greater<sim::ReadyEntry>>
       ready;
   std::vector<uint32_t> deps_left;
   size_t completed = 0;
@@ -38,7 +29,8 @@ struct RunState {
 
 }  // namespace
 
-double RunTaskGraph(sim::TaskGraph* graph, ThreadPool* pool) {
+double RunTaskGraph(sim::TaskGraph* graph, ThreadPool* pool,
+                    std::vector<sim::Work>* tally) {
   const size_t n = graph->NumTasks();
   const uint32_t num_workers = pool->size();
 
@@ -52,7 +44,7 @@ double RunTaskGraph(sim::TaskGraph* graph, ThreadPool* pool) {
   }
 
   auto start = std::chrono::steady_clock::now();
-  auto graph_worker = [state, graph, n]() {
+  auto graph_worker = [state, graph, n, tally]() {
     std::unique_lock<std::mutex> lock(state->mu);
     while (true) {
       state->cv.wait(lock, [&] {
@@ -65,9 +57,10 @@ double RunTaskGraph(sim::TaskGraph* graph, ThreadPool* pool) {
       lock.unlock();
 
       const sim::Task& t = graph->task(id);
-      if (t.run) t.run();  // Virtual seconds are the simulator's concern.
+      const sim::Work work = t.run ? t.run().Total() : sim::Work();
 
       lock.lock();
+      if (tally != nullptr) tally->at(t.group) += work;
       state->completed++;
       for (sim::TaskId dep : t.dependents) {
         if (--state->deps_left[dep] == 0) {
@@ -88,12 +81,6 @@ double RunTaskGraph(sim::TaskGraph* graph, ThreadPool* pool) {
   }
   auto end = std::chrono::steady_clock::now();
   return std::chrono::duration<double>(end - start).count();
-}
-
-double RunTaskGraph(sim::TaskGraph* graph, uint32_t num_threads) {
-  PACMAN_CHECK(num_threads >= 1);
-  ThreadPool pool(num_threads);
-  return RunTaskGraph(graph, &pool);
 }
 
 }  // namespace pacman::exec

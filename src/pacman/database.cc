@@ -562,48 +562,56 @@ FullRecoveryResult Database::Recover(recovery::Scheme scheme,
     loaders.back()->Start();
   }
 
-  // Runs a recovery graph on the chosen backend and returns its seconds:
-  // the makespan on `machine` in virtual time, or the wall time on a pool
-  // of `threads` real threads.
-  auto run_graph = [backend](sim::TaskGraph& graph,
-                             const sim::MachineConfig& machine,
-                             uint32_t threads) -> double {
+  // Runs a recovery graph on the chosen backend, adding the work its tasks
+  // count to *work, and returns its seconds: the priced makespan on a
+  // machine, or the wall time, with a CPU pool of `threads` cores.
+  auto run_graph = [&](sim::TaskGraph& graph, uint32_t threads,
+                       std::vector<sim::Work>* work) -> double {
+    work->resize(num_ssds + 1);
     if (backend == ExecutionBackend::kSimulated) {
-      return sim::Machine(machine).Run(graph);
+      // One serial core per device (SsdGroup), then the pool (CpuGroup).
+      std::vector<uint32_t> cores(num_ssds, 1);
+      cores.push_back(threads);
+      return sim::Machine(
+                 std::move(cores),
+                 [&, threads](sim::GroupId group, const sim::Work& w) {
+                   return opts.costs
+                       .Price(w, scheme, threads,
+                              group < num_ssds ? devices[group] : nullptr)
+                       .Total();
+                 })
+          .Run(graph, work);
     }
-    return exec::RunTaskGraph(&graph, threads);
+    exec::ThreadPool pool(threads);
+    return exec::RunTaskGraph(&graph, &pool, work);
   };
 
   // --- Stage 1: checkpoint recovery -------------------------------------
   {
     sim::TaskGraph graph;
-    recovery::RecoveryCounters counters;
     recovery::BuildCheckpointRecovery(meta, prefetch, devices, &catalog_,
-                                      scheme, opts, &graph, &counters);
+                                      opts, &graph);
     result.checkpoint.seconds =
-        run_graph(graph, recovery::StandardMachine(num_ssds, opts.num_threads),
-                  opts.num_threads);
-    counters.FillStats(&result.checkpoint);
+        run_graph(graph, opts.num_threads, &result.checkpoint.work);
+    recovery::PriceStats(opts.costs, scheme, opts.num_threads, devices,
+                         &result.checkpoint);
   }
 
   // --- Stage 2: log recovery ---------------------------------------------
   // Builds and runs the replay graph for one lane's batch stream — the
   // whole log (single lane) or one shard's logger stream — and returns the
-  // chosen backend's seconds for it. Counters are shared across lanes
-  // (atomic). With `overlap` the graph is built against the loader's
-  // batch skeletons and gated per batch, so replay of batch k overlaps
-  // the load of batch k+1; the merge verifies each batch's per-key commit
-  // order before its gate opens, and a release task frees each batch once
-  // it is replayed.
-  recovery::RecoveryCounters counters;
+  // chosen backend's seconds for it, adding the lane's work to *work. With
+  // `overlap` the graph is built against the loader's batch skeletons and
+  // gated per batch, so replay of batch k overlaps the load of batch k+1;
+  // the merge verifies each batch's per-key commit order before its gate
+  // opens, and a release task frees each batch once it is replayed.
   auto run_log_replay = [&](recovery::PipelinedLogLoader* loader,
-                            uint32_t lane_threads) -> double {
+                            uint32_t lane_threads,
+                            std::vector<sim::Work>* work) -> double {
     const std::vector<recovery::GlobalBatch>& batches = loader->batches();
     recovery::RecoveryOptions lane_opts = opts;
     lane_opts.num_threads = lane_threads;
     sim::TaskGraph graph;
-    sim::MachineConfig machine_config =
-        recovery::StandardMachine(num_ssds, lane_threads);
     recovery::BatchGates gates;
     const recovery::BatchGates* gates_ptr = nullptr;
     if (overlap) {
@@ -616,18 +624,18 @@ FullRecoveryResult Database::Recover(recovery::Scheme scheme,
       case recovery::Scheme::kLlr:
       case recovery::Scheme::kLlrP:
         recovery::BuildTupleLogReplay(scheme, batches, devices, &catalog_,
-                                      lane_opts, &graph, &counters,
-                                      gates_ptr, num_lanes);
+                                      lane_opts, &graph, gates_ptr,
+                                      num_lanes);
         break;
       case recovery::Scheme::kClr:
         recovery::BuildClrReplay(batches, devices, &catalog_, programs_,
-                                 lane_opts, &graph, &counters, gates_ptr);
+                                 lane_opts, &graph, gates_ptr);
         break;
       case recovery::Scheme::kClrP: {
         const analysis::GlobalDependencyGraph* gdg =
             lane_opts.gdg_override != nullptr ? lane_opts.gdg_override
                                               : &gdg_;
-        recovery::ClrPLayout layout;
+        std::vector<recovery::GlobalBatch> sample;
         if (overlap && !batches.empty()) {
           // Core assignment from the first merged batch as the workload
           // sample (see PlanClrPLayout): waiting for the whole log here
@@ -635,21 +643,18 @@ FullRecoveryResult Database::Recover(recovery::Scheme scheme,
           // only shapes scheduling.
           const recovery::GlobalBatch* first = loader->WaitBatch(0);
           PACMAN_CHECK_MSG(first != nullptr, loader->error_message());
-          std::vector<recovery::GlobalBatch> sample(1, *first);
-          layout = recovery::PlanClrPLayout(*gdg, sample, &registry_,
-                                            num_ssds, lane_opts);
-        } else {
-          layout = recovery::PlanClrPLayout(*gdg, batches, &registry_,
-                                            num_ssds, lane_opts);
+          sample.push_back(*first);
         }
-        recovery::BuildClrPReplay(*gdg, batches, devices, &catalog_,
-                                  &registry_, programs_, lane_opts, layout,
-                                  &graph, &counters, gates_ptr);
-        machine_config = layout.machine;
+        recovery::BuildClrPReplay(
+            *gdg, batches, devices, &catalog_, &registry_, programs_,
+            lane_opts,
+            recovery::PlanClrPLayout(*gdg, overlap ? sample : batches,
+                                     &registry_, lane_opts),
+            &graph, gates_ptr);
         break;
       }
     }
-    return run_graph(graph, machine_config, lane_threads);
+    return run_graph(graph, lane_threads, work);
   };
   // The simulated replay backend is a virtual-time model and wants the
   // full batch vector up front — the load itself still ran multicore (and
@@ -677,12 +682,11 @@ FullRecoveryResult Database::Recover(recovery::Scheme scheme,
     sim::TaskGraph graph;
     for (const auto& loader : loaders) {
       recovery::BuildTupleLogReplay(scheme, loader->batches(), devices,
-                                    &catalog_, opts, &graph, &counters,
-                                    nullptr, num_lanes);
+                                    &catalog_, opts, &graph, nullptr,
+                                    num_lanes);
     }
-    result.log.seconds = run_graph(
-        graph, recovery::StandardMachine(num_ssds, opts.num_threads),
-        opts.num_threads);
+    result.log.seconds =
+        run_graph(graph, opts.num_threads, &result.log.work);
   } else {
     // Every other case replays each lane on its own lane_threads-core
     // machine or pool; the stage lasts as long as its slowest lane. For
@@ -690,16 +694,16 @@ FullRecoveryResult Database::Recover(recovery::Scheme scheme,
     // capping a lane at lane_threads caps how many threads contend on
     // that lane's tuples, so each write pays LatchCost(lane_threads)
     // instead of the full pool's — per-shard lanes genuinely shrink the
-    // latch-contention width. CLR-P additionally builds per-lane machine
-    // layouts (its planner allocates per-block core shares), which cannot
-    // share one machine config. On real threads the lanes run
-    // concurrently, each behind its own per-batch gates.
+    // latch-contention width. CLR-P additionally plans per-lane block
+    // core shares. On real threads the lanes run concurrently, each
+    // behind its own per-batch gates and counting its own work.
     std::vector<double> lane_seconds(num_lanes);
+    std::vector<std::vector<sim::Work>> lane_work(num_lanes);
     std::vector<std::thread> lane_runners;
     for (uint32_t lane = 0; lane < num_lanes; ++lane) {
       auto replay = [&, lane] {
-        lane_seconds[lane] =
-            run_log_replay(loaders[lane].get(), lane_threads);
+        lane_seconds[lane] = run_log_replay(loaders[lane].get(), lane_threads,
+                                            &lane_work[lane]);
       };
       if (overlap) {
         lane_runners.emplace_back(replay);
@@ -710,8 +714,13 @@ FullRecoveryResult Database::Recover(recovery::Scheme scheme,
     for (std::thread& runner : lane_runners) runner.join();
     result.log.seconds =
         *std::max_element(lane_seconds.begin(), lane_seconds.end());
+    result.log.work.resize(num_ssds + 1);
+    for (const std::vector<sim::Work>& work : lane_work) {
+      for (size_t g = 0; g < work.size(); ++g) result.log.work[g] += work[g];
+    }
   }
-  counters.FillStats(&result.log);
+  recovery::PriceStats(opts.costs, scheme, lane_threads, devices,
+                       &result.log);
 
   // Already returned for the simulated backend; after an overlapped run
   // every gate has passed, so this only surfaces a failure that struck

@@ -15,7 +15,6 @@
 
 #include "logging/checkpointer.h"
 #include "recovery/recovery.h"
-#include "sim/machine.h"
 #include "sim/task_graph.h"
 
 namespace pacman::recovery {
@@ -23,25 +22,20 @@ namespace pacman::recovery {
 class CheckpointPrefetch;
 
 // Appends the checkpoint-recovery tasks for `meta` to `graph` using the
-// standard group layout (SSD groups + CPU pool). Real side effects load
-// tuples into `catalog`. Counter categories: loading for io/deserialize,
-// useful for tuple/index installation. Each stripe's read already runs on
-// the load pool (`prefetch`, started for the same `meta`), so the stripes
-// load in parallel with each other and with the log pipeline; the graph
-// task walks the stripe's bytes, checks each row and installs it with one
-// allocation and one copy (Table::LoadRow on encoded bytes). A malformed
-// record aborts loudly, naming the stripe and the record's offset.
+// standard group layout (SSD groups + CPU pool). They load tuples into
+// `catalog` and count the bytes read and deserialized and the tuples
+// installed. Each stripe's read already runs on the load pool (`prefetch`,
+// started for the same `meta`), so the stripes load in parallel with each
+// other and with the log pipeline; the graph task walks the stripe's
+// bytes, checks each row and installs it with one allocation and one copy
+// (Table::LoadRow on encoded bytes). A malformed record aborts loudly,
+// naming the stripe and the record's offset.
 void BuildCheckpointRecovery(const logging::CheckpointMeta& meta,
                              CheckpointPrefetch& prefetch,
                              const std::vector<device::StorageDevice*>& ssds,
-                             storage::Catalog* catalog, Scheme scheme,
+                             storage::Catalog* catalog,
                              const RecoveryOptions& options,
-                             sim::TaskGraph* graph,
-                             RecoveryCounters* counters);
-
-// Standard machine for non-CLR-P recovery graphs: one serial core per SSD
-// plus a CPU pool of options.num_threads cores.
-sim::MachineConfig StandardMachine(uint32_t num_ssds, uint32_t num_threads);
+                             sim::TaskGraph* graph);
 
 }  // namespace pacman::recovery
 

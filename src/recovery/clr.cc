@@ -10,17 +10,14 @@ void BuildClrReplay(const std::vector<GlobalBatch>& batches,
                     storage::Catalog* catalog,
                     const proc::ProgramSet& programs,
                     const RecoveryOptions& options, sim::TaskGraph* graph,
-                    RecoveryCounters* counters,
                     const BatchGates* gates) {
-  const CostModel cm = options.costs;
   const sim::GroupId cpu = CpuGroup(static_cast<uint32_t>(ssds.size()));
   const bool reload_only = options.reload_only;
 
   sim::TaskId prev_replay = sim::kInvalidTask;
   for (size_t bi = 0; bi < batches.size(); ++bi) {
     const GlobalBatch& batch = batches[bi];
-    const sim::TaskId deser =
-        AddReloadStage(batches, bi, gates, ssds, cm, graph, counters);
+    const sim::TaskId deser = AddReloadStage(batches, bi, gates, ssds, graph);
     if (reload_only) {
       AddReleaseStage(batches, bi, gates, {deser}, cpu, graph);
       continue;
@@ -34,18 +31,15 @@ void BuildClrReplay(const std::vector<GlobalBatch>& batches,
     // run at commit quiesce barriers), so batch-sequential replay is
     // TID-order replay — equivalent to the forward schedule.
     const GlobalBatch* b = &batch;
-    sim::TaskId replay = graph->AddTask(cpu, batch.seq, [b, catalog, counters,
-                                                         cm, &programs] {
+    sim::TaskId replay = graph->AddTask(cpu, batch.seq, [b, catalog,
+                                                         &programs] {
       proc::ReplayAccess access(catalog);
       // Replay-thread arena: VM registers/locals/scratch recycled across
       // all re-executed transactions of this thread.
       thread_local proc::ExecArena arena;
       Row image;  // Ad-hoc images decode here, one at a time.
-      double cost = 0.0;
       for (const logging::LogRecord* rec : b->records) {
         access.set_commit_ts(rec->commit_ts);
-        const uint64_t reads0 = access.reads();
-        const uint64_t writes0 = access.writes();
         if (rec->is_adhoc()) {
           // Ad-hoc entries carry logical images: reinstall directly.
           for (const logging::WriteImage& img : rec->writes) {
@@ -58,14 +52,10 @@ void BuildClrReplay(const std::vector<GlobalBatch>& batches,
           Status s = proc::VmExecuteAll(&vm, &access);
           PACMAN_CHECK(s.ok());
         }
-        cost += cm.txn_dispatch +
-                cm.read_op * static_cast<double>(access.reads() - reads0) +
-                cm.write_op * static_cast<double>(access.writes() - writes0);
       }
-      counters->AddRecords(b->records.size());
-      counters->AddTuples(access.writes());
-      counters->AddUseful(cost);
-      return cost;
+      return sim::Work{.records = b->records.size(),
+                       .reads = access.reads(),
+                       .writes = access.writes()};
     });
     graph->AddEdge(deser, replay);
     if (prev_replay != sim::kInvalidTask) {

@@ -23,7 +23,6 @@ void BuildClrReplay(const std::vector<GlobalBatch>& batches,
                     storage::Catalog* catalog,
                     const proc::ProgramSet& programs,
                     const RecoveryOptions& options, sim::TaskGraph* graph,
-                    RecoveryCounters* counters,
                     const BatchGates* gates = nullptr);
 
 }  // namespace pacman::recovery

@@ -19,47 +19,36 @@
 #include "proc/compiler.h"
 #include "proc/registry.h"
 #include "recovery/recovery.h"
-#include "sim/machine.h"
 #include "sim/task_graph.h"
 
 namespace pacman::recovery {
 
-// The core-to-block assignment for one CLR-P run (§4.4, Fig. 10). All
-// recovery threads form one pool; every piece-set of block k is executed
-// as `block_cores[k]` worker tasks on that pool. The first worker replays
-// the piece-set and list-schedules its pieces onto the block's cores; on
-// the simulated machine the extra workers occupy the other assigned cores
-// for that makespan, so contention between blocks emerges from the
-// simulation rather than from an analytic correction. On real threads the
-// extra workers finish at once.
-struct ClrPLayout {
-  sim::MachineConfig machine;          // SSD groups + one CPU pool.
-  sim::GroupId cpu_group = 0;          // The pool's group id.
-  std::vector<uint32_t> block_cores;   // BlockId -> cores (>= 1).
-};
+// Computes the per-block core assignment (BlockId -> cores, each >= 1)
+// from the piece distribution of the reloaded batches (§4.4, Fig. 10),
+// weighted by CostModel::PieceWeight so heavy blocks get proportional
+// shares of the one recovery pool.
+// The distribution is an estimate made "at log reloading time": the
+// simulated backend passes every batch; the overlapped real-thread replay
+// passes the first merged batch as a sample (the assignment shapes
+// scheduling, never correctness, and waiting for the full log would
+// forfeit the load/replay overlap).
+std::vector<uint32_t> PlanClrPLayout(
+    const analysis::GlobalDependencyGraph& gdg,
+    const std::vector<GlobalBatch>& batches,
+    const proc::ProcedureRegistry* registry, const RecoveryOptions& options);
 
-// Computes the per-block core assignment from the piece distribution of
-// the reloaded batches (§4.4, Fig. 10), weighted by the cost model so
-// heavy blocks get proportional shares. The distribution is an estimate
-// made "at log reloading time": the simulated backend passes every batch;
-// the overlapped real-thread replay passes the first merged batch as a
-// sample (the assignment shapes scheduling, never correctness, and waiting
-// for the full log would forfeit the load/replay overlap).
-ClrPLayout PlanClrPLayout(const analysis::GlobalDependencyGraph& gdg,
-                          const std::vector<GlobalBatch>& batches,
-                          const proc::ProcedureRegistry* registry,
-                          uint32_t num_ssds,
-                          const RecoveryOptions& options);
-
-// Appends the PACMAN log-replay tasks to `graph` using `layout`'s groups.
-// `options.mode` selects static-only / synchronous / pipelined execution.
+// Appends the PACMAN log-replay tasks to `graph`, each piece-set one task
+// on `block_cores[k]` cores (PlanClrPLayout). It replays its pieces and
+// returns them as a DAG (sim::TaskWork) of their counted work and runtime
+// conflicts, which the simulator list-schedules on those cores, so
+// contention between blocks emerges from the simulation. `options.mode`
+// selects static-only / synchronous / pipelined execution. `gdg` and
 // `batches` must stay alive until the graph has run; records are read at
-// dispatch time only, so with `gates` (AddBatchGates) each batch may
-// still be loading when the graph is built, and is released, with its
-// transactions' shared replay state, once replayed. Pieces execute through
-// the VM on `programs`: per-transaction locals are shared across the
-// replay threads while registers and scratch stay thread-private in each
-// thread's arena.
+// dispatch time only, so with `gates` (AddBatchGates) each batch may still
+// be loading when the graph is built, and is released, with its
+// transactions' shared replay state, once replayed. Pieces execute
+// through the VM on `programs`: per-transaction locals are shared across
+// the replay threads while registers and scratch stay thread-private.
 void BuildClrPReplay(const analysis::GlobalDependencyGraph& gdg,
                      const std::vector<GlobalBatch>& batches,
                      const std::vector<device::StorageDevice*>& ssds,
@@ -67,8 +56,8 @@ void BuildClrPReplay(const analysis::GlobalDependencyGraph& gdg,
                      const proc::ProcedureRegistry* registry,
                      const proc::ProgramSet& programs,
                      const RecoveryOptions& options,
-                     const ClrPLayout& layout, sim::TaskGraph* graph,
-                     RecoveryCounters* counters,
+                     const std::vector<uint32_t>& block_cores,
+                     sim::TaskGraph* graph,
                      const BatchGates* gates = nullptr);
 
 }  // namespace pacman::recovery

@@ -5,22 +5,48 @@
 // machines this runs on have a few cores (4 vCPUs where the committed
 // figures were made), so experiment magnitudes are produced by a
 // calibrated cost model executed on the discrete-event machine (README,
-// "Layered architecture"). The constants below are set so that single-thread
-// command-log replay costs ~150us per TPC-C transaction (the paper's CLR
-// replays a 5-minute, ~93 Ktps run in ~4200 s single-threaded, §6.2.2)
-// and so that per-tuple latch costs drive the PLR/LLR collapse beyond ~20
-// threads (Figs. 14-15).
+// "Layered architecture"). CostModel::Price is the one place the work
+// recovery tasks count (sim::Work) becomes seconds. The constants are set
+// so that single-thread command-log replay costs ~150us per TPC-C
+// transaction (the paper's CLR replays a 5-minute, ~93 Ktps run in
+// ~4200 s single-threaded, §6.2.2) and so that per-tuple latch costs
+// drive the PLR/LLR collapse beyond ~20 threads (Figs. 14-15).
 //
 // Latch cost grows superlinearly with the number of contending cores
 // (cache-coherence ping-pong on hot latch words plus queueing past
 // saturation): LatchCost(n) = latch_base + latch_quad * n^2. With the
-// defaults the PLR/LLR optimum lands near 20 threads, as measured.
+// defaults the PLR/LLR optimum lands near 20 threads, as measured; with
+// both set to 0 writes install latch-free (Fig. 15's "without latch").
 #ifndef PACMAN_RECOVERY_COST_MODEL_H_
 #define PACMAN_RECOVERY_COST_MODEL_H_
 
 #include <cstdint>
 
+#include "device/storage_device.h"
+#include "sim/task_graph.h"
+
 namespace pacman::recovery {
+
+enum class Scheme;  // recovery/recovery.h
+
+// Virtual-time busy breakdown (Fig. 20 categories).
+struct Breakdown {
+  double useful_work = 0.0;
+  double data_loading = 0.0;
+  double param_checking = 0.0;
+  double scheduling = 0.0;
+
+  double Total() const {
+    return useful_work + data_loading + param_checking + scheduling;
+  }
+  Breakdown& operator+=(const Breakdown& o) {
+    useful_work += o.useful_work;
+    data_loading += o.data_loading;
+    param_checking += o.param_checking;
+    scheduling += o.scheduling;
+    return *this;
+  }
+};
 
 struct CostModel {
   // --- Per-operation CPU costs (seconds) --------------------------------
@@ -58,6 +84,14 @@ struct CostModel {
   double SchedCost(uint32_t total_cores) const {
     return sched_base + sched_per_core * total_cores;
   }
+
+  // Prices `work` counted under `scheme` on a pool of `threads` cores;
+  // `device` prices its device reads (null when it reads none).
+  Breakdown Price(const sim::Work& work, Scheme scheme, uint32_t threads,
+                  const device::StorageDevice* device) const;
+  // A CLR-P piece's weight in sharing cores among blocks (§4.4): its price
+  // without per_piece_coordination, an ablation of piece cost, not shares.
+  double PieceWeight(const sim::Work& piece, uint32_t threads) const;
 };
 
 }  // namespace pacman::recovery

@@ -290,7 +290,7 @@ BatchGates AddBatchGates(PipelinedLogLoader* loader, sim::TaskGraph* graph,
         graph->AddTask(group, loader->batches()[k].seq, [loader, k] {
           const GlobalBatch* b = loader->WaitBatch(k);
           PACMAN_CHECK_MSG(b != nullptr, loader->error_message());
-          return 0.0;
+          return sim::Work();
         });
     if (prev != sim::kInvalidTask) graph->AddEdge(prev, gate);
     prev = gate;

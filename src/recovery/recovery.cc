@@ -38,32 +38,40 @@ void MergeBatchGroup(const logging::LogBatch* const* fragments, size_t n,
             });
 }
 
+void PriceStats(const CostModel& costs, Scheme scheme, uint32_t threads,
+                const std::vector<device::StorageDevice*>& ssds,
+                RecoveryStats* stats) {
+  sim::Work total;
+  for (sim::GroupId g = 0; g < stats->work.size(); ++g) {
+    stats->breakdown += costs.Price(stats->work[g], scheme, threads,
+                                    g < ssds.size() ? ssds[g] : nullptr);
+    total += stats->work[g];
+  }
+  stats->records_replayed = total.records;
+  stats->tuples_restored = total.writes + total.tuples_installed;
+  stats->latch_acquisitions = total.latched_writes;
+}
+
 sim::TaskId AddReloadStage(const std::vector<GlobalBatch>& batches,
                            size_t index, const BatchGates* gates,
                            const std::vector<device::StorageDevice*>& ssds,
-                           const CostModel& costs, sim::TaskGraph* graph,
-                           RecoveryCounters* counters,
-                           std::function<void()> on_deserialize) {
+                           sim::TaskGraph* graph,
+                           std::function<sim::Work()> on_deserialize) {
   const GlobalBatch& batch = batches[index];
   std::vector<sim::TaskId> ios;
-  size_t batch_bytes = 0;
+  uint64_t batch_bytes = 0;
   for (const auto& [ssd_index, bytes] : batch.files) {
-    const double io_cost = ssds[ssd_index]->ReadSeconds(bytes);
     batch_bytes += bytes;
-    ios.push_back(graph->AddTask(SsdGroup(ssd_index), batch.seq,
-                                 [counters, io_cost] {
-                                   counters->AddLoading(io_cost);
-                                   return io_cost;
-                                 }));
+    ios.push_back(graph->AddTask(SsdGroup(ssd_index), batch.seq, [bytes] {
+      return sim::Work{.device_read_bytes = bytes};
+    }));
   }
-  const double deser_cost =
-      static_cast<double>(batch_bytes) * costs.deserialize_byte;
   const sim::TaskId deser = graph->AddTask(
       CpuGroup(static_cast<uint32_t>(ssds.size())), batch.seq,
-      [counters, deser_cost, setup = std::move(on_deserialize)] {
-        if (setup) setup();
-        counters->AddLoading(deser_cost);
-        return deser_cost;
+      [batch_bytes, setup = std::move(on_deserialize)] {
+        sim::Work work = setup ? setup() : sim::Work();
+        work.bytes_deserialized += batch_bytes;
+        return work;
       });
   for (sim::TaskId io : ios) graph->AddEdge(io, deser);
   if (gates != nullptr) graph->AddEdge(gates->tasks[index], deser);
@@ -81,7 +89,7 @@ void AddReleaseStage(const std::vector<GlobalBatch>& batches, size_t index,
       [release = gates->release, index, free = std::move(free_state)] {
         if (free) free();
         release(index);
-        return 0.0;
+        return sim::Work();
       });
   for (sim::TaskId t : replayed) graph->AddEdge(t, release);
 }
@@ -89,11 +97,9 @@ void AddReleaseStage(const std::vector<GlobalBatch>& batches, size_t index,
 Status PerKeyOrderVerifier::Check(const GlobalBatch& batch) {
   for (const logging::LogRecord* rec : batch.records) {
     for (const logging::WriteImage& img : rec->writes) {
-      // (table, key) packed the way clr_p.cc packs conflict-chain keys:
-      // workload keys stay under 56 bits, so the packing is exact.
-      const uint64_t packed =
-          (static_cast<uint64_t>(img.table) << 56) | img.key;
-      auto [it, inserted] = last_cts_.emplace(packed, rec->commit_ts);
+      if (img.table >= last_cts_.size()) last_cts_.resize(img.table + 1);
+      auto [it, inserted] = last_cts_[img.table].emplace(img.key,
+                                                         rec->commit_ts);
       if (!inserted) {
         if (it->second >= rec->commit_ts) {
           return Status::Corruption(

@@ -3,7 +3,6 @@
 #ifndef PACMAN_RECOVERY_RECOVERY_H_
 #define PACMAN_RECOVERY_RECOVERY_H_
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <string>
@@ -46,62 +45,20 @@ struct RecoveryOptions {
   // Build only the reload stage (io + deserialize), for the "pure file
   // reloading" measurements of Figs. 13a/14a.
   bool reload_only = false;
-  // Model latch acquisition costs (true for PLR/LLR; Fig. 15 disables).
-  bool use_latches = true;
   // CLR-P only: replay with an alternative statically-derived graph
   // (Fig. 18 uses the transaction-chopping decomposition).
   const analysis::GlobalDependencyGraph* gdg_override = nullptr;
 };
 
-// Virtual-time busy breakdown (Fig. 20 categories).
-struct Breakdown {
-  double useful_work = 0.0;
-  double data_loading = 0.0;
-  double param_checking = 0.0;
-  double scheduling = 0.0;
-
-  double Total() const {
-    return useful_work + data_loading + param_checking + scheduling;
-  }
-};
-
 struct RecoveryStats {
-  double seconds = 0.0;  // Virtual makespan of the phase.
+  double seconds = 0.0;  // Virtual makespan of the phase (wall on threads).
+  // The phase's work as its tasks counted it, by machine group (SsdGroup,
+  // CpuGroup), and that work priced: both backends report the same.
+  std::vector<sim::Work> work;
   Breakdown breakdown;
-  uint64_t records_replayed = 0;
-  uint64_t tuples_restored = 0;
-  uint64_t latch_acquisitions = 0;
-};
-
-// Thread-safe accumulators shared by the task closures of one recovery run.
-class RecoveryCounters {
- public:
-  void AddUseful(double s) { useful_.fetch_add(s); }
-  void AddLoading(double s) { loading_.fetch_add(s); }
-  void AddParamCheck(double s) { param_.fetch_add(s); }
-  void AddScheduling(double s) { sched_.fetch_add(s); }
-  void AddRecords(uint64_t n) { records_.fetch_add(n); }
-  void AddTuples(uint64_t n) { tuples_.fetch_add(n); }
-  void AddLatches(uint64_t n) { latches_.fetch_add(n); }
-
-  void FillStats(RecoveryStats* stats) const {
-    stats->breakdown.useful_work = useful_.load();
-    stats->breakdown.data_loading = loading_.load();
-    stats->breakdown.param_checking = param_.load();
-    stats->breakdown.scheduling = sched_.load();
-    stats->records_replayed = records_.load();
-    stats->tuples_restored = tuples_.load();
-    stats->latch_acquisitions = latches_.load();
-  }
-
- private:
-  std::atomic<double> useful_{0.0};
-  std::atomic<double> loading_{0.0};
-  std::atomic<double> param_{0.0};
-  std::atomic<double> sched_{0.0};
-  std::atomic<uint64_t> records_{0};
-  std::atomic<uint64_t> tuples_{0};
-  std::atomic<uint64_t> latches_{0};
+  uint64_t records_replayed = 0;    // work's records,
+  uint64_t tuples_restored = 0;     // writes plus tuples installed,
+  uint64_t latch_acquisitions = 0;  // and latched writes.
 };
 
 // A commit-order run of log records spanning all loggers' batch files with
@@ -152,8 +109,8 @@ class PerKeyOrderVerifier {
   Status Check(const GlobalBatch& batch);
 
  private:
-  // Grows with the distinct keys written so far.
-  std::unordered_map<uint64_t, Timestamp> last_cts_;
+  // By table id, then key. Grows with the distinct keys written so far.
+  std::vector<std::unordered_map<Key, Timestamp>> last_cts_;
 };
 
 // Shared machine-layout convention for recovery task graphs:
@@ -161,6 +118,12 @@ class PerKeyOrderVerifier {
 //   group  num_ssds           : the CPU pool (num_threads cores).
 inline sim::GroupId SsdGroup(uint32_t ssd_index) { return ssd_index; }
 inline sim::GroupId CpuGroup(uint32_t num_ssds) { return num_ssds; }
+
+// Prices stats->work, by group of that layout, into stats->breakdown and
+// sums its counters.
+void PriceStats(const CostModel& costs, Scheme scheme, uint32_t threads,
+                const std::vector<device::StorageDevice*>& ssds,
+                RecoveryStats* stats);
 
 // The gates of a streamed replay graph (real-thread backend), from
 // AddBatchGates: one gate task per batch, which the batch's reload stage
@@ -176,16 +139,16 @@ struct BatchGates {
 // builder starts a batch with: one read task per member file on its
 // device's serial core, then one deserialize task on the CPU pool behind
 // them and behind the batch's gate (with `gates`, from AddBatchGates).
-// Records are parsed by the load pipeline; the stage charges their
-// virtual costs as data loading. `on_deserialize`, if set, runs inside
-// the deserialize task, once the batch's records exist. Returns the
-// deserialize task, which the batch's replay tasks follow.
+// Records are parsed by the load pipeline; the stage counts the bytes
+// read and deserialized. `on_deserialize`, if set, runs inside the
+// deserialize task, once the batch's records exist, and its work is the
+// task's too. Returns the deserialize task, which the batch's replay
+// tasks follow.
 sim::TaskId AddReloadStage(const std::vector<GlobalBatch>& batches,
                            size_t index, const BatchGates* gates,
                            const std::vector<device::StorageDevice*>& ssds,
-                           const CostModel& costs, sim::TaskGraph* graph,
-                           RecoveryCounters* counters,
-                           std::function<void()> on_deserialize = nullptr);
+                           sim::TaskGraph* graph,
+                           std::function<sim::Work()> on_deserialize = nullptr);
 
 // Appends the release of batches[index], the stage every log-replay
 // builder ends a batch with on a gated graph: one zero-cost task on

@@ -23,24 +23,16 @@ void BuildTupleLogReplay(Scheme scheme,
                          const std::vector<device::StorageDevice*>& ssds,
                          storage::Catalog* catalog,
                          const RecoveryOptions& options,
-                         sim::TaskGraph* graph, RecoveryCounters* counters,
-                         const BatchGates* gates,
+                         sim::TaskGraph* graph, const BatchGates* gates,
                          uint32_t num_shard_lanes) {
   PACMAN_CHECK(scheme == Scheme::kPlr || scheme == Scheme::kLlr ||
                scheme == Scheme::kLlrP);
-  const CostModel cm = options.costs;
-  const auto num_ssds = static_cast<uint32_t>(ssds.size());
-  const sim::GroupId cpu = CpuGroup(num_ssds);
+  const sim::GroupId cpu = CpuGroup(static_cast<uint32_t>(ssds.size()));
   const uint32_t n_threads = options.num_threads;
   const bool reload_only = options.reload_only;
-
-  // Per-write replay cost. PLR skips online index maintenance (deferred
-  // rebuild) but pays the per-tuple latch; LLR maintains indexes online.
-  double write_cost = cm.write_op;
-  if (scheme == Scheme::kPlr) write_cost -= cm.index_insert;
+  // PLR and LLR install under per-tuple latches; LLR-P's key-owned
+  // partitions need none.
   const bool latched = scheme != Scheme::kLlrP;
-  const double latch_cost =
-      (latched && options.use_latches) ? cm.LatchCost(n_threads) : 0.0;
 
   // LLR-P partitions writes by key so batch b's partition p must follow
   // batch b-1's partition p; PLR/LLR installs are unordered (LWW).
@@ -49,8 +41,7 @@ void BuildTupleLogReplay(Scheme scheme,
 
   for (size_t bi = 0; bi < batches.size(); ++bi) {
     const GlobalBatch& batch = batches[bi];
-    const sim::TaskId deser =
-        AddReloadStage(batches, bi, gates, ssds, cm, graph, counters);
+    const sim::TaskId deser = AddReloadStage(batches, bi, gates, ssds, graph);
     if (reload_only) {
       AddReleaseStage(batches, bi, gates, {deser}, cpu, graph);
       continue;
@@ -66,7 +57,7 @@ void BuildTupleLogReplay(Scheme scheme,
         std::make_shared<std::vector<std::vector<ReplayWrite>>>(n_threads);
     const GlobalBatch* b = &batch;
     sim::TaskId part = graph->AddTask(cpu, batch.seq, [b, partitions, scheme,
-                                                      n_threads, counters] {
+                                                      n_threads] {
       size_t total_writes = 0;
       for (const logging::LogRecord* rec : b->records) {
         total_writes += rec->writes.size();
@@ -89,8 +80,7 @@ void BuildTupleLogReplay(Scheme scheme,
           (*partitions)[p].push_back({rec, &img});
         }
       }
-      counters->AddRecords(b->records.size());
-      return 0.0;
+      return sim::Work{.records = b->records.size()};
     });
     graph->AddEdge(deser, part);
 
@@ -98,13 +88,8 @@ void BuildTupleLogReplay(Scheme scheme,
     batch_tasks.reserve(n_threads);
     for (uint32_t p = 0; p < n_threads; ++p) {
       sim::TaskId t = graph->AddTask(cpu, batch.seq, [partitions, p, scheme,
-                                                      catalog, counters,
-                                                      write_cost, latch_cost,
-                                                      latched] {
+                                                      catalog, latched] {
         const auto& part = (*partitions)[p];
-        if (part.empty()) return 0.0;
-        const double cost = static_cast<double>(part.size()) *
-                            (write_cost + latch_cost);
         for (const ReplayWrite& w : part) {
           storage::Table* table = catalog->GetTable(w.image->table);
           storage::TupleSlot* slot = table->GetOrCreateSlot(w.image->key);
@@ -130,10 +115,8 @@ void BuildTupleLogReplay(Scheme scheme,
                 slot, row, size, w.rec->commit_ts, w.image->deleted);
           }
         }
-        if (latched) counters->AddLatches(part.size());
-        counters->AddUseful(cost);
-        counters->AddTuples(part.size());
-        return cost;
+        return sim::Work{.writes = part.size(),
+                         .latched_writes = latched ? part.size() : 0};
       });
       graph->AddEdge(part, t);
       if (scheme == Scheme::kLlrP &&
@@ -149,27 +132,23 @@ void BuildTupleLogReplay(Scheme scheme,
   }
 
   // PLR: rebuild all database indexes in parallel after the log replay
-  // (§2.3). The work itself already happened online (the engine keeps its
-  // indexes coherent); only the virtual cost is deferred here, preserving
-  // the paper's cost structure.
+  // (§2.3), on all the pool's cores. The work itself already happened
+  // online (the engine keeps its indexes coherent); only its count is
+  // deferred here, preserving the paper's cost structure.
   if (scheme == Scheme::kPlr && !reload_only) {
-    // A per-shard lane rebuilds only its shard's partition indexes — the
-    // lane's 1/num_shard_lanes share of the keys.
-    sim::TaskId barrier = graph->AddTask(cpu, ~0ull);
-    for (sim::TaskId t : replay_tasks) graph->AddEdge(t, barrier);
-    for (uint32_t p = 0; p < n_threads; ++p) {
-      sim::TaskId t = graph->AddTask(cpu, ~0ull, [catalog, counters, cm,
-                                                  n_threads,
-                                                  num_shard_lanes] {
-        uint64_t keys = 0;
-        for (const auto& table : catalog->tables()) keys += table->NumKeys();
-        const double cost = cm.index_insert * static_cast<double>(keys) /
-                            static_cast<double>(num_shard_lanes) / n_threads;
-        counters->AddUseful(cost);
-        return cost;
-      });
-      graph->AddEdge(barrier, t);
-    }
+    const sim::TaskId rebuild = graph->AddTask(
+        cpu, ~0ull,
+        [catalog, num_shard_lanes] {
+          uint64_t keys = 0;
+          for (const auto& table : catalog->tables()) {
+            keys += table->NumKeys();
+          }
+          // A per-shard lane rebuilds only its shard's partition indexes:
+          // the lane's 1/num_shard_lanes share of the keys.
+          return sim::Work{.index_keys_rebuilt = keys / num_shard_lanes};
+        },
+        /*cores=*/n_threads);
+    for (sim::TaskId t : replay_tasks) graph->AddEdge(t, rebuild);
   }
 }
 

@@ -27,16 +27,15 @@ namespace pacman::recovery {
 // task behind them hands the batch back to its loader.
 //
 // Database::Recover passes `num_shard_lanes` > 1 when this graph replays
-// one of that many disjoint per-shard lanes: whole-database costs (PLR's
-// deferred index rebuild) then charge only the lane's share — each lane
-// rebuilds its own shard's partition indexes, and the total rebuild work
-// across lanes stays exactly the unsharded amount.
+// one of that many disjoint per-shard lanes: whole-database work (PLR's
+// deferred index rebuild) then counts only the lane's share, the keys
+// divided by the lanes — each lane rebuilds its own shard's indexes.
 void BuildTupleLogReplay(Scheme scheme,
                          const std::vector<GlobalBatch>& batches,
                          const std::vector<device::StorageDevice*>& ssds,
                          storage::Catalog* catalog,
                          const RecoveryOptions& options,
-                         sim::TaskGraph* graph, RecoveryCounters* counters,
+                         sim::TaskGraph* graph,
                          const BatchGates* gates = nullptr,
                          uint32_t num_shard_lanes = 1);
 

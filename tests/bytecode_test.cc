@@ -406,7 +406,7 @@ enum class Variant {
   kNone,
   kStaticOnly,    // CLR-P, PacmanMode::kStaticOnly.
   kSynchronous,   // CLR-P, PacmanMode::kSynchronous.
-  kNoLatches,     // PLR, use_latches = false.
+  kNoLatches,     // PLR, latch_base = latch_quad = 0.
   kReloadOnly,    // CLR-P, reload_only.
   kChopping,      // CLR-P over the transaction-chopping GDG.
   kCoordination,  // CLR-P, costs.per_piece_coordination = 1e-6.
@@ -485,7 +485,7 @@ VirtualTimePin RunVirtualTimeConfig(const VirtualTimeConfig& c) {
       ropts.mode = recovery::PacmanMode::kSynchronous;
       break;
     case Variant::kNoLatches:
-      ropts.use_latches = false;
+      ropts.costs.latch_base = ropts.costs.latch_quad = 0.0;
       break;
     case Variant::kReloadOnly:
       ropts.reload_only = true;
@@ -507,132 +507,135 @@ VirtualTimePin RunVirtualTimeConfig(const VirtualTimeConfig& c) {
           r.log.latch_acquisitions};
 }
 
-// kVirtualTimePins[i] belongs to VirtualTimeConfigs()[i]. Captured on the
-// engine that still ran CLR-P's extra block workers as spin-waiting tasks
-// and three copies of the batch-reload stage, printed with %.17g, so any
-// change to a task graph's shape, dispatch order or costs shows here.
+// kVirtualTimePins[i] belongs to VirtualTimeConfigs()[i], printed with
+// %.17g, so any change to a task graph's shape, dispatch order or costs
+// shows here. The schedules date from the engine that still ran CLR-P's
+// extra block workers as spin-waiting tasks; the last bits were
+// re-captured when tasks began returning counted work, which
+// CostModel::Price prices per task and, for the breakdown, from the
+// phase's integer tally (relative moves below 1e-14).
 constexpr VirtualTimePin kVirtualTimePins[] = {
     {"bank PLR t1 s1", 0.0011326439999999999, 0.0041034660909090911,
      0.0040574690000000002, 8.355709090909091e-05, 0, 0, 363, 829, 829},
     {"bank PLR t1 s2", 0.0011326076363636364, 0.0020585390909090909,
-     0.0040574689999999993, 8.4702545454545466e-05, 0, 0, 463, 829, 829},
+     0.0040574690000000002, 8.4702545454545453e-05, 0, 0, 463, 829, 829},
     {"bank PLR t40 s1", 8.9555999999999994e-05, 0.00047885709090909087,
-     0.018638749999999905, 8.355709090909091e-05, 0, 0, 363, 829, 829},
+     0.018638749999999999, 8.355709090909091e-05, 0, 0, 363, 829, 829},
     {"bank PLR t40 s2", 8.9875090909090913e-05, 0.00020267909090909087,
-     0.0076959499999999723, 8.4702545454545466e-05, 0, 0, 463, 829, 829},
+     0.0076959499999999991, 8.4702545454545453e-05, 0, 0, 463, 829, 829},
     {"bank LLR t1 s1", 0.0023731298181818182, 0.0039649708181818174,
      0.0039468689999999996, 3.291272727272727e-05, 0, 0, 363, 829, 829},
     {"bank LLR t1 s2", 0.0023731225454545458, 0.0019904270909090909,
-     0.0039468690000000004, 3.4054363636363631e-05, 0, 0, 463, 829, 829},
+     0.0039468689999999996, 3.4054363636363638e-05, 0, 0, 463, 829, 829},
     {"bank LLR t40 s1", 0.00015426654545454543, 0.00047210181818181808,
-     0.018528150000000077, 3.291272727272727e-05, 0, 0, 363, 829, 829},
+     0.018528149999999997, 3.291272727272727e-05, 0, 0, 363, 829, 829},
     {"bank LLR t40 s2", 0.00015630945454545454, 0.00019534309090909089,
-     0.007585349999999995, 3.4054363636363631e-05, 0, 0, 463, 829, 829},
+     0.0075853499999999994, 3.4054363636363638e-05, 0, 0, 463, 829, 829},
     {"bank LLR-P t1 s1", 0.0026455298181818181, 0.0037486018181818186,
-     0.0037304999999999999, 3.291272727272727e-05, 0, 0, 363, 829, 0},
+     0.0037305000000000003, 3.291272727272727e-05, 0, 0, 363, 829, 0},
     {"bank LLR-P t1 s2", 0.0026455225454545452, 0.0037491052727272735,
-     0.0037304999999999999, 3.4054363636363631e-05, 0, 0, 463, 829, 0},
+     0.0037305000000000003, 3.4054363636363638e-05, 0, 0, 463, 829, 0},
     {"bank LLR-P t40 s1", 0.00017136654545454543, 0.00020975181818181821,
-     0.0037304999999999934, 3.2912727272727277e-05, 0, 0, 363, 829, 0},
+     0.0037305000000000003, 3.291272727272727e-05, 0, 0, 363, 829, 0},
     {"bank LLR-P t40 s2", 0.00017370945454545455, 0.00015511909090909091,
-     0.0037304999999999964, 3.4054363636363638e-05, 0, 0, 463, 829, 0},
-    {"bank CLR t1 s1", 0.0026455298181818181, 0.007864742181818183,
-     0.0078550000000000009, 1.7533090909090907e-05, 0, 0, 363, 829, 0},
+     0.0037305000000000003, 3.4054363636363638e-05, 0, 0, 463, 829, 0},
+    {"bank CLR t1 s1", 0.0026455298181818181, 0.0078647421818181813,
+     0.0078549999999999991, 1.7533090909090907e-05, 0, 0, 363, 829, 0},
     {"bank CLR t1 s2", 0.0026455225454545452, 0.0034195098181818186,
-     0.0068054999999999982, 2.937327272727272e-05, 0, 0, 463, 829, 0},
-    {"bank CLR t40 s1", 0.00017136654545454543, 0.0078567361818181834,
-     0.0078550000000000009, 1.753309090909091e-05, 0, 0, 363, 829, 0},
+     0.0068054999999999999, 2.937327272727273e-05, 0, 0, 463, 829, 0},
+    {"bank CLR t40 s1", 0.00017136654545454543, 0.0078567361818181816,
+     0.0078549999999999991, 1.7533090909090907e-05, 0, 0, 363, 829, 0},
     {"bank CLR t40 s2", 0.00017370945454545455, 0.0034129778181818185,
-     0.0068054999999999982, 2.937327272727272e-05, 0, 0, 463, 829, 0},
+     0.0068054999999999999, 2.937327272727273e-05, 0, 0, 463, 829, 0},
     {"bank CLR-P t1 s1", 0.0026455298181818181, 0.0093562821818181843,
-     0.0071289999999999991, 1.7533090909090907e-05, 0.00087119999999999906,
-     0.0013463400000000003, 363, 829, 0},
-    {"bank CLR-P t1 s2", 0.0026455225454545452, 0.0041590743636363637,
-     0.005879500000000001, 2.937327272727272e-05, 0.00087119999999999993,
-     0.0015383400000000007, 463, 829, 0},
+     0.0071289999999999999, 1.7533090909090907e-05, 0.00087119999999999993,
+     0.0013463400000000001, 363, 829, 0},
+    {"bank CLR-P t1 s2", 0.0026455225454545452, 0.0041590743636363628,
+     0.0058795000000000002, 2.937327272727273e-05, 0.00087119999999999993,
+     0.00153834, 463, 829, 0},
     {"bank CLR-P t40 s1", 0.00017136654545454543, 0.00081943618181818181,
-     0.0071289999999999999, 1.753309090909091e-05, 0.00087119999999999906,
-     0.0081416999999999965, 363, 829, 0},
-    {"bank CLR-P t40 s2", 0.00017370945454545455, 0.00062347781818181808,
-     0.0058795000000000002, 2.937327272727272e-05, 0.00087119999999999993,
-     0.0048489000000000006, 463, 829, 0},
+     0.0071289999999999999, 1.7533090909090907e-05, 0.00087119999999999993,
+     0.0081416999999999982, 363, 829, 0},
+    {"bank CLR-P t40 s2", 0.00017370945454545455, 0.00062347781818181819,
+     0.0058795000000000002, 2.937327272727273e-05, 0.00087119999999999993,
+     0.0048488999999999997, 463, 829, 0},
     {"bank CLR-P t40 s1 static-only", 0.00017136654545454543,
-     0.0065467361818181804, 0.0071289999999999991, 1.753309090909091e-05, 0,
-     0.00019200000000000009, 363, 829, 0},
+     0.0065467361818181804, 0.0071289999999999999, 1.7533090909090907e-05, 0,
+     0.000192, 363, 829, 0},
     {"bank CLR-P t40 s1 synchronous", 0.00017136654545454543,
-     0.0016812361818181816, 0.0071289999999999991, 1.753309090909091e-05,
-     0.00087119999999999906, 0.0081416999999999965, 363, 829, 0},
+     0.0016812361818181816, 0.0071289999999999999, 1.7533090909090907e-05,
+     0.00087119999999999993, 0.0081416999999999982, 363, 829, 0},
     {"bank CLR-P t40 s1 reload-only", 6.0665454545454538e-06,
-     5.3787272727272732e-06, 0, 1.753309090909091e-05, 0, 0, 363, 0, 0},
+     5.3787272727272732e-06, 0, 1.7533090909090907e-05, 0, 0, 363, 0, 0},
     {"bank CLR-P t40 s1 chopping", 0.00017136654545454543,
-     0.0012752361818181822, 0.0071290000000000008, 1.753309090909091e-05,
-     0.00040399999999999974, 0.0037824999999999985, 363, 829, 0},
+     0.0012752361818181817, 0.0071289999999999999, 1.7533090909090907e-05,
+     0.00040400000000000001, 0.0037824999999999998, 363, 829, 0},
     {"bank CLR-P t40 s1 coordination", 0.00017136654545454543,
-     0.00086143618181818175, 0.0071289999999999999, 1.753309090909091e-05,
-     0.00087119999999999917, 0.0092307000000000014, 363, 829, 0},
+     0.00086143618181818186, 0.0071289999999999999, 1.7533090909090907e-05,
+     0.00087119999999999993, 0.0092306999999999997, 363, 829, 0},
     {"bank PLR t40 s1 no-latches", 8.9555999999999994e-05,
-     0.0001060170909090909, 0.0038410999999999975, 8.355709090909091e-05, 0, 0,
+     0.0001060170909090909, 0.0038411000000000001, 8.355709090909091e-05, 0, 0,
      363, 829, 829},
     {"tpcc PLR t1 s1", 0.0020136483636363635, 0.01532653790909091,
-     0.013932502999999999, 0.0024526167272727272, 0, 0, 282, 3623, 3623},
+     0.013932503000000001, 0.0024526167272727272, 0, 0, 282, 3623, 3623},
     {"tpcc PLR t1 s2", 0.0020133592727272728, 0.0079003244545454536,
-     0.013932503000000001, 0.002455602545454546, 0, 0, 542, 3623, 3623},
+     0.013932503000000001, 0.0024556025454545456, 0, 0, 542, 3623, 3623},
     {"tpcc PLR t40 s1", 0.00034350290909090908, 0.0024307629090909093,
-     0.077657450000000072, 0.0024526167272727272, 0, 0, 282, 3623, 3623},
+     0.077657449999999989, 0.0024526167272727272, 0, 0, 282, 3623, 3623},
     {"tpcc PLR t40 s2", 0.00036146327272727275, 0.0011166903636363635,
-     0.029833850000000023, 0.002455602545454546, 0, 0, 542, 3623, 3623},
+     0.029833849999999995, 0.0024556025454545456, 0, 0, 542, 3623, 3623},
     {"tpcc LLR t1 s1", 0.0037268512727272724, 0.018517223727272727,
-     0.017249102999999998, 0.0022312843636363637, 0, 0, 282, 3623, 3623},
+     0.017249102999999998, 0.0022312843636363641, 0, 0, 282, 3623, 3623},
     {"tpcc LLR t1 s2", 0.0037266494545454541, 0.0095444233636363639,
-     0.017249103000000002, 0.002234270181818182, 0, 0, 542, 3623, 3623},
+     0.017249102999999998, 0.002234270181818182, 0, 0, 542, 3623, 3623},
     {"tpcc LLR t40 s1", 0.0004318796363636363, 0.0024598827272727273,
-     0.080974050000000075, 0.0022312843636363637, 0, 0, 282, 3623, 3623},
+     0.080974049999999992, 0.0022312843636363641, 0, 0, 282, 3623, 3623},
     {"tpcc LLR t40 s2", 0.00045443927272727268, 0.0011713343636363634,
-     0.033150449999999991, 0.002234270181818182, 0, 0, 542, 3623, 3623},
+     0.033150449999999998, 0.002234270181818182, 0, 0, 542, 3623, 3623},
     {"tpcc LLR-P t1 s1", 0.004103051272727273, 0.017571620727272728,
-     0.016303500000000002, 0.0022312843636363637, 0, 0, 282, 3623, 0},
+     0.016303500000000002, 0.0022312843636363641, 0, 0, 282, 3623, 0},
     {"tpcc LLR-P t1 s2", 0.0041028494545454547, 0.017550633818181817,
      0.016303500000000002, 0.002234270181818182, 0, 0, 542, 3623, 0},
     {"tpcc LLR-P t40 s1", 0.00045527963636363632, 0.0013243947272727271,
-     0.016303499999999999, 0.0022312843636363637, 0, 0, 282, 3623, 0},
+     0.016303500000000002, 0.0022312843636363641, 0, 0, 282, 3623, 0},
     {"tpcc LLR-P t40 s2", 0.00047903927272727274, 0.00078557272727272718,
-     0.016303499999999978, 0.0022342701818181816, 0, 0, 542, 3623, 0},
-    {"tpcc CLR t1 s1", 0.004103051272727273, 0.030239536909090925,
-     0.030216500000000014, 4.067509090909091e-05, 0, 0, 282, 3623, 0},
-    {"tpcc CLR t1 s2", 0.0041028494545454547, 0.0095843123636363634,
-     0.017618499999999995, 0.0021953514545454546, 0, 0, 542, 3623, 0},
-    {"tpcc CLR t40 s1", 0.00045527963636363632, 0.030221898909090925,
-     0.030216500000000014, 4.067509090909091e-05, 0, 0, 282, 3623, 0},
-    {"tpcc CLR t40 s2", 0.00047903927272727274, 0.0090781403636363625,
-     0.017618499999999995, 0.0021953514545454546, 0, 0, 542, 3623, 0},
-    {"tpcc CLR-P t1 s1", 0.004103051272727273, 0.034958536909090919,
-     0.029652500000000026, 4.067509090909091e-05, 0.0020399999999999997,
-     0.003243000000000002, 282, 3623, 0},
+     0.016303500000000002, 0.002234270181818182, 0, 0, 542, 3623, 0},
+    {"tpcc CLR t1 s1", 0.004103051272727273, 0.030239536909090904, 0.0302165,
+     4.067509090909091e-05, 0, 0, 282, 3623, 0},
+    {"tpcc CLR t1 s2", 0.0041028494545454547, 0.0095843123636363652,
+     0.017618500000000002, 0.0021953514545454546, 0, 0, 542, 3623, 0},
+    {"tpcc CLR t40 s1", 0.00045527963636363632, 0.030221898909090911, 0.0302165,
+     4.067509090909091e-05, 0, 0, 282, 3623, 0},
+    {"tpcc CLR t40 s2", 0.00047903927272727274, 0.0090781403636363642,
+     0.017618500000000002, 0.0021953514545454546, 0, 0, 542, 3623, 0},
+    {"tpcc CLR-P t1 s1", 0.004103051272727273, 0.034958536909090877,
+     0.029652500000000002, 4.067509090909091e-05, 0.0020399999999999997,
+     0.0032430000000000002, 282, 3623, 0},
     {"tpcc CLR-P t1 s2", 0.0041028494545454547, 0.010707292363636376,
-     0.016534499999999997, 0.0021953514545454546, 0.0010287999999999996,
-     0.0024431599999999959, 542, 3623, 0},
+     0.016534500000000001, 0.0021953514545454546, 0.0010287999999999999,
+     0.0024431599999999998, 542, 3623, 0},
     {"tpcc CLR-P t40 s1", 0.00045527963636363632, 0.0072117989090909104,
-     0.029652500000000012, 4.067509090909091e-05, 0.0020399999999999993,
-     0.019154999999999988, 282, 3623, 0},
+     0.029652500000000002, 4.067509090909091e-05, 0.0020399999999999997,
+     0.019154999999999998, 282, 3623, 0},
     {"tpcc CLR-P t40 s2", 0.00047903927272727274, 0.0024635403636363638,
-     0.016534499999999994, 0.0021953514545454546, 0.0010287999999999996,
-     0.0063525999999999956, 542, 3623, 0},
+     0.016534500000000001, 0.0021953514545454546, 0.0010287999999999999,
+     0.0063525999999999999, 542, 3623, 0},
     {"tpcc CLR-P t40 s1 static-only", 0.00045527963636363632,
-     0.023280398909090904, 0.029652500000000026, 4.067509090909091e-05, 0,
-     0.00053999999999999979, 282, 3623, 0},
+     0.023280398909090904, 0.029652500000000002, 4.067509090909091e-05, 0,
+     0.00054000000000000001, 282, 3623, 0},
     {"tpcc CLR-P t40 s1 synchronous", 0.00045527963636363632,
-     0.01097849890909091, 0.029652500000000026, 4.067509090909091e-05,
-     0.0020399999999999997, 0.019154999999999995, 282, 3623, 0},
+     0.01097849890909091, 0.029652500000000002, 4.067509090909091e-05,
+     0.0020399999999999997, 0.019154999999999998, 282, 3623, 0},
     {"tpcc CLR-P t40 s1 reload-only", 0.00022907963636363633,
      1.3649272727272727e-05, 0, 4.067509090909091e-05, 0, 0, 282, 0, 0},
-    {"tpcc CLR-P t40 s1 chopping", 0.00045527963636363632, 0.031339924909090884,
-     0.029652499999999998, 4.067509090909091e-05, 0.00022559999999999985,
+    {"tpcc CLR-P t40 s1 chopping", 0.00045527963636363632, 0.031339924909090912,
+     0.029652500000000002, 4.067509090909091e-05, 0.00022559999999999998,
      0.0020945999999999998, 282, 3623, 0},
     {"tpcc CLR-P t40 s1 coordination", 0.00045527963636363632,
-     0.0073207989090909101, 0.029652500000000012, 4.067509090909091e-05,
-     0.0020399999999999993, 0.02170500000000003, 282, 3623, 0},
+     0.0073207989090909083, 0.029652500000000002, 4.067509090909091e-05,
+     0.0020399999999999997, 0.021704999999999999, 282, 3623, 0},
     {"tpcc PLR t40 s1 no-latches", 0.00034350290909090908,
-     0.00093639672727272711, 0.012986900000000006, 0.0024526167272727272, 0, 0,
+     0.00093639672727272711, 0.012986899999999999, 0.0024526167272727272, 0, 0,
      282, 3623, 3623},
 };
 
@@ -656,6 +659,49 @@ TEST(GoldenPinTest, VirtualTimeOfEveryRecovery) {
     EXPECT_EQ(got.records_replayed, want.records_replayed);
     EXPECT_EQ(got.tuples_restored, want.tuples_restored);
     EXPECT_EQ(got.latch_acquisitions, want.latch_acquisitions);
+  }
+}
+
+// Both backends count the same work: the real-thread backend's tally and
+// its priced breakdown equal the simulator's, whatever order its tasks
+// complete in.
+TEST(CountedWorkTest, BothBackendsCountTheSameWork) {
+  for (Workload w : {Workload::kBank, Workload::kTpcc}) {
+    for (Scheme scheme : {Scheme::kPlr, Scheme::kLlr, Scheme::kLlrP,
+                          Scheme::kClr, Scheme::kClrP}) {
+      for (uint32_t shards : {1u, 2u}) {
+        SCOPED_TRACE(std::string(w == Workload::kBank ? "bank " : "tpcc ") +
+                     recovery::SchemeName(scheme) + " s" +
+                     std::to_string(shards));
+        std::vector<FullRecoveryResult> results;
+        for (ExecutionBackend backend :
+             {ExecutionBackend::kSimulated, ExecutionBackend::kThreads}) {
+          PinnedRun run(w, SchemeLogFormat(scheme), shards);
+          ASSERT_TRUE(run.db->TryTakeCheckpoint().ok());
+          run.Forward();
+          run.db->Crash();
+          RecoveryOptions ropts;
+          ropts.num_threads = 4;
+          results.push_back(run.db->Recover(scheme, ropts, backend));
+        }
+        for (auto stage : {&FullRecoveryResult::checkpoint,
+                           &FullRecoveryResult::log}) {
+          const recovery::RecoveryStats& sim = results[0].*stage;
+          const recovery::RecoveryStats& threads = results[1].*stage;
+          EXPECT_EQ(sim.records_replayed, threads.records_replayed);
+          EXPECT_EQ(sim.tuples_restored, threads.tuples_restored);
+          EXPECT_EQ(sim.latch_acquisitions, threads.latch_acquisitions);
+          EXPECT_TRUE(sim.work == threads.work);
+          EXPECT_EQ(sim.breakdown.useful_work, threads.breakdown.useful_work);
+          EXPECT_EQ(sim.breakdown.data_loading,
+                    threads.breakdown.data_loading);
+          EXPECT_EQ(sim.breakdown.param_checking,
+                    threads.breakdown.param_checking);
+          EXPECT_EQ(sim.breakdown.scheduling, threads.breakdown.scheduling);
+        }
+        EXPECT_GT(results[0].log.records_replayed, 0u);
+      }
+    }
   }
 }
 

@@ -55,7 +55,7 @@ TEST(TaskGraphRunnerTest, PoolIsReusableAcrossGraphs) {
     std::atomic<int> count{0};
     auto bump = [&] {
       count.fetch_add(1);
-      return 0.0;
+      return sim::Work();
     };
     sim::TaskId prev = g.AddTask(0, 0, bump);
     for (int i = 1; i < 50; ++i) {
@@ -71,7 +71,8 @@ TEST(TaskGraphRunnerTest, PoolIsReusableAcrossGraphs) {
 
 TEST(TaskGraphRunnerTest, EmptyGraphCompletes) {
   sim::TaskGraph g;
-  EXPECT_GE(RunTaskGraph(&g, 2), 0.0);
+  ThreadPool pool(2);
+  EXPECT_GE(RunTaskGraph(&g, &pool), 0.0);
 }
 
 TEST(TaskGraphRunnerTest, RunsEveryTaskExactlyOnce) {
@@ -82,40 +83,70 @@ TEST(TaskGraphRunnerTest, RunsEveryTaskExactlyOnce) {
   for (int i = 0; i < n; ++i) {
     g.AddTask(0, 0, [&runs, i] {
       runs[i].fetch_add(1);
-      return 0.0;
+      return sim::Work();
     });
   }
-  RunTaskGraph(&g, 4);
+  ThreadPool pool(4);
+  RunTaskGraph(&g, &pool);
   for (int i = 0; i < n; ++i) EXPECT_EQ(runs[i].load(), 1) << "task " << i;
 }
 
-// The runner ignores the virtual seconds `run` returns, even a negative
-// one (a CLR-P extra worker returns -1 when it beats its block's first
-// worker on real threads); an empty `run` is a join with nothing to call.
-TEST(TaskGraphRunnerTest, IgnoresTheSecondsRunReturns) {
+// The runner prices nothing: it adds up the work `run` returns, pieces
+// included, by group, as the simulator does; an empty `run` is a join with
+// nothing to call.
+TEST(TaskGraphRunnerTest, AddsUpTheWorkRunReturns) {
   sim::TaskGraph g;
   std::atomic<int> calls{0};
   sim::TaskId a = g.AddTask(0, 0, [&] {
     calls.fetch_add(1);
-    return -1.0;
+    return sim::Work{.reads = 2};
   });
-  sim::TaskId b = g.AddTask(0, 0, [&] {
+  sim::TaskId b = g.AddTask(1, 0, [&] {
     calls.fetch_add(1);
-    return 1e9;
+    sim::TaskWork work(sim::Work{.piece_sets = 1});
+    work.AddUnresolved(sim::Work{.reads = 3, .pieces = 1});
+    return work;
   });
   sim::TaskId join = g.AddTask(0, 0);
   std::atomic<bool> tail_ran{false};
   sim::TaskId tail = g.AddTask(0, 0, [&] {
     EXPECT_EQ(calls.load(), 2);
     tail_ran.store(true);
-    return 0.0;
+    return sim::Work();
   });
   g.AddEdge(a, join);
   g.AddEdge(b, join);
   g.AddEdge(join, tail);
-  EXPECT_GE(RunTaskGraph(&g, 2), 0.0);
+  std::vector<sim::Work> tally(2);
+  ThreadPool pool(2);
+  EXPECT_GE(RunTaskGraph(&g, &pool, &tally), 0.0);
   EXPECT_EQ(calls.load(), 2);
   EXPECT_TRUE(tail_ran.load());
+  EXPECT_EQ(tally, (std::vector<sim::Work>{
+                       sim::Work{.reads = 2},
+                       sim::Work{.reads = 3, .pieces = 1, .piece_sets = 1}}));
+}
+
+// A task on several cores is one task here: `run` is called once, and its
+// dependents follow that one call.
+TEST(TaskGraphRunnerTest, MultiCoreTaskRunsOnce) {
+  sim::TaskGraph g;
+  std::atomic<int> calls{0};
+  sim::TaskId wide = g.AddTask(
+      0, 0,
+      [&] {
+        calls.fetch_add(1);
+        return sim::Work();
+      },
+      /*cores=*/8);
+  sim::TaskId after = g.AddTask(0, 0, [&] {
+    EXPECT_EQ(calls.load(), 1);
+    return sim::Work();
+  });
+  g.AddEdge(wide, after);
+  ThreadPool pool(4);
+  RunTaskGraph(&g, &pool);
+  EXPECT_EQ(calls.load(), 1);
 }
 
 TEST(TaskGraphRunnerTest, RespectsDependencyOrder) {
@@ -125,7 +156,7 @@ TEST(TaskGraphRunnerTest, RespectsDependencyOrder) {
     return [&stage, from] {
       int expected = from;
       EXPECT_TRUE(stage.compare_exchange_strong(expected, from + 1));
-      return 0.0;
+      return sim::Work();
     };
   };
   sim::TaskId a = g.AddTask(0, 0, advance(0));
@@ -133,7 +164,8 @@ TEST(TaskGraphRunnerTest, RespectsDependencyOrder) {
   sim::TaskId c = g.AddTask(0, 0, advance(2));
   g.AddEdge(a, b);
   g.AddEdge(b, c);
-  RunTaskGraph(&g, 8);
+  ThreadPool pool(8);
+  RunTaskGraph(&g, &pool);
   EXPECT_EQ(stage.load(), 3);
 }
 
@@ -159,12 +191,13 @@ TEST(TaskGraphRunnerTest, RandomDagsCompleteInTopologicalOrder) {
           EXPECT_TRUE(done[d].load()) << "dep ran after dependent";
         }
         done[i].store(true);
-        return 0.0;
+        return sim::Work();
       });
       for (sim::TaskId d : deps[i]) g.AddEdge(d, t);
       ASSERT_EQ(t, static_cast<sim::TaskId>(i));
     }
-    RunTaskGraph(&g, 1 + trial % 4);
+    ThreadPool pool(1 + trial % 4);
+    RunTaskGraph(&g, &pool);
     for (auto& d : done) EXPECT_TRUE(d.load());
   }
 }
@@ -175,13 +208,14 @@ TEST(TaskGraphRunnerTest, SingleThreadFollowsPriorityOrder) {
   auto record = [&order](int i) {
     return [&order, i] {
       order.push_back(i);
-      return 0.0;
+      return sim::Work();
     };
   };
   g.AddTask(0, /*priority=*/9, record(0));
   g.AddTask(0, /*priority=*/1, record(1));
   g.AddTask(0, /*priority=*/5, record(2));
-  RunTaskGraph(&g, 1);
+  ThreadPool pool(1);
+  RunTaskGraph(&g, &pool);
   EXPECT_EQ(order, (std::vector<int>{1, 2, 0}));
 }
 

@@ -271,17 +271,20 @@ TEST(ReloadStageTest, ReadsEveryFileThenDeserializesBehindTheGate) {
   sim::TaskGraph g;
   const sim::GroupId cpu = recovery::CpuGroup(2);
   // Stand-ins for AddBatchGates' gates; batch 8's holds its reload back
-  // for one virtual second.
+  // for a million reads' worth of virtual time.
+  const sim::Work gate_work{.reads = 1000000};
   const recovery::BatchGates gates{
-      {g.AddTask(cpu, 0), g.AddTask(cpu, 0, [] { return 1.0; })}, nullptr};
-  recovery::RecoveryCounters counters;
+      {g.AddTask(cpu, 0), g.AddTask(cpu, 0, [&] { return gate_work; })},
+      nullptr};
   std::vector<uint64_t> deserialized;
   std::vector<sim::TaskId> deser;
   for (size_t i = 0; i < batches.size(); ++i) {
     const uint64_t seq = batches[i].seq;
     deser.push_back(recovery::AddReloadStage(
-        batches, i, &gates, ssds, costs, &g, &counters,
-        [&deserialized, seq] { deserialized.push_back(seq); }));
+        batches, i, &gates, ssds, &g, [&deserialized, seq] {
+          deserialized.push_back(seq);
+          return sim::Work{.records = 1};
+        }));
   }
 
   // Creation order fixes task ids and with them the simulated dispatch
@@ -301,20 +304,35 @@ TEST(ReloadStageTest, ReadsEveryFileThenDeserializesBehindTheGate) {
   EXPECT_EQ(g.task(gates.tasks[1]).dependents,
             std::vector<sim::TaskId>{deser[1]});
 
-  // One core per device, two CPU cores: batch 7 deserializes as soon as
-  // its reads land; batch 8 waits out its gate.
-  sim::Machine machine(sim::MachineConfig{{1, 1, 2}});
-  EXPECT_DOUBLE_EQ(machine.Run(g), 1.0 + 2000 * costs.deserialize_byte);
+  // One core per device, two CPU cores, priced by the cost model: batch 7
+  // deserializes as soon as its reads land; batch 8 waits out its gate.
+  const recovery::Scheme scheme = recovery::Scheme::kClrP;
+  sim::Machine machine(
+      {1, 1, 2},
+      [&](sim::GroupId group, const sim::Work& w) {
+        return costs.Price(w, scheme, 2, group < 2 ? ssds[group] : nullptr)
+            .Total();
+      });
+  recovery::RecoveryStats stats;
+  EXPECT_DOUBLE_EQ(machine.Run(g, &stats.work),
+                   1000000 * costs.read_op + 2000 * costs.deserialize_byte);
   EXPECT_EQ(deserialized, (std::vector<uint64_t>{7, 8}));
 
-  // Every read and both deserializations are charged as data loading.
-  recovery::RecoveryStats stats;
-  counters.FillStats(&stats);
-  const double loading = ssd0.ReadSeconds(4000) + ssd1.ReadSeconds(1000) +
-                         ssd1.ReadSeconds(2000) +
-                         7000 * costs.deserialize_byte;
-  EXPECT_NEAR(stats.breakdown.data_loading, loading, 1e-12 * loading);
-  EXPECT_EQ(stats.breakdown.useful_work, 0.0);
+  // Each device counts the bytes read from it, the pool the bytes
+  // deserialized (and the gate's and on_deserialize's work); the reads
+  // and deserializations are priced as data loading.
+  sim::Work pool = gate_work;
+  pool.records = 2;
+  pool.bytes_deserialized = 7000;
+  EXPECT_EQ(stats.work, (std::vector<sim::Work>{
+                            sim::Work{.device_read_bytes = 4000},
+                            sim::Work{.device_read_bytes = 3000}, pool}));
+  recovery::PriceStats(costs, scheme, 2, ssds, &stats);
+  EXPECT_DOUBLE_EQ(stats.breakdown.data_loading,
+                   ssd0.ReadSeconds(4000) + ssd1.ReadSeconds(3000) +
+                       7000 * costs.deserialize_byte);
+  EXPECT_DOUBLE_EQ(stats.breakdown.useful_work, 1000000 * costs.read_op);
+  EXPECT_EQ(stats.records_replayed, 2u);
 }
 
 // --- The bounded read-ahead window ---------------------------------------

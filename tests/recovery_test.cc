@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include "proc/procedure.h"
 #include "workload/adhoc.h"
 #include "workload/bank.h"
 #include "workload/smallbank.h"
@@ -350,6 +351,39 @@ TEST(ReloadOnlyTest, ReloadSkipsReplay) {
   EXPECT_EQ(r.log.records_replayed, 0u);
   EXPECT_GT(r.log.breakdown.data_loading, 0.0);
   EXPECT_EQ(r.log.breakdown.useful_work, 0.0);
+}
+
+// A Key is any uint64_t, so a key at or above 2^56 in one table and its
+// low bits in another are different tuples: the load pipeline's per-key
+// order check and CLR-P's conflict chains key on the exact (table, key)
+// pair. One transaction writes A[2^56 + 5] and B[5] (tables 0 and 1);
+// every scheme recovers it.
+TEST(RecoveryKeyTest, KeysAbove56BitsDoNotAliasAcrossTables) {
+  for (Scheme scheme : {Scheme::kPlr, Scheme::kLlr, Scheme::kLlrP,
+                        Scheme::kClr, Scheme::kClrP}) {
+    SCOPED_TRACE(recovery::SchemeName(scheme));
+    DatabaseOptions opts;
+    opts.scheme = SchemeLogFormat(scheme);
+    Database db(opts);
+    const Schema schema({{"v", ValueType::kInt64, 0}});
+    ASSERT_EQ(db.catalog()->CreateTable("A", schema)->id(), 0u);
+    ASSERT_EQ(db.catalog()->CreateTable("B", schema)->id(), 1u);
+    proc::ProcedureBuilder b(
+        "WriteBoth", {ValueType::kInt64, ValueType::kInt64, ValueType::kInt64});
+    b.WriteRow("A", proc::P(0), {proc::P(2)});
+    b.WriteRow("B", proc::P(1), {proc::P(2)});
+    const ProcId proc = db.registry()->Register(b.Build());
+    db.FinalizeSchema();
+    ASSERT_TRUE(db.TryTakeCheckpoint().ok());
+    ASSERT_TRUE(db.ExecuteProcedure(proc, {Value(int64_t{(1ll << 56) + 5}),
+                                           Value(int64_t{5}),
+                                           Value(int64_t{1})})
+                    .ok());
+    const uint64_t pre_crash = db.ContentHash();
+    db.Crash();
+    db.Recover(scheme, RecoveryOptions{});
+    EXPECT_EQ(db.ContentHash(), pre_crash);
+  }
 }
 
 }  // namespace
