@@ -126,7 +126,8 @@ bool Checkpointer::ParseStripeFileName(const std::string& name,
 
 Status Checkpointer::TakeCheckpoint(uint64_t id, Timestamp ts,
                                     uint32_t files_per_ssd,
-                                    CheckpointMeta* out) {
+                                    CheckpointMeta* out,
+                                    const std::function<void()>& scanned) {
   const uint32_t num_ssds = static_cast<uint32_t>(devices_.size());
   const uint32_t num_stripes = num_ssds * files_per_ssd;
   std::vector<Serializer> stripes(num_stripes);
@@ -136,7 +137,9 @@ Status Checkpointer::TakeCheckpoint(uint64_t id, Timestamp ts,
   // the scan is safe against transactions inserting keys concurrently;
   // version chains are read through the MVCC visibility check at `ts`,
   // which concurrent installs (always at timestamps > ts once ts is
-  // stable) never disturb.
+  // stable) never disturb. The caller's read pin, taken before `ts` was
+  // drawn, keeps their reclamation from freeing what the scan reads
+  // (txn/reclaim_horizon.h).
   //
   // Sharded engines stripe shard-locally instead: a tuple lands on the
   // device of its home shard (ShardOfKey % num_ssds — the same folding
@@ -170,6 +173,7 @@ Status Checkpointer::TakeCheckpoint(uint64_t id, Timestamp ts,
       s.PutRaw(v->row(), v->row_size());  // The version's bytes as they are.
     }
   }
+  if (scanned) scanned();
 
   CheckpointMeta meta;
   meta.id = id;

@@ -19,6 +19,7 @@
 #ifndef PACMAN_LOGGING_CHECKPOINTER_H_
 #define PACMAN_LOGGING_CHECKPOINTER_H_
 
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -100,9 +101,12 @@ class Checkpointer {
   // checkpoint is NOT durable and must not be used for log truncation
   // (e.g. a device acknowledged a write it did not keep). On success
   // `*out` holds the meta (with the total real byte size, for the
-  // virtual-time write cost).
+  // virtual-time write cost). `scanned`, if set, runs once the scan has
+  // copied every version it writes, before the first stripe write: the
+  // caller's read pin ends there.
   Status TakeCheckpoint(uint64_t id, Timestamp ts, uint32_t files_per_ssd,
-                        CheckpointMeta* out);
+                        CheckpointMeta* out,
+                        const std::function<void()>& scanned = nullptr);
 
   // Reads the newest *durable* checkpoint's metadata: the highest-id meta
   // file that parses, passes its checksum and whose stripes all exist.

@@ -137,6 +137,13 @@ void Logger::OpenBatch() {
   rewrite_ = false;
 }
 
+void Logger::AlignOpenSeq(uint64_t seq) {
+  std::lock_guard<std::mutex> g(mu_);
+  if (!current_.records.empty() || current_.seq >= seq) return;
+  batch_seq_ = seq;
+  current_.seq = seq;
+}
+
 void Logger::Reset(uint64_t seq) {
   std::lock_guard<std::mutex> g(mu_);
   unflushed_records_ = 0;
@@ -475,6 +482,19 @@ FlushCost LogManager::FlushAll(Epoch epoch) {
       continue;
     }
     epochs_->SetLoggerPersisted(logger->id(), epoch);
+  }
+  if (num_shards_ == 1) {
+    // Recovery merges every logger's file of one seq into one batch, so
+    // the unsharded streams must close their batches in lockstep. A
+    // logger that received no record in a batch the others just closed
+    // kept its seq; left there, its next records would join that closed
+    // seq's batch, ahead of older records of the same keys in the next
+    // batch, and replay would install them out of commit order. (Each
+    // shard's stream recovers on its own, so sharded loggers need not
+    // align.)
+    uint64_t open = 0;
+    for (auto& logger : loggers_) open = std::max(open, logger->open_seq());
+    for (auto& logger : loggers_) logger->AlignOpenSeq(open);
   }
   // Persist the pepoch watermark (Appendix A). A failed watermark write
   // means the just-flushed epoch stamps are not provably durable: group

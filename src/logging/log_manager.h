@@ -110,6 +110,12 @@ class Logger {
     return current_.seq;
   }
 
+  // Moves an in-progress batch that holds no record yet up to `seq` (no
+  // change otherwise). A batch that closes empty keeps its seq, so a
+  // logger that received no record while the others filled a batch falls
+  // one seq behind them; LogManager::FlushAll realigns it with this.
+  void AlignOpenSeq(uint64_t seq);
+
  private:
   // Writes the owed records, then barriers, retrying both together.
   // Called with mu_ held.

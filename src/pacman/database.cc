@@ -268,8 +268,11 @@ TxnResult Database::Execute(ProcId proc, const std::vector<Value>& params,
   TxnResult result;
   result.status = Status::Internal("not attempted");
   // One attempt. True when it is final: committed, or failed for a
-  // reason a retry cannot fix.
+  // reason a retry cannot fix. Its read pin, taken before Begin() reads
+  // the snapshot and held until the results are evaluated, keeps commits
+  // from freeing a version the attempt's locals view.
   auto attempt_once = [&]() -> bool {
+    const txn::ReadPin pin = txn_manager_.Pin();
     txn::Transaction t = txn_manager_.Begin();
     proc::TxnAccess access(&catalog_, &t);
     t.ReserveFootprint(prog.summary.num_reads, prog.summary.num_writes);
@@ -337,6 +340,7 @@ DriverResult Database::RunWorkers(const TxnGenerator& gen,
 
 logging::FlushCost Database::AdvanceEpoch() {
   std::lock_guard<std::mutex> g(epoch_mu_);
+  txn_manager_.AdvanceHorizon();
   if (read_only()) {
     // Degraded: the durable path already failed permanently. Advancing
     // the epoch without a flush would silently un-anchor the pepoch
@@ -390,11 +394,16 @@ Status Database::TryTakeCheckpoint(logging::CheckpointMeta* out) {
   // ckpt_mu_ serializes id issuance between the background service and
   // manual calls; a failed attempt burns its id (the files of a later
   // retry never collide with the torn leftovers).
+  //
+  // The read pin, taken before the snapshot timestamp is drawn, keeps
+  // commits from freeing the versions the scan reads until it is done.
   std::lock_guard<std::mutex> g(ckpt_mu_);
   logging::CheckpointMeta meta;
+  txn::ReadPin pin = txn_manager_.Pin();
   return checkpointer_->TakeCheckpoint(
       next_ckpt_id_++, txn_manager_.StableTimestamp(),
-      options_.ckpt_files_per_ssd, out != nullptr ? out : &meta);
+      options_.ckpt_files_per_ssd, out != nullptr ? out : &meta,
+      [&pin] { pin.Release(); });
 }
 
 void Database::StartMaintenance() {
@@ -615,8 +624,8 @@ FullRecoveryResult Database::Recover(recovery::Scheme scheme,
     recovery::BatchGates gates;
     const recovery::BatchGates* gates_ptr = nullptr;
     if (overlap) {
-      gates = recovery::AddBatchGates(loader, &graph,
-                                      recovery::CpuGroup(num_ssds));
+      recovery::AddBatchGates(loader, &graph, recovery::CpuGroup(num_ssds),
+                              &gates);
       gates_ptr = &gates;
     }
     switch (scheme) {

@@ -11,13 +11,19 @@
 // A read returns a view, not a decoded row: a pointer to the packed row
 // bytes (common/serializer.h) of the version it resolved to, or to the
 // transaction's own buffered write encoded once. The VM keeps that pointer
-// as the read's local and decodes only the columns it loads. Versions are
-// immutable and outlive every view (storage/tuple.h), so a replayed
+// as the read's local and decodes only the columns it loads. A version's
+// row is immutable, and it lives until an install below a horizon that
+// has passed it frees it (storage/tuple.h). Forward, the caller's read
+// pin keeps the horizon below the transaction's snapshot
+// (Database::Execute). In replay, a ReplayAccess installs below the
+// horizon it is given, which its caller keeps below every version a
+// running piece views (recovery/recovery.h, BatchGates), so a replayed
 // transaction's views stay valid across its pieces and threads even when
 // later installs supersede the versions they point at.
 #ifndef PACMAN_PROC_ACCESS_H_
 #define PACMAN_PROC_ACCESS_H_
 
+#include <atomic>
 #include <cstdint>
 
 #include "common/status.h"
@@ -88,17 +94,22 @@ class TxnAccess : public AccessContext {
 };
 
 // Replay access for command replay: reads current state, installs at a
-// fixed commit ts without a latch (Table::InstallVersionUnlatched).
+// fixed commit ts without a latch (Table::InstallVersionUnlatched),
+// reclaiming below `*horizon` as it stands at each install (nothing
+// without one, as on a simulated graph).
 // (A (table, key) -> slot memo in front of the index was tried here and
 // measured ~10% slower than the plain index lookup on the replay path.)
 class ReplayAccess : public AccessContext {
  public:
-  explicit ReplayAccess(storage::Catalog* catalog) : catalog_(catalog) {}
+  explicit ReplayAccess(storage::Catalog* catalog,
+                        const std::atomic<Timestamp>* horizon = nullptr)
+      : catalog_(catalog), horizon_(horizon) {}
 
   void set_commit_ts(Timestamp cts) { cts_ = cts; }
 
   // Views the newest version; an install that later supersedes it leaves
-  // the viewed version in the chain.
+  // the viewed version in the chain until the horizon passes the newer
+  // one.
   Status ReadTable(storage::Table* t, TableId /*table*/, Key key,
                    const uint8_t** row) override {
     reads_++;
@@ -116,8 +127,10 @@ class ReplayAccess : public AccessContext {
                   const Row& row, bool deleted,
                   bool /*is_insert*/) override {
     writes_++;
-    storage::Table::InstallVersionUnlatched(t->GetOrCreateSlot(key), row,
-                                            cts_, deleted);
+    storage::Table::InstallVersionUnlatched(
+        t->GetOrCreateSlot(key), row, cts_, deleted,
+        horizon_ != nullptr ? horizon_->load(std::memory_order_acquire)
+                            : kInvalidTimestamp);
   }
 
   uint64_t reads() const { return reads_; }
@@ -125,6 +138,7 @@ class ReplayAccess : public AccessContext {
 
  private:
   storage::Catalog* catalog_;
+  const std::atomic<Timestamp>* horizon_;
   Timestamp cts_ = kInvalidTimestamp;
   uint64_t reads_ = 0;
   uint64_t writes_ = 0;

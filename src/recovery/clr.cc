@@ -31,9 +31,12 @@ void BuildClrReplay(const std::vector<GlobalBatch>& batches,
     // run at commit quiesce barriers), so batch-sequential replay is
     // TID-order replay — equivalent to the forward schedule.
     const GlobalBatch* b = &batch;
-    sim::TaskId replay = graph->AddTask(cpu, batch.seq, [b, catalog,
+    // A gated graph reclaims below its released batches (BatchGates).
+    const std::atomic<Timestamp>* horizon =
+        gates != nullptr ? &gates->horizon : nullptr;
+    sim::TaskId replay = graph->AddTask(cpu, batch.seq, [b, catalog, horizon,
                                                          &programs] {
-      proc::ReplayAccess access(catalog);
+      proc::ReplayAccess access(catalog, horizon);
       // Replay-thread arena: VM registers/locals/scratch recycled across
       // all re-executed transactions of this thread.
       thread_local proc::ExecArena arena;

@@ -17,8 +17,9 @@ struct TxnReplay {
   const logging::LogRecord* rec = nullptr;
   // Locals shared by all pieces of the transaction (different threads may
   // run them): one view per read, into a version that stays in its chain
-  // however many installs later supersede it. Registers and scratch are
-  // bound from each replay thread's own arena at piece execution time.
+  // however many installs later supersede it, until the batch is released
+  // (BatchGates). Registers and scratch are bound from each replay
+  // thread's own arena at piece execution time.
   proc::VmTxnLocals vm_locals;
 };
 
@@ -128,6 +129,9 @@ void BuildClrPReplay(const analysis::GlobalDependencyGraph& gdg,
   const bool reload_only = options.reload_only;
   const PacmanMode mode = options.mode;
 
+  // A gated graph reclaims below its released batches (BatchGates).
+  const std::atomic<Timestamp>* horizon =
+      gates != nullptr ? &gates->horizon : nullptr;
   // Shared by the task closures, which may outlive this builder frame.
   auto table_block =
       std::make_shared<std::unordered_map<TableId, BlockId>>(
@@ -169,9 +173,9 @@ void BuildClrPReplay(const analysis::GlobalDependencyGraph& gdg,
     for (BlockId k = 0; k < num_blocks; ++k) {
       const uint32_t cores =
           mode == PacmanMode::kStaticOnly ? 1u : block_cores[k];
-      auto run_piece_set = [txns, k, mode, catalog, table_block, &gdg,
-                            &programs] {
-        proc::ReplayAccess access(catalog);
+      auto run_piece_set = [txns, k, mode, catalog, horizon, table_block,
+                            &gdg, &programs] {
+        proc::ReplayAccess access(catalog, horizon);
         // This replay thread's private registers/scratch; the
         // per-transaction locals live in TxnReplay::vm_locals.
         thread_local proc::ExecArena arena;

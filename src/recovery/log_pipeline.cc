@@ -279,11 +279,10 @@ Status PipelinedLogLoader::WaitAll() {
   return error_;
 }
 
-BatchGates AddBatchGates(PipelinedLogLoader* loader, sim::TaskGraph* graph,
-                         sim::GroupId group) {
-  BatchGates gates;
-  gates.release = [loader](size_t k) { loader->Release(k); };
-  gates.tasks.reserve(loader->num_batches());
+void AddBatchGates(PipelinedLogLoader* loader, sim::TaskGraph* graph,
+                   sim::GroupId group, BatchGates* gates) {
+  gates->release = [loader](size_t k) { loader->Release(k); };
+  gates->tasks.reserve(loader->num_batches());
   sim::TaskId prev = sim::kInvalidTask;
   for (size_t k = 0; k < loader->num_batches(); ++k) {
     sim::TaskId gate =
@@ -294,9 +293,8 @@ BatchGates AddBatchGates(PipelinedLogLoader* loader, sim::TaskGraph* graph,
         });
     if (prev != sim::kInvalidTask) graph->AddEdge(prev, gate);
     prev = gate;
-    gates.tasks.push_back(gate);
+    gates->tasks.push_back(gate);
   }
-  return gates;
 }
 
 CheckpointPrefetch::CheckpointPrefetch(

@@ -244,7 +244,8 @@ class PipelinedLogLoader {
 
 // Adds one zero-cost gate task per global batch to `graph`, chained
 // gate(k-1) -> gate(k), whose dispatch blocks until `loader` publishes
-// batch k, and returns them with the loader's Release as the release.
+// batch k, and sets them in *gates with the loader's Release as the
+// release.
 // Replay builders edge gate(k) in front of batch k's tasks and a release
 // task behind them, so a real-thread replay run starts batch k the moment
 // the pipeline merges it while later batches are still loading, and
@@ -252,8 +253,8 @@ class PipelinedLogLoader {
 // in a gate at a time; the loader runs on its own pool, so the blocked
 // worker cannot starve the load. Aborts loudly if the pipeline failed
 // (corrupt batch file).
-BatchGates AddBatchGates(PipelinedLogLoader* loader, sim::TaskGraph* graph,
-                         sim::GroupId group);
+void AddBatchGates(PipelinedLogLoader* loader, sim::TaskGraph* graph,
+                   sim::GroupId group, BatchGates* gates);
 
 // Parallel checkpoint-stripe load: submits one read job per stripe of
 // `meta` to `pool`; the checkpoint-recovery graph consumes the stripes'

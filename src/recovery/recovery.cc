@@ -86,9 +86,18 @@ void AddReleaseStage(const std::vector<GlobalBatch>& batches, size_t index,
   if (gates == nullptr) return;
   const sim::TaskId release = graph->AddTask(
       group, batches[index].seq,
-      [release = gates->release, index, free = std::move(free_state)] {
+      [gates, batch = &batches[index], index, free = std::move(free_state)] {
+        // Records ascend by commit TID, and go with the release below.
+        if (!batch->records.empty()) {
+          const Timestamp last = batch->records.back()->commit_ts;
+          Timestamp cur = gates->horizon.load(std::memory_order_relaxed);
+          while (cur < last && !gates->horizon.compare_exchange_weak(
+                                   cur, last, std::memory_order_release,
+                                   std::memory_order_relaxed)) {
+          }
+        }
         if (free) free();
-        release(index);
+        gates->release(index);
         return sim::Work();
       });
   for (sim::TaskId t : replayed) graph->AddEdge(t, release);

@@ -3,6 +3,7 @@
 #ifndef PACMAN_RECOVERY_RECOVERY_H_
 #define PACMAN_RECOVERY_RECOVERY_H_
 
+#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <string>
@@ -130,9 +131,27 @@ void PriceStats(const CostModel& costs, Scheme scheme, uint32_t threads,
 // waits behind, and the release that hands a replayed batch back to its
 // loader (PipelinedLogLoader::Release), which frees the batch's records
 // and file buffers and lets the readers load further ahead.
+//
+// `horizon` is the largest commit TID of the batches released so far, the
+// horizon command replay reclaims below (ReplayAccess). CLR and CLR-P
+// release a batch only once every batch before it has replayed too: CLR
+// chains its serial replay, and CLR-P each block's piece-sets, batch to
+// batch. So every transaction at or below the horizon has finished, and
+// every piece still running belongs to a later batch, whose TIDs (batches
+// are TID intervals) are all above it. Such a piece reads, and may keep
+// viewing, the version of a key that the last writer below its own TID
+// installed. BuildGlobalGraph puts every slice that touches a written
+// table in one block, so every install on that key after the read runs
+// later in that block, at a higher TID. The versions above the view are
+// therefore all above the horizon, so the view is the version the horizon
+// keeps or lies above it, and no install frees it.
+//
+// A gated graph's tasks point into its BatchGates: it must outlive the
+// graph's run.
 struct BatchGates {
   std::vector<sim::TaskId> tasks;
   std::function<void(size_t)> release;
+  mutable std::atomic<Timestamp> horizon{kInvalidTimestamp};
 };
 
 // Appends the reload stage of batches[index], the stage every log-replay
@@ -153,9 +172,11 @@ sim::TaskId AddReloadStage(const std::vector<GlobalBatch>& batches,
 // Appends the release of batches[index], the stage every log-replay
 // builder ends a batch with on a gated graph: one zero-cost task on
 // `group` behind `replayed` (the batch's last tasks to read its records)
-// that runs `free_state`, if set, to drop the per-batch state those tasks
-// share, then gates->release(index). Without `gates` it adds nothing, so
-// a simulated graph, which holds the whole log anyway, is unchanged.
+// that raises gates->horizon to the batch's largest commit TID, runs
+// `free_state`, if set, to drop the per-batch state those tasks share,
+// then gates->release(index). Without `gates` it adds nothing, so a
+// simulated graph, which holds the whole log anyway, is unchanged and
+// reclaims nothing.
 void AddReleaseStage(const std::vector<GlobalBatch>& batches, size_t index,
                      const BatchGates* gates,
                      const std::vector<sim::TaskId>& replayed,

@@ -96,6 +96,9 @@ void BuildTupleLogReplay(Scheme scheme,
           // The image's row bytes are copied into the version as they are.
           const uint8_t* row = w.rec->ImageRow(*w.image);
           const size_t size = w.image->size;
+          // Tuple replay views no version, so each install frees every
+          // version below its own: a key keeps one version, its newest.
+          const Timestamp horizon = w.rec->commit_ts;
           if (scheme == Scheme::kLlrP) {
             // Keys are partition-owned and their images arrive in
             // ascending commit TID — the per-key invariant the parallel
@@ -104,15 +107,17 @@ void BuildTupleLogReplay(Scheme scheme,
             // guaranteed nor needed. The in-order install below would
             // corrupt the chain on any violation (its begin_ts DCHECK is
             // the debug-build tripwire).
-            storage::Table::InstallRowUnlatched(
-                slot, row, size, w.rec->commit_ts, w.image->deleted);
+            storage::Table::InstallRowUnlatched(slot, row, size,
+                                                w.rec->commit_ts,
+                                                w.image->deleted, horizon);
           } else {
             // PLR/LLR threads replay out of order within the batch:
             // last-writer-wins by TID resolves same-key races, which is
             // sound for exactly the same reason — per key, TID order is
             // install order.
             storage::Table::InstallRowLastWriterWins(
-                slot, row, size, w.rec->commit_ts, w.image->deleted);
+                slot, row, size, w.rec->commit_ts, w.image->deleted,
+                horizon);
           }
         }
         return sim::Work{.writes = part.size(),

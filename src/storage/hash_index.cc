@@ -46,7 +46,7 @@ void HashIndex::Grow(Shard* s) const {
   s->bits = grown.bits;
 }
 
-bool HashIndex::Insert(Key key, void* value) {
+void* HashIndex::Insert(Key key, void* value) {
   PACMAN_CHECK_MSG(value != nullptr,
                    "HashIndex values must be non-null: null marks an empty "
                    "entry");
@@ -54,17 +54,18 @@ bool HashIndex::Insert(Key key, void* value) {
   Shard& s = ShardOf(hash);
   s.latch.LockExclusive();
   size_t i = Find(s, hash, key);
-  const bool inserted = s.entries[i].value == nullptr;
-  if (inserted) {
+  void* mapped = s.entries[i].value;
+  if (mapped == nullptr) {
     if ((s.size + 1) * 8 > (uint64_t{7} << s.bits)) {
       Grow(&s);
       i = Find(s, hash, key);
     }
     s.entries[i] = {key, value};
     ++s.size;
+    mapped = value;
   }
   s.latch.UnlockExclusive();
-  return inserted;
+  return mapped;
 }
 
 void* HashIndex::Lookup(Key key) const {

@@ -40,10 +40,11 @@ class HashIndex {
   explicit HashIndex(uint32_t num_shards = kNumShards);
   PACMAN_DISALLOW_COPY_AND_MOVE(HashIndex);
 
-  // Inserts key -> value; returns false, changing nothing, if the key
-  // already exists. `value` must not be null (PACMAN_CHECKed): null marks
-  // an empty entry.
-  bool Insert(Key key, void* value);
+  // Inserts key -> value unless the key is present, and returns the value
+  // the key maps to afterwards: `value` when it was inserted, else the
+  // present one, unchanged. One probe either way. `value` must not be
+  // null (PACMAN_CHECKed): null marks an empty entry.
+  void* Insert(Key key, void* value);
 
   // Returns the value or nullptr.
   void* Lookup(Key key) const;

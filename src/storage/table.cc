@@ -29,13 +29,33 @@ uint32_t LatchShardsPerPartition(uint32_t num_shards) {
   return std::max(8u, budget);
 }
 
-// Links `v`, whose `older` is the slot's newest version, as the newest and
-// publishes its stamp: the step both unlatched installs end with.
-void LinkVersion(TupleSlot* slot, Version* v) {
+// The one truncation step: frees every version of the chain from `newest`
+// down that is older than the newest one with begin_ts <= horizon, and
+// ends the chain at that one. A reader at a timestamp >= horizon stops at
+// or above it, never reading the `older` link this clears.
+void Truncate(Version* newest, Timestamp horizon) {
+  if (horizon == kInvalidTimestamp) return;
+  Version* keep = newest;
+  while (keep != nullptr && keep->begin_ts > horizon) keep = keep->older;
+  if (keep == nullptr) return;
+  Version* v = keep->older;
+  keep->older = nullptr;
+  while (v != nullptr) {
+    Version* older = v->older;
+    Version::Free(v);
+    v = older;
+  }
+}
+
+// Links `v`, whose `older` is the slot's newest version, as the newest,
+// reclaims below `horizon` and publishes its stamp: the step every install
+// ends with.
+void LinkVersion(TupleSlot* slot, Version* v, Timestamp horizon) {
   // Equal timestamps occur when one transaction writes a key twice; the
   // later install (program order) supersedes.
   PACMAN_DCHECK(v->older == nullptr || v->older->begin_ts <= v->begin_ts);
   slot->newest.store(v, std::memory_order_release);
+  Truncate(v, horizon);
   // Publish the commit stamp last: on a write-locked slot this single
   // release store is also the unlock, so a validator that observes the
   // slot unlocked with an unchanged stamp is guaranteed the version chain
@@ -91,15 +111,15 @@ TupleSlot* Table::GetOrCreateSlot(Key key) {
   Partition& part = Part(key);
   TupleSlot* slot = IndexLookup(part, key);
   if (slot != nullptr) return slot;
+  // Create a slot speculatively and offer it to the index, which hands
+  // back the slot another thread indexed first, if one did since the
+  // lookup. The arena latch, held across the offer, keeps the speculative
+  // slot the arena's last, so a lost race pops it again.
   SpinLatchGuard g(part.arena_latch);
-  // Re-check under the arena latch; another thread may have created it.
-  slot = IndexLookup(part, key);
-  if (slot != nullptr) return slot;
-  part.arena.emplace_back();
-  slot = &part.arena.back();
-  slot->key = key;
-  const bool inserted = part.index->Insert(key, slot);
-  PACMAN_CHECK(inserted);
+  TupleSlot* created = &part.arena.emplace_back();
+  created->key = key;
+  slot = static_cast<TupleSlot*>(part.index->Insert(key, created));
+  if (slot != created) part.arena.pop_back();
   return slot;
 }
 
@@ -146,22 +166,27 @@ Status Table::Read(Key key, Timestamp ts, Row* out) const {
 }
 
 void Table::InstallVersionUnlatched(TupleSlot* slot, const Row& row,
-                                    Timestamp ts, bool deleted) {
-  LinkVersion(slot, Version::New(ts, deleted,
-                                 slot->newest.load(std::memory_order_relaxed),
-                                 row));
+                                    Timestamp ts, bool deleted,
+                                    Timestamp horizon) {
+  LinkVersion(slot,
+              Version::New(ts, deleted,
+                           slot->newest.load(std::memory_order_relaxed), row),
+              horizon);
 }
 
 void Table::InstallRowUnlatched(TupleSlot* slot, const uint8_t* row,
-                                size_t size, Timestamp ts, bool deleted) {
-  LinkVersion(slot, Version::New(ts, deleted,
-                                 slot->newest.load(std::memory_order_relaxed),
-                                 row, size));
+                                size_t size, Timestamp ts, bool deleted,
+                                Timestamp horizon) {
+  LinkVersion(slot,
+              Version::New(ts, deleted,
+                           slot->newest.load(std::memory_order_relaxed), row,
+                           size),
+              horizon);
 }
 
 bool Table::InstallRowLastWriterWins(TupleSlot* slot, const uint8_t* row,
-                                     size_t size, Timestamp ts,
-                                     bool deleted) {
+                                     size_t size, Timestamp ts, bool deleted,
+                                     Timestamp horizon) {
   slot->wlock.Lock();
   const Version* old = slot->newest.load(std::memory_order_relaxed);
   if (old != nullptr && old->begin_ts >= ts) {
@@ -169,7 +194,7 @@ bool Table::InstallRowLastWriterWins(TupleSlot* slot, const uint8_t* row,
     return false;
   }
   // Publishing unlocks.
-  InstallRowUnlatched(slot, row, size, ts, deleted);
+  InstallRowUnlatched(slot, row, size, ts, deleted, horizon);
   return true;
 }
 
@@ -197,6 +222,19 @@ std::vector<TupleSlot*> Table::SnapshotSlots() const {
 uint64_t Table::NumKeys() const {
   uint64_t n = 0;
   for (uint32_t s = 0; s < num_parts_; ++s) n += parts_[s].arena.size();
+  return n;
+}
+
+uint64_t Table::NumVersions() const {
+  uint64_t n = 0;
+  for (uint32_t s = 0; s < num_parts_; ++s) {
+    for (const TupleSlot& slot : parts_[s].arena) {
+      for (const Version* v = slot.newest.load(std::memory_order_acquire);
+           v != nullptr; v = v->older) {
+        ++n;
+      }
+    }
+  }
   return n;
 }
 

@@ -55,9 +55,10 @@ class Table {
 
   // --- MVCC reads -------------------------------------------------------
   // Points *row at the packed bytes (common/serializer.h) of the row
-  // visible at `ts`: a view into the version itself, valid while the
-  // database is open (storage/tuple.h). kNotFound, with *row null, if
-  // absent/deleted.
+  // visible at `ts`: a view into the version itself, valid until an
+  // install reclaims it (storage/tuple.h). `ts` must not be below the
+  // horizon later installs on the key may pass, or the read is undefined.
+  // kNotFound, with *row null, if absent/deleted.
   Status Read(Key key, Timestamp ts, const uint8_t** row) const;
   // Same, and also reports the begin_ts of the version the read resolved
   // to (tombstones included), or 0 when the key had no version at `ts`,
@@ -75,6 +76,15 @@ class Table {
   // begin_ts; on a slot the caller write-locked, the stamp publication
   // doubles as the unlock (commit's install-and-release step).
   //
+  // Every install also reclaims: before it publishes the stamp it frees
+  // each version of the slot older than the newest one with begin_ts <=
+  // `horizon` (none when no version is that old; kInvalidTimestamp
+  // reclaims nothing). The walk to that version runs inside the exclusion
+  // the install already holds on the slot, so two installs never cut one
+  // chain at once. The caller guarantees that no reader still views, or
+  // will read at a timestamp that resolves to, a version below the one
+  // the horizon keeps (storage/tuple.h).
+  //
   // Appends a committed version on `slot` without taking the latch: used
   // by forward processing (the committer holds the slot's write lock,
   // which this install releases) and by PACMAN's command replay, whose
@@ -82,7 +92,8 @@ class Table {
   // provably unnecessary (§4.5). `ts` must not be below the current
   // newest version's begin_ts.
   static void InstallVersionUnlatched(TupleSlot* slot, const Row& row,
-                                      Timestamp ts, bool deleted = false);
+                                      Timestamp ts, bool deleted = false,
+                                      Timestamp horizon = kInvalidTimestamp);
   // The installs of tuple-level replay, from a log image's row: the
   // `size` compact bytes at `row` (common/serializer.h, one
   // CheckCompactRow accepted), copied into the version with one memcpy.
@@ -90,16 +101,18 @@ class Table {
   // Unlatched, as above: LLR-P's per-key ordered installs.
   static void InstallRowUnlatched(TupleSlot* slot, const uint8_t* row,
                                   size_t size, Timestamp ts,
-                                  bool deleted = false);
+                                  bool deleted = false,
+                                  Timestamp horizon = kInvalidTimestamp);
   // Last-writer-wins install (Thomas write rule): drops the write if a
   // version with begin_ts >= ts is already in place. Used by PLR/LLR whose
   // threads replay log records out of order. Takes the slot latch — the
   // stamp word's lock bit, which the install's stamp publication
-  // releases; a dropped write releases it with the stamp unchanged.
-  // Returns whether the write was installed.
+  // releases; a dropped write releases it with the stamp unchanged and
+  // reclaims nothing. Returns whether the write was installed.
   static bool InstallRowLastWriterWins(TupleSlot* slot, const uint8_t* row,
                                        size_t size, Timestamp ts,
-                                       bool deleted = false);
+                                       bool deleted = false,
+                                       Timestamp horizon = kInvalidTimestamp);
 
   // Visits every slot (any order, including logically deleted tuples).
   // NOT safe against concurrent slot creation; single-threaded callers
@@ -117,6 +130,9 @@ class Table {
 
   // --- Introspection ------------------------------------------------------
   uint64_t NumKeys() const;
+  // Versions in every chain, superseded ones included: a walk of every
+  // chain, for quiescent callers (tests, tools) only.
+  uint64_t NumVersions() const;
   // Order-independent fingerprint of the visible content at `ts`; used by
   // the recovery correctness checks (recovered state must match pre-crash).
   uint64_t ContentHash(Timestamp ts) const;

@@ -24,12 +24,26 @@
 // Readers view those bytes in place (Table::Read returns a pointer to
 // them): a VM local is such a view, held for a forward transaction's whole
 // attempt and, under CLR-P, across the pieces and threads of a replayed
-// transaction. That is sound because a version is immutable once linked
-// and nothing frees it while the database is open: a newer version only
-// supersedes it in the chain, and only Table::Reset (a crash) frees
-// chains. A version that a running transaction or a recovery may still
-// view must not be freed; reclaiming old versions (by epoch, as Silo
-// does) has to wait until no such view can remain.
+// transaction. A version's row is immutable once linked, and the version
+// lives until an install on its slot reclaims it. Every install takes a
+// horizon and, inside the exclusion it already holds on the slot, frees
+// each version older than the newest one at or below that horizon. A
+// view of version V therefore stays valid while no install on V's slot
+// can be handed a horizon at or above the begin_ts of a version newer
+// than V. The installs' callers guarantee it:
+//  - forward: a transaction attempt and a checkpoint scan hold a read pin
+//    (txn/reclaim_horizon.h) from before they read the commit clock until
+//    their last view is done. The horizon commits install under stays at
+//    or below every pinned snapshot, and a read at such a snapshot stops
+//    at or above the version the horizon keeps;
+//  - recovery: tuple replay views nothing, so it installs at its own
+//    commit TID. CLR and CLR-P install below the largest TID of the
+//    batches their gated graph has released, which no running piece reads
+//    below (recovery/recovery.h, BatchGates).
+// A read below the horizon (Table::Read at an older timestamp) may walk
+// into a freed version: it is undefined. Whole-table scans
+// (ContentHash, VisibleCount, NumVersions) are for quiescent points only.
+// Table::Reset (a crash) frees every chain.
 #ifndef PACMAN_STORAGE_TUPLE_H_
 #define PACMAN_STORAGE_TUPLE_H_
 
@@ -46,12 +60,13 @@
 namespace pacman::storage {
 
 // One committed version of a tuple: this header, then the row's encoded
-// bytes in the same allocation. Immutable once linked into the chain, so
-// row() may be viewed for as long as the version lives.
+// bytes in the same allocation. Immutable once linked into the chain,
+// except `older`, which the install that frees the versions below it
+// clears; so row() may be viewed for as long as the version lives.
 // Created by New, freed by Free; never copied or built on its own.
 struct Version {
   Timestamp begin_ts;  // Creator's commit timestamp.
-  Version* older;      // Next-older version, or nullptr.
+  Version* older;      // Next-older version, or nullptr (none, or reclaimed).
   bool deleted;        // Tombstone (SQL DELETE).
 
   // Where the row bytes start: right after `deleted`, in what would

@@ -261,10 +261,13 @@ Status TransactionManager::Commit(Transaction* t, CommitInfo* info) {
   // a cut, at no cost.
   if (hook_) hook_(*t, *info);
 
-  // Phase 5: install. Publishing each slot's new stamp is the unlock.
+  // Phase 5: install, reclaiming below the horizon under each slot's
+  // lock. Publishing each slot's new stamp is the unlock.
+  const Timestamp horizon = horizon_.Get();
   for (size_t i = 0; i < t->write_set_.size(); ++i) {
     WriteEntry& w = t->write_set_[i];
-    storage::Table::InstallVersionUnlatched(locked[i], w.row, cts, w.deleted);
+    storage::Table::InstallVersionUnlatched(locked[i], w.row, cts, w.deleted,
+                                            horizon);
   }
 
   AdvanceLastCommitted(cts);

@@ -7,7 +7,12 @@
 // (storage/tuple.h), not a decoded copy; a read of the transaction's own
 // buffered write views that write's row, encoded once into storage the
 // Transaction owns. Either view stays valid for the Transaction's life,
-// commit included, so results can be evaluated after commit.
+// commit included, so results can be evaluated after commit, provided
+// the caller held a read pin (Pin()) from before Begin() for as long as
+// it keeps a view: commits free the versions below the reclamation
+// horizon (txn/reclaim_horizon.h), which stays below every pinned
+// snapshot. A transaction run without a pin may view a freed version
+// once the horizon passes its snapshot.
 //
 // Commit never enters a global critical section: it write-locks
 // only its own write-set slots (per-TupleSlot stamp locks, acquired in
@@ -52,6 +57,7 @@
 #include "common/types.h"
 #include "storage/table.h"
 #include "txn/epoch_manager.h"
+#include "txn/reclaim_horizon.h"
 
 namespace pacman::txn {
 
@@ -196,9 +202,14 @@ class TransactionManager {
       : epochs_(epochs) {}
   PACMAN_DISALLOW_COPY_AND_MOVE(TransactionManager);
 
+  // Takes a read pin (txn/reclaim_horizon.h). Begin() and StableTimestamp()
+  // after it read snapshots the horizon stays at or below while it is held.
+  ReadPin Pin() { return horizon_.Pin(); }
+
   Transaction Begin() {
     Transaction t;
-    t.read_ts_ = last_committed_.load(std::memory_order_acquire);
+    // seq_cst: the pin protocol orders this read after the caller's pin.
+    t.read_ts_ = last_committed_.load(std::memory_order_seq_cst);
     return t;
   }
 
@@ -248,11 +259,25 @@ class TransactionManager {
   // starvation). `fn` must not quiesce again.
   void QuiesceCommits(const std::function<void()>& fn);
 
-  // Advances the timestamp/commit-order sources after recovery so that new
-  // transactions commit after everything that was replayed.
+  // One step of the reclamation horizon's flip protocol, at the commit
+  // clock's current value; Database::AdvanceEpoch runs it once per epoch.
+  // A commit frees, in each slot it writes, the versions below the newest
+  // one at or below the horizon.
+  void AdvanceHorizon() {
+    horizon_.Advance(last_committed_.load(std::memory_order_seq_cst));
+  }
+  Timestamp horizon() const { return horizon_.Get(); }
+
+  // Resets the timestamp/commit-order sources after recovery so that new
+  // transactions commit after everything that was replayed. The horizon
+  // is clamped to the recovered watermark: a recovery that lands below the
+  // pre-crash clock (a degraded crash drops unacknowledged commits) draws
+  // those TIDs again, and a horizon above them would free versions that
+  // snapshots below it still read.
   void ResetAfterRecovery(Timestamp last_committed) {
     last_committed_.store(last_committed, std::memory_order_release);
     next_tid_.store(last_committed, std::memory_order_release);
+    horizon_.Clamp(last_committed);
   }
 
   uint64_t num_aborts() const {
@@ -300,6 +325,7 @@ class TransactionManager {
   std::atomic<uint64_t> num_aborts_{0};
   std::atomic<uint64_t> lock_waits_{0};
   CommitHook hook_;
+  ReclaimHorizon horizon_;
 };
 
 }  // namespace pacman::txn

@@ -49,6 +49,33 @@ class LoggingTest : public ::testing::Test {
       .num_users = 200, .num_nations = 16, .single_fraction = 0.0}};
 };
 
+// Every batch of an unsharded log is an exact commit-TID interval, also
+// when a logger receives no record while the other fills a batch. The
+// first commit's TID is odd and routes to logger 1, so logger 0 closes
+// that batch empty; the next commits alternate between the loggers, and
+// logger 0's must not join the batch logger 1 closed, ahead of logger 1's
+// older records in the next one.
+TEST_F(LoggingTest, BatchesStayTidIntervalsWhenALoggerSkipsABatch) {
+  auto db = MakeDb(LogScheme::kCommand, /*commits_per_epoch=*/0);
+  for (int n : {1, 2, 3}) {
+    RunTxns(db.get(), n, /*seed=*/n);
+    for (int e = 0; e < 2; ++e) {  // epochs_per_batch = 2.
+      ASSERT_TRUE(db->AdvanceEpoch().status.ok());
+    }
+  }
+  ASSERT_TRUE(db->log_manager()->FinalizeAll().ok());
+
+  auto log = testutil::LoadLog(LogScheme::kCommand, db->device_ptrs());
+  ASSERT_TRUE(log->status.ok());
+  ASSERT_EQ(log->batches().size(), 3u);
+  Timestamp prev_max = kInvalidTimestamp;
+  for (const recovery::GlobalBatch& b : log->batches()) {
+    ASSERT_FALSE(b.records.empty()) << "seq " << b.seq;
+    EXPECT_GT(b.records.front()->commit_ts, prev_max) << "seq " << b.seq;
+    prev_max = b.records.back()->commit_ts;
+  }
+}
+
 TEST_F(LoggingTest, CommandLoggingProducesOrderedBatches) {
   auto db = MakeDb(LogScheme::kCommand);
   RunTxns(db.get(), 100);

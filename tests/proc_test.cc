@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 
 #include "proc/compiler.h"
 #include "proc/exec_arena.h"
@@ -276,9 +277,12 @@ TEST_F(VmTest, FieldPastLastColumnIsNull) {
   EXPECT_EQ(out[4].AsInt64(), 0);
 }
 
-// Replay installs a newer version of a key a local still views: the local
-// keeps viewing the version it read (superseded, not freed), so later ops
-// and the results see the old row while a fresh read sees the new one.
+// Replay installs a newer version of a key a local still views. With the
+// replay's reclamation horizon below the transaction, the local keeps
+// viewing the version it read (superseded, not freed), so later ops and
+// the results see the old row while a fresh read sees the new one. Once
+// the horizon reaches the transaction, the next install on the key frees
+// the viewed version, and the chain ends at the version the horizon keeps.
 TEST_F(VmTest, ViewSurvivesLaterInstallOnSameKey) {
   ProcedureBuilder b("overwrite", 1);
   const int before = b.Read("T", P(0));
@@ -289,11 +293,15 @@ TEST_F(VmTest, ViewSurvivesLaterInstallOnSameKey) {
   b.Emit(F(after, 0));
   const ProcId id = Register(b.Build());
 
+  // Below the transaction's commit TID (10), above the loaded rows' (1).
+  std::atomic<Timestamp> horizon{5};
+  ReplayAccess access(&catalog_, &horizon);
+  access.set_commit_ts(10);
   const std::vector<Value> args = {Value(int64_t{3})};
   VmState st = arena_.Bind(Program(id), &args);
-  ASSERT_TRUE(VmExecuteAll(&st, &access_).ok());
-  const storage::Version* newest =
-      catalog_.GetTable("T")->GetSlot(3)->newest.load();
+  ASSERT_TRUE(VmExecuteAll(&st, &access).ok());
+  storage::TupleSlot* slot = catalog_.GetTable("T")->GetSlot(3);
+  const storage::Version* newest = slot->newest.load();
   ASSERT_NE(newest->older, nullptr);
   EXPECT_EQ(st.locals[before], newest->older->row());
   EXPECT_EQ(st.locals[after], newest->row());
@@ -302,6 +310,20 @@ TEST_F(VmTest, ViewSurvivesLaterInstallOnSameKey) {
   EXPECT_EQ(out[1].AsInt64(), 77);
   EXPECT_EQ(ReadRow("T", 8)[0].AsInt64(), 3);
   EXPECT_EQ(ReadRow("T", 3)[0].AsInt64(), 77);
+
+  // The horizon passes the transaction: the next install on T[3] keeps
+  // the version at 10 (the newest at or below it) and frees the one the
+  // local viewed.
+  horizon.store(10);
+  access.set_commit_ts(11);
+  access.Write(catalog_.GetTableId("T"), 3, {Value(int64_t{78})},
+               /*deleted=*/false, /*is_insert=*/false);
+  newest = slot->newest.load();
+  EXPECT_EQ(newest->begin_ts, 11u);
+  ASSERT_NE(newest->older, nullptr);
+  EXPECT_EQ(newest->older->begin_ts, 10u);
+  EXPECT_EQ(newest->older->row(), st.locals[after]);
+  EXPECT_EQ(newest->older->older, nullptr);
 }
 
 // Every VM op that needs a number treats a field of an absent local (Null)

@@ -47,8 +47,8 @@ TEST(HashIndexTest, InsertLookup) {
   HashIndex idx;
   int a = 0, b = 0;
   EXPECT_EQ(idx.Lookup(1), nullptr);
-  EXPECT_TRUE(idx.Insert(1, &a));
-  EXPECT_FALSE(idx.Insert(1, &b));
+  EXPECT_EQ(idx.Insert(1, &a), &a);
+  EXPECT_EQ(idx.Insert(1, &b), &a);  // Present: the first value, kept.
   EXPECT_EQ(idx.Lookup(1), &a);
   EXPECT_EQ(idx.Lookup(2), nullptr);
 }
@@ -60,9 +60,9 @@ TEST(HashIndexTest, EdgeKeysAreStorableAndNullValuesAreRefused) {
   constexpr Key kMax = ~Key{0};
   EXPECT_EQ(idx.Lookup(0), nullptr);
   EXPECT_EQ(idx.Lookup(kMax), nullptr);
-  EXPECT_TRUE(idx.Insert(0, Ptr(1)));
-  EXPECT_TRUE(idx.Insert(kMax, Ptr(2)));
-  EXPECT_FALSE(idx.Insert(0, Ptr(3)));
+  EXPECT_EQ(idx.Insert(0, Ptr(1)), Ptr(1));
+  EXPECT_EQ(idx.Insert(kMax, Ptr(2)), Ptr(2));
+  EXPECT_EQ(idx.Insert(0, Ptr(3)), Ptr(1));
   EXPECT_EQ(idx.Lookup(0), Ptr(1));
   EXPECT_EQ(idx.Lookup(kMax), Ptr(2));
   EXPECT_EQ(idx.Lookup(1), nullptr);
@@ -88,13 +88,13 @@ TEST(HashIndexTest, KeysSharingShardAndProbeStartStayReachable) {
   for (uint32_t shards : {1u, 64u}) {
     SCOPED_TRACE("shards " + std::to_string(shards));
     HashIndex idx(shards);
-    ASSERT_TRUE(idx.Insert(0, Ptr(1)));  // A neighbour outside the run.
+    ASSERT_EQ(idx.Insert(0, Ptr(1)), Ptr(1));  // A neighbour outside the run.
     for (uint64_t j = 0; j < kRun; ++j) {
-      ASSERT_TRUE(idx.Insert(key(j), Ptr(j + 2)));
+      ASSERT_EQ(idx.Insert(key(j), Ptr(j + 2)), Ptr(j + 2));
       ASSERT_EQ(idx.Lookup(key(j / 2)), Ptr(j / 2 + 2));
     }
     for (uint64_t j = 0; j < kRun; ++j) {
-      ASSERT_FALSE(idx.Insert(key(j), Ptr(7)));
+      ASSERT_EQ(idx.Insert(key(j), Ptr(7)), Ptr(j + 2));
       ASSERT_EQ(idx.Lookup(key(j)), Ptr(j + 2));
       ASSERT_EQ(idx.Lookup(key(kRun + j)), nullptr);
     }
@@ -111,11 +111,15 @@ TEST(HashIndexTest, DuplicateInsertsKeepFirstValueAndReleaseLatch) {
   // 7919 is prime to n, so this visits every key once, scattered.
   for (uint64_t i = 0; i < n; ++i) {
     const Key k = i * 7919 % n;
-    ASSERT_TRUE(idx.Insert(k, Ptr(k + 1)));
+    ASSERT_EQ(idx.Insert(k, Ptr(k + 1)), Ptr(k + 1));
   }
-  for (uint64_t k = 0; k < n; ++k) ASSERT_FALSE(idx.Insert(k, Ptr(k + 7)));
+  for (uint64_t k = 0; k < n; ++k) {
+    ASSERT_EQ(idx.Insert(k, Ptr(k + 7)), Ptr(k + 1));
+  }
   for (uint64_t k = 0; k < n; ++k) ASSERT_EQ(idx.Lookup(k), Ptr(k + 1));
-  for (uint64_t k = n; k < 2 * n; ++k) ASSERT_TRUE(idx.Insert(k, Ptr(k + 1)));
+  for (uint64_t k = n; k < 2 * n; ++k) {
+    ASSERT_EQ(idx.Insert(k, Ptr(k + 1)), Ptr(k + 1));
+  }
   for (uint64_t k = 0; k < 2 * n; ++k) ASSERT_EQ(idx.Lookup(k), Ptr(k + 1));
 }
 
@@ -130,7 +134,7 @@ void CheckGrowthPreservesKeysInOrder(KeyOf key_of) {
     SCOPED_TRACE("shards " + std::to_string(shards));
     HashIndex idx(shards);
     for (uint64_t i = 0; i < n; ++i) {
-      ASSERT_TRUE(idx.Insert(key_of(i), Ptr(i + 1)));
+      ASSERT_EQ(idx.Insert(key_of(i), Ptr(i + 1)), Ptr(i + 1));
       if (!std::has_single_bit(i + 1)) continue;
       for (uint64_t j = 0; j <= i; ++j) {
         ASSERT_EQ(idx.Lookup(key_of(j)), Ptr(j + 1)) << "after " << i + 1;
@@ -167,7 +171,8 @@ TEST_P(HashIndexModelTest, MatchesModel) {
   for (uint64_t i = 0; i < 40000; ++i) {
     const Key k = rng.Bernoulli(0.5) ? rng.Uniform(0, 8000) : rng.Next();
     if (rng.Bernoulli(0.5)) {
-      ASSERT_EQ(idx.Insert(k, Ptr(i + 1)), model.emplace(k, Ptr(i + 1)).second)
+      ASSERT_EQ(idx.Insert(k, Ptr(i + 1)),
+                model.emplace(k, Ptr(i + 1)).first->second)
           << "key " << k;
     } else {
       auto it = model.find(k);
@@ -190,7 +195,7 @@ TEST(HashIndexTest, ReadersDuringGrowingInserts) {
   HashIndex idx(2);
   constexpr uint64_t kKeys = 40000;
   for (uint64_t k = 0; k < kKeys; k += 4) {
-    ASSERT_TRUE(idx.Insert(k, Ptr(k + 1)));
+    ASSERT_EQ(idx.Insert(k, Ptr(k + 1)), Ptr(k + 1));
   }
   std::atomic<bool> stop{false};
   std::vector<std::thread> readers;
@@ -211,7 +216,7 @@ TEST(HashIndexTest, ReadersDuringGrowingInserts) {
     writers.emplace_back([&, w]() {
       // Writer 0 inserts keys = 1 mod 4, writer 1 keys = 3 mod 4.
       for (uint64_t k = 1 + 2 * w; k < kKeys; k += 4) {
-        ASSERT_TRUE(idx.Insert(k, Ptr(k + 1)));
+        ASSERT_EQ(idx.Insert(k, Ptr(k + 1)), Ptr(k + 1));
       }
     });
   }
@@ -236,7 +241,7 @@ TEST(HashIndexTest, ParallelDisjointInserts) {
     threads.emplace_back([&idx, t]() {
       for (uint64_t i = 0; i < kPerThread; ++i) {
         const Key k = static_cast<Key>(t) * kPerThread + i;
-        ASSERT_TRUE(idx.Insert(k, Ptr(k + 1)));
+        ASSERT_EQ(idx.Insert(k, Ptr(k + 1)), Ptr(k + 1));
       }
     });
   }
@@ -248,7 +253,8 @@ TEST(HashIndexTest, ParallelDisjointInserts) {
 }
 
 // Threads race to insert the same keys under the shard latches: every key
-// has exactly one winner, and the index keeps the winner's value.
+// has exactly one winner, the index keeps the winner's value, and every
+// loser is handed it.
 TEST(HashIndexTest, RacingInsertsOfOneKeyHaveOneWinner) {
   HashIndex idx;
   constexpr int kThreads = 4;
@@ -261,7 +267,9 @@ TEST(HashIndexTest, RacingInsertsOfOneKeyHaveOneWinner) {
     threads.emplace_back([&, t]() {
       for (Key i = 0; i < kKeys; ++i) {
         const Key k = t % 2 == 0 ? i : kKeys - 1 - i;
-        if (idx.Insert(k, &token[t])) won[t][k] = 1;
+        void* mapped = idx.Insert(k, &token[t]);
+        if (mapped == &token[t]) won[t][k] = 1;
+        ASSERT_EQ(idx.Lookup(k), mapped) << "key " << k;
       }
     });
   }
@@ -525,6 +533,89 @@ TEST(TableTest, LastWriterWinsDropsStaleWrites) {
   EXPECT_EQ(FirstInt(slot->VisibleAt(kMaxTimestamp)), 30);
   EXPECT_TRUE(install(40, 15));
   EXPECT_EQ(FirstInt(slot->VisibleAt(kMaxTimestamp)), 40);
+}
+
+// Every install frees the versions below the newest one at or below its
+// horizon: kInvalidTimestamp keeps them all, a horizon below every version
+// frees none, and a horizon at the install's own timestamp (tuple replay)
+// leaves the new version alone. A dropped last-writer-wins install frees
+// nothing.
+TEST(TableTest, InstallsFreeVersionsBelowTheHorizon) {
+  Table t(0, "t", OneIntSchema());
+  t.LoadRow(1, IntRow(10), 2);
+  TupleSlot* slot = t.GetSlot(1);
+  Table::InstallVersionUnlatched(slot, IntRow(20), 5);
+  Table::InstallVersionUnlatched(slot, IntRow(30), 8, false, /*horizon=*/1);
+  EXPECT_EQ(t.NumVersions(), 3u);  // Nothing at or below 1: none freed.
+
+  // Keeps 5 (the newest at or below 6), frees 2.
+  Table::InstallVersionUnlatched(slot, IntRow(40), 12, false, /*horizon=*/6);
+  EXPECT_EQ(t.NumVersions(), 3u);
+  EXPECT_EQ(FirstInt(slot->VisibleAt(6)), 20);
+  EXPECT_EQ(FirstInt(slot->VisibleAt(11)), 30);
+  EXPECT_EQ(FirstInt(slot->VisibleAt(kMaxTimestamp)), 40);
+  EXPECT_EQ(slot->VisibleAt(6)->older, nullptr);
+
+  // A horizon at the newest version's own timestamp keeps it alone.
+  const std::vector<uint8_t> row = CompactIntRow(50);
+  Table::InstallRowUnlatched(slot, row.data(), row.size(), 15, false,
+                             /*horizon=*/15);
+  EXPECT_EQ(t.NumVersions(), 1u);
+  EXPECT_EQ(slot->newest.load()->older, nullptr);
+  EXPECT_EQ(OccStampLock::TsOf(slot->wlock.Load()), 15u);
+
+  // Last-writer-wins: a dropped write frees nothing, a winner reclaims.
+  Table::InstallVersionUnlatched(slot, IntRow(60), 18);
+  EXPECT_FALSE(Table::InstallRowLastWriterWins(slot, row.data(), row.size(),
+                                               16, false, /*horizon=*/16));
+  EXPECT_EQ(t.NumVersions(), 2u);
+  EXPECT_TRUE(Table::InstallRowLastWriterWins(slot, row.data(), row.size(),
+                                              20, false, /*horizon=*/20));
+  EXPECT_EQ(t.NumVersions(), 1u);
+  EXPECT_FALSE(OccStampLock::IsLocked(slot->wlock.Load()));
+  EXPECT_EQ(OccStampLock::TsOf(slot->wlock.Load()), 20u);
+}
+
+// Four threads create slots for overlapping key ranges at once, racing on
+// every key of the overlap: each key gets exactly one slot, which every
+// creator is handed, and the arena keeps no lost race's slot.
+TEST(TableTest, RacingSlotCreationMakesOneSlotPerKey) {
+  for (uint32_t shards : {1u, 4u}) {
+    SCOPED_TRACE("shards " + std::to_string(shards));
+    Table t(0, "t", OneIntSchema(), shards);
+    constexpr int kThreads = 4;
+    constexpr Key kPerThread = 20000;
+    constexpr Key kStride = kPerThread / 2;  // Neighbours share half.
+    std::vector<std::vector<TupleSlot*>> got(kThreads);
+    std::vector<std::thread> threads;
+    for (int i = 0; i < kThreads; ++i) {
+      threads.emplace_back([&t, &got, i] {
+        const Key first = static_cast<Key>(i) * kStride;
+        for (Key k = 0; k < kPerThread; ++k) {
+          // Alternate directions so racers meet across the whole overlap.
+          const Key key = first + (i % 2 == 0 ? k : kPerThread - 1 - k);
+          got[i].push_back(t.GetOrCreateSlot(key));
+        }
+      });
+    }
+    for (auto& th : threads) th.join();
+    const Key distinct = (kThreads - 1) * kStride + kPerThread;
+    EXPECT_EQ(t.NumKeys(), distinct);
+    for (int i = 0; i < kThreads; ++i) {
+      const Key first = static_cast<Key>(i) * kStride;
+      for (Key k = 0; k < kPerThread; ++k) {
+        const Key key = first + (i % 2 == 0 ? k : kPerThread - 1 - k);
+        ASSERT_EQ(got[i][k], t.GetSlot(key)) << "key " << key;
+        ASSERT_EQ(got[i][k]->key, key);
+      }
+    }
+    uint64_t slots = 0;
+    t.ForEachSlot([&](TupleSlot* slot) {
+      EXPECT_EQ(t.GetSlot(slot->key), slot) << "key " << slot->key;
+      ++slots;
+    });
+    EXPECT_EQ(slots, distinct);
+  }
 }
 
 TEST(TableTest, ContentHashDetectsDifferencesAndIgnoresOrder) {
