@@ -224,6 +224,10 @@ namespace {
 // mid-execution — would otherwise burn its whole retry budget and fail.
 constexpr int kExclusiveAfterAborts = 10;
 
+// Reclamation horizon flips per epoch of commits_per_epoch commits: one
+// after each flush and the rest spread between flushes.
+constexpr uint64_t kHorizonFlipsPerEpoch = 4;
+
 // Backoff between OCC retry attempts: exponential in the attempt number
 // with multiplicative jitter, so under high contention the conflicting
 // retriers spread out instead of re-colliding in lockstep (immediate
@@ -322,9 +326,18 @@ TxnResult Database::Execute(ProcId proc, const std::vector<Value>& params,
     if (result.status.ok()) {
       const uint64_t commits =
           num_commits_.fetch_add(1, std::memory_order_relaxed) + 1;
-      if (options_.commits_per_epoch != 0 &&
-          commits % options_.commits_per_epoch == 0) {
+      const uint64_t per_epoch = options_.commits_per_epoch;
+      if (per_epoch != 0 && commits % per_epoch == 0) {
         AdvanceEpoch();
+      } else if (per_epoch != 0 &&
+                 commits % std::max<uint64_t>(
+                               1, per_epoch / kHorizonFlipsPerEpoch) == 0) {
+        // A flip publishes the stable clock handed to the flip before it,
+        // so the flush's clock takes effect at the first flip after the
+        // flush rather than at the next flush: hot rows keep about 0.25
+        // to 1.25 epochs of versions above the horizon instead of 1 to 2,
+        // and each commit's install walks that many fewer.
+        txn_manager_.AdvanceHorizon();
       }
     }
     return result;
@@ -340,7 +353,6 @@ DriverResult Database::RunWorkers(const TxnGenerator& gen,
 
 logging::FlushCost Database::AdvanceEpoch() {
   std::lock_guard<std::mutex> g(epoch_mu_);
-  txn_manager_.AdvanceHorizon();
   if (read_only()) {
     // Degraded: the durable path already failed permanently. Advancing
     // the epoch without a flush would silently un-anchor the pepoch
@@ -355,6 +367,9 @@ logging::FlushCost Database::AdvanceEpoch() {
   const Epoch finished = epochs_.current();
   epochs_.Advance();
   logging::FlushCost cost = log_manager_->FlushAll(finished);
+  // FlushAll drained the staging buffers under a commit quiesce, which
+  // recorded a stable commit clock: the horizon's flip is handed that.
+  txn_manager_.AdvanceHorizon();
   total_flush_seconds_.fetch_add(cost.seconds, std::memory_order_relaxed);
   if (!cost.status.ok()) {
     // Retries are exhausted inside the logging layer, so a failure here

@@ -14,7 +14,7 @@
 // as the read's local and decodes only the columns it loads. A version's
 // row is immutable, and it lives until an install below a horizon that
 // has passed it frees it (storage/tuple.h). Forward, the caller's read
-// pin keeps the horizon below the transaction's snapshot
+// pin keeps the horizon from passing what the transaction views
 // (Database::Execute). In replay, a ReplayAccess installs below the
 // horizon it is given, which its caller keeps below every version a
 // running piece views (recovery/recovery.h, BatchGates), so a replayed

@@ -29,17 +29,22 @@ uint32_t LatchShardsPerPartition(uint32_t num_shards) {
   return std::max(8u, budget);
 }
 
-// The one truncation step: frees every version of the chain from `newest`
-// down that is older than the newest one with begin_ts <= horizon, and
-// ends the chain at that one. A reader at a timestamp >= horizon stops at
-// or above it, never reading the `older` link this clears.
-void Truncate(Version* newest, Timestamp horizon) {
-  if (horizon == kInvalidTimestamp) return;
+// The one truncation step: ends the chain from `newest` down at the newest
+// version with begin_ts <= horizon and returns the versions below that
+// one, now cut off. With none below, it returns nullptr and writes
+// nothing. A reader at a timestamp >= horizon stops at or above the
+// version it keeps, never reading the link this clears.
+Version* Truncate(Version* newest, Timestamp horizon) {
+  if (horizon == kInvalidTimestamp) return nullptr;
   Version* keep = newest;
   while (keep != nullptr && keep->begin_ts > horizon) keep = keep->older;
-  if (keep == nullptr) return;
-  Version* v = keep->older;
+  if (keep == nullptr || keep->older == nullptr) return nullptr;
+  Version* cut = keep->older;
   keep->older = nullptr;
+  return cut;
+}
+
+void FreeChain(Version* v) {
   while (v != nullptr) {
     Version* older = v->older;
     Version::Free(v);
@@ -48,19 +53,22 @@ void Truncate(Version* newest, Timestamp horizon) {
 }
 
 // Links `v`, whose `older` is the slot's newest version, as the newest,
-// reclaims below `horizon` and publishes its stamp: the step every install
-// ends with.
+// cuts the chain below `horizon` and publishes its stamp, then frees what
+// it cut: the step every install ends with. The cut versions are
+// unreachable once cut and no reader views them, so they are freed after
+// the stamp store, which on a write-locked slot is the unlock.
 void LinkVersion(TupleSlot* slot, Version* v, Timestamp horizon) {
   // Equal timestamps occur when one transaction writes a key twice; the
   // later install (program order) supersedes.
   PACMAN_DCHECK(v->older == nullptr || v->older->begin_ts <= v->begin_ts);
   slot->newest.store(v, std::memory_order_release);
-  Truncate(v, horizon);
-  // Publish the commit stamp last: on a write-locked slot this single
+  Version* cut = Truncate(v, horizon);
+  // Publish the commit stamp: on a write-locked slot this single
   // release store is also the unlock, so a validator that observes the
   // slot unlocked with an unchanged stamp is guaranteed the version chain
   // it read is still the newest.
   slot->wlock.PublishTs(v->begin_ts);
+  FreeChain(cut);
 }
 
 }  // namespace

@@ -76,14 +76,15 @@ class Table {
   // begin_ts; on a slot the caller write-locked, the stamp publication
   // doubles as the unlock (commit's install-and-release step).
   //
-  // Every install also reclaims: before it publishes the stamp it frees
-  // each version of the slot older than the newest one with begin_ts <=
-  // `horizon` (none when no version is that old; kInvalidTimestamp
-  // reclaims nothing). The walk to that version runs inside the exclusion
-  // the install already holds on the slot, so two installs never cut one
-  // chain at once. The caller guarantees that no reader still views, or
-  // will read at a timestamp that resolves to, a version below the one
-  // the horizon keeps (storage/tuple.h).
+  // Every install also reclaims: before it publishes the stamp it cuts
+  // from the chain each version of the slot older than the newest one
+  // with begin_ts <= `horizon` (none when no version is that old;
+  // kInvalidTimestamp reclaims nothing), and it frees them after. The
+  // walk to that version and the cut run inside the exclusion the install
+  // already holds on the slot, so two installs never cut one chain at
+  // once. The caller guarantees that no reader still views, or will read
+  // at a timestamp that resolves to, a version below the one the horizon
+  // keeps (storage/tuple.h).
   //
   // Appends a committed version on `slot` without taking the latch: used
   // by forward processing (the committer holds the slot's write lock,
@@ -92,17 +93,16 @@ class Table {
   // provably unnecessary (§4.5). `ts` must not be below the current
   // newest version's begin_ts.
   static void InstallVersionUnlatched(TupleSlot* slot, const Row& row,
-                                      Timestamp ts, bool deleted = false,
-                                      Timestamp horizon = kInvalidTimestamp);
+                                      Timestamp ts, bool deleted,
+                                      Timestamp horizon);
   // The installs of tuple-level replay, from a log image's row: the
   // `size` compact bytes at `row` (common/serializer.h, one
   // CheckCompactRow accepted), copied into the version with one memcpy.
   //
   // Unlatched, as above: LLR-P's per-key ordered installs.
   static void InstallRowUnlatched(TupleSlot* slot, const uint8_t* row,
-                                  size_t size, Timestamp ts,
-                                  bool deleted = false,
-                                  Timestamp horizon = kInvalidTimestamp);
+                                  size_t size, Timestamp ts, bool deleted,
+                                  Timestamp horizon);
   // Last-writer-wins install (Thomas write rule): drops the write if a
   // version with begin_ts >= ts is already in place. Used by PLR/LLR whose
   // threads replay log records out of order. Takes the slot latch — the
@@ -111,8 +111,7 @@ class Table {
   // reclaims nothing. Returns whether the write was installed.
   static bool InstallRowLastWriterWins(TupleSlot* slot, const uint8_t* row,
                                        size_t size, Timestamp ts,
-                                       bool deleted = false,
-                                       Timestamp horizon = kInvalidTimestamp);
+                                       bool deleted, Timestamp horizon);
 
   // Visits every slot (any order, including logically deleted tuples).
   // NOT safe against concurrent slot creation; single-threaded callers

@@ -33,9 +33,10 @@
 // than V. The installs' callers guarantee it:
 //  - forward: a transaction attempt and a checkpoint scan hold a read pin
 //    (txn/reclaim_horizon.h) from before they read the commit clock until
-//    their last view is done. The horizon commits install under stays at
-//    or below every pinned snapshot, and a read at such a snapshot stops
-//    at or above the version the horizon keeps;
+//    their last view is done. The horizon commits install under is a
+//    commit clock that was stable (every commit at or below it had
+//    installed) before any pin still held was taken, so whatever a pinned
+//    reader views is the version the horizon keeps or a newer one;
 //  - recovery: tuple replay views nothing, so it installs at its own
 //    commit TID. CLR and CLR-P install below the largest TID of the
 //    batches their gated graph has released, which no running piece reads

@@ -4,18 +4,10 @@
 
 namespace pacman::txn {
 
-size_t ReclaimHorizon::ThisThreadStripe() {
-  static std::atomic<size_t> next{0};
-  thread_local const size_t stripe =
-      next.fetch_add(1, std::memory_order_relaxed) % kStripes;
-  return stripe;
-}
-
 ReadPin ReclaimHorizon::Pin() {
-  Stripe& stripe = stripes_[ThisThreadStripe()];
   for (;;) {
     const uint64_t g = generation_.load(std::memory_order_seq_cst);
-    std::atomic<uint64_t>& count = stripe.pins[g & 1];
+    std::atomic<uint64_t>& count = pins_[g & 1];
     count.fetch_add(1, std::memory_order_seq_cst);
     // Counted before the flip that ends g: that flip's successor sees it.
     if (generation_.load(std::memory_order_seq_cst) == g) {
@@ -25,18 +17,14 @@ ReadPin ReclaimHorizon::Pin() {
   }
 }
 
-void ReclaimHorizon::Advance(Timestamp last_committed) {
+void ReclaimHorizon::Advance(Timestamp stable) {
   std::lock_guard<std::mutex> g(mu_);
   const uint64_t gen = generation_.load(std::memory_order_seq_cst);
-  // Pins of the generation before the current one (counted at its parity,
-  // which the current generation's successor will share).
-  for (const Stripe& stripe : stripes_) {
-    if (stripe.pins[(gen - 1) & 1].load(std::memory_order_seq_cst) != 0) {
-      return;
-    }
-  }
+  // Pins of the generation before the current one, counted at its parity,
+  // which the current generation's successor will share.
+  if (pins_[(gen - 1) & 1].load(std::memory_order_seq_cst) != 0) return;
   horizon_.store(pending_, std::memory_order_release);
-  pending_ = last_committed;
+  pending_ = stable;
   generation_.store(gen + 1, std::memory_order_seq_cst);
 }
 

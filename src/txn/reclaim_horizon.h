@@ -14,23 +14,28 @@
 // and a checkpoint scan, from before its snapshot timestamp is drawn to
 // the end of the scan. Such a reader holds a ReadPin.
 //
-// Pins are counted in two generations, by parity, in counters striped
-// over cache-line-separated slots: a pin adds one to its thread's stripe
-// of the current generation's counter and takes one off again, so a pin
-// touches no line another thread writes (the generation word is written
-// once per flip) and no thread registers. Advance(L), run once per epoch,
-// flips the generation only when no pin of the generation before the
-// current one remains, and then publishes as the horizon the L it was
-// handed at the previous flip. Why that is safe, with every access below
-// seq_cst:
+// Pins are counted in two generations, by parity: a pin adds one to the
+// current generation's counter and takes one off again, and no thread
+// registers. Advance(S) flips the generation only when no pin of the
+// generation before the current one remains, and then publishes as the
+// horizon the S it was handed at the previous flip. S must be a stable
+// commit clock: every commit with a TID at or below S has finished its
+// installs before Advance runs (TransactionManager records one at each
+// commit quiesce point). A high watermark, the largest TID installed so
+// far, is not stable: a smaller TID may still be mid-install, a reader
+// pinned after the flip then views the version that install supersedes,
+// and once that watermark is published the next install frees the view.
+// Why a stable S is safe, with every access below seq_cst:
 //  - a pin re-reads the generation after counting itself and retries if
 //    it moved, so a pin that counted itself in generation g did so before
 //    the flip that ended g; the flip after that checks g's counter and
 //    waits the pin out;
-//  - a pin of generation g read g after the flip that began g, so every
-//    commit timestamp it reads after pinning is at least the L that flip
-//    was handed; the horizon published while such a pin lives is at most
-//    that L.
+//  - a pin of generation g read g from the flip that began g, so the
+//    installs of every TID at or below the S that flip was handed happen
+//    before its reads, and every snapshot it takes is at or above those
+//    TIDs: what it views is at least the newest version at or below that
+//    S. The horizon published while such a pin lives is at most that S,
+//    and an install keeps the newest version at or below the horizon.
 #ifndef PACMAN_TXN_RECLAIM_HORIZON_H_
 #define PACMAN_TXN_RECLAIM_HORIZON_H_
 
@@ -78,10 +83,10 @@ class ReclaimHorizon {
   // The published horizon: installs may free what lies below it.
   Timestamp Get() const { return horizon_.load(std::memory_order_acquire); }
 
-  // One step of the flip protocol above, handed the commit clock's
-  // current value, read seq_cst. Never waits for a pin: with one of the
-  // previous generation left it changes nothing.
-  void Advance(Timestamp last_committed);
+  // One step of the flip protocol above, handed a stable commit clock.
+  // Never waits for a pin: with one of the previous generation left it
+  // changes nothing.
+  void Advance(Timestamp stable);
 
   // Lowers the horizon, and the value the next flip would publish, to at
   // most `ts`: for a point at which the commit clock moved back, with no
@@ -89,20 +94,14 @@ class ReclaimHorizon {
   void Clamp(Timestamp ts);
 
  private:
-  static constexpr size_t kStripes = 64;
-  // One cache line per stripe, holding both generations' counters.
-  struct alignas(64) Stripe {
-    std::atomic<uint64_t> pins[2] = {0, 0};
-  };
-
-  static size_t ThisThreadStripe();
-
-  std::atomic<uint64_t> generation_{1};
-  std::atomic<Timestamp> horizon_{kInvalidTimestamp};
+  // A pin reads the generation and writes its parity's counter, so the
+  // three share one line.
+  alignas(64) std::atomic<uint64_t> generation_{1};
+  std::atomic<uint64_t> pins_[2] = {0, 0};
+  alignas(64) std::atomic<Timestamp> horizon_{kInvalidTimestamp};
   std::mutex mu_;  // Serializes Advance and Clamp.
-  // The commit clock handed to the last flip, published by the next one.
+  // The stable clock handed to the last flip, published by the next one.
   Timestamp pending_ = kInvalidTimestamp;
-  Stripe stripes_[kStripes];
 };
 
 }  // namespace pacman::txn

@@ -130,6 +130,8 @@ void TransactionManager::QuiesceCommits(const std::function<void()>& fn) {
   while (in_flight_.load(std::memory_order_seq_cst) != 0) {
     std::this_thread::yield();
   }
+  quiesced_tid_.store(next_tid_.load(std::memory_order_acquire),
+                      std::memory_order_release);
   t_quiescing = this;
   fn();
   t_quiescing = nullptr;
@@ -168,7 +170,7 @@ Timestamp TransactionManager::StableTimestamp() {
   // Under the barrier no commit is between draw and install, so the
   // counter value is exactly the largest TID whose installs are visible.
   Timestamp s = kInvalidTimestamp;
-  QuiesceCommits([&] { s = next_tid_.load(std::memory_order_acquire); });
+  QuiesceCommits([&] { s = quiesced_tid_.load(std::memory_order_relaxed); });
   return s;
 }
 

@@ -10,8 +10,8 @@
 // commit included, so results can be evaluated after commit, provided
 // the caller held a read pin (Pin()) from before Begin() for as long as
 // it keeps a view: commits free the versions below the reclamation
-// horizon (txn/reclaim_horizon.h), which stays below every pinned
-// snapshot. A transaction run without a pin may view a freed version
+// horizon (txn/reclaim_horizon.h), which never passes a version a pinned
+// reader views. A transaction run without a pin may view a freed version
 // once the horizon passes its snapshot.
 //
 // Commit never enters a global critical section: it write-locks
@@ -202,14 +202,14 @@ class TransactionManager {
       : epochs_(epochs) {}
   PACMAN_DISALLOW_COPY_AND_MOVE(TransactionManager);
 
-  // Takes a read pin (txn/reclaim_horizon.h). Begin() and StableTimestamp()
-  // after it read snapshots the horizon stays at or below while it is held.
+  // Takes a read pin (txn/reclaim_horizon.h): while it is held, no commit
+  // frees a version that Begin() and StableTimestamp() snapshots taken
+  // after it resolve to.
   ReadPin Pin() { return horizon_.Pin(); }
 
   Transaction Begin() {
     Transaction t;
-    // seq_cst: the pin protocol orders this read after the caller's pin.
-    t.read_ts_ = last_committed_.load(std::memory_order_seq_cst);
+    t.read_ts_ = last_committed_.load(std::memory_order_acquire);
     return t;
   }
 
@@ -256,15 +256,21 @@ class TransactionManager {
   // Commits the calling thread makes inside `fn` pass the gate: with no
   // other commit possible, a transaction run start to finish inside `fn`
   // cannot fail validation (Database::Execute's escape from OCC
-  // starvation). `fn` must not quiesce again.
+  // starvation). `fn` must not quiesce again. Each barrier also records
+  // the commit clock it found, the stable value StableTimestamp() returns
+  // and AdvanceHorizon() hands the horizon.
   void QuiesceCommits(const std::function<void()>& fn);
 
-  // One step of the reclamation horizon's flip protocol, at the commit
-  // clock's current value; Database::AdvanceEpoch runs it once per epoch.
-  // A commit frees, in each slot it writes, the versions below the newest
-  // one at or below the horizon.
+  // One step of the reclamation horizon's flip protocol
+  // (txn/reclaim_horizon.h), handed the commit clock that the last
+  // QuiesceCommits recorded: at that point every TID the clock had drawn
+  // was installed or aborted, so the value is stable. LastCommitted() is
+  // not: below it a commit may still be mid-install. Database runs this
+  // after each group-commit flush, whose drain quiesces commits, and a
+  // few times between flushes. A commit frees, in each slot it writes,
+  // the versions below the newest one at or below the horizon.
   void AdvanceHorizon() {
-    horizon_.Advance(last_committed_.load(std::memory_order_seq_cst));
+    horizon_.Advance(quiesced_tid_.load(std::memory_order_acquire));
   }
   Timestamp horizon() const { return horizon_.Get(); }
 
@@ -277,6 +283,7 @@ class TransactionManager {
   void ResetAfterRecovery(Timestamp last_committed) {
     last_committed_.store(last_committed, std::memory_order_release);
     next_tid_.store(last_committed, std::memory_order_release);
+    quiesced_tid_.store(last_committed, std::memory_order_release);
     horizon_.Clamp(last_committed);
   }
 
@@ -319,6 +326,9 @@ class TransactionManager {
   // draw lands at MakeTid(first epoch, 0) + 1, past it.
   std::atomic<Timestamp> next_tid_{1};
   std::atomic<Timestamp> last_committed_{1};
+  // next_tid_ as the last QuiesceCommits found it, with no commit between
+  // draw and install: the stable clock the horizon's flips are handed.
+  std::atomic<Timestamp> quiesced_tid_{kInvalidTimestamp};
   std::atomic<uint32_t> in_flight_{0};
   std::atomic<bool> gate_closed_{false};
   std::mutex quiesce_mu_;  // Serializes QuiesceCommits callers.

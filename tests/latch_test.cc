@@ -294,14 +294,14 @@ TEST(InstallLatchTest, ThomasRuleDropLeavesStampUnchanged) {
   for (Timestamp stale : {Timestamp{5}, Timestamp{10}}) {
     const std::vector<uint8_t> row = CompactIntRow(0);
     EXPECT_FALSE(storage::Table::InstallRowLastWriterWins(
-        slot, row.data(), row.size(), stale));
+        slot, row.data(), row.size(), stale, false, kInvalidTimestamp));
     EXPECT_EQ(slot->wlock.Load(), stamp);
     EXPECT_FALSE(OccStampLock::IsLocked(slot->wlock.Load()));
     EXPECT_EQ(slot->newest.load(), newest);
   }
   const std::vector<uint8_t> row = CompactIntRow(11);
-  EXPECT_TRUE(storage::Table::InstallRowLastWriterWins(slot, row.data(),
-                                                       row.size(), 11));
+  EXPECT_TRUE(storage::Table::InstallRowLastWriterWins(
+      slot, row.data(), row.size(), 11, false, kInvalidTimestamp));
   EXPECT_EQ(slot->wlock.Load(), OccStampLock::Pack(11));
 }
 
@@ -338,7 +338,8 @@ TEST(InstallLatchTest, ContendedInstallsKeepChainsOrderedAndExact) {
         const std::vector<uint8_t> row =
             CompactIntRow(static_cast<int64_t>(ts));
         if (storage::Table::InstallRowLastWriterWins(slots[slot], row.data(),
-                                                     row.size(), ts)) {
+                                                     row.size(), ts, false,
+                                                     kInvalidTimestamp)) {
           wins[t][slot]++;
         }
       };

@@ -102,6 +102,83 @@ TEST(ReclaimHorizonTest, PinnedSnapshotsStayAtOrAboveTheHorizon) {
   EXPECT_GT(h.Get(), kInvalidTimestamp);
 }
 
+// --- The clock the flips are handed ----------------------------------------
+
+int64_t FirstInt(const uint8_t* compact_row) {
+  Row row;
+  DecodeCompactRow(compact_row, &row);
+  return row[0].AsInt64();
+}
+
+// Commit A on key 1 has drawn its TID but not installed when commit B, on
+// key 2, lands at a higher TID and raises LastCommitted() past A. A reader
+// pinned after the next flip views key 1's loaded version, which A is
+// about to supersede. The flips are handed the clock of the last commit
+// quiesce, taken before A drew, so once A installs, the next flip still
+// publishes a horizon below A, and commit C on key 1 keeps the viewed
+// version. A flip handed LastCommitted() would publish B's TID there, and
+// C would free the version the reader still views (a use-after-free under
+// ASan). Once the reader lets go, the horizon reaches A and the next
+// install on key 1 frees the loaded version.
+TEST(ReclaimHorizonTest, FlipsAreHandedAClockNoPendingCommitIsBelow) {
+  txn::EpochManager epochs;
+  txn::TransactionManager tm(&epochs);
+  storage::Table table(0, "t", Schema({{"v", ValueType::kInt64, 0}}));
+  table.LoadRow(1, {Value(int64_t{10})}, 1);
+  table.LoadRow(2, {Value(int64_t{20})}, 1);
+  auto commit = [&tm, &table](Key key, int64_t v) {
+    txn::Transaction t = tm.Begin();
+    t.Write(&table, key, {Value(v)});
+    txn::CommitInfo info;
+    EXPECT_TRUE(tm.Commit(&t, &info).ok());
+    return info.commit_ts;
+  };
+
+  std::atomic<bool> block_next{false};
+  std::atomic<bool> blocked{false};
+  std::atomic<bool> release{false};
+  tm.set_commit_hook([&](const txn::Transaction&, const txn::CommitInfo&) {
+    if (!block_next.exchange(false)) return;
+    blocked.store(true);
+    while (!release.load()) std::this_thread::yield();
+  });
+
+  (void)tm.StableTimestamp();  // A quiesce point before A draws.
+  block_next.store(true);
+  Timestamp a_ts = kInvalidTimestamp;
+  std::thread a([&] { a_ts = commit(1, 11); });
+  while (!blocked.load()) std::this_thread::yield();
+  const Timestamp b_ts = commit(2, 21);
+  ASSERT_EQ(tm.LastCommitted(), b_ts);
+
+  tm.AdvanceHorizon();
+  txn::ReadPin pin = tm.Pin();
+  txn::Transaction reader = tm.Begin();
+  EXPECT_GE(reader.read_ts(), b_ts);
+  const uint8_t* view = nullptr;
+  ASSERT_TRUE(reader.Read(&table, 1, &view).ok());
+  EXPECT_EQ(FirstInt(view), 10);  // A has not installed.
+
+  release.store(true);
+  a.join();
+  ASSERT_LT(a_ts, b_ts);
+  (void)tm.StableTimestamp();  // The flush's quiesce, now past A and B.
+  tm.AdvanceHorizon();
+  EXPECT_LT(tm.horizon(), a_ts);
+  commit(1, 12);
+  EXPECT_EQ(table.NumVersions(), 5u);  // Key 1 keeps 10, 11 and 12.
+  EXPECT_EQ(FirstInt(view), 10);
+
+  // The reader lets go: the next flip publishes the clock of the quiesce
+  // after A, and the next install on key 1 keeps A's version, the newest
+  // at or below it, and frees the loaded one.
+  pin.Release();
+  tm.AdvanceHorizon();
+  EXPECT_EQ(tm.horizon(), b_ts);
+  commit(1, 13);
+  EXPECT_EQ(table.NumVersions(), 5u);  // Key 1 keeps 11, 12 and 13.
+}
+
 // --- Version census ---------------------------------------------------------
 
 uint64_t CountKeys(const storage::Catalog& catalog) {
@@ -134,9 +211,9 @@ uint64_t MaxWritesPerCall(const Database& db) {
 // epochs' worth of writes, both after the forward run and after recovery
 // (CLR-P for the command log, LLR-P for the logical one). Without
 // reclamation they hold about twelve superseded versions per call. The
-// forward horizon moves once per epoch and command replay's once per
-// released batch, so the log has one epoch per batch here: one bound
-// then covers both.
+// forward horizon lags the commits by at most two epochs and command
+// replay's by the batches not yet released, so the log has one epoch per
+// batch here: one bound then covers both.
 class VersionCensusTest : public ::testing::TestWithParam<SchemeCase> {};
 
 TEST_P(VersionCensusTest, ChainsStayBoundedForwardAndInRecovery) {

@@ -740,7 +740,7 @@ TEST(LogBatchTest, FlippedLogicalBatchBytesFailOrInstallCleanly) {
               rec.DecodeImage(w, &want);
               if (!storage::Table::InstallRowLastWriterWins(
                       table.GetOrCreateSlot(w.key), rec.ImageRow(w), w.size,
-                      rec.commit_ts, w.deleted)) {
+                      rec.commit_ts, w.deleted, kInvalidTimestamp)) {
                 continue;
               }
               const Status r = table.Read(w.key, kMaxTimestamp, &got);

@@ -294,8 +294,10 @@ TEST(TupleSlotTest, VisibilityWalksChain) {
   t.LoadRow(1, IntRow(10), 5);
   TupleSlot* slot = t.GetSlot(1);
   ASSERT_NE(slot, nullptr);
-  Table::InstallVersionUnlatched(slot, IntRow(20), 8);
-  Table::InstallVersionUnlatched(slot, IntRow(30), 12);
+  Table::InstallVersionUnlatched(slot, IntRow(20), 8, false,
+                                 kInvalidTimestamp);
+  Table::InstallVersionUnlatched(slot, IntRow(30), 12, false,
+                                 kInvalidTimestamp);
 
   EXPECT_EQ(slot->VisibleAt(4), nullptr);  // Before load.
   EXPECT_EQ(FirstInt(slot->VisibleAt(5)), 10);
@@ -352,9 +354,10 @@ TEST(PackedRowTest, EveryValueTypeRoundTripsExactly) {
 
   Table t(0, "t", OneIntSchema());
   t.LoadRow(1, row, 1);
-  Table::InstallVersionUnlatched(t.GetOrCreateSlot(2), row, 3);
+  Table::InstallVersionUnlatched(t.GetOrCreateSlot(2), row, 3, false,
+                                 kInvalidTimestamp);
   Table::InstallRowUnlatched(t.GetOrCreateSlot(3), compact.data(),
-                             compact.size(), 3);
+                             compact.size(), 3, false, kInvalidTimestamp);
   replay_buffer.assign(replay_buffer.size(), '?');  // The buffer moves on.
 
   for (Key key : {Key{1}, Key{2}, Key{3}}) {
@@ -512,7 +515,8 @@ TEST(TableTest, ReadRespectsTimestampsAndTombstones) {
   Table t(0, "t", OneIntSchema());
   t.LoadRow(7, IntRow(1), 2);
   TupleSlot* slot = t.GetSlot(7);
-  Table::InstallVersionUnlatched(slot, {}, 6, /*deleted=*/true);
+  Table::InstallVersionUnlatched(slot, {}, 6, /*deleted=*/true,
+                                 kInvalidTimestamp);
 
   Row out;
   EXPECT_TRUE(t.Read(7, 3, &out).ok());
@@ -526,7 +530,8 @@ TEST(TableTest, LastWriterWinsDropsStaleWrites) {
   TupleSlot* slot = t.GetOrCreateSlot(1);
   const auto install = [slot](int64_t v, Timestamp ts) {
     const std::vector<uint8_t> row = CompactIntRow(v);
-    return Table::InstallRowLastWriterWins(slot, row.data(), row.size(), ts);
+    return Table::InstallRowLastWriterWins(slot, row.data(), row.size(), ts,
+                                           false, kInvalidTimestamp);
   };
   EXPECT_TRUE(install(30, 12));
   EXPECT_FALSE(install(20, 8));  // Stale: dropped.
@@ -544,7 +549,7 @@ TEST(TableTest, InstallsFreeVersionsBelowTheHorizon) {
   Table t(0, "t", OneIntSchema());
   t.LoadRow(1, IntRow(10), 2);
   TupleSlot* slot = t.GetSlot(1);
-  Table::InstallVersionUnlatched(slot, IntRow(20), 5);
+  Table::InstallVersionUnlatched(slot, IntRow(20), 5, false, kInvalidTimestamp);
   Table::InstallVersionUnlatched(slot, IntRow(30), 8, false, /*horizon=*/1);
   EXPECT_EQ(t.NumVersions(), 3u);  // Nothing at or below 1: none freed.
 
@@ -565,7 +570,8 @@ TEST(TableTest, InstallsFreeVersionsBelowTheHorizon) {
   EXPECT_EQ(OccStampLock::TsOf(slot->wlock.Load()), 15u);
 
   // Last-writer-wins: a dropped write frees nothing, a winner reclaims.
-  Table::InstallVersionUnlatched(slot, IntRow(60), 18);
+  Table::InstallVersionUnlatched(slot, IntRow(60), 18, false,
+                                 kInvalidTimestamp);
   EXPECT_FALSE(Table::InstallRowLastWriterWins(slot, row.data(), row.size(),
                                                16, false, /*horizon=*/16));
   EXPECT_EQ(t.NumVersions(), 2u);
@@ -637,7 +643,8 @@ TEST(TableTest, ContentHashIsTimestampSensitive) {
   Table t(0, "t", OneIntSchema());
   t.LoadRow(1, IntRow(10), 1);
   uint64_t h1 = t.ContentHash(1);
-  Table::InstallVersionUnlatched(t.GetSlot(1), IntRow(11), 5);
+  Table::InstallVersionUnlatched(t.GetSlot(1), IntRow(11), 5, false,
+                                 kInvalidTimestamp);
   EXPECT_EQ(t.ContentHash(1), h1);  // Old snapshot unchanged.
   EXPECT_NE(t.ContentHash(5), h1);
 }
