@@ -115,6 +115,8 @@ class Serializer {
   size_t size() const { return buf_.size(); }
   const std::vector<uint8_t>& data() const { return buf_; }
   std::vector<uint8_t> Release() { return std::move(buf_); }
+  // Empties the buffer, keeping its capacity for the next bytes.
+  void Clear() { buf_.clear(); }
 
  private:
   std::vector<uint8_t> buf_;

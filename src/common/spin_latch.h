@@ -15,7 +15,7 @@
 namespace pacman {
 
 // Test-and-test-and-set spin latch. One cache line, so latches that
-// different threads take (a table partition's arena latch, a log worker
+// different threads take (a table lane's latch, a log worker
 // buffer's latch) never share one. Tuple slots have no SpinLatch: their
 // install latch is the OccStampLock's lock bit below.
 class alignas(64) SpinLatch {

@@ -1,6 +1,7 @@
 #include "device/file_device.h"
 
 #include <fcntl.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -173,22 +174,38 @@ Status FileDevice::ReadFile(const std::string& name,
     return Status::Corruption("open failed: " + name + ": " +
                               std::strerror(errno));
   }
-  out->clear();
+  // One buffer of the size fstat reports, read into in place. A file that
+  // grew since (an append racing the read) continues into `buf`, which
+  // then also finds the end; one that shrank ends the read early.
+  struct stat st;
+  if (::fstat(fd, &st) != 0) {
+    const Status s = Status::Corruption("fstat failed: " + name + ": " +
+                                        std::strerror(errno));
+    ::close(fd);
+    return s;
+  }
+  out->resize(static_cast<size_t>(st.st_size));
+  size_t got = 0;
   uint8_t buf[1 << 16];
   for (;;) {
-    const ssize_t r = ::read(fd, buf, sizeof(buf));
+    const bool in_place = got < out->size();
+    const ssize_t r = in_place
+                          ? ::read(fd, out->data() + got, out->size() - got)
+                          : ::read(fd, buf, sizeof(buf));
     if (r < 0) {
       if (errno == EINTR) continue;  // Interrupted mid-read: not a failure.
       const Status s = Status::Corruption(
-          "read failed: " + name + " at offset " +
-          std::to_string(out->size()) + ": " + std::strerror(errno));
+          "read failed: " + name + " at offset " + std::to_string(got) +
+          ": " + std::strerror(errno));
       ::close(fd);
       return s;
     }
     if (r == 0) break;
-    out->insert(out->end(), buf, buf + r);
+    if (!in_place) out->insert(out->end(), buf, buf + r);
+    got += static_cast<size_t>(r);
   }
   ::close(fd);
+  out->resize(got);
   RecordRead(out->size(), Now() - t0);
   return Status::Ok();
 }

@@ -21,6 +21,10 @@ constexpr uint32_t kMetaMagic = 0x50434B32;  // "PCK2": compact rows.
 // a fixed-width row. Refused by name, never parsed.
 constexpr uint32_t kRetiredMetaMagic = 0x50434B4D;  // "PCKM"
 
+// The size of a checkpoint's appends to a stripe file: what the writer
+// holds per stripe while it scans.
+constexpr size_t kStripeAppendBytes = 64 << 10;
+
 bool HasMagic(const std::vector<uint8_t>& bytes, uint32_t magic) {
   uint32_t got = 0;
   return Deserializer(bytes).GetU32(&got).ok() && got == magic;
@@ -130,16 +134,59 @@ Status Checkpointer::TakeCheckpoint(uint64_t id, Timestamp ts,
                                     const std::function<void()>& scanned) {
   const uint32_t num_ssds = static_cast<uint32_t>(devices_.size());
   const uint32_t num_stripes = num_ssds * files_per_ssd;
-  std::vector<Serializer> stripes(num_stripes);
+  auto stripe_name = [&](uint32_t k) {
+    return StripeFileName(id, k / files_per_ssd, k % files_per_ssd);
+  };
+  // Removes this id's stripe files. Ids are reused after a crash (recovery
+  // resumes past the newest *durable* checkpoint), so a torn attempt of
+  // this id may have left stripes that an append would extend.
+  auto remove_stripes = [&]() -> Status {
+    for (uint32_t k = 0; k < num_stripes; ++k) {
+      device::StorageDevice* dev = devices_[k / files_per_ssd];
+      const std::string name = stripe_name(k);
+      if (!dev->Exists(name)) continue;
+      device::IoResult r = device::RetryIo(
+          device::IoRetryPolicy{}, nullptr,
+          [&] { return dev->RemoveFile(name); });
+      if (!r.ok()) {
+        return Status(r.status.code(), "removing leftover checkpoint stripe " +
+                                           name + " failed: " +
+                                           r.status.message());
+      }
+    }
+    return Status::Ok();
+  };
+  if (Status s = remove_stripes(); !s.ok()) return s;
 
-  // Stripe tuples round-robin so reload parallelism is balanced. The slot
-  // list is snapshotted under each table's arena latch (SnapshotSlots) so
-  // the scan is safe against transactions inserting keys concurrently;
-  // version chains are read through the MVCC visibility check at `ts`,
-  // which concurrent installs (always at timestamps > ts once ts is
-  // stable) never disturb. The caller's read pin, taken before `ts` was
-  // drawn, keeps their reclamation from freeing what the scan reads
-  // (txn/reclaim_horizon.h).
+  // Each stripe's records collect in `pending` and go to its file in
+  // appends of kStripeAppendBytes as the scan fills them, so the
+  // checkpoint holds about that much per stripe, never the stripes. An
+  // append is not idempotent (a failed one may have landed in part), so a
+  // failure is not retried: it fails the attempt, whose stripes are then
+  // removed, and the next attempt starts over under a new id.
+  std::vector<Serializer> pending(num_stripes);
+  std::vector<uint64_t> stripe_bytes(num_stripes, 0);
+  Status status;
+  auto append = [&](uint32_t k) {
+    const std::string name = stripe_name(k);
+    device::IoResult r =
+        devices_[k / files_per_ssd]->AppendFile(name, pending[k].data());
+    if (!r.ok()) {
+      status = Status(r.status.code(), "checkpoint stripe append to " + name +
+                                           " failed: " + r.status.message());
+      return;
+    }
+    stripe_bytes[k] += pending[k].size();
+    pending[k].Clear();
+  };
+
+  // Stripe tuples round-robin so reload parallelism is balanced. The walk
+  // (Table::ForEachSlot) is safe against transactions inserting keys
+  // concurrently; version chains are read through the MVCC visibility
+  // check at `ts`, which concurrent installs (always at timestamps > ts
+  // once ts is stable) never disturb. The caller's read pin, taken before
+  // `ts` was drawn, keeps their reclamation from freeing what the scan
+  // reads (txn/reclaim_horizon.h).
   //
   // Sharded engines stripe shard-locally instead: a tuple lands on the
   // device of its home shard (ShardOfKey % num_ssds — the same folding
@@ -149,9 +196,10 @@ Status Checkpointer::TakeCheckpoint(uint64_t id, Timestamp ts,
   uint32_t next = 0;
   std::vector<uint32_t> next_file(num_ssds, 0);
   for (const auto& table : catalog_->tables()) {
-    for (storage::TupleSlot* slot : table->SnapshotSlots()) {
+    table->ForEachSlot([&](const storage::TupleSlot* slot) {
+      if (!status.ok()) return;
       const storage::Version* v = slot->VisibleAt(ts);
-      if (v == nullptr || v->deleted) continue;
+      if (v == nullptr || v->deleted) return;
       uint32_t stripe;
       if (num_shards_ > 1) {
         const uint32_t d =
@@ -162,7 +210,7 @@ Status Checkpointer::TakeCheckpoint(uint64_t id, Timestamp ts,
         stripe = next;
         next = (next + 1) % num_stripes;
       }
-      Serializer& s = stripes[stripe];
+      Serializer& s = pending[stripe];
       s.PutVarint(table->id());
       s.PutVarint(slot->key);
       if (scheme_ == LogScheme::kPhysical) {
@@ -171,55 +219,51 @@ Status Checkpointer::TakeCheckpoint(uint64_t id, Timestamp ts,
         s.PutU64(reinterpret_cast<uint64_t>(v));
       }
       s.PutRaw(v->row(), v->row_size());  // The version's bytes as they are.
-    }
+      if (s.size() >= kStripeAppendBytes) append(stripe);
+    });
   }
   if (scanned) scanned();
+  // Every stripe's tail; a stripe that got no record still gets its
+  // (empty) file, since the meta names them all. (A mid-scan append is
+  // never empty, so a stripe with no bytes yet has had none.)
+  for (uint32_t k = 0; k < num_stripes && status.ok(); ++k) {
+    if (pending[k].size() > 0 || stripe_bytes[k] == 0) append(k);
+  }
+  pending.clear();
 
   CheckpointMeta meta;
   meta.id = id;
   meta.ts = ts;
   meta.files_per_ssd = files_per_ssd;
   meta.num_ssds = num_ssds;
-  std::vector<size_t> stripe_bytes(num_stripes, 0);
-  for (uint32_t d = 0; d < num_ssds; ++d) {
-    for (uint32_t f = 0; f < files_per_ssd; ++f) {
-      std::vector<uint8_t> bytes = stripes[d * files_per_ssd + f].Release();
-      stripe_bytes[d * files_per_ssd + f] = bytes.size();
-      meta.total_bytes += bytes.size();
-      const std::string name = StripeFileName(id, d, f);
-      device::IoResult w =
-          device::RetryIo(device::IoRetryPolicy{}, nullptr, [&] {
-            return devices_[d]->WriteFile(name, bytes);
-          });
-      if (!w.ok()) {
-        return Status(w.status.code(), "checkpoint stripe write of " + name +
-                                           " failed: " + w.status.message());
-      }
-    }
-  }
   // Stripes must be durable before the meta commits the checkpoint.
-  for (uint32_t d = 0; d < num_ssds; ++d) {
+  for (uint32_t d = 0; d < num_ssds && status.ok(); ++d) {
     device::IoResult b = device::RetryIo(device::IoRetryPolicy{}, nullptr,
                                          [&] { return devices_[d]->SyncBarrier(); });
     if (!b.ok()) {
-      return Status(b.status.code(),
-                    "checkpoint barrier on device " + std::to_string(d) +
-                        " failed: " + b.status.message());
+      status = Status(b.status.code(),
+                      "checkpoint barrier on device " + std::to_string(d) +
+                          " failed: " + b.status.message());
     }
   }
-  // Verify the stripes actually landed: a device that acknowledged a
-  // write it did not keep must fail the checkpoint here, not surface as a
-  // truncated log with no covering snapshot.
-  for (uint32_t d = 0; d < num_ssds; ++d) {
-    for (uint32_t f = 0; f < files_per_ssd; ++f) {
-      const std::string name = StripeFileName(id, d, f);
-      if (!devices_[d]->Exists(name) ||
-          devices_[d]->FileSize(name) != stripe_bytes[d * files_per_ssd + f]) {
-        return Status::Internal("checkpoint stripe not durable: " + name);
-      }
+  // Verify the stripes actually landed: a device that acknowledged an
+  // append it did not keep must fail the checkpoint here, not surface as
+  // a truncated log with no covering snapshot.
+  for (uint32_t k = 0; k < num_stripes && status.ok(); ++k) {
+    const std::string name = stripe_name(k);
+    device::StorageDevice* dev = devices_[k / files_per_ssd];
+    if (!dev->Exists(name) || dev->FileSize(name) != stripe_bytes[k]) {
+      status = Status::Internal("checkpoint stripe not durable: " + name);
     }
+    meta.total_bytes += stripe_bytes[k];
   }
-
+  if (!status.ok()) {
+    // Best effort: the failed attempt's stripes are garbage, and on a
+    // FileDevice a stripe whose fsync failed would fail every later
+    // barrier of its device until removed.
+    (void)remove_stripes();
+    return status;
+  }
   Serializer ms;
   ms.PutU32(kMetaMagic);
   ms.PutU64(meta.id);

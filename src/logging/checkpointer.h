@@ -8,14 +8,24 @@
 // persist contents only. Checkpoints are striped over several files per
 // device so that recovery can reload them in parallel.
 //
-// Durability protocol: each checkpoint writes its stripes first, barriers
-// every device, and only then writes its own per-id meta file
-// (ckpt_meta_<id>, magic + checksum) on device 0. The meta is therefore a
-// commit record — a process killed mid-checkpoint leaves stripes without
-// a (valid) meta, and ReadLatestMeta skips anything that fails to parse,
+// Durability protocol: each checkpoint appends its stripes first,
+// barriers every device once, checks each stripe's size, and only then
+// writes its own per-id meta file (ckpt_meta_<id>, magic + checksum) on
+// device 0. The meta is therefore a commit record — a process killed
+// mid-checkpoint leaves stripes, perhaps torn mid-append, without a
+// (valid) meta, and ReadLatestMeta skips anything that fails to parse,
 // fails its checksum, or names stripes that do not all exist, falling
 // back to the newest previous durable checkpoint. Log truncation must
 // only ever trust a checkpoint ReadLatestMeta accepts.
+//
+// Stripes are streamed: the scan appends each stripe in chunks of about
+// 64 KB as it fills them, so a checkpoint holds about that much per
+// stripe, not its stripes (restore likewise reads a stripe only when its
+// task runs; recovery/checkpoint_recovery.h). Appends are not idempotent,
+// so a failed one is not retried: it fails the attempt, which removes the
+// stripes it began. Ids are reused after a crash (recovery resumes them
+// past the newest durable checkpoint), so a checkpoint first removes any
+// stripe of its id a killed attempt left behind.
 #ifndef PACMAN_LOGGING_CHECKPOINTER_H_
 #define PACMAN_LOGGING_CHECKPOINTER_H_
 
@@ -96,14 +106,14 @@ class Checkpointer {
         num_shards_(num_shards) {}
 
   // Writes a consistent snapshot at `ts`, striped over `files_per_ssd`
-  // files on each device, barriers, then commits it by writing the meta
-  // file and verifying it back. Fails loudly — a non-ok status means the
-  // checkpoint is NOT durable and must not be used for log truncation
-  // (e.g. a device acknowledged a write it did not keep). On success
-  // `*out` holds the meta (with the total real byte size, for the
-  // virtual-time write cost). `scanned`, if set, runs once the scan has
-  // copied every version it writes, before the first stripe write: the
-  // caller's read pin ends there.
+  // files on each device and appended as the scan goes, barriers, then
+  // commits it by writing the meta file and verifying it back. Fails
+  // loudly — a non-ok status means the checkpoint is NOT durable and must
+  // not be used for log truncation (e.g. a device acknowledged an append
+  // it did not keep). On success `*out` holds the meta (with the total
+  // real byte size, for the virtual-time write cost). `scanned`, if set,
+  // runs once the scan has read every version it writes, before the
+  // stripes' last appends: the caller's read pin ends there.
   Status TakeCheckpoint(uint64_t id, Timestamp ts, uint32_t files_per_ssd,
                         CheckpointMeta* out,
                         const std::function<void()>& scanned = nullptr);
@@ -131,8 +141,8 @@ class Checkpointer {
   // it: kCorruption if any record is malformed. Sets out->num_tuples.
   Status ReadStripe(const CheckpointMeta& meta, uint32_t ssd_index,
                     uint32_t file_index, CheckpointStripe* out) const;
-  // Loads the stripe's bytes without walking them: recovery's prefetch,
-  // whose restore task checks each record as it installs it.
+  // Loads the stripe's bytes without walking them: the read of a restore
+  // task, which checks each record as it installs it.
   Status ReadStripeBytes(const CheckpointMeta& meta, uint32_t ssd_index,
                          uint32_t file_index, CheckpointStripe* out) const;
 

@@ -553,10 +553,10 @@ FullRecoveryResult Database::Recover(recovery::Scheme scheme,
   }
 
   // --- Pipelined load (recovery/log_pipeline.h) ---------------------------
-  // Both load stages start here, before any replay graph exists: the
-  // checkpoint stripes and every logger's batch stream are read and
-  // deserialized on a dedicated load pool. The checkpoint-recovery graph
-  // below consumes prefetched stripes; the log-replay graph consumes
+  // The log load starts here, before any replay graph exists: every
+  // logger's batch stream is read and deserialized on a dedicated load
+  // pool while the checkpoint-recovery graph below restores the stripes,
+  // each read by the task that installs it. The log-replay graph consumes
   // global batches as the streaming merge publishes them (overlapped with
   // replay on the real-thread backend via per-seq gates; there the graph
   // releases each batch once replayed, so the loaders read only a bounded
@@ -569,8 +569,6 @@ FullRecoveryResult Database::Recover(recovery::Scheme scheme,
   // cross-shard merge stage at all and the lanes replay independently.
   const uint32_t num_lanes = options_.num_shards;
   exec::ThreadPool load_pool(opts.num_threads);
-  recovery::CheckpointPrefetch prefetch(meta, checkpointer_.get(),
-                                        &load_pool);
   std::vector<std::unique_ptr<recovery::PipelinedLogLoader>> loaders;
   for (uint32_t lane = 0; lane < num_lanes; ++lane) {
     recovery::LogPipelineOptions lopts;
@@ -613,7 +611,7 @@ FullRecoveryResult Database::Recover(recovery::Scheme scheme,
   // --- Stage 1: checkpoint recovery -------------------------------------
   {
     sim::TaskGraph graph;
-    recovery::BuildCheckpointRecovery(meta, prefetch, devices, &catalog_,
+    recovery::BuildCheckpointRecovery(meta, checkpointer_.get(), &catalog_,
                                       opts, &graph);
     result.checkpoint.seconds =
         run_graph(graph, opts.num_threads, &result.checkpoint.work);

@@ -75,7 +75,7 @@ struct DatabaseOptions {
   device::DeviceFactory device_factory;
   uint32_t num_loggers = 2;
   // Hash-partition count for the whole engine (>= 1). N > 1 shards every
-  // table's index/arena, the §4.5 log staging + loggers (num_loggers is
+  // table's index/slots, the §4.5 log staging + loggers (num_loggers is
   // forced to N so logger s is shard s's durable stream), checkpoint
   // striping, and recovery (one log pipeline per shard, no cross-shard
   // merge). Single-shard transactions route lock-free to their home

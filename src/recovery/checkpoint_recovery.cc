@@ -3,16 +3,15 @@
 #include <string>
 
 #include "common/macros.h"
-#include "recovery/log_pipeline.h"
 
 namespace pacman::recovery {
 
 void BuildCheckpointRecovery(const logging::CheckpointMeta& meta,
-                             CheckpointPrefetch& prefetch,
-                             const std::vector<device::StorageDevice*>& ssds,
+                             const logging::Checkpointer* checkpointer,
                              storage::Catalog* catalog,
                              const RecoveryOptions& options,
                              sim::TaskGraph* graph) {
+  const std::vector<device::StorageDevice*>& ssds = checkpointer->devices();
   const sim::GroupId cpu = CpuGroup(static_cast<uint32_t>(ssds.size()));
   const bool reload_only = options.reload_only;
 
@@ -25,8 +24,12 @@ void BuildCheckpointRecovery(const logging::CheckpointMeta& meta,
         return sim::Work{.device_read_bytes = bytes};
       });
       const Timestamp ts = meta.ts;
-      sim::TaskId load = graph->AddTask(cpu, /*priority=*/f, [=, &prefetch] {
-        const logging::CheckpointStripe stripe = prefetch.TakeStripe(d, f);
+      sim::TaskId load = graph->AddTask(cpu, /*priority=*/f, [=] {
+        logging::CheckpointStripe stripe;
+        const Status read = checkpointer->ReadStripeBytes(meta, d, f, &stripe);
+        PACMAN_CHECK_MSG(read.ok(), ("checkpoint stripe " + name +
+                                     " read failed: " + read.message())
+                                        .c_str());
         sim::Work work{.bytes_deserialized = stripe.bytes.size()};
         // Each record's row is checked, then copied into its version as it
         // stands: one allocation and one memcpy per tuple.

@@ -19,20 +19,17 @@
 
 namespace pacman::recovery {
 
-class CheckpointPrefetch;
-
 // Appends the checkpoint-recovery tasks for `meta` to `graph` using the
 // standard group layout (SSD groups + CPU pool). They load tuples into
 // `catalog` and count the bytes read and deserialized and the tuples
-// installed. Each stripe's read already runs on the load pool (`prefetch`,
-// started for the same `meta`), so the stripes load in parallel with each
-// other and with the log pipeline; the graph task walks the stripe's
-// bytes, checks each row and installs it with one allocation and one copy
-// (Table::LoadRow on encoded bytes). A malformed record aborts loudly,
-// naming the stripe and the record's offset.
+// installed. Each stripe's load task reads its stripe file through
+// `checkpointer` when it runs, so a restore on N threads holds at most N
+// stripes; the task walks the stripe's bytes, checks each row and
+// installs it with one allocation and one copy (Table::LoadRow on
+// encoded bytes). A failed read or a malformed record aborts loudly,
+// naming the stripe (and the record's offset).
 void BuildCheckpointRecovery(const logging::CheckpointMeta& meta,
-                             CheckpointPrefetch& prefetch,
-                             const std::vector<device::StorageDevice*>& ssds,
+                             const logging::Checkpointer* checkpointer,
                              storage::Catalog* catalog,
                              const RecoveryOptions& options,
                              sim::TaskGraph* graph);

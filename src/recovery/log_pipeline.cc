@@ -297,52 +297,4 @@ void AddBatchGates(PipelinedLogLoader* loader, sim::TaskGraph* graph,
   }
 }
 
-CheckpointPrefetch::CheckpointPrefetch(
-    const logging::CheckpointMeta& meta,
-    const logging::Checkpointer* checkpointer, exec::ThreadPool* pool)
-    : meta_(meta) {
-  const size_t n =
-      static_cast<size_t>(meta.num_ssds) * meta.files_per_ssd;
-  stripes_.resize(n);
-  ready_.assign(n, 0);
-  std::lock_guard<std::mutex> g(mu_);
-  for (uint32_t d = 0; d < meta.num_ssds; ++d) {
-    for (uint32_t f = 0; f < meta.files_per_ssd; ++f) {
-      jobs_outstanding_++;
-      pool->Submit([this, checkpointer, d, f] {
-        auto stripe = std::make_unique<logging::CheckpointStripe>();
-        Status s = checkpointer->ReadStripeBytes(meta_, d, f, stripe.get());
-        PACMAN_CHECK_MSG(
-            s.ok(), ("checkpoint stripe (" + std::to_string(d) + ", " +
-                     std::to_string(f) + ") read failed: " + s.message())
-                        .c_str());
-        const size_t idx =
-            static_cast<size_t>(d) * meta_.files_per_ssd + f;
-        std::lock_guard<std::mutex> g2(mu_);
-        stripes_[idx] = std::move(stripe);
-        ready_[idx] = 1;
-        jobs_outstanding_--;
-        cv_.notify_all();
-      });
-    }
-  }
-}
-
-CheckpointPrefetch::~CheckpointPrefetch() {
-  std::unique_lock<std::mutex> lk(mu_);
-  cv_.wait(lk, [&] { return jobs_outstanding_ == 0; });
-}
-
-logging::CheckpointStripe CheckpointPrefetch::TakeStripe(
-    uint32_t ssd_index, uint32_t file_index) {
-  const size_t idx =
-      static_cast<size_t>(ssd_index) * meta_.files_per_ssd + file_index;
-  PACMAN_CHECK(idx < stripes_.size());
-  std::unique_lock<std::mutex> lk(mu_);
-  cv_.wait(lk, [&] { return ready_[idx] != 0; });
-  logging::CheckpointStripe out = std::move(*stripes_[idx]);
-  stripes_[idx].reset();
-  return out;
-}
-
 }  // namespace pacman::recovery

@@ -47,12 +47,6 @@
 // has a window; one that wants the whole batch vector (the simulated
 // backend, a log probe) loads the whole log, and WaitAll() lifts any
 // window.
-//
-// CheckpointPrefetch does the same for checkpoint stripes: all stripe
-// files are read on the pool, so the checkpoint-recovery graph (and,
-// concurrently, the log pipeline) consumes them as they arrive instead of
-// reading them one task at a time. A stripe stays its file's bytes; the
-// restore task walks them and installs each row as it stands.
 #ifndef PACMAN_RECOVERY_LOG_PIPELINE_H_
 #define PACMAN_RECOVERY_LOG_PIPELINE_H_
 
@@ -65,7 +59,6 @@
 #include "common/status.h"
 #include "device/storage_device.h"
 #include "exec/thread_pool.h"
-#include "logging/checkpointer.h"
 #include "logging/log_store.h"
 #include "recovery/recovery.h"
 #include "sim/task_graph.h"
@@ -255,31 +248,6 @@ class PipelinedLogLoader {
 // (corrupt batch file).
 void AddBatchGates(PipelinedLogLoader* loader, sim::TaskGraph* graph,
                    sim::GroupId group, BatchGates* gates);
-
-// Parallel checkpoint-stripe load: submits one read job per stripe of
-// `meta` to `pool`; the checkpoint-recovery graph consumes the stripes'
-// bytes via TakeStripe as they arrive. Read errors abort loudly.
-class CheckpointPrefetch {
- public:
-  CheckpointPrefetch(const logging::CheckpointMeta& meta,
-                     const logging::Checkpointer* checkpointer,
-                     exec::ThreadPool* pool);
-  ~CheckpointPrefetch();
-  PACMAN_DISALLOW_COPY_AND_MOVE(CheckpointPrefetch);
-
-  // Blocks until stripe (ssd_index, file_index) is loaded; the caller
-  // takes ownership of the stripe contents (the slot is released).
-  logging::CheckpointStripe TakeStripe(uint32_t ssd_index,
-                                       uint32_t file_index);
-
- private:
-  const logging::CheckpointMeta meta_;
-  mutable std::mutex mu_;
-  std::condition_variable cv_;
-  std::vector<std::unique_ptr<logging::CheckpointStripe>> stripes_;
-  std::vector<uint8_t> ready_;
-  size_t jobs_outstanding_ = 0;
-};
 
 }  // namespace pacman::recovery
 

@@ -1,6 +1,6 @@
 // Copyright (c) 2026 The PACMAN reproduction authors.
 // Catalog: owns all tables of a database instance. Every table has the
-// same layout (storage/table.h): per shard, a slot arena and a hash index.
+// same layout (storage/table.h): per shard, slot lanes and a hash index.
 #ifndef PACMAN_STORAGE_CATALOG_H_
 #define PACMAN_STORAGE_CATALOG_H_
 

@@ -46,28 +46,6 @@ void HashIndex::Grow(Shard* s) const {
   s->bits = grown.bits;
 }
 
-void* HashIndex::Insert(Key key, void* value) {
-  PACMAN_CHECK_MSG(value != nullptr,
-                   "HashIndex values must be non-null: null marks an empty "
-                   "entry");
-  const uint64_t hash = Hash(key);
-  Shard& s = ShardOf(hash);
-  s.latch.LockExclusive();
-  size_t i = Find(s, hash, key);
-  void* mapped = s.entries[i].value;
-  if (mapped == nullptr) {
-    if ((s.size + 1) * 8 > (uint64_t{7} << s.bits)) {
-      Grow(&s);
-      i = Find(s, hash, key);
-    }
-    s.entries[i] = {key, value};
-    ++s.size;
-    mapped = value;
-  }
-  s.latch.UnlockExclusive();
-  return mapped;
-}
-
 void* HashIndex::Lookup(Key key) const {
   const uint64_t hash = Hash(key);
   Shard& s = ShardOf(hash);

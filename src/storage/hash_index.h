@@ -40,11 +40,19 @@ class HashIndex {
   explicit HashIndex(uint32_t num_shards = kNumShards);
   PACMAN_DISALLOW_COPY_AND_MOVE(HashIndex);
 
-  // Inserts key -> value unless the key is present, and returns the value
-  // the key maps to afterwards: `value` when it was inserted, else the
-  // present one, unchanged. One probe either way. `value` must not be
-  // null (PACMAN_CHECKed): null marks an empty entry.
-  void* Insert(Key key, void* value);
+  // Returns the value `key` maps to, first mapping it to make() when it is
+  // absent: one probe under the shard's exclusive latch, inside which
+  // make() runs, so make() is called only for a key nobody mapped first
+  // and its value is indexed before any other thread can look the key up.
+  // make() must not return null (PACMAN_CHECKed): null marks an empty
+  // entry.
+  template <typename Make>
+  void* GetOrInsert(Key key, Make&& make);
+  // GetOrInsert of a value made in advance: returns `value` when it was
+  // inserted, else the present one, unchanged.
+  void* Insert(Key key, void* value) {
+    return GetOrInsert(key, [value] { return value; });
+  }
 
   // Returns the value or nullptr.
   void* Lookup(Key key) const;
@@ -75,6 +83,29 @@ class HashIndex {
   uint32_t shard_bits_;
   std::unique_ptr<Shard[]> shards_;
 };
+
+template <typename Make>
+void* HashIndex::GetOrInsert(Key key, Make&& make) {
+  const uint64_t hash = Hash(key);
+  Shard& s = ShardOf(hash);
+  s.latch.LockExclusive();
+  size_t i = Find(s, hash, key);
+  void* mapped = s.entries[i].value;
+  if (mapped == nullptr) {
+    mapped = make();
+    PACMAN_CHECK_MSG(mapped != nullptr,
+                     "HashIndex values must be non-null: null marks an empty "
+                     "entry");
+    if ((s.size + 1) * 8 > (uint64_t{7} << s.bits)) {
+      Grow(&s);
+      i = Find(s, hash, key);
+    }
+    s.entries[i] = {key, mapped};
+    ++s.size;
+  }
+  s.latch.UnlockExclusive();
+  return mapped;
+}
 
 }  // namespace pacman::storage
 

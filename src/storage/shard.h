@@ -1,6 +1,6 @@
 // Copyright (c) 2026 The PACMAN reproduction authors.
 // Shard routing: the one hash that assigns a key to its home shard.
-// Every layer that partitions state — table indexes/arenas, §4.5 log
+// Every layer that partitions state — table indexes/slots, §4.5 log
 // staging, loggers, checkpoint stripes, recovery pipelines — must agree
 // on this mapping, so it lives in exactly one place. Hashing the key
 // alone (not table id) co-partitions tables that share key values (bank

@@ -1,6 +1,7 @@
 #include "storage/table.h"
 
 #include <algorithm>
+#include <atomic>
 #include <bit>
 #include <cstring>
 #include <new>
@@ -42,6 +43,16 @@ Version* Truncate(Version* newest, Timestamp horizon) {
   Version* cut = keep->older;
   keep->older = nullptr;
   return cut;
+}
+
+// The lane the calling thread creates slots in: threads take lanes round
+// robin in the order they first create a slot, so up to Table::kLanes
+// threads creating at once each append to their own.
+uint32_t CreatorLane() {
+  static std::atomic<uint32_t> next{0};
+  thread_local const uint32_t lane =
+      next.fetch_add(1, std::memory_order_relaxed) % Table::kLanes;
+  return lane;
 }
 
 void FreeChain(Version* v) {
@@ -118,17 +129,22 @@ TupleSlot* Table::GetSlot(Key key) const {
 TupleSlot* Table::GetOrCreateSlot(Key key) {
   Partition& part = Part(key);
   TupleSlot* slot = IndexLookup(part, key);
-  if (slot != nullptr) return slot;
-  // Create a slot speculatively and offer it to the index, which hands
-  // back the slot another thread indexed first, if one did since the
-  // lookup. The arena latch, held across the offer, keeps the speculative
-  // slot the arena's last, so a lost race pops it again.
-  SpinLatchGuard g(part.arena_latch);
-  TupleSlot* created = &part.arena.emplace_back();
-  created->key = key;
-  slot = static_cast<TupleSlot*>(part.index->Insert(key, created));
-  if (slot != created) part.arena.pop_back();
-  return slot;
+  return slot != nullptr ? slot : GetOrInsertSlot(part, key);
+}
+
+TupleSlot* Table::GetOrInsertSlot(Partition& part, Key key) {
+  // The slot is made inside the index shard's exclusive latch, only once
+  // the probe found the key absent, so a lost race makes nothing.
+  return static_cast<TupleSlot*>(part.index->GetOrInsert(key, [&] {
+    Lane& lane = part.lanes[CreatorLane()];
+    SpinLatchGuard g(lane.latch);
+    const size_t i = lane.size % kChunkSlots;
+    if (i == 0) lane.chunks.push_back(std::make_unique<SlotChunk>());
+    TupleSlot* slot = &lane.chunks.back()->slots[i];
+    slot->key = key;
+    ++lane.size;
+    return slot;
+  }));
 }
 
 void Table::LoadRow(Key key, const Row& row, Timestamp ts) {
@@ -140,7 +156,7 @@ void Table::LoadRow(Key key, const uint8_t* row, size_t size, Timestamp ts) {
 }
 
 void Table::LoadVersion(Key key, Version* v) {
-  TupleSlot* slot = GetOrCreateSlot(key);
+  TupleSlot* slot = GetOrInsertSlot(Part(key), key);
   PACMAN_CHECK(slot->newest.load(std::memory_order_relaxed) == nullptr);
   slot->newest.store(v, std::memory_order_release);
   slot->wlock.PublishTs(v->begin_ts);
@@ -206,79 +222,60 @@ bool Table::InstallRowLastWriterWins(TupleSlot* slot, const uint8_t* row,
   return true;
 }
 
-void Table::ForEachSlot(const std::function<void(TupleSlot*)>& fn) const {
-  for (uint32_t s = 0; s < num_parts_; ++s) {
-    for (const TupleSlot& slot : parts_[s].arena) {
-      fn(const_cast<TupleSlot*>(&slot));
-    }
-  }
-}
-
-std::vector<TupleSlot*> Table::SnapshotSlots() const {
-  std::vector<TupleSlot*> out;
-  for (uint32_t s = 0; s < num_parts_; ++s) {
-    const Partition& part = parts_[s];
-    SpinLatchGuard g(part.arena_latch);
-    out.reserve(out.size() + part.arena.size());
-    for (const TupleSlot& slot : part.arena) {
-      out.push_back(const_cast<TupleSlot*>(&slot));
-    }
-  }
-  return out;
-}
-
 uint64_t Table::NumKeys() const {
   uint64_t n = 0;
-  for (uint32_t s = 0; s < num_parts_; ++s) n += parts_[s].arena.size();
+  for (uint32_t p = 0; p < num_parts_; ++p) {
+    for (const Lane& lane : parts_[p].lanes) {
+      SpinLatchGuard g(lane.latch);
+      n += lane.size;
+    }
+  }
   return n;
 }
 
 uint64_t Table::NumVersions() const {
   uint64_t n = 0;
-  for (uint32_t s = 0; s < num_parts_; ++s) {
-    for (const TupleSlot& slot : parts_[s].arena) {
-      for (const Version* v = slot.newest.load(std::memory_order_acquire);
-           v != nullptr; v = v->older) {
-        ++n;
-      }
+  ForEachSlot([&](const TupleSlot* slot) {
+    for (const Version* v = slot->newest.load(std::memory_order_acquire);
+         v != nullptr; v = v->older) {
+      ++n;
     }
-  }
+  });
   return n;
 }
 
 uint64_t Table::ContentHash(Timestamp ts) const {
   uint64_t h = 0;
   Row row;
-  for (uint32_t s = 0; s < num_parts_; ++s) {
-    for (const TupleSlot& slot : parts_[s].arena) {
-      const Version* v = slot.VisibleAt(ts);
-      if (v == nullptr || v->deleted) continue;
-      v->ReadRow(&row);
-      uint64_t kh = slot.key * 0x9e3779b97f4a7c15ull;
-      uint64_t rh = HashRow(row);
-      // XOR of per-key mixes: order-independent, hence also invariant
-      // under how the keys are partitioned across shards.
-      h ^= kh ^ (rh + 0x9e3779b97f4a7c15ull + (kh << 6) + (kh >> 2));
-    }
-  }
+  ForEachSlot([&](const TupleSlot* slot) {
+    const Version* v = slot->VisibleAt(ts);
+    if (v == nullptr || v->deleted) return;
+    v->ReadRow(&row);
+    uint64_t kh = slot->key * 0x9e3779b97f4a7c15ull;
+    uint64_t rh = HashRow(row);
+    // XOR of per-key mixes: order-independent, hence also invariant
+    // under how the keys are partitioned across shards.
+    h ^= kh ^ (rh + 0x9e3779b97f4a7c15ull + (kh << 6) + (kh >> 2));
+  });
   return h;
 }
 
 uint64_t Table::VisibleCount(Timestamp ts) const {
   uint64_t n = 0;
-  for (uint32_t s = 0; s < num_parts_; ++s) {
-    for (const TupleSlot& slot : parts_[s].arena) {
-      const Version* v = slot.VisibleAt(ts);
-      if (v != nullptr && !v->deleted) ++n;
-    }
-  }
+  ForEachSlot([&](const TupleSlot* slot) {
+    const Version* v = slot->VisibleAt(ts);
+    if (v != nullptr && !v->deleted) ++n;
+  });
   return n;
 }
 
 void Table::Reset() {
-  for (uint32_t s = 0; s < num_parts_; ++s) {
-    parts_[s].arena.clear();
-    parts_[s].index =
+  for (uint32_t p = 0; p < num_parts_; ++p) {
+    for (Lane& lane : parts_[p].lanes) {
+      lane.chunks = std::vector<std::unique_ptr<SlotChunk>>();
+      lane.size = 0;
+    }
+    parts_[p].index =
         std::make_unique<HashIndex>(LatchShardsPerPartition(num_parts_));
   }
 }

@@ -1,14 +1,23 @@
 // Copyright (c) 2026 The PACMAN reproduction authors.
-// Main-memory table: a slot arena of MVCC tuples plus its primary point
+// Main-memory table: slot storage for MVCC tuples plus its primary point
 // index, a sharded open-addressing hash (storage/hash_index.h) from key
 // to slot. Versions hold their rows encoded (storage/tuple.h); reads
 // return a view of those bytes, and only the reader decides what to
 // decode.
+//
+// Slot storage: each partition keeps kLanes lanes, and a thread creates
+// its slots in one lane (threads take lanes round robin, in the order
+// they first create a slot). A lane is a list of fixed chunks of
+// kChunkSlots slots, appended in creation order under the lane's own
+// latch, which only its thread and a walker take. A new key therefore
+// costs one exclusive latch on its index shard, one probe, and the
+// uncontended latch of its creator's lane, taken inside the first; slots
+// never move, and creators on different threads never share a latch
+// beyond the index shard's.
 #ifndef PACMAN_STORAGE_TABLE_H_
 #define PACMAN_STORAGE_TABLE_H_
 
-#include <deque>
-#include <functional>
+#include <algorithm>
 #include <memory>
 #include <string>
 #include <vector>
@@ -26,7 +35,7 @@ namespace pacman::storage {
 class Table {
  public:
   // `num_shards` > 1 hash-partitions the table: each shard owns its own
-  // index and slot arena, so single-shard transactions never touch (or
+  // index and slot lanes, so single-shard transactions never touch (or
   // contend on) another shard's structures. `num_shards` = 1 is the
   // unsharded layout, bit-identical to the pre-partitioning engine.
   Table(TableId id, std::string name, Schema schema,
@@ -38,6 +47,12 @@ class Table {
   const Schema& schema() const { return schema_; }
   uint32_t num_shards() const { return num_parts_; }
 
+  // Lanes per partition, and slots per lane chunk: a chunk is 504 bytes,
+  // the size of a libstdc++ deque node, so a table's unused slots stay
+  // within one partly filled chunk per lane it has used.
+  static constexpr uint32_t kLanes = 16;
+  static constexpr size_t kChunkSlots = 21;
+
   // --- Slot access ------------------------------------------------------
   // Returns the slot for `key`, or nullptr if the key was never inserted.
   TupleSlot* GetSlot(Key key) const;
@@ -46,7 +61,9 @@ class Table {
 
   // --- Bulk load (initial population / checkpoint restore) --------------
   // Installs `row` as the sole version visible from timestamp `ts`.
-  // Precondition: `key` has no versions yet.
+  // Precondition: `key` has no versions yet; it is usually new, so the
+  // slot is created without the shared-latch lookup GetOrCreateSlot
+  // starts with.
   void LoadRow(Key key, const Row& row, Timestamp ts);
   // Same, from a row already encoded: the `size` well-formed compact bytes
   // at `row` (CheckCompactRow). Checkpoint restore installs stripe rows
@@ -113,19 +130,18 @@ class Table {
                                        size_t size, Timestamp ts,
                                        bool deleted, Timestamp horizon);
 
-  // Visits every slot (any order, including logically deleted tuples).
-  // NOT safe against concurrent slot creation; single-threaded callers
-  // (recovery, tests) only.
-  void ForEachSlot(const std::function<void(TupleSlot*)>& fn) const;
-
-  // Stable pointers to every slot currently in the arena, collected under
-  // the arena latch — the traversal a *background* checkpoint scan uses
-  // while concurrent transactions keep inserting keys (ForEachSlot's bare
-  // iteration races the deque growth). The deque gives pointer stability,
-  // so the returned pointers stay valid; slots created after the snapshot
-  // cannot hold a version visible at the checkpoint's (already stable)
-  // timestamp, so missing them is not a hole in the snapshot.
-  std::vector<TupleSlot*> SnapshotSlots() const;
+  // Calls fn(TupleSlot*) for every slot, logically deleted tuples
+  // included: partition by partition, lane by lane, each lane in creation
+  // order. Safe against concurrent slot creation, which is how a
+  // background checkpoint scans while transactions insert keys: it takes
+  // a lane's latch once per chunk, only to read where the chunk is and
+  // how many of its slots exist, and visits them after letting go, so it
+  // holds no latch while `fn` runs and no list of slots. Every slot it
+  // visits is initialized; a slot created during the walk may be missed,
+  // which a checkpoint can afford, since such a slot holds no version
+  // visible at its (already stable) timestamp.
+  template <typename Fn>
+  void ForEachSlot(Fn&& fn) const;
 
   // --- Introspection ------------------------------------------------------
   uint64_t NumKeys() const;
@@ -143,22 +159,31 @@ class Table {
   void Reset();
 
  private:
+  struct SlotChunk {
+    TupleSlot slots[kChunkSlots];
+  };
+  // The slots one thread created in a partition, in creation order. The
+  // latch (a line of its own) guards `chunks` and `size`.
+  struct Lane {
+    mutable SpinLatch latch;
+    std::vector<std::unique_ptr<SlotChunk>> chunks;
+    size_t size = 0;  // Slots created: the first `size` are initialized.
+  };
   // One shard's worth of table state. Key-routed operations touch exactly
   // one partition; whole-table operations (hashes, checkpoints) iterate
-  // all of them. Cache-line aligned so two partitions' arena
-  // latches never share a line — adjacent shards are exactly the state
-  // that distinct workers touch concurrently.
-  struct alignas(64) Partition {
+  // all of them.
+  struct Partition {
     std::unique_ptr<HashIndex> index;
-    // Slot arena. Deque gives pointer stability; creation is latched.
-    mutable SpinLatch arena_latch;
-    std::deque<TupleSlot> arena;
+    Lane lanes[kLanes];
   };
 
   Partition& Part(Key key) const {
     return parts_[ShardOfKey(key, num_parts_)];
   }
   TupleSlot* IndexLookup(const Partition& part, Key key) const;
+  // Returns the slot of `key` in `part`, creating and indexing it if
+  // absent: one probe under the index shard's exclusive latch.
+  TupleSlot* GetOrInsertSlot(Partition& part, Key key);
   // Installs `v` as the sole version of `key` (LoadRow).
   void LoadVersion(Key key, Version* v);
 
@@ -171,6 +196,25 @@ class Table {
   uint32_t num_parts_;
   std::unique_ptr<Partition[]> parts_;
 };
+
+template <typename Fn>
+void Table::ForEachSlot(Fn&& fn) const {
+  for (uint32_t p = 0; p < num_parts_; ++p) {
+    for (const Lane& lane : parts_[p].lanes) {
+      for (size_t first = 0;; first += kChunkSlots) {
+        SlotChunk* chunk;
+        size_t n;
+        {
+          SpinLatchGuard g(lane.latch);
+          if (first >= lane.size) break;
+          chunk = lane.chunks[first / kChunkSlots].get();
+          n = std::min(kChunkSlots, lane.size - first);
+        }
+        for (size_t i = 0; i < n; ++i) fn(&chunk->slots[i]);
+      }
+    }
+  }
+}
 
 }  // namespace pacman::storage
 

@@ -11,7 +11,10 @@
 // latch-free because its schedule already orders conflicting writes.
 //
 // Storage layout (what one row costs in memory):
-//  - a TupleSlot is 24 bytes: key, stamp word, newest-version pointer;
+//  - a TupleSlot is 24 bytes: key, stamp word, newest-version pointer.
+//    Slots live in 21-slot chunks (504 bytes, one allocation) that the
+//    creating thread's lane of the table partition appends to
+//    (storage/table.h), and never move;
 //  - a Version is one allocation: a 17-byte header (begin_ts, older,
 //    deleted) followed by the row in the compact encoding
 //    (common/serializer.h), the bytes log images and checkpoint stripes
@@ -137,7 +140,7 @@ struct TupleSlot {
   }
 };
 
-// A deque node (512 bytes in libstdc++) then holds 21 slots.
+// A table's lane chunk (storage/table.h) then holds 21 slots in 504 bytes.
 static_assert(sizeof(TupleSlot) == 24, "TupleSlot must stay 24 bytes");
 
 }  // namespace pacman::storage

@@ -126,6 +126,31 @@ TEST_F(DeviceTest, FileDeviceObjectStoreRoundTrip) {
   EXPECT_TRUE(dev.ListFiles("").empty());
 }
 
+// ReadFile sizes its buffer from fstat and reads into it in place: every
+// size around its former 64 KB read chunk reads back byte for byte, into a
+// buffer that held something else before.
+TEST_F(DeviceTest, FileDeviceReadsBackEverySizeByteForByte) {
+  device::FileDevice dev({.dir = dir_ + "/dev"});
+  for (const size_t size : {size_t{0}, size_t{1}, size_t{65535},
+                            size_t{65536}, size_t{65537}, size_t{3} << 20}) {
+    SCOPED_TRACE("size " + std::to_string(size));
+    std::vector<uint8_t> bytes(size);
+    for (size_t i = 0; i < size; ++i) {
+      bytes[i] = static_cast<uint8_t>((i * 131) ^ (i >> 9));
+    }
+    const std::string name = "f" + std::to_string(size);
+    ASSERT_TRUE(dev.WriteFile(name, bytes).ok());
+    std::vector<uint8_t> got(7, 0xee);
+    ASSERT_TRUE(dev.ReadFile(name, &got).ok());
+    EXPECT_TRUE(got == bytes);
+    // An appended file reads back whole too.
+    ASSERT_TRUE(dev.AppendFile(name, {1, 2, 3}).ok());
+    ASSERT_TRUE(dev.ReadFile(name, &got).ok());
+    bytes.insert(bytes.end(), {1, 2, 3});
+    EXPECT_TRUE(got == bytes);
+  }
+}
+
 TEST_F(DeviceTest, FileDeviceStateSurvivesReopen) {
   {
     device::FileDevice dev({.dir = dir_ + "/dev"});

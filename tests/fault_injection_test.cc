@@ -462,8 +462,10 @@ TEST(FaultEngineTest, TornAppendRecoveryReturnsTheAckedState) {
   // and recovery lands on the last acked epoch with a strictly parseable
   // log holding each commit once.
   FaultSpec spec;
-  spec.fail_append = 2;
-  spec.fail_fsync = 3;  // Fsync #1 is the setup checkpoint's barrier.
+  // Appends #1-#2 are the setup checkpoint's two stripes, so #4 is the
+  // logger's second; fsync #1 is that checkpoint's barrier.
+  spec.fail_append = 4;
+  spec.fail_fsync = 3;
   spec.heal_after = 4;
   spec.torn_bytes = 10;
   DatabaseOptions opts;
@@ -486,6 +488,7 @@ TEST(FaultEngineTest, TornAppendRecoveryReturnsTheAckedState) {
   bank.Install(&db);
   db.FinalizeSchema();
   ASSERT_TRUE(db.TryTakeCheckpoint().ok());
+  ASSERT_EQ(dev->counters().appends, 2u);
   ASSERT_EQ(dev->counters().fsyncs, 1u);
 
   Rng rng(7);
@@ -864,6 +867,11 @@ SweepRun ForwardRun(recovery::Scheme scheme, uint32_t shards) {
     }
     PACMAN_CHECK(db.AdvanceEpoch().status.ok());
     run.legal.push_back({db.ContentHash(), MoneyTotal(&db)});
+    // A second checkpoint mid-run, so the sweep also cuts between its
+    // stripe appends and before its meta.
+    if (epoch == 1) {
+      EXPECT_TRUE(db.TryTakeCheckpoint().ok());
+    }
   }
   // A deliberately tiny final epoch keeps the last batch file small, so
   // the per-byte torn-write sweep below stays cheap.
@@ -888,10 +896,11 @@ struct ExtraWrite {
 };
 
 // Rebuilds the device state of a crash at `upto` (plus the optional torn
-// image), recovers a fresh database from it, and returns its state.
-LegalState RecoverAtBoundary(recovery::Scheme scheme, uint32_t shards,
-                             const std::vector<OpJournalEntry>& entries,
-                             size_t upto, const ExtraWrite* extra) {
+// image) and recovers a fresh database from it.
+std::unique_ptr<Database> OpenAtBoundary(
+    recovery::Scheme scheme, uint32_t shards,
+    const std::vector<OpJournalEntry>& entries, size_t upto,
+    const ExtraWrite* extra) {
   DatabaseOptions opts = SweepOptions(scheme, shards);
   FaultSpec spec;
   spec.persist = true;
@@ -921,18 +930,27 @@ LegalState RecoverAtBoundary(recovery::Scheme scheme, uint32_t shards,
     }
     return dev;
   };
-  Database db(opts);
-  EXPECT_TRUE(db.opened_existing_state());
+  auto db = std::make_unique<Database>(opts);
+  EXPECT_TRUE(db->opened_existing_state());
   workload::Bank bank = SweepBank();
-  bank.CreateTables(db.catalog());
-  bank.RegisterProcedures(db.registry());
-  db.FinalizeSchema();
+  bank.CreateTables(db->catalog());
+  bank.RegisterProcedures(db->registry());
+  db->FinalizeSchema();
   recovery::RecoveryOptions ropts;
   ropts.num_threads = 2;
-  db.Recover(scheme, ropts);
-  EXPECT_FALSE(db.crashed());
-  EXPECT_FALSE(db.read_only());
-  return {db.ContentHash(), MoneyTotal(&db)};
+  db->Recover(scheme, ropts);
+  EXPECT_FALSE(db->crashed());
+  EXPECT_FALSE(db->read_only());
+  return db;
+}
+
+// The state a crash at `upto` recovers.
+LegalState RecoverAtBoundary(recovery::Scheme scheme, uint32_t shards,
+                             const std::vector<OpJournalEntry>& entries,
+                             size_t upto, const ExtraWrite* extra) {
+  std::unique_ptr<Database> db =
+      OpenAtBoundary(scheme, shards, entries, upto, extra);
+  return {db->ContentHash(), MoneyTotal(db.get())};
 }
 
 // Index of `state` in `legal`, or -1: a recovered state that matches no
@@ -1021,6 +1039,73 @@ TEST_P(AliceSweepTest, ToleratesTornFinalBatchAtEveryByteOffset) {
     EXPECT_EQ(got.hash, want.hash) << "torn at byte " << k << " of " << len;
     EXPECT_NEAR(got.money, want.money, 1e-6) << "torn at byte " << k;
   }
+}
+
+// Checkpoint ids are reused after a crash: recovery resumes them past the
+// newest durable checkpoint. A kill inside checkpoint 1's stripes (one
+// stripe whole, the next torn, no meta) leaves stripes that the restarted
+// database's next checkpoint, id 1 again, must replace, not extend.
+TEST(CheckpointIdReuseTest, RetakenIdReplacesTheStripesOfAKilledAttempt) {
+  const recovery::Scheme scheme = recovery::Scheme::kClrP;
+  const SweepRun run = ForwardRun(scheme, 1);
+  std::vector<size_t> appends;  // Checkpoint 1's stripe appends.
+  for (size_t i = 0; i < run.entries.size(); ++i) {
+    uint64_t id = 0;
+    uint32_t ssd = 0, file = 0;
+    if (run.entries[i].kind == OpJournalEntry::Kind::kAppend &&
+        logging::Checkpointer::ParseStripeFileName(run.entries[i].name, &id,
+                                                   &ssd, &file) &&
+        id == 1) {
+      appends.push_back(i);
+    }
+  }
+  ASSERT_GE(appends.size(), 2u);
+  const OpJournalEntry& cut = run.entries[appends[1]];
+  ASSERT_GT(cut.bytes.size(), 1u);
+  ExtraWrite torn;
+  torn.device = cut.device;
+  torn.name = cut.name;
+  torn.append = true;
+  torn.bytes.assign(cut.bytes.begin(),
+                    cut.bytes.begin() +
+                        static_cast<ptrdiff_t>(cut.bytes.size() / 2));
+  std::unique_ptr<Database> db =
+      OpenAtBoundary(scheme, 1, run.entries, appends[1], &torn);
+  ASSERT_GE(LegalIndex(run.legal, {db->ContentHash(), MoneyTotal(db.get())}),
+            0);
+  ASSERT_TRUE(db->device(torn.device)->Exists(torn.name));
+  ASSERT_TRUE(db->device(run.entries[appends[0]].device)
+                  ->Exists(run.entries[appends[0]].name));
+
+  logging::CheckpointMeta meta;
+  ASSERT_TRUE(db->TryTakeCheckpoint(&meta).ok());
+  EXPECT_EQ(meta.id, 1u);
+  // Every stripe parses to its end and the stripes hold each visible
+  // tuple once: nothing of the killed attempt survives in them.
+  uint64_t bytes = 0;
+  size_t tuples = 0;
+  for (uint32_t d = 0; d < meta.num_ssds; ++d) {
+    for (uint32_t f = 0; f < meta.files_per_ssd; ++f) {
+      logging::CheckpointStripe stripe;
+      const Status s = db->checkpointer()->ReadStripe(meta, d, f, &stripe);
+      ASSERT_TRUE(s.ok()) << s.ToString();
+      bytes += stripe.bytes.size();
+      tuples += stripe.num_tuples;
+    }
+  }
+  EXPECT_EQ(bytes, meta.total_bytes);
+  uint64_t visible = 0;
+  for (const auto& table : db->catalog()->tables()) {
+    visible += table->VisibleCount(meta.ts);
+  }
+  EXPECT_EQ(tuples, visible);
+
+  const uint64_t hash = db->ContentHash();
+  db->Crash();
+  recovery::RecoveryOptions ropts;
+  ropts.num_threads = 2;
+  db->Recover(scheme, ropts);
+  EXPECT_EQ(db->ContentHash(), hash);
 }
 
 INSTANTIATE_TEST_SUITE_P(

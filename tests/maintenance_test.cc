@@ -260,19 +260,19 @@ class ForwardingDevice : public device::StorageDevice {
   device::SimulatedSsd inner_;
 };
 
-// Wrapper device that silently swallows checkpoint stripe writes — the
+// Wrapper device that silently swallows checkpoint stripe appends — the
 // "device acknowledged a write it did not keep" failure TakeCheckpoint
 // must detect instead of letting truncation delete the only copy.
 class StripeDroppingDevice : public ForwardingDevice {
  public:
   explicit StripeDroppingDevice(bool* drop) : drop_(drop) {}
-  device::IoResult WriteFile(const std::string& name,
-                             std::vector<uint8_t> bytes) override {
+  device::IoResult AppendFile(const std::string& name,
+                              const std::vector<uint8_t>& bytes) override {
     if (*drop_ && name.rfind("ckpt_", 0) == 0 &&
         name.rfind("ckpt_meta_", 0) != 0) {
       return device::IoResult::Ok(0.0);  // Acknowledge and drop.
     }
-    return ForwardingDevice::WriteFile(name, std::move(bytes));
+    return ForwardingDevice::AppendFile(name, bytes);
   }
 
  private:
@@ -315,6 +315,91 @@ TEST_F(MaintenanceTest, CheckpointFailsLoudlyWhenStripesDoNotLand) {
   drop = false;
   ASSERT_TRUE(db->TryTakeCheckpoint(&meta).ok());
   EXPECT_GT(meta.id, good.id);
+}
+
+// Wrapper device that fails checkpoint stripe appends on request: after
+// `pass` more stripe appends succeed, each of the next `fail` (-1: every
+// one) fails with half its bytes landed, as a failed append may leave.
+struct StripeFaults {
+  int pass = 0;
+  int fail = 0;
+};
+
+class StripeAppendFailingDevice : public ForwardingDevice {
+ public:
+  explicit StripeAppendFailingDevice(StripeFaults* faults)
+      : faults_(faults) {}
+  device::IoResult AppendFile(const std::string& name,
+                              const std::vector<uint8_t>& bytes) override {
+    const bool stripe = name.rfind("ckpt_", 0) == 0 &&
+                        name.rfind("ckpt_meta_", 0) != 0;
+    if (!stripe || faults_->fail == 0) {
+      return ForwardingDevice::AppendFile(name, bytes);
+    }
+    if (faults_->pass > 0) {
+      --faults_->pass;
+      return ForwardingDevice::AppendFile(name, bytes);
+    }
+    if (faults_->fail > 0) --faults_->fail;
+    const std::vector<uint8_t> half(bytes.begin(),
+                                    bytes.begin() + bytes.size() / 2);
+    (void)ForwardingDevice::AppendFile(name, half);
+    return device::IoResult{
+        Status::Internal("injected stripe append failure: " + name), 0.0};
+  }
+
+ private:
+  StripeFaults* faults_;
+};
+
+TEST_F(MaintenanceTest, FailedStripeAppendFailsTheCheckpointUntilTheNext) {
+  // A transient failure (one append) and a permanent one (every append
+  // until the device heals): appends are not retried, so either fails
+  // the attempt, which commits no meta, leaves no stripe and truncates
+  // nothing; the next checkpoint on a healthy device succeeds.
+  for (const int failures : {1, -1}) {
+    SCOPED_TRACE(failures == 1 ? "transient" : "permanent");
+    StripeFaults faults;
+    DatabaseOptions opts = SimDbOptions(logging::LogScheme::kCommand);
+    opts.device_factory = [&faults](uint32_t) {
+      return std::make_unique<StripeAppendFailingDevice>(&faults);
+    };
+    auto db = std::make_unique<Database>(opts);
+    bank_.Install(db.get());
+    db->FinalizeSchema();
+    logging::CheckpointMeta good;
+    ASSERT_TRUE(db->TryTakeCheckpoint(&good).ok());
+    RunTxns(db.get(), 40);
+    const uint64_t log_files_before = CountFiles(db.get(), "log_");
+    ASSERT_GT(log_files_before, 1u);
+
+    faults = {.pass = 1, .fail = failures};
+    auto service = MakeService(db.get());
+    const Status failed = service->RunOnce(nullptr);
+    EXPECT_FALSE(failed.ok());
+    EXPECT_NE(failed.message().find("injected stripe append failure"),
+              std::string::npos)
+        << failed.ToString();
+    EXPECT_EQ(service->stats().checkpoint_failures, 1u);
+    EXPECT_EQ(service->stats().batches_deleted, 0u);
+    EXPECT_EQ(CountFiles(db.get(), "log_"), log_files_before);
+    EXPECT_EQ(db->checkpointer()->ListMetaIds(),
+              std::vector<uint64_t>{good.id});
+    // The failed attempt removed the stripes it had begun.
+    for (uint64_t id : StripeIds(db->checkpointer())) EXPECT_EQ(id, good.id);
+
+    faults = {};  // Healed.
+    maintenance::CheckpointEvent ev;
+    ASSERT_TRUE(service->RunOnce(&ev).ok());
+    EXPECT_GT(ev.id, good.id);
+    EXPECT_GT(ev.batches_deleted, 0u);
+    const uint64_t hash = db->ContentHash();
+    db->Crash();
+    recovery::RecoveryOptions ropts;
+    ropts.num_threads = 2;
+    db->Recover(recovery::Scheme::kClrP, ropts);
+    EXPECT_EQ(db->ContentHash(), hash);
+  }
 }
 
 // --- Truncation + retention over live state -------------------------------

@@ -584,7 +584,7 @@ TEST(TableTest, InstallsFreeVersionsBelowTheHorizon) {
 
 // Four threads create slots for overlapping key ranges at once, racing on
 // every key of the overlap: each key gets exactly one slot, which every
-// creator is handed, and the arena keeps no lost race's slot.
+// creator is handed, and no lane keeps a slot for a lost race.
 TEST(TableTest, RacingSlotCreationMakesOneSlotPerKey) {
   for (uint32_t shards : {1u, 4u}) {
     SCOPED_TRACE("shards " + std::to_string(shards));
@@ -621,6 +621,62 @@ TEST(TableTest, RacingSlotCreationMakesOneSlotPerKey) {
       ++slots;
     });
     EXPECT_EQ(slots, distinct);
+  }
+}
+
+// Four threads load keys while a fifth repeats the checkpoint's walk
+// (ForEachSlot): every slot a walk visits is initialized and visited once,
+// and the walk after the loaders finish sees every key exactly once.
+TEST(TableTest, WalkRacingSlotCreationSeesInitializedSlotsOnce) {
+  for (uint32_t shards : {1u, 4u}) {
+    SCOPED_TRACE("shards " + std::to_string(shards));
+    Table t(0, "t", OneIntSchema(), shards);
+    constexpr int kThreads = 4;
+    constexpr Key kPerThread = 20000;
+    constexpr Key kKeys = kThreads * kPerThread;
+    // Keys start at 1: a slot's key reads 0 until it is initialized.
+    std::vector<uint8_t> seen(kKeys + 1);
+    uint64_t uninitialized = 0;
+    uint64_t repeats = 0;
+    auto walk = [&] {
+      std::fill(seen.begin(), seen.end(), 0);
+      t.ForEachSlot([&](TupleSlot* slot) {
+        if (slot->key < 1 || slot->key > kKeys) {
+          ++uninitialized;
+          return;
+        }
+        if (seen[slot->key]++ != 0) ++repeats;
+        const Version* v = slot->VisibleAt(5);
+        if (v != nullptr && v->begin_ts != 1) ++uninitialized;
+      });
+    };
+    std::atomic<int> loading{kThreads};
+    std::vector<std::thread> threads;
+    for (int i = 0; i < kThreads; ++i) {
+      threads.emplace_back([&t, &loading, i] {
+        for (Key k = 1; k <= kPerThread; ++k) {
+          t.LoadRow(static_cast<Key>(i) * kPerThread + k,
+                    IntRow(static_cast<int64_t>(k)), 1);
+        }
+        loading.fetch_sub(1);
+      });
+    }
+    uint64_t walks = 0;
+    std::thread walker([&] {
+      do {
+        walk();
+        ++walks;
+      } while (loading.load() > 0);
+    });
+    for (auto& th : threads) th.join();
+    walker.join();
+    EXPECT_GT(walks, 0u);
+    walk();
+    EXPECT_EQ(uninitialized, 0u);
+    EXPECT_EQ(repeats, 0u);
+    for (Key k = 1; k <= kKeys; ++k) ASSERT_EQ(seen[k], 1) << "key " << k;
+    EXPECT_EQ(t.NumKeys(), kKeys);
+    EXPECT_EQ(t.VisibleCount(5), kKeys);
   }
 }
 
